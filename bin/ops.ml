@@ -179,7 +179,7 @@ let trace_term =
     Cmdliner.Arg.(
       value & flag
       & info [ "counters" ]
-          ~doc:"Dump the run's counter registry after the timeline.")
+          ~doc:"Dump the run's counters after the timeline.")
   in
   let buffer_arg =
     Cmdliner.Arg.(
@@ -452,7 +452,7 @@ let cmp_term =
       value & flag
       & info [ "counters" ]
           ~doc:
-            "Dump the observability counter registry after the summary; \
+            "Dump the observability counters after the summary; \
              each core's counters are namespaced core0., core1., ... and \
              the shared hierarchy's l2.*/coh.* are unprefixed.")
   in

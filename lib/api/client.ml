@@ -2,23 +2,18 @@
    per connection: [request] writes the frame, relays progress frames to
    the callback, and returns the terminal frame. *)
 
-type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+type t = { ic : in_channel; oc : out_channel }
 
 let connect addr =
   match Addr.connect addr with
   | Error e -> Error e
   | Ok fd ->
-      Ok
-        {
-          fd;
-          ic = Unix.in_channel_of_descr fd;
-          oc = Unix.out_channel_of_descr fd;
-        }
+      Ok { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
-let close t =
-  close_out_noerr t.oc;
-  close_in_noerr t.ic;
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+(* Both channels share one descriptor: close it exactly once (through [oc],
+   which flushes first). A second close could hit a descriptor number
+   another thread has reused in the meantime. *)
+let close t = close_out_noerr t.oc
 
 let request ?on_progress t req =
   match Wire.write t.oc (Request.to_json req) with

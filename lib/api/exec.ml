@@ -10,12 +10,12 @@ module E = Sim.Experiments
 
 type env = {
   ctx : Sim.Suite.ctx;
-  obs : Obs.Sink.t;
+  counters : Obs.Counters.t;
   max_jobs : int option;
 }
 
 let one_shot_env () =
-  { ctx = Sim.Suite.create_ctx (); obs = Obs.Sink.disabled; max_jobs = None }
+  { ctx = Sim.Suite.create_ctx (); counters = Obs.Counters.create (); max_jobs = None }
 
 let ( let* ) = Result.bind
 
@@ -54,6 +54,10 @@ let ctx_for env sample =
       let* spec = spec_of_sample sm in
       Ok (Sim.Suite.create_ctx ~sample:spec ())
 
+let machine_cfg ~core ~width =
+  let cfg = U.Config.preset_of_kind core in
+  if width = 8 then cfg else U.Config.scale_width cfg width
+
 let binary_for core program =
   match core with
   | U.Config.Braid_exec | U.Config.Cgooo ->
@@ -63,16 +67,18 @@ let binary_for core program =
 
 (* Shared by run and trace: generate, compile for the chosen core, emulate,
    and time the resulting trace on the configured machine. This is the
-   computation the one-shot CLI historically ran inline. *)
-let simulate ~(profile : W.Spec.profile) ~seed ~scale ~core ~width ~obs =
+   computation the one-shot CLI historically ran inline. Returns the
+   finished core and its trace. *)
+let simulate ?probe ~(profile : W.Spec.profile) ~seed ~scale ~core ~width () =
   let program, init_mem = W.Spec.generate profile ~seed ~scale in
-  let cfg = U.Config.preset_of_kind core in
   let binary = binary_for core program in
-  let cfg = if width = 8 then cfg else U.Config.scale_width cfg width in
   let out = Emulator.run ~max_steps:(50 * scale) ~init_mem binary in
   let trace = Option.get out.Emulator.trace in
-  let r = U.Pipeline.run ~obs ~warm_data:(List.map fst init_mem) cfg trace in
-  (r, trace)
+  let c =
+    U.Core.run ?probe ~warm_data:(List.map fst init_mem)
+      (machine_cfg ~core ~width) trace
+  in
+  (c, trace)
 
 (* Wire a Runner/Sweep on_done hook to the caller's progress stream. The
    hook fires on worker domains: count and emission happen under one
@@ -125,9 +131,7 @@ let exec_run (r : Request.run) =
   let seed = r.Request.r_seed and core = r.Request.r_core in
   match r.Request.r_sample with
   | None ->
-      let res, _ =
-        simulate ~profile ~seed ~scale ~core ~width ~obs:Obs.Sink.disabled
-      in
+      let res = U.Core.result (fst (simulate ~profile ~seed ~scale ~core ~width ())) in
       let b = Buffer.create 1024 in
       Printf.ksprintf (Buffer.add_string b) "%s on %s\n" profile.W.Spec.name
         res.U.Pipeline.config_name;
@@ -136,8 +140,7 @@ let exec_run (r : Request.run) =
   | Some sm ->
       let* spec = spec_of_sample sm in
       let program, init_mem = W.Spec.generate profile ~seed ~scale in
-      let cfg = U.Config.preset_of_kind core in
-      let cfg = if width = 8 then cfg else U.Config.scale_width cfg width in
+      let cfg = machine_cfg ~core ~width in
       let t =
         Braid_sample.Driver.run ~init_mem
           ~warm_data:(List.map fst init_mem)
@@ -156,9 +159,7 @@ let exec_run (r : Request.run) =
       let sp_error =
         if not sm.Request.sm_verify then None
         else begin
-          let full, _ =
-            simulate ~profile ~seed ~scale ~core ~width ~obs:Obs.Sink.disabled
-          in
+          let full = U.Core.result (fst (simulate ~profile ~seed ~scale ~core ~width ())) in
           let e = Braid_sample.Driver.error_vs ~full t in
           pf "  full-simulation IPC %.3f (sampled error %.2f%%)\n"
             full.U.Pipeline.ipc (100.0 *. e);
@@ -266,7 +267,7 @@ let exec_sweep ?progress env (s : Request.sweep) =
   let* ctx = ctx_for env s.Request.s_sample in
   let on_done = counted_progress progress ~total:(Dse.Sweep.job_count ~benches points) in
   let outcome =
-    Dse.Sweep.run ~obs:env.obs ?cache ?on_done ~ctx
+    Dse.Sweep.run ~counters:env.counters ?cache ?on_done ~ctx
       ~jobs:(effective_jobs env jobs) ~seed:s.Request.s_seed ~scale ~benches
       points
   in
@@ -284,24 +285,17 @@ let exec_sweep ?progress env (s : Request.sweep) =
          cache_hits = outcome.Dse.Sweep.stats.Dse.Sweep.cache_hits;
        })
 
-(* Dump a live sink's counter registry, one name per line — shared by
-   trace --counters and cmp --counters (where the per-core "core<i>."
-   prefixes keep the cores apart). *)
-let render_counter_registry obs =
+(* Render a counter dump, one name per line — shared by trace --counters
+   and cmp --counters (where the per-core "core<i>." prefixes keep the
+   cores apart). *)
+let render_counters dump =
   let cb = Buffer.create 1024 in
   Buffer.add_char cb '\n';
   List.iter
     (fun (name, v) ->
-      match v with
-      | Obs.Counters.Count n ->
-          Buffer.add_string cb (Printf.sprintf "%-26s %d\n" name n)
-      | Obs.Counters.Hist { counts; observations; sum; _ } ->
-          Buffer.add_string cb
-            (Printf.sprintf "%-26s n=%d sum=%d buckets=[%s]\n" name
-               observations sum
-               (String.concat ";"
-                  (Array.to_list (Array.map string_of_int counts)))))
-    (Obs.Counters.snapshot (Obs.Sink.counters obs));
+      Buffer.add_string cb
+        (Printf.sprintf "%-26s %s\n" name (Sim.Report.render_counter_value v)))
+    dump;
   Buffer.contents cb
 
 (* --- trace --- *)
@@ -311,13 +305,15 @@ let exec_trace (t : Request.trace) =
   let* scale = positive "scale" t.Request.t_scale in
   let* width = check_width t.Request.t_width in
   let* buffer = positive "buffer" t.Request.t_buffer in
-  let obs = Obs.Sink.create () in
+  let core = t.Request.t_core in
   let tracer = Obs.Tracer.create ~capacity:buffer () in
-  Obs.Sink.attach_tracer obs tracer;
-  let r, trace =
-    simulate ~profile ~seed:t.Request.t_seed ~scale ~core:t.Request.t_core
-      ~width ~obs
+  let probe =
+    U.Probe.create ~tracer ~invariants:false (machine_cfg ~core ~width)
   in
+  let c, trace =
+    simulate ~probe ~profile ~seed:t.Request.t_seed ~scale ~core ~width ()
+  in
+  let r = U.Core.result c in
   let events = Obs.Tracer.events tracer in
   let label uid = Disasm.instr trace.Trace.events.(uid).Trace.instr in
   let b = Buffer.create 4096 in
@@ -361,7 +357,8 @@ let exec_trace (t : Request.trace) =
                })
   in
   let counters_text =
-    if not t.Request.t_counters then None else Some (render_counter_registry obs)
+    if not t.Request.t_counters then None
+    else Some (render_counters (U.Core.counters c))
   in
   Ok (Response.Trace_done { text = Buffer.contents b; counters_text; chrome })
 
@@ -443,10 +440,7 @@ let exec_rv (v : Request.rv) =
       let cfg = U.Config.preset_of_kind core in
       let out = Emulator.run ~init_mem (binary_for core program) in
       let trace = Option.get out.Emulator.trace in
-      let r =
-        U.Pipeline.run ~obs:Obs.Sink.disabled
-          ~warm_data:(List.map fst init_mem) cfg trace
-      in
+      let r = U.Pipeline.run ~warm_data:(List.map fst init_mem) cfg trace in
       pf "  %-24s %8d cycles, IPC %.3f\n" r.U.Pipeline.config_name
         r.U.Pipeline.cycles r.U.Pipeline.ipc)
     cores;
@@ -491,19 +485,15 @@ let exec_cmp env (c : Request.cmp) =
         Ok (p :: acc))
       (Ok []) c.Request.c_benches
   in
-  let cfg = U.Config.preset_of_kind c.Request.c_core in
-  let cfg = if width = 8 then cfg else U.Config.scale_width cfg width in
+  let cfg = machine_cfg ~core:c.Request.c_core ~width in
   let* cmp =
     U.Config.Cmp.validate
       (U.Config.Cmp.make ~l2:c.Request.c_l2 ~cores:c.Request.c_cores
          ~workloads:c.Request.c_benches ())
   in
-  let obs = if c.Request.c_counters then Obs.Sink.create () else Obs.Sink.disabled in
   (* the env's suite ctx memoises preparations, so a daemon serves
      repeats from warm traces while producing the one-shot bytes *)
-  let r =
-    Braid_cmp.Cmp_bench.run ~obs env.ctx ~seed:c.Request.c_seed ~scale ~cfg cmp
-  in
+  let r = Braid_cmp.Cmp_bench.run env.ctx ~seed:c.Request.c_seed ~scale ~cfg cmp in
   let* () =
     match r.Braid_cmp.Cmp.violations with
     | [] -> Ok ()
@@ -536,7 +526,8 @@ let exec_cmp env (c : Request.cmp) =
     coh.U.Mem_hier.invalidations coh.U.Mem_hier.downgrades
     coh.U.Mem_hier.writebacks coh.U.Mem_hier.remote_hits;
   let counters_text =
-    if not c.Request.c_counters then None else Some (render_counter_registry obs)
+    if not c.Request.c_counters then None
+    else Some (render_counters (Braid_cmp.Cmp.counters r))
   in
   Ok
     (Response.Cmp_done

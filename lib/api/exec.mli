@@ -10,16 +10,16 @@ type env = {
       (** shared memoisation context: a daemon keeps one for its whole
           lifetime, so anything warm (prepared traces, simulation results)
           is reused across requests and clients *)
-  obs : Braid_obs.Sink.t;
-      (** the daemon's counter registry ([dse.simulations],
-          [dse.cache_hits], ...); {!Braid_obs.Sink.disabled} one-shot *)
+  counters : Braid_obs.Counters.t;
+      (** the daemon's live counters ([dse.simulations],
+          [dse.cache_hits]); a fresh, unread registry one-shot *)
   max_jobs : int option;
       (** cap on per-request domain-pool width; the requested value is
           still what documents record, since output never depends on it *)
 }
 
 val one_shot_env : unit -> env
-(** Fresh context, disabled sink, no jobs cap — the one-shot CLI's
+(** Fresh context and counters, no jobs cap — the one-shot CLI's
     environment. *)
 
 val exec :

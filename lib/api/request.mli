@@ -102,7 +102,7 @@ type cmp = {
   c_l2 : Config.cache_geometry option;
       (** shared L2 geometry; [None]: the solo L2 with capacity scaled by
           the core count ({!Braid_uarch.Config.Cmp.default_l2}) *)
-  c_counters : bool;  (** also return the namespaced counter registry *)
+  c_counters : bool;  (** also return the namespaced counter dump *)
 }
 
 type t =

@@ -59,7 +59,7 @@ type payload =
       writebacks : int;
       remote_hits : int;
       counters_text : string option;
-          (** the per-core-namespaced counter registry, when requested *)
+          (** the per-core-namespaced counter dump, when requested *)
     }
   | Rv_done of {
       text : string;

@@ -56,14 +56,14 @@ let create cfg =
   match Addr.listen cfg.addr with
   | Error e -> Error e
   | Ok listen_fd ->
-      let obs = Obs.Sink.create () in
+      let counters = Obs.Counters.create () in
       (* Pre-register the cache-effectiveness counters so a status request
          reports them (as zero) before the first sweep, and so the
          registry's name table is stable once reader threads can look. *)
-      ignore (Obs.Sink.counter obs "dse.simulations");
-      ignore (Obs.Sink.counter obs "dse.cache_hits");
+      Obs.Counters.add counters "dse.simulations" 0;
+      Obs.Counters.add counters "dse.cache_hits" 0;
       let env =
-        { Exec.ctx = Sim.Suite.create_ctx (); obs; max_jobs = Some cfg.jobs }
+        { Exec.ctx = Sim.Suite.create_ctx (); counters; max_jobs = Some cfg.jobs }
       in
       Ok
         {
@@ -95,12 +95,7 @@ let send conn response =
         | exception Unix.Unix_error _ -> conn.c_alive <- false)
 
 let status_snapshot t =
-  let counters =
-    Obs.Counters.snapshot (Obs.Sink.counters t.env.Exec.obs)
-    |> List.filter_map (function
-         | name, Obs.Counters.Count c -> Some (name, c)
-         | _, Obs.Counters.Hist _ -> None)
-  in
+  let counters = Obs.Counters.snapshot t.env.Exec.counters in
   {
     Response.pool_jobs = t.cfg.jobs;
     max_queue = Admission.capacity t.queue;
@@ -207,8 +202,10 @@ let reader_loop t conn =
   Fun.protect
     ~finally:(fun () ->
       Mutex.protect conn.c_wmutex (fun () -> conn.c_alive <- false);
-      close_out_noerr conn.c_oc;
-      close_in_noerr conn.c_ic)
+      (* both channels share the descriptor: close it exactly once, or the
+         second close can hit a descriptor number that a concurrent accept
+         has already reused *)
+      close_out_noerr conn.c_oc)
     loop
 
 let executor_loop t =

@@ -2,7 +2,7 @@ module Transform = Braid_core.Transform
 module Extalloc = Braid_core.Extalloc
 module Config = Braid_uarch.Config
 module Pipeline = Braid_uarch.Pipeline
-module Debug = Braid_uarch.Debug
+module Probe = Braid_uarch.Probe
 module Cmp = Braid_cmp.Cmp
 
 type divergence = { core : int; kind : string; detail : string }
@@ -56,11 +56,11 @@ let check ?(cores = 2) ?(kind = Config.Braid_exec) ~seed ~index () =
     let solo =
       Array.map
         (fun (_, trace, warm_data) ->
-          let dbg = Debug.create ~invariants:true cfg in
+          let probe = Probe.create ~invariants:true cfg in
           let cycles =
-            (Pipeline.run ~dbg ~warm_data cfg trace).Pipeline.cycles
+            (Pipeline.run ~probe ~warm_data cfg trace).Pipeline.cycles
           in
-          (cycles, Debug.committed dbg, Debug.committed_pcs dbg))
+          (cycles, Probe.committed probe, Probe.committed_pcs probe))
         prepared
     in
     let workloads =
@@ -73,27 +73,27 @@ let check ?(cores = 2) ?(kind = Config.Braid_exec) ~seed ~index () =
           })
         prepared
     in
-    let dbgs = Array.init cores (fun _ -> Debug.create ~invariants:true cfg) in
+    let probes = Array.init cores (fun _ -> Probe.create ~invariants:true cfg) in
     let cmp =
       Config.Cmp.make ~cores
         ~workloads:(Array.to_list (Array.map (fun w -> w.Cmp.w_bench) workloads))
         ()
     in
     let solo_cycles = Array.map (fun (c, _, _) -> c) solo in
-    (match Cmp.run ~dbgs ~solo_cycles ~cfg ~cmp workloads with
+    (match Cmp.run ~probes ~solo_cycles ~cfg ~cmp workloads with
     | result ->
         (* coherence-state legality: the directory scan must come back
            clean (e.g. no line with two M copies) *)
         List.iter (fun v -> add (-1) "coherence" v) result.Cmp.violations;
         Array.iteri
-          (fun i dbg ->
-            if Debug.violation_count dbg > 0 then
+          (fun i probe ->
+            if Probe.violation_count probe > 0 then
               add i "invariant"
                 (Printf.sprintf "%d invariant violation(s) under contention"
-                   (Debug.violation_count dbg));
+                   (Probe.violation_count probe));
             let _, solo_uids, solo_pcs = solo.(i) in
-            let cmp_uids = Debug.committed dbg in
-            let cmp_pcs = Debug.committed_pcs dbg in
+            let cmp_uids = Probe.committed probe in
+            let cmp_pcs = Probe.committed_pcs probe in
             if Array.length cmp_uids <> Array.length solo_uids then
               add i "commit-count"
                 (Printf.sprintf "CMP committed %d instructions, solo %d"
@@ -116,7 +116,7 @@ let check ?(cores = 2) ?(kind = Config.Braid_exec) ~seed ~index () =
                      solo_uids.(!bad)
                      solo_pcs.(!bad))
             end)
-          dbgs
+          probes
     | exception Pipeline.Deadlock msg -> add (-1) "deadlock" msg);
     { divergences = List.rev !divs; cores; dynamic_count = !dynamic }
   end

@@ -4,8 +4,8 @@
     identical to the same program's solo run over a private hierarchy —
     sharing the backside may change {e timing}, never {e architecture}.
 
-    Two monitors ride along: each core's {!Braid_uarch.Debug} invariant
-    sink (commit order, register-file discipline under contention) and the
+    Two monitors ride along: each core's {!Braid_uarch.Probe} invariant
+    checks (commit order, register-file discipline under contention) and the
     {!Braid_uarch.Mem_hier} directory-legality scan (no line with two
     modified copies, no stale sharer claiming ownership). *)
 

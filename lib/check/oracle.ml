@@ -2,7 +2,7 @@ module Transform = Braid_core.Transform
 module Extalloc = Braid_core.Extalloc
 module Config = Braid_uarch.Config
 module Pipeline = Braid_uarch.Pipeline
-module Debug = Braid_uarch.Debug
+module Probe = Braid_uarch.Probe
 
 type divergence = { core : string; kind : string; detail : string }
 
@@ -10,7 +10,7 @@ type core_report = {
   kind : Config.core_kind;
   name : string;
   cycles : int;
-  violations : Debug.violation list;
+  violations : Probe.violation list;
   violation_count : int;
 }
 
@@ -92,16 +92,16 @@ let check ?(invariants = true) ?(cores = default_cores) ?inject_commit program
       let trace =
         match out.Emulator.trace with Some t -> t | None -> assert false
       in
-      let dbg = Debug.create ~invariants cfg in
+      let probe = Probe.create ~invariants cfg in
       let cycles =
-        match Pipeline.run ~dbg ~warm_data cfg trace with
+        match Pipeline.run ~probe ~warm_data cfg trace with
         | res -> res.Pipeline.cycles
         | exception Pipeline.Deadlock msg ->
             add name "deadlock" msg;
             0
       in
       let n = Trace.length trace in
-      let committed = Debug.committed dbg in
+      let committed = Probe.committed probe in
       let committed =
         match inject_commit with None -> committed | Some f -> f committed
       in
@@ -150,8 +150,8 @@ let check ?(invariants = true) ?(cores = default_cores) ?inject_commit program
         kind;
         name;
         cycles;
-        violations = Debug.violations dbg;
-        violation_count = Debug.violation_count dbg;
+        violations = Probe.violations probe;
+        violation_count = Probe.violation_count probe;
       }
     in
     let core_reports = List.map run_core cores in
@@ -180,7 +180,7 @@ let render r =
           (fun i v ->
             if i < 8 then
               Buffer.add_string buf
-                (Format.asprintf "    %a\n" Debug.pp_violation v))
+                (Format.asprintf "    %a\n" Probe.pp_violation v))
           c.violations
       end)
     r.cores;

@@ -4,7 +4,7 @@
     then compiles the program both ways ({!Braid_core.Transform}
     [conventional] and braid), emulates each binary sequentially, and runs
     each requested timing core over its binary's trace with a live
-    {!Braid_uarch.Debug} sink. Divergences reported:
+    {!Braid_uarch.Probe}. Divergences reported:
 
     - ["non-terminating"]: an execution failed to halt within the step
       budget;
@@ -18,7 +18,7 @@
       external registers or memory than the binary's own sequential
       emulation.
 
-    Invariant violations observed by the debug sink are carried per core
+    Invariant violations observed by the probe are carried per core
     alongside the divergences. *)
 
 type divergence = { core : string; kind : string; detail : string }
@@ -27,7 +27,7 @@ type core_report = {
   kind : Braid_uarch.Config.core_kind;
   name : string;
   cycles : int;
-  violations : Braid_uarch.Debug.violation list;  (** first 200 *)
+  violations : Braid_uarch.Probe.violation list;  (** first 200 *)
   violation_count : int;  (** exact total *)
 }
 

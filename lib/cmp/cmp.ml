@@ -1,4 +1,3 @@
-module Obs = Braid_obs
 module U = Braid_uarch
 
 (* Multi-programmed (rate-mode) CMP: N identical cores, each running its
@@ -17,6 +16,7 @@ type core_result = {
   core_id : int;
   bench : string;
   result : U.Core.result;  (* counters at this core's own finish cycle *)
+  counters : (string * U.Core.counter) list;
   solo_cycles : int;
   slowdown : float;  (* cycles / solo_cycles; 1.0 = no interference *)
 }
@@ -33,7 +33,7 @@ type t = {
   violations : string list;  (* directory-legality scan at the end *)
 }
 
-let run ?(obs = Obs.Sink.disabled) ?dbgs ?solo_cycles ~(cfg : U.Config.t)
+let run ?probes ?solo_cycles ~(cfg : U.Config.t)
     ~(cmp : U.Config.Cmp.t) (workloads : workload array) =
   let n = Array.length workloads in
   if n = 0 then invalid_arg "Cmp.run: no workloads";
@@ -41,9 +41,9 @@ let run ?(obs = Obs.Sink.disabled) ?dbgs ?solo_cycles ~(cfg : U.Config.t)
     invalid_arg
       (Printf.sprintf "Cmp.run: %d workloads for %d cores" n
          cmp.U.Config.Cmp.cores);
-  (match dbgs with
-  | Some d when Array.length d <> n ->
-      invalid_arg "Cmp.run: dbgs length must equal the core count"
+  (match probes with
+  | Some p when Array.length p <> n ->
+      invalid_arg "Cmp.run: probes length must equal the core count"
   | _ -> ());
   (* Solo baselines first (private hierarchies, untouched by the CMP):
      the per-core slowdown denominator. Skipped when the caller already
@@ -62,7 +62,7 @@ let run ?(obs = Obs.Sink.disabled) ?dbgs ?solo_cycles ~(cfg : U.Config.t)
           workloads
   in
   let shared =
-    U.Mem_hier.create_shared ~obs
+    U.Mem_hier.create_shared
       ~memory_latency:cfg.U.Config.mem.U.Config.memory_latency
       cmp.U.Config.Cmp.l2
   in
@@ -71,25 +71,20 @@ let run ?(obs = Obs.Sink.disabled) ?dbgs ?solo_cycles ~(cfg : U.Config.t)
   let cores =
     Array.mapi
       (fun i w ->
-        let obs_i = Obs.Sink.scoped obs (Printf.sprintf "core%d." i) in
-        let hier = U.Mem_hier.attach ~obs:obs_i ~core:i shared cfg.U.Config.mem in
-        let dbg = Option.map (fun d -> d.(i)) dbgs in
-        U.Core.create ~obs:obs_i ?dbg ~warm_data:w.w_warm_data ~hier cfg
-          w.w_trace)
+        let hier = U.Mem_hier.attach ~core:i shared cfg.U.Config.mem in
+        let probe = Option.map (fun p -> p.(i)) probes in
+        U.Core.create ?probe ~warm_data:w.w_warm_data ~hier cfg w.w_trace)
       workloads
   in
-  let gcycle = ref 0 in
   let live = ref n in
   while !live > 0 do
-    U.Mem_hier.set_now shared !gcycle;
     Array.iter
       (fun c ->
         if not (U.Core.finished c) then begin
           U.Core.step c;
           if U.Core.finished c then decr live
         end)
-      cores;
-    incr gcycle
+      cores
   done;
   let per_core =
     Array.to_list
@@ -100,6 +95,7 @@ let run ?(obs = Obs.Sink.disabled) ?dbgs ?solo_cycles ~(cfg : U.Config.t)
              core_id = i;
              bench = workloads.(i).w_bench;
              result = r;
+             counters = U.Core.counters c;
              solo_cycles = solo.(i);
              slowdown =
                float_of_int r.U.Core.cycles /. float_of_int (max 1 solo.(i));
@@ -131,3 +127,21 @@ let run ?(obs = Obs.Sink.disabled) ?dbgs ?solo_cycles ~(cfg : U.Config.t)
     coherence = U.Mem_hier.coh_of_shared shared;
     violations = U.Mem_hier.coherence_violations shared;
   }
+
+let counters r =
+  let count name n = (name, U.Core.Count n) in
+  let coh = r.coherence in
+  [
+    count "coh.remote_hits" coh.U.Mem_hier.remote_hits;
+    count "coh.writebacks" coh.U.Mem_hier.writebacks;
+    count "coh.downgrades" coh.U.Mem_hier.downgrades;
+    count "coh.invalidations" coh.U.Mem_hier.invalidations;
+    count "l2.misses" r.l2_misses;
+    count "l2.hits" r.l2_hits;
+  ]
+  @ List.concat_map
+      (fun c ->
+        List.map
+          (fun (name, v) -> (Printf.sprintf "core%d.%s" c.core_id name, v))
+          c.counters)
+      r.cores

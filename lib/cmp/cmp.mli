@@ -24,6 +24,8 @@ type core_result = {
   bench : string;
   result : Braid_uarch.Core.result;
       (** per-core counters, at this core's own finish cycle *)
+  counters : (string * Braid_uarch.Core.counter) list;
+      (** this core's counter dump ({!Braid_uarch.Core.counters}) *)
   solo_cycles : int;  (** same workload, same config, private hierarchy *)
   slowdown : float;  (** cycles / solo_cycles; 1.0 = no interference *)
 }
@@ -42,8 +44,7 @@ type t = {
 }
 
 val run :
-  ?obs:Braid_obs.Sink.t ->
-  ?dbgs:Braid_uarch.Debug.t array ->
+  ?probes:Braid_uarch.Probe.t array ->
   ?solo_cycles:int array ->
   cfg:Braid_uarch.Config.t ->
   cmp:Braid_uarch.Config.Cmp.t ->
@@ -59,13 +60,12 @@ val run :
     cycle-identical to [Pipeline.run] — the passthrough proof the golden
     suite pins.
 
-    With a live [obs] sink, core [i]'s counters are namespaced
-    ["core<i>."] ({!Braid_obs.Sink.scoped}) while the shared backside
-    registers ["l2.*"] and ["coh.*"] unprefixed; attach a tracer before
-    calling to also capture coherence events.
-
-    [dbgs] attaches one invariant monitor per core (commit-stream
-    recording for the differential fuzzer).
+    [probes] attaches one probe per core (commit-stream recording and
+    invariant checks for the differential fuzzer).
 
     Raises [Invalid_argument] on a workload/core count mismatch or
-    mis-sized [dbgs]/[solo_cycles]. *)
+    mis-sized [probes]/[solo_cycles]. *)
+
+val counters : t -> (string * Braid_uarch.Core.counter) list
+(** The CMP's counter dump: the shared backside's ["coh.*"] and ["l2.*"]
+    unprefixed, then each core's dump namespaced ["core<i>."]. *)

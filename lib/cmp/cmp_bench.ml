@@ -26,7 +26,7 @@ let resolve ?(ext_usable = Braid_core.Extalloc.usable_per_class) ctx ~seed
       in
       { Cmp.w_bench = pr.Spec.name; w_trace = trace; w_warm_data = p.Suite.warm_data })
 
-let run ?obs ?dbgs ?ext_usable ctx ~seed ~scale ~(cfg : U.Config.t)
+let run ?probes ?ext_usable ctx ~seed ~scale ~(cfg : U.Config.t)
     (cmp : U.Config.Cmp.t) =
   let workloads = resolve ?ext_usable ctx ~seed ~scale ~cfg cmp in
-  Cmp.run ?obs ?dbgs ~cfg ~cmp workloads
+  Cmp.run ?probes ~cfg ~cmp workloads

@@ -27,8 +27,7 @@ val resolve :
     names first where a typed error is wanted. *)
 
 val run :
-  ?obs:Braid_obs.Sink.t ->
-  ?dbgs:Braid_uarch.Debug.t array ->
+  ?probes:Braid_uarch.Probe.t array ->
   ?ext_usable:int ->
   Braid_sim.Suite.ctx ->
   seed:int ->

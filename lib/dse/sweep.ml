@@ -111,7 +111,7 @@ let simulate_cmp ~ctx ~seed ~scale ~cores (cfg : Config.t) (pr : Spec.profile) =
 
 let job_count ~benches points = List.length points * List.length benches
 
-let run ?(obs = Obs.Sink.disabled) ?cache ?on_done ~ctx ~jobs ~seed ~scale
+let run ?counters ?cache ?on_done ~ctx ~jobs ~seed ~scale
     ~benches points =
   let work =
     Array.of_list
@@ -200,8 +200,11 @@ let run ?(obs = Obs.Sink.disabled) ?cache ?on_done ~ctx ~jobs ~seed ~scale
   let stats =
     { simulated = count (fun r -> not r.from_cache); cache_hits = count (fun r -> r.from_cache) }
   in
-  (* fold the totals into the observability registry after the parallel
-     section: registries are single-owner, so domains must not touch them *)
-  Obs.Counters.add (Obs.Sink.counter obs "dse.simulations") stats.simulated;
-  Obs.Counters.add (Obs.Sink.counter obs "dse.cache_hits") stats.cache_hits;
+  (* fold the totals into the registry after the parallel section:
+     registries are single-owner, so domains must not touch them *)
+  Option.iter
+    (fun reg ->
+      Obs.Counters.add reg "dse.simulations" stats.simulated;
+      Obs.Counters.add reg "dse.cache_hits" stats.cache_hits)
+    counters;
   { results; stats }

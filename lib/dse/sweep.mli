@@ -44,7 +44,7 @@ val job_count : benches:'a list -> 'b list -> int
     total for an [on_done] stream. *)
 
 val run :
-  ?obs:Braid_obs.Sink.t ->
+  ?counters:Braid_obs.Counters.t ->
   ?cache:Cache.t ->
   ?on_done:(int -> string -> unit) ->
   ctx:Braid_sim.Suite.ctx ->
@@ -54,8 +54,8 @@ val run :
   benches:Braid_workload.Spec.profile list ->
   Grid.point list ->
   outcome
-(** With a live [obs] sink the totals land in the ["dse.simulations"] and
-    ["dse.cache_hits"] counters — the hook the cache tests (and CI) use to
+(** With a [counters] registry the totals land in its ["dse.simulations"]
+    and ["dse.cache_hits"] counters — the hook the cache tests (and CI) use to
     prove a warm re-run performs zero pipeline runs. [on_done] streams
     per-job completion exactly as {!Braid_sim.Runner.try_map_jobs} does
     (worker-domain context: the callback must be domain-safe). *)

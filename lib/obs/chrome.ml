@@ -2,14 +2,14 @@ module Json = Braid_util.Json
 
 let default_label uid = Printf.sprintf "uid %d" uid
 
-let default_track_name track =
+let track_name track =
   if track < 0 then "front-end" else Printf.sprintf "BEU %d" track
 
 (* tids must be distinct per track; shift by one so the front end (-1)
    gets tid 0 and BEU k gets tid k+1, keeping every tid non-negative *)
 let tid_of track = track + 1
 
-let export ?(label = default_label) ?(track_name = default_track_name) tracer =
+let export ?(label = default_label) tracer =
   let evs = Tracer.events tracer in
   let b = Buffer.create 65536 in
   let first = ref true in

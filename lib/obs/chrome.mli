@@ -7,12 +7,8 @@
     short duration events with their reason in [args]. One simulated cycle
     maps to one microsecond of trace time. *)
 
-val export :
-  ?label:(int -> string) ->
-  ?track_name:(int -> string) ->
-  Tracer.t ->
-  string
+val export : ?label:(int -> string) -> Tracer.t -> string
 (** [label uid] names an instruction's execution span (default
-    ["uid <n>"]); [track_name t] names a track (default ["front-end"] for
-    [-1], ["BEU <t>"] otherwise). The result is a complete JSON document
-    ending in a newline. *)
+    ["uid <n>"]); tracks are named ["front-end"] for [-1] and ["BEU <t>"]
+    otherwise. The result is a complete JSON document ending in a
+    newline. *)

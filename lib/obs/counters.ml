@@ -1,103 +1,10 @@
-type counter = { c_name : string; mutable count : int }
-
-type histogram = {
-  h_name : string;
-  bounds : int array;
-  counts : int array;  (* length = Array.length bounds + 1; last = overflow *)
-  mutable observations : int;
-  mutable sum : int;
-}
-
-type item = Counter_item of counter | Histogram_item of histogram
-
-type t = { mutable items : item list (* newest first *) }
+type t = { mutable items : (string * int ref) list (* newest first *) }
 
 let create () = { items = [] }
 
-let dummy_counter name = { c_name = name; count = 0 }
+let add t name n =
+  match List.assoc_opt name t.items with
+  | Some c -> c := !c + n
+  | None -> t.items <- (name, ref n) :: t.items
 
-let check_bounds name bounds =
-  if Array.length bounds = 0 then
-    invalid_arg (Printf.sprintf "Counters.histogram %s: empty bounds" name);
-  for i = 1 to Array.length bounds - 1 do
-    if bounds.(i) <= bounds.(i - 1) then
-      invalid_arg
-        (Printf.sprintf "Counters.histogram %s: bounds must be strictly ascending" name)
-  done
-
-let dummy_histogram name ~bounds =
-  check_bounds name bounds;
-  {
-    h_name = name;
-    bounds = Array.copy bounds;
-    counts = Array.make (Array.length bounds + 1) 0;
-    observations = 0;
-    sum = 0;
-  }
-
-let item_name = function Counter_item c -> c.c_name | Histogram_item h -> h.h_name
-
-let counter t name =
-  let rec find = function
-    | [] ->
-        let c = dummy_counter name in
-        t.items <- Counter_item c :: t.items;
-        c
-    | Counter_item c :: _ when String.equal c.c_name name -> c
-    | Histogram_item h :: _ when String.equal h.h_name name ->
-        invalid_arg (Printf.sprintf "Counters.counter %s: registered as a histogram" name)
-    | _ :: rest -> find rest
-  in
-  find t.items
-
-let histogram t name ~bounds =
-  let rec find = function
-    | [] ->
-        let h = dummy_histogram name ~bounds in
-        t.items <- Histogram_item h :: t.items;
-        h
-    | Histogram_item h :: _ when String.equal h.h_name name ->
-        if h.bounds <> bounds then
-          invalid_arg
-            (Printf.sprintf "Counters.histogram %s: re-registered with different bounds"
-               name);
-        h
-    | Counter_item c :: _ when String.equal c.c_name name ->
-        invalid_arg (Printf.sprintf "Counters.histogram %s: registered as a counter" name)
-    | _ :: rest -> find rest
-  in
-  find t.items
-
-let incr c = c.count <- c.count + 1
-let add c n = c.count <- c.count + n
-let count c = c.count
-
-let observe h v =
-  h.observations <- h.observations + 1;
-  h.sum <- h.sum + v;
-  let n = Array.length h.bounds in
-  let rec bucket i = if i >= n || v <= h.bounds.(i) then i else bucket (i + 1) in
-  let b = bucket 0 in
-  h.counts.(b) <- h.counts.(b) + 1
-
-type value =
-  | Count of int
-  | Hist of { bounds : int array; counts : int array; observations : int; sum : int }
-
-let value_of = function
-  | Counter_item c -> Count c.count
-  | Histogram_item h ->
-      Hist
-        {
-          bounds = Array.copy h.bounds;
-          counts = Array.copy h.counts;
-          observations = h.observations;
-          sum = h.sum;
-        }
-
-let snapshot t = List.rev_map (fun it -> (item_name it, value_of it)) t.items
-
-let find t name =
-  List.find_map
-    (fun it -> if String.equal (item_name it) name then Some (value_of it) else None)
-    t.items
+let snapshot t = List.rev_map (fun (name, c) -> (name, !c)) t.items

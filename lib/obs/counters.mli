@@ -1,48 +1,17 @@
-(** Named monotonic counters and fixed-bucket histograms, grouped in a
-    registry that snapshots to an alist in registration order.
-
-    Handles are plain mutable records, so the hot-path cost of an update is
-    one store; code that instruments a structure keeps the handle and never
-    touches the registry again. A handle obtained from {!dummy_counter} /
-    {!dummy_histogram} behaves identically but belongs to no registry —
-    instrumented code can update it unconditionally while the observability
-    sink is disabled without publishing anything. *)
-
-type counter
-type histogram
+(** Named monotonic counters for long-lived services — the daemon's
+    [dse.*] cache-effectiveness counts. A simulation run keeps no counters
+    here: its counter dump is read off the finished core's own state
+    ([Braid_uarch.Core.counters]). *)
 
 type t
-(** A registry. Not thread-safe: each simulation owns its own. *)
+(** A registry. Not thread-safe: one writer at a time. *)
 
 val create : unit -> t
 
-val counter : t -> string -> counter
-(** Registers (or returns the already-registered) counter under [name].
-    Raises [Invalid_argument] if [name] is taken by a histogram. *)
+val add : t -> string -> int -> unit
+(** [add t name n] adds [n] to [name], registering it (at [n]) on first
+    use; [add t name 0] registers a counter so it is listed before it
+    counts anything. *)
 
-val histogram : t -> string -> bounds:int array -> histogram
-(** [bounds] are inclusive upper bucket bounds, strictly ascending and
-    non-empty; one extra overflow bucket catches larger values. Raises
-    [Invalid_argument] on invalid bounds, a name taken by a counter, or a
-    re-registration with different bounds. *)
-
-val dummy_counter : string -> counter
-(** An unregistered counter: updates are accepted and discarded. *)
-
-val dummy_histogram : string -> bounds:int array -> histogram
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-val count : counter -> int
-
-val observe : histogram -> int -> unit
-
-type value =
-  | Count of int
-  | Hist of { bounds : int array; counts : int array; observations : int; sum : int }
-      (** [counts] has one entry per bound plus the overflow bucket. *)
-
-val snapshot : t -> (string * value) list
-(** Current values, in registration order. Arrays are copies. *)
-
-val find : t -> string -> value option
+val snapshot : t -> (string * int) list
+(** Current values, in registration order. *)

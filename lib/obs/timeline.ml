@@ -1,7 +1,7 @@
 type row = {
   uid : int;
-  track : int;
-  fetch : int;
+  track : int;  (* BEU index, -1 when unknown/front-end only *)
+  fetch : int;  (* -1 when the event fell outside the tracer window *)
   dispatch : int;
   issue : int;
   complete : int;
@@ -17,6 +17,8 @@ type mut_row = {
   mutable m_commit : int;
 }
 
+(* Per-instruction stage cycles recovered from the event stream, in uid
+   order. *)
 let rows_of_events evs =
   let tbl : (int, mut_row) Hashtbl.t = Hashtbl.create 256 in
   let row uid =

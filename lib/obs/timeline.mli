@@ -6,20 +6,6 @@
     [C]ommit), ['.'] fills waiting-to-issue gaps, ['='] fills execution,
     ['-'] fills the completed-but-not-committed tail. *)
 
-type row = {
-  uid : int;
-  track : int;  (** BEU index, -1 when unknown/front-end only *)
-  fetch : int;  (** -1 when the event fell outside the tracer window *)
-  dispatch : int;
-  issue : int;
-  complete : int;
-  commit : int;
-}
-
-val rows_of_events : Tracer.event list -> row list
-(** Per-instruction stage cycles recovered from the event stream, in uid
-    order. *)
-
 val render :
   ?from_cycle:int -> ?cycles:int -> label:(int -> string) -> Tracer.event list -> string
 (** The diagram for cycles [\[from_cycle, from_cycle + cycles)]. [label]

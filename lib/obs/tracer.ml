@@ -7,13 +7,6 @@ let stage_name = function
   | Complete -> "complete"
   | Commit -> "commit"
 
-let stage_letter = function
-  | Fetch -> 'F'
-  | Dispatch -> 'D'
-  | Issue -> 'I'
-  | Complete -> 'X'
-  | Commit -> 'C'
-
 type event =
   | Stage of { cycle : int; uid : int; stage : stage; track : int }
   | Exec of { uid : int; track : int; start : int; dur : int }
@@ -48,12 +41,6 @@ let events t =
   let start = (t.next - t.len + cap) mod cap in
   List.init t.len (fun i ->
       match t.buf.((start + i) mod cap) with Some e -> e | None -> assert false)
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.next <- 0;
-  t.len <- 0;
-  t.dropped <- 0
 
 let track_of = function
   | Stage { track; _ } | Exec { track; _ } | Stall { track; _ } | Span { track; _ } ->

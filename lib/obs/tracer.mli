@@ -1,7 +1,8 @@
 (** Bounded ring buffer of typed per-cycle pipeline events.
 
-    A tracer only exists when someone attached one to the observability
-    sink, so the simulator's disabled path never constructs an event. At
+    A tracer only exists when someone gave one to the run's probe
+    ([Braid_uarch.Probe]), so the simulator's default path never
+    constructs an event. At
     capacity the oldest events are dropped (and counted), keeping a run's
     memory bounded no matter how long it is: the buffer always holds the
     most recent window.
@@ -12,7 +13,6 @@
 type stage = Fetch | Dispatch | Issue | Complete | Commit
 
 val stage_name : stage -> string
-val stage_letter : stage -> char
 
 type event =
   | Stage of { cycle : int; uid : int; stage : stage; track : int }
@@ -41,7 +41,5 @@ val record : t -> event -> unit
 
 val events : t -> event list
 (** Retained events, oldest first. *)
-
-val clear : t -> unit
 
 val track_of : event -> int

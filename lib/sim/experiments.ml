@@ -1102,17 +1102,15 @@ let run ctx ~scale e =
 
 (* --- observability counters (opt-in; braidsim experiment --counters) --- *)
 
-module Obs = Braid_obs
-
-type counters = (string * (string * Obs.Counters.value) list) list
+type counters = (string * (string * U.Core.counter) list) list
 
 let counters_report ctx ~scale =
   List.map
     (fun (profile : Spec.profile) ->
       let p = Suite.prepare ctx ~scale profile in
-      let obs = Obs.Sink.create () in
-      ignore
-        (U.Pipeline.run ~obs ~warm_data:p.Suite.warm_data U.Config.braid_8wide
-           (p.Suite.braid_trace ()));
-      (profile.Spec.name, Obs.Counters.snapshot (Obs.Sink.counters obs)))
+      let core =
+        U.Core.run ~warm_data:p.Suite.warm_data U.Config.braid_8wide
+          (p.Suite.braid_trace ())
+      in
+      (profile.Spec.name, U.Core.counters core))
     Spec.all

@@ -71,13 +71,12 @@ val find : string -> t
 val run : Suite.ctx -> scale:int -> t -> result
 (** Run one experiment serially: every [bench_job], then [assemble]. *)
 
-type counters = (string * (string * Braid_obs.Counters.value) list) list
-(** Per-benchmark counter snapshots: [(benchmark name, registry alist)]
-    in suite order. *)
+type counters = (string * (string * Braid_uarch.Core.counter) list) list
+(** Per-benchmark counter dumps: [(benchmark name, dump)] in suite
+    order. *)
 
 val counters_report : Suite.ctx -> scale:int -> counters
-(** Run every benchmark once on the 8-wide braid machine with a live
-    observability sink and snapshot each run's counter registry —
-    the Fig 6/Fig 7 explanatory metrics (external-file early releases,
-    bypass overflows, BEU occupancy, ...). Separate from the memoised
-    {!Suite.run_braid} results, which stay observability-free. *)
+(** Run every benchmark once on the 8-wide braid machine and read each
+    run's counter dump ({!Braid_uarch.Core.counters}) — the Fig 6/Fig 7
+    explanatory metrics (external-file early releases, bypass overflows,
+    BEU occupancy, ...). *)

@@ -83,8 +83,8 @@ let headline_summary results =
   Buffer.contents b
 
 let render_counter_value = function
-  | Braid_obs.Counters.Count n -> string_of_int n
-  | Braid_obs.Counters.Hist { counts; observations; sum; _ } ->
+  | Braid_uarch.Core.Count n -> string_of_int n
+  | Braid_uarch.Core.Hist { counts; observations; sum; _ } ->
       Printf.sprintf "n=%d sum=%d buckets=[%s]" observations sum
         (String.concat ";" (Array.to_list (Array.map string_of_int counts)))
 
@@ -168,8 +168,8 @@ let json_of_result ((r : E.result), (stats : Runner.stats option)) =
     @ timing)
 
 let json_of_counter_value = function
-  | Braid_obs.Counters.Count n -> string_of_int n
-  | Braid_obs.Counters.Hist { bounds; counts; observations; sum } ->
+  | Braid_uarch.Core.Count n -> string_of_int n
+  | Braid_uarch.Core.Hist { bounds; counts; observations; sum } ->
       json_obj
         [
           ("bounds", json_list string_of_int (Array.to_list bounds));

@@ -17,6 +17,10 @@ val headline_summary : Experiments.result list -> string
 (** The framed "Headline summary (measured)" block: one line of
     [label=value] metrics per experiment. *)
 
+val render_counter_value : Braid_uarch.Core.counter -> string
+(** One counter's value as the text dumps print it: the count, or a
+    histogram's observation count / sum / bucket vector. *)
+
 val render_counters : Experiments.counters -> string
 (** Framed per-benchmark dump of an observability counters report
     ({!Experiments.counters_report}): one line per counter, histograms as

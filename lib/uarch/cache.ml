@@ -1,5 +1,3 @@
-module Obs = Braid_obs
-
 type t = {
   sets : int;
   ways : int;
@@ -10,16 +8,13 @@ type t = {
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
-  (* observability handles; dummies (dead stores) when the sink is disabled *)
-  c_hits : Obs.Counters.counter;
-  c_misses : Obs.Counters.counter;
 }
 
 let log2 n =
   let rec go k v = if v >= n then k else go (k + 1) (v * 2) in
   go 0 1
 
-let create ?(obs = Obs.Sink.disabled) ?(name = "cache") (g : Config.cache_geometry) =
+let create (g : Config.cache_geometry) =
   let lines = g.Config.size_bytes / g.Config.line_bytes in
   let sets = max 1 (lines / g.Config.ways) in
   {
@@ -32,8 +27,6 @@ let create ?(obs = Obs.Sink.disabled) ?(name = "cache") (g : Config.cache_geomet
     tick = 0;
     hits = 0;
     misses = 0;
-    c_hits = Obs.Sink.counter obs (name ^ ".hits");
-    c_misses = Obs.Sink.counter obs (name ^ ".misses");
   }
 
 let access_gen ~count t addr =
@@ -48,17 +41,11 @@ let access_gen ~count t addr =
   done;
   if !way >= 0 then begin
     t.stamps.(!way) <- t.tick;
-    if count then begin
-      t.hits <- t.hits + 1;
-      Obs.Counters.incr t.c_hits
-    end;
+    if count then t.hits <- t.hits + 1;
     true
   end
   else begin
-    if count then begin
-      t.misses <- t.misses + 1;
-      Obs.Counters.incr t.c_misses
-    end;
+    if count then t.misses <- t.misses + 1;
     (* evict LRU *)
     let victim = ref base in
     for w = base + 1 to base + t.ways - 1 do

@@ -8,10 +8,7 @@
 
 type t
 
-val create : ?obs:Braid_obs.Sink.t -> ?name:string -> Config.cache_geometry -> t
-(** With a live [obs] sink, registers ["<name>.hits"] / ["<name>.misses"]
-    counters that mirror {!hits} / {!misses} (warm-up fills stay
-    uncounted, as before). *)
+val create : Config.cache_geometry -> t
 
 val access : t -> int -> bool
 (** [access t addr] probes and updates state; returns hit. Fills on miss. *)

@@ -1,9 +1,7 @@
-module Obs = Braid_obs
-
 (* One core's whole pipeline — fetch, dispatch, execution core, commit —
    as a stepable value: [create] builds the machine and warms its
-   caches, [step] advances exactly one cycle, [result] reads the
-   counters off a finished run. [Pipeline.run] is [create] + a
+   caches, [step] advances exactly one cycle, [result] and [counters]
+   read a finished run. [Pipeline.run] is [create] + a
    step-until-finished loop; a CMP interleaves [step]s of many cores
    under one global clock. *)
 
@@ -32,6 +30,23 @@ type result = {
 }
 
 exception Deadlock of string
+
+type counter =
+  | Count of int
+  | Hist of { bounds : int array; counts : int array; observations : int; sum : int }
+
+(* Occupancy histogram: inclusive upper bucket bounds plus an overflow
+   bucket, and the bucket of every occupancy up to the last bound, so
+   one cycle's sample costs one lookup and one add. *)
+let occupancy_bounds = [| 0; 2; 4; 8; 16; 32; 64; 128; 256 |]
+let occupancy_overflow = Array.length occupancy_bounds
+
+let occupancy_bucket =
+  Array.init
+    (occupancy_bounds.(occupancy_overflow - 1) + 1)
+    (fun v ->
+      let rec find i = if v <= occupancy_bounds.(i) then i else find (i + 1) in
+      find 0)
 
 type redirect = {
   uid : int;  (** instruction whose resolution restarts fetch *)
@@ -68,10 +83,11 @@ type t = {
   machine : Machine.t;
   step_fn : unit -> unit;
   result_fn : unit -> result;
+  counters_fn : unit -> (string * counter) list;
 }
 
-let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
-    ?prewarm ?measure_from ?hier (cfg : Config.t) (trace : Trace.t) =
+let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
+    (cfg : Config.t) (trace : Trace.t) =
   let n = Array.length trace.Trace.events in
   if n = 0 then invalid_arg "Core.create: empty trace";
   (match measure_from with
@@ -79,7 +95,7 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
       invalid_arg
         (Printf.sprintf "Core.create: measure_from %d outside trace [0, %d)" mf n)
   | _ -> ());
-  let m = Machine.create ~obs ~dbg ?hier cfg trace in
+  let m = Machine.create ~probe ?hier cfg trace in
   (* Warm-up: the measured window is a steady-state snapshot of a much
      longer run (MinneSPEC), so code lines are warm in L1I/L2 and the
      initial data image is warm in L2. *)
@@ -122,6 +138,7 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
   let stall_redirect = ref 0 and stall_icache = ref 0 in
   let stall_core = ref 0 and stall_frontend = ref 0 in
   let occupancy_sum = ref 0 in
+  let occupancy_counts = Array.make (occupancy_overflow + 1) 0 in
   let boundary = ref None in
   let capture_boundary () =
     boundary :=
@@ -142,25 +159,6 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
           b_s_frontend = !stall_frontend;
           b_occupancy_sum = !occupancy_sum;
         }
-  in
-  (* observability: registered handles on a live sink, dummies otherwise;
-     the tracer (if any) is attached before the run starts *)
-  let c_fetch = Obs.Sink.counter obs "fetch.instrs" in
-  let c_stall_redirect = Obs.Sink.counter obs "stall.fetch_redirect" in
-  let c_stall_icache = Obs.Sink.counter obs "stall.fetch_icache" in
-  let c_stall_core = Obs.Sink.counter obs "stall.dispatch_core" in
-  let c_stall_frontend = Obs.Sink.counter obs "stall.dispatch_frontend" in
-  let h_occupancy =
-    Obs.Sink.histogram obs "core.occupancy"
-      ~bounds:[| 0; 2; 4; 8; 16; 32; 64; 128; 256 |]
-  in
-  let tracer = Obs.Sink.tracer obs in
-  let record_stall reason =
-    match tracer with
-    | None -> ()
-    | Some tr ->
-        Obs.Tracer.record tr
-          (Obs.Tracer.Stall { cycle = Machine.now m; track = -1; reason })
   in
   (* finite BTB: direct-mapped table of transfer pcs *)
   let btb =
@@ -233,36 +231,36 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
     Exec_core.cycle core;
     let occupancy = Exec_core.occupancy core in
     occupancy_sum := !occupancy_sum + occupancy;
-    if Obs.Sink.enabled obs then Obs.Counters.observe h_occupancy occupancy;
+    let b =
+      if occupancy < Array.length occupancy_bucket then occupancy_bucket.(occupancy)
+      else occupancy_overflow
+    in
+    occupancy_counts.(b) <- occupancy_counts.(b) + 1;
     (* dispatch *)
     let continue_dispatch = ref true in
     while !continue_dispatch && not (Ring.is_empty fetchq) do
       let u = Ring.peek fetchq in
-      if Machine.can_dispatch m u then
-        if Exec_core.try_dispatch core u then begin
-          Machine.note_dispatch m u;
-          ignore (Ring.pop fetchq)
-        end
-        else begin
-          incr stall_core;
-          Obs.Counters.incr c_stall_core;
-          record_stall "core-full";
+      match Machine.can_dispatch m u with
+      | Machine.Block_none ->
+          if Exec_core.try_dispatch core u then begin
+            Machine.note_dispatch m u;
+            ignore (Ring.pop fetchq)
+          end
+          else begin
+            incr stall_core;
+            Probe.on_stall probe ~cycle:now "core-full";
+            continue_dispatch := false
+          end
+      | block ->
+          incr stall_frontend;
+          Probe.on_stall probe ~cycle:now (Machine.dispatch_block_name block);
           continue_dispatch := false
-        end
-      else begin
-        incr stall_frontend;
-        Obs.Counters.incr c_stall_frontend;
-        if tracer <> None then
-          record_stall (Machine.dispatch_block_name (Machine.dispatch_block_reason m u));
-        continue_dispatch := false
-      end
     done;
     (* resolve fetch redirects *)
     (match !blocked with
     | Some r ->
         incr stall_redirect;
-        Obs.Counters.incr c_stall_redirect;
-        record_stall "redirect";
+        Probe.on_stall probe ~cycle:now "redirect";
         (if cfg.Config.model_wrong_path_fetch then
            match r.wrong_path with
            | Some loc ->
@@ -275,8 +273,7 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
     | None ->
         if now < !icache_ready then begin
           incr stall_icache;
-          Obs.Counters.incr c_stall_icache;
-          record_stall "icache"
+          Probe.on_stall probe ~cycle:now "icache"
         end);
     (* fetch *)
     if !blocked = None && now >= !icache_ready then begin
@@ -296,12 +293,7 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
           last_line := line;
           if lat > cfg.Config.mem.Config.l1i.Config.latency then begin
             icache_ready := now + lat;
-            (match tracer with
-            | None -> ()
-            | Some tr ->
-                Obs.Tracer.record tr
-                  (Obs.Tracer.Span
-                     { name = "L1I miss"; cat = "cache"; track = -1; start = now; dur = lat }));
+            Probe.on_icache_miss probe ~cycle:now ~lat;
             stop := true
           end
         end;
@@ -312,14 +304,7 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
           else begin
             Ring.push fetchq e.Trace.uid;
             incr fetched;
-            Obs.Counters.incr c_fetch;
-            Debug.on_fetch dbg ~cycle:now e;
-            (match tracer with
-            | None -> ()
-            | Some tr ->
-                Obs.Tracer.record tr
-                  (Obs.Tracer.Stage
-                     { cycle = now; uid = e.Trace.uid; stage = Obs.Tracer.Fetch; track = -1 }));
+            Probe.on_fetch probe ~cycle:now e;
             if is_branch then incr branches;
             (* a taken transfer missing in the BTB costs a fetch bubble *)
             if is_branch && e.Trace.taken && not (btb_hit e.Trace.pc) then
@@ -443,17 +428,76 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
         /. float_of_int (max 1 cycles);
     }
   in
-  { machine = m; step_fn = step; result_fn = result }
+  let counters () =
+    (* whole-run values (a [measure_from] prefix included), in the order
+       the dump has always listed them *)
+    let count name n = (name, Count n) in
+    let l1i_hits, l1i_misses = Mem_hier.l1i_stats hier in
+    let l1d_hits, l1d_misses = Mem_hier.l1d_stats hier in
+    let act = Machine.activity m in
+    (* a shared L2 belongs to the whole CMP, which lists it once *)
+    (if Mem_hier.is_shared hier then []
+     else
+       let l2_hits, l2_misses = Mem_hier.l2_stats hier in
+       [ count "l2.misses" l2_misses; count "l2.hits" l2_hits ])
+    @ [
+        count "l1d.misses" l1d_misses;
+        count "l1d.hits" l1d_hits;
+        count "l1i.misses" l1i_misses;
+        count "l1i.hits" l1i_hits;
+        (* one external-file write per allocation, each either bypassed
+           or overflowing to a write port *)
+        count "bypass.overflows"
+          (act.Machine.ext_rf_writes - act.Machine.bypass_values);
+        count "bypass.uses" act.Machine.bypass_values;
+        count "extfile.dispatch_stalls" (Machine.stall_dispatch_regs m);
+        count "extfile.commit_releases" (Machine.commit_releases m);
+        count "extfile.early_releases" (Machine.early_releases m);
+        count "extfile.allocs" act.Machine.ext_rf_writes;
+        count "commit.instrs" (Machine.committed_count m);
+        count "issue.instrs" (Machine.issued_count m);
+        count "dispatch.instrs" (Machine.dispatched_count m);
+        count "predictor.mispredicts" (Predictor.mispredicts pred);
+        count "predictor.lookups" (Predictor.lookups pred);
+        count "core.dispatch_rejects" !stall_core;
+        count "fetch.instrs" !fetch_idx;
+        count "stall.fetch_redirect" !stall_redirect;
+        count "stall.fetch_icache" !stall_icache;
+        count "stall.dispatch_core" !stall_core;
+        count "stall.dispatch_frontend" !stall_frontend;
+        ( "core.occupancy",
+          Hist
+            {
+              bounds = Array.copy occupancy_bounds;
+              counts = Array.copy occupancy_counts;
+              observations = Array.fold_left ( + ) 0 occupancy_counts;
+              sum = !occupancy_sum;
+            } );
+      ]
+  in
+  { machine = m; step_fn = step; result_fn = result; counters_fn = counters }
 
 let machine t = t.machine
 let finished t = Machine.all_committed t.machine
 let now t = Machine.now t.machine
 let step t = t.step_fn ()
 
+let run ?probe ?warm_data ?prewarm ?measure_from cfg trace =
+  let t = create ?probe ?warm_data ?prewarm ?measure_from cfg trace in
+  while not (finished t) do
+    step t
+  done;
+  t
+
 let result t =
   if not (finished t) then
     invalid_arg "Core.result: the core has not committed its whole trace";
   t.result_fn ()
+
+let counters t =
+  if not (finished t) then
+    invalid_arg "Core.counters: the core has not committed its whole trace";
+  t.counters_fn ()
 
 let speedup base other =
   float_of_int base.cycles /. float_of_int (max 1 other.cycles)

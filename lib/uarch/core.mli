@@ -3,8 +3,8 @@
     {!create} builds the machine (over a private or a caller-supplied
     shared memory hierarchy) and warms its caches; {!step} advances
     exactly one cycle — fetch (I-cache + branch prediction), dispatch,
-    the execution core ({!Exec_core}), in-order commit; {!result} reads
-    the counters off a finished run.
+    the execution core ({!Exec_core}), in-order commit; {!result} and
+    {!counters} read a finished run.
 
     [Pipeline.run] is [create] followed by stepping until {!finished} —
     its semantics, including every counter, are defined here. A CMP
@@ -44,8 +44,7 @@ exception Deadlock of string
 type t
 
 val create :
-  ?obs:Braid_obs.Sink.t ->
-  ?dbg:Debug.t ->
+  ?probe:Probe.t ->
   ?warm_data:int list ->
   ?prewarm:Trace.t ->
   ?measure_from:int ->
@@ -54,7 +53,7 @@ val create :
   Trace.t ->
   t
 (** Parameters are those of [Pipeline.run] (see its documentation for
-    [warm_data]/[prewarm]/[measure_from]/[obs]/[dbg]), plus [hier]: the
+    [probe]/[warm_data]/[prewarm]/[measure_from]), plus [hier]: the
     memory hierarchy this core loads, stores and fetches through.
     Absent, a private one is built from the config (solo semantics,
     byte-identical to the pre-split pipeline); a CMP passes a hierarchy
@@ -64,6 +63,17 @@ val create :
 
 val step : t -> unit
 (** Advance one cycle. Call only while [not (finished t)]. *)
+
+val run :
+  ?probe:Probe.t ->
+  ?warm_data:int list ->
+  ?prewarm:Trace.t ->
+  ?measure_from:int ->
+  Config.t ->
+  Trace.t ->
+  t
+(** A solo core ({!create} over a private hierarchy), stepped until
+    {!finished}. *)
 
 val finished : t -> bool
 (** Every trace event has committed. *)
@@ -77,6 +87,22 @@ val machine : t -> Machine.t
 
 val result : t -> result
 (** Counters of the finished run; raises [Invalid_argument] while
+    [not (finished t)]. *)
+
+type counter =
+  | Count of int
+  | Hist of { bounds : int array; counts : int array; observations : int; sum : int }
+      (** [counts] has one entry per inclusive upper bound in [bounds],
+          plus an overflow bucket; [observations] is their sum. *)
+
+val counters : t -> (string * counter) list
+(** The finished run's counter dump, read off the state the simulator
+    keeps anyway — cache, predictor, machine and front-end statistics —
+    over the whole run, [measure_from] prefix included: ["l2.*"] (private
+    hierarchies only; a CMP lists its shared L2 once), ["l1d.*"],
+    ["l1i.*"], ["bypass.*"], ["extfile.*"], per-stage instruction flow,
+    ["predictor.*"], dispatch refusals, ["stall.*"] and the per-cycle
+    ["core.occupancy"] histogram. Raises [Invalid_argument] while
     [not (finished t)]. *)
 
 val speedup : result -> result -> float

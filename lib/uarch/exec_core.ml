@@ -1,14 +1,8 @@
-module Obs = Braid_obs
-
 type t = {
   try_dispatch : int -> bool;
   cycle : unit -> unit;
   occupancy : unit -> int;
 }
-
-(* every core counts the dispatches it refuses (queue full, no free BEU):
-   the core-side half of the dispatch-stall story *)
-let reject_counter m = Obs.Sink.counter (Machine.obs_sink m) "core.dispatch_rejects"
 
 let issuable m u =
   Machine.reg_ready m u
@@ -19,14 +13,10 @@ let issuable m u =
 
 let in_order m =
   let cfg = Machine.cfg m in
-  let rejects = reject_counter m in
   let q : int Ring.t = Ring.create ~dummy:(-1) ~capacity:cfg.Config.cluster_entries in
   let width = cfg.Config.clusters * cfg.Config.fus_per_cluster in
   let try_dispatch u =
-    if Ring.is_full q then begin
-      Obs.Counters.incr rejects;
-      false
-    end
+    if Ring.is_full q then false
     else begin
       Ring.push q u;
       true
@@ -51,7 +41,6 @@ let in_order m =
 
 let dep_steer m =
   let cfg = Machine.cfg m in
-  let rejects = reject_counter m in
   let fifos =
     Array.init cfg.Config.clusters (fun _ ->
         Ring.create ~dummy:(-1) ~capacity:cfg.Config.cluster_entries)
@@ -77,9 +66,7 @@ let dep_steer m =
     | Some f ->
         Ring.push f u;
         true
-    | None ->
-        Obs.Counters.incr rejects;
-        false
+    | None -> false
   in
   let cycle () =
     Array.iter
@@ -104,7 +91,6 @@ let dep_steer m =
 
 let ooo m =
   let cfg = Machine.cfg m in
-  let rejects = reject_counter m in
   (* each scheduler is an unordered window; selection is oldest-first *)
   let scheds =
     Array.init cfg.Config.clusters (fun _ ->
@@ -116,10 +102,7 @@ let ooo m =
        paper's distributed 32-entry schedulers *)
     let n = Array.length scheds in
     let rec go k =
-      if k = n then begin
-        Obs.Counters.incr rejects;
-        false
-      end
+      if k = n then false
       else
         let idx = !rr + k in
         let idx = if idx >= n then idx - n else idx in
@@ -180,7 +163,7 @@ type beu = {
 
 let braid m =
   let cfg = Machine.cfg m in
-  let rejects = reject_counter m in
+  let probe = Machine.probe m in
   let beus =
     Array.init cfg.Config.clusters (fun _ ->
         { fifo = Ring.create ~dummy:(-1) ~capacity:cfg.Config.cluster_entries; outstanding = [] })
@@ -207,9 +190,7 @@ let braid m =
           Machine.set_beu m u i;
           Ring.push beus.(i).fifo u;
           true
-      | None ->
-          Obs.Counters.incr rejects;
-          false
+      | None -> false
     end
     else
       match !target with
@@ -217,9 +198,7 @@ let braid m =
           Machine.set_beu m u i;
           Ring.push beus.(i).fifo u;
           true
-      | Some _ | None ->
-          Obs.Counters.incr rejects;
-          false
+      | Some _ | None -> false
   in
   (* §5.2 clustering: external values produced in another cluster of BEUs
      arrive [inter_cluster_latency] cycles later *)
@@ -259,18 +238,7 @@ let braid m =
         while !budget > 0 && !i < window () do
           let u = Ring.get b.fifo !i in
           if issuable m u && cluster_ready u then begin
-            (* monitor: an in-order BEU must never select from beyond the
-               head window of its FIFO *)
-            (if
-               Debug.checking (Machine.debug m)
-               && (not cfg.Config.beu_out_of_order)
-               && !i >= cfg.Config.sched_window
-             then
-               Debug.report (Machine.debug m) ~invariant:"beu.window"
-                 ~cycle:(Machine.now m) ~uid:u
-                 (Printf.sprintf
-                    "issued from FIFO position %d beyond the %d-entry window"
-                    !i cfg.Config.sched_window));
+            Probe.on_beu_issue probe ~cycle:(Machine.now m) ~pos:!i u;
             ignore (Ring.remove_at b.fifo !i);
             Machine.do_issue m u;
             b.outstanding <- u :: b.outstanding;
@@ -303,7 +271,6 @@ type block_window = {
 
 let cgooo m =
   let cfg = Machine.cfg m in
-  let rejects = reject_counter m in
   let windows =
     Array.init cfg.Config.block_windows (fun _ ->
         {
@@ -336,9 +303,7 @@ let cgooo m =
           Machine.set_beu m u i;
           Ring.push windows.(i).bw_fifo u;
           true
-      | None ->
-          Obs.Counters.incr rejects;
-          false
+      | None -> false
     end
     else
       match !target with
@@ -346,9 +311,7 @@ let cgooo m =
           Machine.set_beu m u i;
           Ring.push windows.(i).bw_fifo u;
           true
-      | Some _ | None ->
-          Obs.Counters.incr rejects;
-          false
+      | Some _ | None -> false
   in
   let nwin = Array.length windows in
   let order = Array.init nwin Fun.id in

@@ -38,16 +38,16 @@
     {!Machine.begin_cycle} (wakeups land), commit, call {!cycle} exactly
     once, then dispatch. The invariants each side relies on:
 
-    - {!create} may allocate structures and register observability
-      handles but performs no machine mutation.
+    - {!create} may allocate structures but performs no machine
+      mutation.
     - {!try_dispatch} is called only for the uid at the head of the fetch
-      queue, only after {!Machine.can_dispatch} passed this cycle, and in
+      queue, only after {!Machine.can_dispatch} returned [Block_none]
+      this cycle, and in
       trace (uid) order. On [true] the core has accepted residency of the
       uid (the caller then consumes front-end resources via
       {!Machine.note_dispatch}); on [false] the core is full or cannot
       steer the uid this cycle, nothing was inserted, and the caller must
-      stop dispatching this cycle. Every refusal increments the core's
-      ["core.dispatch_rejects"] counter.
+      stop dispatching this cycle (and counts the refusal).
     - {!cycle} selects and issues for the current cycle; every issued uid
       goes through {!Machine.do_issue} after the core checked
       {!Machine.reg_ready}, [mem_ready <> Mem_blocked] and
@@ -57,7 +57,7 @@
     - {!occupancy} is the number of instructions resident in the core:
       dispatched and not yet issued, plus (for cores that track them)
       issued-but-incomplete. It is read after {!cycle} each cycle for the
-      occupancy histogram and must not mutate anything. *)
+      occupancy statistics and must not mutate anything. *)
 
 type t
 

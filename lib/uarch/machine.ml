@@ -1,5 +1,3 @@
-module Obs = Braid_obs
-
 type mem_status = Mem_blocked | Mem_forward | Mem_cache
 
 (* Per-cycle bounded resource (ports, bypass slots).
@@ -184,47 +182,49 @@ type t = {
   mutable int_rf_reads : int;
   mutable int_rf_writes : int;
   mutable bypass_values : int;
-  (* observability: registered handles on a live sink, dummies (dead
-     stores, no branches) on the disabled one *)
-  obs : Obs.Sink.t;
-  (* invariant monitor / commit recorder; Debug.off costs one pattern
-     match per hook and never mutates machine state *)
-  dbg : Debug.t;
-  trc : Obs.Tracer.t option;  (* cached: consulted on every issue *)
-  oc_dispatch : Obs.Counters.counter;
-  oc_issue : Obs.Counters.counter;
-  oc_commit : Obs.Counters.counter;
-  oc_ext_alloc : Obs.Counters.counter;
-  oc_ext_early : Obs.Counters.counter;
-  oc_ext_commit_rel : Obs.Counters.counter;
-  oc_ext_stall : Obs.Counters.counter;
-  oc_bypass_use : Obs.Counters.counter;
-  oc_bypass_ovf : Obs.Counters.counter;
+  (* counts no other statistic keeps, for the counter dump *)
+  mutable issued_count : int;
+  mutable early_releases : int;
+  mutable commit_releases : int;
+  (* tracer / commit recorder / invariant monitor; Probe.off costs one
+     pattern match per hook and never mutates machine state *)
+  probe : Probe.t;
+  slots : Probe.slots;  (* the per-uid arrays above, as the probe sees them *)
 }
 
-let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?hier cfg trace =
+let create ?(probe = Probe.off) ?hier cfg trace =
   let events = trace.Trace.events in
   let n = Array.length events in
   let hier =
     match hier with
     | Some h -> h
-    | None -> Mem_hier.create_hierarchy ~obs cfg.Config.mem
+    | None -> Mem_hier.create_hierarchy cfg.Config.mem
   in
   (* the static dependence structure (CSR children, last external
      readers, store disambiguation) is memoised on the trace: repeated
      runs — the perf harness — share one copy; only the per-run mutable
      counts are copied fresh *)
   let tb = Trace.dep_tables trace in
+  let slots =
+    {
+      Probe.events;
+      issue_cycle = Array.make n max_int;
+      complete_cycle = Array.make n max_int;
+      int_visible = Array.make n max_int;
+      ext_visible = Array.make n max_int;
+      beu = Array.make n (-1);
+    }
+  in
   {
     cfg;
     trace;
     events;
     ready_deps = Array.copy tb.Trace.dep_count;
-    issue_cycle = Array.make n max_int;
-    complete_cycle = Array.make n max_int;
-    ext_visible = Array.make n max_int;
-    int_visible = Array.make n max_int;
-    beu = Array.make n (-1);
+    issue_cycle = slots.Probe.issue_cycle;
+    complete_cycle = slots.Probe.complete_cycle;
+    ext_visible = slots.Probe.ext_visible;
+    int_visible = slots.Probe.int_visible;
+    beu = slots.Probe.beu;
     ext_entry_freed = Bytes.make n '\000';
     child_off = tb.Trace.child_off;
     child_uid = tb.Trace.child_uid;
@@ -233,7 +233,7 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?hier cfg trace =
     home = Array.make n (-1);
     ready_in = Array.make (max 1 cfg.Config.clusters) 0;
     hier;
-    pred = Predictor.create ~obs cfg;
+    pred = Predictor.create cfg;
     alloc_width = cfg.Config.alloc_width;
     src_width = cfg.Config.rename_src_width;
     dst_width = cfg.Config.rename_dst_width;
@@ -267,29 +267,25 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?hier cfg trace =
     int_rf_reads = 0;
     int_rf_writes = 0;
     bypass_values = 0;
-    obs;
-    dbg;
-    trc = Obs.Sink.tracer obs;
-    oc_dispatch = Obs.Sink.counter obs "dispatch.instrs";
-    oc_issue = Obs.Sink.counter obs "issue.instrs";
-    oc_commit = Obs.Sink.counter obs "commit.instrs";
-    oc_ext_alloc = Obs.Sink.counter obs "extfile.allocs";
-    oc_ext_early = Obs.Sink.counter obs "extfile.early_releases";
-    oc_ext_commit_rel = Obs.Sink.counter obs "extfile.commit_releases";
-    oc_ext_stall = Obs.Sink.counter obs "extfile.dispatch_stalls";
-    oc_bypass_use = Obs.Sink.counter obs "bypass.uses";
-    oc_bypass_ovf = Obs.Sink.counter obs "bypass.overflows";
+    issued_count = 0;
+    early_releases = 0;
+    commit_releases = 0;
+    probe;
+    slots;
   }
 
 let cfg t = t.cfg
-let obs_sink t = t.obs
-let debug t = t.dbg
+let probe t = t.probe
 let num_slots t = Array.length t.events
 let event t u = t.events.(u)
 let now t = t.now
 let hierarchy t = t.hier
 let predictor t = t.pred
 let stall_dispatch_regs t = t.stall_regs
+let dispatched_count t = t.dispatched_count
+let issued_count t = t.issued_count
+let early_releases t = t.early_releases
+let commit_releases t = t.commit_releases
 
 let issued t u = t.issue_cycle.(u) <> max_int
 let complete_cycle t u = t.complete_cycle.(u)
@@ -314,8 +310,8 @@ let begin_cycle t =
         Bytes.set t.ext_entry_freed u '\001';
         t.free_regs <- t.free_regs + 1;
         (* released before commit: the braid dead-value path *)
-        Obs.Counters.incr t.oc_ext_early;
-        Debug.on_ext_release t.dbg ~cycle:t.now ~uid:u
+        t.early_releases <- t.early_releases + 1;
+        Probe.on_ext_release t.probe ~cycle:t.now ~uid:u
       end);
   Calq.drain t.branch_resolve_at t.now (fun _ ->
       t.unresolved_branches <- t.unresolved_branches - 1);
@@ -352,46 +348,6 @@ let can_issue_ports t u =
 
 let schedule_wake t cycle uid = Calq.add t.wake cycle uid
 
-(* Dep-visibility and cross-braid checks at issue time; only reached when
-   the monitor is live with invariant checking on. *)
-let debug_check_issue t u (e : Trace.event) =
-  Array.iter
-    (fun (p, via) ->
-      if not (issued t p) then
-        Debug.report t.dbg ~invariant:"wakeup.premature" ~cycle:t.now ~uid:u
-          (Printf.sprintf "consumes producer %d which has not issued" p)
-      else begin
-        let visible = if via then t.int_visible.(p) else t.ext_visible.(p) in
-        let visible =
-          if visible = max_int then min t.int_visible.(p) t.ext_visible.(p)
-          else visible
-        in
-        let visible =
-          if visible = max_int then t.complete_cycle.(p) else visible
-        in
-        if visible > t.now then
-          Debug.report t.dbg ~invariant:"wakeup.premature" ~cycle:t.now ~uid:u
-            (Printf.sprintf
-               "reads producer %d before its value is visible (cycle %d)" p
-               visible);
-        (* internal (local) values are confined to the producing braid and
-           its BEU / block window on both cores that carry them *)
-        if via && (t.is_braid || t.cfg.Config.kind = Config.Cgooo) then begin
-          if t.beu.(p) <> t.beu.(u) then
-            Debug.report t.dbg ~invariant:"internal.cross-beu" ~cycle:t.now
-              ~uid:u
-              (Printf.sprintf "internal value of %d (BEU %d) read on BEU %d" p
-                 t.beu.(p) t.beu.(u));
-          if t.events.(p).Trace.braid_id <> e.Trace.braid_id then
-            Debug.report t.dbg ~invariant:"internal.cross-braid" ~cycle:t.now
-              ~uid:u
-              (Printf.sprintf
-                 "internal value crosses from braid %d (instr %d) to braid %d"
-                 t.events.(p).Trace.braid_id p e.Trace.braid_id)
-        end
-      end)
-    e.Trace.deps
-
 let do_issue t u =
   if issued t u then
     invalid_arg
@@ -427,41 +383,25 @@ let do_issue t u =
   let complete = t.now + lat in
   t.issue_cycle.(u) <- t.now;
   t.complete_cycle.(u) <- complete;
-  Obs.Counters.incr t.oc_issue;
-  (match t.trc with
-  | None -> ()
-  | Some tr ->
-      Obs.Tracer.record tr
-        (Obs.Tracer.Exec { uid = u; track = t.beu.(u); start = t.now; dur = lat });
-      (* a load that went past the L1D is a miss fill in flight *)
-      if e.Trace.is_load && lat > t.cfg.Config.mem.Config.l1d.Config.latency then
-        Obs.Tracer.record tr
-          (Obs.Tracer.Span
-             { name = "L1D miss"; cat = "cache"; track = t.beu.(u); start = t.now; dur = lat }));
+  t.issued_count <- t.issued_count + 1;
   if e.Trace.writes_int then begin
     t.int_visible.(u) <- complete;
     t.int_rf_writes <- t.int_rf_writes + 1
   end;
-  let took_bypass = ref false in
-  if e.Trace.writes_ext then begin
-    let bypassed = Rc.try_take t.bypass complete 1 in
-    let wb = Rc.take_first_free t.write_ports complete 1 in
-    t.ext_rf_writes <- t.ext_rf_writes + 1;
-    if bypassed then begin
-      t.bypass_values <- t.bypass_values + 1;
-      took_bypass := true;
-      Obs.Counters.incr t.oc_bypass_use
+  let bypassed =
+    if not e.Trace.writes_ext then false
+    else begin
+      let bypassed = Rc.try_take t.bypass complete 1 in
+      let wb = Rc.take_first_free t.write_ports complete 1 in
+      t.ext_rf_writes <- t.ext_rf_writes + 1;
+      if bypassed then t.bypass_values <- t.bypass_values + 1;
+      (* without a bypass slot in its completion cycle the value waits
+         for a write port and reaches consumers through the file *)
+      t.ext_visible.(u) <- (if bypassed then complete else wb + 1);
+      bypassed
     end
-    else
-      (* all bypass slots of the completion cycle taken: the value must
-         wait for a write port and reach consumers through the file *)
-      Obs.Counters.incr t.oc_bypass_ovf;
-    t.ext_visible.(u) <- (if bypassed then complete else wb + 1)
-  end;
-  if Debug.checking t.dbg then begin
-    debug_check_issue t u e;
-    Debug.on_issue t.dbg ~cycle:t.now ~beu:t.beu.(u) ~bypassed:!took_bypass e
-  end;
+  in
+  Probe.on_issue t.probe t.slots ~cycle:t.now ~lat ~bypassed u;
   for k = t.child_off.(u) to t.child_off.(u + 1) - 1 do
     let c = t.child_uid.(k) in
     let via = Bytes.get t.child_via k <> '\000' in
@@ -507,29 +447,36 @@ let do_issue t u =
       Array.iter (fun (p, via) -> if not via then maybe_release p) e.Trace.deps
   end
 
+type dispatch_block =
+  | Block_none
+  | Block_alloc
+  | Block_rename
+  | Block_regs
+  | Block_checkpoint
+  | Block_lsq
+  | Block_inflight
+
 let can_dispatch t u =
   let e = t.events.(u) in
-  let reg_ok = (not e.Trace.writes_ext) || t.free_regs >= 1 in
-  let checkpoint_ok =
-    t.max_unresolved = 0
-    || (not e.Trace.is_cond_branch)
-    || t.unresolved_branches < t.max_unresolved
-  in
-  let ok =
-    t.alloc_left >= 1
-    && t.src_left >= e.Trace.ext_src_reads
-    && ((not e.Trace.writes_ext) || t.dst_left >= 1)
-    && reg_ok
-    && checkpoint_ok
-    && ((not (e.Trace.is_load || e.Trace.is_store))
-       || t.inflight_mem < t.lsq_limit)
-    && t.dispatched_count - t.committed_count < t.inflight_limit
-  in
-  if not reg_ok then begin
-    t.stall_regs <- t.stall_regs + 1;
-    Obs.Counters.incr t.oc_ext_stall
-  end;
-  ok
+  (* counted on every attempt that lacks a register, whichever check
+     refuses it first *)
+  let regs_short = e.Trace.writes_ext && t.free_regs < 1 in
+  if regs_short then t.stall_regs <- t.stall_regs + 1;
+  if t.alloc_left < 1 then Block_alloc
+  else if
+    t.src_left < e.Trace.ext_src_reads || (e.Trace.writes_ext && t.dst_left < 1)
+  then Block_rename
+  else if regs_short then Block_regs
+  else if
+    t.max_unresolved <> 0
+    && e.Trace.is_cond_branch
+    && t.unresolved_branches >= t.max_unresolved
+  then Block_checkpoint
+  else if (e.Trace.is_load || e.Trace.is_store) && t.inflight_mem >= t.lsq_limit
+  then Block_lsq
+  else if t.dispatched_count - t.committed_count >= t.inflight_limit then
+    Block_inflight
+  else Block_none
 
 let note_dispatch t u =
   let e = t.events.(u) in
@@ -544,32 +491,16 @@ let note_dispatch t u =
   if e.Trace.is_cond_branch && t.max_unresolved > 0 then
     t.unresolved_branches <- t.unresolved_branches + 1;
   t.dispatched_count <- t.dispatched_count + 1;
-  Obs.Counters.incr t.oc_dispatch;
-  if e.Trace.writes_ext then Obs.Counters.incr t.oc_ext_alloc;
-  Debug.on_dispatch t.dbg ~cycle:t.now ~beu:t.beu.(u) e;
-  match t.trc with
-  | None -> ()
-  | Some tr ->
-      Obs.Tracer.record tr
-        (Obs.Tracer.Stage
-           { cycle = t.now; uid = u; stage = Obs.Tracer.Dispatch; track = t.beu.(u) })
+  Probe.on_dispatch t.probe ~cycle:t.now ~beu:t.beu.(u) e
 
 let commit_stage t =
   let budget = ref t.cfg.Config.commit_width in
   let continue_ = ref true in
-  let tr = t.trc in
   while !continue_ && !budget > 0 && t.commit_idx < Array.length t.events do
     let u = t.commit_idx in
     if is_complete t u then begin
       let e = t.events.(u) in
-      Obs.Counters.incr t.oc_commit;
-      Debug.on_commit t.dbg ~cycle:t.now e;
-      (match tr with
-      | None -> ()
-      | Some tr ->
-          Obs.Tracer.record tr
-            (Obs.Tracer.Stage
-               { cycle = t.now; uid = u; stage = Obs.Tracer.Commit; track = t.beu.(u) }));
+      Probe.on_commit t.probe ~cycle:t.now ~beu:t.beu.(u) e;
       (* stores drain to the data cache at commit (and, on a shared
          backside, through the coherence directory) *)
       if e.Trace.is_store then Mem_hier.drain_store t.hier e.Trace.addr;
@@ -578,8 +509,8 @@ let commit_stage t =
       if e.Trace.writes_ext && Bytes.get t.ext_entry_freed u = '\000' then begin
         Bytes.set t.ext_entry_freed u '\001';
         t.free_regs <- t.free_regs + 1;
-        Obs.Counters.incr t.oc_ext_commit_rel;
-        Debug.on_ext_release t.dbg ~cycle:t.now ~uid:u
+        t.commit_releases <- t.commit_releases + 1;
+        Probe.on_ext_release t.probe ~cycle:t.now ~uid:u
       end;
       if e.Trace.is_load || e.Trace.is_store then
         t.inflight_mem <- t.inflight_mem - 1;
@@ -592,40 +523,6 @@ let commit_stage t =
 
 let all_committed t = t.commit_idx >= Array.length t.events
 let committed_count t = t.committed_count
-
-type dispatch_block =
-  | Block_none
-  | Block_alloc
-  | Block_rename
-  | Block_regs
-  | Block_checkpoint
-  | Block_lsq
-  | Block_inflight
-
-let dispatch_block_reason t u =
-  let e = t.events.(u) in
-  if t.alloc_left < 1 then Block_alloc
-  else if t.src_left < e.Trace.ext_src_reads
-          || (e.Trace.writes_ext && t.dst_left < 1) then Block_rename
-  else if
-    e.Trace.writes_ext && t.free_regs < 1
-    &&
-    match t.cfg.Config.kind with
-    | Config.In_order | Config.Dep_steer | Config.Ooo | Config.Cgooo -> true
-    | Config.Braid_exec -> true
-  then Block_regs
-  else if
-    t.cfg.Config.max_unresolved_branches > 0
-    && e.Trace.is_cond_branch
-    && t.unresolved_branches >= t.cfg.Config.max_unresolved_branches
-  then Block_checkpoint
-  else if
-    (e.Trace.is_load || e.Trace.is_store)
-    && t.inflight_mem >= t.cfg.Config.lsq_entries
-  then Block_lsq
-  else if t.dispatched_count - t.committed_count >= t.cfg.Config.inflight then
-    Block_inflight
-  else Block_none
 
 let dispatch_block_name = function
   | Block_none -> "none"

@@ -58,43 +58,21 @@ end
 
 type t
 
-val create :
-  ?obs:Braid_obs.Sink.t ->
-  ?dbg:Debug.t ->
-  ?hier:Mem_hier.hierarchy ->
-  Config.t ->
-  Trace.t ->
-  t
+val create : ?probe:Probe.t -> ?hier:Mem_hier.hierarchy -> Config.t -> Trace.t -> t
 (** [hier] is the memory hierarchy the machine loads and stores through;
     absent, a private ({!Mem_hier.create_hierarchy}) one is built from
     the config — byte-identical to the pre-split behaviour. A CMP passes
     a hierarchy attached to a shared backside instead.
 
-    With a live [obs] sink, the machine registers counters for dispatch /
-    issue / commit instruction flow, external-file allocations,
-    early (dead-value) and commit releases, register-shortage dispatch
-    stalls, bypass uses and overflows, and the cache and predictor
-    counters of the structures it creates; when a tracer is attached it
-    additionally records per-instruction dispatch/commit stage crossings,
-    issue-to-completion execution spans (with BEU track) and L1D-miss
-    fills. With the default disabled sink every hook is a dead store or a
-    [None] match — timing results are identical either way.
-
-    With a live [dbg] sink ({!Debug.create}) the machine records the
-    committed instruction stream and, when invariant checking is on,
-    verifies external-file occupancy, bypass legality, wakeup timing and
-    cross-braid internal-value isolation on every issue. [Debug.off] (the
-    default) costs one pattern match per hook; the hooks never mutate
-    machine state, so results are byte-identical with the monitor off. *)
+    [probe] ({!Probe.off} by default) sees every dispatch, issue, commit
+    and external-file release; its hooks never mutate machine state, so
+    results are byte-identical whatever it records or checks. *)
 
 val cfg : t -> Config.t
 
-val obs_sink : t -> Braid_obs.Sink.t
-(** The sink the machine was created with (for the execution cores). *)
-
-val debug : t -> Debug.t
-(** The debug sink the machine was created with ({!Debug.off} by
-    default); execution cores use it for their own structural checks. *)
+val probe : t -> Probe.t
+(** The probe the machine was created with; the front end and the
+    execution cores report their own events to it. *)
 
 val num_slots : t -> int
 (** Number of trace events; uids range over [0 .. num_slots - 1]. *)
@@ -151,10 +129,27 @@ val do_issue : t -> int -> unit
     [can_issue_ports]; violating any of these raises [Invalid_argument]
     with a message naming the instruction uid and the current cycle. *)
 
-val can_dispatch : t -> int -> bool
-(** Front-end resource check at the current cycle: allocate width, rename
-    source/destination bandwidth, external register availability, LSQ
-    space, in-flight bound. *)
+type dispatch_block =
+  | Block_none  (** every front-end resource is available *)
+  | Block_alloc
+  | Block_rename
+  | Block_regs
+  | Block_checkpoint
+  | Block_lsq
+  | Block_inflight
+
+val can_dispatch : t -> int -> dispatch_block
+(** Front-end resource check at the current cycle, in this order:
+    allocate width, rename source/destination bandwidth, external
+    register availability, branch checkpoints, LSQ space, in-flight
+    bound. The first resource that refuses the instruction, or
+    [Block_none] when dispatch may proceed. Every call that finds no free
+    external register counts towards {!stall_dispatch_regs}, whichever
+    resource refused first. *)
+
+val dispatch_block_name : dispatch_block -> string
+(** Short stable label ("alloc-width", "ext-regs", ...) for stall-reason
+    annotations in traces. *)
 
 val note_dispatch : t -> int -> unit
 (** Consumes the dispatch resources checked by [can_dispatch]. *)
@@ -174,22 +169,15 @@ val stall_dispatch_regs : t -> int
 (** Cycles × instructions dispatch stalled for lack of an external
     register (diagnostic). *)
 
-type dispatch_block =
-  | Block_none  (** not blocked by front-end resources (core is full) *)
-  | Block_alloc
-  | Block_rename
-  | Block_regs
-  | Block_checkpoint
-  | Block_lsq
-  | Block_inflight
+val dispatched_count : t -> int
+val issued_count : t -> int
 
-val dispatch_block_reason : t -> int -> dispatch_block
-(** Why [can_dispatch] would refuse this instruction right now — for the
-    stall breakdown diagnostics. *)
+val early_releases : t -> int
+(** External-file entries released at dead-value time, before their
+    producer committed (braid core). *)
 
-val dispatch_block_name : dispatch_block -> string
-(** Short stable label ("alloc-width", "ext-regs", ...) for stall-reason
-    annotations in traces. *)
+val commit_releases : t -> int
+(** External-file entries released at their producer's commit. *)
 
 type activity = {
   ext_rf_reads : int;  (** external register file read accesses *)

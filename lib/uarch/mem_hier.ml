@@ -1,5 +1,3 @@
-module Obs = Braid_obs
-
 (* The memory system behind the L1s. Solo machines get [Private] — the
    historical L2 + main memory, accessed in exactly the order the old
    monolithic hierarchy used, so timing is byte-identical. CMP machines
@@ -28,16 +26,10 @@ type shared = {
   s_memory_latency : int;
   s_dir : (int, line_state) Hashtbl.t;
   mutable s_l1ds : (int * Cache.t) list;  (* attached cores, for back-inval *)
-  mutable s_now : int;  (* published by the CMP clock, for event tracing *)
   mutable s_invalidations : int;
   mutable s_downgrades : int;
   mutable s_writebacks : int;
   mutable s_remote_hits : int;
-  c_inval : Obs.Counters.counter;
-  c_downgrade : Obs.Counters.counter;
-  c_writeback : Obs.Counters.counter;
-  c_remote_hit : Obs.Counters.counter;
-  s_trc : Obs.Tracer.t option;
 }
 
 type t =
@@ -53,14 +45,14 @@ type hierarchy = {
   perfect_dcache : bool;
 }
 
-let create_hierarchy ?(obs = Obs.Sink.disabled) (m : Config.memory) =
+let create_hierarchy (m : Config.memory) =
   {
-    l1i = Cache.create ~obs ~name:"l1i" m.Config.l1i;
-    l1d = Cache.create ~obs ~name:"l1d" m.Config.l1d;
+    l1i = Cache.create m.Config.l1i;
+    l1d = Cache.create m.Config.l1d;
     backside =
       Private
         {
-          p_l2 = Cache.create ~obs ~name:"l2" m.Config.l2;
+          p_l2 = Cache.create m.Config.l2;
           p_memory_latency = m.Config.memory_latency;
         };
     core = 0;
@@ -68,30 +60,23 @@ let create_hierarchy ?(obs = Obs.Sink.disabled) (m : Config.memory) =
     perfect_dcache = m.Config.perfect_dcache;
   }
 
-let create_shared ?(obs = Obs.Sink.disabled) ~memory_latency
-    (l2 : Config.cache_geometry) =
+let create_shared ~memory_latency (l2 : Config.cache_geometry) =
   {
-    s_l2 = Cache.create ~obs ~name:"l2" l2;
+    s_l2 = Cache.create l2;
     s_memory_latency = memory_latency;
     s_dir = Hashtbl.create 4096;
     s_l1ds = [];
-    s_now = 0;
     s_invalidations = 0;
     s_downgrades = 0;
     s_writebacks = 0;
     s_remote_hits = 0;
-    c_inval = Obs.Sink.counter obs "coh.invalidations";
-    c_downgrade = Obs.Sink.counter obs "coh.downgrades";
-    c_writeback = Obs.Sink.counter obs "coh.writebacks";
-    c_remote_hit = Obs.Sink.counter obs "coh.remote_hits";
-    s_trc = Obs.Sink.tracer obs;
   }
 
-let attach ?(obs = Obs.Sink.disabled) ~core s (m : Config.memory) =
+let attach ~core s (m : Config.memory) =
   let h =
     {
-      l1i = Cache.create ~obs ~name:"l1i" m.Config.l1i;
-      l1d = Cache.create ~obs ~name:"l1d" m.Config.l1d;
+      l1i = Cache.create m.Config.l1i;
+      l1d = Cache.create m.Config.l1d;
       backside = Shared s;
       core;
       perfect_icache = m.Config.perfect_icache;
@@ -103,8 +88,6 @@ let attach ?(obs = Obs.Sink.disabled) ~core s (m : Config.memory) =
   s.s_l1ds <- s.s_l1ds @ [ (core, h.l1d) ];
   h
 
-let set_now s cycle = s.s_now <- cycle
-
 let dir_entry s line =
   match Hashtbl.find_opt s.s_dir line with
   | Some e -> e
@@ -112,13 +95,6 @@ let dir_entry s line =
       let e = { owner = -1; sharers = 0 } in
       Hashtbl.add s.s_dir line e;
       e
-
-let record_coh s name track =
-  match s.s_trc with
-  | None -> ()
-  | Some tr ->
-      Obs.Tracer.record tr
-        (Obs.Tracer.Span { name; cat = "coh"; track; start = s.s_now; dur = 1 })
 
 (* Drop every L1D line of [core] covered by the shared-L2 line holding
    [addr] (L1 lines may be finer than L2 lines). *)
@@ -146,16 +122,10 @@ let shared_read_miss_latency s ~core addr =
   let e = dir_entry s (Cache.line_of s.s_l2 addr) in
   let me = 1 lsl core in
   if hit && (e.sharers land lnot me <> 0 || (e.owner >= 0 && e.owner <> core))
-  then begin
-    s.s_remote_hits <- s.s_remote_hits + 1;
-    Obs.Counters.incr s.c_remote_hit
-  end;
+  then s.s_remote_hits <- s.s_remote_hits + 1;
   if e.owner >= 0 && e.owner <> core then begin
     s.s_downgrades <- s.s_downgrades + 1;
     s.s_writebacks <- s.s_writebacks + 1;
-    Obs.Counters.incr s.c_downgrade;
-    Obs.Counters.incr s.c_writeback;
-    record_coh s "coh.downgrade" e.owner;
     lat := !lat + Cache.latency s.s_l2;
     e.owner <- -1
   end;
@@ -169,17 +139,12 @@ let shared_read_miss_latency s ~core addr =
 let shared_write s ~core addr =
   let e = dir_entry s (Cache.line_of s.s_l2 addr) in
   let me = 1 lsl core in
-  if e.owner >= 0 && e.owner <> core then begin
-    s.s_writebacks <- s.s_writebacks + 1;
-    Obs.Counters.incr s.c_writeback
-  end;
+  if e.owner >= 0 && e.owner <> core then s.s_writebacks <- s.s_writebacks + 1;
   let remote = e.sharers land lnot me in
   List.iter
     (fun (c, _) ->
       if remote land (1 lsl c) <> 0 then begin
         s.s_invalidations <- s.s_invalidations + 1;
-        Obs.Counters.incr s.c_inval;
-        record_coh s "coh.invalidate" c;
         back_invalidate s ~core:c addr
       end)
     s.s_l1ds;
@@ -237,6 +202,7 @@ let l2_stats h =
   | Private p -> Cache.stats p.p_l2
   | Shared s -> Cache.stats s.s_l2
 
+let is_shared h = match h.backside with Private _ -> false | Shared _ -> true
 let shared_l2_stats s = Cache.stats s.s_l2
 
 let coh_of_shared s =

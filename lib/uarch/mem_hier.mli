@@ -25,32 +25,19 @@ type shared
 type hierarchy
 (** One core's view: private L1I/L1D over a backside. *)
 
-val create_hierarchy : ?obs:Braid_obs.Sink.t -> Config.memory -> hierarchy
-(** The solo (private-backside) hierarchy; level counters are registered
-    as ["l1i.*"], ["l1d.*"], ["l2.*"]. Byte-identical in timing to the
-    pre-split monolithic hierarchy. *)
+val create_hierarchy : Config.memory -> hierarchy
+(** The solo (private-backside) hierarchy. Byte-identical in timing to
+    the pre-split monolithic hierarchy. *)
 
-val create_shared :
-  ?obs:Braid_obs.Sink.t ->
-  memory_latency:int ->
-  Config.cache_geometry ->
-  shared
-(** The shared L2 + directory. A live [obs] sink registers ["l2.*"] and
-    the coherence-traffic counters ["coh.invalidations"],
-    ["coh.downgrades"], ["coh.writebacks"], ["coh.remote_hits"]; an
-    attached tracer additionally receives one ["coh"]-category span per
-    invalidation/downgrade (track = the victim/owner core). *)
+val create_shared : memory_latency:int -> Config.cache_geometry -> shared
+(** The shared L2 + directory, counting coherence traffic
+    ({!coh_of_shared}). *)
 
-val attach :
-  ?obs:Braid_obs.Sink.t -> core:int -> shared -> Config.memory -> hierarchy
+val attach : core:int -> shared -> Config.memory -> hierarchy
 (** [attach ~core s m] builds core [core]'s L1s from [m] over the shared
     backside and registers its L1D for back-invalidation. [m]'s [l2]
     geometry is ignored (the shared L2 was fixed at {!create_shared}).
     Raises [Invalid_argument] if the core id is already attached. *)
-
-val set_now : shared -> int -> unit
-(** Publish the CMP global clock, used only to timestamp coherence trace
-    events. *)
 
 val instr_latency : hierarchy -> int -> int
 (** Fetch latency for the line containing a byte address: the L1I latency
@@ -84,6 +71,9 @@ val l1d_stats : hierarchy -> int * int
 val l2_stats : hierarchy -> int * int
 (** Backside L2 [(hits, misses)] — the shared L2's totals when attached
     to one. *)
+
+val is_shared : hierarchy -> bool
+(** Attached to a shared backside (its L2 is not this core's alone). *)
 
 val shared_l2_stats : shared -> int * int
 

@@ -1,7 +1,5 @@
 (* The solo entry point: build one stepable core over its private memory
-   hierarchy and run it to completion. The whole cycle loop lives in
-   [Core]; this wrapper exists so every historical caller keeps its
-   signature (and its byte-identical results). *)
+   hierarchy, run it to completion ([Core.run]) and read its result. *)
 
 type stalls = Core.stalls = {
   fetch_redirect : int;
@@ -29,20 +27,7 @@ type result = Core.result = {
 
 exception Deadlock = Core.Deadlock
 
-let run ?obs ?dbg ?warm_data ?prewarm ?measure_from (cfg : Config.t)
-    (trace : Trace.t) =
-  let c =
-    try Core.create ?obs ?dbg ?warm_data ?prewarm ?measure_from cfg trace
-    with Invalid_argument msg ->
-      (* keep the historical error prefix for callers matching on it *)
-      invalid_arg
-        (match String.index_opt msg ':' with
-        | Some i -> "Pipeline.run" ^ String.sub msg i (String.length msg - i)
-        | None -> msg)
-  in
-  while not (Core.finished c) do
-    Core.step c
-  done;
-  Core.result c
+let run ?probe ?warm_data ?prewarm ?measure_from cfg trace =
+  Core.result (Core.run ?probe ?warm_data ?prewarm ?measure_from cfg trace)
 
 let speedup = Core.speedup

@@ -39,17 +39,17 @@ exception Deadlock of string
     a simulator bug, surfaced loudly rather than silently looping. *)
 
 val run :
-  ?obs:Braid_obs.Sink.t ->
-  ?dbg:Debug.t ->
+  ?probe:Probe.t ->
   ?warm_data:int list ->
   ?prewarm:Trace.t ->
   ?measure_from:int ->
   Config.t ->
   Trace.t ->
   result
-(** [dbg] attaches the microarchitectural invariant monitor / commit
-    recorder ({!Debug.create}); the default {!Debug.off} costs one
-    pattern match per hook and leaves every result byte-identical.
+(** [probe] attaches an event tracer, the commit recorder and the
+    microarchitectural invariant monitor ({!Probe.create}); the default
+    {!Probe.off} costs one pattern match per hook, and any probe leaves
+    every result byte-identical.
 
     [warm_data] lists byte addresses of the program's initial data image;
     their lines are pre-filled into the L2 (and all code lines into
@@ -70,13 +70,11 @@ val run :
     run's cycle count over contiguous intervals, so windowed measurement
     carries no systematic pipeline-fill or drain bias, and the suffix
     executes under real pipeline, cache, predictor and register-lifetime
-    state. Raises [Invalid_argument] when outside [0, length).
+    state. Raises [Invalid_argument] (from {!Core.create}) when outside
+    [0, length).
 
-    With a live [obs] sink the run registers fetch/stall counters and a
-    core-occupancy histogram on top of the machine's own counters
-    ({!Machine.create}); attach a tracer to the sink before calling to
-    additionally capture per-cycle stage, stall and cache-miss events.
-    The default disabled sink costs nothing and changes no results. *)
+    [run] is [Core.result (Core.run ...)]; for the run's counter dump,
+    call {!Core.run} and read {!Core.counters}. *)
 
 val speedup : result -> result -> float
 (** [speedup base other] = cycles(base) / cycles(other): how much faster

@@ -9,8 +9,6 @@ let weight_clamp = 127
 let gshare_entries = 4096
 let gshare_history_bits = 12
 
-module Obs = Braid_obs
-
 type t = {
   kind : Config.predictor_kind;
   weights : int array array;  (* [entry].[history_bits + 1], slot 0 = bias *)
@@ -21,12 +19,9 @@ type t = {
   mutable ghist : int;  (* global history register *)
   mutable lookups : int;
   mutable mispredicts : int;
-  (* observability handles; dummies when the sink is disabled *)
-  c_lookups : Obs.Counters.counter;
-  c_mispredicts : Obs.Counters.counter;
 }
 
-let create ?(obs = Obs.Sink.disabled) (cfg : Config.t) =
+let create (cfg : Config.t) =
   {
     kind = cfg.Config.predictor;
     weights = Array.make_matrix table_entries (history_bits + 1) 0;
@@ -36,8 +31,6 @@ let create ?(obs = Obs.Sink.disabled) (cfg : Config.t) =
     ghist = 0;
     lookups = 0;
     mispredicts = 0;
-    c_lookups = Obs.Sink.counter obs "predictor.lookups";
-    c_mispredicts = Obs.Sink.counter obs "predictor.mispredicts";
   }
 
 let gshare_step ~stats t ~pc ~taken =
@@ -45,19 +38,13 @@ let gshare_step ~stats t ~pc ~taken =
   let c = t.counters.(idx) in
   let predicted = c >= 2 in
   let correct = predicted = taken in
-  if stats && not correct then begin
-    t.mispredicts <- t.mispredicts + 1;
-    Obs.Counters.incr t.c_mispredicts
-  end;
+  if stats && not correct then t.mispredicts <- t.mispredicts + 1;
   t.counters.(idx) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
   t.ghist <- ((t.ghist lsl 1) lor (if taken then 1 else 0)) land ((1 lsl gshare_history_bits) - 1);
   correct
 
 let step ~stats t ~pc ~taken =
-  if stats then begin
-    t.lookups <- t.lookups + 1;
-    Obs.Counters.incr t.c_lookups
-  end;
+  if stats then t.lookups <- t.lookups + 1;
   if t.kind = Config.Perfect_prediction then true
   else if t.kind = Config.Gshare then gshare_step ~stats t ~pc ~taken
   else begin
@@ -70,10 +57,7 @@ let step ~stats t ~pc ~taken =
     done;
     let predicted = !sum >= 0 in
     let correct = predicted = taken in
-    if stats && not correct then begin
-      t.mispredicts <- t.mispredicts + 1;
-      Obs.Counters.incr t.c_mispredicts
-    end;
+    if stats && not correct then t.mispredicts <- t.mispredicts + 1;
     (* train on mispredict or low confidence *)
     if (not correct) || abs !sum <= theta then begin
       let clamp v = max (-weight_clamp) (min weight_clamp v) in

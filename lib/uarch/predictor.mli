@@ -8,10 +8,7 @@
 
 type t
 
-val create : ?obs:Braid_obs.Sink.t -> Config.t -> t
-(** With a live [obs] sink, registers ["predictor.lookups"] /
-    ["predictor.mispredicts"] counters mirroring {!lookups} /
-    {!mispredicts}. *)
+val create : Config.t -> t
 
 val predict_and_train : t -> pc:int -> taken:bool -> bool
 (** Returns whether the prediction matched the actual outcome, and trains

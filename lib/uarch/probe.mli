@@ -1,0 +1,113 @@
+(** The one per-run observer of the timing model: an optional event
+    tracer, the commit recorder and the optional microarchitectural
+    invariant monitor, behind a single hook per pipeline event.
+
+    The default value {!off} is [None]: every hook pattern-matches it away
+    in one branch, and simulation results are byte-identical whatever the
+    probe records, because the hooks only observe machine state, never
+    mutate it. Counters are not a probe's business: a run's counter dump
+    is read off the finished core ([Core.counters]).
+
+    A live probe records the committed instruction stream (uids and PCs,
+    for the differential oracle); with a tracer it builds every pipeline
+    event record (stage crossings, execution spans, stalls with their
+    reason, cache-miss fills); and when [invariants] is set it checks the
+    structural properties §3–§4 of the paper rely on:
+
+    - ["commit.order"]: instructions commit in strict fetch order (the
+      global BEU-FIFO commit discipline);
+    - ["extfile.capacity"] / ["extfile.double-release"]: the number of
+      in-flight external values never exceeds [ext_regs] and releases
+      balance allocations (busy-bit consistency);
+    - ["internal.rf-capacity"] / ["internal.rf-range"]: at most
+      {!Reg.num_internal} live internal values per BEU, all with indices
+      inside the 8-entry file;
+    - ["internal.cross-beu"] / ["internal.cross-braid"]: an internal value
+      is only ever consumed inside the braid (and on the BEU) that
+      produced it;
+    - ["bypass.internal"]: only external (E-bit) results ride the bypass
+      network;
+    - ["bits.*"]: the S/T/I/E bits carried on each fetched trace event
+      agree with the instruction encoding, and conventional binaries carry
+      no internal registers;
+    - ["wakeup.premature"]: no instruction issues before all producers
+      have issued and their values are visible;
+    - ["beu.window"]: an in-order BEU never issues from beyond the
+      [sched_window]-entry head of its FIFO;
+    - ["cgooo.block-order"]: a CG-OoO block window issues strictly in
+      dispatch order — uids leaving one window only ever increase. *)
+
+type violation = {
+  invariant : string;  (** dotted invariant name, e.g. ["commit.order"] *)
+  cycle : int;
+  uid : int;  (** instruction (trace uid) the violation was observed on *)
+  detail : string;
+}
+
+type t
+(** [None]-like when off; created per pipeline run, not shared. *)
+
+val off : t
+(** The default probe: all hooks are no-ops and cost one pattern match. *)
+
+val create : ?tracer:Braid_obs.Tracer.t -> ?invariants:bool -> Config.t -> t
+(** A live probe. Always records the committed stream; records pipeline
+    events into [tracer] when given; checks invariants only when
+    [invariants] (default [true]). *)
+
+val violations : t -> violation list
+(** The first 200 violations, in the order they were found. *)
+
+val violation_count : t -> int
+(** Every violation found, recorded or not. *)
+
+val committed : t -> int array
+(** Uids in commit order. *)
+
+val committed_pcs : t -> int array
+(** PCs in commit order (parallel to {!committed}). *)
+
+val pp_violation : Format.formatter -> violation -> unit
+
+(** {2 Hooks} — one call per event site in [Machine], [Core] and
+    [Exec_core]. *)
+
+type slots = {
+  events : Trace.event array;
+  issue_cycle : int array;  (** [max_int] until issue *)
+  complete_cycle : int array;
+  int_visible : int array;  (** cycle an internal result is readable *)
+  ext_visible : int array;  (** cycle an external result is readable *)
+  beu : int array;  (** BEU / block window, -1 when none *)
+}
+(** The machine's per-uid in-flight state, shared (not copied) so the
+    issue hook can check wakeup timing against it. *)
+
+val on_fetch : t -> cycle:int -> Trace.event -> unit
+(** Fetch stage crossing; S/T/I/E bit consistency. *)
+
+val on_icache_miss : t -> cycle:int -> lat:int -> unit
+(** Fetch stopped on an I-cache miss that takes [lat] cycles to fill. *)
+
+val on_dispatch : t -> cycle:int -> beu:int -> Trace.event -> unit
+(** Dispatch stage crossing; external-file allocation; clears the BEU's
+    internal live-set on an S-bit instruction. *)
+
+val on_stall : t -> cycle:int -> string -> unit
+(** A front-end structure refused work this cycle, with the reason. *)
+
+val on_issue : t -> slots -> cycle:int -> lat:int -> bypassed:bool -> int -> unit
+(** [on_issue t slots ~cycle ~lat ~bypassed u]: uid [u] issued with
+    latency [lat] (execution span, L1D-miss fill); wakeup timing,
+    internal-value isolation, bypass legality and internal-RF occupancy. *)
+
+val on_beu_issue : t -> cycle:int -> pos:int -> int -> unit
+(** The braid core selected uid from FIFO position [pos] of its BEU. *)
+
+val on_ext_release : t -> cycle:int -> uid:int -> unit
+(** An external register returned to the free list (early release or
+    commit). *)
+
+val on_commit : t -> cycle:int -> beu:int -> Trace.event -> unit
+(** Commit stage crossing; records the committed uid/PC and checks global
+    commit order. *)

@@ -102,29 +102,18 @@ let test_monitor_off_identical () =
   let cfg = U.Config.braid_8wide in
   let warm = List.map fst init_mem in
   let off = U.Pipeline.run ~warm_data:warm cfg trace in
-  let dbg = U.Debug.create ~invariants:true cfg in
-  let on = U.Pipeline.run ~dbg ~warm_data:warm cfg trace in
+  let probe = U.Probe.create ~invariants:true cfg in
+  let on = U.Pipeline.run ~probe ~warm_data:warm cfg trace in
   Alcotest.(check bool) "results byte-identical with monitor on" true (off = on);
-  Alcotest.(check int) "no violations" 0 (U.Debug.violation_count dbg);
+  Alcotest.(check int) "no violations" 0 (U.Probe.violation_count probe);
   Alcotest.(check int) "every instruction recorded at commit"
     (Trace.length trace)
-    (Array.length (U.Debug.committed dbg));
+    (Array.length (U.Probe.committed probe));
   (* commits were recorded in fetch order *)
-  let committed = U.Debug.committed dbg in
+  let committed = U.Probe.committed probe in
   Alcotest.(check bool) "commit order is fetch order" true
     (Array.for_all (fun i -> committed.(i) = i)
        (Array.init (Array.length committed) Fun.id))
-
-let test_debug_off_sink () =
-  Alcotest.(check bool) "off disabled" false (U.Debug.enabled U.Debug.off);
-  Alcotest.(check bool) "off not checking" false (U.Debug.checking U.Debug.off);
-  Alcotest.(check int) "off has no violations" 0
-    (U.Debug.violation_count U.Debug.off);
-  Alcotest.(check int) "off records nothing" 0
-    (Array.length (U.Debug.committed U.Debug.off));
-  let dbg = U.Debug.create ~invariants:false U.Config.braid_8wide in
-  Alcotest.(check bool) "recorder enabled" true (U.Debug.enabled dbg);
-  Alcotest.(check bool) "recorder not checking" false (U.Debug.checking dbg)
 
 (* --- direct hook checks --- *)
 
@@ -153,39 +142,53 @@ let nop_event uid =
     faulting = false;
   }
 
+(* Probe.off records and checks nothing; a recorder-only probe records
+   the commit stream but checks no invariant *)
+let test_probe_off () =
+  U.Probe.on_commit U.Probe.off ~cycle:0 ~beu:(-1) (nop_event 1);
+  Alcotest.(check int) "off has no violations" 0
+    (U.Probe.violation_count U.Probe.off);
+  Alcotest.(check int) "off records nothing" 0
+    (Array.length (U.Probe.committed U.Probe.off));
+  let probe = U.Probe.create ~invariants:false U.Config.braid_8wide in
+  (* out of order: would be a commit.order violation if checked *)
+  U.Probe.on_commit probe ~cycle:0 ~beu:(-1) (nop_event 1);
+  Alcotest.(check int) "recorder records" 1 (Array.length (U.Probe.committed probe));
+  Alcotest.(check int) "recorder not checking" 0 (U.Probe.violation_count probe)
+
 let test_debug_commit_order_hook () =
-  let dbg = U.Debug.create U.Config.in_order_8wide in
-  U.Debug.on_commit dbg ~cycle:0 (nop_event 0);
-  U.Debug.on_commit dbg ~cycle:1 (nop_event 2);
+  let probe = U.Probe.create U.Config.in_order_8wide in
+  U.Probe.on_commit probe ~cycle:0 ~beu:(-1) (nop_event 0);
+  U.Probe.on_commit probe ~cycle:1 ~beu:(-1) (nop_event 2);
   (* skipped uid 1 *)
-  Alcotest.(check int) "violation recorded" 1 (U.Debug.violation_count dbg);
-  match U.Debug.violations dbg with
+  Alcotest.(check int) "violation recorded" 1 (U.Probe.violation_count probe);
+  match U.Probe.violations probe with
   | [ v ] ->
       Alcotest.(check string) "invariant name" "commit.order"
-        v.U.Debug.invariant;
-      Alcotest.(check int) "offending uid" 2 v.U.Debug.uid
+        v.U.Probe.invariant;
+      Alcotest.(check int) "offending uid" 2 v.U.Probe.uid
   | vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs)
 
 let test_debug_extfile_capacity_hook () =
   let cfg = { U.Config.in_order_8wide with U.Config.ext_regs = 2 } in
-  let dbg = U.Debug.create cfg in
+  let probe = U.Probe.create cfg in
   let ext_write uid =
     { (nop_event uid) with
       Trace.instr =
         Instr.make (Op.Movi (Reg.ext Reg.Cint uid, Int64.of_int uid));
       writes_ext = true }
   in
-  U.Debug.on_dispatch dbg ~cycle:0 ~beu:(-1) (ext_write 0);
-  U.Debug.on_dispatch dbg ~cycle:0 ~beu:(-1) (ext_write 1);
-  Alcotest.(check int) "at capacity: fine" 0 (U.Debug.violation_count dbg);
-  U.Debug.on_dispatch dbg ~cycle:1 ~beu:(-1) (ext_write 2);
-  Alcotest.(check int) "over capacity flagged" 1 (U.Debug.violation_count dbg);
-  U.Debug.on_ext_release dbg ~cycle:2 ~uid:0;
-  U.Debug.on_ext_release dbg ~cycle:2 ~uid:1;
-  U.Debug.on_ext_release dbg ~cycle:2 ~uid:2;
-  U.Debug.on_ext_release dbg ~cycle:2 ~uid:0;
+  U.Probe.on_dispatch probe ~cycle:0 ~beu:(-1) (ext_write 0);
+  U.Probe.on_dispatch probe ~cycle:0 ~beu:(-1) (ext_write 1);
+  Alcotest.(check int) "at capacity: fine" 0 (U.Probe.violation_count probe);
+  U.Probe.on_dispatch probe ~cycle:1 ~beu:(-1) (ext_write 2);
+  Alcotest.(check int) "over capacity flagged" 1 (U.Probe.violation_count probe);
+  U.Probe.on_ext_release probe ~cycle:2 ~uid:0;
+  U.Probe.on_ext_release probe ~cycle:2 ~uid:1;
+  U.Probe.on_ext_release probe ~cycle:2 ~uid:2;
+  U.Probe.on_ext_release probe ~cycle:2 ~uid:0;
   (* fourth release: more frees than allocations *)
-  Alcotest.(check int) "double release flagged" 2 (U.Debug.violation_count dbg)
+  Alcotest.(check int) "double release flagged" 2 (U.Probe.violation_count probe)
 
 let suite =
   ( "check",
@@ -199,7 +202,7 @@ let suite =
         test_oracle_catches_commit_order;
       Alcotest.test_case "monitor off is byte-identical" `Quick
         test_monitor_off_identical;
-      Alcotest.test_case "debug off sink" `Quick test_debug_off_sink;
+      Alcotest.test_case "probe off" `Quick test_probe_off;
       Alcotest.test_case "commit-order hook" `Quick
         test_debug_commit_order_hook;
       Alcotest.test_case "extfile capacity hook" `Quick

@@ -9,7 +9,6 @@ module U = Braid_uarch
 module Config = Braid_uarch.Config
 module Cmp = Braid_cmp.Cmp
 module Cmp_bench = Braid_cmp.Cmp_bench
-module Obs = Braid_obs
 
 let ctx = lazy (Suite.create_ctx ())
 
@@ -215,23 +214,32 @@ let test_cmp_diff_wide () =
 
 (* --- per-core counter namespacing --- *)
 
+(* The CMP dump lists the shared backside once, unprefixed, then every
+   core's own dump under "core<i>." — with no per-core copy of the shared
+   L2. *)
 let test_scoped_counters () =
-  let obs = Obs.Sink.create () in
-  let core0 = Obs.Sink.scoped obs "core0." in
-  let core1 = Obs.Sink.scoped obs "core1." in
-  Obs.Counters.add (Obs.Sink.counter core0 "commit.instrs") 7;
-  Obs.Counters.add (Obs.Sink.counter core1 "commit.instrs") 9;
-  Obs.Counters.add (Obs.Sink.counter obs "l2.hits") 3;
+  let ctx = Lazy.force ctx in
+  let cfg = Config.braid_8wide in
+  let cmp = Config.Cmp.make ~cores:2 ~workloads:[ "gzip"; "mcf" ] () in
+  let r = Cmp_bench.run ctx ~seed:1 ~scale:1200 ~cfg cmp in
+  let dump = Cmp.counters r in
   let count name =
-    match Obs.Counters.find (Obs.Sink.counters obs) name with
-    | Some (Obs.Counters.Count n) -> n
+    match List.assoc_opt name dump with
+    | Some (U.Core.Count n) -> n
     | _ -> Alcotest.fail ("missing counter " ^ name)
   in
-  Alcotest.(check int) "core0 namespaced" 7 (count "core0.commit.instrs");
-  Alcotest.(check int) "core1 namespaced" 9 (count "core1.commit.instrs");
-  Alcotest.(check int) "shared unprefixed" 3 (count "l2.hits");
-  let off = Obs.Sink.scoped Obs.Sink.disabled "core0." in
-  Alcotest.(check bool) "disabled scopes to itself" false (Obs.Sink.enabled off)
+  List.iter
+    (fun (c : Cmp.core_result) ->
+      Alcotest.(check int)
+        (Printf.sprintf "core%d namespaced" c.Cmp.core_id)
+        c.Cmp.result.U.Core.instructions
+        (count (Printf.sprintf "core%d.commit.instrs" c.Cmp.core_id)))
+    r.Cmp.cores;
+  Alcotest.(check int) "shared unprefixed" r.Cmp.l2_hits (count "l2.hits");
+  Alcotest.(check int) "coherence unprefixed"
+    r.Cmp.coherence.U.Mem_hier.invalidations (count "coh.invalidations");
+  Alcotest.(check bool) "no per-core copy of the shared L2" false
+    (List.mem_assoc "core0.l2.hits" dump)
 
 (* --- the cores pseudo-axis: grid and cache plumbing --- *)
 

@@ -36,9 +36,9 @@ let binary_for kind program =
   | U.Config.In_order | U.Config.Dep_steer | U.Config.Ooo ->
       (C.Transform.conventional program).C.Extalloc.program
 
-let count_of obs name =
-  match Obs.Counters.find (Obs.Sink.counters obs) name with
-  | Some (Obs.Counters.Count n) -> n
+let count_of core name =
+  match List.assoc_opt name (U.Core.counters core) with
+  | Some (U.Core.Count n) -> n
   | _ -> 0
 
 (* --- commit-stream equality + armed invariants, 26 benchmarks --- *)
@@ -54,20 +54,28 @@ let commit_stream_battery kind () =
         (out.Emulator.stop = Trace.Halted);
       let trace = Option.get out.Emulator.trace in
       let cfg = U.Config.preset_of_kind kind in
-      let dbg = U.Debug.create ~invariants:true cfg in
-      let obs = Obs.Sink.create () in
-      let r =
-        U.Pipeline.run ~obs ~dbg ~warm_data:(List.map fst init_mem) cfg trace
-      in
+      let warm_data = List.map fst init_mem in
+      let tracer = Obs.Tracer.create ~capacity:1024 () in
+      let probe = U.Probe.create ~tracer ~invariants:true cfg in
+      let core = U.Core.run ~probe ~warm_data cfg trace in
+      let r = U.Core.result core in
       let n = Trace.length trace in
-      Alcotest.(check int) (ctx ^ ": instructions") n r.U.Pipeline.instructions;
-      (match U.Debug.violations dbg with
+      Alcotest.(check int) (ctx ^ ": instructions") n r.U.Core.instructions;
+      (* a live probe observes without perturbing: tracer and invariant
+         checks on, the result equals the run with the probe off *)
+      Alcotest.(check bool)
+        (ctx ^ ": result with a live probe equals Probe.off")
+        true
+        (r = U.Pipeline.run ~warm_data cfg trace);
+      Alcotest.(check bool) (ctx ^ ": probe traced") true
+        (Obs.Tracer.length tracer > 0);
+      (match U.Probe.violations probe with
       | [] -> ()
       | v :: _ ->
           Alcotest.failf "%s: %d invariant violation(s), first: %s" ctx
-            (U.Debug.violation_count dbg)
-            (Format.asprintf "%a" U.Debug.pp_violation v));
-      let committed = U.Debug.committed dbg in
+            (U.Probe.violation_count probe)
+            (Format.asprintf "%a" U.Probe.pp_violation v));
+      let committed = U.Probe.committed probe in
       Alcotest.(check int) (ctx ^ ": every instruction committed") n
         (Array.length committed);
       Alcotest.(check bool)
@@ -79,7 +87,7 @@ let commit_stream_battery kind () =
       (* instruction-flow conservation: everything dispatched issued,
          everything issued committed *)
       List.iter
-        (fun c -> Alcotest.(check int) (ctx ^ ": " ^ c) n (count_of obs c))
+        (fun c -> Alcotest.(check int) (ctx ^ ": " ^ c) n (count_of core c))
         [ "dispatch.instrs"; "issue.instrs"; "commit.instrs" ])
     Spec.all
 
@@ -159,27 +167,41 @@ let nop_event uid =
   }
 
 let test_block_order_injection () =
-  let dbg = U.Debug.create U.Config.cgooo_8wide in
-  U.Debug.on_issue dbg ~cycle:0 ~beu:0 ~bypassed:false (nop_event 0);
-  U.Debug.on_issue dbg ~cycle:1 ~beu:0 ~bypassed:false (nop_event 2);
+  (* uids 0..2 sit in window 0, uid 5 in window 1 *)
+  let slots =
+    {
+      U.Probe.events = Array.init 6 nop_event;
+      issue_cycle = Array.make 6 max_int;
+      complete_cycle = Array.make 6 max_int;
+      int_visible = Array.make 6 max_int;
+      ext_visible = Array.make 6 max_int;
+      beu = [| 0; 0; 0; -1; -1; 1 |];
+    }
+  in
+  let issue probe ~cycle u =
+    U.Probe.on_issue probe slots ~cycle ~lat:1 ~bypassed:false u
+  in
+  let probe = U.Probe.create U.Config.cgooo_8wide in
+  issue probe ~cycle:0 0;
+  issue probe ~cycle:1 2;
   (* a different window has its own order *)
-  U.Debug.on_issue dbg ~cycle:1 ~beu:1 ~bypassed:false (nop_event 5);
-  Alcotest.(check int) "in-order issues pass" 0 (U.Debug.violation_count dbg);
+  issue probe ~cycle:1 5;
+  Alcotest.(check int) "in-order issues pass" 0 (U.Probe.violation_count probe);
   (* uid 1 after uid 2 from the same window: corrupted in-block order *)
-  U.Debug.on_issue dbg ~cycle:2 ~beu:0 ~bypassed:false (nop_event 1);
-  (match U.Debug.violations dbg with
+  issue probe ~cycle:2 1;
+  (match U.Probe.violations probe with
   | [ v ] ->
       Alcotest.(check string) "invariant name" "cgooo.block-order"
-        v.U.Debug.invariant;
-      Alcotest.(check int) "offending uid" 1 v.U.Debug.uid
+        v.U.Probe.invariant;
+      Alcotest.(check int) "offending uid" 1 v.U.Probe.uid
   | vs ->
       Alcotest.failf "expected exactly one violation, got %d" (List.length vs));
   (* the braid core has no block windows: same sequence, monitor silent *)
-  let braid_dbg = U.Debug.create U.Config.braid_8wide in
-  U.Debug.on_issue braid_dbg ~cycle:0 ~beu:0 ~bypassed:false (nop_event 2);
-  U.Debug.on_issue braid_dbg ~cycle:1 ~beu:0 ~bypassed:false (nop_event 1);
+  let braid_probe = U.Probe.create U.Config.braid_8wide in
+  issue braid_probe ~cycle:0 2;
+  issue braid_probe ~cycle:1 1;
   Alcotest.(check int) "braid core unaffected" 0
-    (U.Debug.violation_count braid_dbg)
+    (U.Probe.violation_count braid_probe)
 
 let swap_first_two a =
   let a = Array.copy a in

@@ -106,10 +106,10 @@ let test_grid_rejects_invalid_point () =
   | Ok _ -> Alcotest.fail "duplicate axis accepted"
   | Error _ -> ()
 
-let counter_value sink name =
-  match Obs.Counters.find (Obs.Sink.counters sink) name with
-  | Some (Obs.Counters.Count n) -> n
-  | _ -> Alcotest.fail ("counter not found: " ^ name)
+let counter_value counters name =
+  match List.assoc_opt name (Obs.Counters.snapshot counters) with
+  | Some n -> n
+  | None -> Alcotest.fail ("counter not found: " ^ name)
 
 let strip_provenance (outcome : Dse.Sweep.outcome) =
   List.map
@@ -125,7 +125,7 @@ let strip_provenance (outcome : Dse.Sweep.outcome) =
     outcome.Dse.Sweep.results
 
 (* The headline cache guarantee: run a small sweep twice against one cache
-   directory — the second run (fresh context, fresh sink) performs zero
+   directory — the second run (fresh context, fresh counters) performs zero
    simulations and returns bit-identical results. *)
 let test_sweep_cache () =
   let dir = temp_dir () in
@@ -142,12 +142,12 @@ let test_sweep_cache () =
       let sweep () =
         let cache = or_fail (Dse.Cache.open_dir dir) in
         let ctx = Suite.create_ctx () in
-        let obs = Obs.Sink.create () in
+        let counters = Obs.Counters.create () in
         let outcome =
-          Dse.Sweep.run ~obs ~cache ~ctx ~jobs:2 ~seed:1 ~scale:1200 ~benches
+          Dse.Sweep.run ~counters ~cache ~ctx ~jobs:2 ~seed:1 ~scale:1200 ~benches
             points
         in
-        (outcome, obs)
+        (outcome, counters)
       in
       let cold, cold_obs = sweep () in
       Alcotest.(check int) "cold run simulates everything" 4

@@ -1,8 +1,8 @@
-(* Observability subsystem tests: counter accumulation through a real
-   pipeline run, histogram bucketing, the tracer's bounded ring, the
-   Chrome trace_event export (parsed back with the same Json module the
-   CLI uses to self-validate), the zero-cost disabled path, and the
-   reconciliation of cache hit/miss counters against latency charges. *)
+(* Observability tests: the counter dump read off a finished core, the
+   occupancy histogram, the tracer's bounded ring, the Chrome trace_event
+   export (parsed back with the same Json module the CLI uses to
+   self-validate), the probe's zero-cost off path, and the reconciliation
+   of cache hit/miss statistics against latency charges. *)
 
 module C = Braid_core
 module U = Braid_uarch
@@ -19,76 +19,85 @@ let prepared =
      let out = Emulator.run ~max_steps:(50 * scale) ~init_mem braided in
      (Option.get out.Emulator.trace, List.map fst init_mem))
 
-let run_braid ~obs =
+let run_braid ?probe () =
   let trace, warm_data = Lazy.force prepared in
-  U.Pipeline.run ~obs ~warm_data U.Config.braid_8wide trace
+  U.Core.run ?probe ~warm_data U.Config.braid_8wide trace
 
-let count obs name =
-  match Obs.Counters.find (Obs.Sink.counters obs) name with
-  | Some (Obs.Counters.Count n) -> n
+let count core name =
+  match List.assoc_opt name (U.Core.counters core) with
+  | Some (U.Core.Count n) -> n
   | Some _ -> Alcotest.failf "%s is a histogram" name
-  | None -> Alcotest.failf "counter %s not registered" name
+  | None -> Alcotest.failf "counter %s not in the dump" name
+
+(* (bounds, counts, observations, sum) *)
+let occupancy core =
+  match List.assoc_opt "core.occupancy" (U.Core.counters core) with
+  | Some (U.Core.Hist { bounds; counts; observations; sum }) ->
+      (bounds, counts, observations, sum)
+  | _ -> Alcotest.fail "core.occupancy histogram not in the dump"
 
 (* --- counters accumulate across a run ---------------------------------- *)
 
 let test_counters_accumulate () =
-  let obs = Obs.Sink.create () in
-  let r = run_braid ~obs in
-  Alcotest.(check int) "commit.instrs = instructions" r.U.Pipeline.instructions
-    (count obs "commit.instrs");
-  Alcotest.(check int) "dispatch = commit" (count obs "commit.instrs")
-    (count obs "dispatch.instrs");
-  Alcotest.(check int) "issue = commit" (count obs "commit.instrs")
-    (count obs "issue.instrs");
+  let core = run_braid () in
+  let r = U.Core.result core in
+  Alcotest.(check int) "commit.instrs = instructions" r.U.Core.instructions
+    (count core "commit.instrs");
+  Alcotest.(check int) "dispatch = commit" (count core "commit.instrs")
+    (count core "dispatch.instrs");
+  Alcotest.(check int) "issue = commit" (count core "commit.instrs")
+    (count core "issue.instrs");
   Alcotest.(check bool) "fetch >= commit" true
-    (count obs "fetch.instrs" >= count obs "commit.instrs");
-  Alcotest.(check int) "predictor.lookups mirrors result"
-    r.U.Pipeline.branch_lookups
-    (count obs "predictor.lookups");
-  Alcotest.(check int) "predictor.mispredicts mirrors result"
-    r.U.Pipeline.branch_mispredicts
-    (count obs "predictor.mispredicts");
-  Alcotest.(check int) "l1d.misses mirrors result" r.U.Pipeline.l1d_misses
-    (count obs "l1d.misses");
-  Alcotest.(check int) "extfile.dispatch_stalls mirrors result"
-    r.U.Pipeline.dispatch_stall_regs
-    (count obs "extfile.dispatch_stalls");
+    (count core "fetch.instrs" >= count core "commit.instrs");
+  Alcotest.(check int) "l1d.misses matches result" r.U.Core.l1d_misses
+    (count core "l1d.misses");
+  Alcotest.(check int) "stall.dispatch_core matches result"
+    r.U.Core.stalls.U.Core.dispatch_core
+    (count core "stall.dispatch_core");
   (* every allocated external entry is released exactly once: early
      (dead-value) or at commit *)
   Alcotest.(check int) "allocs = early + commit releases"
-    (count obs "extfile.allocs")
-    (count obs "extfile.early_releases" + count obs "extfile.commit_releases");
-  (* occupancy histogram observed once per cycle *)
-  (match Obs.Counters.find (Obs.Sink.counters obs) "core.occupancy" with
-  | Some (Obs.Counters.Hist { observations; _ }) ->
-      Alcotest.(check int) "one occupancy sample per cycle"
-        (r.U.Pipeline.cycles + 1) observations
-  | _ -> Alcotest.fail "core.occupancy histogram not registered")
+    (count core "extfile.allocs")
+    (count core "extfile.early_releases" + count core "extfile.commit_releases");
+  Alcotest.(check bool) "braid releases some entries early" true
+    (count core "extfile.early_releases" > 0);
+  let _, _, observations, _ = occupancy core in
+  Alcotest.(check int) "one occupancy sample per cycle" (r.U.Core.cycles + 1)
+    observations;
+  Alcotest.check_raises "no dump before the run finishes"
+    (Invalid_argument "Core.counters: the core has not committed its whole trace")
+    (fun () ->
+      let trace, warm_data = Lazy.force prepared in
+      ignore
+        (U.Core.counters (U.Core.create ~warm_data U.Config.braid_8wide trace)))
 
-(* --- histogram bucketing ------------------------------------------------ *)
+(* --- histogram buckets -------------------------------------------------- *)
 
+(* Bucket [i] holds occupancies in (bounds.(i-1), bounds.(i)], the last one
+   everything above the top bound: the histogram's sum must lie inside the
+   range its bucket counts imply, and agree with the result's mean. *)
 let test_histogram_buckets () =
-  let reg = Obs.Counters.create () in
-  let h = Obs.Counters.histogram reg "h" ~bounds:[| 0; 2; 4 |] in
-  List.iter (Obs.Counters.observe h) [ 0; 1; 2; 3; 4; 5; 100 ];
-  (match Obs.Counters.find reg "h" with
-  | Some (Obs.Counters.Hist { bounds; counts; observations; sum }) ->
-      Alcotest.(check (array int)) "bounds kept" [| 0; 2; 4 |] bounds;
-      Alcotest.(check (array int)) "bucket counts (incl. overflow)"
-        [| 1; 2; 2; 2 |] counts;
-      Alcotest.(check int) "observations" 7 observations;
-      Alcotest.(check int) "sum" 115 sum
-  | _ -> Alcotest.fail "histogram not found");
-  (* re-registration with identical bounds shares the handle *)
-  let h' = Obs.Counters.histogram reg "h" ~bounds:[| 0; 2; 4 |] in
-  Obs.Counters.observe h' 1;
-  (match Obs.Counters.find reg "h" with
-  | Some (Obs.Counters.Hist { observations; _ }) ->
-      Alcotest.(check int) "shared handle" 8 observations
-  | _ -> Alcotest.fail "histogram not found");
-  Alcotest.check_raises "different bounds rejected"
-    (Invalid_argument "Counters.histogram h: re-registered with different bounds")
-    (fun () -> ignore (Obs.Counters.histogram reg "h" ~bounds:[| 1; 3 |]))
+  let core = run_braid () in
+  let r = U.Core.result core in
+  let bounds, counts, observations, sum = occupancy core in
+  let nb = Array.length bounds in
+  Alcotest.(check (array int)) "bounds" [| 0; 2; 4; 8; 16; 32; 64; 128; 256 |]
+    bounds;
+  Alcotest.(check int) "one overflow bucket" (nb + 1) (Array.length counts);
+  Alcotest.(check int) "counts sum to observations" observations
+    (Array.fold_left ( + ) 0 counts);
+  let lo = ref 0 and hi = ref 0 in
+  Array.iteri
+    (fun i c ->
+      lo := !lo + (c * if i = 0 then 0 else bounds.(i - 1) + 1);
+      if i < nb then hi := !hi + (c * bounds.(i)))
+    counts;
+  let overflow = counts.(nb) > 0 in
+  Alcotest.(check bool) "sum within the bucket ranges" true
+    (!lo <= sum && (overflow || sum <= !hi));
+  Alcotest.(check (float 1e-9)) "sum agrees with avg_occupancy"
+    r.U.Core.avg_occupancy
+    (float_of_int sum /. float_of_int r.U.Core.cycles)
 
 (* --- tracer ring buffer ------------------------------------------------- *)
 
@@ -107,18 +116,15 @@ let test_ring_drops_oldest () =
       (Obs.Tracer.events tr)
   in
   Alcotest.(check (list int)) "oldest dropped, oldest-first order" [ 2; 3; 4; 5 ]
-    cycles;
-  Obs.Tracer.clear tr;
-  Alcotest.(check int) "clear empties" 0 (Obs.Tracer.length tr)
+    cycles
 
 (* --- Chrome export round-trips through the Json parser ------------------ *)
 
 let test_chrome_roundtrip () =
-  let obs = Obs.Sink.create () in
-  let tr = Obs.Tracer.create () in
-  Obs.Sink.attach_tracer obs tr;
-  ignore (run_braid ~obs);
-  let doc = Obs.Chrome.export tr in
+  let tracer = Obs.Tracer.create () in
+  let probe = U.Probe.create ~tracer ~invariants:false U.Config.braid_8wide in
+  ignore (run_braid ~probe ());
+  let doc = Obs.Chrome.export tracer in
   let j = Json.parse_exn doc in
   let events =
     match Json.member "traceEvents" j with
@@ -152,27 +158,22 @@ let test_chrome_roundtrip () =
   Alcotest.(check bool) "print/parse round-trip" true
     (Json.parse_exn (Json.to_string j) = j)
 
-(* --- disabled path records nothing and changes nothing ------------------ *)
+(* --- the off probe records nothing and changes nothing ------------------ *)
 
 let test_disabled_records_nothing () =
-  let tr = Obs.Tracer.create () in
-  Obs.Sink.attach_tracer Obs.Sink.disabled tr;
-  Alcotest.(check bool) "no tracer on disabled sink" true
-    (Obs.Sink.tracer Obs.Sink.disabled = None);
-  let r_plain = run_braid ~obs:Obs.Sink.disabled in
-  Alcotest.(check int) "disabled tracer saw nothing" 0 (Obs.Tracer.length tr);
-  Alcotest.(check int) "disabled registry stays empty" 0
-    (List.length (Obs.Counters.snapshot (Obs.Sink.counters Obs.Sink.disabled)));
-  (* observability does not perturb the simulation *)
-  let obs = Obs.Sink.create () in
-  Obs.Sink.attach_tracer obs (Obs.Tracer.create ());
-  let r_obs = run_braid ~obs in
-  Alcotest.(check int) "identical cycle count" r_plain.U.Pipeline.cycles
-    r_obs.U.Pipeline.cycles;
-  Alcotest.(check int) "identical l1d misses" r_plain.U.Pipeline.l1d_misses
-    r_obs.U.Pipeline.l1d_misses
+  let plain = run_braid () in
+  Alcotest.(check int) "off records no commits" 0
+    (Array.length (U.Probe.committed U.Probe.off));
+  (* a probe does not perturb the simulation *)
+  let tracer = Obs.Tracer.create () in
+  let probed = run_braid ~probe:(U.Probe.create ~tracer U.Config.braid_8wide) () in
+  Alcotest.(check bool) "probed run traced" true (Obs.Tracer.length tracer > 0);
+  Alcotest.(check bool) "identical result" true
+    (U.Core.result plain = U.Core.result probed);
+  Alcotest.(check bool) "identical counter dump" true
+    (U.Core.counters plain = U.Core.counters probed)
 
-(* --- cache counters reconcile with latency charges ---------------------- *)
+(* --- cache statistics reconcile with latency charges -------------------- *)
 
 let small_l1 = { U.Config.size_bytes = 256; ways = 2; line_bytes = 64; latency = 1 }
 
@@ -187,8 +188,7 @@ let mem_cfg =
   }
 
 let test_cache_reconcile () =
-  let obs = Obs.Sink.create () in
-  let h = U.Mem_hier.create_hierarchy ~obs mem_cfg in
+  let h = U.Mem_hier.create_hierarchy mem_cfg in
   (* 2-way, 64B lines, 2 sets: 0, 128 and 256 all map to set 0.
      0 M, 0 H, 128 M, 0 H, 256 M (evicts LRU 128), 128 M (evicts LRU 0),
      0 M — true LRU gives exactly 2 hits / 5 misses; FIFO would differ. *)
@@ -201,10 +201,8 @@ let test_cache_reconcile () =
     seq;
   Alcotest.(check (pair int int)) "latency-derived L1I hit/miss" (2, 5)
     (!hits, !misses);
-  Alcotest.(check (pair int int)) "Cache.l1i_stats agrees" (2, 5)
+  Alcotest.(check (pair int int)) "l1i_stats agrees" (2, 5)
     (U.Mem_hier.l1i_stats h);
-  Alcotest.(check int) "l1i.hits counter agrees" 2 (count obs "l1i.hits");
-  Alcotest.(check int) "l1i.misses counter agrees" 5 (count obs "l1i.misses");
   (* same reconciliation on the data side *)
   let d_hits = ref 0 and d_misses = ref 0 in
   List.iter
@@ -214,12 +212,12 @@ let test_cache_reconcile () =
     [ 64; 64; 192; 64 ];
   Alcotest.(check (pair int int)) "latency-derived L1D hit/miss" (2, 2)
     (!d_hits, !d_misses);
-  Alcotest.(check int) "l1d.hits counter agrees" !d_hits (count obs "l1d.hits");
-  Alcotest.(check int) "l1d.misses counter agrees" !d_misses
-    (count obs "l1d.misses");
+  Alcotest.(check (pair int int)) "l1d_stats agrees" (!d_hits, !d_misses)
+    (U.Mem_hier.l1d_stats h);
   (* warm-up fills stay uncounted *)
   U.Mem_hier.warm_instr h 512;
-  Alcotest.(check int) "warm_instr uncounted" 5 (count obs "l1i.misses")
+  Alcotest.(check (pair int int)) "warm_instr uncounted" (2, 5)
+    (U.Mem_hier.l1i_stats h)
 
 let suite =
   ( "obs",

@@ -1,0 +1,121 @@
+(* Observer goldens: the exact bytes a run reports about itself. The
+   expected files under observers/ are the stdout of
+
+     braidsim trace gzip --scale 2000 --from 100 --cycles 60 --counters
+     braidsim cmp gzip mcf --cores 2 --scale 2000 --counters
+
+   and the gzip/mcf members of the "counters" object of
+
+     braidsim experiment --only table1 --scale 2000 --counters --json -
+
+   The Chrome export of the trace run is pinned by digest. Counter order
+   is part of the contract: a dump lists counters in the order scripts
+   and diffs have always seen them. *)
+
+module Api = Braid_api
+
+(* from the test directory under [dune runtest], or from the repo root *)
+let read_file name =
+  let candidates =
+    [ Filename.concat "observers" name; Filename.concat "test/observers" name ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some path -> In_channel.with_open_bin path In_channel.input_all
+  | None -> Alcotest.failf "observers/%s not found (cwd %s)" name (Sys.getcwd ())
+
+let exec req =
+  match Api.Exec.exec (Api.Exec.one_shot_env ()) req with
+  | Ok payload -> payload
+  | Error msg -> Alcotest.failf "request failed: %s" msg
+
+(* --- trace: timeline, counter dump and Chrome export -------------------- *)
+
+let chrome_digest = "af45e4214c7c7febfae70ed368012a07"
+
+let test_trace () =
+  match
+    exec
+      (Api.Request.Trace
+         {
+           t_bench = "gzip";
+           t_seed = 1;
+           t_scale = 2000;
+           t_core = Braid_uarch.Config.Braid_exec;
+           t_width = 8;
+           t_from = 100;
+           t_cycles = 60;
+           t_buffer = Braid_obs.Tracer.default_capacity;
+           t_chrome = true;
+           t_counters = true;
+         })
+  with
+  | Api.Response.Trace_done { text; counters_text = Some counters; chrome = Some c } ->
+      Alcotest.(check string) "timeline and counters" (read_file "trace_gzip.txt")
+        (text ^ counters);
+      Alcotest.(check int) "chrome events" 16466 c.Api.Response.c_events;
+      Alcotest.(check int) "chrome tracks" 9 c.Api.Response.c_tracks;
+      Alcotest.(check string) "chrome digest" chrome_digest
+        (Digest.to_hex (Digest.string c.Api.Response.c_doc))
+  | _ -> Alcotest.fail "trace: unexpected payload"
+
+(* --- cmp: shared-hierarchy and per-core dumps --------------------------- *)
+
+let test_cmp () =
+  match
+    exec
+      (Api.Request.Cmp
+         {
+           c_benches = [ "gzip"; "mcf" ];
+           c_cores = 2;
+           c_seed = 1;
+           c_scale = 2000;
+           c_core = Braid_uarch.Config.Braid_exec;
+           c_width = 8;
+           c_l2 = None;
+           c_counters = true;
+         })
+  with
+  | Api.Response.Cmp_done { text; counters_text = Some counters; _ } ->
+      Alcotest.(check string) "summary and counters" (read_file "cmp_gzip_mcf.txt")
+        (text ^ counters)
+  | _ -> Alcotest.fail "cmp: unexpected payload"
+
+(* --- experiment --counters --json --------------------------------------- *)
+
+let test_experiment_counters () =
+  match
+    exec
+      (Api.Request.Experiment
+         {
+           e_ids = [ "table1" ];
+           e_scale = 2000;
+           e_jobs = 1;
+           e_counters = true;
+           e_sample = None;
+         })
+  with
+  | Api.Response.Experiment_done { doc; _ } ->
+      let counters =
+        match Json.member "counters" (Json.parse_exn doc) with
+        | Some c -> c
+        | None -> Alcotest.fail "no counters object"
+      in
+      let pick bench =
+        match Json.member bench counters with
+        | Some v -> (bench, v)
+        | None -> Alcotest.failf "no counters for %s" bench
+      in
+      let expected = Json.parse_exn (read_file "experiment_counters.json") in
+      (* both sides re-serialised from parsed JSON: names, order and
+         values must all agree *)
+      Alcotest.(check string) "gzip and mcf counters" (Json.to_string expected)
+        (Json.to_string (Json.Obj [ pick "gzip"; pick "mcf" ]))
+  | _ -> Alcotest.fail "experiment: unexpected payload"
+
+let suite =
+  ( "observers",
+    [
+      Alcotest.test_case "trace timeline, counters and chrome" `Quick test_trace;
+      Alcotest.test_case "cmp counters" `Quick test_cmp;
+      Alcotest.test_case "experiment counters json" `Quick test_experiment_counters;
+    ] )

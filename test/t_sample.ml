@@ -226,12 +226,12 @@ let test_measure_from_validation () =
   let run mf = ignore (U.Pipeline.run ~measure_from:mf U.Config.ooo_8wide trace) in
   Alcotest.check_raises "negative"
     (Invalid_argument
-       (Printf.sprintf "Pipeline.run: measure_from %d outside trace [0, %d)"
+       (Printf.sprintf "Core.create: measure_from %d outside trace [0, %d)"
           (-1) n))
     (fun () -> run (-1));
   Alcotest.check_raises "past the end"
     (Invalid_argument
-       (Printf.sprintf "Pipeline.run: measure_from %d outside trace [0, %d)" n n))
+       (Printf.sprintf "Core.create: measure_from %d outside trace [0, %d)" n n))
     (fun () -> run n);
   (* a valid boundary reports exactly the suffix length *)
   let r = U.Pipeline.run ~measure_from:(n / 2) U.Config.ooo_8wide trace in

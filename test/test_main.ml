@@ -13,6 +13,7 @@ let () =
       T_transform.suite;
       T_uarch.suite;
       T_obs.suite;
+      T_observers.suite;
       T_statspass.suite;
       T_extensions.suite;
       T_properties.suite;
