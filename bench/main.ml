@@ -1,18 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper.
 
-   Default mode fans each experiment's per-benchmark simulation jobs out
+   It fans each experiment's per-benchmark simulation jobs out
    across a domain pool (--jobs), prints the same rows/series the paper
    reports, then a headline summary of paper-claim vs measured. Tables go to
    stdout and are byte-identical for every --jobs value; timing/telemetry
    goes to stderr. `--json FILE` additionally serializes the typed results.
-   `--bechamel` instead times the computational kernels behind each
-   experiment (one Bechamel test per table/figure). *)
+   Timing braidsim itself is perfbench's job (`python3 perfbench/run.py`). *)
 
 module E = Braid_sim.Experiments
 module S = Braid_sim.Suite
 module Runner = Braid_sim.Runner
 module Report = Braid_sim.Report
-module Perf = Braid_sim.Perf
 module Cli = Braid_cli.Cli_common
 
 let list_experiments () =
@@ -54,105 +52,9 @@ let run_experiments ~scale ~jobs ~json only =
         exit 1)
     json
 
-(* Simulator-throughput mode: time repeated timing-model runs on a fixed
-   benchmark subset per core model and write the BENCH_*.json trajectory
-   point (see Braid_sim.Perf). *)
-let run_perf ~scale ~reps ~out ~baseline ~benches =
-  (* names were already validated by Cli_common.bench_name_conv *)
-  let benches = if benches = [] then Perf.default_benches else benches in
-  let baseline =
-    Option.map
-      (fun file ->
-        try Perf.load_baseline file
-        with Sys_error msg | Failure msg ->
-          Printf.eprintf "bench: cannot load baseline: %s\n" msg;
-          exit 1)
-      baseline
-  in
-  let ctx = S.create_ctx () in
-  let entries = Perf.measure ctx ~scale ~reps ~benches in
-  print_string (Perf.render entries);
-  (try Perf.write_json ?baseline ~file:out ~scale ~reps entries
-   with Sys_error msg ->
-     Printf.eprintf "bench: cannot write %s: %s\n" out msg;
-     exit 1);
-  if out <> "-" then Printf.eprintf "(wrote %s)\n%!" out
-
-(* Bechamel timing of each experiment's computational kernel at a small,
-   fixed scale: how long regenerating that table/figure costs. Each run gets
-   a fresh memoisation context so the cost measured is the real one. *)
-let run_bechamel () =
-  let open Bechamel in
-  let scale = 2000 in
-  let tests =
-    List.map
-      (fun (e : E.t) ->
-        Test.make ~name:e.E.id
-          (Staged.stage (fun () ->
-               let ctx = Braid_sim.Suite.create_ctx () in
-               ignore (E.run ctx ~scale e))))
-      E.all
-  in
-  (* micro-kernels of the hot-path utilities behind the timing model *)
-  let util_tests =
-    [
-      Test.make ~name:"util/calq-wheel"
-        (Staged.stage (fun () ->
-             let q = Braid_util.Calq.create ~horizon:512 in
-             for c = 0 to 20_000 do
-               Braid_util.Calq.add q (c + 3) c;
-               Braid_util.Calq.add q (c + 400) c;
-               Braid_util.Calq.drain q c ignore
-             done));
-      (* the CMP hot loop: two pipelines lock-stepped over the shared,
-         coherent L2 — directory lookups ride the L1-miss path, so this
-         tracks the coherence machinery's overhead across PRs *)
-      Test.make ~name:"cmp/2-core-rate"
-        (Staged.stage (fun () ->
-             let ctx = Braid_sim.Suite.create_ctx () in
-             let cfg = Braid_uarch.Config.braid_8wide in
-             let cmp =
-               Braid_uarch.Config.Cmp.make ~cores:2
-                 ~workloads:[ "gzip"; "crafty" ] ()
-             in
-             ignore (Braid_cmp.Cmp_bench.run ctx ~seed:1 ~scale:2000 ~cfg cmp)));
-      Test.make ~name:"util/paged-mem"
-        (Staged.stage (fun () ->
-             let m = Braid_util.Paged_mem.create () in
-             for i = 0 to 20_000 do
-               let addr = (i * 8) land 0xFFFF8 in
-               Braid_util.Paged_mem.store m addr (Int64.of_int i);
-               ignore (Braid_util.Paged_mem.load m addr)
-             done));
-    ]
-  in
-  let test =
-    Test.make_grouped ~name:"experiments" (tests @ util_tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg instances test in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  List.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-40s %14.0f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-        tbl)
-    results
-
 (* --- command line --- *)
 
 let scale_arg = Cli.scale_arg ~default:S.default_scale
-
-let quick_arg =
-  let doc = "Shorthand for --scale 4000." in
-  Cmdliner.Arg.(value & flag & info [ "quick" ] ~doc)
 
 let only_arg = Cli.only_arg
 
@@ -160,73 +62,14 @@ let list_arg =
   let doc = "List experiment ids and exit." in
   Cmdliner.Arg.(value & flag & info [ "list" ] ~doc)
 
-let bechamel_arg =
-  let doc = "Time each experiment kernel with Bechamel instead of printing results." in
-  Cmdliner.Arg.(value & flag & info [ "bechamel" ] ~doc)
-
-let perf_arg =
-  let doc =
-    "Simulator-throughput mode: time --reps repeated timing-model runs of a \
-     fixed benchmark subset on each core model and write simulated cycles \
-     per second to --out (the BENCH_*.json trajectory format)."
-  in
-  Cmdliner.Arg.(value & flag & info [ "perf" ] ~doc)
-
-let reps_arg = Cli.reps_arg ~default:5
-
-let out_arg =
-  let doc = "Output file for --perf mode (- for stdout)." in
-  Cmdliner.Arg.(
-    value & opt string "BENCH_sim.json" & info [ "out" ] ~docv:"FILE" ~doc)
-
-let baseline_arg =
-  let doc =
-    "A previous --perf output to compare against: each entry of the new \
-     file gains a speedup_vs_baseline ratio (new / old simulated \
-     cycles per second)."
-  in
-  Cmdliner.Arg.(
-    value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-
-let benches_arg =
-  let doc =
-    "Comma-separated benchmark names for --perf mode: workload names or \
-     $(b,rv:FIXTURE) frontend entries (default: a fixed 6-benchmark \
-     subset plus rv:fib and rv:crc32)."
-  in
-  (* bench_name_conv plus the rv: fixture namespace *)
-  let perf_bench_conv : string Cmdliner.Arg.conv =
-    let parse s =
-      if Perf.is_rv s then
-        let fixture = String.sub s 3 (String.length s - 3) in
-        if Braid_rv.Fixtures.find fixture <> None then Ok s
-        else
-          Error
-            (`Msg
-               (Printf.sprintf "unknown rv fixture %S; valid names: %s" fixture
-                  (String.concat ", " Braid_rv.Fixtures.names)))
-      else
-        match Cmdliner.Arg.conv_parser Cli.bench_name_conv s with
-        | Ok (_ : string) -> Ok s
-        | Error _ as e -> e
-    in
-    Cmdliner.Arg.conv ~docv:"BENCH" (parse, Format.pp_print_string)
-  in
-  Cmdliner.Arg.(
-    value & opt (list perf_bench_conv) [] & info [ "benches" ] ~docv:"NAMES" ~doc)
-
 let jobs_arg = Cli.jobs_arg ~default:(Runner.default_jobs ())
 
 let json_arg =
   Cli.json_file_arg
     ~doc:"Serialize typed results and per-job telemetry to $(docv) (- for stdout)."
 
-let main scale quick only list bechamel perf reps out baseline benches jobs json =
-  let scale = if quick then 4000 else scale in
-  if list then list_experiments ()
-  else if bechamel then run_bechamel ()
-  else if perf then run_perf ~scale ~reps ~out ~baseline ~benches
-  else run_experiments ~scale ~jobs ~json only
+let main scale only list jobs json =
+  if list then list_experiments () else run_experiments ~scale ~jobs ~json only
 
 let () =
   let info =
@@ -235,8 +78,6 @@ let () =
   in
   let term =
     Cmdliner.Term.(
-      const main $ scale_arg $ quick_arg $ only_arg $ list_arg $ bechamel_arg
-      $ perf_arg $ reps_arg $ out_arg $ baseline_arg $ benches_arg
-      $ jobs_arg $ json_arg)
+      const main $ scale_arg $ only_arg $ list_arg $ jobs_arg $ json_arg)
   in
   exit (Cmdliner.Cmd.eval (Cmdliner.Cmd.v info term))

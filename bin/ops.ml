@@ -33,7 +33,7 @@ let default_socket =
 
 (* --- shared argument vocabulary --- *)
 
-let scale_arg = Cli.scale_arg ~default:12_000
+let scale_arg = Cli.scale_arg ~default:Braid_sim.Suite.default_scale
 
 let width_arg =
   Cmdliner.Arg.(

@@ -37,10 +37,6 @@ let seed_arg =
   let doc = "Workload generation seed." in
   Cmdliner.Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let scale_arg ~default =
-  let doc = "Target dynamic instruction count of each benchmark run." in
-  Cmdliner.Arg.(value & opt int default & info [ "scale" ] ~docv:"N" ~doc)
-
 let positive_int : int Cmdliner.Arg.conv =
   let parse s =
     match int_of_string_opt s with
@@ -49,6 +45,14 @@ let positive_int : int Cmdliner.Arg.conv =
     | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
   in
   Cmdliner.Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let scale_arg ~default =
+  let doc =
+    "Target dynamic instruction count of each benchmark run; must be \
+     positive."
+  in
+  Cmdliner.Arg.(
+    value & opt positive_int default & info [ "scale" ] ~docv:"N" ~doc)
 
 let jobs_arg ~default =
   let doc =
@@ -110,11 +114,6 @@ let only_arg =
   let doc = "Comma-separated experiment ids to run (default: all)." in
   Cmdliner.Arg.(
     value & opt (list experiment_id_conv) [] & info [ "only" ] ~docv:"IDS" ~doc)
-
-let reps_arg ~default =
-  let doc = "Timed repetitions per (benchmark, core) in --perf mode." in
-  Cmdliner.Arg.(
-    value & opt positive_int default & info [ "reps" ] ~docv:"N" ~doc)
 
 let json_file_arg ~doc =
   Cmdliner.Arg.(

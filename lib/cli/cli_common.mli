@@ -21,7 +21,7 @@ val seed_arg : int Cmdliner.Term.t
 (** [--seed SEED], default 1. *)
 
 val scale_arg : default:int -> int Cmdliner.Term.t
-(** [--scale N]: target dynamic instruction count. *)
+(** [--scale N] (positive): target dynamic instruction count. *)
 
 val positive_int : int Cmdliner.Arg.conv
 (** Strictly positive integers; 0/negative is a usage error. *)
@@ -47,9 +47,6 @@ val experiment_id_conv : string Cmdliner.Arg.conv
 val only_arg : string list Cmdliner.Term.t
 (** [--only IDS]: comma-separated, validated experiment ids (default
     all). *)
-
-val reps_arg : default:int -> int Cmdliner.Term.t
-(** [--reps N] (positive): timed repetitions in perf mode. *)
 
 val json_file_arg : doc:string -> string option Cmdliner.Term.t
 (** [--json FILE] with a caller-supplied description ([-] conventionally

@@ -853,7 +853,7 @@ module Compiled = struct
     stores : int ref;
   }
 
-  let start ?(init_mem = []) ?image code =
+  let start ?(init_mem = []) code =
     let n = Array.length code.flat in
     let regs =
       Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
@@ -861,9 +861,6 @@ module Compiled = struct
     in
     Bigarray.Array1.fill regs 0L;
     let mem = Braid_util.Paged_mem.create () in
-    (match image with
-    | Some snap -> Braid_util.Paged_mem.restore mem snap
-    | None -> ());
     List.iter
       (fun (addr, v) ->
         check_aligned addr;

@@ -93,16 +93,9 @@ module Compiled : sig
 
   val compile : Program.t -> code
 
-  val start :
-    ?init_mem:(int * int64) list ->
-    ?image:Braid_util.Paged_mem.snapshot ->
-    code ->
-    run
+  val start : ?init_mem:(int * int64) list -> code -> run
   (** A fresh run at the program entry with all registers zero and the
-      given data image stored. [image] restores a pre-built memory
-      snapshot by page blits before [init_mem] is applied — repeated runs
-      over the same data image (the perf harness, the sampling driver)
-      amortise the per-word image walk this way. *)
+      given data image stored. *)
 
   val advance : run -> fuel:int -> int
   (** Execute at most [fuel] instructions; returns how many ran (less than

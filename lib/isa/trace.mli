@@ -68,14 +68,14 @@ val length : t -> int
 val warm_lines : t -> int array
 (** Distinct 64-byte instruction-line addresses in first-touch order,
     computed once and memoised (the trace is immutable): repeated timing
-    runs over one trace — the perf harness — warm their caches without
-    re-deduplicating the event stream. *)
+    runs over one trace — every point of a design-space sweep — warm
+    their caches without re-deduplicating the event stream. *)
 
 val dep_tables : t -> dep_tables
 (** The static dependence structure of the trace, computed once and
     memoised. Timing models treat every array as read-only, so repeated
-    runs (the perf harness) share one copy instead of rebuilding the CSR
-    graph and disambiguation table per run. *)
+    runs (the points of a sweep) share one copy instead of rebuilding the
+    CSR graph and disambiguation table per run. *)
 
 val num_branches : t -> int
 (** Conditional branches only. *)

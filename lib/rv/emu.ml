@@ -23,11 +23,9 @@ let stop_to_string = function
 
 exception Trap of stop
 
-(* Arithmetic for the interpreted engine. The compiled engine ([run_fast])
-   re-states each operator inline in its generated closures — an indirect
-   call per instruction costs more than the arithmetic — and the
-   differential tests (fixtures, random programs) hold the two engines to
-   identical outcomes, so the duplication cannot drift silently. *)
+(* RV32IM arithmetic on 32-bit values held in OCaml ints. [run] is the
+   reference the frontend oracle diffs the translated IR and every core
+   against, so it stays a plain fetch-decode-execute interpreter. *)
 let s32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
 let alu_eval (o : Insn.alu) a b =
@@ -197,586 +195,3 @@ let run ?(max_steps = default_max_steps) ?(tohost = default_tohost)
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   { stop; regs; steps = !steps; output = Buffer.contents output; image }
-
-(* Compiled fast path: the image is pre-decoded into one closure per word,
-   chained by direct tail calls exactly like [Braid_isa.Emulator.Compiled]
-   — a closure takes the remaining fuel, applies the instruction and
-   tail-calls its successor's closure with [fuel - 1]; at [fuel = 0] it
-   unwinds by returning 0. Memory is a dense int array over the low 1 MiB
-   (every fixture fits) with a hash-table spill above it, removing the
-   two table lookups (fetch and decode cache) [run] pays per instruction.
-
-   The outcome is byte-identical to [run]'s on every program: fault
-   messages, fault pcs, step counts at traps, the tohost store-then-trap
-   ordering, and final register/memory images all mirror the interpreted
-   code paths, and writes into the image range invalidate the pre-decoded
-   closure of the stored-to word so self-modifying programs re-decode
-   (the interpreter re-fetches every step, so it is naturally coherent). *)
-let run_fast ?(max_steps = default_max_steps) ?(tohost = default_tohost)
-    (img : Image.t) =
-  let base = img.Image.base in
-  let len = Image.size img in
-  let nwords = len lsr 2 in
-  let mask32 = Insn.mask32 in
-  (* covers every fixture's code, data, stack, and tohost with headroom;
-     accesses above it fall back to the spill table, just slower *)
-  let dense_bytes = 0x40000 in
-  let dense = Array.make (dense_bytes lsr 2) 0 in
-  let spill : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  Image.iter_words
-    (fun addr w ->
-      if w <> 0 then
-        if addr < dense_bytes then dense.(addr lsr 2) <- w
-        else Hashtbl.replace spill addr w)
-    img;
-  (* slot 32 is a write sink for x0 destinations; slot 0 is never
-     written, so reads of x0 stay 0 without a branch *)
-  let regs = Array.make 33 0 in
-  let output = Buffer.create 16 in
-  (* remaining budget at the instant a trap unwound the chain; the
-     trapping instruction itself has already been counted *)
-  let trap_rem = ref max_steps in
-  let code : (int -> int) array = Array.make (nwords + 1) (fun _ -> 0) in
-  let invalidate = ref (fun (_ : int) -> ()) in
-  let fault_at pc rem reason =
-    trap_rem := rem;
-    raise (Trap (Fault { pc; reason }))
-  in
-  (* [rd_word]/[wr_word] mirror [run]'s, including fault messages and the
-     update-then-trap tohost ordering; callers pass word-aligned
-     addresses, as there *)
-  let rd_word pc rem addr =
-    if addr < 0 || addr >= Image.max_addr then
-      fault_at pc rem (Printf.sprintf "address 0x%x out of range" addr)
-    else if addr < dense_bytes then Array.unsafe_get dense (addr lsr 2)
-    else match Hashtbl.find_opt spill addr with Some v -> v | None -> 0
-  in
-  let tohost_sig rem v =
-    if v land 1 = 1 then begin
-      trap_rem := rem;
-      raise (Trap (Exited (v lsr 1)))
-    end
-    else if v land 0xFF = 2 then
-      Buffer.add_char output (Char.chr ((v lsr 8) land 0xFF))
-  in
-  let wr_word pc rem addr v =
-    if addr < 0 || addr >= Image.max_addr then
-      fault_at pc rem (Printf.sprintf "address 0x%x out of range" addr);
-    let v = mask32 v in
-    (if addr < dense_bytes then Array.unsafe_set dense (addr lsr 2) v
-     else if v = 0 then Hashtbl.remove spill addr
-     else Hashtbl.replace spill addr v);
-    if addr >= base && addr < base + len then !invalidate ((addr - base) lsr 2);
-    if addr = tohost then tohost_sig rem v
-  in
-  (* dynamic control transfer: the fuel test precedes the pc checks, as
-     the interpreter's loop condition does, so exhaustion at a bad pc is
-     [Out_of_fuel], not a fault *)
-  let goto pc rem =
-    if rem = 0 then 0
-    else if pc land 3 <> 0 then fault_at pc rem "misaligned pc"
-    else if pc < base || pc >= base + len then
-      fault_at pc rem "pc outside the loaded image"
-    else (Array.unsafe_get code ((pc - base) lsr 2)) rem
-  in
-  (* a statically-known transfer target resolves its pc checks now: valid
-     targets chain straight into the code array, invalid ones become the
-     fault the interpreter would raise when fetching there *)
-  let static_succ t : int -> int =
-    if t land 3 <> 0 then fun rem ->
-      if rem = 0 then 0 else fault_at t rem "misaligned pc"
-    else if t < base || t >= base + len then fun rem ->
-      if rem = 0 then 0 else fault_at t rem "pc outside the loaded image"
-    else
-      let ti = (t - base) lsr 2 in
-      fun rem -> (Array.unsafe_get code ti) rem
-  in
-  let wd rd = if rd = 0 then 32 else rd in
-  let build_one idx : int -> int =
-    let pc = base + (idx lsl 2) in
-    let word =
-      if pc < dense_bytes then dense.(pc lsr 2)
-      else match Hashtbl.find_opt spill pc with Some v -> v | None -> 0
-    in
-    match Insn.decode word with
-    | Error e ->
-        (* decode faults precede the step count, so [rem] is the full
-           entry fuel *)
-        let msg = Insn.error_to_string e in
-        fun fuel -> if fuel = 0 then 0 else fault_at pc fuel msg
-    | Ok insn -> (
-        let ni = idx + 1 in
-        match insn with
-        | Insn.Lui (rd, imm) ->
-            let rd = wd rd and v = mask32 (imm lsl 12) in
-            fun fuel ->
-              if fuel = 0 then 0
-              else begin
-                Array.unsafe_set regs rd v;
-                (Array.unsafe_get code ni) (fuel - 1)
-              end
-        | Insn.Auipc (rd, imm) ->
-            let rd = wd rd and v = mask32 (pc + (imm lsl 12)) in
-            fun fuel ->
-              if fuel = 0 then 0
-              else begin
-                Array.unsafe_set regs rd v;
-                (Array.unsafe_get code ni) (fuel - 1)
-              end
-        | Insn.Jal (rd, off) ->
-            let rd = wd rd
-            and ret = mask32 (pc + 4)
-            and tk = static_succ (mask32 (pc + off)) in
-            fun fuel ->
-              if fuel = 0 then 0
-              else begin
-                Array.unsafe_set regs rd ret;
-                tk (fuel - 1)
-              end
-        | Insn.Jalr (rd, rs1, imm) ->
-            let rd = wd rd and ret = mask32 (pc + 4) in
-            fun fuel ->
-              if fuel = 0 then 0
-              else begin
-                (* the target reads rs1 before rd is written, as in [run] *)
-                let t = mask32 (Array.unsafe_get regs rs1 + imm) land lnot 1 in
-                Array.unsafe_set regs rd ret;
-                goto t (fuel - 1)
-              end
-        | Insn.Branch (c, rs1, rs2, off) ->
-            (* each condition inlined, like the ALU arms *)
-            let tk = static_succ (mask32 (pc + off)) in
-            (match c with
-            | Insn.Beq ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else if Array.unsafe_get regs rs1 = Array.unsafe_get regs rs2
-                  then tk (fuel - 1)
-                  else (Array.unsafe_get code ni) (fuel - 1)
-            | Insn.Bne ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else if Array.unsafe_get regs rs1 <> Array.unsafe_get regs rs2
-                  then tk (fuel - 1)
-                  else (Array.unsafe_get code ni) (fuel - 1)
-            | Insn.Blt ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else if
-                    s32 (Array.unsafe_get regs rs1)
-                    < s32 (Array.unsafe_get regs rs2)
-                  then tk (fuel - 1)
-                  else (Array.unsafe_get code ni) (fuel - 1)
-            | Insn.Bge ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else if
-                    s32 (Array.unsafe_get regs rs1)
-                    >= s32 (Array.unsafe_get regs rs2)
-                  then tk (fuel - 1)
-                  else (Array.unsafe_get code ni) (fuel - 1)
-            | Insn.Bltu ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else if Array.unsafe_get regs rs1 < Array.unsafe_get regs rs2
-                  then tk (fuel - 1)
-                  else (Array.unsafe_get code ni) (fuel - 1)
-            | Insn.Bgeu ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else if Array.unsafe_get regs rs1 >= Array.unsafe_get regs rs2
-                  then tk (fuel - 1)
-                  else (Array.unsafe_get code ni) (fuel - 1))
-        | Insn.Load (w, rd, rs1, imm) ->
-            (* width-specialised, dense-memory hit inlined; stored words
-               are always 32-bit clean, so [W] needs no re-mask (sub-word
-               extracts mask as part of their shift/sign-extend) *)
-            let rd = wd rd in
-            (match w with
-            | Insn.W ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    let addr = mask32 (Array.unsafe_get regs rs1 + imm) in
-                    if addr land 3 <> 0 then
-                      fault_at pc (fuel - 1)
-                        (Printf.sprintf "misaligned lw at 0x%x" addr);
-                    Array.unsafe_set regs rd
-                      (if addr < dense_bytes then
-                         Array.unsafe_get dense (addr lsr 2)
-                       else rd_word pc (fuel - 1) addr);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.H ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    let addr = mask32 (Array.unsafe_get regs rs1 + imm) in
-                    if addr land 1 <> 0 then
-                      fault_at pc (fuel - 1)
-                        (Printf.sprintf "misaligned lh at 0x%x" addr);
-                    let a = addr land lnot 3 in
-                    let w =
-                      if a < dense_bytes then Array.unsafe_get dense (a lsr 2)
-                      else rd_word pc (fuel - 1) a
-                    in
-                    Array.unsafe_set regs rd
-                      (mask32
-                         (Insn.sext (w lsr ((addr land 3) lsl 3)) 16));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Hu ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    let addr = mask32 (Array.unsafe_get regs rs1 + imm) in
-                    if addr land 1 <> 0 then
-                      fault_at pc (fuel - 1)
-                        (Printf.sprintf "misaligned lh at 0x%x" addr);
-                    let a = addr land lnot 3 in
-                    let w =
-                      if a < dense_bytes then Array.unsafe_get dense (a lsr 2)
-                      else rd_word pc (fuel - 1) a
-                    in
-                    Array.unsafe_set regs rd
-                      ((w lsr ((addr land 3) lsl 3)) land 0xFFFF);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.B ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    let addr = mask32 (Array.unsafe_get regs rs1 + imm) in
-                    let a = addr land lnot 3 in
-                    let w =
-                      if a < dense_bytes then Array.unsafe_get dense (a lsr 2)
-                      else rd_word pc (fuel - 1) a
-                    in
-                    Array.unsafe_set regs rd
-                      (mask32 (Insn.sext (w lsr ((addr land 3) lsl 3)) 8));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Bu ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    let addr = mask32 (Array.unsafe_get regs rs1 + imm) in
-                    let a = addr land lnot 3 in
-                    let w =
-                      if a < dense_bytes then Array.unsafe_get dense (a lsr 2)
-                      else rd_word pc (fuel - 1) a
-                    in
-                    Array.unsafe_set regs rd
-                      ((w lsr ((addr land 3) lsl 3)) land 0xFF);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end)
-        | Insn.Store (w, rs2, rs1, imm) ->
-            (match w with
-            | Insn.W ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    let addr = mask32 (Array.unsafe_get regs rs1 + imm) in
-                    if addr land 3 <> 0 then
-                      fault_at pc (fuel - 1)
-                        (Printf.sprintf "misaligned sw at 0x%x" addr);
-                    let v = Array.unsafe_get regs rs2 in
-                    (if addr < dense_bytes then begin
-                       (* [wr_word]'s dense branch, with its store /
-                          invalidate / tohost order preserved *)
-                       Array.unsafe_set dense (addr lsr 2) v;
-                       if addr >= base && addr < base + len then
-                         !invalidate ((addr - base) lsr 2);
-                       if addr = tohost then tohost_sig (fuel - 1) v
-                     end
-                     else wr_word pc (fuel - 1) addr v);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.H ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    let rem = fuel - 1 in
-                    let addr = mask32 (Array.unsafe_get regs rs1 + imm) in
-                    if addr land 1 <> 0 then
-                      fault_at pc rem
-                        (Printf.sprintf "misaligned sh at 0x%x" addr);
-                    let shift = (addr land 3) lsl 3 in
-                    let mask = 0xFFFF lsl shift in
-                    let a = addr land lnot 3 in
-                    let old = rd_word pc rem a in
-                    wr_word pc rem a
-                      ((old land lnot mask)
-                      lor ((Array.unsafe_get regs rs2 lsl shift) land mask));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.B ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    let rem = fuel - 1 in
-                    let addr = mask32 (Array.unsafe_get regs rs1 + imm) in
-                    let shift = (addr land 3) lsl 3 in
-                    let mask = 0xFF lsl shift in
-                    let a = addr land lnot 3 in
-                    let old = rd_word pc rem a in
-                    wr_word pc rem a
-                      ((old land lnot mask)
-                      lor ((Array.unsafe_get regs rs2 lsl shift) land mask));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Bu | Insn.Hu ->
-                (* the decoder never emits unsigned store widths *)
-                fun _ -> assert false)
-        | Insn.Alui (o, rd, rs1, imm) ->
-            (* operator and immediate both fold at compile time: each arm
-               is [alu_eval]'s, with [b]'s masking/sign adjustment hoisted.
-               Arms are written out in full — without cross-closure
-               inlining, a shared [finish] helper is a call per step *)
-            let rd = wd rd and b = mask32 imm in
-            (match o with
-            | Insn.Add ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (mask32 (Array.unsafe_get regs rs1 + b));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Sub ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (mask32 (Array.unsafe_get regs rs1 - b));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Sll ->
-                let sh = b land 31 in
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (mask32 (Array.unsafe_get regs rs1 lsl sh));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Slt ->
-                let sb = s32 b in
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (if s32 (Array.unsafe_get regs rs1) < sb then 1 else 0);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Sltu ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (if Array.unsafe_get regs rs1 < b then 1 else 0);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Xor ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd (Array.unsafe_get regs rs1 lxor b);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Or ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd (Array.unsafe_get regs rs1 lor b);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.And ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd (Array.unsafe_get regs rs1 land b);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Srl ->
-                let sh = b land 31 in
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd (Array.unsafe_get regs rs1 lsr sh);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Sra ->
-                let sh = b land 31 in
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (mask32 (s32 (Array.unsafe_get regs rs1) asr sh));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end)
-        | Insn.Alu (o, rd, rs1, rs2) ->
-            let rd = wd rd in
-            (match o with
-            | Insn.Add ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (mask32
-                         (Array.unsafe_get regs rs1 + Array.unsafe_get regs rs2));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Sub ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (mask32
-                         (Array.unsafe_get regs rs1 - Array.unsafe_get regs rs2));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Sll ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (mask32
-                         (Array.unsafe_get regs rs1
-                         lsl (Array.unsafe_get regs rs2 land 31)));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Slt ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (if
-                         s32 (Array.unsafe_get regs rs1)
-                         < s32 (Array.unsafe_get regs rs2)
-                       then 1
-                       else 0);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Sltu ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (if Array.unsafe_get regs rs1 < Array.unsafe_get regs rs2
-                       then 1
-                       else 0);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Xor ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (Array.unsafe_get regs rs1 lxor Array.unsafe_get regs rs2);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Or ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (Array.unsafe_get regs rs1 lor Array.unsafe_get regs rs2);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.And ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (Array.unsafe_get regs rs1 land Array.unsafe_get regs rs2);
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Srl ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (Array.unsafe_get regs rs1
-                      lsr (Array.unsafe_get regs rs2 land 31));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end
-            | Insn.Sra ->
-                fun fuel ->
-                  if fuel = 0 then 0
-                  else begin
-                    Array.unsafe_set regs rd
-                      (mask32
-                         (s32 (Array.unsafe_get regs rs1)
-                         asr (Array.unsafe_get regs rs2 land 31)));
-                    (Array.unsafe_get code ni) (fuel - 1)
-                  end)
-        | Insn.Muldiv (o, rd, rs1, rs2) ->
-            (* muldiv is rare enough that the shared evaluator's edge-case
-               arms ([div]/[rem] overflow and by-zero) are kept in one
-               place rather than inlined *)
-            let rd = wd rd in
-            fun fuel ->
-              if fuel = 0 then 0
-              else begin
-                Array.unsafe_set regs rd
-                  (mask32
-                     (muldiv_eval o
-                        (Array.unsafe_get regs rs1)
-                        (Array.unsafe_get regs rs2)));
-                (Array.unsafe_get code ni) (fuel - 1)
-              end
-        | Insn.Fence ->
-            fun fuel ->
-              if fuel = 0 then 0
-              else (Array.unsafe_get code ni) (fuel - 1)
-        | Insn.Ecall ->
-            fun fuel ->
-              if fuel = 0 then 0
-              else begin
-                trap_rem := fuel - 1;
-                raise (Trap (Exited (Array.unsafe_get regs 10)))
-              end
-        | Insn.Ebreak ->
-            fun fuel ->
-              if fuel = 0 then 0
-              else begin
-                trap_rem := fuel - 1;
-                raise (Trap Break)
-              end)
-  in
-  for i = 0 to nwords - 1 do
-    code.(i) <- build_one i
-  done;
-  (* running off the end of the image is the fetch fault at [base + len] *)
-  code.(nwords) <-
-    (fun fuel ->
-      if fuel = 0 then 0
-      else fault_at (base + len) fuel "pc outside the loaded image");
-  invalidate :=
-    (fun idx ->
-      code.(idx) <-
-        (fun fuel ->
-          code.(idx) <- build_one idx;
-          (Array.unsafe_get code idx) fuel));
-  let stop, steps =
-    try
-      let (_ : int) = goto img.Image.entry max_steps in
-      (Out_of_fuel, max_steps)
-    with Trap s -> (s, max_steps - !trap_rem)
-  in
-  let image =
-    let acc = ref (Hashtbl.fold (fun a v acc -> (a, v) :: acc) spill []) in
-    for i = (dense_bytes lsr 2) - 1 downto 0 do
-      let v = Array.unsafe_get dense i in
-      if v <> 0 then acc := (i lsl 2, v) :: !acc
-    done;
-    {
-      stop;
-      regs = Array.sub regs 0 32;
-      steps;
-      output = Buffer.contents output;
-      image = List.sort (fun (a, _) (b, _) -> compare a b) !acc;
-    }
-  in
-  image

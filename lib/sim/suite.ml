@@ -11,18 +11,7 @@ type prepared = {
   braid_trace : unit -> Trace.t;
 }
 
-let default_scale =
-  match Sys.getenv_opt "BRAID_SCALE" with
-  | None -> 12_000
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> max 1000 n
-      | None ->
-          Printf.eprintf
-            "braid: ignoring malformed BRAID_SCALE=%S (expected an integer); \
-             using %d\n%!"
-            s 12_000;
-          12_000)
+let default_scale = 12_000
 
 type 'v slot = Ready of 'v | In_flight
 

@@ -45,8 +45,7 @@ val create_ctx : ?sample:Braid_sample.Spec.t -> unit -> ctx
 val sampling : ctx -> Braid_sample.Spec.t option
 
 val default_scale : int
-(** 12_000 unless the BRAID_SCALE environment variable overrides it.
-    A malformed override is reported on stderr and ignored. *)
+(** 12_000: the trace length every front end defaults [--scale] to. *)
 
 val prepare :
   ctx ->

@@ -202,8 +202,8 @@ let create ?(probe = Probe.off) ?hier cfg trace =
   in
   (* the static dependence structure (CSR children, last external
      readers, store disambiguation) is memoised on the trace: repeated
-     runs — the perf harness — share one copy; only the per-run mutable
-     counts are copied fresh *)
+     runs — the points of a sweep — share one copy; only the per-run
+     mutable counts are copied fresh *)
   let tb = Trace.dep_tables trace in
   let slots =
     {

@@ -207,10 +207,10 @@ let rec to_string = function
 
 (* --- string-level emitters ---
 
-   The experiment/perf/sweep documents are built as literal fragments (so
+   The experiment and sweep documents are built as literal fragments (so
    integral floats print as "1.0", diffing cleanly across runs) rather
    than through the tree; these helpers are the single copy of that
-   convention, shared by Report, Perf, Frontier and the DSE cache. *)
+   convention, shared by Report, Frontier and the DSE cache. *)
 
 let float_lit v =
   if not (Float.is_finite v) then "null"

@@ -1,6 +1,6 @@
 (** The tree's one JSON implementation: a minimal self-contained parser
-    and printer, plus the string-level emitters the experiment / perf /
-    sweep documents are written with. Everything that reads or writes
+    and printer, plus the string-level emitters the experiment and sweep
+    documents are written with. Everything that reads or writes
     JSON — the Chrome exporter, the experiment reports, the DSE cache,
     the [braidsim serve] wire protocol, the test suite and the CI smoke
     checks — goes through this module; there is no external JSON
@@ -33,7 +33,7 @@ val escape_string : string -> string
 
 (** {2 String-level emitters}
 
-    The experiment/perf/sweep documents are assembled as literal string
+    The experiment and sweep documents are assembled as literal string
     fragments (integral floats print as ["1.0"], so trajectories diff
     cleanly) rather than through the tree. *)
 

@@ -138,6 +138,42 @@ let test_json_shape () =
       "\"headline\""; "\"wall_s\""; "\"job\":\"table2/gcc\"";
     ]
 
+(* --scale is shared by bench and every braidsim subcommand: a
+   non-positive value is a usage error that names the flag, not a job
+   failure deep inside the first simulation. *)
+let test_scale_flag () =
+  let cmd =
+    Cmdliner.Cmd.v (Cmdliner.Cmd.info "t")
+      (Braid_cli.Cli_common.scale_arg ~default:S.default_scale)
+  in
+  let eval args =
+    let err = Buffer.create 64 in
+    let fmt = Format.formatter_of_buffer err in
+    let r =
+      Cmdliner.Cmd.eval_value ~err:fmt ~argv:(Array.of_list ("t" :: args)) cmd
+    in
+    Format.pp_print_flush fmt ();
+    (r, Buffer.contents err)
+  in
+  let accepts args n =
+    match eval args with
+    | Ok (`Ok v), _ -> Alcotest.(check int) (String.concat " " args) n v
+    | _, msg -> Alcotest.failf "%s rejected: %s" (String.concat " " args) msg
+  in
+  let rejects args =
+    match eval args with
+    | Error `Parse, msg ->
+        Alcotest.(check bool)
+          (String.concat " " args ^ ": error names --scale")
+          true
+          (Astring_contains.contains msg "--scale")
+    | _ -> Alcotest.failf "%s accepted" (String.concat " " args)
+  in
+  accepts [] S.default_scale;
+  accepts [ "--scale"; "1" ] 1;
+  rejects [ "--scale"; "0" ];
+  rejects [ "--scale=-5" ]
+
 let suite =
   ( "runner",
     [
@@ -149,4 +185,6 @@ let suite =
       Alcotest.test_case "jobs determinism" `Slow test_jobs_determinism;
       Alcotest.test_case "shared ctx parallel" `Slow test_shared_ctx_parallel;
       Alcotest.test_case "json shape" `Quick test_json_shape;
+      Alcotest.test_case "scale flag rejects non-positive" `Quick
+        test_scale_flag;
     ] )

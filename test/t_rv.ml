@@ -244,26 +244,17 @@ let fixture_golden =
     ("divmix", 1, "");
   ]
 
-(* nbody is the long-run fixture backing the sampled-simulation perf rows:
-   ~1.5M dynamic rv instructions, far past the default step budget. Golden
-   architectural numbers pin it, and the threaded-code fast engine must
-   agree with the interpreter exactly — it is the fast-forward path whose
-   speedup the perf harness reports. Deliberately not in [fixture_golden]:
-   the full differential oracle would simulate every core on a
-   million-instruction trace. *)
+(* nbody is the long-run fixture: ~1.5M dynamic rv instructions, far past
+   the default step budget. Golden architectural numbers pin it.
+   Deliberately not in [fixture_golden]: the full differential oracle
+   would simulate every core on a million-instruction trace. *)
 let test_nbody_golden () =
   let img = Option.get (Rv.Fixtures.image "nbody") in
   let max_steps = 2_000_000 in
   let r = Rv.Emu.run ~max_steps img in
   check "nbody exit code" true (r.Rv.Emu.stop = Rv.Emu.Exited 4289640473);
   Alcotest.(check int) "nbody dynamic instructions" 1_462_233 r.Rv.Emu.steps;
-  Alcotest.(check string) "nbody output" "" r.Rv.Emu.output;
-  let f = Rv.Emu.run_fast ~max_steps img in
-  check "fast engine: same stop" true (f.Rv.Emu.stop = r.Rv.Emu.stop);
-  Alcotest.(check int) "fast engine: same steps" r.Rv.Emu.steps f.Rv.Emu.steps;
-  Alcotest.(check string) "fast engine: same output" r.Rv.Emu.output
-    f.Rv.Emu.output;
-  check "fast engine: same registers" true (f.Rv.Emu.regs = r.Rv.Emu.regs)
+  Alcotest.(check string) "nbody output" "" r.Rv.Emu.output
 
 let test_fixture_oracle () =
   List.iter
@@ -302,7 +293,7 @@ let suite =
         test_translate_rejects_data_pc;
       Alcotest.test_case "translator rejects escaping branch" `Quick
         test_translate_rejects_bad_target;
-      Alcotest.test_case "nbody golden run (both engines)" `Slow
+      Alcotest.test_case "nbody golden run" `Slow
         test_nbody_golden;
       Alcotest.test_case "differential oracle on all fixtures" `Slow
         test_fixture_oracle;

@@ -1,6 +1,7 @@
 (* Sampled simulation: BBV profiling totals, k-means determinism (the
    property that makes the sampling spec a sound sweep-cache key),
-   compiled-vs-interpreted fast-forward byte-identity, exactness of the
+   compiled-vs-interpreted fast-forward byte-identity, mid-run trace
+   windows as exact slices of the full trace, exactness of the
    commit-to-commit measurement when every interval is simulated, and the
    headline accuracy bound — sampled IPC within 2% of full simulation. *)
 
@@ -217,6 +218,69 @@ let test_compiled_identity () =
         ])
     W.Spec.all
 
+(* --- trace_window: a mid-run window is a slice of the full trace --- *)
+
+(* Events [k, k+w) of a full trace as a window cut at [k] must read: uids
+   restart at 0, dependences on producers before [k] are dropped and the
+   rest rebased, and a window opening mid-braid promotes its first event
+   to a braid start. *)
+let expected_window (full : Trace.event array) ~k ~w =
+  Array.init w (fun i ->
+      let e = full.(k + i) in
+      let deps =
+        Array.of_list
+          (List.filter_map
+             (fun (u, via) -> if u < k then None else Some (u - k, via))
+             (Array.to_list e.Trace.deps))
+      in
+      let braid_start =
+        e.Trace.braid_start || (i = 0 && e.Trace.braid_id >= 0)
+      in
+      { e with Trace.uid = i; deps; braid_start })
+
+(* The sampling driver and its representative replays time windows cut
+   out of a fast-forwarded run, so a window — first taken, and again after
+   rewinding to a snapshot — must carry exactly the events a full trace
+   would, on the braid binary of every benchmark. *)
+let test_trace_window () =
+  List.iter
+    (fun (profile : W.Spec.profile) ->
+      let p = Suite.prepare (Lazy.force ctx) ~scale:1200 profile in
+      let program = p.Suite.braid.Braid_core.Transform.program in
+      let init_mem = p.Suite.init_mem in
+      let full =
+        Emulator.run ~trace:true ~max_steps:(50 * p.Suite.scale) ~init_mem
+          program
+      in
+      let name fmt = Printf.sprintf "%s %s" profile.W.Spec.name fmt in
+      Alcotest.(check bool) (name "full run halts") true
+        (full.Emulator.stop = Trace.Halted);
+      let events = (Option.get full.Emulator.trace).Trace.events in
+      let n = Array.length events in
+      let k = n / 3 and w = n / 3 in
+      let run =
+        Emulator.Compiled.start ~init_mem (Emulator.Compiled.compile program)
+      in
+      Alcotest.(check int) (name "advance to k") k
+        (Emulator.Compiled.advance run ~fuel:k);
+      let snap = Emulator.Compiled.snapshot run in
+      let window label ~max_steps ~len stop =
+        let t = Emulator.Compiled.trace_window run ~max_steps in
+        Alcotest.(check int) (name (label ^ ": length")) len
+          (Array.length t.Trace.events);
+        Alcotest.(check bool) (name (label ^ ": events k .. k+len-1")) true
+          (t.Trace.events = expected_window events ~k ~w:len);
+        Alcotest.(check bool) (name (label ^ ": stop")) true (t.Trace.stop = stop);
+        Alcotest.(check int) (name (label ^ ": steps")) (k + len)
+          (Emulator.Compiled.steps run)
+      in
+      window "window" ~max_steps:w ~len:w Trace.Steps_exhausted;
+      Emulator.Compiled.restore run snap;
+      window "window after restore" ~max_steps:w ~len:w Trace.Steps_exhausted;
+      Emulator.Compiled.restore run snap;
+      window "window past the end" ~max_steps:n ~len:(n - k) Trace.Halted)
+    W.Spec.all
+
 (* --- measure_from validation --- *)
 
 let test_measure_from_validation () =
@@ -257,6 +321,8 @@ let suite =
         test_sampled_sweep_jobs_invariant;
       Alcotest.test_case "compiled emulator byte-identity" `Slow
         test_compiled_identity;
+      Alcotest.test_case "trace_window slices the full trace" `Slow
+        test_trace_window;
       Alcotest.test_case "measure_from validation" `Quick
         test_measure_from_validation;
     ]
