@@ -81,14 +81,15 @@ let () =
   let conv = (C.Transform.conventional program).C.Extalloc.program in
   let trace prog = Option.get (Emulator.run ~init_mem prog).Emulator.trace in
   let warm = List.map fst init_mem in
-  let ooo = U.Pipeline.run ~warm_data:warm U.Config.ooo_8wide (trace conv) in
+  let ooo = U.Core.result (U.Core.run ~warm_data:warm U.Config.ooo_8wide (trace conv)) in
   let braid =
-    U.Pipeline.run ~warm_data:warm U.Config.braid_8wide (trace rep.C.Transform.program)
+    U.Core.result
+      (U.Core.run ~warm_data:warm U.Config.braid_8wide (trace rep.C.Transform.program))
   in
-  Printf.printf "out-of-order: %4d cycles (IPC %.2f)\n" ooo.U.Pipeline.cycles ooo.U.Pipeline.ipc;
+  Printf.printf "out-of-order: %4d cycles (IPC %.2f)\n" ooo.U.Core.cycles ooo.U.Core.ipc;
   Printf.printf "braid:        %4d cycles (IPC %.2f) — %.0f%% of OoO at 1/%.0f the complexity\n"
-    braid.U.Pipeline.cycles braid.U.Pipeline.ipc
-    (100.0 *. float_of_int ooo.U.Pipeline.cycles /. float_of_int braid.U.Pipeline.cycles)
+    braid.U.Core.cycles braid.U.Core.ipc
+    (100.0 *. float_of_int ooo.U.Core.cycles /. float_of_int braid.U.Core.cycles)
     (U.Complexity.relative
        (U.Complexity.of_config U.Config.ooo_8wide)
        (U.Complexity.of_config U.Config.braid_8wide))

@@ -44,7 +44,9 @@ let run ~poison =
   let braided = (C.Transform.run program).C.Transform.program in
   let out = Emulator.run ~init_mem braided in
   let trace = Option.get out.Emulator.trace in
-  let result = U.Pipeline.run ~warm_data:(List.map fst init_mem) U.Config.braid_8wide trace in
+  let result =
+    U.Core.result (U.Core.run ~warm_data:(List.map fst init_mem) U.Config.braid_8wide trace)
+  in
   (out, result)
 
 let () =
@@ -52,10 +54,10 @@ let () =
   let fault_arch, faulty = run ~poison:true in
   ignore clean_arch;
 
-  Printf.printf "fault-free run : %4d cycles, %d faults\n" clean.U.Pipeline.cycles
-    clean.U.Pipeline.faults;
-  Printf.printf "poisoned run   : %4d cycles, %d fault(s)\n\n" faulty.U.Pipeline.cycles
-    faulty.U.Pipeline.faults;
+  Printf.printf "fault-free run : %4d cycles, %d faults\n" clean.U.Core.cycles
+    clean.U.Core.faults;
+  Printf.printf "poisoned run   : %4d cycles, %d fault(s)\n\n" faulty.U.Core.cycles
+    faulty.U.Core.faults;
 
   (* Architectural view: the faulting divide wrote zero and execution
      continued — the handler's repair, per the paper's checkpoint model. *)
@@ -72,10 +74,10 @@ let () =
     t.Trace.events;
 
   Printf.printf "serialisation cost: %d extra cycles (%.1f%%)\n"
-    (faulty.U.Pipeline.cycles - clean.U.Pipeline.cycles)
+    (faulty.U.Core.cycles - clean.U.Core.cycles)
     (100.0
-    *. float_of_int (faulty.U.Pipeline.cycles - clean.U.Pipeline.cycles)
-    /. float_of_int clean.U.Pipeline.cycles);
+    *. float_of_int (faulty.U.Core.cycles - clean.U.Core.cycles)
+    /. float_of_int clean.U.Core.cycles);
   Printf.printf
     "internal register state needs no checkpointing: braid-internal values\n\
      are dead at every braid boundary, so checkpoints carry external state only.\n"

@@ -21,20 +21,20 @@ let () =
 
   Printf.printf "%s — %s\n%!" name profile.W.Spec.description;
   let base =
-    U.Pipeline.run ~warm_data:warm U.Config.ooo_8wide conv_trace
+    U.Core.result (U.Core.run ~warm_data:warm U.Config.ooo_8wide conv_trace)
   in
   Printf.printf "baseline: 8-wide out-of-order, %d cycles, IPC %.2f\n\n%!"
-    base.U.Pipeline.cycles base.U.Pipeline.ipc;
+    base.U.Core.cycles base.U.Core.ipc;
 
   List.iter
     (fun width ->
       let at cfg = U.Config.scale_width cfg width in
-      let run cfg tr = U.Pipeline.run ~warm_data:warm cfg tr in
+      let run cfg tr = U.Core.result (U.Core.run ~warm_data:warm cfg tr) in
       let io = run (at U.Config.in_order_8wide) conv_trace in
       let dep = run (at U.Config.dep_steer_8wide) conv_trace in
       let braid = run (at U.Config.braid_8wide) braid_trace in
       let ooo = run (at U.Config.ooo_8wide) conv_trace in
-      let norm r = U.Pipeline.speedup base r in
+      let norm r = U.Core.speedup base r in
       print_string
         (Render.bar_chart
            ~title:(Printf.sprintf "%d-wide (relative to 8-wide out-of-order)" width)
@@ -45,6 +45,6 @@ let () =
              ("out-of-order", norm ooo);
            ]);
       Printf.printf "  braid reaches %.1f%% of the %d-wide out-of-order design\n\n"
-        (100.0 *. float_of_int ooo.U.Pipeline.cycles /. float_of_int braid.U.Pipeline.cycles)
+        (100.0 *. float_of_int ooo.U.Core.cycles /. float_of_int braid.U.Core.cycles)
         width)
     [ 4; 8; 16 ]

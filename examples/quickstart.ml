@@ -46,11 +46,12 @@ let () =
   (* 4. Time them on their machines. *)
   let warm = List.map fst init_mem in
   let trace out = Option.get out.Emulator.trace in
-  let ooo = U.Pipeline.run ~warm_data:warm U.Config.ooo_8wide (trace conv_out) in
-  let br = U.Pipeline.run ~warm_data:warm U.Config.braid_8wide (trace braid_out) in
-  Printf.printf "8-wide out-of-order: %6d cycles  (IPC %.2f)\n" ooo.U.Pipeline.cycles
-    ooo.U.Pipeline.ipc;
-  Printf.printf "braid (8 BEUs):      %6d cycles  (IPC %.2f)\n" br.U.Pipeline.cycles
-    br.U.Pipeline.ipc;
+  let time cfg out = U.Core.result (U.Core.run ~warm_data:warm cfg (trace out)) in
+  let ooo = time U.Config.ooo_8wide conv_out in
+  let br = time U.Config.braid_8wide braid_out in
+  Printf.printf "8-wide out-of-order: %6d cycles  (IPC %.2f)\n" ooo.U.Core.cycles
+    ooo.U.Core.ipc;
+  Printf.printf "braid (8 BEUs):      %6d cycles  (IPC %.2f)\n" br.U.Core.cycles
+    br.U.Core.ipc;
   Printf.printf "braid achieves %.1f%% of out-of-order performance\n"
-    (100.0 *. float_of_int ooo.U.Pipeline.cycles /. float_of_int br.U.Pipeline.cycles)
+    (100.0 *. float_of_int ooo.U.Core.cycles /. float_of_int br.U.Core.cycles)

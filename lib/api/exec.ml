@@ -102,23 +102,23 @@ let counted_progress progress ~total =
 
 (* --- run --- *)
 
-let pp_result b (res : U.Pipeline.result) =
+let pp_result b (res : U.Core.result) =
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "  instructions        %d\n" res.U.Pipeline.instructions;
-  pf "  cycles              %d\n" res.U.Pipeline.cycles;
-  pf "  IPC                 %.3f\n" res.U.Pipeline.ipc;
-  pf "  branch mispredicts  %d / %d lookups\n" res.U.Pipeline.branch_mispredicts
-    res.U.Pipeline.branch_lookups;
-  pf "  L1I/L1D/L2 misses   %d / %d / %d\n" res.U.Pipeline.l1i_misses
-    res.U.Pipeline.l1d_misses res.U.Pipeline.l2_misses;
-  pf "  reg dispatch stalls %d\n" res.U.Pipeline.dispatch_stall_regs;
+  pf "  instructions        %d\n" res.U.Core.instructions;
+  pf "  cycles              %d\n" res.U.Core.cycles;
+  pf "  IPC                 %.3f\n" res.U.Core.ipc;
+  pf "  branch mispredicts  %d / %d lookups\n" res.U.Core.branch_mispredicts
+    res.U.Core.branch_lookups;
+  pf "  L1I/L1D/L2 misses   %d / %d / %d\n" res.U.Core.l1i_misses
+    res.U.Core.l1d_misses res.U.Core.l2_misses;
+  pf "  reg dispatch stalls %d\n" res.U.Core.dispatch_stall_regs;
   pf "  stalls (cycles)     redirect %d, icache %d, core %d, front-end %d\n"
-    res.U.Pipeline.stalls.U.Pipeline.fetch_redirect
-    res.U.Pipeline.stalls.U.Pipeline.fetch_icache
-    res.U.Pipeline.stalls.U.Pipeline.dispatch_core
-    res.U.Pipeline.stalls.U.Pipeline.dispatch_frontend;
-  pf "  avg core occupancy  %.1f instructions\n" res.U.Pipeline.avg_occupancy;
-  let a = res.U.Pipeline.activity in
+    res.U.Core.stalls.U.Core.fetch_redirect
+    res.U.Core.stalls.U.Core.fetch_icache
+    res.U.Core.stalls.U.Core.dispatch_core
+    res.U.Core.stalls.U.Core.dispatch_frontend;
+  pf "  avg core occupancy  %.1f instructions\n" res.U.Core.avg_occupancy;
+  let a = res.U.Core.activity in
   pf "  RF accesses         %d external, %d internal; %d bypassed values\n"
     (a.U.Machine.ext_rf_reads + a.U.Machine.ext_rf_writes)
     (a.U.Machine.int_rf_reads + a.U.Machine.int_rf_writes)
@@ -134,7 +134,7 @@ let exec_run (r : Request.run) =
       let res = U.Core.result (fst (simulate ~profile ~seed ~scale ~core ~width ())) in
       let b = Buffer.create 1024 in
       Printf.ksprintf (Buffer.add_string b) "%s on %s\n" profile.W.Spec.name
-        res.U.Pipeline.config_name;
+        res.U.Core.config_name;
       pp_result b res;
       Ok (Response.Run_done { text = Buffer.contents b; sampled = None })
   | Some sm ->
@@ -150,7 +150,7 @@ let exec_run (r : Request.run) =
       let b = Buffer.create 1024 in
       let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
       pf "%s on %s (sampled: %s)\n" profile.W.Spec.name
-        res.U.Pipeline.config_name
+        res.U.Core.config_name
         (Braid_sample.Spec.to_string spec);
       pp_result b res;
       let reps = List.length t.Braid_sample.Driver.reps in
@@ -162,7 +162,7 @@ let exec_run (r : Request.run) =
           let full = U.Core.result (fst (simulate ~profile ~seed ~scale ~core ~width ())) in
           let e = Braid_sample.Driver.error_vs ~full t in
           pf "  full-simulation IPC %.3f (sampled error %.2f%%)\n"
-            full.U.Pipeline.ipc (100.0 *. e);
+            full.U.Core.ipc (100.0 *. e);
           Some e
         end
       in
@@ -319,8 +319,8 @@ let exec_trace (t : Request.trace) =
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "%s on %s: %d instructions, %d cycles, IPC %.3f\n" profile.W.Spec.name
-    r.U.Pipeline.config_name r.U.Pipeline.instructions r.U.Pipeline.cycles
-    r.U.Pipeline.ipc;
+    r.U.Core.config_name r.U.Core.instructions r.U.Core.cycles
+    r.U.Core.ipc;
   pf "tracer: %d events retained, %d dropped (buffer %d)\n\n"
     (Obs.Tracer.length tracer)
     (Obs.Tracer.dropped tracer)
@@ -331,7 +331,7 @@ let exec_trace (t : Request.trace) =
       pf
         "no instruction activity in cycles [%d, %d) — try --from/--cycles \
          (run length %d cycles)\n"
-        from_cycle (from_cycle + cycles) r.U.Pipeline.cycles
+        from_cycle (from_cycle + cycles) r.U.Core.cycles
   | diagram -> Buffer.add_string b diagram);
   let* chrome =
     if not t.Request.t_chrome then Ok None
@@ -440,9 +440,9 @@ let exec_rv (v : Request.rv) =
       let cfg = U.Config.preset_of_kind core in
       let out = Emulator.run ~init_mem (binary_for core program) in
       let trace = Option.get out.Emulator.trace in
-      let r = U.Pipeline.run ~warm_data:(List.map fst init_mem) cfg trace in
-      pf "  %-24s %8d cycles, IPC %.3f\n" r.U.Pipeline.config_name
-        r.U.Pipeline.cycles r.U.Pipeline.ipc)
+      let r = U.Core.result (U.Core.run ~warm_data:(List.map fst init_mem) cfg trace) in
+      pf "  %-24s %8d cycles, IPC %.3f\n" r.U.Core.config_name
+        r.U.Core.cycles r.U.Core.ipc)
     cores;
   let* oracle_ok =
     if not v.Request.v_oracle then Ok None

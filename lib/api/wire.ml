@@ -33,19 +33,6 @@ let encode payload =
   if n > max_frame then invalid_arg "Wire.encode: payload exceeds max_frame";
   header_of_length n ^ payload
 
-(* Decode one frame from the front of [buf]: the payload and the number of
-   bytes consumed. A short buffer is [Truncated] — the reader either waits
-   for more bytes or, on a closed stream, rejects the frame. *)
-let decode buf =
-  let len = String.length buf in
-  if len = 0 then Error Closed
-  else if len < 4 then Error (Truncated "header")
-  else
-    let n = length_of_header (String.sub buf 0 4) in
-    if n > max_frame then Error (Oversized n)
-    else if len < 4 + n then Error (Truncated "payload")
-    else Ok (String.sub buf 4 n, 4 + n)
-
 (* --- channel IO (blocking) --- *)
 
 let write oc payload =

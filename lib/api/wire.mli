@@ -18,10 +18,6 @@ val encode : string -> string
 (** Header plus payload, ready to write. Raises [Invalid_argument] past
     {!max_frame}. *)
 
-val decode : string -> (string * int, error) result
-(** Decode one frame from the front of a buffer: the payload and the
-    total bytes consumed. A short buffer is [Truncated]. *)
-
 val write : out_channel -> string -> unit
 (** [encode] written and flushed. *)
 

@@ -1,7 +1,7 @@
 module Transform = Braid_core.Transform
 module Extalloc = Braid_core.Extalloc
 module Config = Braid_uarch.Config
-module Pipeline = Braid_uarch.Pipeline
+module Core = Braid_uarch.Core
 module Probe = Braid_uarch.Probe
 module Cmp = Braid_cmp.Cmp
 
@@ -58,7 +58,7 @@ let check ?(cores = 2) ?(kind = Config.Braid_exec) ~seed ~index () =
         (fun (_, trace, warm_data) ->
           let probe = Probe.create ~invariants:true cfg in
           let cycles =
-            (Pipeline.run ~probe ~warm_data cfg trace).Pipeline.cycles
+            (Core.result (Core.run ~probe ~warm_data cfg trace)).Core.cycles
           in
           (cycles, Probe.committed probe, Probe.committed_pcs probe))
         prepared
@@ -117,7 +117,7 @@ let check ?(cores = 2) ?(kind = Config.Braid_exec) ~seed ~index () =
                      solo_pcs.(!bad))
             end)
           probes
-    | exception Pipeline.Deadlock msg -> add (-1) "deadlock" msg);
+    | exception Core.Deadlock msg -> add (-1) "deadlock" msg);
     { divergences = List.rev !divs; cores; dynamic_count = !dynamic }
   end
 

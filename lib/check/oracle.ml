@@ -1,7 +1,7 @@
 module Transform = Braid_core.Transform
 module Extalloc = Braid_core.Extalloc
 module Config = Braid_uarch.Config
-module Pipeline = Braid_uarch.Pipeline
+module Core = Braid_uarch.Core
 module Probe = Braid_uarch.Probe
 
 type divergence = { core : string; kind : string; detail : string }
@@ -51,7 +51,7 @@ let check ?(invariants = true) ?(cores = default_cores) ?inject_commit program
     ~init_mem =
   let divs = ref [] in
   let add core kind detail = divs := { core; kind; detail } :: !divs in
-  let ref_out = Emulator.run ~max_steps ~trace:false ~init_mem program in
+  let ref_out = Emulator.reference ~max_steps ~init_mem program in
   if ref_out.Emulator.stop <> Trace.Halted then begin
     add "reference" "non-terminating"
       (Printf.sprintf "virtual IR did not halt within %d steps" max_steps);
@@ -65,9 +65,10 @@ let check ?(invariants = true) ?(cores = default_cores) ?inject_commit program
     let ref_mem = Emulator.memory_image ref_out.Emulator.state in
     let conv = (Transform.conventional program).Extalloc.program in
     let braid = (Transform.run program).Transform.program in
-    (* Sequential emulation of each binary: supplies the trace the cores
-       run, the final architectural state the replay is compared against,
-       and — against [ref_mem] — the compiler-correctness check. *)
+    (* Sequential emulation of each binary on the compiled engine:
+       supplies the trace the cores run, the final architectural state the
+       reference replay is compared against, and — against [ref_mem] — the
+       compiler-correctness check. *)
     let emulate name prog =
       let out = Emulator.run ~max_steps ~trace:true ~init_mem prog in
       if out.Emulator.stop <> Trace.Halted then
@@ -94,9 +95,9 @@ let check ?(invariants = true) ?(cores = default_cores) ?inject_commit program
       in
       let probe = Probe.create ~invariants cfg in
       let cycles =
-        match Pipeline.run ~probe ~warm_data cfg trace with
-        | res -> res.Pipeline.cycles
-        | exception Pipeline.Deadlock msg ->
+        match Core.result (Core.run ~probe ~warm_data cfg trace) with
+        | res -> res.Core.cycles
+        | exception Core.Deadlock msg ->
             add name "deadlock" msg;
             0
       in

@@ -1,22 +1,24 @@
 (** Differential oracle: one program, four executions, one verdict.
 
-    The reference semantics is the emulator on the virtual IR. The oracle
-    then compiles the program both ways ({!Braid_core.Transform}
-    [conventional] and braid), emulates each binary sequentially, and runs
-    each requested timing core over its binary's trace with a live
-    {!Braid_uarch.Probe}. Divergences reported:
+    The reference semantics is the reference interpreter
+    ({!Emulator.reference}) on the virtual IR. The oracle then compiles the
+    program both ways ({!Braid_core.Transform} [conventional] and braid),
+    emulates each binary sequentially on the compiled engine
+    ({!Emulator.run}), and runs each requested timing core over its
+    binary's trace with a live {!Braid_uarch.Probe}. Divergences
+    reported:
 
     - ["non-terminating"]: an execution failed to halt within the step
       budget;
     - ["compile-memory"]: a binary's sequential memory image differs from
       the virtual IR's (a compiler bug, caught before blaming a core);
-    - ["deadlock"]: the pipeline raised {!Braid_uarch.Pipeline.Deadlock};
+    - ["deadlock"]: the core raised {!Braid_uarch.Core.Deadlock};
     - ["commit-count"] / ["commit-order"]: the core committed a different
       number of instructions than it fetched, or out of fetch order;
-    - ["regfile"] / ["memory"]: replaying the committed stream
-      architecturally ({!Emulator.exec_instr}) ends with different
+    - ["regfile"] / ["memory"]: replaying the committed stream on the
+      reference interpreter ({!Emulator.exec_instr}) ends with different
       external registers or memory than the binary's own sequential
-      emulation.
+      emulation on the compiled engine.
 
     Invariant violations observed by the probe are carried per core
     alongside the divergences. *)

@@ -57,8 +57,8 @@ let run ?probes ?solo_cycles ~(cfg : U.Config.t)
     | None ->
         Array.map
           (fun w ->
-            (U.Pipeline.run ~warm_data:w.w_warm_data cfg w.w_trace)
-              .U.Pipeline.cycles)
+            (U.Core.result (U.Core.run ~warm_data:w.w_warm_data cfg w.w_trace))
+              .U.Core.cycles)
           workloads
   in
   let shared =

@@ -16,7 +16,7 @@
 type workload = {
   w_bench : string;  (** label only *)
   w_trace : Braid_isa.Trace.t;
-  w_warm_data : int list;  (** initial data image (see [Pipeline.run]) *)
+  w_warm_data : int list;  (** initial data image (see {!Braid_uarch.Core.create}) *)
 }
 
 type core_result = {
@@ -57,7 +57,7 @@ val run :
     Solo baselines are simulated first over private hierarchies unless
     [solo_cycles] supplies them (e.g. memoised); they never touch the
     shared state. A 1-core run over the solo L2 geometry is
-    cycle-identical to [Pipeline.run] — the passthrough proof the golden
+    cycle-identical to a solo [Core.run] — the passthrough proof the golden
     suite pins.
 
     [probes] attaches one probe per core (commit-stream recording and

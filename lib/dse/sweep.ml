@@ -66,8 +66,8 @@ let simulate ~ctx ~seed ~scale (cfg : Config.t) (pr : Spec.profile) =
     | Config.In_order | Config.Dep_steer | Config.Ooo -> Suite.run_conv ctx p cfg
   in
   {
-    Cache.cycles = r.Braid_uarch.Pipeline.cycles;
-    instructions = r.Braid_uarch.Pipeline.instructions;
+    Cache.cycles = r.Braid_uarch.Core.cycles;
+    instructions = r.Braid_uarch.Core.instructions;
     cmp = None;
   }
 
@@ -156,7 +156,7 @@ let run ?counters ?cache ?on_done ~ctx ~jobs ~seed ~scale
                 instructions = e.Cache.instructions;
                 (* recomputed from the integers so a cached and a fresh
                    result are bit-identical. Solo: same formula as
-                   Pipeline. CMP: the rate metric — each core's IPC at
+                   Core. CMP: the rate metric — each core's IPC at
                    its own finish cycle, summed. *)
                 ipc =
                   (match e.Cache.cmp with

@@ -68,49 +68,43 @@ let check_aligned addr =
   if addr land 7 <> 0 then failwith (Printf.sprintf "unaligned access: %#x" addr);
   if addr < 0 then failwith (Printf.sprintf "negative address: %d" addr)
 
-(* Result of executing one operation, before trace bookkeeping. *)
+(* Architectural effect of executing one operation. *)
 type exec_result = {
   written : (Reg.t * int64) list;
-  mem_addr : int;  (* -1 if not a memory op *)
   was_store : bool;
-  fault : bool;
   transfer : Op.label option;  (* Some target if a taken branch/jump *)
   halt : bool;
 }
 
-let no_effect =
-  { written = []; mem_addr = -1; was_store = false; fault = false;
-    transfer = None; halt = false }
+let no_effect = { written = []; was_store = false; transfer = None; halt = false }
 
+(* Arithmetic faults (FP divide by zero) write zero and continue. *)
 let exec_op st (ins : Instr.t) : exec_result =
   let r = read_reg st in
   let as_f x = Int64.float_of_bits x in
-  let of_f x = Int64.bits_of_float x in
+  let write d v = { no_effect with written = [ (d, v) ] } in
   match ins.Instr.op with
   | Op.Nop -> no_effect
-  | Op.Ibin (o, d, a, b) ->
-      { no_effect with written = [ (d, Op.eval_ibin o (r a) (r b)) ] }
-  | Op.Ibini (o, d, a, i) ->
-      { no_effect with written = [ (d, Op.eval_ibin o (r a) (Int64.of_int i)) ] }
-  | Op.Movi (d, v) -> { no_effect with written = [ (d, v) ] }
-  | Op.Fbin (o, d, a, b) -> (
-      match Op.eval_fbin o (as_f (r a)) (as_f (r b)) with
-      | Some v -> { no_effect with written = [ (d, of_f v) ] }
-      | None -> { no_effect with written = [ (d, 0L) ]; fault = true })
-  | Op.Funary (o, d, a) ->
-      { no_effect with written = [ (d, Op.eval_funary o (r a)) ] }
+  | Op.Ibin (o, d, a, b) -> write d (Op.eval_ibin o (r a) (r b))
+  | Op.Ibini (o, d, a, i) -> write d (Op.eval_ibin o (r a) (Int64.of_int i))
+  | Op.Movi (d, v) -> write d v
+  | Op.Fbin (o, d, a, b) ->
+      write d
+        (match Op.eval_fbin o (as_f (r a)) (as_f (r b)) with
+        | Some v -> Int64.bits_of_float v
+        | None -> 0L)
+  | Op.Funary (o, d, a) -> write d (Op.eval_funary o (r a))
   | Op.Cmov (c, d, test, v) ->
-      let value = if Op.eval_cond c (r test) then r v else r d in
-      { no_effect with written = [ (d, value) ] }
+      write d (if Op.eval_cond c (r test) then r v else r d)
   | Op.Load (d, base, off, _) ->
       let addr = Int64.to_int (r base) + off in
       check_aligned addr;
-      { no_effect with written = [ (d, read_mem_word st addr) ]; mem_addr = addr }
+      write d (read_mem_word st addr)
   | Op.Store (s, base, off, _) ->
       let addr = Int64.to_int (r base) + off in
       check_aligned addr;
       Braid_util.Paged_mem.store st.mem addr (r s);
-      { no_effect with mem_addr = addr; was_store = true }
+      { no_effect with was_store = true }
   | Op.Branch (c, reg, l) ->
       if Op.eval_cond c (r reg) then { no_effect with transfer = Some l }
       else no_effect
@@ -119,7 +113,8 @@ let exec_op st (ins : Instr.t) : exec_result =
 
 (* Destination/value pairs of one executed instruction, with the ext_dup
    duplicate destination (I and E both set) mirrored onto the external
-   copy. Shared between [run] and the oracle-facing [exec_instr]. *)
+   copy. Shared between [reference] and the oracle-facing [exec_instr];
+   the compiled engine's per-instruction write sets follow the same rule. *)
 let written_of (ins : Instr.t) (res : exec_result) =
   match ins.Instr.annot.Instr.ext_dup with
   | None -> res.written
@@ -141,8 +136,9 @@ let exec_instr st (ins : Instr.t) =
   let res = exec_op st ins in
   List.iter (fun (reg, v) -> write_reg st reg v) (written_of ins res)
 
-(* Dense slot per register for the writer table: externals by [ext_id],
-   then internals, then virtuals (two classes interleaved). *)
+(* Dense slot per register, shared by the compiled register file and the
+   tracer's last-writer table: externals by [ext_id], then internals, then
+   virtuals (two classes interleaved). *)
 let num_fixed_slots = Reg.num_ext_ids + Reg.num_internal
 
 let reg_slot (r : Reg.t) =
@@ -153,170 +149,50 @@ let reg_slot (r : Reg.t) =
       num_fixed_slots + (2 * r.Reg.idx)
       + (match r.Reg.cls with Reg.Cint -> 0 | Reg.Cfp -> 1)
 
-(* One bounded execution episode starting from an arbitrary (block, offset)
-   location in an existing state. [run] starts it at the program entry with a
-   fresh state; the compiled fast path (module [Compiled] below) uses it to
-   trace a window from the middle of a fast-forwarded execution, so sampled
-   simulation shares the interpreter's exact semantics and event layout.
-   Event uids (and the dependence table) restart at 0 for each episode:
-   a mid-run window is a self-contained trace whose dependences on
-   pre-window producers are dropped, which is precisely what a timing model
-   fed only that window must see. *)
-type episode = {
-  x_events : Trace.event list;  (* newest first *)
-  x_stop : Trace.stop_reason;
-  x_steps : int;
-  x_stores : int;
-  x_next : (int * int) option;  (* resume location; [None] once halted *)
-}
-
-let exec_from st program ~max_steps ~trace ~start_block ~start_offset =
-  let bases = Program.base_table program in
-  let pc_of blk off = 4 * (bases.(blk) + off) in
-  (* last writer uid per register slot; -1 = no dynamic writer yet *)
-  let last_writer =
-    Array.make
-      (num_fixed_slots + (2 * (Program.max_virt_index program + 1)))
-      (-1)
-  in
-  let events = ref [] in
-  let uid = ref 0 in
-  let store_count = ref 0 in
-  let stop = ref Trace.Steps_exhausted in
-  let block = ref start_block in
-  let offset = ref start_offset in
-  let running = ref true in
-  while !running && !uid < max_steps do
+(* The untraced reference interpreter: a second, independent
+   implementation of the semantics, kept so the differential oracle and
+   the identity tests have something to hold the compiled engine to. *)
+let reference ?(max_steps = 1_000_000) ?(init_mem = []) program =
+  let st = init_state ~init_mem () in
+  let steps = ref 0 in
+  let stores = ref 0 in
+  let halted = ref false in
+  let block = ref program.Program.entry in
+  let offset = ref 0 in
+  while (not !halted) && !steps < max_steps do
     let b = program.Program.blocks.(!block) in
-    if !offset >= Array.length b.Program.instrs then begin
-      (* empty tail: unconditional fallthrough *)
+    let fall_through msg =
       match b.Program.fallthrough with
       | Some ft ->
           block := ft;
           offset := 0
-      | None -> failwith "Emulator: fell off a block without fallthrough"
-    end
+      | None -> failwith msg
+    in
+    if !offset >= Array.length b.Program.instrs then
+      (* empty tail: unconditional fallthrough *)
+      fall_through "Emulator: fell off a block without fallthrough"
     else begin
       let ins = b.Program.instrs.(!offset) in
       let res = exec_op st ins in
-      if res.was_store then incr store_count;
-      let written = written_of ins res in
-      List.iter (fun (reg, v) -> write_reg st reg v) written;
-      (* Determine the next dynamic location. *)
-      let next_loc =
-        if res.halt then None
-        else
-          match res.transfer with
-          | Some target -> Some (target, 0)
-          | None ->
-              if !offset + 1 < Array.length b.Program.instrs then
-                Some (!block, !offset + 1)
-              else (
-                match b.Program.fallthrough with
-                | Some ft -> Some (ft, 0)
-                | None -> failwith "Emulator: missing fallthrough")
-      in
-      if trace then begin
-        let deps =
-          List.filter_map
-            (fun (reg : Reg.t) ->
-              if Reg.is_zero reg then None
-              else
-                let w = last_writer.(reg_slot reg) in
-                if w < 0 then None
-                else Some (w, reg.Reg.space = Reg.Intern))
-            (Instr.uses ins)
-        in
-        let deps = List.sort_uniq compare deps in
-        let is_cond_branch =
-          match ins.Instr.op with Op.Branch _ -> true | _ -> false
-        in
-        let is_jump = match ins.Instr.op with Op.Jump _ -> true | _ -> false in
-        let taken =
-          if is_cond_branch then res.transfer <> None else is_jump
-        in
-        let pc = pc_of !block !offset in
-        let next_pc =
-          match next_loc with
-          | Some (nb, noff) -> pc_of nb noff
-          | None -> pc
-        in
-        let ev =
-          {
-            Trace.uid = !uid;
-            pc;
-            block_id = !block;
-            offset = !offset;
-            instr = ins;
-            deps = Array.of_list deps;
-            addr = res.mem_addr;
-            is_load = Op.is_load ins.Instr.op;
-            is_store = res.was_store;
-            is_cond_branch;
-            is_jump;
-            taken;
-            next_pc;
-            latency = Op.latency ins.Instr.op;
-            writes_ext = Instr.writes_external ins;
-            writes_int = Instr.writes_internal ins;
-            ext_src_reads = Instr.reads_external_count ins;
-            int_src_reads =
-              List.length
-                (List.filter
-                   (fun (r : Reg.t) -> r.Reg.space = Reg.Intern)
-                   (Instr.uses ins));
-            braid_id = ins.Instr.annot.Instr.braid_id;
-            braid_start = ins.Instr.annot.Instr.braid_start;
-            faulting = res.fault;
-          }
-        in
-        events := ev :: !events;
-        List.iter
-          (fun ((reg : Reg.t), _) ->
-            if not (Reg.is_zero reg) then last_writer.(reg_slot reg) <- !uid)
-          written
-      end;
-      incr uid;
-      match next_loc with
-      | None ->
-          stop := Trace.Halted;
-          running := false
-      | Some (nb, noff) ->
-          block := nb;
-          offset := noff
+      if res.was_store then incr stores;
+      List.iter (fun (reg, v) -> write_reg st reg v) (written_of ins res);
+      incr steps;
+      if res.halt then halted := true
+      else
+        match res.transfer with
+        | Some target ->
+            block := target;
+            offset := 0
+        | None ->
+            if !offset + 1 < Array.length b.Program.instrs then incr offset
+            else fall_through "Emulator: missing fallthrough"
     end
   done;
   {
-    x_events = !events;
-    x_stop = !stop;
-    x_steps = !uid;
-    x_stores = !store_count;
-    x_next = (if !running then Some (!block, !offset) else None);
-  }
-
-let run ?(max_steps = 1_000_000) ?(trace = true) ?(init_mem = []) program =
-  let st = init_state ~init_mem () in
-  let x =
-    exec_from st program ~max_steps ~trace ~start_block:program.Program.entry
-      ~start_offset:0
-  in
-  let trace_v =
-    if trace then
-      Some
-        {
-          Trace.events = Array.of_list (List.rev x.x_events);
-          stop = x.x_stop;
-          program;
-          warm_lines = None;
-          tables = None;
-        }
-    else None
-  in
-  {
-    trace = trace_v;
-    stop = x.x_stop;
-    dynamic_count = x.x_steps;
-    store_count = x.x_stores;
+    trace = None;
+    stop = (if !halted then Trace.Halted else Trace.Steps_exhausted);
+    dynamic_count = !steps;
+    store_count = !stores;
     state = st;
   }
 
@@ -359,21 +235,68 @@ module Compiled = struct
   (* Flat instruction index = block_base + offset = pc/4, exactly the
      global instruction index [Program.base_table] defines, so flat ips and
      trace pcs interconvert for free. Two extra "trap" slots past the end
-     hold closures that raise the interpreter's control-flow failures. *)
+     hold closures that raise the interpreter's control-flow failures.
+     [proto], [reads] and [writes] are the tracer's static tables. *)
   type code = {
     program : Program.t;
-    flat : Instr.t array;
+    proto : Trace.event array;
+        (* static part of each instruction's event; uid, deps, addr, taken
+           and faulting are filled in per dynamic instance *)
+    reads : (int * bool) array array;  (* source slots, via-internal flag *)
+    writes : int array array;  (* destination slots, ext_dup copy included *)
     block_of : int array;  (* sized n+2; the trap slots map to block 0 *)
-    offset_of : int array;
     next_ip : int array;  (* fallthrough successor (flat or trap ip) *)
     target_ip : int array;  (* branch/jump target entry ip; -1 when none *)
-    block_entry : int array;  (* first executed ip when entering a block *)
     dup_slot : int array;  (* auxiliary chain slot of an ext_dup instr; -1 *)
     entry_ip : int;
     nslots : int;
     n_imm : int;
     n_dup : int;
   }
+
+  (* The static part of an instruction's trace event, and its register
+     reads and writes as slots; the zero register is neither a producer
+     nor a consumer. *)
+  let static_event ~ip ~block_id ~offset (ins : Instr.t) =
+    let op = ins.Instr.op in
+    let uses = Instr.uses ins in
+    let is_jump = match op with Op.Jump _ -> true | _ -> false in
+    let is_intern (r : Reg.t) = r.Reg.space = Reg.Intern in
+    let slots f regs =
+      Array.of_list
+        (List.filter_map
+           (fun r -> if Reg.is_zero r then None else Some (f r))
+           regs)
+    in
+    let dests =
+      match (Op.defs op, ins.Instr.annot.Instr.ext_dup) with
+      | [ d ], Some dup -> [ d; dup ]
+      | ds, _ -> ds
+    in
+    ( {
+        Trace.uid = 0;
+        pc = 4 * ip;
+        block_id;
+        offset;
+        instr = ins;
+        deps = [||];
+        addr = -1;
+        is_load = Op.is_load op;
+        is_store = Op.is_store op;
+        is_cond_branch = (match op with Op.Branch _ -> true | _ -> false);
+        is_jump;
+        taken = is_jump;
+        latency = Op.latency op;
+        writes_ext = Instr.writes_external ins;
+        writes_int = Instr.writes_internal ins;
+        ext_src_reads = Instr.reads_external_count ins;
+        int_src_reads = List.length (List.filter is_intern uses);
+        braid_id = ins.Instr.annot.Instr.braid_id;
+        braid_start = ins.Instr.annot.Instr.braid_start;
+        faulting = false;
+      },
+      slots (fun r -> (reg_slot r, is_intern r)) uses,
+      slots reg_slot dests )
 
   let compile program =
     let bases = Program.base_table program in
@@ -398,9 +321,13 @@ module Compiled = struct
       go b0 0
     in
     let block_entry = Array.init nb entry_of in
-    let flat = Array.make n (Instr.make Op.Halt) in
+    let blank, _, _ =
+      static_event ~ip:0 ~block_id:0 ~offset:0 (Instr.make Op.Halt)
+    in
+    let proto = Array.make n blank in
+    let reads = Array.make n [||] in
+    let writes = Array.make n [||] in
     let block_of = Array.make (n + 2) 0 in
-    let offset_of = Array.make n 0 in
     let next_ip = Array.make n trap_missing in
     let target_ip = Array.make n (-1) in
     let dup_slot = Array.make n (-1) in
@@ -409,9 +336,13 @@ module Compiled = struct
     Program.iter_instrs
       (fun blk off ins ->
         let ip = bases.(blk.Program.id) + off in
-        flat.(ip) <- ins;
+        let ev, rd, wr =
+          static_event ~ip ~block_id:blk.Program.id ~offset:off ins
+        in
+        proto.(ip) <- ev;
+        reads.(ip) <- rd;
+        writes.(ip) <- wr;
         block_of.(ip) <- blk.Program.id;
-        offset_of.(ip) <- off;
         next_ip.(ip) <-
           (if off + 1 < Array.length blk.Program.instrs then ip + 1
            else
@@ -430,12 +361,12 @@ module Compiled = struct
       program;
     {
       program;
-      flat;
+      proto;
+      reads;
+      writes;
       block_of;
-      offset_of;
       next_ip;
       target_ip;
-      block_entry;
       dup_slot;
       entry_ip =
         (if nb = 0 then trap_fell_off else block_entry.(program.Program.entry));
@@ -445,7 +376,6 @@ module Compiled = struct
     }
 
   let num_blocks code = Array.length code.program.Program.blocks
-  let program code = code.program
 
   (* One closure per static instruction, chained by direct tail calls: a
      closure takes the remaining fuel, applies the architectural effect and
@@ -854,7 +784,7 @@ module Compiled = struct
   }
 
   let start ?(init_mem = []) code =
-    let n = Array.length code.flat in
+    let n = Array.length code.proto in
     let regs =
       Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
         (code.nslots + 1 + code.n_imm)
@@ -881,14 +811,14 @@ module Compiled = struct
       let aux = code.dup_slot.(ip) in
       let next = if aux >= 0 then aux else code.next_ip.(ip) in
       step.(ip) <-
-        make_step regs mem stores scratch alloc_imm step stop code.flat.(ip)
-          ~ip ~next ~target:code.target_ip.(ip);
+        make_step regs mem stores scratch alloc_imm step stop
+          code.proto.(ip).Trace.instr ~ip ~next ~target:code.target_ip.(ip);
       if aux >= 0 then begin
         (* the (I and E) duplicate destination reads back the just-written
            primary slot, which written_of mirrors in the interpreter; the
            copy lives in an auxiliary chain slot that consumes no fuel, so
            the main closure and the copy together count as one step *)
-        let ins = code.flat.(ip) in
+        let ins = code.proto.(ip).Trace.instr in
         match (ins.Instr.annot.Instr.ext_dup, Op.defs ins.Instr.op) with
         | Some du, d :: _ ->
             let slot r = if Reg.is_zero r then scratch else reg_slot r in
@@ -947,7 +877,7 @@ module Compiled = struct
 
   (* An architectural [state] view of the run: register arrays are copied,
      memory is shared by reference. *)
-  let state_of run =
+  let state run =
     let regs = run.regs in
     let max_virt = Program.max_virt_index run.code.program in
     {
@@ -969,74 +899,75 @@ module Compiled = struct
       mem = run.mem;
     }
 
-  let absorb run (st : state) =
-    let regs = run.regs in
-    for i = 0 to Reg.num_ext_per_class - 1 do
-      (* slot 31 is the zero register: the interpreter never writes
-         st.ext_int.(31), so this writes back its invariant 0 *)
-      ba_set regs (reg_slot (Reg.ext Reg.Cint i)) st.ext_int.(i);
-      ba_set regs (reg_slot (Reg.ext Reg.Cfp i)) st.ext_fp.(i)
-    done;
-    for i = 0 to Reg.num_internal - 1 do
-      ba_set regs (reg_slot (Reg.intern i)) st.intern.(i)
-    done;
-    for i = 0 to Program.max_virt_index run.code.program do
-      ba_set regs
-        (num_fixed_slots + (2 * i))
-        (read_reg st (Reg.virt Reg.Cint i));
-      ba_set regs
-        (num_fixed_slots + (2 * i) + 1)
-        (read_reg st (Reg.virt Reg.Cfp i))
-    done
-
+  (* The tracer single-steps the chain ([fuel = 1], as [advance_bbv] does)
+     and copies each event from its static part, filling in the dynamic
+     fields from the registers as they are before the step. Uids and the
+     last-writer table restart at 0 for each window: a mid-run window is a
+     self-contained trace whose dependences on pre-window producers are
+     dropped, which is precisely what a timing model fed only that window
+     must see. *)
   let trace_window run ~max_steps =
-    let code = run.code in
-    (* a run parked on a trap slot raises the interpreter's failure now *)
-    if run.ip >= Array.length code.flat then
-      ignore (run.step.(run.ip) 1 : int);
-    if run.ip < 0 then
-      {
-        Trace.events = [||];
-        stop = Trace.Halted;
-        program = code.program;
-        warm_lines = None;
-        tables = None;
-      }
-    else begin
-      let st = state_of run in
-      let x =
-        exec_from st code.program ~max_steps ~trace:true
-          ~start_block:code.block_of.(run.ip)
-          ~start_offset:code.offset_of.(run.ip)
+    let code = run.code and regs = run.regs and step = run.step in
+    let n = Array.length code.proto in
+    let last_writer = Array.make code.nslots (-1) in
+    let events = ref [] in
+    let uid = ref 0 in
+    let ip = ref run.ip in
+    while !uid < max_steps && !ip >= 0 do
+      let i = !ip and u = !uid in
+      (* a run parked on a trap slot raises its control-flow failure *)
+      if i >= n then ignore (step.(i) 1 : int);
+      let e = code.proto.(i) in
+      let deps =
+        Array.fold_left
+          (fun acc (slot, via) ->
+            let w = last_writer.(slot) in
+            if w < 0 then acc else (w, via) :: acc)
+          [] code.reads.(i)
       in
-      absorb run st;
-      run.steps <- run.steps + x.x_steps;
-      run.stores := !(run.stores) + x.x_stores;
-      run.ip <-
-        (match x.x_next with
-        | None -> -1
-        | Some (b, off) ->
-            if off = 0 then code.block_entry.(b)
-            else (Program.base_table code.program).(b) + off);
-      let events = Array.of_list (List.rev x.x_events) in
-      (* A window may open mid-braid; the braid core only accepts an
-         instruction stream whose first braid event claims a BEU, so the
-         leading event is promoted to a braid start — the tail of the
-         cut-off braid instance is timed as a (short) instance of its
-         own. *)
-      if Array.length events > 0 then begin
-        let e0 = events.(0) in
-        if e0.Trace.braid_id >= 0 && not e0.Trace.braid_start then
-          events.(0) <- { e0 with Trace.braid_start = true }
-      end;
-      {
-        Trace.events;
-        stop = x.x_stop;
-        program = code.program;
-        warm_lines = None;
-        tables = None;
-      }
-    end
+      let deps = Array.of_list (List.sort_uniq compare deps) in
+      let ev =
+        match e.Trace.instr.Instr.op with
+        | Op.Load (_, b, off, _) | Op.Store (_, b, off, _) ->
+            let addr = Int64.to_int (ba_get regs (reg_slot b)) + off in
+            { e with Trace.uid = u; deps; addr }
+        | Op.Branch (c, r, _) ->
+            let taken = Op.eval_cond c (ba_get regs (reg_slot r)) in
+            { e with Trace.uid = u; deps; taken }
+        | Op.Fbin (Op.Fdiv, _, _, b) ->
+            (* the one arithmetic fault [Op.eval_fbin] reports *)
+            let faulting =
+              Int64.float_of_bits (ba_get regs (reg_slot b)) = 0.0
+            in
+            { e with Trace.uid = u; deps; faulting }
+        | _ -> { e with Trace.uid = u; deps }
+      in
+      ignore (step.(i) 1 : int);
+      ip := !(run.stop);
+      Array.iter (fun slot -> last_writer.(slot) <- u) code.writes.(i);
+      events := ev :: !events;
+      incr uid
+    done;
+    run.ip <- !ip;
+    run.steps <- run.steps + !uid;
+    let events = Array.of_list (List.rev !events) in
+    (* A window may open mid-braid; the braid core only accepts an
+       instruction stream whose first braid event claims a BEU, so the
+       leading event is promoted to a braid start — the tail of the
+       cut-off braid instance is timed as a (short) instance of its
+       own. *)
+    if Array.length events > 0 then begin
+      let e0 = events.(0) in
+      if e0.Trace.braid_id >= 0 && not e0.Trace.braid_start then
+        events.(0) <- { e0 with Trace.braid_start = true }
+    end;
+    {
+      Trace.events;
+      stop = (if !ip < 0 then Trace.Halted else Trace.Steps_exhausted);
+      program = code.program;
+      warm_lines = None;
+      tables = None;
+    }
 
   type snapshot = {
     s_regs : int64 array;
@@ -1063,17 +994,23 @@ module Compiled = struct
     run.ip <- snap.s_ip;
     run.steps <- snap.s_steps;
     run.stores := snap.s_stores
-
-  let state = state_of
-
-  let execute ?(max_steps = 1_000_000) ?(init_mem = []) program =
-    let run = start ~init_mem (compile program) in
-    let (_ : int) = advance run ~fuel:max_steps in
-    {
-      trace = None;
-      stop = (if run.ip < 0 then Trace.Halted else Trace.Steps_exhausted);
-      dynamic_count = run.steps;
-      store_count = !(run.stores);
-      state = state_of run;
-    }
 end
+
+(* Both modes run the compiled engine: the tracer for [trace], the
+   fast path otherwise. *)
+let run ?(max_steps = 1_000_000) ?(trace = true) ?init_mem program =
+  let r = Compiled.start ?init_mem (Compiled.compile program) in
+  let trace =
+    if trace then Some (Compiled.trace_window r ~max_steps)
+    else begin
+      ignore (Compiled.advance r ~fuel:max_steps : int);
+      None
+    end
+  in
+  {
+    trace;
+    stop = (if Compiled.halted r then Trace.Halted else Trace.Steps_exhausted);
+    dynamic_count = Compiled.steps r;
+    store_count = Compiled.store_count r;
+    state = Compiled.state r;
+  }

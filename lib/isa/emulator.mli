@@ -31,25 +31,34 @@ val run :
   ?init_mem:(int * int64) list ->
   Program.t ->
   outcome
-(** Executes from the entry block. [max_steps] bounds the dynamic
-    instruction count (default 1_000_000). When [trace] is true (default),
-    the outcome carries the full dynamic trace. Arithmetic faults
+(** Executes from the entry block on the compiled engine ({!Compiled}).
+    [max_steps] bounds the dynamic instruction count (default 1_000_000).
+    When [trace] is true (default), the outcome carries the full dynamic
+    trace ({!Compiled.trace_window} over the whole run). Arithmetic faults
     (FP divide by zero) write zero to the destination, mark the event as
     [faulting], and continue — the microarchitectural exception-mode cost is
     modeled by the timing simulators, not here. *)
 
+val reference :
+  ?max_steps:int -> ?init_mem:(int * int64) list -> Program.t -> outcome
+(** The same execution on the reference interpreter, a separate
+    implementation of the semantics that never traces ([trace = None]).
+    It exists to be compared against: the differential oracle runs the
+    virtual IR on it, and the identity tests hold {!run} to it in every
+    architectural observable. *)
+
 val init_state : ?init_mem:(int * int64) list -> unit -> state
 (** A fresh architectural state (all registers zero) with the given data
-    image stored. This is the state [run] starts from; the differential
+    image stored: the state {!reference} starts from. The differential
     oracle uses it to replay committed instruction streams. *)
 
 val exec_instr : state -> Instr.t -> unit
-(** Applies the architectural effect of one instruction to [state]:
-    register writes (including the [ext_dup] duplicate destination) and
-    memory stores. Control flow and [Halt] are ignored — the caller owns
-    the instruction sequence. Replaying a core's committed stream through
-    this and comparing registers/memory against a sequential {!run} is the
-    differential oracle's register-file check. *)
+(** Applies the architectural effect of one instruction to [state] on the
+    reference interpreter: register writes (including the [ext_dup]
+    duplicate destination) and memory stores. Control flow and [Halt] are
+    ignored — the caller owns the instruction sequence. Replaying a core's
+    committed stream through this and comparing registers/memory against a
+    sequential {!run} is the differential oracle's register-file check. *)
 
 val read_ext : state -> Reg.t -> int64
 (** Final architectural register value. Raises on non-external registers. *)
@@ -70,20 +79,20 @@ val memory_fingerprint : state -> int64
 (** Order-independent-free hash of [memory_image]; equal fingerprints for
     equal images. Used by equivalence property tests. *)
 
-(** Compiled fast-forward execution.
+(** Compiled execution: the one engine behind {!run}, the sampler's
+    fast-forward and every trace.
 
     [compile] pre-decodes a program into a flat array of per-instruction
-    closures over an unboxed register file, resolving every control-flow
-    successor to a flat instruction index; [advance] then executes without
-    per-instruction decoding, dispatch or allocation — byte-identical in
-    all architectural observables (registers, memory, dynamic/store counts,
-    stop reason, failure messages) to the interpreted {!run}, at an order
-    of magnitude higher instruction throughput. This is the fast-forward
-    engine of sampled simulation: [advance_bbv] additionally accumulates
-    per-basic-block execution counts for interval profiling, and
-    [trace_window] hands control to the interpreter's tracer for a bounded
-    window starting at the run's current position (sharing its state), so
-    a measured window carries exactly the events a full trace would. *)
+    closures over an unboxed register file, chained by direct tail calls,
+    with every control-flow successor resolved to a flat instruction index;
+    [advance] then executes without per-instruction decoding, dispatch or
+    allocation — byte-identical in all architectural observables
+    (registers, memory, dynamic/store counts, stop reason, failure
+    messages) to {!reference}. [compile] also records each instruction's
+    static trace event and its register reads and writes, so
+    [trace_window] traces by single-stepping the same closures.
+    [advance_bbv] additionally accumulates per-basic-block execution
+    counts for interval profiling. *)
 module Compiled : sig
   type code
   (** A pre-decoded program; reusable across many runs. *)
@@ -108,12 +117,13 @@ module Compiled : sig
       {!num_blocks} entries. *)
 
   val trace_window : run -> max_steps:int -> Trace.t
-  (** Run up to [max_steps] instructions through the interpreter's tracer
-      from the current position, advancing the run. The window is a
-      self-contained trace: event uids restart at 0 and dependences on
-      pre-window producers are dropped (a timing model fed only the window
-      sees exactly this). Its [stop] is [Halted] iff the program ended
-      inside the window. *)
+  (** Run up to [max_steps] instructions from the current position,
+      advancing the run and recording one event per instruction. The
+      window is a self-contained trace: event uids restart at 0 and
+      dependences on pre-window producers are dropped (a timing model fed
+      only the window sees exactly this), and a window opening mid-braid
+      has its first event promoted to a braid start. Its [stop] is
+      [Halted] iff the program has ended. *)
 
   val halted : run -> bool
   val steps : run -> int
@@ -121,7 +131,6 @@ module Compiled : sig
 
   val store_count : run -> int
   val num_blocks : code -> int
-  val program : code -> Program.t
 
   val state : run -> state
   (** Architectural view of the run: registers are copied out, memory is
@@ -134,9 +143,4 @@ module Compiled : sig
 
   val restore : run -> snapshot -> unit
   (** Rewind the run to a snapshot taken from the same [start]. *)
-
-  val execute :
-    ?max_steps:int -> ?init_mem:(int * int64) list -> Program.t -> outcome
-  (** Whole-program compiled run; the outcome (with [trace = None]) is
-      byte-identical to [run ~trace:false] in every observable. *)
 end

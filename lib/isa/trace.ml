@@ -11,7 +11,6 @@ type event = {
   is_cond_branch : bool;
   is_jump : bool;
   taken : bool;
-  next_pc : int;
   latency : int;
   writes_ext : bool;
   writes_int : bool;
@@ -112,8 +111,5 @@ let dep_tables t =
       in
       t.tables <- Some tb;
       tb
-
-let num_branches t =
-  Array.fold_left (fun acc e -> if e.is_cond_branch then acc + 1 else acc) 0 t.events
 
 let branch_of e = e.is_cond_branch || e.is_jump

@@ -24,7 +24,6 @@ type event = {
   is_cond_branch : bool;
   is_jump : bool;
   taken : bool;  (** conditional branches: outcome; jumps: true *)
-  next_pc : int;  (** address of the next dynamic instruction *)
   latency : int;  (** FU latency, memory time excluded *)
   writes_ext : bool;  (** allocates an external register / rename entry *)
   writes_int : bool;  (** writes a braid-internal register *)
@@ -76,9 +75,6 @@ val dep_tables : t -> dep_tables
     memoised. Timing models treat every array as read-only, so repeated
     runs (the points of a sweep) share one copy instead of rebuilding the
     CSR graph and disambiguation table per run. *)
-
-val num_branches : t -> int
-(** Conditional branches only. *)
 
 val branch_of : event -> bool
 (** [is_cond_branch || is_jump]. *)

@@ -14,7 +14,7 @@
    warm-up plus the interval with the full pipeline model, reporting
    only the interval's suffix (commit-to-commit, [measure_from]).
    Weighted CPI over the representatives extrapolates to a full-run
-   [Pipeline.result] whose counters are per-instruction rates scaled to
+   [Core.result] whose counters are per-instruction rates scaled to
    the whole run, so a sampled result drops into any consumer of full
    results. *)
 
@@ -43,7 +43,7 @@ type t = {
   num_intervals : int;
   reps : rep list;
   ipc : float;  (* weighted-CPI harmonic aggregate *)
-  result : U.Pipeline.result;  (* extrapolated to the full run *)
+  result : U.Core.result;  (* extrapolated to the full run *)
 }
 
 let position_weight = 0.5
@@ -168,53 +168,53 @@ let measure ?(warm_data = []) (p : plan) (cfg : U.Config.t) =
              Emulator.Compiled.trace_window run ~max_steps:(wlen + iv.Bbv.length)
            in
            let r =
-             U.Pipeline.run ~warm_data ?prewarm
+             U.Core.result (U.Core.run ~warm_data ?prewarm
                ?measure_from:(if wlen = 0 then None else Some wlen)
-               cfg window
+               cfg window)
            in
-           let instrs = float_of_int r.U.Pipeline.instructions in
-           let cycles = float_of_int (max 1 r.U.Pipeline.cycles) in
+           let instrs = float_of_int r.U.Core.instructions in
+           let cycles = float_of_int (max 1 r.U.Core.cycles) in
            let this_cpi = cycles /. instrs in
-           let occ = r.U.Pipeline.avg_occupancy in
+           let occ = r.U.Core.avg_occupancy in
            let rate get = w *. (float_of_int (get r) /. instrs) in
            cpi := !cpi +. (w *. this_cpi);
            occ_cycles := !occ_cycles +. (w *. this_cpi *. occ);
-           r_lookups := !r_lookups +. rate (fun r -> r.U.Pipeline.branch_lookups);
+           r_lookups := !r_lookups +. rate (fun r -> r.U.Core.branch_lookups);
            r_mispredicts :=
-             !r_mispredicts +. rate (fun r -> r.U.Pipeline.branch_mispredicts);
-           r_l1i := !r_l1i +. rate (fun r -> r.U.Pipeline.l1i_misses);
-           r_l1d := !r_l1d +. rate (fun r -> r.U.Pipeline.l1d_misses);
-           r_l2 := !r_l2 +. rate (fun r -> r.U.Pipeline.l2_misses);
+             !r_mispredicts +. rate (fun r -> r.U.Core.branch_mispredicts);
+           r_l1i := !r_l1i +. rate (fun r -> r.U.Core.l1i_misses);
+           r_l1d := !r_l1d +. rate (fun r -> r.U.Core.l1d_misses);
+           r_l2 := !r_l2 +. rate (fun r -> r.U.Core.l2_misses);
            r_stall_regs :=
-             !r_stall_regs +. rate (fun r -> r.U.Pipeline.dispatch_stall_regs);
-           r_faults := !r_faults +. rate (fun r -> r.U.Pipeline.faults);
+             !r_stall_regs +. rate (fun r -> r.U.Core.dispatch_stall_regs);
+           r_faults := !r_faults +. rate (fun r -> r.U.Core.faults);
            r_ext_reads :=
              !r_ext_reads
-             +. rate (fun r -> r.U.Pipeline.activity.U.Machine.ext_rf_reads);
+             +. rate (fun r -> r.U.Core.activity.U.Machine.ext_rf_reads);
            r_ext_writes :=
              !r_ext_writes
-             +. rate (fun r -> r.U.Pipeline.activity.U.Machine.ext_rf_writes);
+             +. rate (fun r -> r.U.Core.activity.U.Machine.ext_rf_writes);
            r_int_reads :=
              !r_int_reads
-             +. rate (fun r -> r.U.Pipeline.activity.U.Machine.int_rf_reads);
+             +. rate (fun r -> r.U.Core.activity.U.Machine.int_rf_reads);
            r_int_writes :=
              !r_int_writes
-             +. rate (fun r -> r.U.Pipeline.activity.U.Machine.int_rf_writes);
+             +. rate (fun r -> r.U.Core.activity.U.Machine.int_rf_writes);
            r_bypass :=
              !r_bypass
-             +. rate (fun r -> r.U.Pipeline.activity.U.Machine.bypass_values);
+             +. rate (fun r -> r.U.Core.activity.U.Machine.bypass_values);
            r_s_redirect :=
              !r_s_redirect
-             +. rate (fun r -> r.U.Pipeline.stalls.U.Pipeline.fetch_redirect);
+             +. rate (fun r -> r.U.Core.stalls.U.Core.fetch_redirect);
            r_s_icache :=
              !r_s_icache
-             +. rate (fun r -> r.U.Pipeline.stalls.U.Pipeline.fetch_icache);
+             +. rate (fun r -> r.U.Core.stalls.U.Core.fetch_icache);
            r_s_core :=
              !r_s_core
-             +. rate (fun r -> r.U.Pipeline.stalls.U.Pipeline.dispatch_core);
+             +. rate (fun r -> r.U.Core.stalls.U.Core.dispatch_core);
            r_s_frontend :=
              !r_s_frontend
-             +. rate (fun r -> r.U.Pipeline.stalls.U.Pipeline.dispatch_frontend);
+             +. rate (fun r -> r.U.Core.stalls.U.Core.dispatch_frontend);
            {
              interval_index = iv.Bbv.index;
              start = iv.Bbv.start;
@@ -230,7 +230,7 @@ let measure ?(warm_data = []) (p : plan) (cfg : U.Config.t) =
   let scale r = int_of_float (Float.round (ftotal *. !r)) in
   let result =
     {
-      U.Pipeline.config_name = cfg.U.Config.name;
+      U.Core.config_name = cfg.U.Config.name;
       instructions = total;
       cycles;
       ipc = ftotal /. float_of_int cycles;
@@ -251,7 +251,7 @@ let measure ?(warm_data = []) (p : plan) (cfg : U.Config.t) =
         };
       stalls =
         {
-          U.Pipeline.fetch_redirect = scale r_s_redirect;
+          U.Core.fetch_redirect = scale r_s_redirect;
           fetch_icache = scale r_s_icache;
           dispatch_core = scale r_s_core;
           dispatch_frontend = scale r_s_frontend;
@@ -264,7 +264,7 @@ let measure ?(warm_data = []) (p : plan) (cfg : U.Config.t) =
     total_instrs = total;
     num_intervals = Array.length p.profile.Bbv.intervals;
     reps;
-    ipc = result.U.Pipeline.ipc;
+    ipc = result.U.Core.ipc;
     result;
   }
 
@@ -274,5 +274,5 @@ let run ?(init_mem = []) ?(warm_data = []) ?max_steps ~spec cfg program =
   measure ~warm_data p cfg
 
 let error_vs ~full (t : t) =
-  let f = full.U.Pipeline.ipc in
+  let f = full.U.Core.ipc in
   if f = 0.0 then 0.0 else Float.abs (t.ipc -. f) /. f

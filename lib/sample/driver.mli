@@ -21,7 +21,7 @@ type t = {
   num_intervals : int;
   reps : rep list;
   ipc : float;  (** weighted-CPI estimate of the full run's IPC *)
-  result : Braid_uarch.Pipeline.result;
+  result : Braid_uarch.Core.result;
       (** the estimate extrapolated to a full-run result: [instructions]
           is the true dynamic count, [cycles] follows from the weighted
           CPI, and every counter is a weighted per-instruction rate
@@ -44,9 +44,9 @@ val measure :
   ?warm_data:int list -> plan -> Braid_uarch.Config.t -> t
 (** Fast-forward to each representative; replay a bounded functional
     warm-up (the preceding ~64k instructions) into caches and predictor
-    via [Pipeline.run ~prewarm]; simulate the spec's detailed warm-up
+    via [Core.run ~prewarm]; simulate the spec's detailed warm-up
     plus the interval and report only the interval's commit-to-commit
-    suffix ([Pipeline.run ~measure_from]); aggregate by weighted CPI.
+    suffix ([Core.run ~measure_from]); aggregate by weighted CPI.
     [warm_data] is passed through to every interval's pipeline run. *)
 
 val run :
@@ -59,6 +59,6 @@ val run :
   t
 (** [measure (plan ...)] for a single configuration. *)
 
-val error_vs : full:Braid_uarch.Pipeline.result -> t -> float
+val error_vs : full:Braid_uarch.Core.result -> t -> float
 (** Relative IPC error against a full simulation of the same program:
     [|sampled - full| / full]. *)

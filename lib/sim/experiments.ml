@@ -277,7 +277,7 @@ let fig1 =
         Suite.run_conv ctx p (named (Printf.sprintf "ooo-perfect-%dw" w) cfg)
       in
       let r4 = run 4 and r8 = run 8 and r16 = run 16 in
-      [| U.Pipeline.speedup r4 r8; U.Pipeline.speedup r4 r16 |])
+      [| U.Core.speedup r4 r8; U.Core.speedup r4 r16 |])
 
 (* ---------------------------------------------------------------- *)
 (* Fig 5: OoO sensitivity to register count                          *)
@@ -300,7 +300,7 @@ let fig5 =
              [ ikv "ext_regs" n ])
       in
       let base = run 256 in
-      Array.of_list (List.map (fun n -> U.Pipeline.speedup base (run n)) counts))
+      Array.of_list (List.map (fun n -> U.Core.speedup base (run n)) counts))
 
 (* ---------------------------------------------------------------- *)
 (* Fig 6: braid sensitivity to external register count               *)
@@ -330,7 +330,7 @@ let fig6 =
         (List.map
            (fun n ->
              let r = run n in
-             float_of_int base.U.Pipeline.cycles /. float_of_int r.U.Pipeline.cycles)
+             float_of_int base.U.Core.cycles /. float_of_int r.U.Core.cycles)
            counts))
 
 (* ---------------------------------------------------------------- *)
@@ -354,7 +354,7 @@ let fig7 =
              [ ikv "rf_read_ports" r; ikv "rf_write_ports" w ])
       in
       let base = run (16, 8) in
-      Array.of_list (List.map (fun pw -> U.Pipeline.speedup base (run pw)) ports))
+      Array.of_list (List.map (fun pw -> U.Core.speedup base (run pw)) ports))
 
 (* ---------------------------------------------------------------- *)
 (* Fig 8: bypass paths                                               *)
@@ -381,7 +381,7 @@ let fig8 =
           (variant U.Config.braid_8wide "braid-bypass-full"
              [ ikv "bypass_per_cycle" 64 ])
       in
-      Array.of_list (List.map (fun n -> U.Pipeline.speedup base (run n)) paths))
+      Array.of_list (List.map (fun n -> U.Core.speedup base (run n)) paths))
 
 (* ---------------------------------------------------------------- *)
 (* Figs 9-12: execution-core parameters (normalised to 8-wide OoO)   *)
@@ -395,7 +395,7 @@ let braid_sweep ~id ~title ~expect ~cols ~configs =
       let base = Suite.run_conv ctx p U.Config.ooo_8wide in
       Array.of_list
         (List.map
-           (fun cfg -> U.Pipeline.speedup base (Suite.run_braid ctx p cfg))
+           (fun cfg -> U.Core.speedup base (Suite.run_braid ctx p cfg))
            configs))
 
 let fig9 =
@@ -491,7 +491,7 @@ let fig13 =
                let dep = Suite.run_conv ctx p (scale_of U.Config.dep_steer_8wide) in
                let braid = Suite.run_braid ctx p (scale_of U.Config.braid_8wide) in
                let ooo = Suite.run_conv ctx p (scale_of U.Config.ooo_8wide) in
-               List.map (U.Pipeline.speedup base) [ io; dep; braid; ooo ])
+               List.map (U.Core.speedup base) [ io; dep; braid; ooo ])
              widths));
     assemble =
       (fun _ctx ~scale:_ cells ->
@@ -541,7 +541,7 @@ let fig14 =
           (variant U.Config.braid_8wide "braid-8x1"
              [ ikv "clusters" 8; ikv "fus_per_cluster" 1 ])
       in
-      [| U.Pipeline.speedup base a; U.Pipeline.speedup base b |])
+      [| U.Core.speedup base a; U.Core.speedup base b |])
 
 (* ---------------------------------------------------------------- *)
 (* Ablations                                                          *)
@@ -583,7 +583,7 @@ let pipeline_ablation =
              [ ikv "misprediction_penalty" 23 ])
       in
       let short = Suite.run_braid ctx p U.Config.braid_8wide in
-      [| 1.0; U.Pipeline.speedup deep short |])
+      [| 1.0; U.Core.speedup deep short |])
 
 let split_ablation =
   (* the internal register file has 8 entries, so thresholds above 8 are
@@ -616,7 +616,7 @@ let split_ablation =
           /. float_of_int (max 1 p8.Suite.braid.C.Transform.braids)
         in
         Array.of_list
-          (List.map (fun (_, r) -> U.Pipeline.speedup base r) runs @ [ split_frac ]));
+          (List.map (fun (_, r) -> U.Core.speedup base r) runs @ [ split_frac ]));
     assemble =
       (fun _ctx ~scale:_ cells ->
         let split_pct = 100.0 *. avg_at cells 4 in
@@ -798,7 +798,7 @@ let beu_ooo_ablation =
           (variant U.Config.braid_8wide "braid-ooo-beu"
              [ ("beu_out_of_order", "true") ])
       in
-      [| 1.0; U.Pipeline.speedup base oooed |])
+      [| 1.0; U.Core.speedup base oooed |])
 
 (* ---------------------------------------------------------------- *)
 (* §5.2: clustering BEUs                                             *)
@@ -827,7 +827,7 @@ let clustering_ablation =
                  (variant U.Config.braid_8wide ("braid-clu-" ^ n)
                     [ ikv "beu_cluster_size" size; ikv "inter_cluster_latency" lat ])
              in
-             U.Pipeline.speedup base r)
+             U.Core.speedup base r)
            variants))
 
 (* ---------------------------------------------------------------- *)
@@ -860,11 +860,11 @@ let binary_translation =
           translated_prog
       in
       let translated =
-        U.Pipeline.run ~warm_data:p.Suite.warm_data
+        U.Core.result (U.Core.run ~warm_data:p.Suite.warm_data
           (named "braid-translated" U.Config.braid_8wide)
-          (Option.get out.Emulator.trace)
+          (Option.get out.Emulator.trace))
       in
-      [| U.Pipeline.speedup base compiled; U.Pipeline.speedup base translated |])
+      [| U.Core.speedup base compiled; U.Core.speedup base translated |])
 
 (* ---------------------------------------------------------------- *)
 (* §3.4: checkpoints — braid checkpoints are small, so equal storage *)
@@ -916,7 +916,7 @@ let checkpoint_ablation =
                     (Printf.sprintf "braid-ckpt-%d" n)
                     [ ikv "max_unresolved_branches" n ])
              in
-             [ U.Pipeline.speedup ooo_base ooo; U.Pipeline.speedup braid_base braid ])
+             [ U.Core.speedup ooo_base ooo; U.Core.speedup braid_base braid ])
            counts))
 
 (* ---------------------------------------------------------------- *)
@@ -945,11 +945,11 @@ let predictor_ablation =
           (variant U.Config.braid_8wide "braid-gshare"
              [ ("predictor", "gshare") ])
       in
-      let mpki (r : U.Pipeline.result) =
-        1000.0 *. float_of_int r.U.Pipeline.branch_mispredicts
-        /. float_of_int r.U.Pipeline.instructions
+      let mpki (r : U.Core.result) =
+        1000.0 *. float_of_int r.U.Core.branch_mispredicts
+        /. float_of_int r.U.Core.instructions
       in
-      [| U.Pipeline.speedup perceptron gshare; mpki gshare; mpki perceptron |])
+      [| U.Core.speedup perceptron gshare; mpki gshare; mpki perceptron |])
 
 (* ---------------------------------------------------------------- *)
 (* Static vs dynamic braid statistics                                *)
@@ -1005,9 +1005,9 @@ let frontend_ablation =
       let btb n = run (Printf.sprintf "braid-btb%d" n) [ ikv "btb_entries" n ] in
       [|
         1.0;
-        U.Pipeline.speedup base wp;
-        U.Pipeline.speedup base (btb 512);
-        U.Pipeline.speedup base (btb 64);
+        U.Core.speedup base wp;
+        U.Core.speedup base (btb 512);
+        U.Core.speedup base (btb 64);
       |])
 
 (* ---------------------------------------------------------------- *)
@@ -1037,7 +1037,7 @@ let seed_robustness =
                let p = Suite.prepare ctx ~seed ~scale pr in
                let ooo = Suite.run_conv ctx p U.Config.ooo_8wide in
                let braid = Suite.run_braid ctx p U.Config.braid_8wide in
-               U.Pipeline.speedup ooo braid)
+               U.Core.speedup ooo braid)
              seeds));
     assemble =
       (fun _ctx ~scale:_ cells ->

@@ -20,7 +20,7 @@ type ctx = {
   done_ : Condition.t;
   prepared : (string, prepared slot) Hashtbl.t;
   traces : (string, Trace.t slot) Hashtbl.t;
-  runs : (string, Braid_uarch.Pipeline.result slot) Hashtbl.t;
+  runs : (string, Braid_uarch.Core.result slot) Hashtbl.t;
   plans : (string, Braid_sample.Driver.plan slot) Hashtbl.t;
   samples : (string, Braid_sample.Driver.t slot) Hashtbl.t;
   sample : Braid_sample.Spec.t option;
@@ -163,7 +163,7 @@ let run_on ctx ~label ~which p (cfg : Braid_uarch.Config.t) =
           p.profile.Braid_workload.Spec.name label (Trace.length trace)
       in
       memoise ctx ctx.runs key (fun () ->
-          Braid_uarch.Pipeline.run ~warm_data:p.warm_data cfg trace)
+          Braid_uarch.Core.result (Braid_uarch.Core.run ~warm_data:p.warm_data cfg trace))
 
 let run_conv ctx p cfg = run_on ctx ~label:"conv" ~which:`Conv p cfg
 let run_braid ctx p cfg = run_on ctx ~label:"braid" ~which:`Braid p cfg

@@ -58,14 +58,14 @@ val prepare :
 (** Memoised on all parameters. *)
 
 val run_conv :
-  ctx -> prepared -> Braid_uarch.Config.t -> Braid_uarch.Pipeline.result
+  ctx -> prepared -> Braid_uarch.Config.t -> Braid_uarch.Core.result
 (** Runs the conventional binary's trace (in-order / dep-steer / OoO
     machines). Memoised on the configuration name, so configuration
     variants must carry distinct names. On a sampling ctx this is the
     sampled estimate's extrapolated result ({!Braid_sample.Driver.t}). *)
 
 val run_braid :
-  ctx -> prepared -> Braid_uarch.Config.t -> Braid_uarch.Pipeline.result
+  ctx -> prepared -> Braid_uarch.Config.t -> Braid_uarch.Core.result
 (** Runs the braid binary's trace (braid machines). Memoised likewise. *)
 
 val sample_conv :

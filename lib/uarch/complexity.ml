@@ -99,9 +99,9 @@ type energy_proxy = {
   broadcast_work_per_instr : float;
 }
 
-let energy_of_run (cfg : Config.t) (r : Pipeline.result) =
-  let n = float_of_int (max 1 r.Pipeline.instructions) in
-  let a = r.Pipeline.activity in
+let energy_of_run (cfg : Config.t) (r : Core.result) =
+  let n = float_of_int (max 1 r.Core.instructions) in
+  let a = r.Core.activity in
   let c = of_config cfg in
   {
     ext_rf_accesses_per_instr =

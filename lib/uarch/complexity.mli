@@ -45,6 +45,6 @@ type energy_proxy = {
       (** completing results × window entries scanned, per instruction *)
 }
 
-val energy_of_run : Config.t -> Pipeline.result -> energy_proxy
+val energy_of_run : Config.t -> Core.result -> energy_proxy
 (** Dynamic activity of a finished run, normalised per instruction —
     the §5.1 switching-activity argument. *)

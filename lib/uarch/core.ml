@@ -1,7 +1,7 @@
 (* One core's whole pipeline — fetch, dispatch, execution core, commit —
    as a stepable value: [create] builds the machine and warms its
    caches, [step] advances exactly one cycle, [result] and [counters]
-   read a finished run. [Pipeline.run] is [create] + a
+   read a finished run. [run] is [create] + a
    step-until-finished loop; a CMP interleaves [step]s of many cores
    under one global clock. *)
 

@@ -2,15 +2,19 @@
 
     {!create} builds the machine (over a private or a caller-supplied
     shared memory hierarchy) and warms its caches; {!step} advances
-    exactly one cycle — fetch (I-cache + branch prediction), dispatch,
-    the execution core ({!Exec_core}), in-order commit; {!result} and
-    {!counters} read a finished run.
+    exactly one cycle — fetch (I-cache + branch prediction), dispatch
+    (allocate/rename budgets, register availability, LSQ), the execution
+    core ({!Exec_core}), in-order commit; {!result} and {!counters} read a
+    finished run. {!run} is [create] followed by stepping until
+    {!finished}. A CMP ({!Braid_cmp.Cmp}) interleaves [step]s of many
+    cores under one global clock, each over a hierarchy attached to a
+    shared backside ({!Mem_hier}).
 
-    [Pipeline.run] is [create] followed by stepping until {!finished} —
-    its semantics, including every counter, are defined here. A CMP
-    ({!Braid_cmp.Cmp}) interleaves [step]s of many cores under one
-    global clock, each over a hierarchy attached to a shared backside
-    ({!Mem_hier}). *)
+    Branch handling: direction predictions are made at fetch against the
+    trace's real outcomes; a misprediction stops instruction supply until
+    the branch executes, plus the configured minimum penalty — wrong-path
+    work is modeled as this bubble. Arithmetic faults serialize the
+    pipeline (drain to the checkpoint, handle, resume), per §3.4. *)
 
 type stalls = {
   fetch_redirect : int;  (** cycles fetch waited on a mispredicted branch *)
@@ -52,14 +56,36 @@ val create :
   Config.t ->
   Trace.t ->
   t
-(** Parameters are those of [Pipeline.run] (see its documentation for
-    [probe]/[warm_data]/[prewarm]/[measure_from]), plus [hier]: the
-    memory hierarchy this core loads, stores and fetches through.
-    Absent, a private one is built from the config (solo semantics,
-    byte-identical to the pre-split pipeline); a CMP passes a hierarchy
-    attached to a shared backside. Creation warms the trace's code lines
-    and [warm_data] into the hierarchy. Raises [Invalid_argument] on an
-    empty trace or an out-of-range [measure_from]. *)
+(** [probe] attaches an event tracer, the commit recorder and the
+    microarchitectural invariant monitor ({!Probe.create}); the default
+    {!Probe.off} costs one pattern match per hook, and any probe leaves
+    every result byte-identical.
+
+    [warm_data] lists byte addresses of the program's initial data image;
+    their lines are pre-filled into the L2 (and all code lines into
+    L1I/L2) so the measured window behaves like a steady-state snapshot
+    rather than a cold start.
+
+    [prewarm] is a sampled-simulation warm-up window: its events are
+    replayed into the caches (code and data lines) and the branch
+    predictor before timing starts, without touching any statistics.
+
+    [measure_from] is detailed warm-up for sampled simulation: the whole
+    trace is simulated, but the result reports only the suffix starting
+    at that uid — [instructions] is the suffix length and [cycles] and
+    every counter subtract their values at the cycle the last warm-up
+    instruction committed. Commit-to-commit deltas telescope to the full
+    run's cycle count over contiguous intervals, so windowed measurement
+    carries no systematic pipeline-fill or drain bias, and the suffix
+    executes under real pipeline, cache, predictor and register-lifetime
+    state.
+
+    [hier] is the memory hierarchy this core loads, stores and fetches
+    through. Absent, a private one is built from the config (solo
+    semantics); a CMP passes a hierarchy attached to a shared backside.
+    Creation warms the trace's code lines and [warm_data] into the
+    hierarchy. Raises [Invalid_argument] on an empty trace or a
+    [measure_from] outside [0, length). *)
 
 val step : t -> unit
 (** Advance one cycle. Call only while [not (finished t)]. *)
@@ -73,7 +99,7 @@ val run :
   Trace.t ->
   t
 (** A solo core ({!create} over a private hierarchy), stepped until
-    {!finished}. *)
+    {!finished}; [result (run ...)] is the whole run's result. *)
 
 val finished : t -> bool
 (** Every trace event has committed. *)

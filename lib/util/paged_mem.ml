@@ -83,18 +83,13 @@ let page_for_store t addr =
   let p = find t idx in
   if p != zero_page then p else materialise t idx
 
-let load_validated t addr = page_get (page_for_load t addr) (word_index addr)
-
-let store_validated t addr v =
-  page_set (page_for_store t addr) (word_index addr) v
-
 let load t addr =
   check_addr addr;
-  load_validated t addr
+  page_get (page_for_load t addr) (word_index addr)
 
 let store t addr v =
   check_addr addr;
-  store_validated t addr v
+  page_set (page_for_store t addr) (word_index addr) v
 
 (* Snapshots are deep copies into plain int64 arrays: page contents are
    duplicated both when the snapshot is taken and when it is restored, so
@@ -129,20 +124,17 @@ let of_snapshot s =
   restore t s;
   t
 
-let iter_nonzero f t =
-  Hashtbl.iter
-    (fun idx p ->
+let fold_nonzero f acc t =
+  Hashtbl.fold
+    (fun idx p acc ->
       let base = idx * page_bytes in
+      let acc = ref acc in
       for w = 0 to words_per_page - 1 do
         let v = page_get p w in
-        if not (Int64.equal v 0L) then f (base + (8 * w)) v
-      done)
-    t.pages
-
-let fold_nonzero f acc t =
-  let acc = ref acc in
-  iter_nonzero (fun addr v -> acc := f !acc addr v) t;
-  !acc
+        if not (Int64.equal v 0L) then acc := f !acc (base + (8 * w)) v
+      done;
+      !acc)
+    t.pages acc
 
 let pages t = Hashtbl.length t.pages
 let cache_arrays t = (t.cache_idx, t.cache_page)

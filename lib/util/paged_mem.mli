@@ -16,14 +16,6 @@ val load : t -> int -> int64
 val store : t -> int -> int64 -> unit
 (** Write the word at a byte address, materialising its page. *)
 
-val load_validated : t -> int -> int64
-val store_validated : t -> int -> int64 -> unit
-(** [load]/[store] without re-validating the address: for hot paths whose
-    caller has already checked it is non-negative and 8-byte aligned (the
-    compiled emulator validates once per access and must not pay twice).
-    An unchecked misaligned address silently aliases the containing
-    word. *)
-
 (** {2 Unboxed page access}
 
     The compiled emulator's inner loop must read and write memory without
@@ -32,7 +24,9 @@ val store_validated : t -> int -> int64 -> unit
     {!word_index}, which masks into range), and the page handles returned
     by [page_for_load]/[page_for_store] are existing blocks, so a
     load/store compiled against this interface allocates nothing.
-    Addresses must already be validated as in {!load_validated}. *)
+    Addresses must already be validated: non-negative and 8-byte aligned
+    (an unchecked misaligned address silently aliases the containing
+    word). *)
 
 type page = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Concrete (not abstract) so the [page_get]/[page_set] primitives can
@@ -88,10 +82,8 @@ val restore : t -> snapshot -> unit
 val of_snapshot : snapshot -> t
 (** A fresh memory holding the snapshot's contents. *)
 
-val iter_nonzero : (int -> int64 -> unit) -> t -> unit
-(** Apply to every word with a non-zero value, in no particular order. *)
-
 val fold_nonzero : ('a -> int -> int64 -> 'a) -> 'a -> t -> 'a
+(** Fold over every word with a non-zero value, in no particular order. *)
 
 val pages : t -> int
 (** Number of materialised pages. *)

@@ -47,10 +47,3 @@ let bar_chart ~title ?(unit_label = "") ?(width = 50) items =
       items
   in
   String.concat "\n" ((title :: lines) @ [ "" ])
-
-let grouped_series ~title ~series_names ~rows =
-  let header = "" :: series_names in
-  let body =
-    List.map (fun (label, vals) -> label :: List.map float_cell vals) rows
-  in
-  title ^ "\n" ^ table ~header ~rows:body

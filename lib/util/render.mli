@@ -18,14 +18,6 @@ val bar_chart :
     length of the longest bar in characters (default 50). Values must be
     non-negative. *)
 
-val grouped_series :
-  title:string ->
-  series_names:string list ->
-  rows:(string * float list) list ->
-  string
-(** Numeric table for multi-series figures (e.g. one column per
-    configuration, one row per benchmark). *)
-
 val float_cell : float -> string
 (** Canonical numeric formatting used in tables (3 decimal places). *)
 

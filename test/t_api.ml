@@ -363,33 +363,40 @@ let test_schema_rejection () =
 
 let test_wire_framing () =
   let module W = Braid_api.Wire in
-  (* encode/decode round-trip, including the consumed-byte count *)
-  let frame = W.encode "hello" ^ "trailing" in
-  (match W.decode frame with
-  | Ok (payload, consumed) ->
+  (* [Wire.read] over a pipe carrying exactly [bytes]: the result and
+     whatever the read left unconsumed *)
+  let read bytes =
+    let r, w = Unix.pipe ~cloexec:true () in
+    let oc = Unix.out_channel_of_descr w in
+    output_string oc bytes;
+    close_out oc;
+    let ic = Unix.in_channel_of_descr r in
+    let res = W.read ic in
+    let rest = In_channel.input_all ic in
+    close_in ic;
+    (res, rest)
+  in
+  (* one frame is read and the bytes after it are left on the stream *)
+  (match read (W.encode "hello" ^ "trailing") with
+  | Ok payload, rest ->
       Alcotest.(check string) "payload" "hello" payload;
-      Alcotest.(check int) "consumed" 9 consumed
-  | Error e -> Alcotest.fail (W.error_to_string e));
-  (* empty buffer is a clean close, not truncation *)
-  (match W.decode "" with
-  | Error W.Closed -> ()
-  | _ -> Alcotest.fail "empty buffer should be Closed");
+      Alcotest.(check string) "unconsumed" "trailing" rest
+  | Error e, _ -> Alcotest.fail (W.error_to_string e));
+  (* an empty stream is a clean close, not truncation *)
+  (match read "" with
+  | Error W.Closed, _ -> ()
+  | _ -> Alcotest.fail "empty stream should be Closed");
   (* a frame cut mid-header and mid-payload is truncated *)
-  (match W.decode (String.sub (W.encode "hello") 0 2) with
-  | Error (W.Truncated _) -> ()
+  (match read (String.sub (W.encode "hello") 0 2) with
+  | Error (W.Truncated _), _ -> ()
   | _ -> Alcotest.fail "short header should be Truncated");
-  (match W.decode (String.sub (W.encode "hello") 0 6) with
-  | Error (W.Truncated _) -> ()
+  (match read (String.sub (W.encode "hello") 0 6) with
+  | Error (W.Truncated _), _ -> ()
   | _ -> Alcotest.fail "short payload should be Truncated");
   (* a header naming more than max_frame is rejected without allocating *)
-  let oversized = Bytes.create 4 in
-  Bytes.set_uint8 oversized 0 0x7f;
-  Bytes.set_uint8 oversized 1 0xff;
-  Bytes.set_uint8 oversized 2 0xff;
-  Bytes.set_uint8 oversized 3 0xff;
-  (match W.decode (Bytes.to_string oversized) with
-  | Error (W.Oversized _) -> ()
-  | _ -> Alcotest.fail "oversized header should be rejected")
+  match read "\x7f\xff\xff\xff" with
+  | Error (W.Oversized _), _ -> ()
+  | _ -> Alcotest.fail "oversized header should be rejected"
 
 (* --- admission fairness --- *)
 

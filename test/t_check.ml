@@ -101,9 +101,9 @@ let test_monitor_off_identical () =
   in
   let cfg = U.Config.braid_8wide in
   let warm = List.map fst init_mem in
-  let off = U.Pipeline.run ~warm_data:warm cfg trace in
+  let off = U.Core.result (U.Core.run ~warm_data:warm cfg trace) in
   let probe = U.Probe.create ~invariants:true cfg in
-  let on = U.Pipeline.run ~probe ~warm_data:warm cfg trace in
+  let on = U.Core.result (U.Core.run ~probe ~warm_data:warm cfg trace) in
   Alcotest.(check bool) "results byte-identical with monitor on" true (off = on);
   Alcotest.(check int) "no violations" 0 (U.Probe.violation_count probe);
   Alcotest.(check int) "every instruction recorded at commit"
@@ -131,7 +131,6 @@ let nop_event uid =
     is_cond_branch = false;
     is_jump = false;
     taken = false;
-    next_pc = 4 * (uid + 1);
     latency = 1;
     writes_ext = false;
     writes_int = false;

@@ -66,7 +66,7 @@ let commit_stream_battery kind () =
       Alcotest.(check bool)
         (ctx ^ ": result with a live probe equals Probe.off")
         true
-        (r = U.Pipeline.run ~warm_data cfg trace);
+        (r = U.Core.result (U.Core.run ~warm_data cfg trace));
       Alcotest.(check bool) (ctx ^ ": probe traced") true
         (Obs.Tracer.length tracer > 0);
       (match U.Probe.violations probe with
@@ -155,7 +155,6 @@ let nop_event uid =
     is_cond_branch = false;
     is_jump = false;
     taken = false;
-    next_pc = 4 * (uid + 1);
     latency = 1;
     writes_ext = false;
     writes_int = false;

@@ -231,11 +231,11 @@ let test_fig6_equivalence () =
       let r = Suite.run_braid manual_ctx p cfg in
       let run = List.hd pr.Dse.Sweep.runs in
       Alcotest.(check int) "cycles match a direct run"
-        r.Braid_uarch.Pipeline.cycles run.Dse.Sweep.cycles;
+        r.Braid_uarch.Core.cycles run.Dse.Sweep.cycles;
       Alcotest.(check int) "instructions match a direct run"
-        r.Braid_uarch.Pipeline.instructions run.Dse.Sweep.instructions;
+        r.Braid_uarch.Core.instructions run.Dse.Sweep.instructions;
       Alcotest.(check bool) "IPC bit-identical to a direct run" true
-        (Float.equal r.Braid_uarch.Pipeline.ipc run.Dse.Sweep.ipc))
+        (Float.equal r.Braid_uarch.Core.ipc run.Dse.Sweep.ipc))
     values outcome.Dse.Sweep.results
 
 let test_frontier () =

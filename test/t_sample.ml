@@ -37,11 +37,11 @@ let test_error_bound bench (label, core) () =
   let err = Sample.Driver.error_vs ~full sampled in
   if err > 0.02 then
     Alcotest.failf "%s/%s: sampled IPC %.4f vs full %.4f — error %.2f%% > 2%%"
-      bench label sampled.Sample.Driver.ipc full.U.Pipeline.ipc (100.0 *. err);
+      bench label sampled.Sample.Driver.ipc full.U.Core.ipc (100.0 *. err);
   Alcotest.(check int)
     "extrapolated instruction count is the true dynamic count"
-    full.U.Pipeline.instructions
-    sampled.Sample.Driver.result.U.Pipeline.instructions
+    full.U.Core.instructions
+    sampled.Sample.Driver.result.U.Core.instructions
 
 (* --- exhaustive representatives: the measurement itself is exact --- *)
 
@@ -57,7 +57,7 @@ let test_exhaustive_exact bench (label, core) () =
   let full, sampled = full_and_sampled ~spec p core in
   Alcotest.(check int)
     (Printf.sprintf "%s/%s cycles reconstructed exactly" bench label)
-    full.U.Pipeline.cycles sampled.Sample.Driver.result.U.Pipeline.cycles;
+    full.U.Core.cycles sampled.Sample.Driver.result.U.Core.cycles;
   List.iter
     (fun (r : Sample.Driver.rep) ->
       Alcotest.(check bool) "weights positive" true (r.Sample.Driver.weight > 0.0))
@@ -145,8 +145,8 @@ let test_driver_deterministic () =
   let reps t = List.map rep_key t.Sample.Driver.reps in
   Alcotest.(check bool) "cold = cold" true (reps cold1 = reps cold2);
   Alcotest.(check bool) "cold = warm" true (reps cold1 = reps warm);
-  Alcotest.(check int) "identical cycles" cold1.Sample.Driver.result.U.Pipeline.cycles
-    cold2.Sample.Driver.result.U.Pipeline.cycles
+  Alcotest.(check int) "identical cycles" cold1.Sample.Driver.result.U.Core.cycles
+    cold2.Sample.Driver.result.U.Core.cycles
 
 (* A sampled sweep is deterministic across --jobs: the clustering runs
    inside each (memoised) job, so parallel scheduling must not change
@@ -183,8 +183,8 @@ let test_sampled_sweep_jobs_invariant () =
 (* --- compiled fast-forward byte-identity --- *)
 
 (* The fast path underpinning everything above: the compiled emulator
-   must agree with the interpreter in every architectural observable, on
-   both binaries of every benchmark in the suite. *)
+   must agree with the reference interpreter in every architectural
+   observable, on both binaries of every benchmark in the suite. *)
 let test_compiled_identity () =
   List.iter
     (fun (profile : W.Spec.profile) ->
@@ -193,11 +193,10 @@ let test_compiled_identity () =
         (fun (label, program) ->
           let max_steps = 50 * p.Suite.scale in
           let i =
-            Emulator.run ~trace:false ~max_steps ~init_mem:p.Suite.init_mem
-              program
+            Emulator.reference ~max_steps ~init_mem:p.Suite.init_mem program
           in
           let c =
-            Emulator.Compiled.execute ~max_steps ~init_mem:p.Suite.init_mem
+            Emulator.run ~trace:false ~max_steps ~init_mem:p.Suite.init_mem
               program
           in
           let name fmt =
@@ -211,7 +210,15 @@ let test_compiled_identity () =
             (i.Emulator.stop = c.Emulator.stop);
           Alcotest.(check int64) (name "memory fingerprint")
             (Emulator.memory_fingerprint i.Emulator.state)
-            (Emulator.memory_fingerprint c.Emulator.state))
+            (Emulator.memory_fingerprint c.Emulator.state);
+          for n = 0 to Reg.num_ext_per_class - 1 do
+            List.iter
+              (fun r ->
+                Alcotest.(check int64) (name (Reg.to_string r))
+                  (Emulator.read_ext i.Emulator.state r)
+                  (Emulator.read_ext c.Emulator.state r))
+              [ Reg.ext Reg.Cint n; Reg.ext Reg.Cfp n ]
+          done)
         [
           ("conv", p.Suite.conventional.Braid_core.Extalloc.program);
           ("braid", p.Suite.braid.Braid_core.Transform.program);
@@ -287,7 +294,7 @@ let test_measure_from_validation () =
   let p = prepare "mcf" in
   let trace = p.Suite.conv_trace () in
   let n = Array.length trace.Trace.events in
-  let run mf = ignore (U.Pipeline.run ~measure_from:mf U.Config.ooo_8wide trace) in
+  let run mf = ignore (U.Core.run ~measure_from:mf U.Config.ooo_8wide trace) in
   Alcotest.check_raises "negative"
     (Invalid_argument
        (Printf.sprintf "Core.create: measure_from %d outside trace [0, %d)"
@@ -298,12 +305,12 @@ let test_measure_from_validation () =
        (Printf.sprintf "Core.create: measure_from %d outside trace [0, %d)" n n))
     (fun () -> run n);
   (* a valid boundary reports exactly the suffix length *)
-  let r = U.Pipeline.run ~measure_from:(n / 2) U.Config.ooo_8wide trace in
+  let r = U.Core.result (U.Core.run ~measure_from:(n / 2) U.Config.ooo_8wide trace) in
   Alcotest.(check int) "suffix instruction count" (n - (n / 2))
-    r.U.Pipeline.instructions;
-  let full = U.Pipeline.run U.Config.ooo_8wide trace in
+    r.U.Core.instructions;
+  let full = U.Core.result (U.Core.run U.Config.ooo_8wide trace) in
   Alcotest.(check bool) "suffix cycles below full" true
-    (r.U.Pipeline.cycles < full.U.Pipeline.cycles)
+    (r.U.Core.cycles < full.U.Core.cycles)
 
 let accuracy_cases =
   List.concat_map

@@ -1,64 +1,7 @@
-(* Tests for Braid_util.Stats and Histogram. *)
+(* Tests for Braid_util.Histogram. *)
 
 let feq = Alcotest.(check (float 1e-9))
 let feq_loose = Alcotest.(check (float 1e-6))
-
-let test_mean () =
-  feq "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |]);
-  feq "mean single" 5.0 (Stats.mean [| 5.0 |]);
-  feq "mean list" 2.5 (Stats.mean_list [ 2.0; 3.0 ])
-
-let test_mean_empty () =
-  Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty input")
-    (fun () -> ignore (Stats.mean [||]))
-
-let test_geomean () =
-  feq_loose "geomean" 2.0 (Stats.geomean [| 1.0; 4.0 |]);
-  feq_loose "geomean of equal" 3.0 (Stats.geomean [| 3.0; 3.0; 3.0 |]);
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Stats.geomean: non-positive input") (fun () ->
-      ignore (Stats.geomean [| 1.0; 0.0 |]))
-
-let test_stddev () =
-  feq_loose "stddev" 2.0 (Stats.stddev [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |]);
-  feq "stddev constant" 0.0 (Stats.stddev [| 3.0; 3.0 |])
-
-let test_median () =
-  feq "odd median" 2.0 (Stats.median [| 3.0; 1.0; 2.0 |]);
-  feq "even median" 2.5 (Stats.median [| 4.0; 1.0; 2.0; 3.0 |]);
-  let arr = [| 3.0; 1.0; 2.0 |] in
-  ignore (Stats.median arr);
-  Alcotest.(check (array (float 0.0))) "input unchanged" [| 3.0; 1.0; 2.0 |] arr
-
-let test_percentile () =
-  let xs = Array.init 100 (fun i -> float_of_int (i + 1)) in
-  feq "p50" 50.0 (Stats.percentile xs 50.0);
-  feq "p100" 100.0 (Stats.percentile xs 100.0);
-  feq "p0" 1.0 (Stats.percentile xs 0.0)
-
-let test_min_max () =
-  feq "min" (-3.0) (Stats.minimum [| 2.0; -3.0; 7.0 |]);
-  feq "max" 7.0 (Stats.maximum [| 2.0; -3.0; 7.0 |])
-
-let test_weighted_mean () =
-  feq "weighted" 3.0 (Stats.weighted_mean [| (1.0, 1.0); (1.0, 5.0) |]);
-  feq "skewed" 5.0 (Stats.weighted_mean [| (0.0, 1.0); (2.0, 5.0) |])
-
-let test_ratio () =
-  feq "ratio" 2.0 (Stats.ratio 4.0 2.0);
-  Alcotest.check_raises "zero divisor" (Invalid_argument "Stats.ratio: zero divisor")
-    (fun () -> ignore (Stats.ratio 1.0 0.0))
-
-let test_running () =
-  let r = Stats.Running.create () in
-  feq "empty mean" 0.0 (Stats.Running.mean r);
-  Stats.Running.add r 2.0;
-  Stats.Running.add r 4.0;
-  Alcotest.(check int) "count" 2 (Stats.Running.count r);
-  feq "sum" 6.0 (Stats.Running.sum r);
-  feq "mean" 3.0 (Stats.Running.mean r);
-  feq "min" 2.0 (Stats.Running.min r);
-  feq "max" 4.0 (Stats.Running.max r)
 
 let test_histogram_counts () =
   let h = Histogram.create () in
@@ -94,23 +37,6 @@ let test_histogram_empty () =
   feq "fraction of empty" 0.0 (Histogram.fraction_le h 10);
   feq "mean of empty" 0.0 (Histogram.mean h)
 
-let qcheck_median_bounds =
-  QCheck.Test.make ~name:"median within min..max" ~count:300
-    QCheck.(array_of_size (Gen.int_range 1 40) (float_range (-1e6) 1e6))
-    (fun xs ->
-      let m = Stats.median xs in
-      m >= Stats.minimum xs && m <= Stats.maximum xs)
-
-let qcheck_percentile_monotone =
-  QCheck.Test.make ~name:"percentile monotone in p" ~count:300
-    QCheck.(
-      pair
-        (array_of_size (Gen.int_range 1 40) (float_range (-1e6) 1e6))
-        (pair (float_range 0.0 100.0) (float_range 0.0 100.0)))
-    (fun (xs, (p1, p2)) ->
-      let lo = min p1 p2 and hi = max p1 p2 in
-      Stats.percentile xs lo <= Stats.percentile xs hi)
-
 let qcheck_histogram_fraction =
   QCheck.Test.make ~name:"histogram fractions in [0,1] and monotone" ~count:300
     QCheck.(small_list (int_range 0 50))
@@ -123,21 +49,9 @@ let qcheck_histogram_fraction =
 let suite =
   ( "stats",
     [
-      Alcotest.test_case "mean" `Quick test_mean;
-      Alcotest.test_case "mean empty" `Quick test_mean_empty;
-      Alcotest.test_case "geomean" `Quick test_geomean;
-      Alcotest.test_case "stddev" `Quick test_stddev;
-      Alcotest.test_case "median" `Quick test_median;
-      Alcotest.test_case "percentile" `Quick test_percentile;
-      Alcotest.test_case "min max" `Quick test_min_max;
-      Alcotest.test_case "weighted mean" `Quick test_weighted_mean;
-      Alcotest.test_case "ratio" `Quick test_ratio;
-      Alcotest.test_case "running" `Quick test_running;
       Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
       Alcotest.test_case "histogram add_many" `Quick test_histogram_add_many;
       Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
       Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
-      QCheck_alcotest.to_alcotest qcheck_median_bounds;
-      QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
       QCheck_alcotest.to_alcotest qcheck_histogram_fraction;
     ] )

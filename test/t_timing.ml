@@ -15,7 +15,7 @@ let block id ?fallthrough instrs =
 
 let run_prog ?(cfg = U.Config.ooo_8wide) ?(init_mem = []) prog =
   let out = Emulator.run ~init_mem prog in
-  U.Pipeline.run cfg (Option.get out.Emulator.trace)
+  U.Core.result (U.Core.run cfg (Option.get out.Emulator.trace))
 
 (* --- LSQ: store-to-load forwarding beats the cache ---------------------- *)
 
@@ -40,10 +40,10 @@ let test_forwarding_faster_than_cache () =
   let fwd = run_prog (forwarding_program ~same_addr:true) in
   let cold = run_prog (forwarding_program ~same_addr:false) in
   Alcotest.(check bool)
-    (Printf.sprintf "forwarded %d < cold cache %d cycles" fwd.U.Pipeline.cycles
-       cold.U.Pipeline.cycles)
+    (Printf.sprintf "forwarded %d < cold cache %d cycles" fwd.U.Core.cycles
+       cold.U.Core.cycles)
     true
-    (fwd.U.Pipeline.cycles < cold.U.Pipeline.cycles)
+    (fwd.U.Core.cycles < cold.U.Core.cycles)
 
 let test_load_waits_for_conflicting_store () =
   (* a load to the same address cannot complete before the store's data
@@ -71,7 +71,7 @@ let test_load_waits_for_conflicting_store () =
   let res = run_prog prog in
   (* three dependent multiplies at 3 cycles each bound the whole run *)
   Alcotest.(check bool) "cycles include the multiply chain" true
-    (res.U.Pipeline.cycles >= 9)
+    (res.U.Core.cycles >= 9)
 
 (* --- read-port contention ---------------------------------------------- *)
 
@@ -101,10 +101,10 @@ let test_read_ports_bind () =
   in
   let wide = run 16 and narrow = run 2 in
   Alcotest.(check bool)
-    (Printf.sprintf "2 ports (%d cycles) slower than 16 (%d)" narrow.U.Pipeline.cycles
-       wide.U.Pipeline.cycles)
+    (Printf.sprintf "2 ports (%d cycles) slower than 16 (%d)" narrow.U.Core.cycles
+       wide.U.Core.cycles)
     true
-    (narrow.U.Pipeline.cycles > wide.U.Pipeline.cycles)
+    (narrow.U.Core.cycles > wide.U.Core.cycles)
 
 let dependent_pairs_program () =
   (* producer/consumer pairs: consumers read results that, without bypass,
@@ -134,7 +134,7 @@ let test_write_ports_bind () =
       ~init_mem conv
   in
   Alcotest.(check bool) "1 write port slower than 8 (no bypass)" true
-    ((run 1).U.Pipeline.cycles > (run 8).U.Pipeline.cycles)
+    ((run 1).U.Core.cycles > (run 8).U.Core.cycles)
 
 let test_bypass_capacity_matters () =
   (* dependent pairs: consumer wants the producer's value immediately; with
@@ -156,7 +156,7 @@ let test_bypass_capacity_matters () =
       ~init_mem conv
   in
   Alcotest.(check bool) "no bypass is slower" true
-    ((run 0).U.Pipeline.cycles >= (run 8).U.Pipeline.cycles)
+    ((run 0).U.Core.cycles >= (run 8).U.Core.cycles)
 
 (* --- in-order head blocking --------------------------------------------- *)
 
@@ -180,9 +180,9 @@ let test_in_order_head_blocks () =
   let oo = run_prog ~cfg:U.Config.ooo_8wide ~init_mem conv in
   Alcotest.(check bool)
     (Printf.sprintf "ooo (%d) beats in-order (%d) under a head block"
-       oo.U.Pipeline.cycles io.U.Pipeline.cycles)
+       oo.U.Core.cycles io.U.Core.cycles)
     true
-    (oo.U.Pipeline.cycles < io.U.Pipeline.cycles)
+    (oo.U.Core.cycles < io.U.Core.cycles)
 
 (* --- braid distribute: single free BEU serialises braids ----------------- *)
 
@@ -194,15 +194,15 @@ let test_one_beu_serialises () =
   let out = Emulator.run ~init_mem braided in
   let trace = Option.get out.Emulator.trace in
   let run n =
-    U.Pipeline.run
+    U.Core.result (U.Core.run
       { U.Config.braid_8wide with
         U.Config.name = Printf.sprintf "braid-n%d" n;
         clusters = n }
-      trace
+      trace)
   in
   let one = run 1 and eight = run 8 in
   Alcotest.(check bool) "one BEU at least 2x slower than eight" true
-    (one.U.Pipeline.cycles > 2 * eight.U.Pipeline.cycles)
+    (one.U.Core.cycles > 2 * eight.U.Core.cycles)
 
 (* --- I-cache pressure ----------------------------------------------------- *)
 
@@ -218,9 +218,9 @@ let test_icache_pressure () =
   let conv = (C.Transform.conventional prog).C.Extalloc.program in
   let res = run_prog ~init_mem conv in
   Alcotest.(check bool)
-    (Printf.sprintf "L1I misses occur (%d)" res.U.Pipeline.l1i_misses)
+    (Printf.sprintf "L1I misses occur (%d)" res.U.Core.l1i_misses)
     true
-    (res.U.Pipeline.l1i_misses > 0)
+    (res.U.Core.l1i_misses > 0)
 
 (* --- fetch width bounds throughput --------------------------------------- *)
 
@@ -237,10 +237,10 @@ let test_fetch_width_bounds () =
   in
   let narrow = run 4 and wide = run 16 in
   Alcotest.(check bool) "4-wide slower than 16-wide on independent code" true
-    (narrow.U.Pipeline.cycles > wide.U.Pipeline.cycles);
+    (narrow.U.Core.cycles > wide.U.Core.cycles);
   (* 257 instructions at 4/cycle need at least 64 fetch cycles *)
   Alcotest.(check bool) "width lower bound respected" true
-    (narrow.U.Pipeline.cycles >= 64)
+    (narrow.U.Core.cycles >= 64)
 
 let suite =
   ( "timing",

@@ -113,14 +113,14 @@ let test_all_cores_complete () =
       let conv, braid, warm = trace_for name in
       List.iter
         (fun cfg ->
-          let r = U.Pipeline.run ~warm_data:warm cfg conv in
+          let r = U.Core.result (U.Core.run ~warm_data:warm cfg conv) in
           Alcotest.(check int)
             (name ^ "/" ^ cfg.U.Config.name ^ " commits everything")
-            (Trace.length conv) r.U.Pipeline.instructions;
-          Alcotest.(check bool) "positive ipc" true (r.U.Pipeline.ipc > 0.0))
+            (Trace.length conv) r.U.Core.instructions;
+          Alcotest.(check bool) "positive ipc" true (r.U.Core.ipc > 0.0))
         [ U.Config.in_order_8wide; U.Config.dep_steer_8wide; U.Config.ooo_8wide ];
-      let r = U.Pipeline.run ~warm_data:warm U.Config.braid_8wide braid in
-      Alcotest.(check bool) (name ^ " braid completes") true (r.U.Pipeline.cycles > 0))
+      let r = U.Core.result (U.Core.run ~warm_data:warm U.Config.braid_8wide braid) in
+      Alcotest.(check bool) (name ^ " braid completes") true (r.U.Core.cycles > 0))
     [ "gcc"; "mcf"; "swim"; "twolf" ]
 
 let test_cycles_at_least_critical () =
@@ -136,37 +136,37 @@ let test_cycles_at_least_critical () =
   let trace = Option.get (Emulator.run ~init_mem conv).Emulator.trace in
   List.iter
     (fun cfg ->
-      let r = U.Pipeline.run cfg trace in
+      let r = U.Core.result (U.Core.run cfg trace) in
       Alcotest.(check bool)
         (cfg.U.Config.name ^ " respects the dependence chain")
         true
-        (r.U.Pipeline.cycles >= 50))
+        (r.U.Core.cycles >= 50))
     [ U.Config.in_order_8wide; U.Config.ooo_8wide ]
 
 let test_ooo_beats_in_order () =
   let conv, _, warm = trace_for "eon" in
-  let io = U.Pipeline.run ~warm_data:warm U.Config.in_order_8wide conv in
-  let oo = U.Pipeline.run ~warm_data:warm U.Config.ooo_8wide conv in
+  let io = U.Core.result (U.Core.run ~warm_data:warm U.Config.in_order_8wide conv) in
+  let oo = U.Core.result (U.Core.run ~warm_data:warm U.Config.ooo_8wide conv) in
   Alcotest.(check bool) "ooo faster than in-order" true
-    (oo.U.Pipeline.cycles < io.U.Pipeline.cycles)
+    (oo.U.Core.cycles < io.U.Core.cycles)
 
 let test_perfect_predictor_helps () =
   let conv, _, warm = trace_for "vpr" in
-  let real = U.Pipeline.run ~warm_data:warm U.Config.ooo_8wide conv in
+  let real = U.Core.result (U.Core.run ~warm_data:warm U.Config.ooo_8wide conv) in
   let perfect =
-    U.Pipeline.run ~warm_data:warm
+    U.Core.result (U.Core.run ~warm_data:warm
       { (U.Config.perfect_frontend U.Config.ooo_8wide) with U.Config.name = "ooo-perf" }
-      conv
+      conv)
   in
   Alcotest.(check bool) "perfect front end no slower" true
-    (perfect.U.Pipeline.cycles <= real.U.Pipeline.cycles)
+    (perfect.U.Core.cycles <= real.U.Core.cycles)
 
 let test_more_registers_monotone () =
   let conv, _, warm = trace_for "twolf" in
   let cycles n =
-    (U.Pipeline.run ~warm_data:warm
+    (U.Core.result (U.Core.run ~warm_data:warm
        { U.Config.ooo_8wide with U.Config.ext_regs = n; name = Printf.sprintf "ooo-r%d" n }
-       conv).U.Pipeline.cycles
+       conv)).U.Core.cycles
   in
   let c8 = cycles 8 and c32 = cycles 32 and c256 = cycles 256 in
   Alcotest.(check bool) "8 <= 32 regs helps" true (c32 <= c8);
@@ -175,9 +175,9 @@ let test_more_registers_monotone () =
 let test_more_beus_monotone () =
   let _, braid, warm = trace_for "swim" in
   let cycles n =
-    (U.Pipeline.run ~warm_data:warm
+    (U.Core.result (U.Core.run ~warm_data:warm
        { U.Config.braid_8wide with U.Config.clusters = n; name = Printf.sprintf "braid-b%d" n }
-       braid).U.Pipeline.cycles
+       braid)).U.Core.cycles
   in
   let c1 = cycles 1 and c4 = cycles 4 and c8 = cycles 8 in
   Alcotest.(check bool) "1 -> 4 BEUs helps" true (c4 < c1);
@@ -186,27 +186,27 @@ let test_more_beus_monotone () =
 let test_wider_window_monotone () =
   let _, braid, warm = trace_for "mgrid" in
   let cycles w =
-    (U.Pipeline.run ~warm_data:warm
+    (U.Core.result (U.Core.run ~warm_data:warm
        { U.Config.braid_8wide with U.Config.sched_window = w; name = Printf.sprintf "braid-w%d" w }
-       braid).U.Pipeline.cycles
+       braid)).U.Core.cycles
   in
   Alcotest.(check bool) "window 2 >= window 1" true (cycles 2 <= cycles 1)
 
 let test_mispredict_penalty_costs () =
   let conv, _, warm = trace_for "parser" in
   let cycles p =
-    (U.Pipeline.run ~warm_data:warm
+    (U.Core.result (U.Core.run ~warm_data:warm
        { U.Config.ooo_8wide with U.Config.misprediction_penalty = p; name = Printf.sprintf "ooo-p%d" p }
-       conv).U.Pipeline.cycles
+       conv)).U.Core.cycles
   in
   Alcotest.(check bool) "deeper pipeline costs" true (cycles 40 > cycles 10)
 
 let test_branch_stats_populated () =
   let conv, _, warm = trace_for "gcc" in
-  let r = U.Pipeline.run ~warm_data:warm U.Config.ooo_8wide conv in
-  Alcotest.(check bool) "lookups counted" true (r.U.Pipeline.branch_lookups > 0);
+  let r = U.Core.result (U.Core.run ~warm_data:warm U.Config.ooo_8wide conv) in
+  Alcotest.(check bool) "lookups counted" true (r.U.Core.branch_lookups > 0);
   Alcotest.(check bool) "mispredict rate sane" true
-    (r.U.Pipeline.branch_mispredicts <= r.U.Pipeline.branch_lookups)
+    (r.U.Core.branch_mispredicts <= r.U.Core.branch_lookups)
 
 let test_fault_serializes () =
   (* a program with an FP divide-by-zero: the braid pipeline must complete
@@ -221,17 +221,17 @@ let test_fault_serializes () =
   let prog, init_mem = Braid_workload.Build.finish b in
   let braided = (C.Transform.run prog).C.Transform.program in
   let trace = Option.get (Emulator.run ~init_mem braided).Emulator.trace in
-  let r = U.Pipeline.run U.Config.braid_8wide trace in
-  Alcotest.(check int) "one fault" 1 r.U.Pipeline.faults;
-  Alcotest.(check bool) "completed" true (r.U.Pipeline.cycles > 0)
+  let r = U.Core.result (U.Core.run U.Config.braid_8wide trace) in
+  Alcotest.(check int) "one fault" 1 r.U.Core.faults;
+  Alcotest.(check bool) "completed" true (r.U.Core.cycles > 0)
 
 let test_speedup_helper () =
   let conv, _, warm = trace_for "gcc" in
-  let a = U.Pipeline.run ~warm_data:warm U.Config.in_order_8wide conv in
-  let b = U.Pipeline.run ~warm_data:warm U.Config.ooo_8wide conv in
-  let s = U.Pipeline.speedup a b in
+  let a = U.Core.result (U.Core.run ~warm_data:warm U.Config.in_order_8wide conv) in
+  let b = U.Core.result (U.Core.run ~warm_data:warm U.Config.ooo_8wide conv) in
+  let s = U.Core.speedup a b in
   Alcotest.(check (float 1e-9)) "speedup definition"
-    (float_of_int a.U.Pipeline.cycles /. float_of_int b.U.Pipeline.cycles)
+    (float_of_int a.U.Core.cycles /. float_of_int b.U.Core.cycles)
     s
 
 let qcheck_all_cores_all_benchmarks =
@@ -247,9 +247,9 @@ let qcheck_all_cores_all_benchmarks =
       let conv_t = tr conv and braid_t = tr braid in
       List.for_all
         (fun cfg ->
-          (U.Pipeline.run ~warm_data:warm cfg conv_t).U.Pipeline.cycles > 0)
+          (U.Core.result (U.Core.run ~warm_data:warm cfg conv_t)).U.Core.cycles > 0)
         [ U.Config.in_order_8wide; U.Config.dep_steer_8wide; U.Config.ooo_8wide ]
-      && (U.Pipeline.run ~warm_data:warm U.Config.braid_8wide braid_t).U.Pipeline.cycles > 0)
+      && (U.Core.result (U.Core.run ~warm_data:warm U.Config.braid_8wide braid_t)).U.Core.cycles > 0)
 
 (* --- do_issue precondition guards --- *)
 
@@ -271,7 +271,6 @@ let mk_event ?(deps = [||]) ?(addr = -1) ?(is_load = false) ?(is_store = false)
     is_cond_branch = false;
     is_jump = false;
     taken = false;
-    next_pc = 4 * (uid + 1);
     latency = 1;
     writes_ext = Instr.writes_external instr;
     writes_int = Instr.writes_internal instr;
