@@ -58,27 +58,19 @@ let machine_cfg ~core ~width =
   let cfg = U.Config.preset_of_kind core in
   if width = 8 then cfg else U.Config.scale_width cfg width
 
+(* Only the rv front end compiles here: its program comes from the RV
+   frontend, not from a prepared benchmark. *)
 let binary_for core program =
-  match core with
-  | U.Config.Braid_exec | U.Config.Cgooo ->
-      (C.Transform.run program).C.Transform.program
-  | U.Config.In_order | U.Config.Dep_steer | U.Config.Ooo ->
-      (C.Transform.conventional program).C.Extalloc.program
+  if U.Config.Core_kind.braid_binary core then
+    (C.Transform.run program).C.Transform.program
+  else (C.Transform.conventional program).C.Extalloc.program
 
-(* Shared by run and trace: generate, compile for the chosen core, emulate,
-   and time the resulting trace on the configured machine. This is the
-   computation the one-shot CLI historically ran inline. Returns the
-   finished core and its trace. *)
-let simulate ?probe ~(profile : W.Spec.profile) ~seed ~scale ~core ~width () =
-  let program, init_mem = W.Spec.generate profile ~seed ~scale in
-  let binary = binary_for core program in
-  let out = Emulator.run ~max_steps:(50 * scale) ~init_mem binary in
-  let trace = Option.get out.Emulator.trace in
-  let c =
-    U.Core.run ?probe ~warm_data:(List.map fst init_mem)
-      (machine_cfg ~core ~width) trace
-  in
-  (c, trace)
+(* run and trace prepare their benchmark in a ctx of their own: the
+   daemon's shared [env.ctx] would keep one full trace per distinct
+   (benchmark, seed, scale, binary) for its whole life. *)
+let prepare_one ~(profile : W.Spec.profile) ~seed ~scale =
+  let ctx = Sim.Suite.create_ctx () in
+  (ctx, Sim.Suite.prepare ctx ~seed ~scale profile)
 
 (* Wire a Runner/Sweep on_done hook to the caller's progress stream. The
    hook fires on worker domains: count and emission happen under one
@@ -128,10 +120,12 @@ let exec_run (r : Request.run) =
   let* profile = find_bench r.Request.r_bench in
   let* scale = positive "scale" r.Request.r_scale in
   let* width = check_width r.Request.r_width in
-  let seed = r.Request.r_seed and core = r.Request.r_core in
+  let cfg = machine_cfg ~core:r.Request.r_core ~width in
+  let prepare () = prepare_one ~profile ~seed:r.Request.r_seed ~scale in
   match r.Request.r_sample with
   | None ->
-      let res = U.Core.result (fst (simulate ~profile ~seed ~scale ~core ~width ())) in
+      let ctx, p = prepare () in
+      let res = Sim.Suite.run ctx p cfg in
       let b = Buffer.create 1024 in
       Printf.ksprintf (Buffer.add_string b) "%s on %s\n" profile.W.Spec.name
         res.U.Core.config_name;
@@ -139,13 +133,8 @@ let exec_run (r : Request.run) =
       Ok (Response.Run_done { text = Buffer.contents b; sampled = None })
   | Some sm ->
       let* spec = spec_of_sample sm in
-      let program, init_mem = W.Spec.generate profile ~seed ~scale in
-      let cfg = machine_cfg ~core ~width in
-      let t =
-        Braid_sample.Driver.run ~init_mem
-          ~warm_data:(List.map fst init_mem)
-          ~max_steps:(50 * scale) ~spec cfg (binary_for core program)
-      in
+      let ctx, p = prepare () in
+      let t = Sim.Suite.sample ctx p ~spec cfg in
       let res = t.Braid_sample.Driver.result in
       let b = Buffer.create 1024 in
       let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -159,7 +148,7 @@ let exec_run (r : Request.run) =
       let sp_error =
         if not sm.Request.sm_verify then None
         else begin
-          let full = U.Core.result (fst (simulate ~profile ~seed ~scale ~core ~width ())) in
+          let full = Sim.Suite.run ctx p cfg in
           let e = Braid_sample.Driver.error_vs ~full t in
           pf "  full-simulation IPC %.3f (sampled error %.2f%%)\n"
             full.U.Core.ipc (100.0 *. e);
@@ -210,21 +199,18 @@ let exec_experiment ?progress env (e : Request.experiment) =
   in
   let b = Buffer.create 4096 in
   List.iter
-    (fun (r, _) ->
+    (fun r ->
       Buffer.add_string b (Sim.Report.render_full r);
       Buffer.add_char b '\n')
     results;
+  Buffer.add_string b (Sim.Report.headline_summary results);
   Option.iter
     (fun cs -> Buffer.add_string b (Sim.Report.render_counters cs))
     counters;
-  (* The served document is deterministic — per-job wall-clock telemetry
-     is omitted (unlike the bench harness's own --json), so a client and
-     the one-shot CLI produce byte-identical files. The "jobs" field
-     records the *requested* parallelism: output never depends on it. *)
-  let doc =
-    Sim.Report.to_json ?counters ~scale ~jobs
-      (List.map (fun (r, _) -> (r, None)) results)
-  in
+  (* The document is deterministic, so a client and the one-shot CLI
+     produce byte-identical files. The "jobs" field records the
+     *requested* parallelism: output never depends on it. *)
+  let doc = Sim.Report.to_json ?counters ~scale ~jobs results in
   Ok (Response.Experiment_done { text = Buffer.contents b; doc })
 
 (* --- sweep --- *)
@@ -305,14 +291,12 @@ let exec_trace (t : Request.trace) =
   let* scale = positive "scale" t.Request.t_scale in
   let* width = check_width t.Request.t_width in
   let* buffer = positive "buffer" t.Request.t_buffer in
-  let core = t.Request.t_core in
+  let cfg = machine_cfg ~core:t.Request.t_core ~width in
   let tracer = Obs.Tracer.create ~capacity:buffer () in
-  let probe =
-    U.Probe.create ~tracer ~invariants:false (machine_cfg ~core ~width)
-  in
-  let c, trace =
-    simulate ~probe ~profile ~seed:t.Request.t_seed ~scale ~core ~width ()
-  in
+  let probe = U.Probe.create ~tracer ~invariants:false cfg in
+  let _, p = prepare_one ~profile ~seed:t.Request.t_seed ~scale in
+  let trace = Sim.Suite.trace p cfg in
+  let c = U.Core.run ~probe ~warm_data:p.Sim.Suite.warm_data cfg trace in
   let r = U.Core.result c in
   let events = Obs.Tracer.events tracer in
   let label uid = Disasm.instr trace.Trace.events.(uid).Trace.instr in
@@ -433,8 +417,6 @@ let exec_rv (v : Request.rv) =
     rv.Rv.Emu.steps;
   if rv.Rv.Emu.output <> "" then pf "output: %s\n" (String.escaped rv.Rv.Emu.output);
   pf "translated: %d IR instructions retired\n" ir.Emulator.dynamic_count;
-  (* Same compile/emulate/simulate chain as [simulate], with the program
-     coming from the RV frontend instead of a workload generator. *)
   List.iter
     (fun core ->
       let cfg = U.Config.preset_of_kind core in

@@ -7,9 +7,11 @@
 
 type env = {
   ctx : Braid_sim.Suite.ctx;
-      (** shared memoisation context: a daemon keeps one for its whole
-          lifetime, so anything warm (prepared traces, simulation results)
-          is reused across requests and clients *)
+      (** shared memoisation context of experiment, sweep and cmp
+          requests: a daemon keeps one for its whole lifetime, so anything
+          warm (prepared traces, simulation results) is reused across
+          requests and clients. [run] and [trace] prepare in a ctx of
+          their own, so the daemon keeps no trace per served run. *)
   counters : Braid_obs.Counters.t;
       (** the daemon's live counters ([dse.simulations],
           [dse.cache_hits]); a fresh, unread registry one-shot *)

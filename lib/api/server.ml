@@ -201,6 +201,10 @@ let reader_loop t conn =
   in
   Fun.protect
     ~finally:(fun () ->
+      (* deregister before closing: the drain in [run] shuts down only
+         registered descriptors, and a closed one's number may be reused *)
+      Mutex.protect t.mutex (fun () ->
+          t.conns <- List.filter (fun (c, _) -> c != conn) t.conns);
       Mutex.protect conn.c_wmutex (fun () -> conn.c_alive <- false);
       (* both channels share the descriptor: close it exactly once, or the
          second close can hit a descriptor number that a concurrent accept
@@ -267,9 +271,11 @@ let run t =
           match Unix.accept t.listen_fd with
           | exception Unix.Unix_error (_, _, _) -> accept_loop ()
           | fd, _ ->
-              let conn =
-                Mutex.protect t.mutex (fun () ->
-                    t.next_client <- t.next_client + 1;
+              (* register under the mutex the reader needs to deregister,
+                 so even an instant disconnect leaves no stale entry *)
+              Mutex.protect t.mutex (fun () ->
+                  t.next_client <- t.next_client + 1;
+                  let conn =
                     {
                       c_fd = fd;
                       c_ic = Unix.in_channel_of_descr fd;
@@ -277,11 +283,9 @@ let run t =
                       c_wmutex = Mutex.create ();
                       c_client = t.next_client;
                       c_alive = true;
-                    })
-              in
-              let thread = Thread.create (reader_loop t) conn in
-              Mutex.protect t.mutex (fun () ->
-                  t.conns <- (conn, thread) :: t.conns);
+                    }
+                  in
+                  t.conns <- (conn, Thread.create (reader_loop t) conn) :: t.conns);
               accept_loop ())
   in
   accept_loop ();
@@ -290,11 +294,15 @@ let run t =
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   Addr.cleanup t.cfg.addr;
   Thread.join executor;
-  (* Unblock reader threads parked in Wire.read, then collect them. *)
-  let conns = Mutex.protect t.mutex (fun () -> t.conns) in
-  List.iter
-    (fun (conn, _) ->
-      try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL
-      with Unix.Unix_error _ -> ())
-    conns;
+  (* Unblock reader threads parked in Wire.read, then collect them. The
+     mutex keeps every listed descriptor open while it is shut down. *)
+  let conns =
+    Mutex.protect t.mutex (fun () ->
+        List.iter
+          (fun (conn, _) ->
+            try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL
+            with Unix.Unix_error _ -> ())
+          t.conns;
+        t.conns)
+  in
   List.iter (fun (_, thread) -> Thread.join thread) conns

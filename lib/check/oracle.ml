@@ -86,9 +86,8 @@ let check ?(invariants = true) ?(cores = default_cores) ?inject_commit program
       let name = Config.Core_kind.to_string kind in
       let cfg = Config.preset_of_kind kind in
       let out, bin_mem =
-        match kind with
-        | Config.Braid_exec | Config.Cgooo -> (braid_out, braid_mem)
-        | _ -> (conv_out, conv_mem)
+        if Config.Core_kind.braid_binary kind then (braid_out, braid_mem)
+        else (conv_out, conv_mem)
       in
       let trace =
         match out.Emulator.trace with Some t -> t | None -> assert false

@@ -1,10 +1,8 @@
-(** Cmdliner vocabulary shared by the [braidsim] and [bench] front ends.
-
-    Both executables historically hand-rolled their own core selection,
-    benchmark-name validation and [--seed]/[--scale]/[--jobs] terms; this
-    module is the single copy, built on
-    {!Braid_uarch.Config.Core_kind} so the two CLIs cannot drift from
-    each other or from the api/DSE/fuzz spellings. *)
+(** Cmdliner vocabulary of the [braidsim] front end: core selection,
+    benchmark-name validation and the [--seed]/[--scale]/[--jobs] terms
+    that its one-shot subcommands and [braidsim client] share. Core names
+    come from {!Braid_uarch.Config.Core_kind}, so the CLI cannot drift
+    from the api/DSE/fuzz spellings. *)
 
 val core_kind_conv : Braid_uarch.Config.core_kind Cmdliner.Arg.conv
 (** Parses ["in-order"], ["dep-steer"], ["ooo"], ["braid"]; a typo is a

@@ -18,13 +18,11 @@ let resolve ?(ext_usable = Braid_core.Extalloc.usable_per_class) ctx ~seed
             invalid_arg (Printf.sprintf "Cmp_bench: unknown benchmark %S" name)
       in
       let p = Suite.prepare ctx ~seed ~scale ~ext_usable pr in
-      let trace =
-        match cfg.U.Config.kind with
-        | U.Config.Braid_exec | U.Config.Cgooo -> p.Suite.braid_trace ()
-        | U.Config.In_order | U.Config.Dep_steer | U.Config.Ooo ->
-            p.Suite.conv_trace ()
-      in
-      { Cmp.w_bench = pr.Spec.name; w_trace = trace; w_warm_data = p.Suite.warm_data })
+      {
+        Cmp.w_bench = pr.Spec.name;
+        w_trace = Suite.trace p cfg;
+        w_warm_data = p.Suite.warm_data;
+      })
 
 let run ?probes ?ext_usable ctx ~seed ~scale ~(cfg : U.Config.t)
     (cmp : U.Config.Cmp.t) =

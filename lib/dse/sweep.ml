@@ -30,16 +30,13 @@ type outcome = { results : point_result list; stats : stats }
    budget, exactly as the paper's Fig 6 study does. Conventional binaries
    are always allocated against the full architectural budget. *)
 let ext_usable_of (cfg : Config.t) =
-  match cfg.Config.kind with
-  | Config.Braid_exec | Config.Cgooo ->
-      min cfg.Config.ext_regs Braid_core.Extalloc.usable_per_class
-  | Config.In_order | Config.Dep_steer | Config.Ooo ->
-      Braid_core.Extalloc.usable_per_class
+  if Config.Core_kind.braid_binary cfg.Config.kind then
+    min cfg.Config.ext_regs Braid_core.Extalloc.usable_per_class
+  else Braid_core.Extalloc.usable_per_class
 
+(* the on-disk key's binary label: existing cache directories stay valid *)
 let binary_of (cfg : Config.t) =
-  match cfg.Config.kind with
-  | Config.Braid_exec | Config.Cgooo -> "braid"
-  | Config.In_order | Config.Dep_steer | Config.Ooo -> "conv"
+  if Config.Core_kind.braid_binary cfg.Config.kind then "braid" else "conv"
 
 let key_of ~ctx ~seed ~scale ~cores (cfg : Config.t) (pr : Spec.profile) =
   {
@@ -60,11 +57,7 @@ let key_of ~ctx ~seed ~scale ~cores (cfg : Config.t) (pr : Spec.profile) =
 
 let simulate ~ctx ~seed ~scale (cfg : Config.t) (pr : Spec.profile) =
   let p = Suite.prepare ctx ~seed ~scale ~ext_usable:(ext_usable_of cfg) pr in
-  let r =
-    match cfg.Config.kind with
-    | Config.Braid_exec | Config.Cgooo -> Suite.run_braid ctx p cfg
-    | Config.In_order | Config.Dep_steer | Config.Ooo -> Suite.run_conv ctx p cfg
-  in
+  let r = Suite.run ctx p cfg in
   {
     Cache.cycles = r.Braid_uarch.Core.cycles;
     instructions = r.Braid_uarch.Core.instructions;
@@ -149,7 +142,7 @@ let run ?counters ?cache ?on_done ~ctx ~jobs ~seed ~scale
         let runs =
           List.mapi
             (fun bi (pr : Spec.profile) ->
-              let (e : Cache.entry), from_cache = fst out.((pi * nbench) + bi) in
+              let (e : Cache.entry), from_cache = out.((pi * nbench) + bi) in
               {
                 bench = pr.Spec.name;
                 cycles = e.Cache.cycles;

@@ -268,11 +268,6 @@ let measure ?(warm_data = []) (p : plan) (cfg : U.Config.t) =
     result;
   }
 
-let run ?(init_mem = []) ?(warm_data = []) ?max_steps ~spec cfg program =
-  let code = Emulator.Compiled.compile program in
-  let p = plan ~init_mem ?max_steps ~spec code in
-  measure ~warm_data p cfg
-
 let error_vs ~full (t : t) =
   let f = full.U.Core.ipc in
   if f = 0.0 then 0.0 else Float.abs (t.ipc -. f) /. f

@@ -49,16 +49,6 @@ val measure :
     suffix ([Core.run ~measure_from]); aggregate by weighted CPI.
     [warm_data] is passed through to every interval's pipeline run. *)
 
-val run :
-  ?init_mem:(int * int64) list ->
-  ?warm_data:int list ->
-  ?max_steps:int ->
-  spec:Spec.t ->
-  Braid_uarch.Config.t ->
-  Program.t ->
-  t
-(** [measure (plan ...)] for a single configuration. *)
-
 val error_vs : full:Braid_uarch.Core.result -> t -> float
 (** Relative IPC error against a full simulation of the same program:
     [|sampled - full| / full]. *)

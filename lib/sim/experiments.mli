@@ -1,8 +1,8 @@
 (** One experiment per table and figure of the paper's evaluation, plus the
     ablations DESIGN.md calls out. Each experiment produces a *typed* result
     — float-carrying rows, series and headline metrics — that downstream
-    consumers (the {!Report} renderer, the JSON exporter, the bench harness)
-    interpret; nothing here is pre-rendered text.
+    consumers (the {!Report} text renderer and JSON exporter) interpret;
+    nothing here is pre-rendered text.
 
     An experiment decomposes into one pure job per benchmark
     ({!field:bench_job}) plus a cheap {!field:assemble} step that folds the

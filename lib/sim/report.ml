@@ -137,35 +137,16 @@ let json_of_series (s : E.series) =
 let json_of_metric (m : E.metric) =
   json_obj [ ("label", json_string m.E.m_label); ("value", json_float m.E.value) ]
 
-let json_of_telemetry (t : Runner.telemetry) =
+let json_of_result (r : E.result) =
   json_obj
     [
-      ("job", json_string t.Runner.job_label);
-      ("wall_s", json_float t.Runner.wall_s);
-      ("wall_ms", json_float (1000.0 *. t.Runner.wall_s));
-      ("domain", string_of_int t.Runner.domain);
+      ("id", json_string r.E.id);
+      ("title", json_string r.E.title);
+      ("paper_expectation", json_string r.E.paper_expectation);
+      ("series", json_list json_of_series r.E.series);
+      ("notes", json_list json_string r.E.notes);
+      ("headline", json_list json_of_metric r.E.headline);
     ]
-
-let json_of_result ((r : E.result), (stats : Runner.stats option)) =
-  let timing =
-    match stats with
-    | None -> []
-    | Some s ->
-        [
-          ("wall_s", json_float s.Runner.wall_s);
-          ("jobs", json_list json_of_telemetry s.Runner.jobs);
-        ]
-  in
-  json_obj
-    ([
-       ("id", json_string r.E.id);
-       ("title", json_string r.E.title);
-       ("paper_expectation", json_string r.E.paper_expectation);
-       ("series", json_list json_of_series r.E.series);
-       ("notes", json_list json_string r.E.notes);
-       ("headline", json_list json_of_metric r.E.headline);
-     ]
-    @ timing)
 
 let json_of_counter_value = function
   | Braid_uarch.Core.Count n -> string_of_int n
@@ -189,23 +170,15 @@ let json_of_counters (cs : Experiments.counters) =
 
 (* the "counters" key exists only when requested, so default output is
    byte-identical with or without the observability build *)
-let to_json ?counters ~scale ~jobs items =
+let to_json ?counters ~scale ~jobs results =
   json_obj
     ([
        ("scale", string_of_int scale);
        ("jobs", string_of_int jobs);
-       ("experiments", json_list json_of_result items);
+       ("experiments", json_list json_of_result results);
      ]
     @
     match counters with
     | None -> []
     | Some cs -> [ ("counters", json_of_counters cs) ])
   ^ "\n"
-
-let write_json ?counters ~file ~scale ~jobs items =
-  let doc = to_json ?counters ~scale ~jobs items in
-  if file = "-" then print_string doc
-  else begin
-    let oc = open_out file in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc doc)
-  end

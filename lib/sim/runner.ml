@@ -2,22 +2,15 @@ module Spec = Braid_workload.Spec
 
 exception Job_failed of { label : string; error : exn }
 
-type telemetry = { job_label : string; wall_s : float; domain : int }
-
 type job_error = {
   e_label : string;
   error : exn;
   backtrace : Printexc.raw_backtrace;
 }
 
-type 'a job_outcome = ('a * telemetry, job_error) result
-
-let default_jobs () = Domain.recommended_domain_count ()
-
-let run_one ~domain (label, f) : _ job_outcome =
-  let t0 = Unix.gettimeofday () in
+let run_one (label, f) =
   match f () with
-  | v -> Ok (v, { job_label = label; wall_s = Unix.gettimeofday () -. t0; domain })
+  | v -> Ok v
   | exception error ->
       let bt = Printexc.get_raw_backtrace () in
       Error { e_label = label; error; backtrace = bt }
@@ -36,22 +29,22 @@ let try_map_jobs ?(on_done = fun _ _ -> ()) ~jobs work =
     on_done i (fst work.(i))
   in
   (if pool <= 1 then
-     Array.iteri (fun i job -> finish i (run_one ~domain:0 job)) work
+     Array.iteri (fun i job -> finish i (run_one job)) work
    else
      (* Work-stealing from a shared counter: each index is claimed by exactly
         one domain, so every slot has a single writer. *)
      let next = Atomic.make 0 in
-     let worker domain () =
+     let worker () =
        let rec loop () =
          let i = Atomic.fetch_and_add next 1 in
          if i < n then begin
-           finish i (run_one ~domain work.(i));
+           finish i (run_one work.(i));
            loop ()
          end
        in
        loop ()
      in
-     let domains = List.init pool (fun d -> Domain.spawn (worker d)) in
+     let domains = List.init pool (fun _ -> Domain.spawn worker) in
      List.iter Domain.join domains);
   Array.map (function Some o -> o | None -> assert false) slots
 
@@ -64,8 +57,6 @@ let map_jobs ?on_done ~jobs work =
             (Job_failed { label = e_label; error })
             backtrace)
     (try_map_jobs ?on_done ~jobs work)
-
-type stats = { wall_s : float; jobs : telemetry list }
 
 let experiment_work ~ctx ~scale exps =
   Array.of_list
@@ -84,13 +75,8 @@ let run_experiments ?on_done ~ctx ~jobs ~scale exps =
   let nbench = List.length Spec.all in
   List.mapi
     (fun ei (e : Experiments.t) ->
-      let slice = Array.sub out (ei * nbench) nbench in
-      let cells = List.mapi (fun bi pr -> (pr, fst slice.(bi))) Spec.all in
-      let telemetry = Array.to_list (Array.map snd slice) in
-      let wall_s =
-        List.fold_left (fun acc (t : telemetry) -> acc +. t.wall_s) 0.0 telemetry
-      in
-      (e.Experiments.assemble ctx ~scale cells, { wall_s; jobs = telemetry }))
+      let cells = List.mapi (fun bi pr -> (pr, out.((ei * nbench) + bi))) Spec.all in
+      e.Experiments.assemble ctx ~scale cells)
     exps
 
 let experiment_job_count exps =

@@ -3,10 +3,10 @@
 
     Jobs are handed out from a shared atomic counter; each result lands in
     the slot matching its input index, so output order is deterministic and
-    independent of the number of domains or scheduling. Every job carries
-    per-job wall-clock telemetry. With [jobs <= 1] (or a single-job input)
-    the pool degrades gracefully to a plain serial loop on the calling
-    domain — no domains are spawned.
+    independent of the number of domains or scheduling. With [jobs <= 1]
+    (or a single-job input) the pool degrades gracefully to a plain serial
+    loop on the calling domain — no domains are spawned. Jobs are not
+    timed: [perfbench/] is the one timing harness.
 
     A raising job never poisons the batch: {!try_map_jobs} captures the
     failure in that job's own slot while every other job still runs to
@@ -23,29 +23,17 @@ exception Job_failed of { label : string; error : exn }
     several jobs fail, the one with the lowest input index is reported;
     its backtrace is the failing job's. *)
 
-type telemetry = {
-  job_label : string;
-  wall_s : float;  (** wall-clock seconds spent in the job *)
-  domain : int;  (** pool slot (0 = the calling domain when serial) *)
-}
-
 type job_error = {
   e_label : string;  (** the failing job's label *)
   error : exn;
   backtrace : Printexc.raw_backtrace;
 }
 
-type 'a job_outcome = ('a * telemetry, job_error) result
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — the pool size used when a front
-    end passes [--jobs 0]. *)
-
 val try_map_jobs :
   ?on_done:(int -> string -> unit) ->
   jobs:int ->
   (string * (unit -> 'a)) array ->
-  'a job_outcome array
+  ('a, job_error) result array
 (** Run every labelled thunk; a job that raises yields [Error] in its own
     slot and nothing else is affected. [on_done i label] fires as slot [i]
     finishes (success or failure) — on the worker domain, so the callback
@@ -55,16 +43,11 @@ val map_jobs :
   ?on_done:(int -> string -> unit) ->
   jobs:int ->
   (string * (unit -> 'a)) array ->
-  ('a * telemetry) array
+  'a array
 (** [try_map_jobs] that re-raises the lowest-indexed failure as
     {!Job_failed} after the whole batch has drained. At most [jobs]
     domains run concurrently; [jobs <= 1] runs serially on the calling
     domain. *)
-
-type stats = {
-  wall_s : float;  (** summed wall-clock of the experiment's jobs *)
-  jobs : telemetry list;  (** per-benchmark telemetry, suite order *)
-}
 
 val run_experiments :
   ?on_done:(int -> string -> unit) ->
@@ -72,7 +55,7 @@ val run_experiments :
   jobs:int ->
   scale:int ->
   Experiments.t list ->
-  (Experiments.result * stats) list
+  Experiments.result list
 (** Fan the (experiment × benchmark) job matrix out across the pool, then
     assemble each experiment's typed result. Results are returned in the
     order the experiments were given and are identical for every [jobs]

@@ -122,48 +122,47 @@ let prepare ctx ?(seed = 1) ?(scale = default_scale)
         braid_trace = lazy_trace "braid" braid.Braid_core.Transform.program;
       })
 
-let binary_of ~which p =
-  match which with
-  | `Conv -> p.conventional.Braid_core.Extalloc.program
-  | `Braid -> p.braid.Braid_core.Transform.program
+let braid_binary (cfg : Braid_uarch.Config.t) =
+  Braid_uarch.Config.Core_kind.braid_binary cfg.Braid_uarch.Config.kind
+
+let trace p cfg = (if braid_binary cfg then p.braid_trace else p.conv_trace) ()
+
+(* Memo keys are content, so a hit may have been computed under another
+   name: the result carries the caller's. *)
+let renamed (cfg : Braid_uarch.Config.t) (r : Braid_uarch.Core.result) =
+  { r with Braid_uarch.Core.config_name = cfg.Braid_uarch.Config.name }
 
 (* The plan (fast-forward + BBV + clustering) is core-independent: one
    per (preparation, binary, spec) serves every configuration. *)
-let sample_plan ctx ~label ~which p (spec : Braid_sample.Spec.t) =
-  let key =
-    Printf.sprintf "plan/%s/%s/%s" p.key label (Braid_sample.Spec.digest spec)
+let sample_plan ctx p (spec : Braid_sample.Spec.t) cfg =
+  let label, program =
+    if braid_binary cfg then ("braid", p.braid.Braid_core.Transform.program)
+    else ("conv", p.conventional.Braid_core.Extalloc.program)
   in
+  let key = String.concat "/" [ p.key; label; Braid_sample.Spec.digest spec ] in
   memoise ctx ctx.plans key (fun () ->
-      let code = Emulator.Compiled.compile (binary_of ~which p) in
-      Braid_sample.Driver.plan ~init_mem:p.init_mem
-        ~max_steps:(50 * p.scale) ~spec code)
+      Braid_sample.Driver.plan ~init_mem:p.init_mem ~max_steps:(50 * p.scale)
+        ~spec
+        (Emulator.Compiled.compile program))
 
-let sample_on ctx ~label ~which p ~spec (cfg : Braid_uarch.Config.t) =
-  let key =
-    Printf.sprintf "sample/%s/%s/%s/%s" cfg.Braid_uarch.Config.name p.key label
-      (Braid_sample.Spec.digest spec)
+let run_key p cfg = p.key ^ "/" ^ Braid_uarch.Config.digest cfg
+
+let sample ctx p ~spec cfg =
+  let key = run_key p cfg ^ "/" ^ Braid_sample.Spec.digest spec in
+  let t =
+    memoise ctx ctx.samples key (fun () ->
+        Braid_sample.Driver.measure ~warm_data:p.warm_data
+          (sample_plan ctx p spec cfg) cfg)
   in
-  memoise ctx ctx.samples key (fun () ->
-      let plan = sample_plan ctx ~label ~which p spec in
-      Braid_sample.Driver.measure ~warm_data:p.warm_data plan cfg)
+  { t with Braid_sample.Driver.result = renamed cfg t.Braid_sample.Driver.result }
 
-let sample_conv ctx p ~spec cfg = sample_on ctx ~label:"conv" ~which:`Conv p ~spec cfg
-let sample_braid ctx p ~spec cfg = sample_on ctx ~label:"braid" ~which:`Braid p ~spec cfg
-
-let run_on ctx ~label ~which p (cfg : Braid_uarch.Config.t) =
+let run ctx p cfg =
   match ctx.sample with
-  | Some spec ->
-      (sample_on ctx ~label ~which p ~spec cfg).Braid_sample.Driver.result
+  | Some spec -> (sample ctx p ~spec cfg).Braid_sample.Driver.result
   | None ->
-      let trace =
-        (match which with `Conv -> p.conv_trace | `Braid -> p.braid_trace) ()
-      in
-      let key =
-        Printf.sprintf "%s/%s/%s/%d" cfg.Braid_uarch.Config.name
-          p.profile.Braid_workload.Spec.name label (Trace.length trace)
-      in
-      memoise ctx ctx.runs key (fun () ->
-          Braid_uarch.Core.result (Braid_uarch.Core.run ~warm_data:p.warm_data cfg trace))
+      renamed cfg
+        (memoise ctx ctx.runs (run_key p cfg) (fun () ->
+             Braid_uarch.Core.result
+               (Braid_uarch.Core.run ~warm_data:p.warm_data cfg (trace p cfg))))
 
-let run_conv ctx p cfg = run_on ctx ~label:"conv" ~which:`Conv p cfg
-let run_braid ctx p cfg = run_on ctx ~label:"braid" ~which:`Braid p cfg
+let run_braid = run

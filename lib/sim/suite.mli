@@ -7,10 +7,15 @@
     outside the lock so simulations overlap. Two domains racing on the same
     key may duplicate work, but every caller observes one canonical value.
 
-    A ctx optionally carries a sampling spec: {!run_conv} / {!run_braid}
-    on a sampling ctx return SimPoint-style sampled results extrapolated
-    to full-run shape instead of simulating every instruction, and full
-    traces are never materialised unless something forces them.
+    Every front end simulates a benchmark through {!run} or {!sample}.
+    Their memo keys are content: the preparation's [key] plus
+    the configuration's {!Braid_uarch.Config.digest} (and the sampling
+    spec's digest), so a configuration's name is only a label.
+
+    A ctx optionally carries a sampling spec: {!run} on a sampling ctx
+    returns SimPoint-style sampled results extrapolated to full-run shape
+    instead of simulating every instruction, and full traces are never
+    materialised unless something forces them.
 
     [scale] targets the dynamic trace length (the MinneSPEC-style reduced
     run); [ext_usable] recompiles the braid binary with a restricted
@@ -25,7 +30,9 @@ type prepared = {
   conventional : Braid_core.Extalloc.result;
   braid : Braid_core.Transform.report;
   scale : int;  (** the dynamic-length target this was prepared at *)
-  key : string;  (** memoisation key of this preparation *)
+  key : string;
+      (** memoisation key of this preparation: benchmark, seed, scale,
+          [max_internal] and [ext_usable] *)
   conv_trace : unit -> Trace.t;
       (** full execution trace of the conventional binary; computed on
           first call, memoised in the ctx (thread-safe). Sampled runs
@@ -39,8 +46,8 @@ type ctx
     there is no global mutable cache. *)
 
 val create_ctx : ?sample:Braid_sample.Spec.t -> unit -> ctx
-(** With [sample], every {!run_conv} / {!run_braid} call on this ctx uses
-    sampled simulation with that spec. *)
+(** With [sample], every {!run} call on this ctx uses sampled simulation
+    with that spec. *)
 
 val sampling : ctx -> Braid_sample.Spec.t option
 
@@ -57,32 +64,34 @@ val prepare :
   prepared
 (** Memoised on all parameters. *)
 
-val run_conv :
+val trace : prepared -> Braid_uarch.Config.t -> Trace.t
+(** The trace of the binary [cfg.kind] runs
+    ({!Braid_uarch.Config.Core_kind.braid_binary}): [braid_trace] on a
+    braid or cgooo core, [conv_trace] otherwise. *)
+
+val run :
   ctx -> prepared -> Braid_uarch.Config.t -> Braid_uarch.Core.result
-(** Runs the conventional binary's trace (in-order / dep-steer / OoO
-    machines). Memoised on the configuration name, so configuration
-    variants must carry distinct names. On a sampling ctx this is the
-    sampled estimate's extrapolated result ({!Braid_sample.Driver.t}). *)
+(** Simulates [cfg] on {!trace}[ p cfg]. Memoised on [p.key] plus
+    {!Braid_uarch.Config.digest}[ cfg]: the key is what is simulated, so
+    two configurations with equal parameters share one simulation
+    whatever they are called, and the result always carries the caller's
+    [cfg.name] as its [config_name]. On a sampling ctx this is the
+    sampled estimate's extrapolated result ({!sample}). *)
 
 val run_braid :
   ctx -> prepared -> Braid_uarch.Config.t -> Braid_uarch.Core.result
-(** Runs the braid binary's trace (braid machines). Memoised likewise. *)
+(** {!run} under the name the end-to-end benchmark ([perfbench/]) calls
+    it by; it picks the binary from [cfg.kind] like {!run}. *)
 
-val sample_conv :
+val sample :
   ctx ->
   prepared ->
   spec:Braid_sample.Spec.t ->
   Braid_uarch.Config.t ->
   Braid_sample.Driver.t
-(** Sampled simulation of the conventional binary with full detail
+(** Sampled simulation of the binary [cfg.kind] runs, with full detail
     (representatives, weights, per-interval IPCs) regardless of the ctx's
-    own sampling mode. The core-independent plan and the per-core
-    measurement are both memoised. *)
-
-val sample_braid :
-  ctx ->
-  prepared ->
-  spec:Braid_sample.Spec.t ->
-  Braid_uarch.Config.t ->
-  Braid_sample.Driver.t
-(** Likewise for the braid binary. *)
+    own sampling mode. Memoised on {!run}'s key plus
+    {!Braid_sample.Spec.digest}[ spec], and renamed to [cfg.name] like
+    {!run}. The core-independent plan is memoised once per (preparation,
+    binary, spec) and serves every configuration. *)

@@ -256,10 +256,13 @@ module Core_kind = struct
         Error
           (Printf.sprintf "unknown core kind %S (expected %s)" s
              (String.concat ", " names))
+
+  let braid_binary = function
+    | Braid_exec | Cgooo -> true
+    | In_order | Dep_steer | Ooo -> false
 end
 
 let kind_to_string = Core_kind.to_string
-let kind_of_string = Core_kind.of_string
 
 let predictor_to_string = function
   | Perceptron -> "perceptron"

@@ -148,13 +148,15 @@ module Core_kind : sig
   val of_string : string -> (t, string) result
   (** Inverse of {!to_string} (case-insensitive, trimmed); the error
       lists every valid name. *)
+
+  val braid_binary : t -> bool
+  (** Whether the kind runs the braid binary (braid, cgooo) rather than
+      the conventional one (in-order, dep-steer, ooo). The one rule by
+      which every front end picks a binary or its trace. *)
 end
 
 val kind_to_string : core_kind -> string
 (** [Core_kind.to_string]. *)
-
-val kind_of_string : string -> (core_kind, string) result
-(** [Core_kind.of_string]. *)
 
 val predictor_to_string : predictor_kind -> string
 val predictor_of_string : string -> (predictor_kind, string) result

@@ -118,14 +118,13 @@ let check_bits t s ~cycle (e : Trace.event) =
   let int_reads = internal_reads ins in
   if e.Trace.int_src_reads <> int_reads then
     bad "bits.T" "internal source count disagrees with the T bits";
-  match s.cfg.Config.kind with
-  | Config.Braid_exec | Config.Cgooo ->
-      if e.Trace.braid_start && e.Trace.braid_id < 0 then
-        bad "bits.S" "S bit set on an instruction outside any braid"
-  | _ ->
-      if e.Trace.writes_int || int_reads > 0 then
-        bad "bits.internal"
-          "internal register reached a conventional (non-braid) binary"
+  if Config.Core_kind.braid_binary s.cfg.Config.kind then begin
+    if e.Trace.braid_start && e.Trace.braid_id < 0 then
+      bad "bits.S" "S bit set on an instruction outside any braid"
+  end
+  else if e.Trace.writes_int || int_reads > 0 then
+    bad "bits.internal"
+      "internal register reached a conventional (non-braid) binary"
 
 let on_fetch t ~cycle (e : Trace.event) =
   match t with
@@ -204,11 +203,7 @@ let check_wakeup t s (v : slots) ~cycle u (e : Trace.event) =
                visible);
         (* internal (local) values are confined to the producing braid and
            its BEU / block window on both cores that carry them *)
-        if
-          via
-          && (s.cfg.Config.kind = Config.Braid_exec
-             || s.cfg.Config.kind = Config.Cgooo)
-        then begin
+        if via && Config.Core_kind.braid_binary s.cfg.Config.kind then begin
           if v.beu.(p) <> v.beu.(u) then
             report t ~invariant:"internal.cross-beu" ~cycle ~uid:u
               (Printf.sprintf "internal value of %d (BEU %d) read on BEU %d" p

@@ -1,8 +1,8 @@
 (** Plain-text rendering of tables and bar charts.
 
-    The bench harness reproduces each of the paper's tables and figures as
-    text; this module owns the formatting so every experiment prints with a
-    consistent look. *)
+    [braidsim experiment] reproduces each of the paper's tables and
+    figures as text; this module owns the formatting so every experiment
+    prints with a consistent look. *)
 
 val table : header:string list -> rows:string list list -> string
 (** Column-aligned table with a rule under the header. All rows must have

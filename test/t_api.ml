@@ -1,8 +1,9 @@
 (* The braidsim-api/1 surface: request/response JSON round-trips, schema
    and framing rejection, bounded round-robin admission, and an end-to-end
    daemon over a Unix socket — concurrent clients, CLI-vs-served document
-   byte-identity, warm sweeps answered with zero simulations, and graceful
-   shutdown. *)
+   byte-identity (also across a chain of near-identical requests), warm
+   sweeps answered with zero simulations, graceful shutdown, and finished
+   connections leaving the daemon's books. *)
 
 module U = Braid_uarch
 module Api = Braid_api
@@ -659,6 +660,126 @@ let test_graceful_shutdown () =
       Thread.join th;
       Alcotest.(check bool) "socket removed" false (Sys.file_exists sock)
 
+(* One daemon, a seeded chain of sweeps: each request copies an earlier
+   one and changes one field (seed, scale, preset, one axis value or the
+   sampling spec), and every reply must equal a fresh one-shot execution.
+   bzip2's braid binary runs equally long traces at scale 12000 for every
+   seed drawn here, so a memo keyed on less than the simulated content
+   answers from the wrong seed. *)
+let test_served_differential () =
+  let base =
+    {
+      Req.s_preset = U.Config.Braid_exec;
+      s_axes = [ "clusters=4,8" ];
+      s_mode = Braid_dse.Grid.Cartesian;
+      s_benches = [ "bzip2" ];
+      s_seed = 0;
+      s_scale = 12000;
+      s_jobs = 1;
+      s_cache_dir = None;
+      s_sample = None;
+    }
+  in
+  let sampling interval =
+    Some
+      {
+        Req.sm_interval = interval;
+        sm_max_k = 4;
+        sm_warmup = 500;
+        sm_seed = 1;
+        sm_verify = false;
+      }
+  in
+  let rng = Prng.create 16L in
+  (* a value other than [current], so every step changes its field *)
+  let other current values =
+    let values = List.filter (fun v -> v <> current) values in
+    List.nth values (Prng.int rng (List.length values))
+  in
+  let mutate (s : Req.sweep) =
+    match Prng.int rng 5 with
+    | 0 -> { s with s_seed = other s.Req.s_seed [ 0; 3; 8; 9; 12 ] }
+    | 1 -> { s with s_scale = other s.Req.s_scale [ 8000; 12000 ] }
+    | 2 ->
+        {
+          s with
+          s_preset =
+            other s.Req.s_preset
+              U.Config.[ Braid_exec; Ooo; Dep_steer; Cgooo ];
+        }
+    | 3 ->
+        let axis = List.hd s.Req.s_axes in
+        { s with s_axes = [ other axis [ "clusters=4,8"; "clusters=2,8"; "clusters=4,16" ] ] }
+    | _ -> { s with s_sample = other s.Req.s_sample [ None; sampling 1000; sampling 2000 ] }
+  in
+  let chain = Array.make 10 base in
+  for i = 1 to Array.length chain - 1 do
+    chain.(i) <- mutate chain.(Prng.int rng i)
+  done;
+  let sweep_text what = function
+    | Ok (Resp.Sweep_done { text; doc; _ }) -> (text, doc)
+    | Ok _ -> Alcotest.failf "%s: unexpected payload" what
+    | Error m -> Alcotest.failf "%s: %s" what m
+  in
+  with_server ~jobs:1 (fun addr ->
+      Array.iteri
+        (fun i s ->
+          let what =
+            Printf.sprintf "request %d (%s, seed %d, scale %d, %s%s)" i
+              (U.Config.kind_to_string s.Req.s_preset)
+              s.Req.s_seed s.Req.s_scale (List.hd s.Req.s_axes)
+              (if s.Req.s_sample = None then "" else ", sampled")
+          in
+          let served = sweep_text what (rpc addr (Req.Sweep s)) in
+          let one_shot =
+            sweep_text what
+              (Api.Exec.exec (Api.Exec.one_shot_env ()) (Req.Sweep s))
+          in
+          Alcotest.(check string) (what ^ ": text") (fst one_shot) (fst served);
+          Alcotest.(check string) (what ^ ": document") (snd one_shot) (snd served))
+        chain)
+
+(* A finished connection leaves the daemon's books. Otherwise shutdown
+   still shuts its descriptor down, and by then the number may belong to
+   something else. *)
+let test_descriptor_reuse () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let sock = fresh_path "reuse.sock" in
+  (try Unix.unlink sock with Unix.Unix_error _ -> ());
+  let addr = Api.Addr.Unix_sock sock in
+  match Api.Server.create { Api.Server.addr; jobs = 1; max_queue = 4 } with
+  | Error m -> Alcotest.fail m
+  | Ok server ->
+      let th = Thread.create Api.Server.run server in
+      let idle = open_fds () in
+      (match rpc addr Req.Status with
+      | Ok (Resp.Status_report _) -> ()
+      | Ok _ -> Alcotest.fail "unexpected payload"
+      | Error m -> Alcotest.fail m);
+      (* the client has closed its end; wait for the daemon to close its *)
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while open_fds () > idle && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check int) "daemon closed the connection" idle (open_fds ());
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close a;
+          Unix.close b)
+        (fun () ->
+          Api.Server.stop server;
+          Thread.join th;
+          let sent =
+            try Unix.write_substring a "x" 0 1
+            with Unix.Unix_error (e, _, _) ->
+              Alcotest.failf "write after stop: %s" (Unix.error_message e)
+          in
+          let buf = Bytes.create 1 in
+          Alcotest.(check int) "byte sent" 1 sent;
+          Alcotest.(check int) "byte received" 1 (Unix.read b buf 0 1);
+          Alcotest.(check char) "same byte" 'x' (Bytes.get buf 0))
+
 let suite =
   ( "api",
     [
@@ -678,4 +799,8 @@ let suite =
         test_warm_sweep_zero_simulation;
       Alcotest.test_case "bad request isolated" `Quick test_bad_request_isolated;
       Alcotest.test_case "graceful shutdown" `Quick test_graceful_shutdown;
+      Alcotest.test_case "served matches one-shot across a request chain"
+        `Slow test_served_differential;
+      Alcotest.test_case "shutdown spares reused descriptors" `Quick
+        test_descriptor_reuse;
     ] )

@@ -30,11 +30,9 @@ let kinds = U.Config.Core_kind.all
 let kind_name = U.Config.Core_kind.to_string
 
 let binary_for kind program =
-  match kind with
-  | U.Config.Braid_exec | U.Config.Cgooo ->
-      (C.Transform.run program).C.Transform.program
-  | U.Config.In_order | U.Config.Dep_steer | U.Config.Ooo ->
-      (C.Transform.conventional program).C.Extalloc.program
+  if U.Config.Core_kind.braid_binary kind then
+    (C.Transform.run program).C.Transform.program
+  else (C.Transform.conventional program).C.Extalloc.program
 
 let count_of core name =
   match List.assoc_opt name (U.Core.counters core) with

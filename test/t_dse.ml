@@ -228,7 +228,7 @@ let test_fig6_equivalence () =
       let p =
         Suite.prepare manual_ctx ~seed:1 ~scale:2000 ~ext_usable:usable gzip
       in
-      let r = Suite.run_braid manual_ctx p cfg in
+      let r = Suite.run manual_ctx p cfg in
       let run = List.hd pr.Dse.Sweep.runs in
       Alcotest.(check int) "cycles match a direct run"
         r.Braid_uarch.Core.cycles run.Dse.Sweep.cycles;

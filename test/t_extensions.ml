@@ -160,10 +160,9 @@ let test_complexity_describe () =
 let activity_run name cfg =
   let prog, init_mem = Spec.generate (Spec.find name) ~seed:1 ~scale:1500 in
   let binary =
-    match cfg.U.Config.kind with
-    | U.Config.Braid_exec | U.Config.Cgooo ->
-        (C.Transform.run prog).C.Transform.program
-    | _ -> (C.Transform.conventional prog).C.Extalloc.program
+    if U.Config.Core_kind.braid_binary cfg.U.Config.kind then
+      (C.Transform.run prog).C.Transform.program
+    else (C.Transform.conventional prog).C.Extalloc.program
   in
   let out = Emulator.run ~max_steps:100_000 ~init_mem binary in
   U.Core.result (U.Core.run ~warm_data:(List.map fst init_mem) cfg (Option.get out.Emulator.trace))

@@ -134,11 +134,12 @@ let check_one bench core instrs cycles () =
   let ctx = Lazy.force ctx in
   let p = Suite.prepare ctx ~scale:1200 (Braid_workload.Spec.find bench) in
   let r =
-    match core with
-    | In_order -> Suite.run_conv ctx p U.Config.in_order_8wide
-    | Ooo -> Suite.run_conv ctx p U.Config.ooo_8wide
-    | Braid -> Suite.run_braid ctx p U.Config.braid_8wide
-    | Cgooo -> Suite.run_braid ctx p U.Config.cgooo_8wide
+    Suite.run ctx p
+      (match core with
+      | In_order -> U.Config.in_order_8wide
+      | Ooo -> U.Config.ooo_8wide
+      | Braid -> U.Config.braid_8wide
+      | Cgooo -> U.Config.cgooo_8wide)
   in
   Alcotest.(check int) "instructions" instrs r.U.Core.instructions;
   Alcotest.(check int) "cycles" cycles r.U.Core.cycles;
@@ -146,6 +147,39 @@ let check_one bench core instrs cycles () =
     "ipc"
     (float_of_int instrs /. float_of_int cycles)
     r.U.Core.ipc
+
+(* Suite memoises on content. Seeds 1-3 of all 26 benchmarks on the
+   shared ctx must each equal a fresh ctx's result, although many of them
+   run traces of equal length. Two configs that differ only in name share
+   one simulation, and each result carries its caller's name. *)
+let test_memo_keyed_on_content () =
+  let ctx = Lazy.force ctx in
+  let cfgs = [ U.Config.ooo_8wide; U.Config.braid_8wide ] in
+  List.iter
+    (fun (pr : Braid_workload.Spec.profile) ->
+      List.iter
+        (fun seed ->
+          let fresh = Suite.create_ctx () in
+          let p = Suite.prepare ctx ~seed ~scale:1200 pr in
+          let q = Suite.prepare fresh ~seed ~scale:1200 pr in
+          List.iter
+            (fun (cfg : U.Config.t) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s seed %d on %s: shared ctx = fresh ctx"
+                   pr.Braid_workload.Spec.name seed cfg.U.Config.name)
+                true
+                (Suite.run ctx p cfg = Suite.run fresh q cfg))
+            cfgs)
+        [ 1; 2; 3 ])
+    Braid_workload.Spec.all;
+  let p = Suite.prepare ctx ~scale:1200 (Braid_workload.Spec.find "gzip") in
+  let a = Suite.run ctx p U.Config.braid_8wide in
+  let b = Suite.run ctx p { U.Config.braid_8wide with U.Config.name = "x" } in
+  Alcotest.(check string) "own name" U.Config.braid_8wide.U.Config.name
+    a.U.Core.config_name;
+  Alcotest.(check string) "renamed copy's name" "x" b.U.Core.config_name;
+  Alcotest.(check bool) "equal but for the name" true
+    ({ b with U.Core.config_name = a.U.Core.config_name } = a)
 
 let test_covers_all_benchmarks () =
   (* the table above must track Spec.all: a new benchmark needs golden rows *)
@@ -167,4 +201,5 @@ let suite =
              (Printf.sprintf "%s/%s" bench (core_name core))
              `Slow
              (check_one bench core instrs cycles))
-         golden )
+         golden
+    @ [ Alcotest.test_case "memo keyed on content" `Slow test_memo_keyed_on_content ] )

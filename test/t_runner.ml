@@ -1,5 +1,5 @@
-(* Domain-pool runner: job ordering, exception propagation, telemetry, and
-   the headline guarantee — `--jobs N` and `--jobs 1` produce identical
+(* Domain-pool runner: job ordering, exception propagation, failure
+   isolation, and the headline guarantee — `--jobs N` and `--jobs 1` produce identical
    typed results and byte-identical rendered tables. *)
 
 module E = Braid_sim.Experiments
@@ -14,10 +14,7 @@ let test_pool_ordering () =
     let out = R.map_jobs ~jobs work in
     Alcotest.(check int) "all jobs ran" 23 (Array.length out);
     Array.iteri
-      (fun i (v, (t : R.telemetry)) ->
-        Alcotest.(check int) "results in input order" (i * i) v;
-        Alcotest.(check string) "telemetry label matches slot"
-          (Printf.sprintf "job-%d" i) t.R.job_label)
+      (fun i v -> Alcotest.(check int) "results in input order" (i * i) v)
       out
   in
   check ~jobs:1;
@@ -59,12 +56,10 @@ let test_pool_failure_isolation () =
     Array.iteri
       (fun i outcome ->
         match outcome with
-        | Ok (v, (t : R.telemetry)) ->
+        | Ok v ->
             Alcotest.(check bool) "only healthy slots succeed" true
               (i <> 2 && i <> 5);
-            Alcotest.(check int) "result in input order" (i * 10) v;
-            Alcotest.(check string) "telemetry label"
-              (Printf.sprintf "job-%d" i) t.R.job_label
+            Alcotest.(check int) "result in input order" (i * 10) v
         | Error (e : R.job_error) ->
             Alcotest.(check bool) "only raising slots fail" true
               (i = 2 || i = 5);
@@ -79,17 +74,6 @@ let test_pool_failure_isolation () =
   check ~jobs:1;
   check ~jobs:4
 
-let test_pool_telemetry () =
-  let jobs = 3 in
-  let work = Array.init 10 (fun i -> (string_of_int i, fun () -> i)) in
-  let out = R.map_jobs ~jobs work in
-  Array.iter
-    (fun (_, (t : R.telemetry)) ->
-      Alcotest.(check bool) "wall clock non-negative" true (t.R.wall_s >= 0.0);
-      Alcotest.(check bool) "domain within pool" true
-        (t.R.domain >= 0 && t.R.domain < jobs))
-    out
-
 (* The determinism contract of the ISSUE: two experiments at scale 2000,
    serial vs 4-way parallel, byte-identical rendering and equal typed
    results. Fresh contexts on each side so nothing is shared. *)
@@ -97,7 +81,7 @@ let test_jobs_determinism () =
   let exps = [ E.find "fanout-lifetime"; E.find "table2" ] in
   let batch jobs =
     let ctx = S.create_ctx () in
-    List.map fst (R.run_experiments ~ctx ~jobs ~scale:2000 exps)
+    R.run_experiments ~ctx ~jobs ~scale:2000 exps
   in
   let serial = batch 1 and parallel = batch 4 in
   List.iter2
@@ -118,27 +102,24 @@ let test_jobs_determinism () =
 let test_shared_ctx_parallel () =
   let ctx = S.create_ctx () in
   let exps = [ E.find "table2" ] in
-  let a = List.map fst (R.run_experiments ~ctx ~jobs:4 ~scale:1200 exps) in
-  let b = List.map fst (R.run_experiments ~ctx ~jobs:4 ~scale:1200 exps) in
+  let a = R.run_experiments ~ctx ~jobs:4 ~scale:1200 exps in
+  let b = R.run_experiments ~ctx ~jobs:4 ~scale:1200 exps in
   Alcotest.(check bool) "rerun on a warm context is identical" true (a = b)
 
 let test_json_shape () =
   let ctx = S.create_ctx () in
   let results = R.run_experiments ~ctx ~jobs:2 ~scale:1200 [ E.find "table2" ] in
-  let json =
-    Braid_sim.Report.to_json ~scale:1200 ~jobs:2
-      (List.map (fun (r, st) -> (r, Some st)) results)
-  in
+  let json = Braid_sim.Report.to_json ~scale:1200 ~jobs:2 results in
   List.iter
     (fun fragment ->
       Alcotest.(check bool) ("json mentions " ^ fragment) true
         (Astring_contains.contains json fragment))
     [
       "\"id\":\"table2\""; "\"columns\""; "\"rows\""; "\"label\":\"gcc\"";
-      "\"headline\""; "\"wall_s\""; "\"job\":\"table2/gcc\"";
+      "\"headline\"";
     ]
 
-(* --scale is shared by bench and every braidsim subcommand: a
+(* --scale is shared by every braidsim subcommand: a
    non-positive value is a usage error that names the flag, not a job
    failure deep inside the first simulation. *)
 let test_scale_flag () =
@@ -181,7 +162,6 @@ let suite =
       Alcotest.test_case "pool exception propagation" `Quick test_pool_exception;
       Alcotest.test_case "pool failure isolation" `Quick
         test_pool_failure_isolation;
-      Alcotest.test_case "pool telemetry" `Quick test_pool_telemetry;
       Alcotest.test_case "jobs determinism" `Slow test_jobs_determinism;
       Alcotest.test_case "shared ctx parallel" `Slow test_shared_ctx_parallel;
       Alcotest.test_case "json shape" `Quick test_json_shape;

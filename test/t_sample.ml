@@ -16,18 +16,14 @@ let prepare bench = Suite.prepare (Lazy.force ctx) (W.Spec.find bench)
 
 let cores =
   [
-    ("in-order", `Conv U.Config.in_order_8wide);
-    ("ooo", `Conv U.Config.ooo_8wide);
-    ("braid", `Braid U.Config.braid_8wide);
+    ("in-order", U.Config.in_order_8wide);
+    ("ooo", U.Config.ooo_8wide);
+    ("braid", U.Config.braid_8wide);
   ]
 
-let full_and_sampled ~spec p = function
-  | `Conv cfg ->
-      (Suite.run_conv (Lazy.force ctx) p cfg,
-       Suite.sample_conv (Lazy.force ctx) p ~spec cfg)
-  | `Braid cfg ->
-      (Suite.run_braid (Lazy.force ctx) p cfg,
-       Suite.sample_braid (Lazy.force ctx) p ~spec cfg)
+let full_and_sampled ~spec p cfg =
+  let ctx = Lazy.force ctx in
+  (Suite.run ctx p cfg, Suite.sample ctx p ~spec cfg)
 
 (* --- the acceptance bound: default spec, three benches, three cores --- *)
 
@@ -136,7 +132,7 @@ let test_driver_deterministic () =
   let spec = Sample.Spec.default in
   let run_in ctx =
     let p = Suite.prepare ctx (W.Spec.find "art") in
-    Suite.sample_conv ctx p ~spec U.Config.in_order_8wide
+    Suite.sample ctx p ~spec U.Config.in_order_8wide
   in
   let cold1 = run_in (Suite.create_ctx ()) in
   let warm_ctx = Suite.create_ctx () in
