@@ -314,30 +314,19 @@ let serve_cmd =
             "Admission-queue bound: requests past it are refused, never \
              silently dropped.")
   in
-  let status_arg =
-    Cmdliner.Arg.(
-      value & flag
-      & info [ "status" ]
-          ~doc:
-            "Do not start a server; query the one at --socket and print \
-             its status (shorthand for `braidsim client status`).")
-  in
-  let run spec jobs queue status =
-    if status then
-      client_call ~spec ~progress:false Api.Request.Status Ops.no_output
-    else
-      let addr = parse_addr spec in
-      match Api.Server.create { Api.Server.addr; jobs; max_queue = queue } with
-      | Error msg -> Ops.fail msg
-      | Ok server ->
-          (* Ctrl-C / TERM drain like a Shutdown request instead of
-             killing in-flight jobs. *)
-          let graceful = Sys.Signal_handle (fun _ -> Api.Server.stop server) in
-          Sys.set_signal Sys.sigint graceful;
-          Sys.set_signal Sys.sigterm graceful;
-          Printf.printf "braidsim serve: listening on %s (jobs %d, queue %d)\n%!"
-            (Api.Addr.to_string addr) jobs queue;
-          Api.Server.run server
+  let run spec jobs queue =
+    let addr = parse_addr spec in
+    match Api.Server.create { Api.Server.addr; jobs; max_queue = queue } with
+    | Error msg -> Ops.fail msg
+    | Ok server ->
+        (* Ctrl-C / TERM drain like a Shutdown request instead of
+           killing in-flight jobs. *)
+        let graceful = Sys.Signal_handle (fun _ -> Api.Server.stop server) in
+        Sys.set_signal Sys.sigint graceful;
+        Sys.set_signal Sys.sigterm graceful;
+        Printf.printf "braidsim serve: listening on %s (jobs %d, queue %d)\n%!"
+          (Api.Addr.to_string addr) jobs queue;
+        Api.Server.run server
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "serve"
@@ -346,7 +335,7 @@ let serve_cmd =
           from braidsim client over a Unix or TCP socket, multiplexes \
           them onto one domain pool with per-client fairness, and answers \
           warm sweep points from its cache without simulating.")
-    Cmdliner.Term.(const run $ socket_arg $ jobs_arg $ queue_arg $ status_arg)
+    Cmdliner.Term.(const run $ socket_arg $ jobs_arg $ queue_arg)
 
 let () =
   let info =

@@ -8,14 +8,9 @@ module Ck = Braid_check
 module Rv = Braid_rv
 module E = Sim.Experiments
 
-type env = {
-  ctx : Sim.Suite.ctx;
-  counters : Obs.Counters.t;
-  max_jobs : int option;
-}
+type env = { ctx : Sim.Suite.ctx; max_jobs : int option }
 
-let one_shot_env () =
-  { ctx = Sim.Suite.create_ctx (); counters = Obs.Counters.create (); max_jobs = None }
+let one_shot_env () = { ctx = Sim.Suite.create_ctx (); max_jobs = None }
 
 let ( let* ) = Result.bind
 
@@ -253,7 +248,7 @@ let exec_sweep ?progress env (s : Request.sweep) =
   let* ctx = ctx_for env s.Request.s_sample in
   let on_done = counted_progress progress ~total:(Dse.Sweep.job_count ~benches points) in
   let outcome =
-    Dse.Sweep.run ~counters:env.counters ?cache ?on_done ~ctx
+    Dse.Sweep.run ?cache ?on_done ~ctx
       ~jobs:(effective_jobs env jobs) ~seed:s.Request.s_seed ~scale ~benches
       points
   in

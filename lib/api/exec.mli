@@ -12,17 +12,13 @@ type env = {
           warm (prepared traces, simulation results) is reused across
           requests and clients. [run] and [trace] prepare in a ctx of
           their own, so the daemon keeps no trace per served run. *)
-  counters : Braid_obs.Counters.t;
-      (** the daemon's live counters ([dse.simulations],
-          [dse.cache_hits]); a fresh, unread registry one-shot *)
   max_jobs : int option;
       (** cap on per-request domain-pool width; the requested value is
           still what documents record, since output never depends on it *)
 }
 
 val one_shot_env : unit -> env
-(** Fresh context and counters, no jobs cap — the one-shot CLI's
-    environment. *)
+(** Fresh context, no jobs cap — the one-shot CLI's environment. *)
 
 val exec :
   ?progress:(completed:int -> total:int -> label:string -> unit) ->

@@ -16,9 +16,10 @@ type status = {
   failed : int;
   cancelled : int;
   counters : (string * int) list;
-      (** the daemon's {!Braid_obs} counter registry — includes
-          [dse.simulations] / [dse.cache_hits], the cache-hit-rate
-          evidence *)
+      (** the daemon's totals over served sweeps, [dse.simulations] then
+          [dse.cache_hits] (zero before the first sweep): the
+          cache-hit-rate evidence. Counted with [served], so their sum is
+          the job count of the sweeps [served] includes. *)
 }
 
 type chrome = { c_doc : string; c_events : int; c_tracks : int }

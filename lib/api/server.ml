@@ -1,6 +1,6 @@
 (* The braidsim daemon: accept loop + per-connection reader threads + one
    executor thread, multiplexing every client onto one Exec environment
-   (one Suite context, one domain pool width, one Obs counter registry).
+   (one Suite context, one domain pool width).
 
    Threading model (no async runtime — plain threads + one select):
    - the accept loop polls [select] with a short timeout so it notices the
@@ -18,7 +18,6 @@
    request still gets its terminal frame), then unblocks the reader
    threads by shutting their sockets down and joins them. *)
 
-module Obs = Braid_obs
 module Sim = Braid_sim
 
 type config = { addr : Addr.t; jobs : int; max_queue : int }
@@ -48,6 +47,10 @@ type t = {
   mutable served : int;
   mutable failed : int;
   mutable cancelled : int;
+  (* served sweeps' totals, added under [mutex] with [served] so a
+     status snapshot never shows a sweep half-counted *)
+  mutable simulations : int;
+  mutable cache_hits : int;
   mutable draining : bool;
 }
 
@@ -56,14 +59,8 @@ let create cfg =
   match Addr.listen cfg.addr with
   | Error e -> Error e
   | Ok listen_fd ->
-      let counters = Obs.Counters.create () in
-      (* Pre-register the cache-effectiveness counters so a status request
-         reports them (as zero) before the first sweep, and so the
-         registry's name table is stable once reader threads can look. *)
-      Obs.Counters.add counters "dse.simulations" 0;
-      Obs.Counters.add counters "dse.cache_hits" 0;
       let env =
-        { Exec.ctx = Sim.Suite.create_ctx (); counters; max_jobs = Some cfg.jobs }
+        { Exec.ctx = Sim.Suite.create_ctx (); max_jobs = Some cfg.jobs }
       in
       Ok
         {
@@ -80,6 +77,8 @@ let create cfg =
           served = 0;
           failed = 0;
           cancelled = 0;
+          simulations = 0;
+          cache_hits = 0;
           draining = false;
         }
 
@@ -95,7 +94,6 @@ let send conn response =
         | exception Unix.Unix_error _ -> conn.c_alive <- false)
 
 let status_snapshot t =
-  let counters = Obs.Counters.snapshot t.env.Exec.counters in
   {
     Response.pool_jobs = t.cfg.jobs;
     max_queue = Admission.capacity t.queue;
@@ -104,7 +102,8 @@ let status_snapshot t =
     served = t.served;
     failed = t.failed;
     cancelled = t.cancelled;
-    counters;
+    counters =
+      [ ("dse.simulations", t.simulations); ("dse.cache_hits", t.cache_hits) ];
   }
 
 let handle_control t conn id request =
@@ -239,7 +238,13 @@ let executor_loop t =
         Mutex.protect t.mutex (fun () ->
             t.active <- None;
             match result with
-            | Ok _ -> t.served <- t.served + 1
+            | Ok payload ->
+                t.served <- t.served + 1;
+                (match payload with
+                | Response.Sweep_done { simulated; cache_hits; _ } ->
+                    t.simulations <- t.simulations + simulated;
+                    t.cache_hits <- t.cache_hits + cache_hits
+                | _ -> ())
             | Error _ -> t.failed <- t.failed + 1);
         (match result with
         | Ok payload -> send p.p_conn (Response.Done { id = p.p_id; payload })

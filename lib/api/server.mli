@@ -5,9 +5,14 @@
     shutdown) are answered inline, and simulation work goes through a
     bounded {!Admission} queue with per-client round-robin fairness. A
     single executor thread drains the queue onto the shared {!Exec.env} —
-    one memoisation context and one observability registry for the
-    daemon's whole lifetime, which is what makes repeated sweeps answer
-    from cache without simulating.
+    one memoisation context for the daemon's whole lifetime, which is what
+    makes repeated sweeps answer from cache without simulating.
+
+    [status] reports the daemon's [dse.simulations] and [dse.cache_hits]
+    totals, summed over served sweeps. Each sweep's totals are added under
+    the same lock as its [served] count, so every status snapshot shows
+    [simulations + cache_hits] equal to the job count of the sweeps it
+    counts as served.
 
     Shutdown (the request, or {!stop}) is graceful: admission closes,
     everything already queued still runs to its terminal frame, then

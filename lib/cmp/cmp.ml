@@ -33,8 +33,8 @@ type t = {
   violations : string list;  (* directory-legality scan at the end *)
 }
 
-let run ?probes ?solo_cycles ~(cfg : U.Config.t)
-    ~(cmp : U.Config.Cmp.t) (workloads : workload array) =
+let run ?probes ~solo_cycles ~(cfg : U.Config.t) ~(cmp : U.Config.Cmp.t)
+    (workloads : workload array) =
   let n = Array.length workloads in
   if n = 0 then invalid_arg "Cmp.run: no workloads";
   if n <> cmp.U.Config.Cmp.cores then
@@ -45,22 +45,8 @@ let run ?probes ?solo_cycles ~(cfg : U.Config.t)
   | Some p when Array.length p <> n ->
       invalid_arg "Cmp.run: probes length must equal the core count"
   | _ -> ());
-  (* Solo baselines first (private hierarchies, untouched by the CMP):
-     the per-core slowdown denominator. Skipped when the caller already
-     knows them (memoised suite runs). *)
-  let solo =
-    match solo_cycles with
-    | Some c ->
-        if Array.length c <> n then
-          invalid_arg "Cmp.run: solo_cycles length must equal the core count";
-        c
-    | None ->
-        Array.map
-          (fun w ->
-            (U.Core.result (U.Core.run ~warm_data:w.w_warm_data cfg w.w_trace))
-              .U.Core.cycles)
-          workloads
-  in
+  if Array.length solo_cycles <> n then
+    invalid_arg "Cmp.run: solo_cycles length must equal the core count";
   let shared =
     U.Mem_hier.create_shared
       ~memory_latency:cfg.U.Config.mem.U.Config.memory_latency
@@ -96,9 +82,10 @@ let run ?probes ?solo_cycles ~(cfg : U.Config.t)
              bench = workloads.(i).w_bench;
              result = r;
              counters = U.Core.counters c;
-             solo_cycles = solo.(i);
+             solo_cycles = solo_cycles.(i);
              slowdown =
-               float_of_int r.U.Core.cycles /. float_of_int (max 1 solo.(i));
+               float_of_int r.U.Core.cycles
+               /. float_of_int (max 1 solo_cycles.(i));
            })
          cores)
   in

@@ -45,7 +45,7 @@ type t = {
 
 val run :
   ?probes:Braid_uarch.Probe.t array ->
-  ?solo_cycles:int array ->
+  solo_cycles:int array ->
   cfg:Braid_uarch.Config.t ->
   cmp:Braid_uarch.Config.Cmp.t ->
   workload array ->
@@ -54,11 +54,12 @@ val run :
     caller resolves [cmp.workloads] names to traces, round-robin —
     {!Braid_uarch.Config.Cmp.workload_of}).
 
-    Solo baselines are simulated first over private hierarchies unless
-    [solo_cycles] supplies them (e.g. memoised); they never touch the
-    shared state. A 1-core run over the solo L2 geometry is
-    cycle-identical to a solo [Core.run] — the passthrough proof the golden
-    suite pins.
+    [solo_cycles] gives each core's solo baseline, the slowdown
+    denominator: the cycles of the same workload on the same config over a
+    private hierarchy. {!Cmp_bench.run} takes them from the memoised
+    {!Braid_sim.Suite.run}, so no solo run is simulated twice. A 1-core
+    run over the solo L2 geometry is cycle-identical to a solo [Core.run]
+    — the passthrough proof the golden suite pins.
 
     [probes] attaches one probe per core (commit-stream recording and
     invariant checks for the differential fuzzer).

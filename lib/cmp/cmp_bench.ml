@@ -7,8 +7,8 @@ module Spec = Braid_workload.Spec
    numbers exactly. A sweep overrides it with its per-point budget
    (Sweep.ext_usable_of) so the cores axis compares like binaries with
    its solo points. *)
-let resolve ?(ext_usable = Braid_core.Extalloc.usable_per_class) ctx ~seed
-    ~scale ~(cfg : U.Config.t) (cmp : U.Config.Cmp.t) =
+let preparations ?(ext_usable = Braid_core.Extalloc.usable_per_class) ctx ~seed
+    ~scale (cmp : U.Config.Cmp.t) =
   Array.init cmp.U.Config.Cmp.cores (fun i ->
       let name = U.Config.Cmp.workload_of cmp i in
       let pr =
@@ -17,14 +17,24 @@ let resolve ?(ext_usable = Braid_core.Extalloc.usable_per_class) ctx ~seed
         | exception Not_found ->
             invalid_arg (Printf.sprintf "Cmp_bench: unknown benchmark %S" name)
       in
-      let p = Suite.prepare ctx ~seed ~scale ~ext_usable pr in
-      {
-        Cmp.w_bench = pr.Spec.name;
-        w_trace = Suite.trace p cfg;
-        w_warm_data = p.Suite.warm_data;
-      })
+      Suite.prepare ctx ~seed ~scale ~ext_usable pr)
 
+let workload_of cfg (p : Suite.prepared) =
+  {
+    Cmp.w_bench = p.Suite.profile.Spec.name;
+    w_trace = Suite.trace p cfg;
+    w_warm_data = p.Suite.warm_data;
+  }
+
+let resolve ?ext_usable ctx ~seed ~scale ~cfg cmp =
+  Array.map (workload_of cfg) (preparations ?ext_usable ctx ~seed ~scale cmp)
+
+(* Each core's solo baseline is the memoised suite run of its
+   preparation: a sweep's solo point or a repeated request pays once. *)
 let run ?probes ?ext_usable ctx ~seed ~scale ~(cfg : U.Config.t)
     (cmp : U.Config.Cmp.t) =
-  let workloads = resolve ?ext_usable ctx ~seed ~scale ~cfg cmp in
-  Cmp.run ?probes ~cfg ~cmp workloads
+  let ps = preparations ?ext_usable ctx ~seed ~scale cmp in
+  let solo_cycles =
+    Array.map (fun p -> (Suite.run ctx p cfg).U.Core.cycles) ps
+  in
+  Cmp.run ?probes ~solo_cycles ~cfg ~cmp (Array.map (workload_of cfg) ps)

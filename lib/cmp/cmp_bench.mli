@@ -35,5 +35,8 @@ val run :
   cfg:Braid_uarch.Config.t ->
   Braid_uarch.Config.Cmp.t ->
   Cmp.t
-(** [resolve] then {!Cmp.run}. Fully deterministic for fixed
-    (seed, scale, cfg, cmp, ext_usable). *)
+(** [resolve] then {!Cmp.run}, with each core's solo baseline taken from
+    {!Braid_sim.Suite.run} on the same preparation, so the ctx memoises it
+    like any other run. [ctx] must simulate in full (no sampling spec):
+    a sampled estimate is no cycle-exact baseline. Fully deterministic for
+    fixed (seed, scale, cfg, cmp, ext_usable). *)

@@ -2,7 +2,6 @@ module Config = Braid_uarch.Config
 module Spec = Braid_workload.Spec
 module Suite = Braid_sim.Suite
 module Runner = Braid_sim.Runner
-module Obs = Braid_obs
 
 type run = {
   bench : string;
@@ -104,8 +103,7 @@ let simulate_cmp ~ctx ~seed ~scale ~cores (cfg : Config.t) (pr : Spec.profile) =
 
 let job_count ~benches points = List.length points * List.length benches
 
-let run ?counters ?cache ?on_done ~ctx ~jobs ~seed ~scale
-    ~benches points =
+let run ?cache ?on_done ~ctx ~jobs ~seed ~scale ~benches points =
   let work =
     Array.of_list
       (List.concat_map
@@ -193,11 +191,4 @@ let run ?counters ?cache ?on_done ~ctx ~jobs ~seed ~scale
   let stats =
     { simulated = count (fun r -> not r.from_cache); cache_hits = count (fun r -> r.from_cache) }
   in
-  (* fold the totals into the registry after the parallel section:
-     registries are single-owner, so domains must not touch them *)
-  Option.iter
-    (fun reg ->
-      Obs.Counters.add reg "dse.simulations" stats.simulated;
-      Obs.Counters.add reg "dse.cache_hits" stats.cache_hits)
-    counters;
   { results; stats }

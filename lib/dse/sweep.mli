@@ -30,7 +30,13 @@ type point_result = {
   runs : run list;  (** one per benchmark, in the order given *)
 }
 
-type stats = { simulated : int; cache_hits : int }
+type stats = {
+  simulated : int;  (** jobs that ran a simulation *)
+  cache_hits : int;  (** jobs answered from the on-disk {!Cache} *)
+}
+(** One sweep's totals: [simulated + cache_hits] is its {!job_count}. A
+    warm re-run over the same cache directory simulates nothing; a daemon
+    adds each served sweep's totals to its [status]. *)
 
 type outcome = { results : point_result list; stats : stats }
 
@@ -44,7 +50,6 @@ val job_count : benches:'a list -> 'b list -> int
     total for an [on_done] stream. *)
 
 val run :
-  ?counters:Braid_obs.Counters.t ->
   ?cache:Cache.t ->
   ?on_done:(int -> string -> unit) ->
   ctx:Braid_sim.Suite.ctx ->
@@ -54,8 +59,7 @@ val run :
   benches:Braid_workload.Spec.profile list ->
   Grid.point list ->
   outcome
-(** With a [counters] registry the totals land in its ["dse.simulations"]
-    and ["dse.cache_hits"] counters — the hook the cache tests (and CI) use to
-    prove a warm re-run performs zero pipeline runs. [on_done] streams
-    per-job completion exactly as {!Braid_sim.Runner.try_map_jobs} does
-    (worker-domain context: the callback must be domain-safe). *)
+(** [on_done] streams per-job completion exactly as
+    {!Braid_sim.Runner.try_map_jobs} does (worker-domain context: the
+    callback must be domain-safe). The outcome's [stats] count the jobs
+    that simulated and the jobs the cache answered. *)

@@ -102,25 +102,6 @@ let plan ?(init_mem = []) ?max_steps ~spec code =
 let measure ?(warm_data = []) (p : plan) (cfg : U.Config.t) =
   let run = Emulator.Compiled.start ~init_mem:p.init_mem p.code in
   let wsum = Array.fold_left (fun a (_, w) -> a +. w) 0.0 p.chosen in
-  (* weighted per-instruction rates, accumulated over representatives *)
-  let cpi = ref 0.0 in
-  let occ_cycles = ref 0.0 in
-  let r_lookups = ref 0.0
-  and r_mispredicts = ref 0.0
-  and r_l1i = ref 0.0
-  and r_l1d = ref 0.0
-  and r_l2 = ref 0.0
-  and r_stall_regs = ref 0.0
-  and r_faults = ref 0.0 in
-  let r_ext_reads = ref 0.0
-  and r_ext_writes = ref 0.0
-  and r_int_reads = ref 0.0
-  and r_int_writes = ref 0.0
-  and r_bypass = ref 0.0 in
-  let r_s_redirect = ref 0.0
-  and r_s_icache = ref 0.0
-  and r_s_core = ref 0.0
-  and r_s_frontend = ref 0.0 in
   (* snapshot at the current window's functional-warm start, so the next
      window's warm-up may rewind into the region this window already
      executed *)
@@ -136,85 +117,65 @@ let measure ?(warm_data = []) (p : plan) (cfg : U.Config.t) =
     if wstart > pos then ignore (Emulator.Compiled.advance run ~fuel:(wstart - pos));
     snap := Some (Emulator.Compiled.snapshot run, wstart)
   in
+  (* each representative with its normalised weight and the windowed
+     result of its interval, in start order *)
+  let measured =
+    Array.map
+      (fun ((iv : Bbv.interval), w) ->
+        let wstart = max 0 (iv.Bbv.start - p.spec.Spec.warmup) in
+        (* Functional warm-up: replay the [warm_history] instructions
+           preceding the detailed window into the caches and predictor
+           (untimed), so the window starts from the deep
+           microarchitectural history its position implies — L2
+           content and predictor tables remember far more than any
+           affordable detailed warm-up covers. Bounded, so per-window
+           cost stays constant however long the full run is. *)
+        let pstart = max 0 (wstart - warm_history) in
+        seek_to pstart;
+        let prewarm =
+          if wstart = pstart then None
+          else
+            Some (Emulator.Compiled.trace_window run ~max_steps:(wstart - pstart))
+        in
+        let wlen = iv.Bbv.start - wstart in
+        (* Detailed warm-up: simulate warm-up + interval as one window
+           and let the pipeline report only the interval's suffix
+           ([measure_from]). The interval is then timed in a machine
+           whose pipeline, caches, predictor and register lifetimes
+           all carry the warm-up's real state. The first interval has
+           no warm-up and keeps its cold-start transient: the full run
+           starts cold there too. *)
+        let window =
+          Emulator.Compiled.trace_window run ~max_steps:(wlen + iv.Bbv.length)
+        in
+        let r =
+          U.Core.result (U.Core.run ~warm_data ?prewarm
+            ?measure_from:(if wlen = 0 then None else Some wlen)
+            cfg window)
+        in
+        (iv, w /. wsum, r))
+      p.chosen
+  in
+  (* weighted per-instruction rates, accumulated over representatives:
+     CPI, CPI × occupancy, and one rate per [Core.counts] entry. [plan]
+     keeps at least one representative, whose result shapes the vector
+     and the extrapolated result. *)
+  let _, _, first = measured.(0) in
+  let cpi = ref 0.0 and occ_cycles = ref 0.0 in
+  let rates = Array.map (fun _ -> 0.0) (U.Core.counts first) in
   let reps =
     Array.to_list
       (Array.map
-         (fun ((iv : Bbv.interval), w) ->
-           let w = w /. wsum in
-           let wstart = max 0 (iv.Bbv.start - p.spec.Spec.warmup) in
-           (* Functional warm-up: replay the [warm_history] instructions
-              preceding the detailed window into the caches and predictor
-              (untimed), so the window starts from the deep
-              microarchitectural history its position implies — L2
-              content and predictor tables remember far more than any
-              affordable detailed warm-up covers. Bounded, so per-window
-              cost stays constant however long the full run is. *)
-           let pstart = max 0 (wstart - warm_history) in
-           seek_to pstart;
-           let prewarm =
-             if wstart = pstart then None
-             else
-               Some (Emulator.Compiled.trace_window run ~max_steps:(wstart - pstart))
-           in
-           let wlen = iv.Bbv.start - wstart in
-           (* Detailed warm-up: simulate warm-up + interval as one window
-              and let the pipeline report only the interval's suffix
-              ([measure_from]). The interval is then timed in a machine
-              whose pipeline, caches, predictor and register lifetimes
-              all carry the warm-up's real state. The first interval has
-              no warm-up and keeps its cold-start transient: the full run
-              starts cold there too. *)
-           let window =
-             Emulator.Compiled.trace_window run ~max_steps:(wlen + iv.Bbv.length)
-           in
-           let r =
-             U.Core.result (U.Core.run ~warm_data ?prewarm
-               ?measure_from:(if wlen = 0 then None else Some wlen)
-               cfg window)
-           in
+         (fun ((iv : Bbv.interval), w, r) ->
            let instrs = float_of_int r.U.Core.instructions in
            let cycles = float_of_int (max 1 r.U.Core.cycles) in
            let this_cpi = cycles /. instrs in
-           let occ = r.U.Core.avg_occupancy in
-           let rate get = w *. (float_of_int (get r) /. instrs) in
            cpi := !cpi +. (w *. this_cpi);
-           occ_cycles := !occ_cycles +. (w *. this_cpi *. occ);
-           r_lookups := !r_lookups +. rate (fun r -> r.U.Core.branch_lookups);
-           r_mispredicts :=
-             !r_mispredicts +. rate (fun r -> r.U.Core.branch_mispredicts);
-           r_l1i := !r_l1i +. rate (fun r -> r.U.Core.l1i_misses);
-           r_l1d := !r_l1d +. rate (fun r -> r.U.Core.l1d_misses);
-           r_l2 := !r_l2 +. rate (fun r -> r.U.Core.l2_misses);
-           r_stall_regs :=
-             !r_stall_regs +. rate (fun r -> r.U.Core.dispatch_stall_regs);
-           r_faults := !r_faults +. rate (fun r -> r.U.Core.faults);
-           r_ext_reads :=
-             !r_ext_reads
-             +. rate (fun r -> r.U.Core.activity.U.Machine.ext_rf_reads);
-           r_ext_writes :=
-             !r_ext_writes
-             +. rate (fun r -> r.U.Core.activity.U.Machine.ext_rf_writes);
-           r_int_reads :=
-             !r_int_reads
-             +. rate (fun r -> r.U.Core.activity.U.Machine.int_rf_reads);
-           r_int_writes :=
-             !r_int_writes
-             +. rate (fun r -> r.U.Core.activity.U.Machine.int_rf_writes);
-           r_bypass :=
-             !r_bypass
-             +. rate (fun r -> r.U.Core.activity.U.Machine.bypass_values);
-           r_s_redirect :=
-             !r_s_redirect
-             +. rate (fun r -> r.U.Core.stalls.U.Core.fetch_redirect);
-           r_s_icache :=
-             !r_s_icache
-             +. rate (fun r -> r.U.Core.stalls.U.Core.fetch_icache);
-           r_s_core :=
-             !r_s_core
-             +. rate (fun r -> r.U.Core.stalls.U.Core.dispatch_core);
-           r_s_frontend :=
-             !r_s_frontend
-             +. rate (fun r -> r.U.Core.stalls.U.Core.dispatch_frontend);
+           occ_cycles := !occ_cycles +. (w *. this_cpi *. r.U.Core.avg_occupancy);
+           Array.iteri
+             (fun i c ->
+               rates.(i) <- rates.(i) +. (w *. (float_of_int c /. instrs)))
+             (U.Core.counts r);
            {
              interval_index = iv.Bbv.index;
              start = iv.Bbv.start;
@@ -222,42 +183,23 @@ let measure ?(warm_data = []) (p : plan) (cfg : U.Config.t) =
              weight = w;
              ipc = instrs /. cycles;
            })
-         p.chosen)
+         measured)
   in
   let total = p.profile.Bbv.total in
   let ftotal = float_of_int total in
   let cycles = max 1 (int_of_float (Float.round (ftotal *. !cpi))) in
-  let scale r = int_of_float (Float.round (ftotal *. !r)) in
+  let scale rate = int_of_float (Float.round (ftotal *. rate)) in
   let result =
-    {
-      U.Core.config_name = cfg.U.Config.name;
-      instructions = total;
-      cycles;
-      ipc = ftotal /. float_of_int cycles;
-      branch_lookups = scale r_lookups;
-      branch_mispredicts = scale r_mispredicts;
-      l1i_misses = scale r_l1i;
-      l1d_misses = scale r_l1d;
-      l2_misses = scale r_l2;
-      dispatch_stall_regs = scale r_stall_regs;
-      faults = scale r_faults;
-      activity =
-        {
-          U.Machine.ext_rf_reads = scale r_ext_reads;
-          ext_rf_writes = scale r_ext_writes;
-          int_rf_reads = scale r_int_reads;
-          int_rf_writes = scale r_int_writes;
-          bypass_values = scale r_bypass;
-        };
-      stalls =
-        {
-          U.Core.fetch_redirect = scale r_s_redirect;
-          fetch_icache = scale r_s_icache;
-          dispatch_core = scale r_s_core;
-          dispatch_frontend = scale r_s_frontend;
-        };
-      avg_occupancy = (if !cpi > 0.0 then !occ_cycles /. !cpi else 0.0);
-    }
+    U.Core.with_counts
+      {
+        first with
+        U.Core.config_name = cfg.U.Config.name;
+        instructions = total;
+        cycles;
+        ipc = ftotal /. float_of_int cycles;
+        avg_occupancy = (if !cpi > 0.0 then !occ_cycles /. !cpi else 0.0);
+      }
+      (Array.map scale rates)
   in
   {
     spec = p.spec;

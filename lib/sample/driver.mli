@@ -24,9 +24,12 @@ type t = {
   result : Braid_uarch.Core.result;
       (** the estimate extrapolated to a full-run result: [instructions]
           is the true dynamic count, [cycles] follows from the weighted
-          CPI, and every counter is a weighted per-instruction rate
-          scaled to the whole run — consumers of full results need not
-          distinguish. *)
+          CPI, [avg_occupancy] is the CPI-weighted mean of the
+          representatives' occupancies, and every
+          {!Braid_uarch.Core.counts} entry is a weighted per-instruction
+          rate scaled to the whole run and rounded — consumers of full
+          results need not distinguish. The counters are estimates, not
+          the full run's values, but deterministic for fixed inputs. *)
 }
 
 val plan :
@@ -46,8 +49,10 @@ val measure :
     warm-up (the preceding ~64k instructions) into caches and predictor
     via [Core.run ~prewarm]; simulate the spec's detailed warm-up
     plus the interval and report only the interval's commit-to-commit
-    suffix ([Core.run ~measure_from]); aggregate by weighted CPI.
-    [warm_data] is passed through to every interval's pipeline run. *)
+    suffix ([Core.run ~measure_from]); aggregate by weighted CPI, and
+    rebuild the counters from one vector of weighted per-instruction
+    rates ({!Braid_uarch.Core.with_counts}). [warm_data] is passed
+    through to every interval's pipeline run. *)
 
 val error_vs : full:Braid_uarch.Core.result -> t -> float
 (** Relative IPC error against a full simulation of the same program:

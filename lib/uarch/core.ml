@@ -31,6 +31,56 @@ type result = {
 
 exception Deadlock of string
 
+(* The result's integer counters as one vector, in field order: the
+   only list of them a window subtracts or a sample extrapolates. *)
+let counts r =
+  let a = r.activity and s = r.stalls in
+  [|
+    r.branch_lookups;
+    r.branch_mispredicts;
+    r.l1i_misses;
+    r.l1d_misses;
+    r.l2_misses;
+    r.dispatch_stall_regs;
+    r.faults;
+    a.Machine.ext_rf_reads;
+    a.Machine.ext_rf_writes;
+    a.Machine.int_rf_reads;
+    a.Machine.int_rf_writes;
+    a.Machine.bypass_values;
+    s.fetch_redirect;
+    s.fetch_icache;
+    s.dispatch_core;
+    s.dispatch_frontend;
+  |]
+
+let with_counts r c =
+  {
+    r with
+    branch_lookups = c.(0);
+    branch_mispredicts = c.(1);
+    l1i_misses = c.(2);
+    l1d_misses = c.(3);
+    l2_misses = c.(4);
+    dispatch_stall_regs = c.(5);
+    faults = c.(6);
+    activity =
+      {
+        Machine.ext_rf_reads = c.(7);
+        ext_rf_writes = c.(8);
+        int_rf_reads = c.(9);
+        int_rf_writes = c.(10);
+        bypass_values = c.(11);
+      };
+    stalls =
+      {
+        fetch_redirect = c.(12);
+        fetch_icache = c.(13);
+        dispatch_core = c.(14);
+        dispatch_frontend = c.(15);
+      };
+  }
+
 type counter =
   | Count of int
   | Hist of { bounds : int array; counts : int array; observations : int; sum : int }
@@ -52,31 +102,6 @@ type redirect = {
   uid : int;  (** instruction whose resolution restarts fetch *)
   penalty : int;
   wrong_path : (int * int) option;  (** (block, offset) fetch runs down *)
-}
-
-(* Counter snapshot at the measurement boundary of a [measure_from] run:
-   everything the result reports, captured the cycle the last warm-up
-   instruction commits so the prefix can be subtracted out. Commit-to-
-   commit deltas telescope — summed over contiguous intervals they equal
-   the full run's cycle count — so windowed measurement has no systematic
-   drain bias (a fetch-time boundary would charge every window the full
-   end-of-trace pipeline drain that a real run overlaps with younger
-   instructions). *)
-type boundary = {
-  b_cycle : int;
-  b_lookups : int;
-  b_mispredicts : int;
-  b_l1i : int;
-  b_l1d : int;
-  b_l2 : int;
-  b_stall_regs : int;
-  b_faults : int;
-  b_activity : Machine.activity;
-  b_s_redirect : int;
-  b_s_icache : int;
-  b_s_core : int;
-  b_s_frontend : int;
-  b_occupancy_sum : int;
 }
 
 type t = {
@@ -139,27 +164,41 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
   let stall_core = ref 0 and stall_frontend = ref 0 in
   let occupancy_sum = ref 0 in
   let occupancy_counts = Array.make (occupancy_overflow + 1) 0 in
-  let boundary = ref None in
-  let capture_boundary () =
-    boundary :=
-      Some
+  (* The whole run's result so far. A [measure_from] run snapshots it,
+     with the occupancy sum, the cycle the last warm-up instruction
+     commits, and reports the difference. Commit-to-commit deltas
+     telescope — summed over contiguous intervals they equal the full
+     run's cycle count — so windowed measurement has no systematic drain
+     bias (a fetch-time boundary would charge every window the full
+     end-of-trace pipeline drain that a real run overlaps with younger
+     instructions). *)
+  let whole () =
+    let cycles = Machine.now m in
+    {
+      config_name = cfg.Config.name;
+      instructions = n;
+      cycles;
+      ipc = float_of_int n /. float_of_int (max 1 cycles);
+      branch_lookups = Predictor.lookups pred;
+      branch_mispredicts = Predictor.mispredicts pred;
+      l1i_misses = snd (Mem_hier.l1i_stats hier);
+      l1d_misses = snd (Mem_hier.l1d_stats hier);
+      l2_misses = snd (Mem_hier.l2_stats hier);
+      dispatch_stall_regs = Machine.stall_dispatch_regs m;
+      faults = !faults;
+      activity = Machine.activity m;
+      stalls =
         {
-          b_cycle = Machine.now m;
-          b_lookups = Predictor.lookups pred;
-          b_mispredicts = Predictor.mispredicts pred;
-          b_l1i = snd (Mem_hier.l1i_stats hier);
-          b_l1d = snd (Mem_hier.l1d_stats hier);
-          b_l2 = snd (Mem_hier.l2_stats hier);
-          b_stall_regs = Machine.stall_dispatch_regs m;
-          b_faults = !faults;
-          b_activity = Machine.activity m;
-          b_s_redirect = !stall_redirect;
-          b_s_icache = !stall_icache;
-          b_s_core = !stall_core;
-          b_s_frontend = !stall_frontend;
-          b_occupancy_sum = !occupancy_sum;
-        }
+          fetch_redirect = !stall_redirect;
+          fetch_icache = !stall_icache;
+          dispatch_core = !stall_core;
+          dispatch_frontend = !stall_frontend;
+        };
+      avg_occupancy =
+        float_of_int !occupancy_sum /. float_of_int (max 1 cycles);
+    }
   in
+  let boundary = ref None in
   (* finite BTB: direct-mapped table of transfer pcs *)
   let btb =
     if cfg.Config.btb_entries > 0 then Some (Array.make cfg.Config.btb_entries (-1))
@@ -226,7 +265,7 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
     Machine.commit_stage m;
     (match measure_from with
     | Some mf when !boundary = None && Machine.committed_count m >= mf ->
-        capture_boundary ()
+        boundary := Some (mf, whole (), !occupancy_sum)
     | _ -> ());
     Exec_core.cycle core;
     let occupancy = Exec_core.occupancy core in
@@ -356,77 +395,26 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
               cfg.Config.name (Machine.committed_count m) n now))
   in
   let result () =
-    (* With [measure_from], report only the measured suffix: every counter
-       minus its value the cycle the last warm-up instruction committed.
+    (* With [measure_from], report only the measured suffix: the whole run
+       minus its snapshot the cycle the last warm-up instruction committed.
        (Every event commits before the run can complete, so the boundary is
        always captured.) *)
-    let b =
-      match !boundary with
-      | Some b -> b
-      | None ->
+    let r = whole () in
+    match !boundary with
+    | None -> r
+    | Some (mf, b, b_occupancy_sum) ->
+        let instructions = n - mf and cycles = r.cycles - b.cycles in
+        with_counts
           {
-            b_cycle = 0;
-            b_lookups = 0;
-            b_mispredicts = 0;
-            b_l1i = 0;
-            b_l1d = 0;
-            b_l2 = 0;
-            b_stall_regs = 0;
-            b_faults = 0;
-            b_activity =
-              {
-                Machine.ext_rf_reads = 0;
-                ext_rf_writes = 0;
-                int_rf_reads = 0;
-                int_rf_writes = 0;
-                bypass_values = 0;
-              };
-            b_s_redirect = 0;
-            b_s_icache = 0;
-            b_s_core = 0;
-            b_s_frontend = 0;
-            b_occupancy_sum = 0;
+            r with
+            instructions;
+            cycles;
+            ipc = float_of_int instructions /. float_of_int (max 1 cycles);
+            avg_occupancy =
+              float_of_int (!occupancy_sum - b_occupancy_sum)
+              /. float_of_int (max 1 cycles);
           }
-    in
-    let instructions = n - Option.value measure_from ~default:0 in
-    let cycles = Machine.now m - b.b_cycle in
-    let act = Machine.activity m in
-    {
-      config_name = cfg.Config.name;
-      instructions;
-      cycles;
-      ipc = float_of_int instructions /. float_of_int (max 1 cycles);
-      branch_lookups = Predictor.lookups pred - b.b_lookups;
-      branch_mispredicts = Predictor.mispredicts pred - b.b_mispredicts;
-      l1i_misses = snd (Mem_hier.l1i_stats hier) - b.b_l1i;
-      l1d_misses = snd (Mem_hier.l1d_stats hier) - b.b_l1d;
-      l2_misses = snd (Mem_hier.l2_stats hier) - b.b_l2;
-      dispatch_stall_regs = Machine.stall_dispatch_regs m - b.b_stall_regs;
-      faults = !faults - b.b_faults;
-      activity =
-        {
-          Machine.ext_rf_reads =
-            act.Machine.ext_rf_reads - b.b_activity.Machine.ext_rf_reads;
-          ext_rf_writes =
-            act.Machine.ext_rf_writes - b.b_activity.Machine.ext_rf_writes;
-          int_rf_reads =
-            act.Machine.int_rf_reads - b.b_activity.Machine.int_rf_reads;
-          int_rf_writes =
-            act.Machine.int_rf_writes - b.b_activity.Machine.int_rf_writes;
-          bypass_values =
-            act.Machine.bypass_values - b.b_activity.Machine.bypass_values;
-        };
-      stalls =
-        {
-          fetch_redirect = !stall_redirect - b.b_s_redirect;
-          fetch_icache = !stall_icache - b.b_s_icache;
-          dispatch_core = !stall_core - b.b_s_core;
-          dispatch_frontend = !stall_frontend - b.b_s_frontend;
-        };
-      avg_occupancy =
-        float_of_int (!occupancy_sum - b.b_occupancy_sum)
-        /. float_of_int (max 1 cycles);
-    }
+          (Array.map2 ( - ) (counts r) (counts b))
   in
   let counters () =
     (* whole-run values (a [measure_from] prefix included), in the order

@@ -40,6 +40,19 @@ type result = {
   avg_occupancy : float;  (** mean instructions resident in the core *)
 }
 
+val counts : result -> int array
+(** The result's 16 integer counters — the seven scalars from
+    [branch_lookups] to [faults], then [activity] and [stalls] — in field
+    order. [instructions], [cycles] and the float fields are not among
+    them. This and {!with_counts} are the one place the counters are
+    listed: a [measure_from] window subtracts the vector, and a sampled
+    run ({!Braid_sample.Driver}) extrapolates it entry by entry, so a new
+    counter is one record field plus one entry in each. *)
+
+val with_counts : result -> int array -> result
+(** [with_counts r c] is [r] with its counters replaced by [c], given in
+    {!counts}' order; every other field is [r]'s. *)
+
 exception Deadlock of string
 (** Raised by {!step} when no forward progress happens for an implausibly
     long time — a simulator bug, surfaced loudly rather than silently
@@ -72,13 +85,16 @@ val create :
 
     [measure_from] is detailed warm-up for sampled simulation: the whole
     trace is simulated, but the result reports only the suffix starting
-    at that uid — [instructions] is the suffix length and [cycles] and
-    every counter subtract their values at the cycle the last warm-up
-    instruction committed. Commit-to-commit deltas telescope to the full
-    run's cycle count over contiguous intervals, so windowed measurement
-    carries no systematic pipeline-fill or drain bias, and the suffix
-    executes under real pipeline, cache, predictor and register-lifetime
-    state.
+    at that uid. The core snapshots the whole run's result (and its
+    occupancy sum) the cycle the last warm-up instruction commits, and
+    reports the whole run minus that snapshot: [instructions] is the
+    suffix length, [cycles] and every {!counts} entry are differences,
+    and [ipc] and [avg_occupancy] are recomputed over the suffix.
+    [measure_from] 0 reports the plain run. Commit-to-commit deltas
+    telescope to the full run's cycle count over contiguous intervals, so
+    windowed measurement carries no systematic pipeline-fill or drain
+    bias, and the suffix executes under real pipeline, cache, predictor
+    and register-lifetime state.
 
     [hier] is the memory hierarchy this core loads, stores and fetches
     through. Absent, a private one is built from the config (solo

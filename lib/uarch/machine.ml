@@ -164,7 +164,6 @@ type t = {
   mutable dst_left : int;
   (* occupancy *)
   mutable dispatched_count : int;
-  mutable committed_count : int;
   mutable commit_idx : int;
   mutable inflight_mem : int;
   (* [conflict_store.(u)] for a load: uid of the youngest older store to
@@ -255,7 +254,6 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     src_left = 0;
     dst_left = 0;
     dispatched_count = 0;
-    committed_count = 0;
     commit_idx = 0;
     inflight_mem = 0;
     conflict_store = tb.Trace.conflict_store;
@@ -474,7 +472,7 @@ let can_dispatch t u =
   then Block_checkpoint
   else if (e.Trace.is_load || e.Trace.is_store) && t.inflight_mem >= t.lsq_limit
   then Block_lsq
-  else if t.dispatched_count - t.committed_count >= t.inflight_limit then
+  else if t.dispatched_count - t.commit_idx >= t.inflight_limit then
     Block_inflight
   else Block_none
 
@@ -514,7 +512,6 @@ let commit_stage t =
       end;
       if e.Trace.is_load || e.Trace.is_store then
         t.inflight_mem <- t.inflight_mem - 1;
-      t.committed_count <- t.committed_count + 1;
       t.commit_idx <- t.commit_idx + 1;
       decr budget
     end
@@ -522,7 +519,7 @@ let commit_stage t =
   done
 
 let all_committed t = t.commit_idx >= Array.length t.events
-let committed_count t = t.committed_count
+let committed_count t = t.commit_idx
 
 let dispatch_block_name = function
   | Block_none -> "none"

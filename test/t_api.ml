@@ -559,8 +559,10 @@ let test_concurrent_clients () =
         results)
 
 (* The warm-request acceptance criterion: a repeated sweep over the same
-   cache directory performs zero simulations, and the daemon's counter
-   registry proves it. *)
+   cache directory performs zero simulations, and the daemon's status
+   proves it. A second connection polls status while the sweeps run:
+   every snapshot counts exactly the jobs of the sweeps it reports as
+   served, never one sweep's simulations without its cache hits. *)
 let test_warm_sweep_zero_simulation () =
   let cache_dir = fresh_path "warm-cache" in
   rm_rf cache_dir;
@@ -582,6 +584,39 @@ let test_warm_sweep_zero_simulation () =
     ~finally:(fun () -> rm_rf cache_dir)
     (fun () ->
       with_server ~jobs:2 (fun addr ->
+          let status () =
+            match rpc addr Req.Status with
+            | Ok (Resp.Status_report st) -> st
+            | Ok _ -> Alcotest.fail "status: unexpected payload"
+            | Error m -> Alcotest.fail m
+          in
+          Alcotest.(check (list (pair string int)))
+            "totals listed, at zero, before the first sweep"
+            [ ("dse.simulations", 0); ("dse.cache_hits", 0) ]
+            (status ()).Resp.counters;
+          let stop = Atomic.make false in
+          let snapshots = ref [] and poll_errors = ref [] in
+          let poller =
+            Thread.create
+              (fun () ->
+                match Api.Client.connect addr with
+                | Error m -> poll_errors := [ m ]
+                | Ok c ->
+                    (* stops at the first error, so a failed check
+                       elsewhere cannot leave it spinning *)
+                    let rec poll () =
+                      if not (Atomic.get stop) then
+                        match Api.Client.request c Req.Status with
+                        | Ok (Resp.Status_report st) ->
+                            snapshots := st :: !snapshots;
+                            Thread.delay 0.001;
+                            poll ()
+                        | Ok _ -> poll_errors := [ "unexpected payload" ]
+                        | Error m -> poll_errors := [ m ]
+                    in
+                    Fun.protect ~finally:(fun () -> Api.Client.close c) poll)
+              ()
+          in
           let sweep_stats label =
             match rpc addr sweep with
             | Ok (Resp.Sweep_done { simulated; cache_hits; doc; _ }) ->
@@ -597,19 +632,28 @@ let test_warm_sweep_zero_simulation () =
           let warm_simulated, warm_hits = sweep_stats "warm" in
           Alcotest.(check int) "warm simulated nothing" 0 warm_simulated;
           Alcotest.(check int) "warm hit every point" 2 warm_hits;
-          (* the daemon's own registry shows the same evidence *)
-          match rpc addr Req.Status with
-          | Ok (Resp.Status_report st) ->
-              let count name =
-                try List.assoc name st.Resp.counters
-                with Not_found -> Alcotest.fail ("no counter " ^ name)
-              in
-              Alcotest.(check int) "dse.simulations" 2 (count "dse.simulations");
-              Alcotest.(check int) "dse.cache_hits" 2 (count "dse.cache_hits");
-              Alcotest.(check int) "served" 2 st.Resp.served;
-              Alcotest.(check int) "nothing failed" 0 st.Resp.failed
-          | Ok _ -> Alcotest.fail "unexpected payload"
-          | Error m -> Alcotest.fail m))
+          Atomic.set stop true;
+          Thread.join poller;
+          Alcotest.(check (list string)) "polling succeeded" [] !poll_errors;
+          Alcotest.(check bool) "polled while serving" true (!snapshots <> []);
+          let count (st : Resp.status) name =
+            try List.assoc name st.Resp.counters
+            with Not_found -> Alcotest.fail ("no counter " ^ name)
+          in
+          List.iter
+            (fun (st : Resp.status) ->
+              Alcotest.(check int)
+                (Printf.sprintf "snapshot at %d served counts whole sweeps"
+                   st.Resp.served)
+                (2 * st.Resp.served)
+                (count st "dse.simulations" + count st "dse.cache_hits"))
+            !snapshots;
+          (* the daemon's own totals show the same evidence *)
+          let st = status () in
+          Alcotest.(check int) "dse.simulations" 2 (count st "dse.simulations");
+          Alcotest.(check int) "dse.cache_hits" 2 (count st "dse.cache_hits");
+          Alcotest.(check int) "served" 2 st.Resp.served;
+          Alcotest.(check int) "nothing failed" 0 st.Resp.failed))
 
 (* A bad request is refused with a message; the daemon and the connection
    both survive to serve the next one. *)

@@ -408,14 +408,14 @@ let test_sweep_cores_axis () =
 let test_run_validation () =
   let cfg = Config.braid_8wide in
   let cmp = Config.Cmp.make ~cores:2 ~workloads:[ "gzip" ] () in
-  (match Cmp.run ~cfg ~cmp [||] with
+  (match Cmp.run ~solo_cycles:[||] ~cfg ~cmp [||] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty workload array accepted");
   let solo =
     Cmp_bench.resolve (Lazy.force ctx) ~seed:1 ~scale:300 ~cfg
       (Config.Cmp.make ~cores:1 ~workloads:[ "gzip" ] ())
   in
-  (match Cmp.run ~cfg ~cmp solo with
+  (match Cmp.run ~solo_cycles:[| 1 |] ~cfg ~cmp solo with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "1 workload for 2 cores accepted");
   match Cmp_bench.resolve (Lazy.force ctx) ~seed:1 ~scale:300 ~cfg

@@ -1,6 +1,6 @@
 (* The design-space-exploration subsystem: axis parsing, grid expansion,
    the content-addressed result cache (a warm re-run performs zero
-   simulations — proven through the observability counters), and the
+   simulations — proven through the sweep's own stats), and the
    fig6-equivalence guarantee that a sweep reproduces direct Suite runs
    bit-identically. *)
 
@@ -8,7 +8,6 @@ module Config = Braid_uarch.Config
 module Spec = Braid_workload.Spec
 module Suite = Braid_sim.Suite
 module Dse = Braid_dse
-module Obs = Braid_obs
 
 let or_fail = function Ok v -> v | Error msg -> Alcotest.fail msg
 
@@ -106,11 +105,6 @@ let test_grid_rejects_invalid_point () =
   | Ok _ -> Alcotest.fail "duplicate axis accepted"
   | Error _ -> ()
 
-let counter_value counters name =
-  match List.assoc_opt name (Obs.Counters.snapshot counters) with
-  | Some n -> n
-  | None -> Alcotest.fail ("counter not found: " ^ name)
-
 let strip_provenance (outcome : Dse.Sweep.outcome) =
   List.map
     (fun (pr : Dse.Sweep.point_result) ->
@@ -125,8 +119,8 @@ let strip_provenance (outcome : Dse.Sweep.outcome) =
     outcome.Dse.Sweep.results
 
 (* The headline cache guarantee: run a small sweep twice against one cache
-   directory — the second run (fresh context, fresh counters) performs zero
-   simulations and returns bit-identical results. *)
+   directory — the second run (fresh context) performs zero simulations
+   and returns bit-identical results. *)
 let test_sweep_cache () =
   let dir = temp_dir () in
   rm_rf dir;
@@ -142,29 +136,18 @@ let test_sweep_cache () =
       let sweep () =
         let cache = or_fail (Dse.Cache.open_dir dir) in
         let ctx = Suite.create_ctx () in
-        let counters = Obs.Counters.create () in
-        let outcome =
-          Dse.Sweep.run ~counters ~cache ~ctx ~jobs:2 ~seed:1 ~scale:1200 ~benches
-            points
-        in
-        (outcome, counters)
+        Dse.Sweep.run ~cache ~ctx ~jobs:2 ~seed:1 ~scale:1200 ~benches points
       in
-      let cold, cold_obs = sweep () in
+      let cold = sweep () in
       Alcotest.(check int) "cold run simulates everything" 4
         cold.Dse.Sweep.stats.Dse.Sweep.simulated;
       Alcotest.(check int) "cold run hits nothing" 0
         cold.Dse.Sweep.stats.Dse.Sweep.cache_hits;
-      Alcotest.(check int) "cold counter dse.simulations" 4
-        (counter_value cold_obs "dse.simulations");
-      let warm, warm_obs = sweep () in
+      let warm = sweep () in
       Alcotest.(check int) "warm run performs zero simulations" 0
         warm.Dse.Sweep.stats.Dse.Sweep.simulated;
       Alcotest.(check int) "warm run is pure cache reads" 4
         warm.Dse.Sweep.stats.Dse.Sweep.cache_hits;
-      Alcotest.(check int) "warm counter dse.simulations" 0
-        (counter_value warm_obs "dse.simulations");
-      Alcotest.(check int) "warm counter dse.cache_hits" 4
-        (counter_value warm_obs "dse.cache_hits");
       Alcotest.(check bool) "cached results bit-identical" true
         (strip_provenance cold = strip_provenance warm);
       List.iter
@@ -193,7 +176,7 @@ let test_sweep_cache () =
           let oc = open_out f in
           output_string oc "{\"schema\":\"bogus\"}";
           close_out oc);
-      let repaired, _ = sweep () in
+      let repaired = sweep () in
       Alcotest.(check int) "corrupt entry re-simulated" 1
         repaired.Dse.Sweep.stats.Dse.Sweep.simulated;
       Alcotest.(check int) "intact entries still hit" 3

@@ -3,6 +3,9 @@
 
      braidsim trace gzip --scale 2000 --from 100 --cycles 60 --counters
      braidsim cmp gzip mcf --cores 2 --scale 2000 --counters
+     braidsim run gzip --scale 2000 --core braid
+     braidsim run mcf --scale 12000 --core ooo --sample --sample-verify
+     braidsim run gzip --scale 100000 --core braid --sample
 
    and the gzip/mcf members of the "counters" object of
 
@@ -10,7 +13,10 @@
 
    The Chrome export of the trace run is pinned by digest. Counter order
    is part of the contract: a dump lists counters in the order scripts
-   and diffs have always seen them. *)
+   and diffs have always seen them. The three run reports pin every
+   counter line of a full run, of a windowed and extrapolated sampled run
+   with no clustering (5 intervals), and of a clustered one (8
+   representatives of 52 intervals). *)
 
 module Api = Braid_api
 
@@ -80,6 +86,49 @@ let test_cmp () =
         (text ^ counters)
   | _ -> Alcotest.fail "cmp: unexpected payload"
 
+(* --- run: full, sampled-and-verified and clustered sampled reports ------- *)
+
+let run_report ~bench ~scale ~core ~sample ~verify =
+  let d = Braid_sample.Spec.default in
+  let sample =
+    if not sample then None
+    else
+      Some
+        {
+          Api.Request.sm_interval = d.Braid_sample.Spec.interval;
+          sm_max_k = d.Braid_sample.Spec.max_k;
+          sm_warmup = d.Braid_sample.Spec.warmup;
+          sm_seed = d.Braid_sample.Spec.seed;
+          sm_verify = verify;
+        }
+  in
+  match
+    exec
+      (Api.Request.Run
+         {
+           r_bench = bench;
+           r_seed = 1;
+           r_scale = scale;
+           r_core = core;
+           r_width = 8;
+           r_sample = sample;
+         })
+  with
+  | Api.Response.Run_done { text; _ } -> text
+  | _ -> Alcotest.fail "run: unexpected payload"
+
+let test_run () =
+  let check file text = Alcotest.(check string) file (read_file file) text in
+  check "run_gzip.txt"
+    (run_report ~bench:"gzip" ~scale:2000 ~core:Braid_uarch.Config.Braid_exec
+       ~sample:false ~verify:false);
+  check "run_mcf_sample_verify.txt"
+    (run_report ~bench:"mcf" ~scale:12000 ~core:Braid_uarch.Config.Ooo
+       ~sample:true ~verify:true);
+  check "run_gzip_sample.txt"
+    (run_report ~bench:"gzip" ~scale:100000 ~core:Braid_uarch.Config.Braid_exec
+       ~sample:true ~verify:false)
+
 (* --- experiment --counters --json --------------------------------------- *)
 
 let test_experiment_counters () =
@@ -117,5 +166,6 @@ let suite =
     [
       Alcotest.test_case "trace timeline, counters and chrome" `Quick test_trace;
       Alcotest.test_case "cmp counters" `Quick test_cmp;
+      Alcotest.test_case "run reports" `Quick test_run;
       Alcotest.test_case "experiment counters json" `Quick test_experiment_counters;
     ] )

@@ -306,7 +306,29 @@ let test_measure_from_validation () =
     r.U.Core.instructions;
   let full = U.Core.result (U.Core.run U.Config.ooo_8wide trace) in
   Alcotest.(check bool) "suffix cycles below full" true
-    (r.U.Core.cycles < full.U.Core.cycles)
+    (r.U.Core.cycles < full.U.Core.cycles);
+  (* the boundary at uid 0 subtracts a snapshot of nothing: on every kind
+     the window is the plain run, field for field *)
+  List.iter
+    (fun kind ->
+      let cfg = U.Config.preset_of_kind kind in
+      let trace = Suite.trace p cfg in
+      let run ?measure_from () =
+        U.Core.result
+          (U.Core.run ~warm_data:p.Suite.warm_data ?measure_from cfg trace)
+      in
+      let plain = run () and zero = run ~measure_from:0 () in
+      let name = U.Config.Core_kind.to_string kind in
+      Alcotest.(check (list int))
+        (name ^ ": counts")
+        (Array.to_list (U.Core.counts plain))
+        (Array.to_list (U.Core.counts zero));
+      Alcotest.(check bool) (name ^ ": every field") true (plain = zero);
+      Alcotest.(check bool)
+        (name ^ ": with_counts inverts counts")
+        true
+        (U.Core.with_counts plain (U.Core.counts plain) = plain))
+    U.Config.Core_kind.all
 
 let accuracy_cases =
   List.concat_map
