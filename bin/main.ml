@@ -13,6 +13,7 @@ open Braid_isa
 module C = Braid_core
 module U = Braid_uarch
 module W = Braid_workload
+module Sim = Braid_sim
 module Cli = Braid_cli.Cli_common
 module Api = Braid_api
 
@@ -40,34 +41,31 @@ let list_cmd =
 
 let stats_cmd =
   let run (profile : W.Spec.profile) seed scale =
-    let program, init_mem = W.Spec.generate profile ~seed ~scale in
-    let rep = C.Transform.run program in
-    let stats = C.Braid_stats.summarize (C.Braid_stats.of_program rep.C.Transform.program) in
+    let ctx = Sim.Suite.create_ctx () in
+    let p = Sim.Suite.prepare ctx ~seed ~scale profile in
+    (* the numbers the experiments of these ids report for this benchmark *)
+    let payload id = (Sim.Experiments.find id).Sim.Experiments.bench_job ctx p in
+    let rep = p.Sim.Suite.braid in
+    let t1 = payload "table1" and t2 = payload "table2" and t3 = payload "table3" in
+    let values = payload "fanout-lifetime" in
     Printf.printf "%s (%s)\n\n" profile.W.Spec.name profile.W.Spec.description;
     Printf.printf "static: %d blocks, %d instructions, %d braids\n"
-      (Program.num_blocks program)
+      (Program.num_blocks p.Sim.Suite.virtual_ir)
       (Program.num_static_instrs rep.C.Transform.program)
       rep.C.Transform.braids;
     Printf.printf "splits: %d working-set, %d ordering; spills: %d values\n\n"
       rep.C.Transform.splits_working_set rep.C.Transform.splits_ordering
       rep.C.Transform.alloc.C.Extalloc.spilled;
     Printf.printf "Table 1  braids/block          %.2f (%.2f excl. singles)\n"
-      stats.C.Braid_stats.braids_per_block stats.C.Braid_stats.braids_per_block_multi;
+      t1.(0) t1.(1);
     Printf.printf "Table 2  size / width          %.2f / %.2f (excl. singles)\n"
-      stats.C.Braid_stats.avg_size_multi stats.C.Braid_stats.avg_width_multi;
+      t2.(1) t2.(3);
     Printf.printf "Table 3  internals / in / out  %.2f / %.2f / %.2f (excl. singles)\n\n"
-      stats.C.Braid_stats.avg_internals_multi stats.C.Braid_stats.avg_ext_inputs_multi
-      stats.C.Braid_stats.avg_ext_outputs_multi;
-    let out = Emulator.run ~max_steps:(50 * scale) ~init_mem rep.C.Transform.program in
-    let vs = C.Value_stats.of_trace (Option.get out.Emulator.trace) in
-    Printf.printf "§1.1     values used once      %s\n"
-      (Render.pct (C.Value_stats.fanout_exactly vs 1));
-    Printf.printf "         used at most twice    %s\n"
-      (Render.pct (C.Value_stats.fanout_at_most vs 2));
-    Printf.printf "         produced unused       %s\n"
-      (Render.pct (C.Value_stats.unused_fraction vs));
-    Printf.printf "         lifetime <= 32        %s\n"
-      (Render.pct (C.Value_stats.lifetime_at_most vs 32))
+      t3.(1) t3.(3) t3.(5);
+    Printf.printf "§1.1     values used once      %.1f%%\n" values.(0);
+    Printf.printf "         used at most twice    %.1f%%\n" values.(1);
+    Printf.printf "         produced unused       %.1f%%\n" values.(2);
+    Printf.printf "         lifetime <= 32        %.1f%%\n" values.(3)
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "stats"
@@ -80,10 +78,10 @@ let inspect_cmd =
   let block_arg =
     Cmdliner.Arg.(value & opt int 1 & info [ "block" ] ~docv:"ID" ~doc:"Block to print.")
   in
-  let run (profile : W.Spec.profile) seed scale block =
-    let program, _ = W.Spec.generate profile ~seed ~scale in
-    let rep = C.Transform.run program in
-    print_string (Disasm.block_with_braids rep.C.Transform.program block)
+  let run profile seed scale block =
+    let p = Sim.Suite.prepare (Sim.Suite.create_ctx ()) ~seed ~scale profile in
+    print_string
+      (Disasm.block_with_braids p.Sim.Suite.braid.C.Transform.program block)
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "inspect" ~doc:"Disassemble one block braid by braid (Fig 2 view).")
@@ -97,11 +95,11 @@ let disasm_cmd =
       value & flag
       & info [ "braided" ] ~doc:"Disassemble the braid binary instead of the conventional one.")
   in
-  let run (profile : W.Spec.profile) seed scale braided =
-    let program, _ = W.Spec.generate profile ~seed ~scale in
+  let run profile seed scale braided =
+    let p = Sim.Suite.prepare (Sim.Suite.create_ctx ()) ~seed ~scale profile in
     let binary =
-      if braided then (C.Transform.run program).C.Transform.program
-      else (C.Transform.conventional program).C.Extalloc.program
+      if braided then p.Sim.Suite.braid.C.Transform.program
+      else p.Sim.Suite.conventional.C.Extalloc.program
     in
     print_string (Disasm.program_asm binary)
   in

@@ -383,8 +383,8 @@ let fuzz_term =
       value & opt (some Cli.core_kind_conv) None
       & info [ "core" ] ~docv:"CORE"
           ~doc:
-            "Restrict the differential oracle to one core (default: \
-             in-order, ooo and braid).")
+            "Restrict the differential oracle to one core (default: every \
+             core kind).")
   in
   let shrink_arg =
     Cmdliner.Arg.(
@@ -546,7 +546,7 @@ let rv_term =
       & info [ "core" ] ~docv:"CORE"
           ~doc:
             "Core(s) to time the translated program on (repeatable; \
-             default: in-order, ooo and braid).")
+             default: every core kind).")
   in
   let oracle_arg =
     Cmdliner.Arg.(

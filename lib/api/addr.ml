@@ -32,7 +32,9 @@ let sockaddr = function
   | Unix_sock path -> Ok (Unix.ADDR_UNIX path)
   | Tcp (host, port) -> resolve host port
 
-let listen ?(backlog = 16) t =
+let backlog = 16
+
+let listen t =
   match sockaddr t with
   | Error e -> Error e
   | Ok sa -> (

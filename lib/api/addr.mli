@@ -10,7 +10,7 @@ val of_spec : string -> (t, string) result
 (** ["host:8437"] is TCP; ["/tmp/braidsim.sock"] (no port suffix) is a
     Unix socket. *)
 
-val listen : ?backlog:int -> t -> (Unix.file_descr, string) result
+val listen : t -> (Unix.file_descr, string) result
 (** Bound, listening socket. A stale Unix-socket file is unlinked first so
     a daemon that died uncleanly can be restarted. *)
 

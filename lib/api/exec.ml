@@ -346,7 +346,7 @@ let exec_trace (t : Request.trace) =
 let exec_fuzz (f : Request.fuzz) =
   let* count = positive "count" f.Request.f_count in
   let cores =
-    match f.Request.f_cores with [] -> Ck.Oracle.default_cores | cs -> cs
+    match f.Request.f_cores with [] -> U.Config.Core_kind.all | cs -> cs
   in
   let outcome =
     Ck.Fuzz.run ~invariants:f.Request.f_invariants ~shrink:f.Request.f_shrink
@@ -397,7 +397,7 @@ let exec_rv (v : Request.rv) =
       (Rv.Translate.run img)
   in
   let cores =
-    match v.Request.v_cores with [] -> Ck.Oracle.default_cores | cs -> cs
+    match v.Request.v_cores with [] -> U.Config.Core_kind.all | cs -> cs
   in
   let rv = Rv.Emu.run img in
   let program = t.Rv.Translate.program and init_mem = t.Rv.Translate.init_mem in

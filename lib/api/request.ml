@@ -56,14 +56,14 @@ type fuzz = {
   f_count : int;
   f_seed : int;
   f_index : int;
-  f_cores : Config.core_kind list;  (** empty: the default oracle trio *)
+  f_cores : Config.core_kind list;  (** empty: every core kind *)
   f_invariants : bool;
   f_shrink : bool;
 }
 
 type rv = {
   v_hex : string;  (** braid-rv/1 hex text of the image *)
-  v_cores : Config.core_kind list;  (** empty: the default oracle trio *)
+  v_cores : Config.core_kind list;  (** empty: every core kind *)
   v_oracle : bool;
 }
 

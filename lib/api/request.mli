@@ -76,7 +76,7 @@ type fuzz = {
   f_count : int;
   f_seed : int;
   f_index : int;
-  f_cores : Config.core_kind list;  (** empty: the default oracle trio *)
+  f_cores : Config.core_kind list;  (** empty: every core kind *)
   f_invariants : bool;
   f_shrink : bool;
 }
@@ -86,7 +86,7 @@ type rv = {
       (** the image in {!Braid_rv.Image.to_hex} form — text-safe on the
           wire, and identical for a fixture no matter which side
           assembled it *)
-  v_cores : Config.core_kind list;  (** empty: the default oracle trio *)
+  v_cores : Config.core_kind list;  (** empty: every core kind *)
   v_oracle : bool;  (** also run the frontend differential oracle *)
 }
 

@@ -11,10 +11,9 @@ let check_case ?invariants ?cores case =
   Oracle.check ?invariants ?cores program ~init_mem
 
 let run ?(invariants = true) ?(shrink = false) ?cores ?(first_index = 0)
-    ?progress ~count ~seed () =
+    ~count ~seed () =
   let failures = ref [] in
   for index = first_index to first_index + count - 1 do
-    (match progress with Some f -> f index | None -> ());
     let case = Gen.generate ~seed ~index in
     let report = check_case ~invariants ?cores case in
     if not (Oracle.ok report) then begin

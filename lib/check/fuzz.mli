@@ -16,24 +16,16 @@ type failure = {
 
 type outcome = { tested : int; failures : failure list }
 
-val check_case :
-  ?invariants:bool ->
-  ?cores:Braid_uarch.Config.core_kind list ->
-  Gen.case ->
-  Oracle.report
-(** Builds the case and runs the differential oracle on it. *)
-
 val run :
   ?invariants:bool ->
   ?shrink:bool ->
   ?cores:Braid_uarch.Config.core_kind list ->
   ?first_index:int ->
-  ?progress:(int -> unit) ->
   count:int ->
   seed:int ->
   unit ->
   outcome
 (** Checks cases [first_index .. first_index + count - 1] (default from
     0) of stream [seed]. [invariants] defaults to [true]; [shrink]
-    (default [false]) greedily reduces each failing case. [progress] is
-    called with each index before it is checked. *)
+    (default [false]) greedily reduces each failing case. [cores]
+    defaults to every core kind, as in {!Oracle.check}. *)

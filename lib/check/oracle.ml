@@ -23,9 +23,6 @@ type report = {
 let ok r =
   r.divergences = [] && List.for_all (fun c -> c.violation_count = 0) r.cores
 
-let default_cores =
-  [ Config.In_order; Config.Ooo; Config.Braid_exec; Config.Cgooo ]
-
 (* Fuzz cases are a few thousand dynamic instructions; a case that runs
    this long is a generator bug worth reporting, not waiting out. *)
 let max_steps = 200_000
@@ -47,7 +44,7 @@ let ext_reg_of_id id =
   if id < Reg.num_ext_per_class then Reg.ext Reg.Cint id
   else Reg.ext Reg.Cfp (id - Reg.num_ext_per_class)
 
-let check ?(invariants = true) ?(cores = default_cores) ?inject_commit program
+let check ?(invariants = true) ?(cores = Config.Core_kind.all) ?inject_commit program
     ~init_mem =
   let divs = ref [] in
   let add core kind detail = divs := { core; kind; detail } :: !divs in

@@ -42,9 +42,6 @@ type report = {
 val ok : report -> bool
 (** No divergence and no invariant violation on any core. *)
 
-val default_cores : Braid_uarch.Config.core_kind list
-(** [inorder], [ooo], [braid]. *)
-
 val check :
   ?invariants:bool ->
   ?cores:Braid_uarch.Config.core_kind list ->
@@ -52,7 +49,8 @@ val check :
   Program.t ->
   init_mem:(int * int64) list ->
   report
-(** Runs the full differential stack on virtual-register IR.
+(** Runs the full differential stack on virtual-register IR, timing
+    [cores] (default {!Braid_uarch.Config.Core_kind.all}, every kind).
     [invariants] (default [true]) enables the monitor's structural
     checks; commit streams are always recorded. [inject_commit] perturbs
     the observed committed-uid sequence of every core before the oracle

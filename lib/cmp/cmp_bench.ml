@@ -26,15 +26,12 @@ let workload_of cfg (p : Suite.prepared) =
     w_warm_data = p.Suite.warm_data;
   }
 
-let resolve ?ext_usable ctx ~seed ~scale ~cfg cmp =
-  Array.map (workload_of cfg) (preparations ?ext_usable ctx ~seed ~scale cmp)
-
 (* Each core's solo baseline is the memoised suite run of its
    preparation: a sweep's solo point or a repeated request pays once. *)
-let run ?probes ?ext_usable ctx ~seed ~scale ~(cfg : U.Config.t)
+let run ?ext_usable ctx ~seed ~scale ~(cfg : U.Config.t)
     (cmp : U.Config.Cmp.t) =
   let ps = preparations ?ext_usable ctx ~seed ~scale cmp in
   let solo_cycles =
     Array.map (fun p -> (Suite.run ctx p cfg).U.Core.cycles) ps
   in
-  Cmp.run ?probes ~solo_cycles ~cfg ~cmp (Array.map (workload_of cfg) ps)
+  Cmp.run ~solo_cycles ~cfg ~cmp (Array.map (workload_of cfg) ps)

@@ -24,7 +24,6 @@ let make ~field values =
   else Ok { field; values }
 
 let ints ~field vs = make ~field (List.map string_of_int vs)
-let bools ~field vs = make ~field (List.map string_of_bool vs)
 
 let of_spec spec =
   match String.index_opt spec '=' with

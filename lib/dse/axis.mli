@@ -18,7 +18,6 @@ val make : field:string -> string list -> (t, string) result
     ({!Grid.expand}). *)
 
 val ints : field:string -> int list -> (t, string) result
-val bools : field:string -> bool list -> (t, string) result
 
 val of_spec : string -> (t, string) result
 (** Parses the CLI form ["ext_regs=4,8,16,32"]. *)

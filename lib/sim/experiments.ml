@@ -30,20 +30,19 @@ type t = {
   id : string;
   title : string;
   paper_expectation : string;
-  bench_job : Suite.ctx -> scale:int -> Spec.profile -> float array;
-  assemble : Suite.ctx -> scale:int -> cells -> result;
+  bench_job : Suite.ctx -> Suite.prepared -> float array;
+  assemble : cells -> series list * string list * metric list;
 }
-
-let named name cfg = { cfg with U.Config.name }
 
 (* Configuration variants go through the first-class override API —
    anonymous record-update literals on Config.t are deprecated in
    experiment code, so every variant stays inside the sweepable-field
    vocabulary `braidsim sweep` exposes. The field names are static, so a
-   failure is a programming error, not an input error. *)
-let variant cfg name kvs =
+   failure is a programming error, not an input error. A variant keeps its
+   preset's name, which no output prints for it. *)
+let variant cfg kvs =
   match U.Config.override cfg kvs with
-  | Ok c -> named name c
+  | Ok c -> c
   | Error msg -> invalid_arg ("Experiments.variant: " ^ msg)
 
 let ikv field v = (field, string_of_int v)
@@ -79,30 +78,27 @@ let overall_avg cols (cells : cells) col =
   | Some i -> avg_at cells i
   | None -> invalid_arg "overall_avg: unknown column"
 
+(* The evaluation's one method: each configuration's speedup over [base],
+   both simulated on the same prepared benchmark. *)
+let speedups ~base configs ctx p =
+  let b = Suite.run ctx p base in
+  Array.of_list
+    (List.map (fun cfg -> U.Core.speedup b (Suite.run ctx p cfg)) configs)
+
 (* The common shape: one table whose columns are exactly the job payload,
-   headline metrics picked from those columns. *)
-let std ~id ~title ~expect ~table_title ~cols ?notes ?headline bench_job =
-  let headline_of cells =
-    match headline with
-    | Some picks ->
-        List.map (fun (lbl, col) -> metric lbl (overall_avg cols cells col)) picks
-    | None -> List.map (fun col -> metric col (overall_avg cols cells col)) cols
-  in
+   headline metrics picked from those columns (by default all of them). *)
+let std ~id ~title ~expect ~table_title ~cols ?(notes = []) ?headline bench_job =
+  let picks = Option.value headline ~default:(List.map (fun c -> (c, c)) cols) in
   {
     id;
     title;
     paper_expectation = expect;
     bench_job;
     assemble =
-      (fun _ctx ~scale:_ cells ->
-        {
-          id;
-          title;
-          paper_expectation = expect;
-          series = [ bench_series ~title:table_title ~cols cells ];
-          notes = (match notes with Some f -> f cells | None -> []);
-          headline = headline_of cells;
-        });
+      (fun cells ->
+        ( [ bench_series ~title:table_title ~cols cells ],
+          notes,
+          List.map (fun (lbl, col) -> metric lbl (overall_avg cols cells col)) picks ));
   }
 
 (* ---------------------------------------------------------------- *)
@@ -117,8 +113,7 @@ let fanout_lifetime =
        ~80% of values live <=32 instructions"
     ~table_title:"Value fanout and lifetime (dynamic, conventional binaries)"
     ~cols
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
+    (fun _ctx p ->
       let vs = C.Value_stats.of_trace (p.Suite.conv_trace ()) in
       [|
         C.Value_stats.fanout_exactly vs 1 *. 100.0;
@@ -140,8 +135,7 @@ let instruction_mix =
        integer side, substantial FP compute on the floating-point side"
     ~table_title:"Dynamic instruction mix (%)" ~cols
     ~headline:[ ("loads%", "loads%"); ("branches%", "branches%"); ("fp%", "fp%") ]
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
+    (fun _ctx p ->
       let trc = p.Suite.conv_trace () in
       let n = float_of_int (max 1 (Trace.length trc)) in
       let count f =
@@ -167,27 +161,22 @@ let instruction_mix =
 (* Tables 1-3: static braid statistics                               *)
 (* ---------------------------------------------------------------- *)
 
-let braid_summary ctx ~scale pr =
-  let p = Suite.prepare ctx ~scale pr in
+let braid_summary (p : Suite.prepared) =
   C.Braid_stats.summarize
     (C.Braid_stats.of_program p.Suite.braid.C.Transform.program)
 
 let table1 =
   let cols = [ "braids/block"; "excl-singles" ] in
-  let id = "table1" in
-  let title = "Table 1: braids per basic block" in
-  let expect =
-    "int 2.8 / fp 3.8 braids per block; 1.1 / 1.5 excluding single-instruction \
-     braids; 20% of instructions are single-instruction braids, 56% of those \
-     branches/nops"
-  in
   {
-    id;
-    title;
-    paper_expectation = expect;
+    id = "table1";
+    title = "Table 1: braids per basic block";
+    paper_expectation =
+      "int 2.8 / fp 3.8 braids per block; 1.1 / 1.5 excluding single-instruction \
+       braids; 20% of instructions are single-instruction braids, 56% of those \
+       branches/nops";
     bench_job =
-      (fun ctx ~scale pr ->
-        let s = braid_summary ctx ~scale pr in
+      (fun _ctx p ->
+        let s = braid_summary p in
         [|
           s.C.Braid_stats.braids_per_block;
           s.C.Braid_stats.braids_per_block_multi;
@@ -195,29 +184,21 @@ let table1 =
           s.C.Braid_stats.single_branch_nop_fraction *. 100.0;
         |]);
     assemble =
-      (fun _ctx ~scale:_ cells ->
+      (fun cells ->
         let singles = avg_at cells 2 and branchy = avg_at cells 3 in
-        {
-          id;
-          title;
-          paper_expectation = expect;
-          series =
-            [ bench_series ~title:"Braids per basic block (static)" ~cols cells ];
-          notes =
-            [
-              Printf.sprintf
-                "single-instruction braids: %.1f%% of all instructions; %.1f%% \
-                 of them are branches/jumps/nops"
-                singles branchy;
-            ];
-          headline =
-            [
-              metric "braids/block" (overall_avg cols cells "braids/block");
-              metric "excl-singles" (overall_avg cols cells "excl-singles");
-              metric "single-instr%" singles;
-              metric "single-branch%" branchy;
-            ];
-        });
+        ( [ bench_series ~title:"Braids per basic block (static)" ~cols cells ],
+          [
+            Printf.sprintf
+              "single-instruction braids: %.1f%% of all instructions; %.1f%% \
+               of them are branches/jumps/nops"
+              singles branchy;
+          ],
+          [
+            metric "braids/block" (overall_avg cols cells "braids/block");
+            metric "excl-singles" (overall_avg cols cells "excl-singles");
+            metric "single-instr%" singles;
+            metric "single-branch%" branchy;
+          ] ));
   }
 
 let table2 =
@@ -228,8 +209,8 @@ let table2 =
     ~table_title:"Braid size and width (static)" ~cols
     ~headline:
       [ ("size", "size"); ("size-excl-singles", "size*"); ("width-excl-singles", "width*") ]
-    (fun ctx ~scale pr ->
-      let s = braid_summary ctx ~scale pr in
+    (fun _ctx p ->
+      let s = braid_summary p in
       [|
         s.C.Braid_stats.avg_size;
         s.C.Braid_stats.avg_size_multi;
@@ -247,8 +228,8 @@ let table3 =
     ~table_title:"Braid dependencies (static)" ~cols
     ~headline:
       [ ("internals-excl", "int*"); ("ext-in-excl", "in*"); ("ext-out-excl", "out*") ]
-    (fun ctx ~scale pr ->
-      let s = braid_summary ctx ~scale pr in
+    (fun _ctx p ->
+      let s = braid_summary p in
       [|
         s.C.Braid_stats.avg_internals;
         s.C.Braid_stats.avg_internals_multi;
@@ -263,21 +244,15 @@ let table3 =
 (* ---------------------------------------------------------------- *)
 
 let fig1 =
-  let cols = [ "8w/4w"; "16w/4w" ] in
+  let perfect w =
+    U.Config.perfect_frontend (U.Config.scale_width U.Config.ooo_8wide w)
+  in
   std ~id:"fig1"
     ~title:"Fig 1: potential performance of 8/16-wide over 4-wide OoO (perfect BP+caches)"
     ~expect:"average speedups 1.44x (8-wide) and 1.83x (16-wide)"
-    ~table_title:"Speedup over 4-wide conventional OoO, perfect front end" ~cols
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let run w =
-        let cfg =
-          U.Config.perfect_frontend (U.Config.scale_width U.Config.ooo_8wide w)
-        in
-        Suite.run ctx p (named (Printf.sprintf "ooo-perfect-%dw" w) cfg)
-      in
-      let r4 = run 4 and r8 = run 8 and r16 = run 16 in
-      [| U.Core.speedup r4 r8; U.Core.speedup r4 r16 |])
+    ~table_title:"Speedup over 4-wide conventional OoO, perfect front end"
+    ~cols:[ "8w/4w"; "16w/4w" ]
+    (speedups ~base:(perfect 4) [ perfect 8; perfect 16 ])
 
 (* ---------------------------------------------------------------- *)
 (* Fig 5: OoO sensitivity to register count                          *)
@@ -285,22 +260,14 @@ let fig1 =
 
 let fig5 =
   let counts = [ 8; 16; 32; 64; 256 ] in
-  let cols = List.map string_of_int counts in
+  let regs n = variant U.Config.ooo_8wide [ ikv "ext_regs" n ] in
   std ~id:"fig5"
     ~title:"Fig 5: conventional OoO performance vs register count (normalised to 256)"
     ~expect:"32 registers lose ~8%, 16 registers lose ~21%"
-    ~table_title:"OoO normalised performance vs registers" ~cols
+    ~table_title:"OoO normalised performance vs registers"
+    ~cols:(List.map string_of_int counts)
     ~headline:[ ("regs-32", "32"); ("regs-16", "16") ]
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let run n =
-        Suite.run ctx p
-          (variant U.Config.ooo_8wide
-             (Printf.sprintf "ooo-regs-%d" n)
-             [ ikv "ext_regs" n ])
-      in
-      let base = run 256 in
-      Array.of_list (List.map (fun n -> U.Core.speedup base (run n)) counts))
+    (speedups ~base:(regs 256) (List.map regs counts))
 
 (* ---------------------------------------------------------------- *)
 (* Fig 6: braid sensitivity to external register count               *)
@@ -314,24 +281,17 @@ let fig6 =
     ~expect:"flat until 4 external registers; 8 entries match 256"
     ~table_title:"Braid normalised performance vs external registers" ~cols
     ~headline:[ ("extregs-8", "8"); ("extregs-4", "4"); ("extregs-2", "2") ]
-    (fun ctx ~scale pr ->
+    (fun ctx p ->
+      (* each register budget compiles a binary of its own *)
       let run n =
         let p =
-          Suite.prepare ctx ~scale
-            ~ext_usable:(min n C.Extalloc.usable_per_class) pr
+          Suite.prepare ctx ~scale:p.Suite.scale
+            ~ext_usable:(min n C.Extalloc.usable_per_class) p.Suite.profile
         in
-        Suite.run ctx p
-          (variant U.Config.braid_8wide
-             (Printf.sprintf "braid-extregs-%d" n)
-             [ ikv "ext_regs" n ])
+        Suite.run ctx p (variant U.Config.braid_8wide [ ikv "ext_regs" n ])
       in
       let base = run 256 in
-      Array.of_list
-        (List.map
-           (fun n ->
-             let r = run n in
-             float_of_int base.U.Core.cycles /. float_of_int r.U.Core.cycles)
-           counts))
+      Array.of_list (List.map (fun n -> U.Core.speedup base (run n)) counts))
 
 (* ---------------------------------------------------------------- *)
 (* Fig 7: external register file ports                               *)
@@ -339,22 +299,16 @@ let fig6 =
 
 let fig7 =
   let ports = [ (4, 2); (6, 3); (8, 4); (16, 8) ] in
-  let cols = List.map (fun (r, w) -> Printf.sprintf "%dr%dw" r w) ports in
+  let with_ports (r, w) =
+    variant U.Config.braid_8wide [ ikv "rf_read_ports" r; ikv "rf_write_ports" w ]
+  in
   std ~id:"fig7"
     ~title:"Fig 7: braid performance vs external RF ports (normalised to 16r/8w)"
     ~expect:"6r/3w within 0.5% of the full port count"
-    ~table_title:"Braid normalised performance vs RF ports" ~cols
+    ~table_title:"Braid normalised performance vs RF ports"
+    ~cols:(List.map (fun (r, w) -> Printf.sprintf "%dr%dw" r w) ports)
     ~headline:[ ("6r3w", "6r3w"); ("4r2w", "4r2w") ]
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let run (r, w) =
-        Suite.run ctx p
-          (variant U.Config.braid_8wide
-             (Printf.sprintf "braid-ports-%d-%d" r w)
-             [ ikv "rf_read_ports" r; ikv "rf_write_ports" w ])
-      in
-      let base = run (16, 8) in
-      Array.of_list (List.map (fun pw -> U.Core.speedup base (run pw)) ports))
+    (speedups ~base:(with_ports (16, 8)) (List.map with_ports ports))
 
 (* ---------------------------------------------------------------- *)
 (* Fig 8: bypass paths                                               *)
@@ -362,97 +316,53 @@ let fig7 =
 
 let fig8 =
   let paths = [ 1; 2; 4; 8 ] in
-  let cols = List.map string_of_int paths in
+  let bypass n = variant U.Config.braid_8wide [ ikv "bypass_per_cycle" n ] in
   std ~id:"fig8"
     ~title:"Fig 8: braid performance vs bypass paths per cycle (normalised to full bypass)"
     ~expect:"2 bypass values per cycle within 1% of a full network"
-    ~table_title:"Braid normalised performance vs bypass paths" ~cols
+    ~table_title:"Braid normalised performance vs bypass paths"
+    ~cols:(List.map string_of_int paths)
     ~headline:[ ("bypass-2", "2"); ("bypass-1", "1") ]
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let run n =
-        Suite.run ctx p
-          (variant U.Config.braid_8wide
-             (Printf.sprintf "braid-bypass-%d" n)
-             [ ikv "bypass_per_cycle" n ])
-      in
-      let base =
-        Suite.run ctx p
-          (variant U.Config.braid_8wide "braid-bypass-full"
-             [ ikv "bypass_per_cycle" 64 ])
-      in
-      Array.of_list (List.map (fun n -> U.Core.speedup base (run n)) paths))
+    (speedups ~base:(bypass 64) (List.map bypass paths))
 
 (* ---------------------------------------------------------------- *)
 (* Figs 9-12: execution-core parameters (normalised to 8-wide OoO)   *)
 (* ---------------------------------------------------------------- *)
 
-let braid_sweep ~id ~title ~expect ~cols ~configs =
+(* Each figure sets the braid machine's integer [fields] to every value in
+   turn; its headline lists every column. *)
+let exec_core_fig ~id ~title ~expect ~fields values =
+  let cols = List.map string_of_int values in
   std ~id ~title ~expect ~table_title:title ~cols
     ~headline:(List.map (fun c -> ("cfg-" ^ c, c)) cols)
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run ctx p U.Config.ooo_8wide in
-      Array.of_list
-        (List.map
-           (fun cfg -> U.Core.speedup base (Suite.run ctx p cfg))
-           configs))
+    (speedups ~base:U.Config.ooo_8wide
+       (List.map
+          (fun n -> variant U.Config.braid_8wide (List.map (fun f -> ikv f n) fields))
+          values))
 
 let fig9 =
-  let counts = [ 1; 2; 4; 8; 16 ] in
-  braid_sweep ~id:"fig9"
+  exec_core_fig ~id:"fig9"
     ~title:"Fig 9: braid performance vs number of BEUs (normalised to 8-wide OoO)"
     ~expect:"rising with BEU count: more ready braids than BEUs; 8 BEUs near OoO"
-    ~cols:(List.map string_of_int counts)
-    ~configs:
-      (List.map
-         (fun n ->
-           variant U.Config.braid_8wide
-             (Printf.sprintf "braid-beus-%d" n)
-             [ ikv "clusters" n ])
-         counts)
+    ~fields:[ "clusters" ] [ 1; 2; 4; 8; 16 ]
 
 let fig10 =
-  let sizes = [ 4; 8; 16; 32; 64 ] in
-  braid_sweep ~id:"fig10"
+  exec_core_fig ~id:"fig10"
     ~title:"Fig 10: braid performance vs FIFO queue entries (normalised to 8-wide OoO)"
     ~expect:"32 entries capture almost all performance (99% of braids are <=32 instructions)"
-    ~cols:(List.map string_of_int sizes)
-    ~configs:
-      (List.map
-         (fun n ->
-           variant U.Config.braid_8wide
-             (Printf.sprintf "braid-fifo-%d" n)
-             [ ikv "cluster_entries" n ])
-         sizes)
+    ~fields:[ "cluster_entries" ] [ 4; 8; 16; 32; 64 ]
 
 let fig11 =
-  let sizes = [ 1; 2; 4; 8 ] in
-  braid_sweep ~id:"fig11"
+  exec_core_fig ~id:"fig11"
     ~title:"Fig 11: braid performance vs FIFO scheduling window (normalised to 8-wide OoO)"
     ~expect:"steep rise from 1 to 2, plateau beyond: ready instructions sit at the head"
-    ~cols:(List.map string_of_int sizes)
-    ~configs:
-      (List.map
-         (fun n ->
-           variant U.Config.braid_8wide
-             (Printf.sprintf "braid-window-%d" n)
-             [ ikv "sched_window" n ])
-         sizes)
+    ~fields:[ "sched_window" ] [ 1; 2; 4; 8 ]
 
 let fig12 =
-  let sizes = [ 1; 2; 4; 8 ] in
-  braid_sweep ~id:"fig12"
+  exec_core_fig ~id:"fig12"
     ~title:"Fig 12: braid performance vs window size = FUs per BEU (normalised to 8-wide OoO)"
     ~expect:"same trend as Fig 11: braid ILP is ~2, more FUs do not help"
-    ~cols:(List.map string_of_int sizes)
-    ~configs:
-      (List.map
-         (fun n ->
-           variant U.Config.braid_8wide
-             (Printf.sprintf "braid-winfu-%d" n)
-             [ ikv "sched_window" n; ikv "fus_per_cluster" n ])
-         sizes)
+    ~fields:[ "sched_window"; "fus_per_cluster" ] [ 1; 2; 4; 8 ]
 
 (* ---------------------------------------------------------------- *)
 (* Fig 13: the four paradigms at 4/8/16-wide                         *)
@@ -460,62 +370,42 @@ let fig12 =
 
 let fig13 =
   let widths = [ 4; 8; 16 ] in
-  let cols =
-    List.concat_map
-      (fun w ->
-        List.map (fun k -> Printf.sprintf "%s-%d" k w) [ "io"; "dep"; "braid"; "ooo" ])
-      widths
+  let machines =
+    [
+      ("io", U.Config.in_order_8wide);
+      ("dep", U.Config.dep_steer_8wide);
+      ("braid", U.Config.braid_8wide);
+      ("ooo", U.Config.ooo_8wide);
+    ]
   in
-  let id = "fig13" in
-  let title =
-    "Fig 13: in-order / dependence-steering / braid / OoO at 4, 8, 16-wide \
-     (normalised to 8-wide OoO)"
-  in
-  let expect =
-    "braid within ~9% of 8-wide OoO; significant gains remain at wider widths; \
-     the braid-OoO gap closes as width grows"
-  in
+  let each_width f = List.concat_map (fun w -> List.map (f w) machines) widths in
+  let cols = each_width (fun w (k, _) -> Printf.sprintf "%s-%d" k w) in
   {
-    id;
-    title;
-    paper_expectation = expect;
+    id = "fig13";
+    title =
+      "Fig 13: in-order / dependence-steering / braid / OoO at 4, 8, 16-wide \
+       (normalised to 8-wide OoO)";
+    paper_expectation =
+      "braid within ~9% of 8-wide OoO; significant gains remain at wider widths; \
+       the braid-OoO gap closes as width grows";
     bench_job =
-      (fun ctx ~scale pr ->
-        let p = Suite.prepare ctx ~scale pr in
-        let base = Suite.run ctx p U.Config.ooo_8wide in
-        Array.of_list
-          (List.concat_map
-             (fun w ->
-               let scale_of cfg = U.Config.scale_width cfg w in
-               let io = Suite.run ctx p (scale_of U.Config.in_order_8wide) in
-               let dep = Suite.run ctx p (scale_of U.Config.dep_steer_8wide) in
-               let braid = Suite.run ctx p (scale_of U.Config.braid_8wide) in
-               let ooo = Suite.run ctx p (scale_of U.Config.ooo_8wide) in
-               List.map (U.Core.speedup base) [ io; dep; braid; ooo ])
-             widths));
+      speedups ~base:U.Config.ooo_8wide
+        (each_width (fun w (_, cfg) -> U.Config.scale_width cfg w));
     assemble =
-      (fun _ctx ~scale:_ cells ->
+      (fun cells ->
         let avg c = overall_avg cols cells c in
-        {
-          id;
-          title;
-          paper_expectation = expect;
-          series =
-            [
-              bench_series
-                ~title:"Normalised performance, four paradigms x three widths"
-                ~cols cells;
-            ];
-          notes = [];
-          headline =
-            [
-              metric "braid8/ooo8" (avg "braid-8" /. avg "ooo-8");
-              metric "braid4/ooo4" (avg "braid-4" /. avg "ooo-4");
-              metric "braid16/ooo16" (avg "braid-16" /. avg "ooo-16");
-              metric "io8/ooo8" (avg "io-8" /. avg "ooo-8");
-              metric "dep8/ooo8" (avg "dep-8" /. avg "ooo-8");
-            ];
-        });
+        ( [
+            bench_series ~title:"Normalised performance, four paradigms x three widths"
+              ~cols cells;
+          ],
+          [],
+          [
+            metric "braid8/ooo8" (avg "braid-8" /. avg "ooo-8");
+            metric "braid4/ooo4" (avg "braid-4" /. avg "ooo-4");
+            metric "braid16/ooo16" (avg "braid-16" /. avg "ooo-16");
+            metric "io8/ooo8" (avg "io-8" /. avg "ooo-8");
+            metric "dep8/ooo8" (avg "dep-8" /. avg "ooo-8");
+          ] ));
   }
 
 (* ---------------------------------------------------------------- *)
@@ -523,50 +413,35 @@ let fig13 =
 (* ---------------------------------------------------------------- *)
 
 let fig14 =
-  let cols = [ "4beu-2fu"; "8beu-1fu" ] in
+  let beus n fus =
+    variant U.Config.braid_8wide [ ikv "clusters" n; ikv "fus_per_cluster" fus ]
+  in
   std ~id:"fig14"
     ~title:"Fig 14: equal FU budget — 4 BEUx2FU vs 8 BEUx1FU (normalised to 8 BEUx2FU)"
     ~expect:"more BEUs with fewer FUs each beats fewer, wider BEUs"
-    ~table_title:"Braid normalised performance at 8 total FUs" ~cols
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run ctx p U.Config.braid_8wide in
-      let a =
-        Suite.run ctx p
-          (variant U.Config.braid_8wide "braid-4x2"
-             [ ikv "clusters" 4; ikv "fus_per_cluster" 2 ])
-      in
-      let b =
-        Suite.run ctx p
-          (variant U.Config.braid_8wide "braid-8x1"
-             [ ikv "clusters" 8; ikv "fus_per_cluster" 1 ])
-      in
-      [| U.Core.speedup base a; U.Core.speedup base b |])
+    ~table_title:"Braid normalised performance at 8 total FUs"
+    ~cols:[ "4beu-2fu"; "8beu-1fu" ]
+    (speedups ~base:U.Config.braid_8wide [ beus 4 2; beus 8 1 ])
 
 (* ---------------------------------------------------------------- *)
 (* Ablations                                                          *)
 (* ---------------------------------------------------------------- *)
 
-(* A two-column "baseline vs variant" ablation whose headline is the
-   average percentage gain of the variant. *)
-let gain_ablation ~id ~title ~expect ~table_title ~variant_col ~note bench_job =
+(* A two-column "baseline vs variant" ablation, both normalised to [base],
+   whose headline is the average percentage gain of the variant [cfg]. *)
+let gain_ablation ~id ~title ~expect ~table_title ~variant_col ~note ~base cfg =
   let cols = [ "baseline"; variant_col ] in
   {
     id;
     title;
     paper_expectation = expect;
-    bench_job;
+    bench_job = speedups ~base [ base; cfg ];
     assemble =
-      (fun _ctx ~scale:_ cells ->
+      (fun cells ->
         let gain = (overall_avg cols cells variant_col -. 1.0) *. 100.0 in
-        {
-          id;
-          title;
-          paper_expectation = expect;
-          series = [ bench_series ~title:table_title ~cols cells ];
-          notes = [ Printf.sprintf "%s: %.2f%%" note gain ];
-          headline = [ metric "gain%" gain ];
-        });
+        ( [ bench_series ~title:table_title ~cols cells ],
+          [ Printf.sprintf "%s: %.2f%%" note gain ],
+          [ metric "gain%" gain ] ));
   }
 
 let pipeline_ablation =
@@ -575,36 +450,29 @@ let pipeline_ablation =
     ~expect:"the shorter pipeline is worth ~2.19% on average"
     ~table_title:"Braid speedup from the shorter pipeline (23-cycle baseline)"
     ~variant_col:"penalty-19" ~note:"average gain from shorter pipeline"
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let deep =
-        Suite.run ctx p
-          (variant U.Config.braid_8wide "braid-deep"
-             [ ikv "misprediction_penalty" 23 ])
-      in
-      let short = Suite.run ctx p U.Config.braid_8wide in
-      [| 1.0; U.Core.speedup deep short |])
+    ~base:(variant U.Config.braid_8wide [ ikv "misprediction_penalty" 23 ])
+    U.Config.braid_8wide
 
 let split_ablation =
   (* the internal register file has 8 entries, so thresholds above 8 are
      not encodable; sweep below it *)
   let thresholds = [ 2; 4; 6; 8 ] in
   let cols = List.map (fun thr -> Printf.sprintf "wset-%d" thr) thresholds in
-  let id = "split-ablation" in
-  let title =
-    "Ablation: internal working-set threshold (braids split when internals exceed it)"
-  in
-  let expect = "8 internal registers suffice; splitting at 8 affects ~2% of braids" in
   {
-    id;
-    title;
-    paper_expectation = expect;
+    id = "split-ablation";
+    title =
+      "Ablation: internal working-set threshold (braids split when internals exceed it)";
+    paper_expectation =
+      "8 internal registers suffice; splitting at 8 affects ~2% of braids";
     bench_job =
-      (fun ctx ~scale pr ->
+      (fun ctx p ->
         let runs =
           List.map
             (fun thr ->
-              let p = Suite.prepare ctx ~scale ~max_internal:thr pr in
+              let p =
+                Suite.prepare ctx ~scale:p.Suite.scale ~max_internal:thr
+                  p.Suite.profile
+              in
               (p, Suite.run ctx p U.Config.braid_8wide))
             thresholds
         in
@@ -616,27 +484,19 @@ let split_ablation =
         Array.of_list
           (List.map (fun (_, r) -> U.Core.speedup base r) runs @ [ split_frac ]));
     assemble =
-      (fun _ctx ~scale:_ cells ->
+      (fun cells ->
         let split_pct = 100.0 *. avg_at cells 4 in
-        {
-          id;
-          title;
-          paper_expectation = expect;
-          series =
-            [
-              bench_series
-                ~title:"Braid performance vs working-set threshold (normalised to 8)"
-                ~cols cells;
-            ];
-          notes =
-            [ Printf.sprintf "braids split at threshold 8: %.2f%% (average)" split_pct ];
-          headline =
-            [
-              metric "split%@8" split_pct;
-              metric "wset-4" (overall_avg cols cells "wset-4");
-              metric "wset-2" (overall_avg cols cells "wset-2");
-            ];
-        });
+        ( [
+            bench_series
+              ~title:"Braid performance vs working-set threshold (normalised to 8)"
+              ~cols cells;
+          ],
+          [ Printf.sprintf "braids split at threshold 8: %.2f%% (average)" split_pct ],
+          [
+            metric "split%@8" split_pct;
+            metric "wset-4" (overall_avg cols cells "wset-4");
+            metric "wset-2" (overall_avg cols cells "wset-2");
+          ] ));
   }
 
 let spill_ablation =
@@ -655,13 +515,12 @@ let spill_ablation =
        competing for registers)"
     ~table_title:"Static spill instructions (loads+stores)" ~cols
     ~headline:[ ("conv@8", "conv@8"); ("braid@8", "braid@8") ]
-    (fun _ctx ~scale pr ->
+    (fun _ctx p ->
       Array.of_list
         (List.concat_map
            (fun budget ->
-             let virtual_ir, _ = Spec.generate pr ~seed:1 ~scale in
-             let conv = C.Extalloc.allocate ~usable:budget virtual_ir in
-             let braid = C.Transform.run ~ext_usable:budget virtual_ir in
+             let conv = C.Extalloc.allocate ~usable:budget p.Suite.virtual_ir in
+             let braid = C.Transform.run ~ext_usable:budget p.Suite.virtual_ir in
              [
                float_of_int
                  (conv.C.Extalloc.spill_loads + conv.C.Extalloc.spill_stores);
@@ -683,21 +542,17 @@ let complexity_table =
   let activity_cols =
     [ "ext RF acc/instr"; "int RF acc/instr"; "bypass/instr"; "wakeup work/instr" ]
   in
-  let id = "complexity-table" in
-  let title = "§5.1: static complexity indices and per-instruction switching activity" in
-  let expect =
-    "braid avoids large associative structures: tiny external RF, FIFO \
-     schedulers without tag broadcast, 1-level bypass — complexity close to \
-     in-order, far from out-of-order"
-  in
   {
-    id;
-    title;
-    paper_expectation = expect;
+    id = "complexity-table";
+    title = "§5.1: static complexity indices and per-instruction switching activity";
+    paper_expectation =
+      "braid avoids large associative structures: tiny external RF, FIFO \
+       schedulers without tag broadcast, 1-level bypass — complexity close to \
+       in-order, far from out-of-order";
     bench_job =
-      (fun ctx ~scale pr ->
-        let p = Suite.prepare ctx ~scale pr in
-        let fields (e : U.Complexity.energy_proxy) =
+      (fun ctx p ->
+        let activity cfg =
+          let e = U.Complexity.energy_of_run cfg (Suite.run ctx p cfg) in
           [
             e.U.Complexity.ext_rf_accesses_per_instr;
             e.U.Complexity.int_rf_accesses_per_instr;
@@ -705,17 +560,9 @@ let complexity_table =
             e.U.Complexity.broadcast_work_per_instr;
           ]
         in
-        let ooo =
-          U.Complexity.energy_of_run U.Config.ooo_8wide
-            (Suite.run ctx p U.Config.ooo_8wide)
-        in
-        let braid =
-          U.Complexity.energy_of_run U.Config.braid_8wide
-            (Suite.run ctx p U.Config.braid_8wide)
-        in
-        Array.of_list (fields ooo @ fields braid));
+        Array.of_list (activity U.Config.ooo_8wide @ activity U.Config.braid_8wide));
     assemble =
-      (fun _ctx ~scale:_ cells ->
+      (fun cells ->
         let static_series =
           {
             s_title = "Static area/complexity indices";
@@ -762,18 +609,12 @@ let complexity_table =
         let ooo_c = U.Complexity.of_config U.Config.ooo_8wide in
         let braid_c = U.Complexity.of_config U.Config.braid_8wide in
         let io_c = U.Complexity.of_config U.Config.in_order_8wide in
-        {
-          id;
-          title;
-          paper_expectation = expect;
-          series = [ static_series; activity_series ];
-          notes = [];
-          headline =
-            [
-              metric "ooo/braid-total" (U.Complexity.relative ooo_c braid_c);
-              metric "braid/inorder-total" (U.Complexity.relative braid_c io_c);
-            ];
-        });
+        ( [ static_series; activity_series ],
+          [],
+          [
+            metric "ooo/braid-total" (U.Complexity.relative ooo_c braid_c);
+            metric "braid/inorder-total" (U.Complexity.relative braid_c io_c);
+          ] ));
   }
 
 (* ---------------------------------------------------------------- *)
@@ -787,16 +628,8 @@ let beu_ooo_ablation =
       "considered and rejected: braids are narrow, so an out-of-order BEU \
        scheduler buys almost nothing for its complexity"
     ~table_title:"Braid speedup from an OoO scheduler in the BEU"
-    ~variant_col:"ooo-in-beu" ~note:"average gain"
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run ctx p U.Config.braid_8wide in
-      let oooed =
-        Suite.run ctx p
-          (variant U.Config.braid_8wide "braid-ooo-beu"
-             [ ("beu_out_of_order", "true") ])
-      in
-      [| 1.0; U.Core.speedup base oooed |])
+    ~variant_col:"ooo-in-beu" ~note:"average gain" ~base:U.Config.braid_8wide
+    (variant U.Config.braid_8wide [ ("beu_out_of_order", "true") ])
 
 (* ---------------------------------------------------------------- *)
 (* §5.2: clustering BEUs                                             *)
@@ -806,34 +639,26 @@ let clustering_ablation =
   let variants =
     [ ("flat", 0, 0); ("2x4+2cyc", 4, 2); ("4x2+2cyc", 2, 2); ("2x4+4cyc", 4, 4) ]
   in
-  let cols = List.map (fun (n, _, _) -> n) variants in
   std ~id:"clustering-ablation"
     ~title:"§5.2: clustered BEUs — inter-cluster values pay extra latency"
     ~expect:
       "clustering is orthogonal: fast intra-cluster communication preserves \
        most performance while easing wiring"
-    ~table_title:"Braid performance under BEU clustering (normalised to flat)" ~cols
+    ~table_title:"Braid performance under BEU clustering (normalised to flat)"
+    ~cols:(List.map (fun (n, _, _) -> n) variants)
     ~headline:[ ("2x4+2cyc", "2x4+2cyc"); ("2x4+4cyc", "2x4+4cyc") ]
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run ctx p U.Config.braid_8wide in
-      Array.of_list
-        (List.map
-           (fun (n, size, lat) ->
-             let r =
-               Suite.run ctx p
-                 (variant U.Config.braid_8wide ("braid-clu-" ^ n)
-                    [ ikv "beu_cluster_size" size; ikv "inter_cluster_latency" lat ])
-             in
-             U.Core.speedup base r)
-           variants))
+    (speedups ~base:U.Config.braid_8wide
+       (List.map
+          (fun (_, size, lat) ->
+            variant U.Config.braid_8wide
+              [ ikv "beu_cluster_size" size; ikv "inter_cluster_latency" lat ])
+          variants))
 
 (* ---------------------------------------------------------------- *)
 (* Binary translation vs braid-aware compilation (§3.1 methodology)  *)
 (* ---------------------------------------------------------------- *)
 
 let binary_translation =
-  let cols = [ "compiled"; "translated" ] in
   std ~id:"binary-translation"
     ~title:
       "Methodology ablation: braid-aware compilation vs binary translation of a \
@@ -842,9 +667,9 @@ let binary_translation =
       "the paper braided preexisting Alpha binaries and notes a braid-aware \
        compiler would do better (more internal values, no translation \
        artifacts)"
-    ~table_title:"Braid performance: compiled vs translated binary" ~cols
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
+    ~table_title:"Braid performance: compiled vs translated binary"
+    ~cols:[ "compiled"; "translated" ]
+    (fun ctx p ->
       let base = Suite.run ctx p U.Config.ooo_8wide in
       let compiled = Suite.run ctx p U.Config.braid_8wide in
       (* braid the already-allocated conventional binary, as the paper's
@@ -854,13 +679,12 @@ let binary_translation =
           .C.Transform.program
       in
       let out =
-        Emulator.run ~max_steps:(50 * scale) ~init_mem:p.Suite.init_mem
+        Emulator.run ~max_steps:(50 * p.Suite.scale) ~init_mem:p.Suite.init_mem
           translated_prog
       in
       let translated =
         U.Core.result (U.Core.run ~warm_data:p.Suite.warm_data
-          (named "braid-translated" U.Config.braid_8wide)
-          (Option.get out.Emulator.trace))
+          U.Config.braid_8wide (Option.get out.Emulator.trace))
       in
       [| U.Core.speedup base compiled; U.Core.speedup base translated |])
 
@@ -876,16 +700,14 @@ let checkpoint_ablation =
       (fun n -> [ Printf.sprintf "ooo@%d" n; Printf.sprintf "braid@%d" n ])
       counts
   in
+  let limited base =
+    speedups ~base
+      (List.map (fun n -> variant base [ ikv "max_unresolved_branches" n ]) counts)
+  in
+  let ooo = limited U.Config.ooo_8wide and braid = limited U.Config.braid_8wide in
   (* equal checkpoint storage: a conventional checkpoint snapshots a
      256-entry map, a braid checkpoint the 8-entry external file and no
      internal state (§3.4) — call it 8x more checkpoints per byte *)
-  let note _cells =
-    [
-      "equal-storage reading: compare ooo@2 against braid@16 — a braid \
-       checkpoint carries ~1/8 the state (8-entry external file, no internal \
-       values), so the same budget buys 8x more checkpoints.";
-    ]
-  in
   std ~id:"checkpoint-ablation"
     ~title:"§3.4 ablation: performance vs checkpoint count (unresolved branches in flight)"
     ~expect:
@@ -893,29 +715,17 @@ let checkpoint_ablation =
        are dead at braid boundaries and never checkpointed"
     ~table_title:
       "Performance vs checkpoint count (each normalised to its own unlimited machine)"
-    ~cols ~notes:note
+    ~cols
+    ~notes:
+      [
+        "equal-storage reading: compare ooo@2 against braid@16 — a braid \
+         checkpoint carries ~1/8 the state (8-entry external file, no internal \
+         values), so the same budget buys 8x more checkpoints.";
+      ]
     ~headline:[ ("ooo@2", "ooo@2"); ("braid@2", "braid@2"); ("braid@16", "braid@16") ]
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let ooo_base = Suite.run ctx p U.Config.ooo_8wide in
-      let braid_base = Suite.run ctx p U.Config.braid_8wide in
-      Array.of_list
-        (List.concat_map
-           (fun n ->
-             let ooo =
-               Suite.run ctx p
-                 (variant U.Config.ooo_8wide
-                    (Printf.sprintf "ooo-ckpt-%d" n)
-                    [ ikv "max_unresolved_branches" n ])
-             in
-             let braid =
-               Suite.run ctx p
-                 (variant U.Config.braid_8wide
-                    (Printf.sprintf "braid-ckpt-%d" n)
-                    [ ikv "max_unresolved_branches" n ])
-             in
-             [ U.Core.speedup ooo_base ooo; U.Core.speedup braid_base braid ])
-           counts))
+    (fun ctx p ->
+      let o = ooo ctx p and b = braid ctx p in
+      Array.concat (List.mapi (fun i _ -> [| o.(i); b.(i) |]) counts))
 
 (* ---------------------------------------------------------------- *)
 (* Predictor ablation: Table 4's perceptron vs a gshare baseline     *)
@@ -935,13 +745,10 @@ let predictor_ablation =
         ("gshare-mpki", "gshare-mpki");
         ("perceptron-mpki", "perceptron-mpki");
       ]
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
+    (fun ctx p ->
       let perceptron = Suite.run ctx p U.Config.braid_8wide in
       let gshare =
-        Suite.run ctx p
-          (variant U.Config.braid_8wide "braid-gshare"
-             [ ("predictor", "gshare") ])
+        Suite.run ctx p (variant U.Config.braid_8wide [ ("predictor", "gshare") ])
       in
       let mpki (r : U.Core.result) =
         1000.0 *. float_of_int r.U.Core.branch_mispredicts
@@ -962,12 +769,8 @@ let dynamic_braids =
        larger and block occupancy higher than the static averages of Tables 1-2"
     ~table_title:"Braid statistics, static and dynamic" ~cols
     ~headline:[ ("dyn-braids/block", "dyn-b/blk"); ("dyn-size", "dyn-size") ]
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let s =
-        C.Braid_stats.summarize
-          (C.Braid_stats.of_program p.Suite.braid.C.Transform.program)
-      in
+    (fun _ctx p ->
+      let s = braid_summary p in
       let d = C.Braid_stats.dynamic_of_trace (p.Suite.braid_trace ()) in
       [|
         s.C.Braid_stats.braids_per_block;
@@ -982,7 +785,14 @@ let dynamic_braids =
 (* ---------------------------------------------------------------- *)
 
 let frontend_ablation =
-  let cols = [ "baseline"; "wrong-path"; "btb-512"; "btb-64" ] in
+  let variants =
+    [
+      ("baseline", []);
+      ("wrong-path", [ ("model_wrong_path_fetch", "true") ]);
+      ("btb-512", [ ikv "btb_entries" 512 ]);
+      ("btb-64", [ ikv "btb_entries" 64 ]);
+    ]
+  in
   std ~id:"frontend-ablation"
     ~title:
       "Front-end fidelity ablation: wrong-path I-cache pollution and finite BTBs \
@@ -990,23 +800,12 @@ let frontend_ablation =
     ~expect:
       "the default model treats wrong-path work as a pure bubble and targets \
        as perfect; these options bound how much that flatters the results"
-    ~table_title:"Braid performance under front-end fidelity options" ~cols
+    ~table_title:"Braid performance under front-end fidelity options"
+    ~cols:(List.map fst variants)
     ~headline:
       [ ("wrong-path", "wrong-path"); ("btb-512", "btb-512"); ("btb-64", "btb-64") ]
-    (fun ctx ~scale pr ->
-      let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run ctx p U.Config.braid_8wide in
-      let run name kvs =
-        Suite.run ctx p (variant U.Config.braid_8wide name kvs)
-      in
-      let wp = run "braid-wrongpath" [ ("model_wrong_path_fetch", "true") ] in
-      let btb n = run (Printf.sprintf "braid-btb%d" n) [ ikv "btb_entries" n ] in
-      [|
-        1.0;
-        U.Core.speedup base wp;
-        U.Core.speedup base (btb 512);
-        U.Core.speedup base (btb 64);
-      |])
+    (speedups ~base:U.Config.braid_8wide
+       (List.map (fun (_, kvs) -> variant U.Config.braid_8wide kvs) variants))
 
 (* ---------------------------------------------------------------- *)
 (* Seed robustness: the headline result across workload seeds        *)
@@ -1015,46 +814,32 @@ let frontend_ablation =
 let seed_robustness =
   let seeds = [ 1; 2; 3 ] in
   let cols = List.map (fun s -> Printf.sprintf "seed-%d" s) seeds in
-  let id = "seed-robustness" in
-  let title =
-    "Robustness: braid/OoO performance ratio across three workload-generation seeds"
-  in
-  let expect =
-    "the headline ratio should be a property of the workload shapes, not \
-     of one particular random instance"
-  in
   {
-    id;
-    title;
-    paper_expectation = expect;
+    id = "seed-robustness";
+    title =
+      "Robustness: braid/OoO performance ratio across three workload-generation seeds";
+    paper_expectation =
+      "the headline ratio should be a property of the workload shapes, not \
+       of one particular random instance";
     bench_job =
-      (fun ctx ~scale pr ->
+      (fun ctx p ->
         Array.of_list
           (List.map
              (fun seed ->
-               let p = Suite.prepare ctx ~seed ~scale pr in
+               let p = Suite.prepare ctx ~seed ~scale:p.Suite.scale p.Suite.profile in
                let ooo = Suite.run ctx p U.Config.ooo_8wide in
                let braid = Suite.run ctx p U.Config.braid_8wide in
                U.Core.speedup ooo braid)
              seeds));
     assemble =
-      (fun _ctx ~scale:_ cells ->
+      (fun cells ->
         let per_seed = List.map (fun c -> overall_avg cols cells c) cols in
         let spread =
           List.fold_left max 0.0 per_seed -. List.fold_left min 2.0 per_seed
         in
-        {
-          id;
-          title;
-          paper_expectation = expect;
-          series =
-            [ bench_series ~title:"braid-8 relative to ooo-8, per seed" ~cols cells ];
-          notes =
-            [ Printf.sprintf "spread of the suite average across seeds: %.3f" spread ];
-          headline =
-            List.map2 (fun c v -> metric c v) cols per_seed
-            @ [ metric "spread" spread ];
-        });
+        ( [ bench_series ~title:"braid-8 relative to ooo-8, per seed" ~cols cells ],
+          [ Printf.sprintf "spread of the suite average across seeds: %.3f" spread ],
+          List.map2 (fun c v -> metric c v) cols per_seed @ [ metric "spread" spread ] ));
   }
 
 let all : t list =
@@ -1093,10 +878,6 @@ let find id =
   match List.find_opt (fun e -> String.equal e.id id) all with
   | Some e -> e
   | None -> raise Not_found
-
-let run ctx ~scale e =
-  e.assemble ctx ~scale
-    (List.map (fun pr -> (pr, e.bench_job ctx ~scale pr)) Spec.all)
 
 (* --- observability counters (opt-in; braidsim experiment --counters) --- *)
 

@@ -6,11 +6,15 @@
 
     An experiment decomposes into one pure job per benchmark
     ({!field:bench_job}) plus a cheap {!field:assemble} step that folds the
-    per-benchmark payloads into the final result. {!Runner} exploits this to
-    fan the (experiment × benchmark) job matrix out across domains; {!run}
-    is the serial equivalent. Jobs are deterministic in
-    [(ctx-independent inputs, scale)], so serial and parallel execution
-    produce identical results. *)
+    per-benchmark payloads into the result's tables, notes and headline.
+    {!Runner.run_experiments} fans the (experiment × benchmark) job matrix
+    out across domains and gives each result its experiment's identity.
+    Jobs are deterministic in [(ctx-independent inputs, scale)], so serial
+    and parallel execution produce identical results.
+
+    Most jobs are one method: each configuration's speedup over a base
+    configuration, both run on the benchmark's preparation. A configuration
+    variant carries no label of its own; {!Suite.run} memoises on content. *)
 
 type row_class =
   | Int_row  (** an integer benchmark — aggregated into "int avg" *)
@@ -52,13 +56,17 @@ type t = {
   id : string;
   title : string;
   paper_expectation : string;
-  bench_job : Suite.ctx -> scale:int -> Braid_workload.Spec.profile -> float array;
-      (** the pure per-benchmark unit of work: every simulation the
-          experiment needs for that benchmark, reduced to a flat float
-          payload *)
-  assemble : Suite.ctx -> scale:int -> cells -> result;
+  bench_job : Suite.ctx -> Suite.prepared -> float array;
+      (** the pure per-benchmark unit of work on one preparation of the
+          benchmark ({!Runner.run_experiments} passes {!Suite.prepare}'s
+          defaults at the run's scale): every simulation the experiment
+          needs, reduced to a flat float payload. A job that needs
+          another preparation (a register budget, a working-set bound,
+          other seeds) makes it from the given one's [profile] and
+          [scale]. *)
+  assemble : cells -> series list * string list * metric list;
       (** folds all payloads (one per benchmark, in suite order) into the
-          typed result; cheap, no simulation *)
+          result's series, notes and headline; cheap, no simulation *)
 }
 
 val all : t list
@@ -67,9 +75,6 @@ val all : t list
 
 val find : string -> t
 (** Look an experiment up by id. Raises [Not_found] for unknown ids. *)
-
-val run : Suite.ctx -> scale:int -> t -> result
-(** Run one experiment serially: every [bench_job], then [assemble]. *)
 
 type counters = (string * (string * Braid_uarch.Core.counter) list) list
 (** Per-benchmark counter dumps: [(benchmark name, dump)] in suite

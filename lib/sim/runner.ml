@@ -65,7 +65,7 @@ let experiment_work ~ctx ~scale exps =
          List.map
            (fun (pr : Spec.profile) ->
              ( e.Experiments.id ^ "/" ^ pr.Spec.name,
-               fun () -> e.Experiments.bench_job ctx ~scale pr ))
+               fun () -> e.Experiments.bench_job ctx (Suite.prepare ctx ~scale pr) ))
            Spec.all)
        exps)
 
@@ -75,8 +75,19 @@ let run_experiments ?on_done ~ctx ~jobs ~scale exps =
   let nbench = List.length Spec.all in
   List.mapi
     (fun ei (e : Experiments.t) ->
-      let cells = List.mapi (fun bi pr -> (pr, out.((ei * nbench) + bi))) Spec.all in
-      e.Experiments.assemble ctx ~scale cells)
+      let series, notes, headline =
+        e.Experiments.assemble
+          (List.mapi (fun bi pr -> (pr, out.((ei * nbench) + bi))) Spec.all)
+      in
+      ({
+         id = e.Experiments.id;
+         title = e.Experiments.title;
+         paper_expectation = e.Experiments.paper_expectation;
+         series;
+         notes;
+         headline;
+       }
+        : Experiments.result))
     exps
 
 let experiment_job_count exps =

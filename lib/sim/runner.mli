@@ -56,10 +56,12 @@ val run_experiments :
   scale:int ->
   Experiments.t list ->
   Experiments.result list
-(** Fan the (experiment × benchmark) job matrix out across the pool, then
-    assemble each experiment's typed result. Results are returned in the
-    order the experiments were given and are identical for every [jobs]
-    value — parallelism only changes wall-clock, never output. *)
+(** Fan the (experiment × benchmark) job matrix out across the pool, each
+    job on its benchmark's {!Suite.prepare} at [scale], then assemble each
+    experiment's typed result under its id, title and paper expectation.
+    Results are returned in the order the experiments were given and are
+    identical for every [jobs] value — parallelism only changes
+    wall-clock, never output. *)
 
 val experiment_job_count : Experiments.t list -> int
 (** Size of the job matrix {!run_experiments} will fan out — the progress

@@ -465,9 +465,7 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
   in
   { machine = m; step_fn = step; result_fn = result; counters_fn = counters }
 
-let machine t = t.machine
 let finished t = Machine.all_committed t.machine
-let now t = Machine.now t.machine
 let step t = t.step_fn ()
 
 let run ?probe ?warm_data ?prewarm ?measure_from cfg trace =

@@ -120,13 +120,6 @@ val run :
 val finished : t -> bool
 (** Every trace event has committed. *)
 
-val now : t -> int
-(** The core's clock: cycles stepped so far minus one (-1 before the
-    first step). In a CMP every live core is stepped once per global
-    cycle, so this equals the global clock. *)
-
-val machine : t -> Machine.t
-
 val result : t -> result
 (** Counters of the finished run; raises [Invalid_argument] while
     [not (finished t)]. *)

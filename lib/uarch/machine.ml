@@ -274,7 +274,6 @@ let create ?(probe = Probe.off) ?hier cfg trace =
 
 let cfg t = t.cfg
 let probe t = t.probe
-let num_slots t = Array.length t.events
 let event t u = t.events.(u)
 let now t = t.now
 let hierarchy t = t.hier

@@ -74,9 +74,6 @@ val probe : t -> Probe.t
 (** The probe the machine was created with; the front end and the
     execution cores report their own events to it. *)
 
-val num_slots : t -> int
-(** Number of trace events; uids range over [0 .. num_slots - 1]. *)
-
 val event : t -> int -> Trace.event
 (** The trace event with this uid. *)
 

@@ -11,9 +11,6 @@ type coh_stats = {
   remote_hits : int;
 }
 
-let zero_coh =
-  { invalidations = 0; downgrades = 0; writebacks = 0; remote_hits = 0 }
-
 (* Directory entry per shared-L2 line. [owner >= 0] is a core holding the
    line Modified; [sharers] is a bitmask of cores that pulled the line
    in for reading (conservative: silent L1 evictions leave stale bits,
@@ -212,9 +209,6 @@ let coh_of_shared s =
     writebacks = s.s_writebacks;
     remote_hits = s.s_remote_hits;
   }
-
-let coh h =
-  match h.backside with Private _ -> zero_coh | Shared s -> coh_of_shared s
 
 (* Legality scan for the invariant monitor: a Modified line must be held
    by its owner alone — every other attached L1D must have dropped it,

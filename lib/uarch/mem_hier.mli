@@ -84,11 +84,6 @@ type coh_stats = {
   remote_hits : int;  (** shared-L2 hits on lines another core fetched *)
 }
 
-val zero_coh : coh_stats
-
-val coh : hierarchy -> coh_stats
-(** All zero on a private backside. *)
-
 val coh_of_shared : shared -> coh_stats
 
 val coherence_violations : shared -> string list

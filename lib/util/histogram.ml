@@ -1,8 +1,8 @@
 module Imap = Map.Make (Int)
 
-type t = { mutable counts : int Imap.t; mutable total : int; mutable sum : int }
+type t = { mutable counts : int Imap.t; mutable total : int }
 
-let create () = { counts = Imap.empty; total = 0; sum = 0 }
+let create () = { counts = Imap.empty; total = 0 }
 
 let add_many t v n =
   if v < 0 then invalid_arg "Histogram.add: negative value";
@@ -10,8 +10,7 @@ let add_many t v n =
   if n > 0 then begin
     t.counts <-
       Imap.update v (function None -> Some n | Some c -> Some (c + n)) t.counts;
-    t.total <- t.total + n;
-    t.sum <- t.sum + (v * n)
+    t.total <- t.total + n
   end
 
 let add t v = add_many t v 1
@@ -26,13 +25,3 @@ let fraction_eq t v =
 
 let fraction_le t v =
   if t.total = 0 then 0.0 else float_of_int (count_le t v) /. float_of_int t.total
-
-let mean t = if t.total = 0 then 0.0 else float_of_int t.sum /. float_of_int t.total
-let max_value t = Imap.fold (fun k _ acc -> max k acc) t.counts 0
-let iter f t = Imap.iter f t.counts
-
-let merge a b =
-  let t = create () in
-  iter (fun v n -> add_many t v n) a;
-  iter (fun v n -> add_many t v n) b;
-  t

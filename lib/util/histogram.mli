@@ -1,7 +1,7 @@
 (** Integer-valued histogram with unbounded support.
 
     Used for the value fanout and lifetime characterisations (§1.1 of the
-    paper) and the braid size/width distributions. *)
+    paper). *)
 
 type t
 
@@ -26,15 +26,3 @@ val fraction_eq : t -> int -> float
 
 val fraction_le : t -> int -> float
 (** [count_le] over [count]; 0. when empty. *)
-
-val mean : t -> float
-(** Mean observed value; 0. when empty. *)
-
-val max_value : t -> int
-(** Largest observed value; 0 when empty. *)
-
-val iter : (int -> int -> unit) -> t -> unit
-(** [iter f t] calls [f value count] for each observed value, ascending. *)
-
-val merge : t -> t -> t
-(** Pointwise sum of two histograms (inputs unchanged). *)

@@ -24,7 +24,9 @@ let table ~header ~rows =
   let body = List.map render_row rows in
   String.concat "\n" ((render_row header :: rule :: body) @ [ "" ])
 
-let bar_chart ~title ?(unit_label = "") ?(width = 50) items =
+let bar_width = 50
+
+let bar_chart ~title items =
   List.iter
     (fun (_, v) ->
       if v < 0.0 then invalid_arg "Render.bar_chart: negative value")
@@ -36,14 +38,14 @@ let bar_chart ~title ?(unit_label = "") ?(width = 50) items =
   let bar v =
     let n =
       if max_v <= 0.0 then 0
-      else int_of_float (v /. max_v *. float_of_int width +. 0.5)
+      else int_of_float (v /. max_v *. float_of_int bar_width +. 0.5)
     in
     String.make n '#'
   in
   let lines =
     List.map
       (fun (l, v) ->
-        Printf.sprintf "  %s  %8.3f%s  %s" (pad l label_w) v unit_label (bar v))
+        Printf.sprintf "  %s  %8.3f  %s" (pad l label_w) v (bar v))
       items
   in
   String.concat "\n" ((title :: lines) @ [ "" ])

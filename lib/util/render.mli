@@ -8,15 +8,9 @@ val table : header:string list -> rows:string list list -> string
 (** Column-aligned table with a rule under the header. All rows must have
     the same arity as the header. *)
 
-val bar_chart :
-  title:string ->
-  ?unit_label:string ->
-  ?width:int ->
-  (string * float) list ->
-  string
-(** Horizontal ASCII bar chart, one bar per (label, value). [width] is the
-    length of the longest bar in characters (default 50). Values must be
-    non-negative. *)
+val bar_chart : title:string -> (string * float) list -> string
+(** Horizontal ASCII bar chart, one bar per (label, value); the longest
+    bar is 50 characters. Values must be non-negative. *)
 
 val float_cell : float -> string
 (** Canonical numeric formatting used in tables (3 decimal places). *)

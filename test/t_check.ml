@@ -37,6 +37,16 @@ let test_fuzz_clean () =
   Alcotest.(check int) "tested" 40 outcome.Ck.Fuzz.tested;
   Alcotest.(check int) "no failures" 0 (List.length outcome.Ck.Fuzz.failures)
 
+(* without ~cores the oracle times every registered core kind *)
+let test_oracle_default_cores () =
+  let program, init_mem = Ck.Gen.build (Ck.Gen.generate ~seed:42 ~index:0) in
+  let report = Ck.Oracle.check program ~init_mem in
+  Alcotest.(check (list string)) "one report per kind" U.Config.Core_kind.names
+    (List.map
+       (fun (c : Ck.Oracle.core_report) -> U.Config.Core_kind.to_string c.Ck.Oracle.kind)
+       report.Ck.Oracle.cores);
+  Alcotest.(check bool) "clean" true (Ck.Oracle.ok report)
+
 (* --- fault injection: commit-order bug --- *)
 
 let swap_first_two a =
@@ -197,6 +207,8 @@ let suite =
       Alcotest.test_case "subset rebuild stable" `Quick
         test_subset_rebuild_stable;
       Alcotest.test_case "fuzz 40 cases clean" `Slow test_fuzz_clean;
+      Alcotest.test_case "oracle checks every core kind by default" `Quick
+        test_oracle_default_cores;
       Alcotest.test_case "oracle catches injected commit-order bug" `Quick
         test_oracle_catches_commit_order;
       Alcotest.test_case "monitor off is byte-identical" `Quick

@@ -411,15 +411,25 @@ let test_run_validation () =
   (match Cmp.run ~solo_cycles:[||] ~cfg ~cmp [||] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty workload array accepted");
+  let p =
+    Suite.prepare (Lazy.force ctx) ~seed:1 ~scale:300
+      (Braid_workload.Spec.find "gzip")
+  in
   let solo =
-    Cmp_bench.resolve (Lazy.force ctx) ~seed:1 ~scale:300 ~cfg
-      (Config.Cmp.make ~cores:1 ~workloads:[ "gzip" ] ())
+    [|
+      {
+        Cmp.w_bench = "gzip";
+        w_trace = Suite.trace p cfg;
+        w_warm_data = p.Suite.warm_data;
+      };
+    |]
   in
   (match Cmp.run ~solo_cycles:[| 1 |] ~cfg ~cmp solo with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "1 workload for 2 cores accepted");
-  match Cmp_bench.resolve (Lazy.force ctx) ~seed:1 ~scale:300 ~cfg
-          (Config.Cmp.make ~cores:1 ~workloads:[ "nope" ] ())
+  match
+    Cmp_bench.run (Lazy.force ctx) ~seed:1 ~scale:300 ~cfg
+      (Config.Cmp.make ~cores:1 ~workloads:[ "nope" ] ())
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown benchmark accepted"

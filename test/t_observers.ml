@@ -11,12 +11,19 @@
 
      braidsim experiment --only table1 --scale 2000 --counters --json -
 
-   The Chrome export of the trace run is pinned by digest. Counter order
-   is part of the contract: a dump lists counters in the order scripts
-   and diffs have always seen them. The three run reports pin every
-   counter line of a full run, of a windowed and extrapolated sampled run
-   with no clustering (5 intervals), and of a clustered one (8
-   representatives of 52 intervals). *)
+   experiment_headline.txt is the headline-summary section that closes the
+   stdout of
+
+     braidsim experiment --scale 1200 --jobs 2
+
+   and that run's JSON document (braidsim experiment --scale 1200 --jobs 2
+   --json -) is pinned by digest, so every table, note and headline of the
+   whole suite is pinned. The Chrome export of the trace run is pinned by
+   digest too. Counter order is part of the contract: a dump lists
+   counters in the order scripts and diffs have always seen them. The
+   three run reports pin every counter line of a full run, of a windowed
+   and extrapolated sampled run with no clustering (5 intervals), and of
+   a clustered one (8 representatives of 52 intervals). *)
 
 module Api = Braid_api
 
@@ -161,6 +168,35 @@ let test_experiment_counters () =
         (Json.to_string (Json.Obj [ pick "gzip"; pick "mcf" ]))
   | _ -> Alcotest.fail "experiment: unexpected payload"
 
+(* --- experiment: the whole suite's headline summary and JSON ------------- *)
+
+let experiment_digest = "1cbb4a3b46732b6c1d257ee3f1ef22de"
+
+(* the text from the rule line above "Headline summary" to the end *)
+let headline_section text =
+  let marker = "\nHeadline summary (measured)\n" in
+  let rec find i =
+    if i + String.length marker > String.length text then
+      Alcotest.fail "no headline summary"
+    else if String.sub text i (String.length marker) = marker then i
+    else find (i + 1)
+  in
+  let start = String.rindex_from text (find 0 - 1) '\n' + 1 in
+  String.sub text start (String.length text - start)
+
+let test_experiment_suite () =
+  match
+    exec
+      (Api.Request.Experiment
+         { e_ids = []; e_scale = 1200; e_jobs = 2; e_counters = false; e_sample = None })
+  with
+  | Api.Response.Experiment_done { text; doc } ->
+      Alcotest.(check string) "headline summary"
+        (read_file "experiment_headline.txt") (headline_section text);
+      Alcotest.(check string) "json digest" experiment_digest
+        (Digest.to_hex (Digest.string doc))
+  | _ -> Alcotest.fail "experiment: unexpected payload"
+
 let suite =
   ( "observers",
     [
@@ -168,4 +204,6 @@ let suite =
       Alcotest.test_case "cmp counters" `Quick test_cmp;
       Alcotest.test_case "run reports" `Quick test_run;
       Alcotest.test_case "experiment counters json" `Quick test_experiment_counters;
+      Alcotest.test_case "experiment suite headline and json" `Slow
+        test_experiment_suite;
     ] )

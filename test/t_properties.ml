@@ -288,12 +288,13 @@ let test_blocks_well_shaped () =
 let test_deterministic_experiments () =
   let run () =
     let ctx = Braid_sim.Suite.create_ctx () in
-    Braid_sim.Experiments.run ctx ~scale:1000
-      (Braid_sim.Experiments.find "table2")
+    Braid_sim.Runner.run_experiments ~ctx ~jobs:1 ~scale:1000
+      [ Braid_sim.Experiments.find "table2" ]
   in
   let a = run () and b = run () in
   Alcotest.(check string) "experiments deterministic"
-    (Braid_sim.Report.render a) (Braid_sim.Report.render b)
+    (String.concat "" (List.map Braid_sim.Report.render a))
+    (String.concat "" (List.map Braid_sim.Report.render b))
 
 let suite =
   ( "properties",

@@ -151,8 +151,12 @@ let test_experiment_registry () =
 let test_experiment_runs () =
   let ctx = Braid_sim.Suite.create_ctx () in
   let o =
-    Braid_sim.Experiments.run ctx ~scale:1200
-      (Braid_sim.Experiments.find "table1")
+    match
+      Braid_sim.Runner.run_experiments ~ctx ~jobs:1 ~scale:1200
+        [ Braid_sim.Experiments.find "table1" ]
+    with
+    | [ o ] -> o
+    | _ -> Alcotest.fail "one result per experiment"
   in
   Alcotest.(check string) "id" "table1" o.Braid_sim.Experiments.id;
   Alcotest.(check bool) "rendered non-empty" true
