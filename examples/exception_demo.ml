@@ -62,16 +62,16 @@ let () =
   (* Architectural view: the faulting divide wrote zero and execution
      continued — the handler's repair, per the paper's checkpoint model. *)
   let t = Option.get fault_arch.Emulator.trace in
-  Array.iter
-    (fun (e : Trace.event) ->
-      if e.Trace.faulting then
-        Printf.printf
-          "fault at uid %d (pc %#x): %s — pipeline drains to the checkpoint,\n\
-           all BEUs but one disable, the handler runs in-order, then normal\n\
-           mode resumes (paper §3.4)\n\n"
-          e.Trace.uid e.Trace.pc
-          (Disasm.instr e.Trace.instr))
-    t.Trace.events;
+  for u = 0 to Trace.length t - 1 do
+    let e = Trace.event t u in
+    if e.Trace.faulting then
+      Printf.printf
+        "fault at uid %d (pc %#x): %s — pipeline drains to the checkpoint,\n\
+         all BEUs but one disable, the handler runs in-order, then normal\n\
+         mode resumes (paper §3.4)\n\n"
+        e.Trace.uid e.Trace.pc
+        (Disasm.instr e.Trace.instr)
+  done;
 
   Printf.printf "serialisation cost: %d extra cycles (%.1f%%)\n"
     (faulty.U.Core.cycles - clean.U.Core.cycles)

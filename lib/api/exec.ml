@@ -294,7 +294,7 @@ let exec_trace (t : Request.trace) =
   let c = U.Core.run ~probe ~warm_data:p.Sim.Suite.warm_data cfg trace in
   let r = U.Core.result c in
   let events = Obs.Tracer.events tracer in
-  let label uid = Disasm.instr trace.Trace.events.(uid).Trace.instr in
+  let label uid = Disasm.instr (Trace.static trace uid).Trace.instr in
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "%s on %s: %d instructions, %d cycles, IPC %.3f\n" profile.W.Spec.name

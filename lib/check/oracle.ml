@@ -120,10 +120,10 @@ let check ?(invariants = true) ?(cores = Config.Core_kind.all) ?inject_commit pr
                !first_bad);
         (* architectural replay of the committed stream *)
         if Array.for_all (fun u -> u >= 0 && u < n) committed then begin
-          let events = trace.Trace.events in
           let st = Emulator.init_state ~init_mem () in
           Array.iter
-            (fun u -> Emulator.exec_instr st events.(u).Trace.instr)
+            (fun u ->
+              Emulator.exec_instr st (Trace.static trace u).Trace.instr)
             committed;
           let bin_st = out.Emulator.state in
           let reg_divs = ref 0 in

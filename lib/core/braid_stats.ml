@@ -187,20 +187,20 @@ let dynamic_of_trace (trace : Trace.t) =
     end;
     cur_size := 0
   in
-  Array.iter
-    (fun (e : Trace.event) ->
-      if e.Trace.block_id <> !last_block || e.Trace.offset = 0 then begin
-        last_block := e.Trace.block_id;
-        incr block_visits
-      end;
-      if e.Trace.braid_start then begin
-        close_instance ();
-        incr instances
-      end;
-      incr cur_size)
-    trace.Trace.events;
+  let n = Trace.length trace in
+  for u = 0 to n - 1 do
+    let e = Trace.static trace u in
+    if e.Trace.block_id <> !last_block || e.Trace.offset = 0 then begin
+      last_block := e.Trace.block_id;
+      incr block_visits
+    end;
+    if Trace.braid_start trace u then begin
+      close_instance ();
+      incr instances
+    end;
+    incr cur_size
+  done;
   close_instance ();
-  let n = Array.length trace.Trace.events in
   let fi = float_of_int in
   {
     instances = !instances;

@@ -16,29 +16,29 @@ let of_trace (trace : Trace.t) =
     Histogram.add fanout v.reads;
     if v.reads > 0 then Histogram.add lifetime (v.last_read - v.born)
   in
-  Array.iter
-    (fun (e : Trace.event) ->
-      List.iter
-        (fun r ->
-          if Regset.tracked r then
-            match Hashtbl.find_opt live r with
-            | Some v ->
-                v.reads <- v.reads + 1;
-                v.last_read <- e.Trace.uid
-            | None -> ())
-        (Instr.uses e.Trace.instr);
-      List.iter
-        (fun r ->
-          if Regset.tracked r then begin
-            (match Hashtbl.find_opt live r with
-            | Some v ->
-                flush v;
-                Hashtbl.remove live r
-            | None -> ());
-            Hashtbl.replace live r { born = e.Trace.uid; reads = 0; last_read = e.Trace.uid }
-          end)
-        (Instr.defs e.Trace.instr))
-    trace.Trace.events;
+  for u = 0 to Trace.length trace - 1 do
+    let ins = (Trace.static trace u).Trace.instr in
+    List.iter
+      (fun r ->
+        if Regset.tracked r then
+          match Hashtbl.find_opt live r with
+          | Some v ->
+              v.reads <- v.reads + 1;
+              v.last_read <- u
+          | None -> ())
+      (Instr.uses ins);
+    List.iter
+      (fun r ->
+        if Regset.tracked r then begin
+          (match Hashtbl.find_opt live r with
+          | Some v ->
+              flush v;
+              Hashtbl.remove live r
+          | None -> ());
+          Hashtbl.replace live r { born = u; reads = 0; last_read = u }
+        end)
+      (Instr.defs ins)
+  done;
   Hashtbl.iter (fun _ v -> flush v) live;
   { values = !values; fanout; lifetime }
 

@@ -239,9 +239,9 @@ module Compiled = struct
      [proto], [reads] and [writes] are the tracer's static tables. *)
   type code = {
     program : Program.t;
-    proto : Trace.event array;
-        (* static part of each instruction's event; uid, deps, addr, taken
-           and faulting are filled in per dynamic instance *)
+    proto : Trace.static array;
+        (* static half of each instruction's trace entry, shared by every
+           trace and window of the program *)
     reads : (int * bool) array array;  (* source slots, via-internal flag *)
     writes : int array array;  (* destination slots, ext_dup copy included *)
     block_of : int array;  (* sized n+2; the trap slots map to block 0 *)
@@ -254,13 +254,12 @@ module Compiled = struct
     n_dup : int;
   }
 
-  (* The static part of an instruction's trace event, and its register
+  (* The static half of an instruction's trace entry, and its register
      reads and writes as slots; the zero register is neither a producer
      nor a consumer. *)
-  let static_event ~ip ~block_id ~offset (ins : Instr.t) =
+  let static_record ~ip ~block_id ~offset (ins : Instr.t) =
     let op = ins.Instr.op in
     let uses = Instr.uses ins in
-    let is_jump = match op with Op.Jump _ -> true | _ -> false in
     let is_intern (r : Reg.t) = r.Reg.space = Reg.Intern in
     let slots f regs =
       Array.of_list
@@ -273,28 +272,22 @@ module Compiled = struct
       | [ d ], Some dup -> [ d; dup ]
       | ds, _ -> ds
     in
-    ( {
-        Trace.uid = 0;
-        pc = 4 * ip;
+    ( ({
+        Trace.pc = 4 * ip;
         block_id;
         offset;
         instr = ins;
-        deps = [||];
-        addr = -1;
         is_load = Op.is_load op;
         is_store = Op.is_store op;
         is_cond_branch = (match op with Op.Branch _ -> true | _ -> false);
-        is_jump;
-        taken = is_jump;
+        is_jump = (match op with Op.Jump _ -> true | _ -> false);
         latency = Op.latency op;
         writes_ext = Instr.writes_external ins;
         writes_int = Instr.writes_internal ins;
         ext_src_reads = Instr.reads_external_count ins;
         int_src_reads = List.length (List.filter is_intern uses);
         braid_id = ins.Instr.annot.Instr.braid_id;
-        braid_start = ins.Instr.annot.Instr.braid_start;
-        faulting = false;
-      },
+      } : Trace.static),
       slots (fun r -> (reg_slot r, is_intern r)) uses,
       slots reg_slot dests )
 
@@ -322,7 +315,7 @@ module Compiled = struct
     in
     let block_entry = Array.init nb entry_of in
     let blank, _, _ =
-      static_event ~ip:0 ~block_id:0 ~offset:0 (Instr.make Op.Halt)
+      static_record ~ip:0 ~block_id:0 ~offset:0 (Instr.make Op.Halt)
     in
     let proto = Array.make n blank in
     let reads = Array.make n [||] in
@@ -337,7 +330,7 @@ module Compiled = struct
       (fun blk off ins ->
         let ip = bases.(blk.Program.id) + off in
         let ev, rd, wr =
-          static_event ~ip ~block_id:blk.Program.id ~offset:off ins
+          static_record ~ip ~block_id:blk.Program.id ~offset:off ins
         in
         proto.(ip) <- ev;
         reads.(ip) <- rd;
@@ -899,75 +892,61 @@ module Compiled = struct
       mem = run.mem;
     }
 
+  (* The most instructions a window's columns are sized for up front;
+     a longer window grows them. *)
+  let max_window = 1 lsl 20
+
   (* The tracer single-steps the chain ([fuel = 1], as [advance_bbv] does)
-     and copies each event from its static part, filling in the dynamic
-     fields from the registers as they are before the step. Uids and the
-     last-writer table restart at 0 for each window: a mid-run window is a
-     self-contained trace whose dependences on pre-window producers are
-     dropped, which is precisely what a timing model fed only that window
-     must see. *)
+     and appends each instruction to the trace's columns, reading its
+     address, branch outcome and fault from the registers as they are
+     before the step. Uids and the last-writer table restart at 0 for
+     each window: a mid-run window is a self-contained trace whose
+     dependences on pre-window producers are dropped, which is precisely
+     what a timing model fed only that window must see. *)
   let trace_window run ~max_steps =
     let code = run.code and regs = run.regs and step = run.step in
     let n = Array.length code.proto in
     let last_writer = Array.make code.nslots (-1) in
-    let events = ref [] in
+    let b =
+      Trace.Builder.create code.proto code.program
+        ~capacity:(min max_steps max_window)
+    in
     let uid = ref 0 in
     let ip = ref run.ip in
     while !uid < max_steps && !ip >= 0 do
       let i = !ip and u = !uid in
       (* a run parked on a trap slot raises its control-flow failure *)
       if i >= n then ignore (step.(i) 1 : int);
-      let e = code.proto.(i) in
-      let deps =
-        Array.fold_left
-          (fun acc (slot, via) ->
-            let w = last_writer.(slot) in
-            if w < 0 then acc else (w, via) :: acc)
-          [] code.reads.(i)
-      in
-      let deps = Array.of_list (List.sort_uniq compare deps) in
-      let ev =
-        match e.Trace.instr.Instr.op with
-        | Op.Load (_, b, off, _) | Op.Store (_, b, off, _) ->
-            let addr = Int64.to_int (ba_get regs (reg_slot b)) + off in
-            { e with Trace.uid = u; deps; addr }
-        | Op.Branch (c, r, _) ->
-            let taken = Op.eval_cond c (ba_get regs (reg_slot r)) in
-            { e with Trace.uid = u; deps; taken }
-        | Op.Fbin (Op.Fdiv, _, _, b) ->
-            (* the one arithmetic fault [Op.eval_fbin] reports *)
-            let faulting =
-              Int64.float_of_bits (ba_get regs (reg_slot b)) = 0.0
-            in
-            { e with Trace.uid = u; deps; faulting }
-        | _ -> { e with Trace.uid = u; deps }
-      in
+      let reads = code.reads.(i) in
+      for k = 0 to Array.length reads - 1 do
+        let slot, via = reads.(k) in
+        let w = last_writer.(slot) in
+        if w >= 0 then Trace.Builder.add_dep b w via
+      done;
+      (match code.proto.(i).Trace.instr.Instr.op with
+      | Op.Load (_, r, off, _) | Op.Store (_, r, off, _) ->
+          let addr = Int64.to_int (ba_get regs (reg_slot r)) + off in
+          Trace.Builder.push b i ~addr ~taken:false ~faulting:false
+      | Op.Branch (c, r, _) ->
+          let taken = Op.eval_cond c (ba_get regs (reg_slot r)) in
+          Trace.Builder.push b i ~addr:(-1) ~taken ~faulting:false
+      | Op.Fbin (Op.Fdiv, _, _, r) ->
+          (* the one arithmetic fault [Op.eval_fbin] reports *)
+          let faulting = Int64.float_of_bits (ba_get regs (reg_slot r)) = 0.0 in
+          Trace.Builder.push b i ~addr:(-1) ~taken:false ~faulting
+      | _ -> Trace.Builder.push b i ~addr:(-1) ~taken:false ~faulting:false);
       ignore (step.(i) 1 : int);
       ip := !(run.stop);
-      Array.iter (fun slot -> last_writer.(slot) <- u) code.writes.(i);
-      events := ev :: !events;
+      let writes = code.writes.(i) in
+      for k = 0 to Array.length writes - 1 do
+        last_writer.(writes.(k)) <- u
+      done;
       incr uid
     done;
     run.ip <- !ip;
     run.steps <- run.steps + !uid;
-    let events = Array.of_list (List.rev !events) in
-    (* A window may open mid-braid; the braid core only accepts an
-       instruction stream whose first braid event claims a BEU, so the
-       leading event is promoted to a braid start — the tail of the
-       cut-off braid instance is timed as a (short) instance of its
-       own. *)
-    if Array.length events > 0 then begin
-      let e0 = events.(0) in
-      if e0.Trace.braid_id >= 0 && not e0.Trace.braid_start then
-        events.(0) <- { e0 with Trace.braid_start = true }
-    end;
-    {
-      Trace.events;
-      stop = (if !ip < 0 then Trace.Halted else Trace.Steps_exhausted);
-      program = code.program;
-      warm_lines = None;
-      tables = None;
-    }
+    Trace.Builder.finish b
+      (if !ip < 0 then Trace.Halted else Trace.Steps_exhausted)
 
   type snapshot = {
     s_regs : int64 array;
@@ -997,11 +976,16 @@ module Compiled = struct
 end
 
 (* Both modes run the compiled engine: the tracer for [trace], the
-   fast path otherwise. *)
+   fast path otherwise. A trace is first counted by an untraced run, a
+   few percent of the tracer's time, so its columns are allocated once
+   at their exact length. *)
 let run ?(max_steps = 1_000_000) ?(trace = true) ?init_mem program =
-  let r = Compiled.start ?init_mem (Compiled.compile program) in
+  let code = Compiled.compile program in
+  let r = Compiled.start ?init_mem code in
   let trace =
-    if trace then Some (Compiled.trace_window r ~max_steps)
+    if trace then
+      let n = Compiled.advance (Compiled.start ?init_mem code) ~fuel:max_steps in
+      Some (Compiled.trace_window r ~max_steps:n)
     else begin
       ignore (Compiled.advance r ~fuel:max_steps : int);
       None

@@ -34,9 +34,10 @@ val run :
 (** Executes from the entry block on the compiled engine ({!Compiled}).
     [max_steps] bounds the dynamic instruction count (default 1_000_000).
     When [trace] is true (default), the outcome carries the full dynamic
-    trace ({!Compiled.trace_window} over the whole run). Arithmetic faults
-    (FP divide by zero) write zero to the destination, mark the event as
-    [faulting], and continue — the microarchitectural exception-mode cost is
+    trace ({!Compiled.trace_window} over the whole run, after an untraced
+    run has counted its length so the columns are allocated once).
+    Arithmetic faults (FP divide by zero) write zero to the destination,
+    mark the instruction as [faulting], and continue — the microarchitectural exception-mode cost is
     modeled by the timing simulators, not here. *)
 
 val reference :
@@ -89,8 +90,9 @@ val memory_fingerprint : state -> int64
     allocation — byte-identical in all architectural observables
     (registers, memory, dynamic/store counts, stop reason, failure
     messages) to {!reference}. [compile] also records each instruction's
-    static trace event and its register reads and writes, so
-    [trace_window] traces by single-stepping the same closures.
+    static trace record ({!Trace.static}, shared by every trace of the
+    program) and its register reads and writes, so [trace_window] traces
+    by single-stepping the same closures.
     [advance_bbv] additionally accumulates per-basic-block execution
     counts for interval profiling. *)
 module Compiled : sig
@@ -118,11 +120,12 @@ module Compiled : sig
 
   val trace_window : run -> max_steps:int -> Trace.t
   (** Run up to [max_steps] instructions from the current position,
-      advancing the run and recording one event per instruction. The
-      window is a self-contained trace: event uids restart at 0 and
+      advancing the run and appending each instruction to the trace's
+      columns, which are sized for [max_steps] (up to 2{^20}) up front.
+      The window is a self-contained trace: uids restart at 0 and
       dependences on pre-window producers are dropped (a timing model fed
       only the window sees exactly this), and a window opening mid-braid
-      has its first event promoted to a braid start. Its [stop] is
+      has its first instruction promoted to a braid start. Its [stop] is
       [Halted] iff the program has ended. *)
 
   val halted : run -> bool

@@ -1,3 +1,20 @@
+type static = {
+  pc : int;
+  block_id : int;
+  offset : int;
+  instr : Instr.t;
+  is_load : bool;
+  is_store : bool;
+  is_cond_branch : bool;
+  is_jump : bool;
+  latency : int;
+  writes_ext : bool;
+  writes_int : bool;
+  ext_src_reads : int;
+  int_src_reads : int;
+  braid_id : int;
+}
+
 type event = {
   uid : int;
   pc : int;
@@ -24,7 +41,6 @@ type event = {
 type stop_reason = Halted | Steps_exhausted
 
 type dep_tables = {
-  dep_count : int array;
   child_off : int array;
   child_uid : int array;
   child_via : Bytes.t;
@@ -32,32 +48,249 @@ type dep_tables = {
   conflict_store : int array;
 }
 
+(* One static record per static instruction, shared by every trace of a
+   program, plus one entry per dynamic instruction in each column. A
+   dependence entry packs the producer uid and the via-internal bit as
+   [uid lsl 1 lor via], so sorting entries as ints sorts them by
+   (uid, via) — the order the trace has always given them. *)
 type t = {
-  events : event array;
+  proto : static array;
+  sidx : int array;  (* static index per uid *)
+  addr : int array;
+  flags : Bytes.t;  (* [flag_taken], [flag_faulting], [flag_braid_start] *)
+  dep_off : int array;  (* length + 1 CSR offsets into [deps] *)
+  deps : int array;
   stop : stop_reason;
   program : Program.t;
-  mutable warm_lines : int array option;  (* memo: distinct I-lines *)
+  mutable warm_lines : int array option;  (* memo: {!warm_lines} *)
   mutable tables : dep_tables option;  (* memo: {!dep_tables} *)
 }
 
-let length t = Array.length t.events
+let flag_taken = 1
+let flag_faulting = 2
+let flag_braid_start = 4
+
+let flag_byte ~taken ~faulting ~braid_start =
+  Char.unsafe_chr
+    ((if taken then flag_taken else 0)
+    lor (if faulting then flag_faulting else 0)
+    lor if braid_start then flag_braid_start else 0)
+
+let dep_key p via = (p lsl 1) lor Bool.to_int via
+let length t = Array.length t.sidx
+let stop t = t.stop
+let program t = t.program
+let static t u = Array.unsafe_get t.proto t.sidx.(u)
+let addr t u = t.addr.(u)
+let flag t u bit = Char.code (Bytes.get t.flags u) land bit <> 0
+let taken t u = flag t u flag_taken
+let faulting t u = flag t u flag_faulting
+let braid_start t u = flag t u flag_braid_start
+let dep_off t u = t.dep_off.(u)
+let dep_uid t k = t.deps.(k) lsr 1
+let dep_via t k = t.deps.(k) land 1 <> 0
+let branch_of (s : static) = s.is_cond_branch || s.is_jump
+
+let event t u =
+  let s = static t u in
+  let d0 = t.dep_off.(u) in
+  {
+    uid = u;
+    pc = s.pc;
+    block_id = s.block_id;
+    offset = s.offset;
+    instr = s.instr;
+    deps =
+      Array.init (t.dep_off.(u + 1) - d0) (fun k ->
+          (dep_uid t (d0 + k), dep_via t (d0 + k)));
+    addr = t.addr.(u);
+    is_load = s.is_load;
+    is_store = s.is_store;
+    is_cond_branch = s.is_cond_branch;
+    is_jump = s.is_jump;
+    taken = taken t u;
+    latency = s.latency;
+    writes_ext = s.writes_ext;
+    writes_int = s.writes_int;
+    ext_src_reads = s.ext_src_reads;
+    int_src_reads = s.int_src_reads;
+    braid_id = s.braid_id;
+    braid_start = braid_start t u;
+    faulting = faulting t u;
+  }
+
+let of_events program (es : event array) =
+  let n = Array.length es in
+  let dep_off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun u (e : event) ->
+      if e.uid <> u then
+        invalid_arg
+          (Printf.sprintf "Trace.of_events: event %d has uid %d" u e.uid);
+      Array.iter
+        (fun (p, _) ->
+          if p < 0 || p >= u then
+            invalid_arg
+              (Printf.sprintf "Trace.of_events: event %d depends on uid %d" u p))
+        e.deps;
+      dep_off.(u + 1) <- dep_off.(u) + Array.length e.deps)
+    es;
+  let deps =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun (e : event) -> Array.map (fun (p, via) -> dep_key p via) e.deps)
+            es))
+  in
+  {
+    proto =
+      Array.map
+        (fun (e : event) ->
+          {
+            pc = e.pc;
+            block_id = e.block_id;
+            offset = e.offset;
+            instr = e.instr;
+            is_load = e.is_load;
+            is_store = e.is_store;
+            is_cond_branch = e.is_cond_branch;
+            is_jump = e.is_jump;
+            latency = e.latency;
+            writes_ext = e.writes_ext;
+            writes_int = e.writes_int;
+            ext_src_reads = e.ext_src_reads;
+            int_src_reads = e.int_src_reads;
+            braid_id = e.braid_id;
+          })
+        es;
+    sidx = Array.init n Fun.id;
+    addr = Array.map (fun (e : event) -> e.addr) es;
+    flags =
+      Bytes.init n (fun u ->
+          let e = es.(u) in
+          flag_byte ~taken:e.taken ~faulting:e.faulting ~braid_start:e.braid_start);
+    dep_off;
+    deps;
+    stop = Halted;
+    program;
+    warm_lines = None;
+    tables = None;
+  }
+
+module Builder = struct
+  type trace = t
+
+  (* Columns sized for [capacity] instructions up front, grown by
+     doubling past it and cut to size by [finish]; [dep_off.(n)] is
+     where the open instruction's entries start. *)
+  type t = {
+    proto : static array;
+    program : Program.t;
+    mutable n : int;
+    mutable sidx : int array;
+    mutable addr : int array;
+    mutable flags : Bytes.t;
+    mutable dep_off : int array;
+    mutable nd : int;  (* dependence entries, the open instruction's too *)
+    mutable deps : int array;
+  }
+
+  let create proto program ~capacity =
+    let cap = max 1 capacity in
+    {
+      proto;
+      program;
+      n = 0;
+      sidx = Array.make cap 0;
+      addr = Array.make cap 0;
+      flags = Bytes.make cap '\000';
+      dep_off = Array.make (cap + 1) 0;
+      nd = 0;
+      deps = Array.make cap 0;
+    }
+
+  let grown a len =
+    let a' = Array.make (2 * len) 0 in
+    Array.blit a 0 a' 0 len;
+    a'
+
+  (* insertion into the open instruction's sorted entries; an
+     instruction reads at most a few registers *)
+  let add_dep b p via =
+    let key = dep_key p via in
+    let start = b.dep_off.(b.n) in
+    let i = ref b.nd in
+    while !i > start && b.deps.(!i - 1) > key do
+      decr i
+    done;
+    if not (!i > start && b.deps.(!i - 1) = key) then begin
+      if b.nd = Array.length b.deps then b.deps <- grown b.deps b.nd;
+      for j = b.nd downto !i + 1 do
+        b.deps.(j) <- b.deps.(j - 1)
+      done;
+      b.deps.(!i) <- key;
+      b.nd <- b.nd + 1
+    end
+
+  let push b s ~addr ~taken ~faulting =
+    let n = b.n in
+    if n = Array.length b.sidx then begin
+      b.sidx <- grown b.sidx n;
+      b.addr <- grown b.addr n;
+      b.flags <- Bytes.extend b.flags 0 n;
+      b.dep_off <- grown b.dep_off (n + 1)
+    end;
+    let st = b.proto.(s) in
+    b.sidx.(n) <- s;
+    b.addr.(n) <- addr;
+    Bytes.set b.flags n
+      (flag_byte ~taken:(taken || st.is_jump) ~faulting
+         ~braid_start:st.instr.Instr.annot.Instr.braid_start);
+    b.dep_off.(n + 1) <- b.nd;
+    b.n <- n + 1
+
+  let fit a len = if Array.length a = len then a else Array.sub a 0 len
+
+  let finish b stop : trace =
+    let n = b.n in
+    let flags =
+      if Bytes.length b.flags = n then b.flags else Bytes.sub b.flags 0 n
+    in
+    if n > 0 && b.proto.(b.sidx.(0)).braid_id >= 0 then
+      Bytes.set flags 0
+        (Char.unsafe_chr (Char.code (Bytes.get flags 0) lor flag_braid_start));
+    {
+      proto = b.proto;
+      sidx = fit b.sidx n;
+      addr = fit b.addr n;
+      flags;
+      dep_off = fit b.dep_off (n + 1);
+      deps = fit b.deps b.nd;
+      stop;
+      program = b.program;
+      warm_lines = None;
+      tables = None;
+    }
+end
 
 let warm_lines t =
   match t.warm_lines with
   | Some a -> a
   | None ->
       (* distinct 64-byte instruction lines in first-touch order (the
-         order matters: cache warm-up replays them against LRU state) *)
-      let seen = Hashtbl.create 256 in
+         order matters: cache warm-up replays them against LRU state),
+         deduplicated on a table with one entry per static line *)
+      let top = Array.fold_left (fun m (s : static) -> max m s.pc) 0 t.proto in
+      let seen = Bytes.make ((top lsr 6) + 1) '\000' in
       let acc = ref [] in
       Array.iter
-        (fun e ->
-          let line = e.pc land lnot 63 in
-          if not (Hashtbl.mem seen line) then begin
-            Hashtbl.add seen line ();
-            acc := line :: !acc
+        (fun i ->
+          let line = t.proto.(i).pc lsr 6 in
+          if Bytes.get seen line = '\000' then begin
+            Bytes.set seen line '\001';
+            acc := (line lsl 6) :: !acc
           end)
-        t.events;
+        t.sidx;
       let a = Array.of_list (List.rev !acc) in
       t.warm_lines <- Some a;
       a
@@ -66,19 +299,17 @@ let dep_tables t =
   match t.tables with
   | Some tb -> tb
   | None ->
-      let events = t.events in
-      let n = Array.length events in
-      let dep_count = Array.make n 0 in
+      let n = length t in
       (* dependence graph in CSR form: the consumers (children) of
          producer [p] are [child_uid.(child_off.(p))
          .. child_uid.(child_off.(p+1) - 1)], tagged in [child_via] when
          the value flows through a braid-internal register *)
       let child_off = Array.make (n + 1) 0 in
-      Array.iteri
-        (fun i (e : event) ->
-          dep_count.(i) <- Array.length e.deps;
-          Array.iter (fun (p, _) -> child_off.(p + 1) <- child_off.(p + 1) + 1) e.deps)
-        events;
+      Array.iter
+        (fun key ->
+          let p = key lsr 1 in
+          child_off.(p + 1) <- child_off.(p + 1) + 1)
+        t.deps;
       for i = 1 to n do
         child_off.(i) <- child_off.(i) + child_off.(i - 1)
       done;
@@ -90,26 +321,22 @@ let dep_tables t =
       (* youngest older same-address store per load, -1 = none *)
       let conflict_store = Array.make n (-1) in
       let last_store = Hashtbl.create 256 in
-      Array.iteri
-        (fun i (e : event) ->
-          Array.iter
-            (fun (p, via) ->
-              let k = fill.(p) in
-              child_uid.(k) <- i;
-              if via then Bytes.set child_via k '\001'
-              else if i > last_ext_reader.(p) then last_ext_reader.(p) <- i;
-              fill.(p) <- k + 1)
-            e.deps;
-          if e.is_load then (
-            match Hashtbl.find_opt last_store e.addr with
-            | Some su -> conflict_store.(i) <- su
-            | None -> ());
-          if e.is_store then Hashtbl.replace last_store e.addr i)
-        events;
-      let tb =
-        { dep_count; child_off; child_uid; child_via; last_ext_reader; conflict_store }
-      in
+      for i = 0 to n - 1 do
+        for k = t.dep_off.(i) to t.dep_off.(i + 1) - 1 do
+          let p = dep_uid t k in
+          let j = fill.(p) in
+          child_uid.(j) <- i;
+          if dep_via t k then Bytes.set child_via j '\001'
+          else if i > last_ext_reader.(p) then last_ext_reader.(p) <- i;
+          fill.(p) <- j + 1
+        done;
+        let s = static t i in
+        if s.is_load then (
+          match Hashtbl.find_opt last_store t.addr.(i) with
+          | Some su -> conflict_store.(i) <- su
+          | None -> ());
+        if s.is_store then Hashtbl.replace last_store t.addr.(i) i
+      done;
+      let tb = { child_off; child_uid; child_via; last_ext_reader; conflict_store } in
       t.tables <- Some tb;
       tb
-
-let branch_of e = e.is_cond_branch || e.is_jump

@@ -1,33 +1,62 @@
 (** Dynamic instruction traces.
 
     The timing simulators are execution-driven: the emulator runs the
-    program for real and emits one [event] per retired instruction, with
+    program for real and records one entry per retired instruction, with
     true register data dependences already resolved to producer uids
     (register renaming makes false dependences irrelevant to timing; memory
     dependences are resolved by the LSQ model from the recorded
-    addresses). *)
+    addresses).
 
-type event = {
-  uid : int;  (** dense dynamic index, starting at 0 *)
+    A trace is stored as columns. The static half of every instruction
+    (its {!static} record) is built once per program and shared by
+    reference by every trace and window of it; per dynamic instruction
+    the trace keeps only the static index, the address, a flag byte
+    (taken, faulting, braid start) and its register dependences in CSR
+    form. Timing models read the columns through the accessors below;
+    {!event} assembles the full record of one instruction on demand, for
+    readers off the hot path. *)
+
+(** The static half of an instruction's trace entry: everything that is
+    the same for every dynamic instance of it. *)
+type static = {
   pc : int;  (** byte address of the static instruction *)
   block_id : int;
   offset : int;  (** position within the block *)
+  instr : Instr.t;
+  is_load : bool;
+  is_store : bool;
+  is_cond_branch : bool;
+  is_jump : bool;
+  latency : int;  (** FU latency, memory time excluded *)
+  writes_ext : bool;  (** allocates an external register / rename entry *)
+  writes_int : bool;  (** writes a braid-internal register *)
+  ext_src_reads : int;  (** external register file reads requested *)
+  int_src_reads : int;
+  braid_id : int;
+}
+
+(** One dynamic instruction as a record: a view assembled by {!event}. *)
+type event = {
+  uid : int;  (** dense dynamic index, starting at 0 *)
+  pc : int;
+  block_id : int;
+  offset : int;
   instr : Instr.t;
   deps : (int * bool) array;
       (** register value producers (RAW): [(uid, via_internal)], where
           [via_internal] marks values flowing through a braid-internal
           register (same BEU, never on the bypass network or external
-          register file) *)
+          register file); sorted, without duplicates *)
   addr : int;  (** byte address for loads/stores, -1 otherwise *)
   is_load : bool;
   is_store : bool;
   is_cond_branch : bool;
   is_jump : bool;
   taken : bool;  (** conditional branches: outcome; jumps: true *)
-  latency : int;  (** FU latency, memory time excluded *)
-  writes_ext : bool;  (** allocates an external register / rename entry *)
-  writes_int : bool;  (** writes a braid-internal register *)
-  ext_src_reads : int;  (** external register file reads requested *)
+  latency : int;
+  writes_ext : bool;
+  writes_int : bool;
+  ext_src_reads : int;
   int_src_reads : int;
   braid_id : int;
   braid_start : bool;
@@ -36,10 +65,100 @@ type event = {
 
 type stop_reason = Halted | Steps_exhausted
 
+type t
+
+val length : t -> int
+val stop : t -> stop_reason
+
+val program : t -> Program.t
+(** The program the trace executed. *)
+
+(** {2 Columns} — allocation-free, for the timing models. *)
+
+val static : t -> int -> static
+(** The shared static record of the instruction with this uid. *)
+
+val addr : t -> int -> int
+(** Load/store byte address, -1 for every other instruction. *)
+
+val taken : t -> int -> bool
+(** Conditional branches: the outcome; jumps: true; otherwise false. *)
+
+val faulting : t -> int -> bool
+
+val braid_start : t -> int -> bool
+(** The instruction's S bit, or the first braid instruction of a window
+    that opens mid-braid (see {!Emulator.Compiled.trace_window}). *)
+
+val dep_off : t -> int -> int
+(** CSR offsets of the register dependences: those of uid [u] are the
+    entries [dep_off t u .. dep_off t (u + 1) - 1], sorted by producer
+    uid, internal after external for the same producer, without
+    duplicates. [dep_off t (length t)] is the total. *)
+
+val dep_uid : t -> int -> int
+(** Producer uid of a dependence entry. *)
+
+val dep_via : t -> int -> bool
+(** The dependence entry's value flows through a braid-internal
+    register. *)
+
+val branch_of : static -> bool
+(** [is_cond_branch || is_jump]. *)
+
+(** {2 Views} *)
+
+val event : t -> int -> event
+(** The full record of the instruction with this uid, assembled from the
+    columns (it allocates: not for per-cycle use). *)
+
+val of_events : Program.t -> event array -> t
+(** A trace holding exactly these events ([Halted]), one static record
+    per event: [event (of_events p es) u = es.(u)]. For hand-built test
+    traces. Raises [Invalid_argument] unless [es.(u).uid = u] and every
+    dependence names an older uid. *)
+
+(** {2 Production} *)
+
+(** Appends instructions to a trace one at a time; the producer behind
+    {!Emulator.Compiled.trace_window}. *)
+module Builder : sig
+  type trace := t
+  type t
+
+  val create : static array -> Program.t -> capacity:int -> t
+  (** An empty trace over this static table (shared, not copied), with
+      room for [capacity] instructions before its columns grow: a
+      producer that knows the length up front allocates each column
+      once. *)
+
+  val add_dep : t -> int -> bool -> unit
+  (** [add_dep b p via] records a register read of producer uid [p] for
+      the instruction being built: kept sorted, an exact duplicate
+      dropped. *)
+
+  val push : t -> int -> addr:int -> taken:bool -> faulting:bool -> unit
+  (** [push b s ~addr ~taken ~faulting] closes the instruction being
+      built as a dynamic instance of static index [s] ([taken] is the
+      conditional-branch outcome; a jump is always taken). *)
+
+  val finish : t -> stop_reason -> trace
+  (** The trace built so far. Its first instruction is promoted to a
+      braid start when it lies inside a braid: the braid core only
+      accepts a stream whose first braid instruction claims a BEU. *)
+end
+
+(** {2 Derived tables} *)
+
+val warm_lines : t -> int array
+(** Distinct 64-byte instruction-line addresses in first-touch order,
+    computed once and memoised (the trace is immutable): repeated timing
+    runs over one trace — every point of a design-space sweep — warm
+    their caches without re-deduplicating the event stream. *)
+
 (** Static, trace-derived dependence tables, shared by every timing run
     over one trace (all arrays are read-only for consumers). *)
 type dep_tables = {
-  dep_count : int array;  (** register producers per uid *)
   child_off : int array;
       (** CSR offsets: the consumers of producer [p] are
           [child_uid.(child_off.(p)) .. child_uid.(child_off.(p+1)-1)] *)
@@ -52,29 +171,8 @@ type dep_tables = {
           address, -1 = none (LSQ disambiguation is static in a trace) *)
 }
 
-type t = {
-  events : event array;
-  stop : stop_reason;
-  program : Program.t;
-  mutable warm_lines : int array option;
-      (** memoised {!warm_lines} result; construct with [None] *)
-  mutable tables : dep_tables option;
-      (** memoised {!dep_tables} result; construct with [None] *)
-}
-
-val length : t -> int
-
-val warm_lines : t -> int array
-(** Distinct 64-byte instruction-line addresses in first-touch order,
-    computed once and memoised (the trace is immutable): repeated timing
-    runs over one trace — every point of a design-space sweep — warm
-    their caches without re-deduplicating the event stream. *)
-
 val dep_tables : t -> dep_tables
 (** The static dependence structure of the trace, computed once and
     memoised. Timing models treat every array as read-only, so repeated
     runs (the points of a sweep) share one copy instead of rebuilding the
     CSR graph and disambiguation table per run. *)
-
-val branch_of : event -> bool
-(** [is_cond_branch || is_jump]. *)

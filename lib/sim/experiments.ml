@@ -139,19 +139,18 @@ let instruction_mix =
       let trc = p.Suite.conv_trace () in
       let n = float_of_int (max 1 (Trace.length trc)) in
       let count f =
-        100.0
-        *. float_of_int
-             (Array.fold_left
-                (fun acc e -> if f e then acc + 1 else acc)
-                0 trc.Trace.events)
-        /. n
+        let c = ref 0 in
+        for u = 0 to Trace.length trc - 1 do
+          if f (Trace.static trc u) then incr c
+        done;
+        100.0 *. float_of_int !c /. n
       in
       [|
         count (fun e -> e.Trace.is_load);
         count (fun e -> e.Trace.is_store);
         count Trace.branch_of;
         count (fun e -> Op.is_fp e.Trace.instr.Instr.op);
-        count (fun (e : Trace.event) ->
+        count (fun (e : Trace.static) ->
             match e.Trace.instr.Instr.op with
             | Op.Ibin _ | Op.Ibini _ | Op.Movi _ | Op.Cmov _ -> true
             | _ -> false);

@@ -113,7 +113,7 @@ type t = {
 
 let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
     (cfg : Config.t) (trace : Trace.t) =
-  let n = Array.length trace.Trace.events in
+  let n = Trace.length trace in
   if n = 0 then invalid_arg "Core.create: empty trace";
   (match measure_from with
   | Some mf when mf < 0 || mf >= n ->
@@ -143,20 +143,20 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
      above alone. *)
   (match prewarm with
   | None -> ()
-  | Some (w : Trace.t) ->
+  | Some w ->
       let last = ref min_int in
-      Array.iter
-        (fun (e : Trace.event) ->
-          let line = e.Trace.pc / 64 in
-          if line <> !last then begin
-            Mem_hier.warm_instr hier e.Trace.pc;
-            last := line
-          end;
-          if e.Trace.is_load || e.Trace.is_store then
-            Mem_hier.warm_data hier e.Trace.addr;
-          if e.Trace.is_cond_branch then
-            Predictor.warm pred ~pc:e.Trace.pc ~taken:e.Trace.taken)
-        w.Trace.events);
+      for u = 0 to Trace.length w - 1 do
+        let e = Trace.static w u in
+        let line = e.Trace.pc / 64 in
+        if line <> !last then begin
+          Mem_hier.warm_instr hier e.Trace.pc;
+          last := line
+        end;
+        if e.Trace.is_load || e.Trace.is_store then
+          Mem_hier.warm_data hier (Trace.addr w u);
+        if e.Trace.is_cond_branch then
+          Predictor.warm pred ~pc:e.Trace.pc ~taken:(Trace.taken w u)
+      done);
   let guard = (200 * n) + 100_000 in
   let last_progress = ref 0 in
   let last_committed = ref 0 in
@@ -216,10 +216,10 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
   (* Wrong-path fetch: while a redirect is pending, walk the static
      program down the mispredicted direction, touching I-cache lines
      (polluting them) at fetch width per cycle. *)
-  let program = trace.Trace.program in
-  let wrong_path_of (e : Trace.event) =
+  let program = Trace.program trace in
+  let wrong_path_of (e : Trace.static) ~taken =
     let b = program.Program.blocks.(e.Trace.block_id) in
-    if e.Trace.taken then
+    if taken then
       (* predicted not-taken: the wrong path falls through *)
       if e.Trace.offset + 1 < Array.length b.Program.instrs then
         Some (e.Trace.block_id, e.Trace.offset + 1)
@@ -324,7 +324,8 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
         && !fetch_idx < n
         && not (Ring.is_full fetchq)
       do
-        let e = trace.Trace.events.(!fetch_idx) in
+        let u = !fetch_idx in
+        let e = Trace.static trace u in
         (* I-cache: charge per new line; a miss stalls fetch *)
         let line = e.Trace.pc / 64 in
         if line <> !last_line then begin
@@ -341,37 +342,39 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
           if is_branch && !branches >= cfg.Config.max_branches_per_cycle then
             stop := true
           else begin
-            Ring.push fetchq e.Trace.uid;
+            let taken = Trace.taken trace u in
+            Ring.push fetchq u;
             incr fetched;
-            Probe.on_fetch probe ~cycle:now e;
+            Probe.on_fetch probe trace ~cycle:now u;
             if is_branch then incr branches;
             (* a taken transfer missing in the BTB costs a fetch bubble *)
-            if is_branch && e.Trace.taken && not (btb_hit e.Trace.pc) then
+            if is_branch && taken && not (btb_hit e.Trace.pc) then
               icache_ready := max !icache_ready (now + 2);
             if e.Trace.is_cond_branch then begin
               let correct =
-                Predictor.predict_and_train pred ~pc:e.Trace.pc ~taken:e.Trace.taken
+                Predictor.predict_and_train pred ~pc:e.Trace.pc ~taken
               in
               if not correct then begin
                 blocked :=
                   Some
                     {
-                      uid = e.Trace.uid;
+                      uid = u;
                       penalty = cfg.Config.misprediction_penalty;
                       wrong_path =
-                        (if cfg.Config.model_wrong_path_fetch then wrong_path_of e
+                        (if cfg.Config.model_wrong_path_fetch then
+                           wrong_path_of e ~taken
                          else None);
                     };
                 stop := true
               end
             end;
             (* arithmetic faults serialize: drain, handle, resume (§3.4) *)
-            if e.Trace.faulting then begin
+            if Trace.faulting trace u then begin
               incr faults;
               blocked :=
                 Some
                   {
-                    uid = e.Trace.uid;
+                    uid = u;
                     penalty = 2 * cfg.Config.misprediction_penalty;
                     wrong_path = None;
                   };

@@ -118,7 +118,7 @@ val run :
     {!finished}; [result (run ...)] is the whole run's result. *)
 
 val finished : t -> bool
-(** Every trace event has committed. *)
+(** Every instruction of the trace has committed. *)
 
 val result : t -> result
 (** Counters of the finished run; raises [Invalid_argument] while

@@ -45,28 +45,36 @@ let dep_steer m =
     Array.init cfg.Config.clusters (fun _ ->
         Ring.create ~dummy:(-1) ~capacity:cfg.Config.cluster_entries)
   in
-  let producer_uids u =
-    Array.to_list (Array.map fst (Machine.event m u).Trace.deps)
+  let tr = Machine.trace m in
+  let nfifo = Array.length fifos in
+  (* [p] is one of [u]'s register producers: a walk of its dependence
+     entries [k .. stop - 1] *)
+  let rec produces p k stop =
+    k < stop && (Trace.dep_uid tr k = p || produces p (k + 1) stop)
+  in
+  let tail_matches u f =
+    (not (Ring.is_empty f))
+    && (not (Ring.is_full f))
+    && produces
+         (Ring.get f (Ring.length f - 1))
+         (Trace.dep_off tr u)
+         (Trace.dep_off tr (u + 1))
+  in
+  (* the first FIFO whose tail produces [u], else the first empty one *)
+  let rec steer u i =
+    if i = nfifo then empty 0
+    else if tail_matches u fifos.(i) then i
+    else steer u (i + 1)
+  and empty i =
+    if i = nfifo then -1 else if Ring.is_empty fifos.(i) then i else empty (i + 1)
   in
   let try_dispatch u =
-    let deps = producer_uids u in
-    let tail_matches f =
-      (not (Ring.is_empty f))
-      && (not (Ring.is_full f))
-      &&
-      let tail = Ring.get f (Ring.length f - 1) in
-      List.mem tail deps
-    in
-    let target =
-      match Array.find_opt tail_matches fifos with
-      | Some f -> Some f
-      | None -> Array.find_opt Ring.is_empty fifos
-    in
-    match target with
-    | Some f ->
-        Ring.push f u;
-        true
-    | None -> false
+    let i = steer u 0 in
+    if i < 0 then false
+    else begin
+      Ring.push fifos.(i) u;
+      true
+    end
   in
   let cycle () =
     Array.iter
@@ -180,7 +188,7 @@ let braid m =
      through the bypass/external paths). *)
   let free b = Ring.is_empty b.fifo in
   let try_dispatch u =
-    if (Machine.event m u).Trace.braid_start then begin
+    if Trace.braid_start (Machine.trace m) u then begin
       (* close the previous braid; claim a free BEU *)
       let chosen = ref None in
       Array.iteri (fun i b -> if !chosen = None && free b then chosen := Some i) beus;
@@ -206,18 +214,24 @@ let braid m =
     if cfg.Config.beu_cluster_size <= 0 then 0
     else b / cfg.Config.beu_cluster_size
   in
+  let tr = Machine.trace m in
+  (* every external value of [u] from dependence entry [k] on has
+     crossed from its producer's cluster *)
+  let rec arrived u k stop =
+    k >= stop
+    || (Trace.dep_via tr k
+       ||
+       let p = Trace.dep_uid tr k in
+       let pb = Machine.beu m p in
+       pb < 0
+       || cluster_of pb = cluster_of (Machine.beu m u)
+       || Machine.now m
+          >= Machine.ext_visible m p + cfg.Config.inter_cluster_latency)
+       && arrived u (k + 1) stop
+  in
   let cluster_ready u =
     cfg.Config.beu_cluster_size <= 0
-    || Array.for_all
-         (fun (p, via) ->
-           via
-           ||
-           let pb = Machine.beu m p in
-           pb < 0
-           || cluster_of pb = cluster_of (Machine.beu m u)
-           || Machine.now m
-              >= Machine.ext_visible m p + cfg.Config.inter_cluster_latency)
-         (Machine.event m u).Trace.deps
+    || arrived u (Trace.dep_off tr u) (Trace.dep_off tr (u + 1))
   in
   let cycle () =
     Array.iter
@@ -289,7 +303,8 @@ let cgooo m =
        block in dispatch yet): the tail of the cut-off block is timed as
        a (short) block of its own, matching the braid-start promotion
        [Emulator.Compiled.trace_window] performs for the braid core. *)
-    if (Machine.event m u).Trace.offset = 0 || !target = None then begin
+    if (Trace.static (Machine.trace m) u).Trace.offset = 0 || !target = None
+    then begin
       (* block leader: close the previous block; claim a free window *)
       let chosen = ref None in
       Array.iteri

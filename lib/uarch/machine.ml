@@ -118,7 +118,7 @@ end
 type t = {
   cfg : Config.t;
   trace : Trace.t;
-  events : Trace.event array;
+  n : int;  (* trace length *)
   ready_deps : int array;  (* producers not yet visible *)
   issue_cycle : int array;  (* max_int = not issued *)
   complete_cycle : int array;
@@ -192,8 +192,7 @@ type t = {
 }
 
 let create ?(probe = Probe.off) ?hier cfg trace =
-  let events = trace.Trace.events in
-  let n = Array.length events in
+  let n = Trace.length trace in
   let hier =
     match hier with
     | Some h -> h
@@ -202,11 +201,11 @@ let create ?(probe = Probe.off) ?hier cfg trace =
   (* the static dependence structure (CSR children, last external
      readers, store disambiguation) is memoised on the trace: repeated
      runs — the points of a sweep — share one copy; only the per-run
-     mutable counts are copied fresh *)
+     mutable counts are built fresh *)
   let tb = Trace.dep_tables trace in
   let slots =
     {
-      Probe.events;
+      Probe.trace;
       issue_cycle = Array.make n max_int;
       complete_cycle = Array.make n max_int;
       int_visible = Array.make n max_int;
@@ -217,8 +216,9 @@ let create ?(probe = Probe.off) ?hier cfg trace =
   {
     cfg;
     trace;
-    events;
-    ready_deps = Array.copy tb.Trace.dep_count;
+    n;
+    ready_deps =
+      Array.init n (fun u -> Trace.dep_off trace (u + 1) - Trace.dep_off trace u);
     issue_cycle = slots.Probe.issue_cycle;
     complete_cycle = slots.Probe.complete_cycle;
     ext_visible = slots.Probe.ext_visible;
@@ -274,7 +274,7 @@ let create ?(probe = Probe.off) ?hier cfg trace =
 
 let cfg t = t.cfg
 let probe t = t.probe
-let event t u = t.events.(u)
+let trace t = t.trace
 let now t = t.now
 let hierarchy t = t.hier
 let predictor t = t.pred
@@ -290,6 +290,26 @@ let ext_visible t u = t.ext_visible.(u)
 let beu t u = t.beu.(u)
 let set_beu t u i = t.beu.(u) <- i
 
+(* [begin_cycle]'s calendar handlers, top-level so that a drain builds
+   no closure *)
+let wake t u =
+  let d = t.ready_deps.(u) - 1 in
+  t.ready_deps.(u) <- d;
+  if d = 0 && t.home.(u) >= 0 then
+    t.ready_in.(t.home.(u)) <- t.ready_in.(t.home.(u)) + 1
+
+let reg_free t u =
+  if Bytes.get t.ext_entry_freed u = '\000' then begin
+    Bytes.set t.ext_entry_freed u '\001';
+    t.free_regs <- t.free_regs + 1;
+    (* released before commit: the braid dead-value path *)
+    t.early_releases <- t.early_releases + 1;
+    Probe.on_ext_release t.probe ~cycle:t.now ~uid:u
+  end
+
+let branch_resolved t (_ : int) =
+  t.unresolved_branches <- t.unresolved_branches - 1
+
 let begin_cycle t =
   t.now <- t.now + 1;
   (* publish the clock to the per-cycle resources: it is what lets them
@@ -297,21 +317,9 @@ let begin_cycle t =
   Rc.set_now t.read_ports t.now;
   Rc.set_now t.write_ports t.now;
   Rc.set_now t.bypass t.now;
-  Calq.drain t.wake t.now (fun u ->
-      let d = t.ready_deps.(u) - 1 in
-      t.ready_deps.(u) <- d;
-      if d = 0 && t.home.(u) >= 0 then
-        t.ready_in.(t.home.(u)) <- t.ready_in.(t.home.(u)) + 1);
-  Calq.drain t.reg_free_at t.now (fun u ->
-      if Bytes.get t.ext_entry_freed u = '\000' then begin
-        Bytes.set t.ext_entry_freed u '\001';
-        t.free_regs <- t.free_regs + 1;
-        (* released before commit: the braid dead-value path *)
-        t.early_releases <- t.early_releases + 1;
-        Probe.on_ext_release t.probe ~cycle:t.now ~uid:u
-      end);
-  Calq.drain t.branch_resolve_at t.now (fun _ ->
-      t.unresolved_branches <- t.unresolved_branches - 1);
+  Calq.drain t.wake t.now wake t;
+  Calq.drain t.reg_free_at t.now reg_free t;
+  Calq.drain t.branch_resolve_at t.now branch_resolved t;
   t.alloc_left <- t.alloc_width;
   t.src_left <- t.src_width;
   t.dst_left <- t.dst_width
@@ -341,9 +349,27 @@ let mem_ready t u =
   else Mem_blocked
 
 let can_issue_ports t u =
-  Rc.available t.read_ports t.now t.events.(u).Trace.ext_src_reads
+  Rc.available t.read_ports t.now (Trace.static t.trace u).Trace.ext_src_reads
 
 let schedule_wake t cycle uid = Calq.add t.wake cycle uid
+
+(* Schedules the release of producer [p]'s external entry once it has
+   completed and its last external reader has issued (or at once when
+   nothing reads it externally). *)
+let maybe_release t p =
+  if
+    (Trace.static t.trace p).Trace.writes_ext
+    && issued t p
+    && Bytes.get t.ext_entry_freed p = '\000'
+  then begin
+    let r = t.last_ext_reader.(p) in
+    if r < 0 then
+      Calq.add t.reg_free_at (max (t.complete_cycle.(p) + 1) (t.now + 1)) p
+    else if issued t r then
+      Calq.add t.reg_free_at
+        (max (max t.complete_cycle.(p) t.issue_cycle.(r) + 1) (t.now + 1))
+        p
+  end
 
 let do_issue t u =
   if issued t u then
@@ -360,7 +386,7 @@ let do_issue t u =
      t.ready_in.(t.home.(u)) <- t.ready_in.(t.home.(u)) - 1;
      t.home.(u) <- -1
    end);
-  let e = t.events.(u) in
+  let e = Trace.static t.trace u in
   Rc.take t.read_ports t.now e.Trace.ext_src_reads;
   t.ext_rf_reads <- t.ext_rf_reads + e.Trace.ext_src_reads;
   t.int_rf_reads <- t.int_rf_reads + e.Trace.int_src_reads;
@@ -368,7 +394,7 @@ let do_issue t u =
     if e.Trace.is_load then
       match mem_ready t u with
       | Mem_forward -> 1
-      | Mem_cache -> Mem_hier.data_latency t.hier e.Trace.addr
+      | Mem_cache -> Mem_hier.data_latency t.hier (Trace.addr t.trace u)
       | Mem_blocked ->
           invalid_arg
             (Printf.sprintf
@@ -422,26 +448,10 @@ let do_issue t u =
      reader (compiler liveness bits) has issued. Commit is the fallback
      release, so this only shortens residency. *)
   if t.is_braid then begin
-      let maybe_release p =
-        if
-          t.events.(p).Trace.writes_ext
-          && issued t p
-          && Bytes.get t.ext_entry_freed p = '\000'
-        then begin
-          let r = t.last_ext_reader.(p) in
-          let release_at =
-            if r < 0 then Some (t.complete_cycle.(p) + 1)
-            else if issued t r then
-              Some (max t.complete_cycle.(p) t.issue_cycle.(r) + 1)
-            else None
-          in
-          match release_at with
-          | Some c -> Calq.add t.reg_free_at (max c (t.now + 1)) p
-          | None -> ()
-        end
-      in
-      maybe_release u;
-      Array.iter (fun (p, via) -> if not via then maybe_release p) e.Trace.deps
+    maybe_release t u;
+    for k = Trace.dep_off t.trace u to Trace.dep_off t.trace (u + 1) - 1 do
+      if not (Trace.dep_via t.trace k) then maybe_release t (Trace.dep_uid t.trace k)
+    done
   end
 
 type dispatch_block =
@@ -454,7 +464,7 @@ type dispatch_block =
   | Block_inflight
 
 let can_dispatch t u =
-  let e = t.events.(u) in
+  let e = Trace.static t.trace u in
   (* counted on every attempt that lacks a register, whichever check
      refuses it first *)
   let regs_short = e.Trace.writes_ext && t.free_regs < 1 in
@@ -476,7 +486,7 @@ let can_dispatch t u =
   else Block_none
 
 let note_dispatch t u =
-  let e = t.events.(u) in
+  let e = Trace.static t.trace u in
   t.alloc_left <- t.alloc_left - 1;
   t.src_left <- t.src_left - e.Trace.ext_src_reads;
   if e.Trace.writes_ext then begin
@@ -488,19 +498,19 @@ let note_dispatch t u =
   if e.Trace.is_cond_branch && t.max_unresolved > 0 then
     t.unresolved_branches <- t.unresolved_branches + 1;
   t.dispatched_count <- t.dispatched_count + 1;
-  Probe.on_dispatch t.probe ~cycle:t.now ~beu:t.beu.(u) e
+  Probe.on_dispatch t.probe t.trace ~cycle:t.now ~beu:t.beu.(u) u
 
 let commit_stage t =
   let budget = ref t.cfg.Config.commit_width in
   let continue_ = ref true in
-  while !continue_ && !budget > 0 && t.commit_idx < Array.length t.events do
+  while !continue_ && !budget > 0 && t.commit_idx < t.n do
     let u = t.commit_idx in
     if is_complete t u then begin
-      let e = t.events.(u) in
-      Probe.on_commit t.probe ~cycle:t.now ~beu:t.beu.(u) e;
+      let e = Trace.static t.trace u in
+      Probe.on_commit t.probe t.trace ~cycle:t.now ~beu:t.beu.(u) u;
       (* stores drain to the data cache at commit (and, on a shared
          backside, through the coherence directory) *)
-      if e.Trace.is_store then Mem_hier.drain_store t.hier e.Trace.addr;
+      if e.Trace.is_store then Mem_hier.drain_store t.hier (Trace.addr t.trace u);
       (* release the rename/in-flight entry at commit unless the braid
          dead-value path already released it *)
       if e.Trace.writes_ext && Bytes.get t.ext_entry_freed u = '\000' then begin
@@ -517,7 +527,7 @@ let commit_stage t =
     else continue_ := false
   done
 
-let all_committed t = t.commit_idx >= Array.length t.events
+let all_committed t = t.commit_idx >= t.n
 let committed_count t = t.commit_idx
 
 let dispatch_block_name = function

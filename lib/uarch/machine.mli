@@ -74,8 +74,9 @@ val probe : t -> Probe.t
 (** The probe the machine was created with; the front end and the
     execution cores report their own events to it. *)
 
-val event : t -> int -> Trace.event
-(** The trace event with this uid. *)
+val trace : t -> Trace.t
+(** The trace the machine runs; instructions are named by their uid in
+    it. *)
 
 val now : t -> int
 val begin_cycle : t -> unit

@@ -33,7 +33,7 @@ type state = {
 type t = state option
 
 type slots = {
-  events : Trace.event array;
+  trace : Trace.t;
   issue_cycle : int array;
   complete_cycle : int array;
   int_visible : int array;
@@ -103,15 +103,16 @@ let internal_reads (ins : Instr.t) =
     (fun n (r : Reg.t) -> if r.Reg.space = Reg.Intern then n + 1 else n)
     0 (Instr.uses ins)
 
-let check_bits t s ~cycle (e : Trace.event) =
+let check_bits t s ~cycle tr uid =
+  let e = Trace.static tr uid in
   let ins = e.Trace.instr in
-  let uid = e.Trace.uid in
+  let braid_start = Trace.braid_start tr uid in
   let bad invariant detail = report t ~invariant ~cycle ~uid detail in
   if e.Trace.writes_int <> Instr.writes_internal ins then
     bad "bits.I" "writes_int flag disagrees with the instruction's I bit";
   if e.Trace.writes_ext <> Instr.writes_external ins then
     bad "bits.E" "writes_ext flag disagrees with the instruction's E bit";
-  if e.Trace.braid_start <> ins.Instr.annot.Instr.braid_start then
+  if braid_start <> ins.Instr.annot.Instr.braid_start then
     bad "bits.S" "braid_start flag disagrees with the instruction's S bit";
   if e.Trace.ext_src_reads <> Instr.reads_external_count ins then
     bad "bits.T" "external source count disagrees with the T bits";
@@ -119,19 +120,19 @@ let check_bits t s ~cycle (e : Trace.event) =
   if e.Trace.int_src_reads <> int_reads then
     bad "bits.T" "internal source count disagrees with the T bits";
   if Config.Core_kind.braid_binary s.cfg.Config.kind then begin
-    if e.Trace.braid_start && e.Trace.braid_id < 0 then
+    if braid_start && e.Trace.braid_id < 0 then
       bad "bits.S" "S bit set on an instruction outside any braid"
   end
   else if e.Trace.writes_int || int_reads > 0 then
     bad "bits.internal"
       "internal register reached a conventional (non-braid) binary"
 
-let on_fetch t ~cycle (e : Trace.event) =
+let on_fetch t tr ~cycle uid =
   match t with
   | None -> ()
   | Some s ->
-      if s.invariants then check_bits t s ~cycle e;
-      stage s ~cycle ~uid:e.Trace.uid ~track:(-1) Tracer.Fetch
+      if s.invariants then check_bits t s ~cycle tr uid;
+      stage s ~cycle ~uid ~track:(-1) Tracer.Fetch
 
 let on_icache_miss t ~cycle ~lat =
   match t with
@@ -145,14 +146,14 @@ let on_stall t ~cycle reason =
   | None -> ()
   | Some s -> record s (Tracer.Stall { cycle; track = -1; reason })
 
-let on_dispatch t ~cycle ~beu (e : Trace.event) =
+let on_dispatch t tr ~cycle ~beu uid =
   match t with
   | None -> ()
   | Some s ->
-      if e.Trace.writes_ext then begin
+      if (Trace.static tr uid).Trace.writes_ext then begin
         s.ext_alloc <- s.ext_alloc + 1;
         if s.invariants && s.ext_alloc > s.cfg.Config.ext_regs then
-          report t ~invariant:"extfile.capacity" ~cycle ~uid:e.Trace.uid
+          report t ~invariant:"extfile.capacity" ~cycle ~uid
             (Printf.sprintf
                "%d in-flight external values exceed the %d-entry file"
                s.ext_alloc s.cfg.Config.ext_regs)
@@ -164,12 +165,12 @@ let on_dispatch t ~cycle ~beu (e : Trace.event) =
          unissued instructions of the previous braid, so the live set is
          cleared at issue instead — see [check_issue].) *)
       if
-        e.Trace.braid_start
+        Trace.braid_start tr uid
         && s.cfg.Config.kind = Config.Braid_exec
         && beu >= 0
         && beu < Array.length s.live_internal
       then Hashtbl.reset s.live_internal.(beu);
-      stage s ~cycle ~uid:e.Trace.uid ~track:beu Tracer.Dispatch
+      stage s ~cycle ~uid ~track:beu Tracer.Dispatch
 
 let on_ext_release t ~cycle ~uid =
   match t with
@@ -181,7 +182,8 @@ let on_ext_release t ~cycle ~uid =
           "more external-file releases than allocations"
 
 (* Dep-visibility and cross-braid checks at issue time. *)
-let check_wakeup t s (v : slots) ~cycle u (e : Trace.event) =
+let check_wakeup t s (v : slots) ~cycle u =
+  let e = Trace.event v.trace u in
   Array.iter
     (fun (p, via) ->
       if v.issue_cycle.(p) = max_int then
@@ -208,11 +210,12 @@ let check_wakeup t s (v : slots) ~cycle u (e : Trace.event) =
             report t ~invariant:"internal.cross-beu" ~cycle ~uid:u
               (Printf.sprintf "internal value of %d (BEU %d) read on BEU %d" p
                  v.beu.(p) v.beu.(u));
-          if v.events.(p).Trace.braid_id <> e.Trace.braid_id then
+          let braid_p = (Trace.static v.trace p).Trace.braid_id in
+          if braid_p <> e.Trace.braid_id then
             report t ~invariant:"internal.cross-braid" ~cycle ~uid:u
               (Printf.sprintf
                  "internal value crosses from braid %d (instr %d) to braid %d"
-                 v.events.(p).Trace.braid_id p e.Trace.braid_id)
+                 braid_p p e.Trace.braid_id)
         end
       end)
     e.Trace.deps
@@ -221,8 +224,8 @@ let internal_def (ins : Instr.t) =
   List.find_opt (fun (r : Reg.t) -> r.Reg.space = Reg.Intern) (Instr.defs ins)
 
 (* Bypass legality, cgooo in-block order and internal-RF occupancy. *)
-let check_issue t s ~cycle ~beu ~bypassed (e : Trace.event) =
-  let uid = e.Trace.uid in
+let check_issue t s tr ~cycle ~beu ~bypassed uid =
+  let e = Trace.static tr uid in
   if bypassed && not e.Trace.writes_ext then
     report t ~invariant:"bypass.internal" ~cycle ~uid
       "a value without the E bit rode the bypass network";
@@ -240,7 +243,7 @@ let check_issue t s ~cycle ~beu ~bypassed (e : Trace.event) =
     s.last_issue_uid.(beu) <- uid;
     (* a braid opening at issue: the previous braid in this window has
        fully issued, its internal values are architecturally dead *)
-    if e.Trace.braid_start && beu < Array.length s.live_internal then
+    if Trace.braid_start tr uid && beu < Array.length s.live_internal then
       Hashtbl.reset s.live_internal.(beu)
   end;
   if e.Trace.writes_int && beu >= 0 && beu < Array.length s.live_internal then
@@ -265,16 +268,19 @@ let on_issue t (v : slots) ~cycle ~lat ~bypassed u =
   match t with
   | None -> ()
   | Some s ->
-      let e = v.events.(u) and beu = v.beu.(u) in
+      let beu = v.beu.(u) in
       record s (Tracer.Exec { uid = u; track = beu; start = cycle; dur = lat });
       (* a load that went past the L1D is a miss fill in flight *)
-      if e.Trace.is_load && lat > s.cfg.Config.mem.Config.l1d.Config.latency then
+      if
+        (Trace.static v.trace u).Trace.is_load
+        && lat > s.cfg.Config.mem.Config.l1d.Config.latency
+      then
         record s
           (Tracer.Span
              { name = "L1D miss"; cat = "cache"; track = beu; start = cycle; dur = lat });
       if s.invariants then begin
-        check_wakeup t s v ~cycle u e;
-        check_issue t s ~cycle ~beu ~bypassed e
+        check_wakeup t s v ~cycle u;
+        check_issue t s v.trace ~cycle ~beu ~bypassed u
       end
 
 let on_beu_issue t ~cycle ~pos u =
@@ -298,17 +304,17 @@ let grow_commits s =
     s.commit_pc <- pc'
   end
 
-let on_commit t ~cycle ~beu (e : Trace.event) =
+let on_commit t tr ~cycle ~beu uid =
   match t with
   | None -> ()
   | Some s ->
-      if s.invariants && e.Trace.uid <> s.last_commit_uid + 1 then
-        report t ~invariant:"commit.order" ~cycle ~uid:e.Trace.uid
-          (Printf.sprintf "committed uid %d directly after uid %d" e.Trace.uid
+      if s.invariants && uid <> s.last_commit_uid + 1 then
+        report t ~invariant:"commit.order" ~cycle ~uid
+          (Printf.sprintf "committed uid %d directly after uid %d" uid
              s.last_commit_uid);
-      s.last_commit_uid <- e.Trace.uid;
+      s.last_commit_uid <- uid;
       grow_commits s;
-      s.commit_uid.(s.commits) <- e.Trace.uid;
-      s.commit_pc.(s.commits) <- e.Trace.pc;
+      s.commit_uid.(s.commits) <- uid;
+      s.commit_pc.(s.commits) <- (Trace.static tr uid).Trace.pc;
       s.commits <- s.commits + 1;
-      stage s ~cycle ~uid:e.Trace.uid ~track:beu Tracer.Commit
+      stage s ~cycle ~uid ~track:beu Tracer.Commit

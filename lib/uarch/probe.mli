@@ -27,7 +27,7 @@
       produced it;
     - ["bypass.internal"]: only external (E-bit) results ride the bypass
       network;
-    - ["bits.*"]: the S/T/I/E bits carried on each fetched trace event
+    - ["bits.*"]: the S/T/I/E bits carried on each fetched trace entry
       agree with the instruction encoding, and conventional binaries carry
       no internal registers;
     - ["wakeup.premature"]: no instruction issues before all producers
@@ -73,7 +73,7 @@ val pp_violation : Format.formatter -> violation -> unit
     [Exec_core]. *)
 
 type slots = {
-  events : Trace.event array;
+  trace : Trace.t;
   issue_cycle : int array;  (** [max_int] until issue *)
   complete_cycle : int array;
   int_visible : int array;  (** cycle an internal result is readable *)
@@ -83,14 +83,15 @@ type slots = {
 (** The machine's per-uid in-flight state, shared (not copied) so the
     issue hook can check wakeup timing against it. *)
 
-val on_fetch : t -> cycle:int -> Trace.event -> unit
-(** Fetch stage crossing; S/T/I/E bit consistency. *)
+val on_fetch : t -> Trace.t -> cycle:int -> int -> unit
+(** [on_fetch t trace ~cycle u]: uid [u] of [trace] crossed fetch; S/T/I/E
+    bit consistency. *)
 
 val on_icache_miss : t -> cycle:int -> lat:int -> unit
 (** Fetch stopped on an I-cache miss that takes [lat] cycles to fill. *)
 
-val on_dispatch : t -> cycle:int -> beu:int -> Trace.event -> unit
-(** Dispatch stage crossing; external-file allocation; clears the BEU's
+val on_dispatch : t -> Trace.t -> cycle:int -> beu:int -> int -> unit
+(** Dispatch stage crossing of a uid; external-file allocation; clears the BEU's
     internal live-set on an S-bit instruction. *)
 
 val on_stall : t -> cycle:int -> string -> unit
@@ -108,6 +109,6 @@ val on_ext_release : t -> cycle:int -> uid:int -> unit
 (** An external register returned to the free list (early release or
     commit). *)
 
-val on_commit : t -> cycle:int -> beu:int -> Trace.event -> unit
-(** Commit stage crossing; records the committed uid/PC and checks global
+val on_commit : t -> Trace.t -> cycle:int -> beu:int -> int -> unit
+(** Commit stage crossing of a uid; records the committed uid/PC and checks global
     commit order. *)

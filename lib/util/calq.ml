@@ -78,7 +78,7 @@ and grow t =
       done)
     old_bucket
 
-let drain t c f =
+let drain t c f x =
   let i = c land t.mask in
   let n = t.len.(i) in
   if n > 0 && t.cycle.(i) = c then begin
@@ -89,7 +89,7 @@ let drain t c f =
     t.cycle.(i) <- -1;
     t.count <- t.count - n;
     for j = 0 to n - 1 do
-      f b.(j)
+      f x b.(j)
     done
   end
 

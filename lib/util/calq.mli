@@ -23,11 +23,13 @@ val add : t -> int -> int -> unit
 (** [add t cycle v] schedules the event [v] for [cycle]. Raises
     [Invalid_argument] on a negative cycle. *)
 
-val drain : t -> int -> (int -> unit) -> unit
-(** [drain t cycle f] applies [f] to every event scheduled for exactly
-    [cycle] (in insertion order) and empties that bucket. Events of other
-    cycles are untouched. [f] may [add] events for later cycles, but must
-    not add for the cycle being drained. *)
+val drain : t -> int -> ('a -> int -> unit) -> 'a -> unit
+(** [drain t cycle f x] applies [f x] to every event scheduled for
+    exactly [cycle] (in insertion order) and empties that bucket. Events
+    of other cycles are untouched. [f] may [add] events for later cycles,
+    but must not add for the cycle being drained. Passing the handler's
+    state as [x] lets a per-cycle caller drain with a top-level function,
+    so the drain allocates no closure. *)
 
 val horizon : t -> int
 (** Current wheel size (slots). *)

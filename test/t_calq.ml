@@ -10,7 +10,7 @@ module Rc = Braid_uarch.Machine.Rc
 
 let drain_list q cycle =
   let acc = ref [] in
-  Calq.drain q cycle (fun v -> acc := v :: !acc);
+  Calq.drain q cycle (fun acc v -> acc := v :: !acc) acc;
   List.rev !acc
 
 let test_calq_insertion_order () =

@@ -151,24 +151,31 @@ let nop_event uid =
     faulting = false;
   }
 
+let trace_of mk n =
+  Trace.of_events
+    (fst (Braid_workload.Build.finish (Braid_workload.Build.create ())))
+    (Array.init n mk)
+
+let nops = trace_of nop_event 3
+
 (* Probe.off records and checks nothing; a recorder-only probe records
    the commit stream but checks no invariant *)
 let test_probe_off () =
-  U.Probe.on_commit U.Probe.off ~cycle:0 ~beu:(-1) (nop_event 1);
+  U.Probe.on_commit U.Probe.off nops ~cycle:0 ~beu:(-1) 1;
   Alcotest.(check int) "off has no violations" 0
     (U.Probe.violation_count U.Probe.off);
   Alcotest.(check int) "off records nothing" 0
     (Array.length (U.Probe.committed U.Probe.off));
   let probe = U.Probe.create ~invariants:false U.Config.braid_8wide in
   (* out of order: would be a commit.order violation if checked *)
-  U.Probe.on_commit probe ~cycle:0 ~beu:(-1) (nop_event 1);
+  U.Probe.on_commit probe nops ~cycle:0 ~beu:(-1) 1;
   Alcotest.(check int) "recorder records" 1 (Array.length (U.Probe.committed probe));
   Alcotest.(check int) "recorder not checking" 0 (U.Probe.violation_count probe)
 
 let test_debug_commit_order_hook () =
   let probe = U.Probe.create U.Config.in_order_8wide in
-  U.Probe.on_commit probe ~cycle:0 ~beu:(-1) (nop_event 0);
-  U.Probe.on_commit probe ~cycle:1 ~beu:(-1) (nop_event 2);
+  U.Probe.on_commit probe nops ~cycle:0 ~beu:(-1) 0;
+  U.Probe.on_commit probe nops ~cycle:1 ~beu:(-1) 2;
   (* skipped uid 1 *)
   Alcotest.(check int) "violation recorded" 1 (U.Probe.violation_count probe);
   match U.Probe.violations probe with
@@ -187,10 +194,11 @@ let test_debug_extfile_capacity_hook () =
         Instr.make (Op.Movi (Reg.ext Reg.Cint uid, Int64.of_int uid));
       writes_ext = true }
   in
-  U.Probe.on_dispatch probe ~cycle:0 ~beu:(-1) (ext_write 0);
-  U.Probe.on_dispatch probe ~cycle:0 ~beu:(-1) (ext_write 1);
+  let writes = trace_of ext_write 3 in
+  U.Probe.on_dispatch probe writes ~cycle:0 ~beu:(-1) 0;
+  U.Probe.on_dispatch probe writes ~cycle:0 ~beu:(-1) 1;
   Alcotest.(check int) "at capacity: fine" 0 (U.Probe.violation_count probe);
-  U.Probe.on_dispatch probe ~cycle:1 ~beu:(-1) (ext_write 2);
+  U.Probe.on_dispatch probe writes ~cycle:1 ~beu:(-1) 2;
   Alcotest.(check int) "over capacity flagged" 1 (U.Probe.violation_count probe);
   U.Probe.on_ext_release probe ~cycle:2 ~uid:0;
   U.Probe.on_ext_release probe ~cycle:2 ~uid:1;

@@ -167,7 +167,10 @@ let test_block_order_injection () =
   (* uids 0..2 sit in window 0, uid 5 in window 1 *)
   let slots =
     {
-      U.Probe.events = Array.init 6 nop_event;
+      U.Probe.trace =
+        Trace.of_events
+          (fst (Braid_workload.Build.finish (Braid_workload.Build.create ())))
+          (Array.init 6 nop_event);
       issue_cycle = Array.make 6 max_int;
       complete_cycle = Array.make 6 max_int;
       int_visible = Array.make 6 max_int;

@@ -197,7 +197,7 @@ let test_emulator_fault_continues () =
   Alcotest.(check i64) "later work ran" 77L (Emulator.read_ext out.Emulator.state (r 5));
   match out.Emulator.trace with
   | Some t ->
-      let faults = Array.to_list t.Trace.events |> List.filter (fun e -> e.Trace.faulting) in
+      let faults = List.filter (Trace.faulting t) (List.init (Trace.length t) Fun.id) in
       Alcotest.(check int) "one fault event" 1 (List.length faults)
   | None -> Alcotest.fail "trace expected"
 
@@ -235,7 +235,7 @@ let test_trace_deps () =
   in
   let out = Emulator.run p in
   let t = Option.get out.Emulator.trace in
-  let deps u = Array.to_list t.Trace.events.(u).Trace.deps |> List.map fst in
+  let deps u = Array.to_list (Trace.event t u).Trace.deps |> List.map fst in
   Alcotest.(check (list int)) "add deps" [ 0; 1 ] (deps 2);
   Alcotest.(check (list int)) "chained deps" [ 0; 2 ] (deps 3)
 
@@ -252,7 +252,8 @@ let test_trace_branch_fields () =
   in
   let t = Option.get (Emulator.run p).Emulator.trace in
   let branches =
-    Array.to_list t.Trace.events |> List.filter (fun e -> e.Trace.is_cond_branch)
+    List.init (Trace.length t) (Trace.event t)
+    |> List.filter (fun e -> e.Trace.is_cond_branch)
   in
   Alcotest.(check int) "three dynamic branches" 3 (List.length branches);
   let takens = List.map (fun e -> e.Trace.taken) branches in

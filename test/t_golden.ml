@@ -181,6 +181,58 @@ let test_memo_keyed_on_content () =
   Alcotest.(check bool) "equal but for the name" true
     ({ b with U.Core.config_name = a.U.Core.config_name } = a)
 
+(* Every field of every event view of both binaries' traces, for all 26
+   benchmarks, plus a mid-run window opened after a [restore]: the
+   trace representation may change, the traces it describes may not. *)
+let event_line b (e : Trace.event) =
+  Printf.bprintf b "%d %d %d %d %s [%s] %d %b %b %b %b %b %d %b %b %d %d %d %b %b\n"
+    e.Trace.uid e.Trace.pc e.Trace.block_id e.Trace.offset
+    (Disasm.instr e.Trace.instr)
+    (String.concat ";"
+       (Array.to_list
+          (Array.map (fun (p, via) -> Printf.sprintf "%d%s" p (if via then "i" else ""))
+             e.Trace.deps)))
+    e.Trace.addr e.Trace.is_load e.Trace.is_store e.Trace.is_cond_branch
+    e.Trace.is_jump e.Trace.taken e.Trace.latency e.Trace.writes_ext
+    e.Trace.writes_int e.Trace.ext_src_reads e.Trace.int_src_reads
+    e.Trace.braid_id e.Trace.braid_start e.Trace.faulting
+
+let trace_digest (t : Trace.t) =
+  let b = Buffer.create 65536 in
+  Printf.bprintf b "%d %b\n" (Trace.length t) (Trace.stop t = Trace.Halted);
+  for u = 0 to Trace.length t - 1 do
+    event_line b (Trace.event t u)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_trace_digest () =
+  let ctx = Lazy.force ctx in
+  let digests =
+    List.concat_map
+      (fun (pr : Braid_workload.Spec.profile) ->
+        let p = Suite.prepare ctx ~scale:1200 pr in
+        List.concat_map
+          (fun (program, full) ->
+            let n = Trace.length full in
+            let r =
+              Emulator.Compiled.start ~init_mem:p.Suite.init_mem
+                (Emulator.Compiled.compile program)
+            in
+            let snap = Emulator.Compiled.snapshot r in
+            ignore (Emulator.Compiled.advance r ~fuel:n : int);
+            Emulator.Compiled.restore r snap;
+            ignore (Emulator.Compiled.advance r ~fuel:(n / 3) : int);
+            let window = Emulator.Compiled.trace_window r ~max_steps:n in
+            [ trace_digest full; trace_digest window ])
+          [
+            (p.Suite.conventional.Braid_core.Extalloc.program, p.Suite.conv_trace ());
+            (p.Suite.braid.Braid_core.Transform.program, p.Suite.braid_trace ());
+          ])
+      Braid_workload.Spec.all
+  in
+  Alcotest.(check string) "MD5 over every event view" "4f369bc394b00b4a9bd1c29c66fae11d"
+    (Digest.to_hex (Digest.string (String.concat "" digests)))
+
 let test_covers_all_benchmarks () =
   (* the table above must track Spec.all: a new benchmark needs golden rows *)
   let named = List.map (fun (b, _, _, _) -> b) golden in
@@ -202,4 +254,7 @@ let suite =
              `Slow
              (check_one bench core instrs cycles))
          golden
-    @ [ Alcotest.test_case "memo keyed on content" `Slow test_memo_keyed_on_content ] )
+    @ [
+        Alcotest.test_case "memo keyed on content" `Slow test_memo_keyed_on_content;
+        Alcotest.test_case "trace event digest" `Slow test_trace_digest;
+      ] )

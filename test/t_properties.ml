@@ -194,14 +194,16 @@ let qcheck_value_stats_conservation =
       let conv = (C.Transform.conventional prog).C.Extalloc.program in
       let t = Option.get (Emulator.run ~max_steps:100_000 ~init_mem conv).Emulator.trace in
       let vs = C.Value_stats.of_trace t in
-      let defs =
-        Array.fold_left
-          (fun acc (e : Trace.event) ->
-            acc
-            + List.length
-                (List.filter (fun r -> not (Reg.is_zero r)) (Instr.defs e.Trace.instr)))
-          0 t.Trace.events
-      in
+      let defs = ref 0 in
+      for u = 0 to Trace.length t - 1 do
+        defs :=
+          !defs
+          + List.length
+              (List.filter
+                 (fun r -> not (Reg.is_zero r))
+                 (Instr.defs (Trace.static t u).Trace.instr))
+      done;
+      let defs = !defs in
       vs.C.Value_stats.values = defs
       && Histogram.count vs.C.Value_stats.fanout = defs)
 
@@ -210,16 +212,16 @@ let qcheck_value_stats_conservation =
 (* The longest register-dependence chain is a hard lower bound for any of
    the machines (loads counted at their best case: 1 cycle forward). *)
 let critical_path (t : Trace.t) =
-  let n = Array.length t.Trace.events in
+  let n = Trace.length t in
   let depth = Array.make n 0 in
-  Array.iteri
-    (fun i (e : Trace.event) ->
-      let best = if e.Trace.is_load then 1 else e.Trace.latency in
-      let d =
-        Array.fold_left (fun acc (p, _) -> max acc depth.(p)) 0 e.Trace.deps
-      in
-      depth.(i) <- d + best)
-    t.Trace.events;
+  for i = 0 to n - 1 do
+    let e = Trace.event t i in
+    let best = if e.Trace.is_load then 1 else e.Trace.latency in
+    let d =
+      Array.fold_left (fun acc (p, _) -> max acc depth.(p)) 0 e.Trace.deps
+    in
+    depth.(i) <- d + best
+  done;
   Array.fold_left max 0 depth
 
 let named_cfg name = { U.Config.ooo_8wide with U.Config.name }

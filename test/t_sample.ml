@@ -258,7 +258,8 @@ let test_trace_window () =
       let name fmt = Printf.sprintf "%s %s" profile.W.Spec.name fmt in
       Alcotest.(check bool) (name "full run halts") true
         (full.Emulator.stop = Trace.Halted);
-      let events = (Option.get full.Emulator.trace).Trace.events in
+      let full = Option.get full.Emulator.trace in
+      let events = Array.init (Trace.length full) (Trace.event full) in
       let n = Array.length events in
       let k = n / 3 and w = n / 3 in
       let run =
@@ -269,11 +270,10 @@ let test_trace_window () =
       let snap = Emulator.Compiled.snapshot run in
       let window label ~max_steps ~len stop =
         let t = Emulator.Compiled.trace_window run ~max_steps in
-        Alcotest.(check int) (name (label ^ ": length")) len
-          (Array.length t.Trace.events);
+        Alcotest.(check int) (name (label ^ ": length")) len (Trace.length t);
         Alcotest.(check bool) (name (label ^ ": events k .. k+len-1")) true
-          (t.Trace.events = expected_window events ~k ~w:len);
-        Alcotest.(check bool) (name (label ^ ": stop")) true (t.Trace.stop = stop);
+          (Array.init len (Trace.event t) = expected_window events ~k ~w:len);
+        Alcotest.(check bool) (name (label ^ ": stop")) true (Trace.stop t = stop);
         Alcotest.(check int) (name (label ^ ": steps")) (k + len)
           (Emulator.Compiled.steps run)
       in
@@ -289,7 +289,7 @@ let test_trace_window () =
 let test_measure_from_validation () =
   let p = prepare "mcf" in
   let trace = p.Suite.conv_trace () in
-  let n = Array.length trace.Trace.events in
+  let n = Trace.length trace in
   let run mf = ignore (U.Core.run ~measure_from:mf U.Config.ooo_8wide trace) in
   Alcotest.check_raises "negative"
     (Invalid_argument

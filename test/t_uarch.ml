@@ -281,14 +281,7 @@ let mk_event ?(deps = [||]) ?(addr = -1) ?(is_load = false) ?(is_store = false)
     faulting = false;
   }
 
-let trace_of_events events =
-  {
-    Trace.events;
-    stop = Trace.Halted;
-    program = tiny_program ();
-    warm_lines = None;
-    tables = None;
-  }
+let trace_of_events events = Trace.of_events (tiny_program ()) events
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -437,6 +430,76 @@ let test_dispatch_refusals_insert_nothing () =
         (U.Exec_core.occupancy core))
     U.Config.Core_kind.all
 
+(* A trace keeps a few words per instruction: two windows of gzip's braid
+   binary from one start, of 10,000 and 20,000 instructions, differ by at
+   most 6 words per extra instruction, since the static table and the
+   program are shared. A hand-built trace reads back exactly the events
+   it was built from. *)
+let test_trace_footprint () =
+  let prog, init_mem = Spec.generate (Spec.find "gzip") ~seed:1 ~scale:40_000 in
+  let braid = (C.Transform.run prog).C.Transform.program in
+  let run =
+    Emulator.Compiled.start ~init_mem (Emulator.Compiled.compile braid)
+  in
+  let start = Emulator.Compiled.snapshot run in
+  let window len =
+    Emulator.Compiled.restore run start;
+    let t = Emulator.Compiled.trace_window run ~max_steps:len in
+    Alcotest.(check int) "window length" len (Trace.length t);
+    Obj.reachable_words (Obj.repr t)
+  in
+  let short = window 10_000 in
+  let per_instr = float_of_int (window 20_000 - short) /. 10_000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f retained words per instruction <= 6" per_instr)
+    true (per_instr <= 6.0);
+  let store =
+    Instr.make (Op.Store (Reg.ext Reg.Cint 0, Reg.zero, 0, Op.region_unknown))
+  in
+  let load =
+    Instr.make (Op.Load (Reg.ext Reg.Cint 1, Reg.zero, 0, Op.region_unknown))
+  in
+  List.iter
+    (fun es ->
+      let t = trace_of_events es in
+      Array.iteri
+        (fun u e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "view %d of a hand-built trace" u)
+            true
+            (Trace.event t u = e))
+        es)
+    [
+      [| mk_event ~uid:0 ~is_store:true ~addr:0 store;
+         mk_event ~uid:1 ~deps:[| (0, false) |] ~is_load:true ~addr:64 load |];
+      chain_events 5;
+    ];
+  (* a builder sized for one instruction grows its columns, keeps each
+     instruction's dependences sorted without exact duplicates, and
+     promotes a first instruction inside a braid to a braid start *)
+  let chain = trace_of_events (chain_events 3) in
+  let b =
+    Trace.Builder.create
+      (Array.init 3 (Trace.static chain))
+      (Trace.program chain) ~capacity:1
+  in
+  let push s = Trace.Builder.push b s ~addr:(-1) ~taken:false ~faulting:false in
+  push 0;
+  Trace.Builder.add_dep b 0 true;
+  push 1;
+  List.iter
+    (fun (p, via) -> Trace.Builder.add_dep b p via)
+    [ (1, false); (0, true); (0, false); (1, false) ];
+  push 2;
+  let t = Trace.Builder.finish b Trace.Halted in
+  let deps u = Array.to_list (Trace.event t u).Trace.deps in
+  Alcotest.(check int) "grown length" 3 (Trace.length t);
+  Alcotest.(check (list (pair int bool))) "one dependence" [ (0, true) ] (deps 1);
+  Alcotest.(check (list (pair int bool)))
+    "sorted, deduplicated" [ (0, false); (0, true); (1, false) ] (deps 2);
+  Alcotest.(check (list bool)) "braid starts" [ true; false; false ]
+    (List.init 3 (Trace.braid_start t))
+
 let suite =
   ( "uarch",
     [
@@ -464,5 +527,6 @@ let suite =
         test_occupancy_drains_all_kinds;
       Alcotest.test_case "dispatch refusals insert nothing" `Quick
         test_dispatch_refusals_insert_nothing;
+      Alcotest.test_case "trace footprint" `Quick test_trace_footprint;
       QCheck_alcotest.to_alcotest qcheck_all_cores_all_benchmarks;
     ] )
