@@ -16,7 +16,7 @@ let log2 n =
 
 let create (g : Config.cache_geometry) =
   let lines = g.Config.size_bytes / g.Config.line_bytes in
-  let sets = max 1 (lines / g.Config.ways) in
+  let sets = Int.max 1 (lines / g.Config.ways) in
   {
     sets;
     ways = g.Config.ways;

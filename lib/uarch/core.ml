@@ -128,7 +128,7 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
   Array.iter (fun line -> Mem_hier.warm_instr h line) (Trace.warm_lines trace);
   List.iter (fun addr -> Mem_hier.warm_l2 h addr) warm_data;
   let core = Exec_core.create m in
-  let fetchq : int Ring.t = Ring.create ~dummy:(-1) ~capacity:cfg.Config.fetch_buffer in
+  let fetchq = Ring.create ~capacity:cfg.Config.fetch_buffer in
   let fetch_idx = ref 0 in
   let blocked : redirect option ref = ref None in
   let icache_ready = ref 0 in
@@ -178,7 +178,7 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
       config_name = cfg.Config.name;
       instructions = n;
       cycles;
-      ipc = float_of_int n /. float_of_int (max 1 cycles);
+      ipc = float_of_int n /. float_of_int (Int.max 1 cycles);
       branch_lookups = Predictor.lookups pred;
       branch_mispredicts = Predictor.mispredicts pred;
       l1i_misses = snd (Mem_hier.l1i_stats hier);
@@ -195,7 +195,7 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
           dispatch_frontend = !stall_frontend;
         };
       avg_occupancy =
-        float_of_int !occupancy_sum /. float_of_int (max 1 cycles);
+        float_of_int !occupancy_sum /. float_of_int (Int.max 1 cycles);
     }
   in
   let boundary = ref None in
@@ -263,8 +263,8 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
            (Printf.sprintf "%s: no completion after %d cycles (%d/%d committed)"
               cfg.Config.name now (Machine.committed_count m) n));
     Machine.commit_stage m;
-    (match measure_from with
-    | Some mf when !boundary = None && Machine.committed_count m >= mf ->
+    (match (measure_from, !boundary) with
+    | Some mf, None when Machine.committed_count m >= mf ->
         boundary := Some (mf, whole (), !occupancy_sum)
     | _ -> ());
     Exec_core.cycle core;
@@ -315,7 +315,7 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
           Probe.on_stall probe ~cycle:now "icache"
         end);
     (* fetch *)
-    if !blocked = None && now >= !icache_ready then begin
+    if Option.is_none !blocked && now >= !icache_ready then begin
       let fetched = ref 0 and branches = ref 0 in
       let stop = ref false in
       while
@@ -349,7 +349,7 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
             if is_branch then incr branches;
             (* a taken transfer missing in the BTB costs a fetch bubble *)
             if is_branch && taken && not (btb_hit e.Trace.pc) then
-              icache_ready := max !icache_ready (now + 2);
+              icache_ready := Int.max !icache_ready (now + 2);
             if e.Trace.is_cond_branch then begin
               let correct =
                 Predictor.predict_and_train pred ~pc:e.Trace.pc ~taken
@@ -412,10 +412,10 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
             r with
             instructions;
             cycles;
-            ipc = float_of_int instructions /. float_of_int (max 1 cycles);
+            ipc = float_of_int instructions /. float_of_int (Int.max 1 cycles);
             avg_occupancy =
               float_of_int (!occupancy_sum - b_occupancy_sum)
-              /. float_of_int (max 1 cycles);
+              /. float_of_int (Int.max 1 cycles);
           }
           (Array.map2 ( - ) (counts r) (counts b))
   in
@@ -489,4 +489,4 @@ let counters t =
   t.counters_fn ()
 
 let speedup base other =
-  float_of_int base.cycles /. float_of_int (max 1 other.cycles)
+  float_of_int base.cycles /. float_of_int (Int.max 1 other.cycles)

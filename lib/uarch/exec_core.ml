@@ -13,7 +13,7 @@ let issuable m u =
 
 let in_order m =
   let cfg = Machine.cfg m in
-  let q : int Ring.t = Ring.create ~dummy:(-1) ~capacity:cfg.Config.cluster_entries in
+  let q = Ring.create ~capacity:cfg.Config.cluster_entries in
   let width = cfg.Config.clusters * cfg.Config.fus_per_cluster in
   let try_dispatch u =
     if Ring.is_full q then false
@@ -43,7 +43,7 @@ let dep_steer m =
   let cfg = Machine.cfg m in
   let fifos =
     Array.init cfg.Config.clusters (fun _ ->
-        Ring.create ~dummy:(-1) ~capacity:cfg.Config.cluster_entries)
+        Ring.create ~capacity:cfg.Config.cluster_entries)
   in
   let tr = Machine.trace m in
   let nfifo = Array.length fifos in
@@ -76,21 +76,22 @@ let dep_steer m =
       true
     end
   in
+  let fus = cfg.Config.fus_per_cluster in
   let cycle () =
-    Array.iter
-      (fun f ->
-        let budget = ref cfg.Config.fus_per_cluster in
-        let blocked = ref false in
-        while (not !blocked) && !budget > 0 && not (Ring.is_empty f) do
-          let u = Ring.peek f in
-          if issuable m u then begin
-            ignore (Ring.pop f);
-            Machine.do_issue m u;
-            decr budget
-          end
-          else blocked := true
-        done)
-      fifos
+    for i = 0 to nfifo - 1 do
+      let f = fifos.(i) in
+      let budget = ref fus in
+      let blocked = ref false in
+      while (not !blocked) && !budget > 0 && not (Ring.is_empty f) do
+        let u = Ring.peek f in
+        if issuable m u then begin
+          ignore (Ring.pop f);
+          Machine.do_issue m u;
+          decr budget
+        end
+        else blocked := true
+      done
+    done
   in
   let occupancy () = Array.fold_left (fun acc f -> acc + Ring.length f) 0 fifos in
   { try_dispatch; cycle; occupancy }
@@ -102,30 +103,27 @@ let ooo m =
   (* each scheduler is an unordered window; selection is oldest-first *)
   let scheds =
     Array.init cfg.Config.clusters (fun _ ->
-        Ring.create ~dummy:(-1) ~capacity:cfg.Config.cluster_entries)
-  in
-  let rr = ref 0 in
-  let try_dispatch u =
-    (* round-robin over schedulers with space: distributes load like the
-       paper's distributed 32-entry schedulers *)
-    let n = Array.length scheds in
-    let rec go k =
-      if k = n then false
-      else
-        let idx = !rr + k in
-        let idx = if idx >= n then idx - n else idx in
-        let f = scheds.(idx) in
-        if Ring.is_full f then go (k + 1)
-        else begin
-          Ring.push f u;
-          Machine.note_resident m u idx;
-          rr := (if idx + 1 >= n then 0 else idx + 1);
-          true
-        end
-    in
-    go 0
+        Ring.create ~capacity:cfg.Config.cluster_entries)
   in
   let nclust = Array.length scheds in
+  let rr = ref 0 in
+  (* round-robin over schedulers with space, from [rr]: distributes load
+     like the paper's distributed 32-entry schedulers *)
+  let rec place u k =
+    if k = nclust then false
+    else
+      let idx = !rr + k in
+      let idx = if idx >= nclust then idx - nclust else idx in
+      let f = scheds.(idx) in
+      if Ring.is_full f then place u (k + 1)
+      else begin
+        Ring.push f u;
+        Machine.note_resident m u idx;
+        rr := (if idx + 1 >= nclust then 0 else idx + 1);
+        true
+      end
+  in
+  let try_dispatch u = place u 0 in
   let fus = cfg.Config.fus_per_cluster in
   let cycle () =
     (* Oldest-ready-first selection in a single pass: entries sit in
@@ -164,55 +162,68 @@ let ooo m =
 
 (* ------------------------------------------------------------------ *)
 
-type beu = {
-  fifo : int Ring.t;
-  mutable outstanding : int list;  (* issued, not yet complete *)
+(* The braid core's mutable state, a record so that its completion
+   calendar drains through a top-level handler. *)
+type braid_state = {
+  beus : Ring.t array;  (* each BEU's FIFO *)
+  mutable target : int;  (* BEU receiving the braid in dispatch; -1 = none *)
+  mutable in_flight : int;  (* issued, not yet complete *)
+  leaves : Calq.t;  (* per issue, the cycle it stops counting as in flight *)
 }
+
+let retire b (_ : int) = b.in_flight <- b.in_flight - 1
 
 let braid m =
   let cfg = Machine.cfg m in
   let probe = Machine.probe m in
-  let beus =
-    Array.init cfg.Config.clusters (fun _ ->
-        { fifo = Ring.create ~dummy:(-1) ~capacity:cfg.Config.cluster_entries; outstanding = [] })
-  in
-  (* BEU currently receiving the in-flight braid from dispatch *)
-  let target = ref None in
-  let prune b =
-    b.outstanding <-
-      List.filter (fun u -> not (Machine.is_complete m u)) b.outstanding
+  let nbeu = cfg.Config.clusters in
+  let b =
+    {
+      beus =
+        Array.init nbeu (fun _ -> Ring.create ~capacity:cfg.Config.cluster_entries);
+      target = -1;
+      in_flight = 0;
+      (* covers the longest completion latency, as the machine's own
+         calendars do *)
+      leaves = Calq.create ~horizon:512;
+    }
   in
   (* A BEU is processing a braid while instructions of it remain in the
      FIFO awaiting issue; once drained onto the FUs the unit can accept
      the next braid (issued instructions keep their results flowing
      through the bypass/external paths). *)
-  let free b = Ring.is_empty b.fifo in
+  let rec first_free i =
+    if i = nbeu then -1
+    else if Ring.is_empty b.beus.(i) then i
+    else first_free (i + 1)
+  in
+  let enter u i =
+    Machine.set_beu m u i;
+    Machine.note_resident m u i;
+    Ring.push b.beus.(i) u
+  in
   let try_dispatch u =
     if Trace.braid_start (Machine.trace m) u then begin
       (* close the previous braid; claim a free BEU *)
-      let chosen = ref None in
-      Array.iteri (fun i b -> if !chosen = None && free b then chosen := Some i) beus;
-      match !chosen with
-      | Some i ->
-          target := Some i;
-          Machine.set_beu m u i;
-          Ring.push beus.(i).fifo u;
-          true
-      | None -> false
+      let i = first_free 0 in
+      if i < 0 then false
+      else begin
+        b.target <- i;
+        enter u i;
+        true
+      end
     end
-    else
-      match !target with
-      | Some i when not (Ring.is_full beus.(i).fifo) ->
-          Machine.set_beu m u i;
-          Ring.push beus.(i).fifo u;
-          true
-      | Some _ | None -> false
+    else if b.target >= 0 && not (Ring.is_full b.beus.(b.target)) then begin
+      enter u b.target;
+      true
+    end
+    else false
   in
   (* §5.2 clustering: external values produced in another cluster of BEUs
      arrive [inter_cluster_latency] cycles later *)
-  let cluster_of b =
+  let cluster_of beu =
     if cfg.Config.beu_cluster_size <= 0 then 0
-    else b / cfg.Config.beu_cluster_size
+    else beu / cfg.Config.beu_cluster_size
   in
   let tr = Machine.trace m in
   (* every external value of [u] from dependence entry [k] on has
@@ -233,39 +244,51 @@ let braid m =
     cfg.Config.beu_cluster_size <= 0
     || arrived u (Trace.dep_off tr u) (Trace.dep_off tr (u + 1))
   in
+  let fus = cfg.Config.fus_per_cluster in
+  (* the head window; the whole queue for the rejected §5.1 out-of-order
+     BEU variant *)
+  let window = if cfg.Config.beu_out_of_order then max_int else cfg.Config.sched_window in
   let cycle () =
-    Array.iter
-      (fun b ->
-        prune b;
-        (* Single pass over the head window (the whole queue for the
-           rejected §5.1 out-of-order BEU variant): as in the ooo core,
-           nothing becomes newly issuable within a cycle, so entries
-           skipped as not issuable stay skipped while later entries —
-           including those sliding into the window as issues shorten the
-           queue — are still considered. *)
-        let budget = ref cfg.Config.fus_per_cluster in
-        let window () =
-          if cfg.Config.beu_out_of_order then Ring.length b.fifo
-          else min cfg.Config.sched_window (Ring.length b.fifo)
-        in
-        let i = ref 0 in
-        while !budget > 0 && !i < window () do
-          let u = Ring.get b.fifo !i in
-          if issuable m u && cluster_ready u then begin
-            Probe.on_beu_issue probe ~cycle:(Machine.now m) ~pos:!i u;
-            ignore (Ring.remove_at b.fifo !i);
+    let now = Machine.now m in
+    Calq.drain b.leaves now retire b;
+    (* Single pass over each BEU's head window, skipping BEUs and window
+       tails with no register-ready entry as the ooo core does: nothing
+       becomes newly issuable within a cycle, so entries skipped as not
+       issuable stay skipped while later entries — including those
+       sliding into the window as issues shorten the queue — are still
+       considered. *)
+    for bi = 0 to nbeu - 1 do
+      let f = b.beus.(bi) in
+      let budget = ref fus in
+      let ready_left = ref (Machine.ready_in m bi) in
+      let i = ref 0 in
+      while
+        !budget > 0 && !ready_left > 0 && !i < Int.min window (Ring.length f)
+      do
+        let u = Ring.get f !i in
+        if Machine.reg_ready m u then begin
+          decr ready_left;
+          if
+            Machine.mem_ready m u <> Machine.Mem_blocked
+            && Machine.can_issue_ports m u
+            && cluster_ready u
+          then begin
+            Probe.on_beu_issue probe ~cycle:now ~pos:!i u;
+            ignore (Ring.remove_at f !i);
             Machine.do_issue m u;
-            b.outstanding <- u :: b.outstanding;
+            (* a zero-latency issue still counts for the cycle it issues *)
+            b.in_flight <- b.in_flight + 1;
+            Calq.add b.leaves (Int.max (Machine.complete_cycle m u) (now + 1)) u;
             decr budget
           end
           else incr i
-        done)
-      beus
+        end
+        else incr i
+      done
+    done
   in
   let occupancy () =
-    Array.fold_left
-      (fun acc b -> acc + Ring.length b.fifo + List.length b.outstanding)
-      0 beus
+    Array.fold_left (fun acc f -> acc + Ring.length f) b.in_flight b.beus
   in
   { try_dispatch; cycle; occupancy }
 
@@ -279,7 +302,7 @@ let braid m =
    FU pool. Local (internal) values live inside the window; global
    (external) values go through the commit-released global file. *)
 type block_window = {
-  bw_fifo : int Ring.t;
+  bw_fifo : Ring.t;
   mutable bw_age : int;  (* allocation order of the resident block *)
 }
 
@@ -288,47 +311,49 @@ let cgooo m =
   let windows =
     Array.init cfg.Config.block_windows (fun _ ->
         {
-          bw_fifo = Ring.create ~dummy:(-1) ~capacity:cfg.Config.cluster_entries;
+          bw_fifo = Ring.create ~capacity:cfg.Config.cluster_entries;
           bw_age = -1;
         })
   in
+  let nwin = Array.length windows in
   let next_age = ref 0 in
-  (* window receiving the block currently in dispatch *)
-  let target = ref None in
+  (* window receiving the block currently in dispatch; -1 = none *)
+  let target = ref (-1) in
   (* A window is free once its block has fully issued: like a drained BEU
      FIFO, issued instructions keep flowing through the FUs and files. *)
-  let free w = Ring.is_empty w.bw_fifo in
+  let rec first_free i =
+    if i = nwin then -1
+    else if Ring.is_empty windows.(i).bw_fifo then i
+    else first_free (i + 1)
+  in
+  let enter u i =
+    Machine.set_beu m u i;
+    Ring.push windows.(i).bw_fifo u
+  in
   let try_dispatch u =
     (* A sampled trace window may open mid-block (offset <> 0 with no
        block in dispatch yet): the tail of the cut-off block is timed as
        a (short) block of its own, matching the braid-start promotion
        [Emulator.Compiled.trace_window] performs for the braid core. *)
-    if (Trace.static (Machine.trace m) u).Trace.offset = 0 || !target = None
+    if (Trace.static (Machine.trace m) u).Trace.offset = 0 || !target < 0
     then begin
       (* block leader: close the previous block; claim a free window *)
-      let chosen = ref None in
-      Array.iteri
-        (fun i w -> if !chosen = None && free w then chosen := Some i)
-        windows;
-      match !chosen with
-      | Some i ->
-          windows.(i).bw_age <- !next_age;
-          incr next_age;
-          target := Some i;
-          Machine.set_beu m u i;
-          Ring.push windows.(i).bw_fifo u;
-          true
-      | None -> false
+      let i = first_free 0 in
+      if i < 0 then false
+      else begin
+        windows.(i).bw_age <- !next_age;
+        incr next_age;
+        target := i;
+        enter u i;
+        true
+      end
     end
-    else
-      match !target with
-      | Some i when not (Ring.is_full windows.(i).bw_fifo) ->
-          Machine.set_beu m u i;
-          Ring.push windows.(i).bw_fifo u;
-          true
-      | Some _ | None -> false
+    else if not (Ring.is_full windows.(!target).bw_fifo) then begin
+      enter u !target;
+      true
+    end
+    else false
   in
-  let nwin = Array.length windows in
   let order = Array.init nwin Fun.id in
   let fus = cfg.Config.clusters * cfg.Config.fus_per_cluster in
   let cycle () =
@@ -347,27 +372,26 @@ let cgooo m =
       order.(!j) <- v
     done;
     let budget = ref fus in
-    Array.iter
-      (fun wi ->
-        let w = windows.(wi) in
-        let issued_here = ref 0 in
-        let blocked = ref false in
-        while
-          (not !blocked)
-          && !budget > 0
-          && !issued_here < cfg.Config.block_head_window
-          && not (Ring.is_empty w.bw_fifo)
-        do
-          let u = Ring.peek w.bw_fifo in
-          if issuable m u then begin
-            ignore (Ring.pop w.bw_fifo);
-            Machine.do_issue m u;
-            incr issued_here;
-            decr budget
-          end
-          else blocked := true
-        done)
-      order
+    for k = 0 to nwin - 1 do
+      let w = windows.(order.(k)) in
+      let issued_here = ref 0 in
+      let blocked = ref false in
+      while
+        (not !blocked)
+        && !budget > 0
+        && !issued_here < cfg.Config.block_head_window
+        && not (Ring.is_empty w.bw_fifo)
+      do
+        let u = Ring.peek w.bw_fifo in
+        if issuable m u then begin
+          ignore (Ring.pop w.bw_fifo);
+          Machine.do_issue m u;
+          incr issued_here;
+          decr budget
+        end
+        else blocked := true
+      done
+    done
   in
   let occupancy () =
     Array.fold_left (fun acc w -> acc + Ring.length w.bw_fifo) 0 windows

@@ -99,13 +99,14 @@ module Rc = struct
     end
     else false
 
+  let rec first_free t c n = if available t c n then c else first_free t (c + 1) n
+
   let take_first_free t c n =
     if n > t.limit then
       invalid_arg
         (Printf.sprintf "Rc.take_first_free: request %d exceeds limit %d" n
            t.limit);
-    let rec go c = if available t c n then c else go (c + 1) in
-    let c' = go c in
+    let c' = first_free t c n in
     take t c' n;
     c'
 end
@@ -230,7 +231,7 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     child_via = tb.Trace.child_via;
     last_ext_reader = tb.Trace.last_ext_reader;
     home = Array.make n (-1);
-    ready_in = Array.make (max 1 cfg.Config.clusters) 0;
+    ready_in = Array.make (Int.max 1 cfg.Config.clusters) 0;
     hier;
     pred = Predictor.create cfg;
     alloc_width = cfg.Config.alloc_width;
@@ -242,10 +243,10 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     is_braid = cfg.Config.kind = Config.Braid_exec;
     now = -1;
     (* the horizon only needs to cover the longest completion latency
-       (memory fill, ~400 cycles); an undersized wheel grows, it does not
-       miscount *)
-    wake = Calq.create ~horizon:1024;
-    reg_free_at = Calq.create ~horizon:1024;
+       (L1 + L2 + memory fill: 409 cycles at the presets); an undersized
+       wheel grows, it does not miscount *)
+    wake = Calq.create ~horizon:512;
+    reg_free_at = Calq.create ~horizon:512;
     read_ports = Rc.create cfg.Config.rf_read_ports;
     write_ports = Rc.create cfg.Config.rf_write_ports;
     bypass = Rc.create cfg.Config.bypass_per_cycle;
@@ -259,7 +260,7 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     conflict_store = tb.Trace.conflict_store;
     stall_regs = 0;
     unresolved_branches = 0;
-    branch_resolve_at = Calq.create ~horizon:1024;
+    branch_resolve_at = Calq.create ~horizon:512;
     ext_rf_reads = 0;
     ext_rf_writes = 0;
     int_rf_reads = 0;
@@ -364,10 +365,10 @@ let maybe_release t p =
   then begin
     let r = t.last_ext_reader.(p) in
     if r < 0 then
-      Calq.add t.reg_free_at (max (t.complete_cycle.(p) + 1) (t.now + 1)) p
+      Calq.add t.reg_free_at (Int.max (t.complete_cycle.(p) + 1) (t.now + 1)) p
     else if issued t r then
       Calq.add t.reg_free_at
-        (max (max t.complete_cycle.(p) t.issue_cycle.(r) + 1) (t.now + 1))
+        (Int.max (Int.max t.complete_cycle.(p) t.issue_cycle.(r) + 1) (t.now + 1))
         p
   end
 
@@ -434,15 +435,15 @@ let do_issue t u =
         (* consumer reads a register this instruction does not publish
            (e.g. internal read of an I+E value resolved externally);
            fall back to the other copy *)
-        min t.int_visible.(u) t.ext_visible.(u)
+        Int.min t.int_visible.(u) t.ext_visible.(u)
       else visible
     in
     let visible = if visible = max_int then complete else visible in
-    schedule_wake t (max visible (t.now + 1)) c
+    schedule_wake t (Int.max visible (t.now + 1)) c
   done;
   (* branch resolution releases its checkpoint *)
   if e.Trace.is_cond_branch && t.max_unresolved > 0 then
-    Calq.add t.branch_resolve_at (max (complete + 1) (t.now + 1)) u;
+    Calq.add t.branch_resolve_at (Int.max (complete + 1) (t.now + 1)) u;
   (* Braid dead-value early release: the in-flight external entry of a
      producer frees once the producer has completed and its last external
      reader (compiler liveness bits) has issued. Commit is the fallback

@@ -88,16 +88,15 @@ val reg_ready : t -> int -> bool
 
 val note_resident : t -> int -> int -> unit
 (** [note_resident m u c] records that the execution core placed [u] in
-    its scheduling cluster [c]. The machine then maintains {!ready_in}
-    for that cluster; {!do_issue} clears the residency. *)
+    its scheduling cluster [c]: an ooo scheduler or a braid BEU. The
+    machine then maintains {!ready_in} for that cluster; {!do_issue}
+    clears the residency. *)
 
 val ready_in : t -> int -> int
 (** Resident, not-yet-issued instructions of cluster [c] whose registers
-    are ready ({!reg_ready}). Lets a core's select loop skip clusters —
-    and window tails — that cannot issue this cycle. *)
-
-val is_complete : t -> int -> bool
-(** Issued and past its completion cycle. *)
+    are ready ({!reg_ready}). The ooo and braid select loops use it to
+    skip schedulers and BEUs — and window tails — that cannot issue this
+    cycle. *)
 
 val issued : t -> int -> bool
 val complete_cycle : t -> int -> int

@@ -101,7 +101,7 @@ let back_invalidate s ~core addr =
   | Some l1d ->
       let l2b = Cache.line_bytes s.s_l2 in
       let base = Cache.line_of s.s_l2 addr * l2b in
-      let step = min l2b (Cache.line_bytes l1d) in
+      let step = Int.min l2b (Cache.line_bytes l1d) in
       let off = ref 0 in
       while !off < l2b do
         ignore (Cache.invalidate_line l1d (base + !off));
@@ -230,7 +230,7 @@ let coherence_violations s =
         List.iter
           (fun (c, l1d) ->
             if c <> e.owner then begin
-              let step = min l2b (Cache.line_bytes l1d) in
+              let step = Int.min l2b (Cache.line_bytes l1d) in
               let off = ref 0 in
               while !off < l2b do
                 if Cache.probe l1d (base + !off) then

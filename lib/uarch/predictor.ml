@@ -39,7 +39,7 @@ let gshare_step ~stats t ~pc ~taken =
   let predicted = c >= 2 in
   let correct = predicted = taken in
   if stats && not correct then t.mispredicts <- t.mispredicts + 1;
-  t.counters.(idx) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+  t.counters.(idx) <- (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
   t.ghist <- ((t.ghist lsl 1) lor (if taken then 1 else 0)) land ((1 lsl gshare_history_bits) - 1);
   correct
 
@@ -60,7 +60,7 @@ let step ~stats t ~pc ~taken =
     if stats && not correct then t.mispredicts <- t.mispredicts + 1;
     (* train on mispredict or low confidence *)
     if (not correct) || abs !sum <= theta then begin
-      let clamp v = max (-weight_clamp) (min weight_clamp v) in
+      let clamp v = Int.max (-weight_clamp) (Int.min weight_clamp v) in
       w.(0) <- clamp (w.(0) + if taken then 1 else -1);
       for i = 0 to history_bits - 1 do
         let h = t.history.((t.head + i) mod history_bits) in

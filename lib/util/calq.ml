@@ -1,14 +1,20 @@
-(* Calendar queue over int events: a power-of-two wheel of growable int
-   buckets indexed by [cycle land mask]. The simulator schedules only a
-   bounded distance ahead (max FU/memory latency plus port scans), so one
-   bucket holds entries of at most one cycle at a time; a collision between
-   two live cycles doubles the wheel instead of corrupting the schedule.
-   Bucket storage is retained across drains, so steady-state stepping
-   allocates nothing. *)
+(* Calendar queue over int events: a power-of-two wheel of slots indexed
+   by [cycle land mask]. The simulator schedules only a bounded distance
+   ahead (max FU/memory latency plus port scans), so one slot holds
+   entries of at most one cycle at a time; a collision between two live
+   cycles doubles the wheel instead of corrupting the schedule.
+   A slot keeps its first [inline] events in one flat array shared by the
+   whole wheel, allocated once, and only a cycle with more events than
+   that spills the rest into a growable array of the slot's own. Spill
+   capacity is kept across drains, so stepping allocates nothing unless
+   one cycle's events outnumber every earlier cycle's in that slot. *)
+
+let inline = 16
 
 type t = {
   mutable mask : int;  (* wheel size - 1; size is a power of two *)
-  mutable bucket : int array array;
+  mutable store : int array;  (* slot [i]'s first events, from [i * inline] *)
+  mutable spill : int array array;  (* slot [i]'s events past [inline] *)
   mutable len : int array;  (* used entries per slot *)
   mutable cycle : int array;  (* cycle a non-empty slot holds; -1 = empty *)
   mutable count : int;  (* scheduled entries over the whole wheel *)
@@ -18,32 +24,45 @@ let round_pow2 n =
   let rec go v = if v >= n then v else go (v * 2) in
   go 1
 
+let wheel t size =
+  t.mask <- size - 1;
+  t.store <- Array.make (size * inline) 0;
+  t.spill <- Array.make size [||];
+  t.len <- Array.make size 0;
+  t.cycle <- Array.make size (-1);
+  t.count <- 0
+
 let create ~horizon =
   if horizon <= 0 then invalid_arg "Calq.create: horizon must be positive";
-  let size = round_pow2 horizon in
-  {
-    mask = size - 1;
-    bucket = Array.make size [||];
-    len = Array.make size 0;
-    cycle = Array.make size (-1);
-    count = 0;
-  }
+  let t =
+    { mask = 0; store = [||]; spill = [||]; len = [||]; cycle = [||]; count = 0 }
+  in
+  wheel t (round_pow2 horizon);
+  t
 
 let horizon t = t.mask + 1
 let length t = t.count
 let is_empty t = t.count = 0
 
+(* The [j]th event of slot [i], of a wheel's arrays *)
+let entry store spill i j =
+  if j < inline then store.((i * inline) + j) else spill.(i).(j - inline)
+
 let push_entry t i v =
-  let b = t.bucket.(i) in
   let n = t.len.(i) in
-  if n = Array.length b then begin
-    (* grow this bucket; capacity is kept for later cycles *)
-    let nb = Array.make (max 4 (2 * n)) 0 in
-    Array.blit b 0 nb 0 n;
-    t.bucket.(i) <- nb;
-    nb.(n) <- v
-  end
-  else b.(n) <- v;
+  if n < inline then t.store.((i * inline) + n) <- v
+  else begin
+    let s = t.spill.(i) in
+    let k = n - inline in
+    if k = Array.length s then begin
+      (* grow this slot's spill; capacity is kept for later cycles *)
+      let ns = Array.make (Int.max inline (2 * k)) 0 in
+      Array.blit s 0 ns 0 k;
+      t.spill.(i) <- ns;
+      ns.(k) <- v
+    end
+    else s.(k) <- v
+  end;
   t.len.(i) <- n + 1;
   t.count <- t.count + 1
 
@@ -64,32 +83,26 @@ let rec add t c v =
   end
 
 and grow t =
-  let old_bucket = t.bucket and old_len = t.len and old_cycle = t.cycle in
-  let size = 2 * (t.mask + 1) in
-  t.mask <- size - 1;
-  t.bucket <- Array.make size [||];
-  t.len <- Array.make size 0;
-  t.cycle <- Array.make size (-1);
-  t.count <- 0;
-  Array.iteri
-    (fun i b ->
-      for j = 0 to old_len.(i) - 1 do
-        add t old_cycle.(i) b.(j)
-      done)
-    old_bucket
+  let store = t.store and spill = t.spill and len = t.len and cycle = t.cycle in
+  wheel t (2 * (t.mask + 1));
+  for i = 0 to Array.length len - 1 do
+    for j = 0 to len.(i) - 1 do
+      add t cycle.(i) (entry store spill i j)
+    done
+  done
 
 let drain t c f x =
   let i = c land t.mask in
   let n = t.len.(i) in
   if n > 0 && t.cycle.(i) = c then begin
-    let b = t.bucket.(i) in
+    let store = t.store and spill = t.spill in
     (* release the slot before the callbacks so [f] may schedule ahead
        (never for the cycle being drained) *)
     t.len.(i) <- 0;
     t.cycle.(i) <- -1;
     t.count <- t.count - n;
     for j = 0 to n - 1 do
-      f x b.(j)
+      f x (entry store spill i j)
     done
   end
 

@@ -4,9 +4,12 @@
     [cycle mod wheel size]. Designed for cycle-level simulators that
     schedule a bounded distance into the future and drain every cycle in
     order: each bucket holds the events of at most one live cycle, and a
-    collision between two distinct live cycles doubles the wheel (the
-    steady state allocates nothing — bucket capacity is retained across
-    drains).
+    collision between two distinct live cycles doubles the wheel. The
+    first 16 events of every slot live in one flat array that {!create}
+    allocates; only a cycle with more events spills into a growable array
+    of the slot's own, whose capacity is kept across drains. So a run
+    allocates only when one cycle's events outnumber every earlier
+    cycle's in the same slot.
 
     Unlike a [Hashtbl]-bucketed schedule, adding and draining never box
     keys, never hash, and never cons. *)

@@ -1,15 +1,15 @@
-type 'a t = {
-  buf : 'a array;
-  dummy : 'a;  (* fills vacated slots so no stale value is retained *)
+(* An int buffer: stores are plain word writes (no [caml_modify]) and a
+   vacated slot needs no placeholder, since an int retains nothing. *)
+type t = {
+  buf : int array;
   mutable head : int;
   mutable len : int;
 }
 
-let create ~dummy ~capacity =
+let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
-  { buf = Array.make capacity dummy; dummy; head = 0; len = 0 }
+  { buf = Array.make capacity 0; head = 0; len = 0 }
 
-let capacity t = Array.length t.buf
 let length t = t.len
 let is_empty t = t.len = 0
 let is_full t = t.len = Array.length t.buf
@@ -28,9 +28,7 @@ let push t x =
 let pop t =
   if is_empty t then failwith "Ring.pop: empty";
   let x = t.buf.(t.head) in
-  t.buf.(t.head) <- t.dummy;
-  let h = t.head + 1 in
-  t.head <- (if h >= Array.length t.buf then 0 else h);
+  t.head <- slot t 1;
   t.len <- t.len - 1;
   x
 
@@ -42,38 +40,22 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Ring.get: index out of range";
   t.buf.(slot t i)
 
+(* Close the gap from whichever side holds fewer elements: the [i]
+   elements before it move one slot tailward and the head advances, or
+   the later ones move one slot headward. *)
 let remove_at t i =
   if i < 0 || i >= t.len then invalid_arg "Ring.remove_at: index out of range";
   let x = t.buf.(slot t i) in
-  for j = i to t.len - 2 do
-    t.buf.(slot t j) <- t.buf.(slot t (j + 1))
-  done;
-  t.buf.(slot t (t.len - 1)) <- t.dummy;
+  if i < t.len - 1 - i then begin
+    for j = i downto 1 do
+      t.buf.(slot t j) <- t.buf.(slot t (j - 1))
+    done;
+    t.head <- slot t 1
+  end
+  else begin
+    for j = i to t.len - 2 do
+      t.buf.(slot t j) <- t.buf.(slot t (j + 1))
+    done
+  end;
   t.len <- t.len - 1;
   x
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.buf.(slot t i)
-  done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.buf.(slot t i)
-  done
-
-let fold f acc t =
-  let acc = ref acc in
-  iter (fun x -> acc := f !acc x) t;
-  !acc
-
-let exists p t =
-  let rec go i = i < t.len && (p t.buf.(slot t i) || go (i + 1)) in
-  go 0
-
-let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) t.dummy;
-  t.head <- 0;
-  t.len <- 0

@@ -1,47 +1,38 @@
-(** Bounded FIFO queue over a circular buffer.
+(** Bounded FIFO queue of ints over a circular buffer.
 
-    Used throughout the microarchitecture for instruction queues: BEU FIFOs,
-    fetch buffers, and the load-store queue all need O(1) push/pop with a
-    hard capacity and indexed access from the head (for scheduling
-    windows). *)
+    Used throughout the microarchitecture for queues of instruction uids:
+    BEU FIFOs, scheduler windows and the fetch buffer all need O(1)
+    push/pop with a hard capacity and indexed access from the head (for
+    scheduling windows). The buffer is an [int array], so a store is a
+    plain word write: no write barrier, no placeholder for vacated slots,
+    and no allocation after {!create}. *)
 
-type 'a t
+type t
 
-val create : dummy:'a -> capacity:int -> 'a t
-(** [create ~dummy ~capacity] makes an empty ring holding at most
-    [capacity] elements. [capacity] must be positive. [dummy] fills
-    unused slots (the buffer is unboxed — no per-element [option]
-    wrapper — so vacated slots need a placeholder value; it is never
-    returned by any accessor). *)
+val create : capacity:int -> t
+(** [create ~capacity] makes an empty ring holding at most [capacity]
+    elements. [capacity] must be positive. *)
 
-val capacity : 'a t -> int
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
+val length : t -> int
+val is_empty : t -> bool
+val is_full : t -> bool
 
-val push : 'a t -> 'a -> unit
+val push : t -> int -> unit
 (** Appends at the tail. Raises [Failure] when full. *)
 
-val pop : 'a t -> 'a
+val pop : t -> int
 (** Removes and returns the head. Raises [Failure] when empty. *)
 
-val peek : 'a t -> 'a
+val peek : t -> int
 (** Returns the head without removing it. Raises [Failure] when empty. *)
 
-val get : 'a t -> int -> 'a
+val get : t -> int -> int
 (** [get t i] is the element [i] positions from the head ([get t 0 = peek
     t]). Raises [Invalid_argument] when out of range. *)
 
-val remove_at : 'a t -> int -> 'a
+val remove_at : t -> int -> int
 (** [remove_at t i] removes and returns the element [i] positions from the
-    head, shifting later elements forward. O(n); only used with tiny
-    scheduling windows. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Head-to-tail iteration. *)
-
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val exists : ('a -> bool) -> 'a t -> bool
-val to_list : 'a t -> 'a list
-val clear : 'a t -> unit
+    head; the others keep their order. It moves [min i (length t - 1 - i)]
+    elements, whichever side of [i] is shorter, so removing near the head
+    (a scheduling window) or at the tail is O(1). Raises
+    [Invalid_argument] when out of range. *)

@@ -23,17 +23,25 @@ let test_calq_insertion_order () =
   Alcotest.(check (list int)) "cycle 3 in order" [ 10; 11; 12 ] (drain_list q 3);
   Alcotest.(check (list int)) "cycle 4 empty" [] (drain_list q 4);
   Alcotest.(check (list int)) "cycle 5" [ 99 ] (drain_list q 5);
-  Alcotest.(check bool) "empty" true (Calq.is_empty q)
+  Alcotest.(check bool) "empty" true (Calq.is_empty q);
+  (* more events than a slot holds in line spill, in order, twice *)
+  List.iter
+    (fun c ->
+      let vs = List.init 40 (fun v -> (100 * c) + v) in
+      List.iter (Calq.add q c) vs;
+      Alcotest.(check (list int)) "spilled cycle in order" vs (drain_list q c))
+    [ 7; 7 + Calq.horizon q ]
 
 let test_calq_horizon_wrap_grows () =
   (* wheel of 4 slots: cycles 1 and 5 collide (5 mod 4 = 1); with both
      live the wheel must double rather than merge or drop either *)
   let q = Calq.create ~horizon:4 in
   Alcotest.(check int) "initial wheel" 4 (Calq.horizon q);
-  Calq.add q 1 100;
+  let spilled = List.init 20 Fun.id in
+  List.iter (Calq.add q 1) spilled;
   Calq.add q 5 500;
   Alcotest.(check bool) "wheel grew" true (Calq.horizon q >= 8);
-  Alcotest.(check (list int)) "cycle 1 intact" [ 100 ] (drain_list q 1);
+  Alcotest.(check (list int)) "cycle 1 intact" spilled (drain_list q 1);
   Alcotest.(check (list int)) "cycle 5 intact" [ 500 ] (drain_list q 5)
 
 let test_calq_drain_exact_cycle_only () =

@@ -1,6 +1,7 @@
 (* Golden-number regression: exact instruction counts, cycle counts, and
-   IPC for the full 26-benchmark suite on all four simulated core models,
-   pinned to the timing model's established behaviour. The hot-path work
+   IPC for the full 26-benchmark suite on four simulated core models, and
+   one digest over every result field and counter on all five, pinned to
+   the timing model's established behaviour. The hot-path work
    in this repo (calendar queues, flat-array machine state, static
    disambiguation tables) must never move a single cycle: any diff here is
    a modeling change, not an optimisation, and needs its own
@@ -233,6 +234,77 @@ let test_trace_digest () =
   Alcotest.(check string) "MD5 over every event view" "4f369bc394b00b4a9bd1c29c66fae11d"
     (Digest.to_hex (Digest.string (String.concat "" digests)))
 
+(* Every field of [Core.result] and every entry of [Core.counters] (the
+   occupancy histogram included; floats as their bits), for all 26
+   benchmarks on all five kinds at scale 1200, for perfbench's six-point
+   braid grid on gzip and mcf at scale 12000, and for braid cores whose
+   loads take zero cycles (an issue still occupies its BEU for one): the
+   numbers the instruction/cycle table above leaves unpinned. *)
+let counters_line b (cfg : U.Config.t) (c : U.Core.t) =
+  let r = U.Core.result c in
+  Printf.bprintf b "%s %s %d %d %Ld %Ld [%s]\n" cfg.U.Config.name
+    r.U.Core.config_name r.U.Core.instructions r.U.Core.cycles
+    (Int64.bits_of_float r.U.Core.ipc)
+    (Int64.bits_of_float r.U.Core.avg_occupancy)
+    (String.concat " " (Array.to_list (Array.map string_of_int (U.Core.counts r))));
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  List.iter
+    (function
+      | name, U.Core.Count n -> Printf.bprintf b "%s %d\n" name n
+      | name, U.Core.Hist { bounds; counts; observations; sum } ->
+          Printf.bprintf b "%s [%s] [%s] %d %d\n" name (ints bounds) (ints counts)
+            observations sum)
+    (U.Core.counters c)
+
+let test_counter_digest () =
+  let ctx = Lazy.force ctx in
+  let b = Buffer.create 65536 in
+  let simulate p cfg =
+    counters_line b cfg
+      (U.Core.run ~warm_data:p.Suite.warm_data cfg (Suite.trace p cfg))
+  in
+  List.iter
+    (fun (pr : Braid_workload.Spec.profile) ->
+      let p = Suite.prepare ctx ~scale:1200 pr in
+      List.iter
+        (fun k -> simulate p (U.Config.preset_of_kind k))
+        U.Config.Core_kind.all)
+    Braid_workload.Spec.all;
+  List.iter
+    (fun bench ->
+      List.iter
+        (fun clusters ->
+          List.iter
+            (fun entries ->
+              let cfg =
+                Result.get_ok
+                  (U.Config.override U.Config.braid_8wide
+                     [ ("clusters", clusters); ("cluster_entries", entries) ])
+              in
+              let p =
+                Suite.prepare ctx ~scale:12000
+                  ~ext_usable:(Braid_dse.Sweep.ext_usable_of cfg)
+                  (Braid_workload.Spec.find bench)
+              in
+              simulate p cfg)
+            [ "8"; "32" ])
+        [ "4"; "8"; "16" ])
+    [ "gzip"; "mcf" ];
+  List.iter
+    (fun (cfg : U.Config.t) ->
+      let cfg =
+        Result.get_ok
+          (U.Config.override cfg [ ("l1d.latency", "0"); ("perfect_dcache", "true") ])
+      in
+      List.iter
+        (fun bench ->
+          simulate (Suite.prepare ctx ~scale:1200 (Braid_workload.Spec.find bench)) cfg)
+        [ "gzip"; "mcf"; "swim" ])
+    [ U.Config.braid_8wide; { U.Config.braid_8wide with U.Config.beu_out_of_order = true } ];
+  Alcotest.(check string) "MD5 over every result field and counter"
+    "5e6e620d54a7c0e4b84429dc65fb8e2f"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_covers_all_benchmarks () =
   (* the table above must track Spec.all: a new benchmark needs golden rows *)
   let named = List.map (fun (b, _, _, _) -> b) golden in
@@ -257,4 +329,5 @@ let suite =
     @ [
         Alcotest.test_case "memo keyed on content" `Slow test_memo_keyed_on_content;
         Alcotest.test_case "trace event digest" `Slow test_trace_digest;
+        Alcotest.test_case "counter identity digest" `Slow test_counter_digest;
       ] )

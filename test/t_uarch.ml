@@ -500,6 +500,32 @@ let test_trace_footprint () =
   Alcotest.(check (list bool)) "braid starts" [ true; false; false ]
     (List.init 3 (Trace.braid_start t))
 
+(* The cycle loop allocates (next to) nothing: across the [Core.step]
+   loop of a 100k-instruction gzip run with [Probe.off], at most one
+   minor-heap word per simulated cycle on every kind. Allocation is
+   deterministic for a given build, so this bound does not flake. *)
+let test_step_allocation () =
+  let ctx = Braid_sim.Suite.create_ctx () in
+  let p = Braid_sim.Suite.prepare ctx ~scale:100_000 (Spec.find "gzip") in
+  List.iter
+    (fun kind ->
+      let cfg = U.Config.preset_of_kind kind in
+      let core =
+        U.Core.create ~warm_data:p.Braid_sim.Suite.warm_data cfg
+          (Braid_sim.Suite.trace p cfg)
+      in
+      let before = Gc.minor_words () in
+      while not (U.Core.finished core) do
+        U.Core.step core
+      done;
+      let words = Gc.minor_words () -. before in
+      let per_cycle = words /. float_of_int (U.Core.result core).U.Core.cycles in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f minor words per cycle <= 1.0"
+           (U.Config.Core_kind.to_string kind) per_cycle)
+        true (per_cycle <= 1.0))
+    U.Config.Core_kind.all
+
 let suite =
   ( "uarch",
     [
@@ -528,5 +554,6 @@ let suite =
       Alcotest.test_case "dispatch refusals insert nothing" `Quick
         test_dispatch_refusals_insert_nothing;
       Alcotest.test_case "trace footprint" `Quick test_trace_footprint;
+      Alcotest.test_case "cycle loop allocation bound" `Slow test_step_allocation;
       QCheck_alcotest.to_alcotest qcheck_all_cores_all_benchmarks;
     ] )
