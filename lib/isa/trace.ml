@@ -40,14 +40,6 @@ type event = {
 
 type stop_reason = Halted | Steps_exhausted
 
-type dep_tables = {
-  child_off : int array;
-  child_uid : int array;
-  child_via : Bytes.t;
-  last_ext_reader : int array;
-  conflict_store : int array;
-}
-
 (* One static record per static instruction, shared by every trace of a
    program, plus one entry per dynamic instruction in each column. A
    dependence entry packs the producer uid and the via-internal bit as
@@ -63,7 +55,7 @@ type t = {
   stop : stop_reason;
   program : Program.t;
   mutable warm_lines : int array option;  (* memo: {!warm_lines} *)
-  mutable tables : dep_tables option;  (* memo: {!dep_tables} *)
+  mutable ext_readers : int array option;  (* memo: {!last_ext_readers} *)
 }
 
 let flag_taken = 1
@@ -174,7 +166,7 @@ let of_events program (es : event array) =
     stop = Halted;
     program;
     warm_lines = None;
-    tables = None;
+    ext_readers = None;
   }
 
 module Builder = struct
@@ -269,7 +261,7 @@ module Builder = struct
       stop;
       program = b.program;
       warm_lines = None;
-      tables = None;
+      ext_readers = None;
     }
 end
 
@@ -295,48 +287,16 @@ let warm_lines t =
       t.warm_lines <- Some a;
       a
 
-let dep_tables t =
-  match t.tables with
-  | Some tb -> tb
+let last_ext_readers t =
+  match t.ext_readers with
+  | Some a -> a
   | None ->
-      let n = length t in
-      (* dependence graph in CSR form: the consumers (children) of
-         producer [p] are [child_uid.(child_off.(p))
-         .. child_uid.(child_off.(p+1) - 1)], tagged in [child_via] when
-         the value flows through a braid-internal register *)
-      let child_off = Array.make (n + 1) 0 in
-      Array.iter
-        (fun key ->
-          let p = key lsr 1 in
-          child_off.(p + 1) <- child_off.(p + 1) + 1)
-        t.deps;
-      for i = 1 to n do
-        child_off.(i) <- child_off.(i) + child_off.(i - 1)
+      (* readers ascend, so the last one written is the highest *)
+      let a = Array.make (length t) (-1) in
+      for u = 0 to length t - 1 do
+        for k = t.dep_off.(u) to t.dep_off.(u + 1) - 1 do
+          if not (dep_via t k) then a.(dep_uid t k) <- u
+        done
       done;
-      let total = child_off.(n) in
-      let child_uid = Array.make total 0 in
-      let child_via = Bytes.make total '\000' in
-      let fill = Array.copy child_off in
-      let last_ext_reader = Array.make n (-1) in
-      (* youngest older same-address store per load, -1 = none *)
-      let conflict_store = Array.make n (-1) in
-      let last_store = Hashtbl.create 256 in
-      for i = 0 to n - 1 do
-        for k = t.dep_off.(i) to t.dep_off.(i + 1) - 1 do
-          let p = dep_uid t k in
-          let j = fill.(p) in
-          child_uid.(j) <- i;
-          if dep_via t k then Bytes.set child_via j '\001'
-          else if i > last_ext_reader.(p) then last_ext_reader.(p) <- i;
-          fill.(p) <- j + 1
-        done;
-        let s = static t i in
-        if s.is_load then (
-          match Hashtbl.find_opt last_store t.addr.(i) with
-          | Some su -> conflict_store.(i) <- su
-          | None -> ());
-        if s.is_store then Hashtbl.replace last_store t.addr.(i) i
-      done;
-      let tb = { child_off; child_uid; child_via; last_ext_reader; conflict_store } in
-      t.tables <- Some tb;
-      tb
+      t.ext_readers <- Some a;
+      a

@@ -156,23 +156,10 @@ val warm_lines : t -> int array
     runs over one trace — every point of a design-space sweep — warm
     their caches without re-deduplicating the event stream. *)
 
-(** Static, trace-derived dependence tables, shared by every timing run
-    over one trace (all arrays are read-only for consumers). *)
-type dep_tables = {
-  child_off : int array;
-      (** CSR offsets: the consumers of producer [p] are
-          [child_uid.(child_off.(p)) .. child_uid.(child_off.(p+1)-1)] *)
-  child_uid : int array;
-  child_via : Bytes.t;  (** ['\001'] = braid-internal register edge *)
-  last_ext_reader : int array;
-      (** highest consumer uid reading the value externally, -1 = none *)
-  conflict_store : int array;
-      (** for a load: uid of the youngest older store to the same
-          address, -1 = none (LSQ disambiguation is static in a trace) *)
-}
-
-val dep_tables : t -> dep_tables
-(** The static dependence structure of the trace, computed once and
-    memoised. Timing models treat every array as read-only, so repeated
-    runs (the points of a sweep) share one copy instead of rebuilding the
-    CSR graph and disambiguation table per run. *)
+val last_ext_readers : t -> int array
+(** Per producer uid, the highest uid that reads its value externally
+    (not through a braid-internal register), -1 when none does: the
+    compiler's liveness knowledge behind the braid core's dead-value
+    release. Computed on first use by one pass over the dependence
+    entries and memoised, so the traces that are never simulated (a
+    sampler's warm-up windows) never pay for it. *)

@@ -219,31 +219,6 @@ let braid m =
     end
     else false
   in
-  (* §5.2 clustering: external values produced in another cluster of BEUs
-     arrive [inter_cluster_latency] cycles later *)
-  let cluster_of beu =
-    if cfg.Config.beu_cluster_size <= 0 then 0
-    else beu / cfg.Config.beu_cluster_size
-  in
-  let tr = Machine.trace m in
-  (* every external value of [u] from dependence entry [k] on has
-     crossed from its producer's cluster *)
-  let rec arrived u k stop =
-    k >= stop
-    || (Trace.dep_via tr k
-       ||
-       let p = Trace.dep_uid tr k in
-       let pb = Machine.beu m p in
-       pb < 0
-       || cluster_of pb = cluster_of (Machine.beu m u)
-       || Machine.now m
-          >= Machine.ext_visible m p + cfg.Config.inter_cluster_latency)
-       && arrived u (k + 1) stop
-  in
-  let cluster_ready u =
-    cfg.Config.beu_cluster_size <= 0
-    || arrived u (Trace.dep_off tr u) (Trace.dep_off tr (u + 1))
-  in
   let fus = cfg.Config.fus_per_cluster in
   (* the head window; the whole queue for the rejected §5.1 out-of-order
      BEU variant *)
@@ -271,7 +246,6 @@ let braid m =
           if
             Machine.mem_ready m u <> Machine.Mem_blocked
             && Machine.can_issue_ports m u
-            && cluster_ready u
           then begin
             Probe.on_beu_issue probe ~cycle:now ~pos:!i u;
             ignore (Ring.remove_at f !i);

@@ -115,29 +115,35 @@ end
    (struct-of-arrays): creating a machine allocates a handful of flat
    arrays instead of one record per event, and the schedulers' per-cycle
    scans walk contiguous ints. [complete_cycle]/[issue_cycle] double as
-   the issued flag (max_int = not issued). *)
+   the issued flag (max_int = not issued).
+
+   An unissued producer [p] keeps its dispatched consumers on a waiter
+   list: the head at [waiters.(p land window_mask)], the node of
+   dependence entry [k] at [k land node_mask]. Producer and waiters are
+   all in flight, so these rings, sized by [inflight], never collide. *)
 type t = {
   cfg : Config.t;
   trace : Trace.t;
   n : int;  (* trace length *)
-  ready_deps : int array;  (* producers not yet visible *)
+  ready_deps : int array;  (* producers not yet visible, set at dispatch *)
   issue_cycle : int array;  (* max_int = not issued *)
   complete_cycle : int array;
-  ext_visible : int array;  (* cycle from which consumers can read *)
-  int_visible : int array;
+  ext_visible : int array;  (* cycle the external file can be read *)
   beu : int array;  (* BEU index for braid-core slots, -1 otherwise *)
   ext_entry_freed : Bytes.t;  (* '\001' = external-file entry released *)
-  (* dependence graph in CSR form: children of p are
-     [child_uid.(child_off.(p)) .. child_uid.(child_off.(p+1) - 1)] *)
-  child_off : int array;
-  child_uid : int array;
-  child_via : Bytes.t;  (* '\001' = internal-register edge *)
-  last_ext_reader : int array;  (* -1 = none; braid dead-value release *)
+  waiters : int array;  (* first waiter's dependence entry, -1 = none *)
+  waiter_next : int array;  (* the next waiter's entry, -1 = end *)
+  waiter_uid : int array;  (* the waiting consumer *)
+  window_mask : int;
+  node_mask : int;
+  conflict_store : int array;  (* per load, slot [u land window_mask] *)
+  stores : Ring.t;  (* in-flight stores, oldest first *)
+  last_ext_reader : int array;  (* braid dead-value release; [||] otherwise *)
   (* scheduler residency: [home.(u)] is the core cluster holding a
      dispatched, not-yet-issued uid (-1 = none); [ready_in.(c)] counts
-     resident entries of cluster [c] whose registers are ready. The wake
-     drain and [do_issue] keep the counts current so cores can skip
-     clusters (and window tails) with no register-ready work. *)
+     resident entries of cluster [c] whose registers are ready. Dispatch,
+     the wake drain and [do_issue] keep the counts current so cores can
+     skip clusters (and window tails) with no register-ready work. *)
   home : int array;
   ready_in : int array;
   hier : Mem_hier.hierarchy;
@@ -150,6 +156,8 @@ type t = {
   lsq_limit : int;
   inflight_limit : int;
   is_braid : bool;
+  beu_cluster_size : int;  (* braid core only; 0 = one cluster *)
+  inter_cluster_latency : int;
   mutable now : int;
   (* wakeup and release calendars (payload = consumer/writer uid) *)
   wake : Calq.t;
@@ -167,12 +175,6 @@ type t = {
   mutable dispatched_count : int;
   mutable commit_idx : int;
   mutable inflight_mem : int;
-  (* [conflict_store.(u)] for a load: uid of the youngest older store to
-     the same address (-1 = none), fixed by the trace. Since dispatch and
-     commit are both in uid order, the load's disambiguation status needs
-     no in-flight store set: the conflicting store is in flight exactly
-     while [commit_idx] has not passed it. *)
-  conflict_store : int array;
   mutable stall_regs : int;
   mutable unresolved_branches : int;
   branch_resolve_at : Calq.t;  (* one entry per branch at its resolve cycle *)
@@ -192,6 +194,8 @@ type t = {
   slots : Probe.slots;  (* the per-uid arrays above, as the probe sees them *)
 }
 
+let rec pow2_at_least k x = if k >= x then k else pow2_at_least (2 * k) x
+
 let create ?(probe = Probe.off) ?hier cfg trace =
   let n = Trace.length trace in
   let hier =
@@ -199,17 +203,18 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     | Some h -> h
     | None -> Mem_hier.create_hierarchy cfg.Config.mem
   in
-  (* the static dependence structure (CSR children, last external
-     readers, store disambiguation) is memoised on the trace: repeated
-     runs — the points of a sweep — share one copy; only the per-run
-     mutable counts are built fresh *)
-  let tb = Trace.dep_tables trace in
+  let window = pow2_at_least 1 (Int.min cfg.Config.inflight n) in
+  let widest = ref 0 in
+  for u = 0 to n - 1 do
+    widest := Int.max !widest (Trace.dep_off trace (u + 1) - Trace.dep_off trace u)
+  done;
+  let nodes = pow2_at_least 1 (window * !widest) in
+  let is_braid = cfg.Config.kind = Config.Braid_exec in
   let slots =
     {
       Probe.trace;
       issue_cycle = Array.make n max_int;
       complete_cycle = Array.make n max_int;
-      int_visible = Array.make n max_int;
       ext_visible = Array.make n max_int;
       beu = Array.make n (-1);
     }
@@ -218,18 +223,20 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     cfg;
     trace;
     n;
-    ready_deps =
-      Array.init n (fun u -> Trace.dep_off trace (u + 1) - Trace.dep_off trace u);
+    ready_deps = Array.make n 0;
     issue_cycle = slots.Probe.issue_cycle;
     complete_cycle = slots.Probe.complete_cycle;
     ext_visible = slots.Probe.ext_visible;
-    int_visible = slots.Probe.int_visible;
     beu = slots.Probe.beu;
     ext_entry_freed = Bytes.make n '\000';
-    child_off = tb.Trace.child_off;
-    child_uid = tb.Trace.child_uid;
-    child_via = tb.Trace.child_via;
-    last_ext_reader = tb.Trace.last_ext_reader;
+    waiters = Array.make window (-1);
+    waiter_next = Array.make nodes 0;
+    waiter_uid = Array.make nodes 0;
+    window_mask = window - 1;
+    node_mask = nodes - 1;
+    conflict_store = Array.make window (-1);
+    stores = Ring.create ~capacity:cfg.Config.lsq_entries;
+    last_ext_reader = (if is_braid then Trace.last_ext_readers trace else [||]);
     home = Array.make n (-1);
     ready_in = Array.make (Int.max 1 cfg.Config.clusters) 0;
     hier;
@@ -240,7 +247,9 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     max_unresolved = cfg.Config.max_unresolved_branches;
     lsq_limit = cfg.Config.lsq_entries;
     inflight_limit = cfg.Config.inflight;
-    is_braid = cfg.Config.kind = Config.Braid_exec;
+    is_braid;
+    beu_cluster_size = (if is_braid then cfg.Config.beu_cluster_size else 0);
+    inter_cluster_latency = cfg.Config.inter_cluster_latency;
     now = -1;
     (* the horizon only needs to cover the longest completion latency
        (L1 + L2 + memory fill: 409 cycles at the presets); an undersized
@@ -257,7 +266,6 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     dispatched_count = 0;
     commit_idx = 0;
     inflight_mem = 0;
-    conflict_store = tb.Trace.conflict_store;
     stall_regs = 0;
     unresolved_branches = 0;
     branch_resolve_at = Calq.create ~horizon:512;
@@ -287,8 +295,6 @@ let commit_releases t = t.commit_releases
 
 let issued t u = t.issue_cycle.(u) <> max_int
 let complete_cycle t u = t.complete_cycle.(u)
-let ext_visible t u = t.ext_visible.(u)
-let beu t u = t.beu.(u)
 let set_beu t u i = t.beu.(u) <- i
 
 (* [begin_cycle]'s calendar handlers, top-level so that a drain builds
@@ -327,52 +333,44 @@ let begin_cycle t =
 
 let reg_ready t u = t.ready_deps.(u) = 0
 
-let note_resident t u c =
-  t.home.(u) <- c;
-  if t.ready_deps.(u) = 0 then t.ready_in.(c) <- t.ready_in.(c) + 1
-
+let note_resident t u c = t.home.(u) <- c
 let ready_in t c = t.ready_in.(c)
 
 (* [complete_cycle] is max_int until issue, so the comparison alone
    implies "issued and past its completion cycle" *)
 let is_complete t u = t.complete_cycle.(u) <= t.now
 
-(* Store addresses are known from dispatch (the LSQ disambiguates
-   perfectly; all cores share this): only the youngest older store to the
-   same address matters, and it is static in the trace. It is still in
-   flight — not yet drained to the cache — exactly while [commit_idx]
-   hasn't passed it (commit is in uid order, and once it has committed,
-   every older same-address store has too, so no conflict remains). *)
+(* The conflicting store found at dispatch is in flight exactly while
+   [commit_idx] has not passed it: commit is in uid order. *)
 let mem_ready t u =
-  let su = t.conflict_store.(u) in
-  if su < 0 || su < t.commit_idx then Mem_cache
+  let su = t.conflict_store.(u land t.window_mask) in
+  if su < t.commit_idx then Mem_cache
   else if is_complete t su then Mem_forward
   else Mem_blocked
 
 let can_issue_ports t u =
   Rc.available t.read_ports t.now (Trace.static t.trace u).Trace.ext_src_reads
 
-let schedule_wake t cycle uid = Calq.add t.wake cycle uid
-
-(* Schedules the release of producer [p]'s external entry once it has
-   completed and its last external reader has issued (or at once when
-   nothing reads it externally). *)
-let maybe_release t p =
-  if
-    (Trace.static t.trace p).Trace.writes_ext
-    && issued t p
-    && Bytes.get t.ext_entry_freed p = '\000'
-  then begin
-    let r = t.last_ext_reader.(p) in
-    if r < 0 then
-      Calq.add t.reg_free_at (Int.max (t.complete_cycle.(p) + 1) (t.now + 1)) p
-    else if issued t r then
-      Calq.add t.reg_free_at
-        (Int.max (Int.max t.complete_cycle.(p) t.issue_cycle.(r) + 1) (t.now + 1))
-        p
-  end
+(* The cycle consumer [c] may read issued producer [p] through
+   dependence entry [k], by the rule machine.mli states. *)
+let readable_at t p c k =
+  let e = Trace.static t.trace p in
+  let via = Trace.dep_via t.trace k in
+  let v =
+    if e.Trace.writes_ext && not (via && e.Trace.writes_int) then
+      let size = t.beu_cluster_size in
+      if (not via) && size > 0 && t.beu.(p) / size <> t.beu.(c) / size then
+        t.ext_visible.(p) + t.inter_cluster_latency
+      else t.ext_visible.(p)
+    else t.complete_cycle.(p)
+  in
+  Int.max v (t.issue_cycle.(p) + 1)
 
 let do_issue t u =
+  if u >= t.dispatched_count then
+    invalid_arg
+      (Printf.sprintf "Machine.do_issue: instruction %d has not dispatched (cycle %d)"
+         u t.now);
   if issued t u then
     invalid_arg
       (Printf.sprintf "Machine.do_issue: instruction %d already issued (cycle %d)"
@@ -408,10 +406,7 @@ let do_issue t u =
   t.issue_cycle.(u) <- t.now;
   t.complete_cycle.(u) <- complete;
   t.issued_count <- t.issued_count + 1;
-  if e.Trace.writes_int then begin
-    t.int_visible.(u) <- complete;
-    t.int_rf_writes <- t.int_rf_writes + 1
-  end;
+  if e.Trace.writes_int then t.int_rf_writes <- t.int_rf_writes + 1;
   let bypassed =
     if not e.Trace.writes_ext then false
     else begin
@@ -426,32 +421,34 @@ let do_issue t u =
     end
   in
   Probe.on_issue t.probe t.slots ~cycle:t.now ~lat ~bypassed u;
-  for k = t.child_off.(u) to t.child_off.(u + 1) - 1 do
-    let c = t.child_uid.(k) in
-    let via = Bytes.get t.child_via k <> '\000' in
-    let visible = if via then t.int_visible.(u) else t.ext_visible.(u) in
-    let visible =
-      if visible = max_int then
-        (* consumer reads a register this instruction does not publish
-           (e.g. internal read of an I+E value resolved externally);
-           fall back to the other copy *)
-        Int.min t.int_visible.(u) t.ext_visible.(u)
-      else visible
-    in
-    let visible = if visible = max_int then complete else visible in
-    schedule_wake t (Int.max visible (t.now + 1)) c
+  (* the value's readable cycle is now known: wake the waiters *)
+  let h = u land t.window_mask in
+  let k = ref t.waiters.(h) in
+  while !k >= 0 do
+    let s = !k land t.node_mask in
+    Calq.add t.wake (readable_at t u t.waiter_uid.(s) !k) t.waiter_uid.(s);
+    k := t.waiter_next.(s)
   done;
+  t.waiters.(h) <- -1;
   (* branch resolution releases its checkpoint *)
   if e.Trace.is_cond_branch && t.max_unresolved > 0 then
     Calq.add t.branch_resolve_at (Int.max (complete + 1) (t.now + 1)) u;
   (* Braid dead-value early release: the in-flight external entry of a
      producer frees once the producer has completed and its last external
-     reader (compiler liveness bits) has issued. Commit is the fallback
-     release, so this only shortens residency. *)
+     reader (compiler liveness bits) has issued. That reader found the
+     value readable, so the producer had completed. Commit is the
+     fallback release, so this only shortens residency ([reg_free] skips
+     an entry commit already released). *)
   if t.is_braid then begin
-    maybe_release t u;
+    if e.Trace.writes_ext && t.last_ext_reader.(u) < 0 then
+      Calq.add t.reg_free_at (complete + 1) u;
     for k = Trace.dep_off t.trace u to Trace.dep_off t.trace (u + 1) - 1 do
-      if not (Trace.dep_via t.trace k) then maybe_release t (Trace.dep_uid t.trace k)
+      let p = Trace.dep_uid t.trace k in
+      if
+        (not (Trace.dep_via t.trace k))
+        && t.last_ext_reader.(p) = u
+        && (Trace.static t.trace p).Trace.writes_ext
+      then Calq.add t.reg_free_at (t.now + 1) p
     done
   end
 
@@ -486,8 +483,45 @@ let can_dispatch t u =
     Block_inflight
   else Block_none
 
+(* The youngest in-flight store to [addr] at queue position [i] or
+   older, -1 = none *)
+let rec youngest_store t addr i =
+  if i < 0 then -1
+  else
+    let s = Ring.get t.stores i in
+    if Trace.addr t.trace s = addr then s else youngest_store t addr (i - 1)
+
 let note_dispatch t u =
   let e = Trace.static t.trace u in
+  (* rename: count the producers [u] cannot read yet; an issued one
+     schedules the wake now, an unissued one takes [u] as a waiter *)
+  let pending = ref 0 in
+  for k = Trace.dep_off t.trace u to Trace.dep_off t.trace (u + 1) - 1 do
+    let p = Trace.dep_uid t.trace k in
+    if not (issued t p) then begin
+      let s = k land t.node_mask and h = p land t.window_mask in
+      t.waiter_uid.(s) <- u;
+      t.waiter_next.(s) <- t.waiters.(h);
+      t.waiters.(h) <- k;
+      incr pending
+    end
+    else begin
+      let w = readable_at t p u k in
+      if w > t.now then begin
+        Calq.add t.wake w u;
+        incr pending
+      end
+    end
+  done;
+  t.ready_deps.(u) <- !pending;
+  if !pending = 0 && t.home.(u) >= 0 then
+    t.ready_in.(t.home.(u)) <- t.ready_in.(t.home.(u)) + 1;
+  (* a load's only conflict is the youngest in-flight store to its address *)
+  t.conflict_store.(u land t.window_mask) <-
+    (if e.Trace.is_load then
+       youngest_store t (Trace.addr t.trace u) (Ring.length t.stores - 1)
+     else -1);
+  if e.Trace.is_store then Ring.push t.stores u;
   t.alloc_left <- t.alloc_left - 1;
   t.src_left <- t.src_left - e.Trace.ext_src_reads;
   if e.Trace.writes_ext then begin
@@ -511,7 +545,10 @@ let commit_stage t =
       Probe.on_commit t.probe t.trace ~cycle:t.now ~beu:t.beu.(u) u;
       (* stores drain to the data cache at commit (and, on a shared
          backside, through the coherence directory) *)
-      if e.Trace.is_store then Mem_hier.drain_store t.hier (Trace.addr t.trace u);
+      if e.Trace.is_store then begin
+        ignore (Ring.pop t.stores);
+        Mem_hier.drain_store t.hier (Trace.addr t.trace u)
+      end;
       (* release the rename/in-flight entry at commit unless the braid
          dead-value path already released it *)
       if e.Trace.writes_ext && Bytes.get t.ext_entry_freed u = '\000' then begin

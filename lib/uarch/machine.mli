@@ -13,6 +13,22 @@
     arrays rather than one record per event and the per-cycle scheduler
     scans touch contiguous memory.
 
+    Dependences register when an instruction dispatches, as rename does:
+    {!note_dispatch} schedules the wakeup of each issued producer whose
+    value is not yet readable and joins the waiter list of each unissued
+    one, which {!do_issue} wakes. A value is readable from the cycle its
+    external copy is visible (bypass or write-back), or from completion
+    for an internal read of an internal value or a value with no external
+    copy; never before the producer's issue cycle + 1. On a braid core
+    with clustered BEUs (§5.2), an external value reaches another
+    cluster [inter_cluster_latency] cycles after it is visible.
+
+    Store addresses are known at dispatch. A dispatching load searches
+    the in-flight stores, youngest first, for its address and waits for
+    the store it finds to complete; it then forwards from it in 1 cycle.
+    A load whose conflicting store has committed, or that found none,
+    reads the data cache and pays the L1D latency (more on a miss).
+
     The external register file is modeled as an in-flight value buffer
     (rename free list): an entry is allocated at dispatch for each
     external-writing instruction and released at commit. The braid core
@@ -23,9 +39,9 @@
     (Fig 6). *)
 
 type mem_status =
-  | Mem_blocked  (** an older store's address is still unknown *)
-  | Mem_forward  (** youngest older same-address store forwards *)
-  | Mem_cache  (** no conflict: access the data cache *)
+  | Mem_blocked  (** the conflicting store has not completed *)
+  | Mem_forward  (** the conflicting store forwards its data (1 cycle) *)
+  | Mem_cache  (** no in-flight conflict: access the data cache *)
 
 (** Per-cycle bounded resource (register-file ports, bypass slots): a
     circular window of usage counters stamped with the cycle they count
@@ -84,13 +100,14 @@ val begin_cycle : t -> unit
     budgets. Call once per cycle before any stage. *)
 
 val reg_ready : t -> int -> bool
-(** All register producers visible. *)
+(** All register producers of a dispatched instruction readable. *)
 
 val note_resident : t -> int -> int -> unit
 (** [note_resident m u c] records that the execution core placed [u] in
-    its scheduling cluster [c]: an ooo scheduler or a braid BEU. The
-    machine then maintains {!ready_in} for that cluster; {!do_issue}
-    clears the residency. *)
+    its scheduling cluster [c]: an ooo scheduler or a braid BEU. It only
+    records the cluster: {!note_dispatch}, called next, counts [u] in
+    {!ready_in} once its registers are ready, and {!do_issue} clears the
+    residency. *)
 
 val ready_in : t -> int -> int
 (** Resident, not-yet-issued instructions of cluster [c] whose registers
@@ -102,18 +119,15 @@ val issued : t -> int -> bool
 val complete_cycle : t -> int -> int
 (** [max_int] until the instruction issues. *)
 
-val ext_visible : t -> int -> int
-(** Cycle from which consumers can read the external result; [max_int]
-    until scheduled (for the braid core's inter-cluster check). *)
-
-val beu : t -> int -> int
-(** BEU index assigned at dispatch (braid core), -1 otherwise. *)
-
 val set_beu : t -> int -> int -> unit
+(** Records the BEU (braid core) or block window (CG-OoO) an instruction
+    enters; the braid core sets it before {!note_dispatch}, whose wake
+    times depend on it when BEUs are clustered. *)
 
 val mem_ready : t -> int -> mem_status
-(** Load ordering status; non-loads are always [Mem_cache]. Pure check —
-    no cache state is touched. *)
+(** Load ordering status of a dispatched, uncommitted instruction;
+    non-loads are always [Mem_cache]. Pure check — no cache state is
+    touched. *)
 
 val can_issue_ports : t -> int -> bool
 (** Enough external register file read ports remain this cycle. *)
@@ -121,10 +135,12 @@ val can_issue_ports : t -> int -> bool
 val do_issue : t -> int -> unit
 (** Commits the issue at the current cycle: consumes read ports, computes
     the completion time (FU latency; cache or forwarding for loads),
-    schedules writeback (write port), bypass, and consumer wakeups. The
-    caller must have checked [reg_ready], [mem_ready <> Mem_blocked] and
-    [can_issue_ports]; violating any of these raises [Invalid_argument]
-    with a message naming the instruction uid and the current cycle. *)
+    schedules writeback (write port), bypass, and the wakeups of the
+    consumers waiting on it. The instruction must have dispatched, and
+    the caller must have checked [reg_ready], [mem_ready <> Mem_blocked]
+    and [can_issue_ports]; violating any of these raises
+    [Invalid_argument] with a message naming the instruction uid and the
+    current cycle. *)
 
 type dispatch_block =
   | Block_none  (** every front-end resource is available *)
@@ -149,12 +165,14 @@ val dispatch_block_name : dispatch_block -> string
     annotations in traces. *)
 
 val note_dispatch : t -> int -> unit
-(** Consumes the dispatch resources checked by [can_dispatch]. *)
+(** Consumes the dispatch resources checked by [can_dispatch] and
+    registers the instruction's dependences. A load finds its
+    conflicting store; a store joins the store queue. *)
 
 val commit_stage : t -> unit
 (** In-order commit of completed slots, up to the commit width; releases
-    registers (conventional scheme), LSQ entries, and drains stores to the
-    data cache. *)
+    registers (conventional scheme) and LSQ entries, and drains stores
+    from the store queue to the data cache. *)
 
 val all_committed : t -> bool
 val committed_count : t -> int

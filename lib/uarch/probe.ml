@@ -36,7 +36,6 @@ type slots = {
   trace : Trace.t;
   issue_cycle : int array;
   complete_cycle : int array;
-  int_visible : int array;
   ext_visible : int array;
   beu : int array;
 }
@@ -190,19 +189,31 @@ let check_wakeup t s (v : slots) ~cycle u =
         report t ~invariant:"wakeup.premature" ~cycle ~uid:u
           (Printf.sprintf "consumes producer %d which has not issued" p)
       else begin
-        let visible = if via then v.int_visible.(p) else v.ext_visible.(p) in
+        (* the external copy, unless the producer has none or an
+           internal read finds the value in its internal register *)
+        let pe = Trace.static v.trace p in
         let visible =
-          if visible = max_int then min v.int_visible.(p) v.ext_visible.(p)
-          else visible
-        in
-        let visible =
-          if visible = max_int then v.complete_cycle.(p) else visible
+          if pe.Trace.writes_ext && not (via && pe.Trace.writes_int) then
+            v.ext_visible.(p)
+          else v.complete_cycle.(p)
         in
         if visible > cycle then
           report t ~invariant:"wakeup.premature" ~cycle ~uid:u
             (Printf.sprintf
                "reads producer %d before its value is visible (cycle %d)" p
                visible);
+        (* §5.2: an external value reaches another cluster of BEUs
+           [inter_cluster_latency] cycles after it is visible *)
+        let size = s.cfg.Config.beu_cluster_size in
+        if
+          (not via) && pe.Trace.writes_ext && size > 0
+          && s.cfg.Config.kind = Config.Braid_exec
+          && v.beu.(p) / size <> v.beu.(u) / size
+          && cycle < v.ext_visible.(p) + s.cfg.Config.inter_cluster_latency
+        then
+          report t ~invariant:"wakeup.cross-cluster" ~cycle ~uid:u
+            (Printf.sprintf "reads producer %d of BEU %d on BEU %d before \
+                             it crosses clusters" p v.beu.(p) v.beu.(u));
         (* internal (local) values are confined to the producing braid and
            its BEU / block window on both cores that carry them *)
         if via && Config.Core_kind.braid_binary s.cfg.Config.kind then begin
@@ -210,7 +221,7 @@ let check_wakeup t s (v : slots) ~cycle u =
             report t ~invariant:"internal.cross-beu" ~cycle ~uid:u
               (Printf.sprintf "internal value of %d (BEU %d) read on BEU %d" p
                  v.beu.(p) v.beu.(u));
-          let braid_p = (Trace.static v.trace p).Trace.braid_id in
+          let braid_p = pe.Trace.braid_id in
           if braid_p <> e.Trace.braid_id then
             report t ~invariant:"internal.cross-braid" ~cycle ~uid:u
               (Printf.sprintf

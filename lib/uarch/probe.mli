@@ -32,6 +32,10 @@
       no internal registers;
     - ["wakeup.premature"]: no instruction issues before all producers
       have issued and their values are visible;
+    - ["wakeup.cross-cluster"]: on a clustered braid core
+      ([beu_cluster_size > 0], §5.2), no external read of a value
+      produced on a BEU of another cluster issues before the value's
+      visible cycle plus [inter_cluster_latency];
     - ["beu.window"]: an in-order BEU never issues from beyond the
       [sched_window]-entry head of its FIFO;
     - ["cgooo.block-order"]: a CG-OoO block window issues strictly in
@@ -75,8 +79,7 @@ val pp_violation : Format.formatter -> violation -> unit
 type slots = {
   trace : Trace.t;
   issue_cycle : int array;  (** [max_int] until issue *)
-  complete_cycle : int array;
-  int_visible : int array;  (** cycle an internal result is readable *)
+  complete_cycle : int array;  (** [max_int] until issue *)
   ext_visible : int array;  (** cycle an external result is readable *)
   beu : int array;  (** BEU / block window, -1 when none *)
 }

@@ -89,6 +89,41 @@ let commit_stream_battery kind () =
         [ "dispatch.instrs"; "issue.instrs"; "commit.instrs" ])
     Spec.all
 
+(* --- clustered braid: the §5.2 crossing delay, checked by the monitor --- *)
+
+(* Two-BEU clusters with a two-cycle crossing on all 26 benchmarks: the
+   monitor's wakeup.cross-cluster rule holds the delay independently of
+   the machine's wake computation, so a wake that drops it fails here. *)
+let test_cross_cluster_clean () =
+  let cfg =
+    Result.get_ok
+      (U.Config.override U.Config.braid_8wide
+         [ ("beu_cluster_size", "2"); ("inter_cluster_latency", "2") ])
+  in
+  let cycles =
+    List.fold_left
+      (fun acc (p : Spec.profile) ->
+        let program, init_mem = Spec.generate p ~seed:1 ~scale:1200 in
+        let out =
+          Emulator.run ~max_steps:100_000 ~init_mem (binary_for cfg.U.Config.kind program)
+        in
+        let trace = Option.get out.Emulator.trace in
+        let probe = U.Probe.create ~invariants:true cfg in
+        let r =
+          U.Core.result
+            (U.Core.run ~probe ~warm_data:(List.map fst init_mem) cfg trace)
+        in
+        (match U.Probe.violations probe with
+        | [] -> ()
+        | v :: _ ->
+            Alcotest.failf "%s: %d invariant violation(s), first: %s" p.Spec.name
+              (U.Probe.violation_count probe)
+              (Format.asprintf "%a" U.Probe.pp_violation v));
+        acc + r.U.Core.cycles)
+      0 Spec.all
+  in
+  Alcotest.(check int) "summed cycles" 51_785 cycles
+
 (* --- RV32IM fixture differential oracle, per kind --- *)
 
 (* every committed fixture except nbody (too large for per-kind timing
@@ -173,7 +208,6 @@ let test_block_order_injection () =
           (Array.init 6 nop_event);
       issue_cycle = Array.make 6 max_int;
       complete_cycle = Array.make 6 max_int;
-      int_visible = Array.make 6 max_int;
       ext_visible = Array.make 6 max_int;
       beu = [| 0; 0; 0; -1; -1; 1 |];
     }
@@ -266,4 +300,6 @@ let suite =
           test_oracle_catches_cgooo_commit_corruption;
         Alcotest.test_case "fuzz 500 cases clean on cgooo" `Slow
           test_fuzz_cgooo_clean;
+        Alcotest.test_case "clustered braid crossing delay clean" `Slow
+          test_cross_cluster_clean;
       ] )

@@ -2,8 +2,8 @@
    IPC for the full 26-benchmark suite on four simulated core models, and
    one digest over every result field and counter on all five, pinned to
    the timing model's established behaviour. The hot-path work
-   in this repo (calendar queues, flat-array machine state, static
-   disambiguation tables) must never move a single cycle: any diff here is
+   in this repo (calendar queues, flat-array machine state, dependences
+   registered at dispatch) must never move a single cycle: any diff here is
    a modeling change, not an optimisation, and needs its own
    justification. *)
 
@@ -305,6 +305,45 @@ let test_counter_digest () =
     "5e6e620d54a7c0e4b84429dc65fb8e2f"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* The same lines for configurations off the presets, on all 26
+   benchmarks at scale 1200 (benchmarks outer): clustered BEUs with and
+   without a crossing delay, a small external file, few branch
+   checkpoints, and every kind with a two-entry LSQ and with an
+   eight-instruction in-flight bound. These are the dependence, store
+   and release paths no preset reaches. *)
+let test_off_preset_digest () =
+  let ctx = Lazy.force ctx in
+  let b = Buffer.create 65536 in
+  let over cfg kvs = Result.get_ok (U.Config.override cfg kvs) in
+  let braid = U.Config.braid_8wide in
+  let configs =
+    [
+      over braid [ ("beu_cluster_size", "2"); ("inter_cluster_latency", "2") ];
+      over braid [ ("beu_cluster_size", "4"); ("inter_cluster_latency", "0") ];
+      over braid [ ("ext_regs", "2") ];
+      over braid [ ("ext_regs", "4") ];
+      over braid [ ("max_unresolved_branches", "2") ];
+      over U.Config.ooo_8wide [ ("max_unresolved_branches", "2") ];
+    ]
+    @ List.concat_map
+        (fun k ->
+          let preset = U.Config.preset_of_kind k in
+          [ over preset [ ("lsq_entries", "2") ]; over preset [ ("inflight", "8") ] ])
+        U.Config.Core_kind.all
+  in
+  List.iter
+    (fun (pr : Braid_workload.Spec.profile) ->
+      let p = Suite.prepare ctx ~scale:1200 pr in
+      List.iter
+        (fun cfg ->
+          counters_line b cfg
+            (U.Core.run ~warm_data:p.Suite.warm_data cfg (Suite.trace p cfg)))
+        configs)
+    Braid_workload.Spec.all;
+  Alcotest.(check string) "MD5 over every result field and counter"
+    "911654324cf5218935e60fb75f29b22d"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_covers_all_benchmarks () =
   (* the table above must track Spec.all: a new benchmark needs golden rows *)
   let named = List.map (fun (b, _, _, _) -> b) golden in
@@ -330,4 +369,5 @@ let suite =
         Alcotest.test_case "memo keyed on content" `Slow test_memo_keyed_on_content;
         Alcotest.test_case "trace event digest" `Slow test_trace_digest;
         Alcotest.test_case "counter identity digest" `Slow test_counter_digest;
+        Alcotest.test_case "off-preset counter digest" `Slow test_off_preset_digest;
       ] )

@@ -295,41 +295,109 @@ let expect_invalid name f needle =
       if not (contains msg needle) then
         Alcotest.failf "%s: message %S does not mention %S" name msg needle
 
-let test_do_issue_guards () =
-  let store =
-    Instr.make (Op.Store (Reg.ext Reg.Cint 0, Reg.zero, 0, Op.region_unknown))
-  in
-  let load =
-    Instr.make (Op.Load (Reg.ext Reg.Cint 1, Reg.zero, 0, Op.region_unknown))
-  in
-  (* issuing the same instruction twice *)
-  let t =
-    trace_of_events
-      [| mk_event ~uid:0 ~is_store:true ~addr:0 store;
-         mk_event ~uid:1 ~is_load:true ~addr:64 load |]
-  in
-  let m = U.Machine.create U.Config.in_order_8wide t in
+let store_at ~uid addr =
+  mk_event ~uid ~is_store:true ~addr
+    (Instr.make (Op.Store (Reg.ext Reg.Cint 0, Reg.zero, 0, Op.region_unknown)))
+
+let load_at ?deps ~uid addr =
+  mk_event ?deps ~uid ~is_load:true ~addr
+    (Instr.make (Op.Load (Reg.ext Reg.Cint 1, Reg.zero, 0, Op.region_unknown)))
+
+(* A machine over hand-built events at cycle 0, and dispatch as the
+   core's loop does it: [can_dispatch], then [note_dispatch]. *)
+let machine_of events =
+  let m = U.Machine.create U.Config.in_order_8wide (trace_of_events events) in
   U.Machine.begin_cycle m;
+  m
+
+let dispatch m u =
+  Alcotest.(check bool)
+    (Printf.sprintf "uid %d dispatches" u)
+    true
+    (U.Machine.can_dispatch m u = U.Machine.Block_none);
+  U.Machine.note_dispatch m u
+
+let test_do_issue_guards () =
+  let dispatched events =
+    let m = machine_of events in
+    Array.iteri (fun u _ -> dispatch m u) events;
+    m
+  in
+  (* issuing before dispatch: dependences are counted at dispatch, so an
+     undispatched instruction must not pass for ready *)
+  let m = machine_of [| store_at ~uid:0 0; load_at ~uid:1 ~deps:[| (0, false) |] 64 |] in
+  dispatch m 0;
+  expect_invalid "issue before dispatch"
+    (fun () -> U.Machine.do_issue m 1)
+    "instruction 1 has not dispatched";
+  (* issuing the same instruction twice *)
+  let m = dispatched [| store_at ~uid:0 0; load_at ~uid:1 64 |] in
   U.Machine.do_issue m 0;
   expect_invalid "double issue" (fun () -> U.Machine.do_issue m 0) "already issued";
   (* issuing with unready producers *)
-  let t =
-    trace_of_events
-      [| mk_event ~uid:0 ~is_store:true ~addr:0 store;
-         mk_event ~uid:1 ~deps:[| (0, false) |] ~is_load:true ~addr:64 load |]
-  in
-  let m = U.Machine.create U.Config.in_order_8wide t in
-  U.Machine.begin_cycle m;
+  let m = dispatched [| store_at ~uid:0 0; load_at ~uid:1 ~deps:[| (0, false) |] 64 |] in
   expect_invalid "unready producers" (fun () -> U.Machine.do_issue m 1) "waits on";
   (* issuing a load while an older same-address store is unresolved *)
-  let t =
-    trace_of_events
-      [| mk_event ~uid:0 ~is_store:true ~addr:0 store;
-         mk_event ~uid:1 ~is_load:true ~addr:0 load |]
-  in
-  let m = U.Machine.create U.Config.in_order_8wide t in
-  U.Machine.begin_cycle m;
+  let m = dispatched [| store_at ~uid:0 0; load_at ~uid:1 0 |] in
   expect_invalid "memory-blocked load" (fun () -> U.Machine.do_issue m 1) "blocked"
+
+(* The store queue. A load dispatched behind two in-flight stores to its
+   address waits for the younger one and then forwards from it in one
+   cycle; unissued stores to another address, before and after that
+   store, change nothing. Once the conflicting store has committed, the
+   load reads the data cache and pays the L1D latency. *)
+let test_store_queue () =
+  let events =
+    [| store_at ~uid:0 0; store_at ~uid:1 128; store_at ~uid:2 0;
+       store_at ~uid:3 128; load_at ~uid:4 0 |]
+  in
+  let status =
+    Alcotest.testable
+      (fun fmt s ->
+        Format.pp_print_string fmt
+          (match s with
+          | U.Machine.Mem_blocked -> "blocked"
+          | U.Machine.Mem_forward -> "forward"
+          | U.Machine.Mem_cache -> "cache"))
+      ( = )
+  in
+  let check name m expected =
+    Alcotest.check status name expected (U.Machine.mem_ready m 4)
+  in
+  (* stores 0 and 2 issue at cycle 0 and 1, complete a cycle later *)
+  let m = machine_of events in
+  Array.iteri (fun u _ -> dispatch m u) events;
+  check "behind unissued stores" m U.Machine.Mem_blocked;
+  U.Machine.do_issue m 0;
+  U.Machine.begin_cycle m;
+  check "older store complete, younger unissued" m U.Machine.Mem_blocked;
+  U.Machine.do_issue m 2;
+  check "younger store in execution" m U.Machine.Mem_blocked;
+  U.Machine.begin_cycle m;
+  check "younger store complete" m U.Machine.Mem_forward;
+  U.Machine.do_issue m 4;
+  Alcotest.(check int) "forwarding takes one cycle" 3 (U.Machine.complete_cycle m 4);
+  (* the same, but stores 0 to 2 commit before the load issues *)
+  let m = machine_of events in
+  Array.iteri (fun u _ -> dispatch m u) events;
+  List.iter (U.Machine.do_issue m) [ 0; 1; 2 ];
+  U.Machine.begin_cycle m;
+  check "before commit" m U.Machine.Mem_forward;
+  U.Machine.commit_stage m;
+  Alcotest.(check int) "stores committed" 3 (U.Machine.committed_count m);
+  check "conflicting store committed" m U.Machine.Mem_cache;
+  U.Machine.do_issue m 4;
+  Alcotest.(check int) "a cache read pays the L1D latency"
+    (1 + U.Config.in_order_8wide.U.Config.mem.U.Config.l1d.U.Config.latency)
+    (U.Machine.complete_cycle m 4);
+  (* a load dispatched after its store committed finds no conflict *)
+  let m = machine_of events in
+  List.iter (dispatch m) [ 0; 1; 2; 3 ];
+  List.iter (U.Machine.do_issue m) [ 0; 1; 2 ];
+  U.Machine.begin_cycle m;
+  U.Machine.commit_stage m;
+  dispatch m 4;
+  check "dispatched after the commit" m U.Machine.Mem_cache
 
 (* --- Exec_core across every kind: drain and refusal accounting --- *)
 
@@ -453,12 +521,6 @@ let test_trace_footprint () =
   Alcotest.(check bool)
     (Printf.sprintf "%.2f retained words per instruction <= 6" per_instr)
     true (per_instr <= 6.0);
-  let store =
-    Instr.make (Op.Store (Reg.ext Reg.Cint 0, Reg.zero, 0, Op.region_unknown))
-  in
-  let load =
-    Instr.make (Op.Load (Reg.ext Reg.Cint 1, Reg.zero, 0, Op.region_unknown))
-  in
   List.iter
     (fun es ->
       let t = trace_of_events es in
@@ -470,8 +532,7 @@ let test_trace_footprint () =
             (Trace.event t u = e))
         es)
     [
-      [| mk_event ~uid:0 ~is_store:true ~addr:0 store;
-         mk_event ~uid:1 ~deps:[| (0, false) |] ~is_load:true ~addr:64 load |];
+      [| store_at ~uid:0 0; load_at ~uid:1 ~deps:[| (0, false) |] 64 |];
       chain_events 5;
     ];
   (* a builder sized for one instruction grows its columns, keeps each
@@ -501,30 +562,35 @@ let test_trace_footprint () =
     (List.init 3 (Trace.braid_start t))
 
 (* The cycle loop allocates (next to) nothing: across the [Core.step]
-   loop of a 100k-instruction gzip run with [Probe.off], at most one
-   minor-heap word per simulated cycle on every kind. Allocation is
-   deterministic for a given build, so this bound does not flake. *)
+   loop of 100k-instruction gzip and swim runs with [Probe.off], at most
+   one minor-heap word per simulated cycle on every kind. Loads and
+   stores are 29% of swim's instructions, so a store queue that
+   allocated per store would show there. Allocation is deterministic for
+   a given build, so this bound does not flake. *)
 let test_step_allocation () =
   let ctx = Braid_sim.Suite.create_ctx () in
-  let p = Braid_sim.Suite.prepare ctx ~scale:100_000 (Spec.find "gzip") in
   List.iter
-    (fun kind ->
-      let cfg = U.Config.preset_of_kind kind in
-      let core =
-        U.Core.create ~warm_data:p.Braid_sim.Suite.warm_data cfg
-          (Braid_sim.Suite.trace p cfg)
-      in
-      let before = Gc.minor_words () in
-      while not (U.Core.finished core) do
-        U.Core.step core
-      done;
-      let words = Gc.minor_words () -. before in
-      let per_cycle = words /. float_of_int (U.Core.result core).U.Core.cycles in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %.3f minor words per cycle <= 1.0"
-           (U.Config.Core_kind.to_string kind) per_cycle)
-        true (per_cycle <= 1.0))
-    U.Config.Core_kind.all
+    (fun bench ->
+      let p = Braid_sim.Suite.prepare ctx ~scale:100_000 (Spec.find bench) in
+      List.iter
+        (fun kind ->
+          let cfg = U.Config.preset_of_kind kind in
+          let core =
+            U.Core.create ~warm_data:p.Braid_sim.Suite.warm_data cfg
+              (Braid_sim.Suite.trace p cfg)
+          in
+          let before = Gc.minor_words () in
+          while not (U.Core.finished core) do
+            U.Core.step core
+          done;
+          let words = Gc.minor_words () -. before in
+          let per_cycle = words /. float_of_int (U.Core.result core).U.Core.cycles in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s on %s: %.3f minor words per cycle <= 1.0"
+               (U.Config.Core_kind.to_string kind) bench per_cycle)
+            true (per_cycle <= 1.0))
+        U.Config.Core_kind.all)
+    [ "gzip"; "swim" ]
 
 let suite =
   ( "uarch",
@@ -549,6 +615,7 @@ let suite =
       Alcotest.test_case "fault serialises" `Quick test_fault_serializes;
       Alcotest.test_case "speedup helper" `Quick test_speedup_helper;
       Alcotest.test_case "do_issue guards" `Quick test_do_issue_guards;
+      Alcotest.test_case "store queue" `Quick test_store_queue;
       Alcotest.test_case "occupancy drains on every kind" `Quick
         test_occupancy_drains_all_kinds;
       Alcotest.test_case "dispatch refusals insert nothing" `Quick
