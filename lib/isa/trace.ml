@@ -52,6 +52,7 @@ type t = {
   flags : Bytes.t;  (* [flag_taken], [flag_faulting], [flag_braid_start] *)
   dep_off : int array;  (* length + 1 CSR offsets into [deps] *)
   deps : int array;
+  max_deps : int;  (* the most entries of any one instruction *)
   stop : stop_reason;
   program : Program.t;
   mutable warm_lines : int array option;  (* memo: {!warm_lines} *)
@@ -81,6 +82,7 @@ let braid_start t u = flag t u flag_braid_start
 let dep_off t u = t.dep_off.(u)
 let dep_uid t k = t.deps.(k) lsr 1
 let dep_via t k = t.deps.(k) land 1 <> 0
+let max_deps t = t.max_deps
 let branch_of (s : static) = s.is_cond_branch || s.is_jump
 
 let event t u =
@@ -163,6 +165,8 @@ let of_events program (es : event array) =
           flag_byte ~taken:e.taken ~faulting:e.faulting ~braid_start:e.braid_start);
     dep_off;
     deps;
+    max_deps =
+      Array.fold_left (fun w (e : event) -> max w (Array.length e.deps)) 0 es;
     stop = Halted;
     program;
     warm_lines = None;
@@ -185,6 +189,7 @@ module Builder = struct
     mutable dep_off : int array;
     mutable nd : int;  (* dependence entries, the open instruction's too *)
     mutable deps : int array;
+    mutable max_deps : int;
   }
 
   let create proto program ~capacity =
@@ -199,6 +204,7 @@ module Builder = struct
       dep_off = Array.make (cap + 1) 0;
       nd = 0;
       deps = Array.make cap 0;
+      max_deps = 0;
     }
 
   let grown a len =
@@ -239,6 +245,7 @@ module Builder = struct
       (flag_byte ~taken:(taken || st.is_jump) ~faulting
          ~braid_start:st.instr.Instr.annot.Instr.braid_start);
     b.dep_off.(n + 1) <- b.nd;
+    if b.nd - b.dep_off.(n) > b.max_deps then b.max_deps <- b.nd - b.dep_off.(n);
     b.n <- n + 1
 
   let fit a len = if Array.length a = len then a else Array.sub a 0 len
@@ -258,6 +265,7 @@ module Builder = struct
       flags;
       dep_off = fit b.dep_off (n + 1);
       deps = fit b.deps b.nd;
+      max_deps = b.max_deps;
       stop;
       program = b.program;
       warm_lines = None;

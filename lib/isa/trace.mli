@@ -103,6 +103,10 @@ val dep_via : t -> int -> bool
 (** The dependence entry's value flows through a braid-internal
     register. *)
 
+val max_deps : t -> int
+(** The most dependence entries of any one instruction, recorded while
+    the trace was built. *)
+
 val branch_of : static -> bool
 (** [is_cond_branch || is_jump]. *)
 

@@ -111,26 +111,37 @@ module Rc = struct
     c'
 end
 
-(* Per-instruction in-flight state lives in parallel arrays indexed by uid
-   (struct-of-arrays): creating a machine allocates a handful of flat
-   arrays instead of one record per event, and the schedulers' per-cycle
-   scans walk contiguous ints. [complete_cycle]/[issue_cycle] double as
-   the issued flag (max_int = not issued).
+(* Per-instruction state lives only while an instruction is in flight, in
+   a ring of slots: uid [u] owns slot [u land slot_mask], [stride] ints of
+   [slots] starting at [slot t u]. A dispatching uid claims its slot in
+   [can_dispatch]; the in-flight bound means the slot's previous owner
+   has committed, so the ring starts with a power of two at least
+   [min inflight n] slots. A committed producer's value can still be
+   unreadable (write-port overflow puts its external copy after commit,
+   a clustered braid adds the crossing delay), so a claim that would drop
+   such a value doubles the ring instead. A producer whose slot another
+   uid owns has therefore settled: every read of it may proceed.
 
    An unissued producer [p] keeps its dispatched consumers on a waiter
    list: the head at [waiters.(p land window_mask)], the node of
    dependence entry [k] at [k land node_mask]. Producer and waiters are
    all in flight, so these rings, sized by [inflight], never collide. *)
+let stride = 8
+let f_owner = 0 (* the uid holding the slot, -1 = none *)
+let f_pending = 1 (* producers not yet readable, set at dispatch *)
+let f_issue = 2 (* max_int = not issued *)
+let f_complete = 3 (* max_int = not issued *)
+let f_visible = 4 (* cycle the result leaves the instruction: see do_issue *)
+let f_beu = 5 (* BEU / block window, -1 = none *)
+let f_home = 6 (* scheduler cluster while resident and unissued, -1 = none *)
+let f_freed = 7 (* 1 = external-file entry released early *)
+
 type t = {
   cfg : Config.t;
   trace : Trace.t;
   n : int;  (* trace length *)
-  ready_deps : int array;  (* producers not yet visible, set at dispatch *)
-  issue_cycle : int array;  (* max_int = not issued *)
-  complete_cycle : int array;
-  ext_visible : int array;  (* cycle the external file can be read *)
-  beu : int array;  (* BEU index for braid-core slots, -1 otherwise *)
-  ext_entry_freed : Bytes.t;  (* '\001' = external-file entry released *)
+  mutable slots : int array;
+  mutable slot_mask : int;
   waiters : int array;  (* first waiter's dependence entry, -1 = none *)
   waiter_next : int array;  (* the next waiter's entry, -1 = end *)
   waiter_uid : int array;  (* the waiting consumer *)
@@ -139,12 +150,11 @@ type t = {
   conflict_store : int array;  (* per load, slot [u land window_mask] *)
   stores : Ring.t;  (* in-flight stores, oldest first *)
   last_ext_reader : int array;  (* braid dead-value release; [||] otherwise *)
-  (* scheduler residency: [home.(u)] is the core cluster holding a
-     dispatched, not-yet-issued uid (-1 = none); [ready_in.(c)] counts
-     resident entries of cluster [c] whose registers are ready. Dispatch,
-     the wake drain and [do_issue] keep the counts current so cores can
-     skip clusters (and window tails) with no register-ready work. *)
-  home : int array;
+  (* scheduler residency: [ready_in.(c)] counts the resident entries of
+     cluster [c] (slot field [f_home]) whose registers are ready.
+     Dispatch, the wake drain and [do_issue] keep the counts current so
+     cores can skip clusters (and window tails) with no register-ready
+     work. *)
   ready_in : int array;
   hier : Mem_hier.hierarchy;
   pred : Predictor.t;
@@ -191,7 +201,6 @@ type t = {
   (* tracer / commit recorder / invariant monitor; Probe.off costs one
      pattern match per hook and never mutates machine state *)
   probe : Probe.t;
-  slots : Probe.slots;  (* the per-uid arrays above, as the probe sees them *)
 }
 
 let rec pow2_at_least k x = if k >= x then k else pow2_at_least (2 * k) x
@@ -204,31 +213,14 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     | None -> Mem_hier.create_hierarchy cfg.Config.mem
   in
   let window = pow2_at_least 1 (Int.min cfg.Config.inflight n) in
-  let widest = ref 0 in
-  for u = 0 to n - 1 do
-    widest := Int.max !widest (Trace.dep_off trace (u + 1) - Trace.dep_off trace u)
-  done;
-  let nodes = pow2_at_least 1 (window * !widest) in
+  let nodes = pow2_at_least 1 (window * Trace.max_deps trace) in
   let is_braid = cfg.Config.kind = Config.Braid_exec in
-  let slots =
-    {
-      Probe.trace;
-      issue_cycle = Array.make n max_int;
-      complete_cycle = Array.make n max_int;
-      ext_visible = Array.make n max_int;
-      beu = Array.make n (-1);
-    }
-  in
   {
     cfg;
     trace;
     n;
-    ready_deps = Array.make n 0;
-    issue_cycle = slots.Probe.issue_cycle;
-    complete_cycle = slots.Probe.complete_cycle;
-    ext_visible = slots.Probe.ext_visible;
-    beu = slots.Probe.beu;
-    ext_entry_freed = Bytes.make n '\000';
+    slots = Array.make (window * stride) (-1);
+    slot_mask = window - 1;
     waiters = Array.make window (-1);
     waiter_next = Array.make nodes 0;
     waiter_uid = Array.make nodes 0;
@@ -237,7 +229,6 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     conflict_store = Array.make window (-1);
     stores = Ring.create ~capacity:cfg.Config.lsq_entries;
     last_ext_reader = (if is_braid then Trace.last_ext_readers trace else [||]);
-    home = Array.make n (-1);
     ready_in = Array.make (Int.max 1 cfg.Config.clusters) 0;
     hier;
     pred = Predictor.create cfg;
@@ -278,7 +269,6 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     early_releases = 0;
     commit_releases = 0;
     probe;
-    slots;
   }
 
 let cfg t = t.cfg
@@ -293,21 +283,83 @@ let issued_count t = t.issued_count
 let early_releases t = t.early_releases
 let commit_releases t = t.commit_releases
 
-let issued t u = t.issue_cycle.(u) <> max_int
-let complete_cycle t u = t.complete_cycle.(u)
-let set_beu t u i = t.beu.(u) <- i
+(* The first int of [u]'s slot, for a uid the caller knows holds it (in
+   flight, or claiming), and field [f] of the slot at [b]. The index is
+   in range by construction ([u land slot_mask] is a slot of the current
+   ring, [f < stride]), so it goes unchecked. The schedulers call these
+   and the one-field readers below per entry: the attribute inlines them
+   past the compiler's size threshold. *)
+let[@inline] slot t u = (u land t.slot_mask) * stride
+let[@inline] get t b f = Array.unsafe_get t.slots (b + f)
+let[@inline] set t b f v = Array.unsafe_set t.slots (b + f) v
+
+(* The cycle from which every read of committed uid [o]'s value is
+   possible, from any cluster: the latest [readable_at] can return. *)
+let settled_at t o b =
+  let v = Int.max (get t b f_issue + 1) (get t b f_complete) in
+  if (Trace.static t.trace o).Trace.writes_ext then
+    Int.max v
+      (get t b f_visible
+      + if t.beu_cluster_size > 0 then t.inter_cluster_latency else 0)
+  else v
+
+(* Double the ring: each slot moves to its owner's place in the larger
+   one, and slots distinct modulo the old size stay distinct. *)
+let grow t =
+  let size = t.slot_mask + 1 in
+  let slots = Array.make (2 * size * stride) (-1) in
+  let mask = (2 * size) - 1 in
+  for i = 0 to size - 1 do
+    let o = t.slots.(i * stride) in
+    if o >= 0 then Array.blit t.slots (i * stride) slots ((o land mask) * stride) stride
+  done;
+  t.slots <- slots;
+  t.slot_mask <- mask
+
+let rec claim t u =
+  let b = slot t u in
+  let o = get t b f_owner in
+  if o >= 0 && (o >= t.commit_idx || settled_at t o b > t.now) then begin
+    grow t;
+    claim t u
+  end
+  else begin
+    set t b f_owner u;
+    set t b f_issue max_int;
+    set t b f_complete max_int;
+    set t b f_beu (-1);
+    set t b f_home (-1);
+    set t b f_freed 0
+  end
+
+let complete_cycle t u =
+  let b = slot t u in
+  if get t b f_owner = u then get t b f_complete
+  else if u >= t.dispatched_count then max_int
+  else
+    invalid_arg
+      (Printf.sprintf "Machine: instruction %d has left the in-flight window (cycle %d)"
+         u t.now)
+
+let issued t u = complete_cycle t u <> max_int
+
+let[@inline] set_beu t u i = set t (slot t u) f_beu i
 
 (* [begin_cycle]'s calendar handlers, top-level so that a drain builds
    no closure *)
 let wake t u =
-  let d = t.ready_deps.(u) - 1 in
-  t.ready_deps.(u) <- d;
-  if d = 0 && t.home.(u) >= 0 then
-    t.ready_in.(t.home.(u)) <- t.ready_in.(t.home.(u)) + 1
+  let b = slot t u in
+  let d = get t b f_pending - 1 in
+  set t b f_pending d;
+  let h = get t b f_home in
+  if d = 0 && h >= 0 then t.ready_in.(h) <- t.ready_in.(h) + 1
 
+(* commit releases every entry it finds held, so a committed uid has
+   nothing left to free *)
 let reg_free t u =
-  if Bytes.get t.ext_entry_freed u = '\000' then begin
-    Bytes.set t.ext_entry_freed u '\001';
+  let b = slot t u in
+  if u >= t.commit_idx && get t b f_freed = 0 then begin
+    set t b f_freed 1;
     t.free_regs <- t.free_regs + 1;
     (* released before commit: the braid dead-value path *)
     t.early_releases <- t.early_releases + 1;
@@ -331,14 +383,14 @@ let begin_cycle t =
   t.src_left <- t.src_width;
   t.dst_left <- t.dst_width
 
-let reg_ready t u = t.ready_deps.(u) = 0
+let[@inline] reg_ready t u = get t (slot t u) f_pending = 0
 
-let note_resident t u c = t.home.(u) <- c
+let[@inline] note_resident t u c = set t (slot t u) f_home c
 let ready_in t c = t.ready_in.(c)
 
-(* [complete_cycle] is max_int until issue, so the comparison alone
-   implies "issued and past its completion cycle" *)
-let is_complete t u = t.complete_cycle.(u) <= t.now
+(* [f_complete] is max_int until issue, so the comparison alone implies
+   "issued and past its completion cycle" *)
+let[@inline] is_complete t u = get t (slot t u) f_complete <= t.now
 
 (* The conflicting store found at dispatch is in flight exactly while
    [commit_idx] has not passed it: commit is in uid order. *)
@@ -351,39 +403,41 @@ let mem_ready t u =
 let can_issue_ports t u =
   Rc.available t.read_ports t.now (Trace.static t.trace u).Trace.ext_src_reads
 
-(* The cycle consumer [c] may read issued producer [p] through
-   dependence entry [k], by the rule machine.mli states. *)
-let readable_at t p c k =
+(* The cycle consumer [c] may read issued producer [p], whose slot is
+   [pb], through dependence entry [k], by the rule machine.mli states. *)
+let readable_at t p pb c k =
   let e = Trace.static t.trace p in
   let via = Trace.dep_via t.trace k in
   let v =
     if e.Trace.writes_ext && not (via && e.Trace.writes_int) then
       let size = t.beu_cluster_size in
-      if (not via) && size > 0 && t.beu.(p) / size <> t.beu.(c) / size then
-        t.ext_visible.(p) + t.inter_cluster_latency
-      else t.ext_visible.(p)
-    else t.complete_cycle.(p)
+      if (not via) && size > 0 && get t pb f_beu / size <> get t (slot t c) f_beu / size
+      then get t pb f_visible + t.inter_cluster_latency
+      else get t pb f_visible
+    else get t pb f_complete
   in
-  Int.max v (t.issue_cycle.(p) + 1)
+  Int.max v (get t pb f_issue + 1)
 
 let do_issue t u =
   if u >= t.dispatched_count then
     invalid_arg
       (Printf.sprintf "Machine.do_issue: instruction %d has not dispatched (cycle %d)"
          u t.now);
-  if issued t u then
+  let b = slot t u in
+  if u < t.commit_idx || get t b f_issue <> max_int then
     invalid_arg
       (Printf.sprintf "Machine.do_issue: instruction %d already issued (cycle %d)"
          u t.now);
-  if not (reg_ready t u) then
+  if get t b f_pending <> 0 then
     invalid_arg
       (Printf.sprintf
          "Machine.do_issue: instruction %d still waits on %d producer(s) (cycle %d)"
-         u t.ready_deps.(u) t.now);
+         u (get t b f_pending) t.now);
   (* leaving the scheduler: registers were ready, so it was counted *)
-  (if t.home.(u) >= 0 then begin
-     t.ready_in.(t.home.(u)) <- t.ready_in.(t.home.(u)) - 1;
-     t.home.(u) <- -1
+  (let h = get t b f_home in
+   if h >= 0 then begin
+     t.ready_in.(h) <- t.ready_in.(h) - 1;
+     set t b f_home (-1)
    end);
   let e = Trace.static t.trace u in
   Rc.take t.read_ports t.now e.Trace.ext_src_reads;
@@ -403,31 +457,34 @@ let do_issue t u =
     else e.Trace.latency
   in
   let complete = t.now + lat in
-  t.issue_cycle.(u) <- t.now;
-  t.complete_cycle.(u) <- complete;
   t.issued_count <- t.issued_count + 1;
   if e.Trace.writes_int then t.int_rf_writes <- t.int_rf_writes + 1;
-  let bypassed =
-    if not e.Trace.writes_ext then false
+  let bypassed = e.Trace.writes_ext && Rc.try_take t.bypass complete 1 in
+  (* a result without an external copy leaves the instruction at
+     completion *)
+  let visible =
+    if not e.Trace.writes_ext then complete
     else begin
-      let bypassed = Rc.try_take t.bypass complete 1 in
       let wb = Rc.take_first_free t.write_ports complete 1 in
       t.ext_rf_writes <- t.ext_rf_writes + 1;
       if bypassed then t.bypass_values <- t.bypass_values + 1;
       (* without a bypass slot in its completion cycle the value waits
          for a write port and reaches consumers through the file *)
-      t.ext_visible.(u) <- (if bypassed then complete else wb + 1);
-      bypassed
+      if bypassed then complete else wb + 1
     end
   in
-  Probe.on_issue t.probe t.slots ~cycle:t.now ~lat ~bypassed u;
+  set t b f_issue t.now;
+  set t b f_complete complete;
+  set t b f_visible visible;
+  Probe.on_issue t.probe t.trace ~cycle:t.now ~lat ~visible ~beu:(get t b f_beu)
+    ~bypassed u;
   (* the value's readable cycle is now known: wake the waiters *)
   let h = u land t.window_mask in
   let k = ref t.waiters.(h) in
   while !k >= 0 do
-    let s = !k land t.node_mask in
-    Calq.add t.wake (readable_at t u t.waiter_uid.(s) !k) t.waiter_uid.(s);
-    k := t.waiter_next.(s)
+    let node = !k land t.node_mask in
+    Calq.add t.wake (readable_at t u b t.waiter_uid.(node) !k) t.waiter_uid.(node);
+    k := t.waiter_next.(node)
   done;
   t.waiters.(h) <- -1;
   (* branch resolution releases its checkpoint *)
@@ -481,7 +538,12 @@ let can_dispatch t u =
   then Block_lsq
   else if t.dispatched_count - t.commit_idx >= t.inflight_limit then
     Block_inflight
-  else Block_none
+  else begin
+    (* the execution core writes the slot before [note_dispatch]; a
+       retry after the core refused [u] finds it claimed already *)
+    if get t (slot t u) f_owner <> u then claim t u;
+    Block_none
+  end
 
 (* The youngest in-flight store to [addr] at queue position [i] or
    older, -1 = none *)
@@ -493,29 +555,33 @@ let rec youngest_store t addr i =
 
 let note_dispatch t u =
   let e = Trace.static t.trace u in
+  let b = slot t u in
   (* rename: count the producers [u] cannot read yet; an issued one
-     schedules the wake now, an unissued one takes [u] as a waiter *)
+     schedules the wake now, an unissued one takes [u] as a waiter, and
+     one that has left its slot has settled *)
   let pending = ref 0 in
   for k = Trace.dep_off t.trace u to Trace.dep_off t.trace (u + 1) - 1 do
     let p = Trace.dep_uid t.trace k in
-    if not (issued t p) then begin
-      let s = k land t.node_mask and h = p land t.window_mask in
-      t.waiter_uid.(s) <- u;
-      t.waiter_next.(s) <- t.waiters.(h);
+    let pb = slot t p in
+    if get t pb f_owner <> p then ()
+    else if get t pb f_issue = max_int then begin
+      let node = k land t.node_mask and h = p land t.window_mask in
+      t.waiter_uid.(node) <- u;
+      t.waiter_next.(node) <- t.waiters.(h);
       t.waiters.(h) <- k;
       incr pending
     end
     else begin
-      let w = readable_at t p u k in
+      let w = readable_at t p pb u k in
       if w > t.now then begin
         Calq.add t.wake w u;
         incr pending
       end
     end
   done;
-  t.ready_deps.(u) <- !pending;
-  if !pending = 0 && t.home.(u) >= 0 then
-    t.ready_in.(t.home.(u)) <- t.ready_in.(t.home.(u)) + 1;
+  set t b f_pending !pending;
+  (let h = get t b f_home in
+   if !pending = 0 && h >= 0 then t.ready_in.(h) <- t.ready_in.(h) + 1);
   (* a load's only conflict is the youngest in-flight store to its address *)
   t.conflict_store.(u land t.window_mask) <-
     (if e.Trace.is_load then
@@ -533,16 +599,17 @@ let note_dispatch t u =
   if e.Trace.is_cond_branch && t.max_unresolved > 0 then
     t.unresolved_branches <- t.unresolved_branches + 1;
   t.dispatched_count <- t.dispatched_count + 1;
-  Probe.on_dispatch t.probe t.trace ~cycle:t.now ~beu:t.beu.(u) u
+  Probe.on_dispatch t.probe t.trace ~cycle:t.now ~beu:(get t b f_beu) u
 
 let commit_stage t =
   let budget = ref t.cfg.Config.commit_width in
   let continue_ = ref true in
-  while !continue_ && !budget > 0 && t.commit_idx < t.n do
+  while !continue_ && !budget > 0 && t.commit_idx < t.dispatched_count do
     let u = t.commit_idx in
     if is_complete t u then begin
+      let b = slot t u in
       let e = Trace.static t.trace u in
-      Probe.on_commit t.probe t.trace ~cycle:t.now ~beu:t.beu.(u) u;
+      Probe.on_commit t.probe t.trace ~cycle:t.now ~beu:(get t b f_beu) u;
       (* stores drain to the data cache at commit (and, on a shared
          backside, through the coherence directory) *)
       if e.Trace.is_store then begin
@@ -551,8 +618,7 @@ let commit_stage t =
       end;
       (* release the rename/in-flight entry at commit unless the braid
          dead-value path already released it *)
-      if e.Trace.writes_ext && Bytes.get t.ext_entry_freed u = '\000' then begin
-        Bytes.set t.ext_entry_freed u '\001';
+      if e.Trace.writes_ext && get t b f_freed = 0 then begin
         t.free_regs <- t.free_regs + 1;
         t.commit_releases <- t.commit_releases + 1;
         Probe.on_ext_release t.probe ~cycle:t.now ~uid:u

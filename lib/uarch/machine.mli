@@ -7,11 +7,23 @@
     flows through {!do_issue} here, so port, bypass, latency and memory
     semantics are identical across paradigms.
 
-    In-flight instructions are identified by their trace [uid]; their
-    mutable state lives in flat parallel arrays inside the machine
-    (struct-of-arrays), so creating a machine allocates a handful of
-    arrays rather than one record per event and the per-cycle scheduler
-    scans touch contiguous memory.
+    In-flight instructions are identified by their trace [uid]. Their
+    mutable state lives only while they are in flight, in a ring of
+    fixed-size slots inside the machine: uid [u] holds slot
+    [u land (size - 1)], and the ring starts with a power of two at least
+    [min inflight n] slots for an [n]-instruction trace, so creating a
+    machine does no work proportional to the trace. A dispatching
+    instruction claims its slot in {!can_dispatch}; the in-flight bound
+    means the slot's previous owner has committed. A committed
+    producer's value can still be unreadable, though: write-port overflow
+    puts its external copy after its commit, and a clustered braid core
+    adds the crossing delay. So a claim first checks the previous owner's
+    settle cycle, the latest of its issue cycle + 1, its completion, and
+    its external copy's visible cycle plus any crossing delay; if that
+    cycle is still ahead, the ring doubles, every slot moving to its
+    owner's place in the larger ring, instead of dropping the value.
+    Hence a producer whose slot another instruction holds has settled,
+    and every read of it may proceed at once.
 
     Dependences register when an instruction dispatches, as rename does:
     {!note_dispatch} schedules the wakeup of each issued producer whose
@@ -100,7 +112,7 @@ val begin_cycle : t -> unit
     budgets. Call once per cycle before any stage. *)
 
 val reg_ready : t -> int -> bool
-(** All register producers of a dispatched instruction readable. *)
+(** All register producers of an in-flight instruction readable. *)
 
 val note_resident : t -> int -> int -> unit
 (** [note_resident m u c] records that the execution core placed [u] in
@@ -117,7 +129,11 @@ val ready_in : t -> int -> int
 
 val issued : t -> int -> bool
 val complete_cycle : t -> int -> int
-(** [max_int] until the instruction issues. *)
+(** [max_int] until the instruction issues. These two answer for an
+    instruction still in its slot, or not yet dispatched; for one whose
+    slot a later instruction has taken they raise [Invalid_argument]
+    naming the uid and the current cycle, never returning another
+    instruction's state. *)
 
 val set_beu : t -> int -> int -> unit
 (** Records the BEU (braid core) or block window (CG-OoO) an instruction
@@ -158,7 +174,9 @@ val can_dispatch : t -> int -> dispatch_block
     bound. The first resource that refuses the instruction, or
     [Block_none] when dispatch may proceed. Every call that finds no free
     external register counts towards {!stall_dispatch_regs}, whichever
-    resource refused first. *)
+    resource refused first. [Block_none] also claims the instruction's
+    slot, once: instructions are checked in uid order, and the execution
+    core records its BEU or scheduler there before {!note_dispatch}. *)
 
 val dispatch_block_name : dispatch_block -> string
 (** Short stable label ("alloc-width", "ext-regs", ...) for stall-reason
@@ -166,8 +184,9 @@ val dispatch_block_name : dispatch_block -> string
 
 val note_dispatch : t -> int -> unit
 (** Consumes the dispatch resources checked by [can_dispatch] and
-    registers the instruction's dependences. A load finds its
-    conflicting store; a store joins the store queue. *)
+    registers the instruction's dependences; a producer that has left
+    its slot has settled and adds no wait. A load finds its conflicting
+    store; a store joins the store queue. *)
 
 val commit_stage : t -> unit
 (** In-order commit of completed slots, up to the commit width; releases

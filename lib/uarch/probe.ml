@@ -28,17 +28,19 @@ type state = {
   last_issue_uid : int array;
       (* cgooo: last uid issued from each block window (-1 = none); issue
          within a window must be strictly in dispatch order *)
+  mutable issues : int array;
+      (* armed monitor: [issue_stride] ints per uid, the facts of its
+         issue ([issue_at] = max_int until then), so producers of any age
+         can be checked whatever the machine still holds of them *)
 }
 
 type t = state option
 
-type slots = {
-  trace : Trace.t;
-  issue_cycle : int array;
-  complete_cycle : int array;
-  ext_visible : int array;
-  beu : int array;
-}
+let issue_stride = 4
+let issue_at = 0
+let complete_at = 1
+let visible_at = 2
+let beu_at = 3
 
 let max_recorded = 200
 let off = None
@@ -69,6 +71,7 @@ let create ?tracer ?(invariants = true) (cfg : Config.t) =
       violation_count = 0;
       live_internal = Array.init beus (fun _ -> Hashtbl.create 16);
       last_issue_uid = Array.make windows (-1);
+      issues = (if invariants then Array.make (1024 * issue_stride) max_int else [||]);
     }
 
 let report t ~invariant ~cycle ~uid detail =
@@ -180,22 +183,38 @@ let on_ext_release t ~cycle ~uid =
         report t ~invariant:"extfile.double-release" ~cycle ~uid
           "more external-file releases than allocations"
 
-(* Dep-visibility and cross-braid checks at issue time. *)
-let check_wakeup t s (v : slots) ~cycle u =
-  let e = Trace.event v.trace u in
+(* The monitor's own record of [u]'s issue. *)
+let note_issue s ~cycle ~lat ~visible ~beu u =
+  let i = u * issue_stride in
+  if i >= Array.length s.issues then begin
+    let a = Array.make (Int.max (i + issue_stride) (2 * Array.length s.issues)) max_int in
+    Array.blit s.issues 0 a 0 (Array.length s.issues);
+    s.issues <- a
+  end;
+  s.issues.(i + issue_at) <- cycle;
+  s.issues.(i + complete_at) <- cycle + lat;
+  s.issues.(i + visible_at) <- visible;
+  s.issues.(i + beu_at) <- beu
+
+(* Dep-visibility and cross-braid checks at issue time, against the
+   monitor's record of each producer. *)
+let check_wakeup t s tr ~cycle ~beu u =
+  let e = Trace.event tr u in
+  let r = s.issues in
   Array.iter
     (fun (p, via) ->
-      if v.issue_cycle.(p) = max_int then
+      let i = p * issue_stride in
+      if r.(i + issue_at) = max_int then
         report t ~invariant:"wakeup.premature" ~cycle ~uid:u
           (Printf.sprintf "consumes producer %d which has not issued" p)
       else begin
         (* the external copy, unless the producer has none or an
            internal read finds the value in its internal register *)
-        let pe = Trace.static v.trace p in
+        let pe = Trace.static tr p in
         let visible =
           if pe.Trace.writes_ext && not (via && pe.Trace.writes_int) then
-            v.ext_visible.(p)
-          else v.complete_cycle.(p)
+            r.(i + visible_at)
+          else r.(i + complete_at)
         in
         if visible > cycle then
           report t ~invariant:"wakeup.premature" ~cycle ~uid:u
@@ -205,22 +224,23 @@ let check_wakeup t s (v : slots) ~cycle u =
         (* §5.2: an external value reaches another cluster of BEUs
            [inter_cluster_latency] cycles after it is visible *)
         let size = s.cfg.Config.beu_cluster_size in
+        let pbeu = r.(i + beu_at) in
         if
           (not via) && pe.Trace.writes_ext && size > 0
           && s.cfg.Config.kind = Config.Braid_exec
-          && v.beu.(p) / size <> v.beu.(u) / size
-          && cycle < v.ext_visible.(p) + s.cfg.Config.inter_cluster_latency
+          && pbeu / size <> beu / size
+          && cycle < r.(i + visible_at) + s.cfg.Config.inter_cluster_latency
         then
           report t ~invariant:"wakeup.cross-cluster" ~cycle ~uid:u
             (Printf.sprintf "reads producer %d of BEU %d on BEU %d before \
-                             it crosses clusters" p v.beu.(p) v.beu.(u));
+                             it crosses clusters" p pbeu beu);
         (* internal (local) values are confined to the producing braid and
            its BEU / block window on both cores that carry them *)
         if via && Config.Core_kind.braid_binary s.cfg.Config.kind then begin
-          if v.beu.(p) <> v.beu.(u) then
+          if pbeu <> beu then
             report t ~invariant:"internal.cross-beu" ~cycle ~uid:u
               (Printf.sprintf "internal value of %d (BEU %d) read on BEU %d" p
-                 v.beu.(p) v.beu.(u));
+                 pbeu beu);
           let braid_p = pe.Trace.braid_id in
           if braid_p <> e.Trace.braid_id then
             report t ~invariant:"internal.cross-braid" ~cycle ~uid:u
@@ -275,23 +295,23 @@ let check_issue t s tr ~cycle ~beu ~bypassed uid =
                  beu Reg.num_internal)
         end
 
-let on_issue t (v : slots) ~cycle ~lat ~bypassed u =
+let on_issue t tr ~cycle ~lat ~visible ~beu ~bypassed u =
   match t with
   | None -> ()
   | Some s ->
-      let beu = v.beu.(u) in
       record s (Tracer.Exec { uid = u; track = beu; start = cycle; dur = lat });
       (* a load that went past the L1D is a miss fill in flight *)
       if
-        (Trace.static v.trace u).Trace.is_load
+        (Trace.static tr u).Trace.is_load
         && lat > s.cfg.Config.mem.Config.l1d.Config.latency
       then
         record s
           (Tracer.Span
              { name = "L1D miss"; cat = "cache"; track = beu; start = cycle; dur = lat });
       if s.invariants then begin
-        check_wakeup t s v ~cycle u;
-        check_issue t s v.trace ~cycle ~beu ~bypassed u
+        note_issue s ~cycle ~lat ~visible ~beu u;
+        check_wakeup t s tr ~cycle ~beu u;
+        check_issue t s tr ~cycle ~beu ~bypassed u
       end
 
 let on_beu_issue t ~cycle ~pos u =

@@ -76,16 +76,6 @@ val pp_violation : Format.formatter -> violation -> unit
 (** {2 Hooks} — one call per event site in [Machine], [Core] and
     [Exec_core]. *)
 
-type slots = {
-  trace : Trace.t;
-  issue_cycle : int array;  (** [max_int] until issue *)
-  complete_cycle : int array;  (** [max_int] until issue *)
-  ext_visible : int array;  (** cycle an external result is readable *)
-  beu : int array;  (** BEU / block window, -1 when none *)
-}
-(** The machine's per-uid in-flight state, shared (not copied) so the
-    issue hook can check wakeup timing against it. *)
-
 val on_fetch : t -> Trace.t -> cycle:int -> int -> unit
 (** [on_fetch t trace ~cycle u]: uid [u] of [trace] crossed fetch; S/T/I/E
     bit consistency. *)
@@ -100,10 +90,17 @@ val on_dispatch : t -> Trace.t -> cycle:int -> beu:int -> int -> unit
 val on_stall : t -> cycle:int -> string -> unit
 (** A front-end structure refused work this cycle, with the reason. *)
 
-val on_issue : t -> slots -> cycle:int -> lat:int -> bypassed:bool -> int -> unit
-(** [on_issue t slots ~cycle ~lat ~bypassed u]: uid [u] issued with
-    latency [lat] (execution span, L1D-miss fill); wakeup timing,
-    internal-value isolation, bypass legality and internal-RF occupancy. *)
+val on_issue :
+  t -> Trace.t -> cycle:int -> lat:int -> visible:int -> beu:int -> bypassed:bool -> int -> unit
+(** [on_issue t trace ~cycle ~lat ~visible ~beu ~bypassed u]: uid [u] of
+    [trace] issued at [cycle] on BEU / block window [beu] (-1 when none)
+    with latency [lat] (execution span, L1D-miss fill). Its result is
+    readable outside it from cycle [visible]: its external copy's cycle,
+    over the bypass when [bypassed], or its completion when it has none.
+    Checks wakeup timing, internal-value isolation, bypass legality and
+    internal-RF occupancy. An armed monitor keeps these facts per uid in
+    its own record, so it checks a consumer against producers of any
+    age, whatever the machine still holds of them. *)
 
 val on_beu_issue : t -> cycle:int -> pos:int -> int -> unit
 (** The braid core selected uid from FIFO position [pos] of its BEU. *)

@@ -200,20 +200,15 @@ let nop_event uid =
 
 let test_block_order_injection () =
   (* uids 0..2 sit in window 0, uid 5 in window 1 *)
-  let slots =
-    {
-      U.Probe.trace =
-        Trace.of_events
-          (fst (Braid_workload.Build.finish (Braid_workload.Build.create ())))
-          (Array.init 6 nop_event);
-      issue_cycle = Array.make 6 max_int;
-      complete_cycle = Array.make 6 max_int;
-      ext_visible = Array.make 6 max_int;
-      beu = [| 0; 0; 0; -1; -1; 1 |];
-    }
+  let trace =
+    Trace.of_events
+      (fst (Braid_workload.Build.finish (Braid_workload.Build.create ())))
+      (Array.init 6 nop_event)
   in
+  let beu = [| 0; 0; 0; -1; -1; 1 |] in
   let issue probe ~cycle u =
-    U.Probe.on_issue probe slots ~cycle ~lat:1 ~bypassed:false u
+    U.Probe.on_issue probe trace ~cycle ~lat:1 ~visible:(cycle + 1) ~beu:beu.(u)
+      ~bypassed:false u
   in
   let probe = U.Probe.create U.Config.cgooo_8wide in
   issue probe ~cycle:0 0;

@@ -344,6 +344,40 @@ let test_off_preset_digest () =
     "911654324cf5218935e60fb75f29b22d"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* The same lines where a value becomes readable after its producer
+   commits, on all 26 benchmarks at scale 1200 (benchmarks outer): one
+   write port behind a one-value bypass under a small in-flight bound,
+   and braid cores whose window is tiny or whose BEUs sit one to a
+   cluster behind a long crossing delay. A machine that forgot a
+   committed producer before its value settled would read it too early
+   here. *)
+let test_late_visibility_digest () =
+  let ctx = Lazy.force ctx in
+  let b = Buffer.create 65536 in
+  let over cfg kvs = Result.get_ok (U.Config.override cfg kvs) in
+  let narrow = [ ("rf_write_ports", "1"); ("bypass_per_cycle", "1"); ("inflight", "16") ] in
+  let configs =
+    [
+      over U.Config.dep_steer_8wide narrow;
+      over U.Config.ooo_8wide narrow;
+      over U.Config.braid_8wide [ ("inflight", "4"); ("rf_write_ports", "1") ];
+      over U.Config.braid_8wide
+        [ ("beu_cluster_size", "1"); ("inter_cluster_latency", "40"); ("inflight", "8") ];
+    ]
+  in
+  List.iter
+    (fun (pr : Braid_workload.Spec.profile) ->
+      let p = Suite.prepare ctx ~scale:1200 pr in
+      List.iter
+        (fun cfg ->
+          counters_line b cfg
+            (U.Core.run ~warm_data:p.Suite.warm_data cfg (Suite.trace p cfg)))
+        configs)
+    Braid_workload.Spec.all;
+  Alcotest.(check string) "MD5 over every result field and counter"
+    "0a426eb9c70c1f576339c81c90ef64ff"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_covers_all_benchmarks () =
   (* the table above must track Spec.all: a new benchmark needs golden rows *)
   let named = List.map (fun (b, _, _, _) -> b) golden in
@@ -370,4 +404,6 @@ let suite =
         Alcotest.test_case "trace event digest" `Slow test_trace_digest;
         Alcotest.test_case "counter identity digest" `Slow test_counter_digest;
         Alcotest.test_case "off-preset counter digest" `Slow test_off_preset_digest;
+        Alcotest.test_case "late-visibility counter digest" `Slow
+          test_late_visibility_digest;
       ] )
