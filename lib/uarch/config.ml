@@ -516,13 +516,22 @@ let validate c =
   let non_negative name v =
     check (v >= 0) (Printf.sprintf "%s must be non-negative (got %d)" name v)
   in
+  (* an instruction's register reads are renamed, and read from the
+     external file, in one cycle: below three, a cmov never dispatches or
+     never issues, and the run deadlocks *)
+  let three_reads name v =
+    check (v >= 3)
+      (Printf.sprintf
+         "%s must be at least 3 (got %d): a cmov reads three registers in one cycle"
+         name v)
+  in
   check (c.name <> "") "name must be non-empty";
   positive "fetch_width" c.fetch_width;
   positive "max_branches_per_cycle" c.max_branches_per_cycle;
   positive "fetch_buffer" c.fetch_buffer;
   non_negative "misprediction_penalty" c.misprediction_penalty;
   positive "alloc_width" c.alloc_width;
-  positive "rename_src_width" c.rename_src_width;
+  three_reads "rename_src_width" c.rename_src_width;
   positive "rename_dst_width" c.rename_dst_width;
   positive "commit_width" c.commit_width;
   positive "ext_regs" c.ext_regs;
@@ -536,7 +545,7 @@ let validate c =
     (Printf.sprintf "sched_window (%d) must not exceed cluster_entries (%d)"
        c.sched_window c.cluster_entries);
   positive "fus_per_cluster" c.fus_per_cluster;
-  positive "rf_read_ports" c.rf_read_ports;
+  three_reads "rf_read_ports" c.rf_read_ports;
   positive "rf_write_ports" c.rf_write_ports;
   positive "bypass_per_cycle" c.bypass_per_cycle;
   positive "lsq_entries" c.lsq_entries;

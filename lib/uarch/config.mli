@@ -54,7 +54,12 @@ type t = {
   (* execution core *)
   clusters : int;  (** schedulers / FIFOs / BEUs *)
   cluster_entries : int;  (** entries per scheduler/FIFO *)
-  sched_window : int;  (** FIFO scheduling window (braid, dep, in-order) *)
+  sched_window : int;
+      (** braid: the head entries of each BEU's FIFO that may issue
+          (ignored when [beu_out_of_order]). Only the braid select reads
+          it; in-order and dep-steer issue from their queue heads and use
+          it only in {!Complexity}'s head-comparator count; ooo and cgooo
+          ignore it. *)
   fus_per_cluster : int;
   (* register file and bypass *)
   rf_read_ports : int;
@@ -89,8 +94,9 @@ type t = {
           selection (each holds one basic block, capacity
           [cluster_entries]) *)
   block_head_window : int;
-      (** CG-OoO: instructions issuable per cycle from the strictly
-          in-order head of each block window *)
+      (** CG-OoO: instructions each block window may issue per cycle,
+          strictly in order from its head, while the shared
+          [clusters * fus_per_cluster] budget lasts *)
 }
 
 val default_memory : memory
@@ -204,8 +210,11 @@ val digest : t -> string
 val validate : t -> (t, string) result
 (** Rejects nonsense before it can crash (or silently skew) a simulation:
     non-positive widths/ports/window sizes, zero clusters,
-    [sched_window > cluster_entries], degenerate cache geometries. The
-    error aggregates every violated rule. All {!presets} validate. *)
+    [sched_window > cluster_entries], degenerate cache geometries, and
+    fewer than three [rf_read_ports] or [rename_src_width]: a cmov reads
+    three registers in one cycle, so it would never issue or dispatch and
+    the run would deadlock. The error aggregates every violated rule. All
+    {!presets} validate. *)
 
 (** The typed CMP section: core count, workload assignment and shared-L2
     geometry for a multicore rate-mode run.

@@ -1,6 +1,7 @@
 type mem_status = Mem_blocked | Mem_forward | Mem_cache
 
-(* Per-cycle bounded resource (ports, bypass slots).
+(* Per-cycle bounded resource that issue reserves ahead (write ports,
+   bypass slots).
 
    A circular window of usage counters stamped with the cycle they count
    for: slot [c land mask] is valid for cycle [c] iff [stamp = c]. The
@@ -133,7 +134,7 @@ let f_issue = 2 (* max_int = not issued *)
 let f_complete = 3 (* max_int = not issued *)
 let f_visible = 4 (* cycle the result leaves the instruction: see do_issue *)
 let f_beu = 5 (* BEU / block window, -1 = none *)
-let f_home = 6 (* scheduler cluster while resident and unissued, -1 = none *)
+let f_home = 6 (* execution-core queue while resident and unissued, -1 = none *)
 let f_freed = 7 (* 1 = external-file entry released early *)
 
 type t = {
@@ -151,14 +152,19 @@ type t = {
   stores : Ring.t;  (* in-flight stores, oldest first *)
   last_ext_reader : int array;  (* braid dead-value release; [||] otherwise *)
   (* scheduler residency: [ready_in.(c)] counts the resident entries of
-     cluster [c] (slot field [f_home]) whose registers are ready.
+     queue [c] (slot field [f_home]) whose registers are ready.
      Dispatch, the wake drain and [do_issue] keep the counts current so
-     cores can skip clusters (and window tails) with no register-ready
+     the select skips queues (and window tails) with no register-ready
      work. *)
   ready_in : int array;
+  (* braid: issued instructions not yet complete, each leaving at its
+     [leaves] cycle *)
+  mutable executing : int;
+  leaves : Calq.t;
   hier : Mem_hier.hierarchy;
   pred : Predictor.t;
   (* config scalars lifted out of the nested record for the hot paths *)
+  read_ports : int;
   alloc_width : int;
   src_width : int;
   dst_width : int;
@@ -173,11 +179,11 @@ type t = {
   wake : Calq.t;
   reg_free_at : Calq.t;
   (* resources *)
-  read_ports : Rc.t;
   write_ports : Rc.t;
   bypass : Rc.t;
   mutable free_regs : int;
-  (* per-cycle dispatch budgets *)
+  (* per-cycle budgets: external-file reads at issue, then dispatch *)
+  mutable reads_left : int;
   mutable alloc_left : int;
   mutable src_left : int;
   mutable dst_left : int;
@@ -229,9 +235,13 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     conflict_store = Array.make window (-1);
     stores = Ring.create ~capacity:cfg.Config.lsq_entries;
     last_ext_reader = (if is_braid then Trace.last_ext_readers trace else [||]);
-    ready_in = Array.make (Int.max 1 cfg.Config.clusters) 0;
+    ready_in = Array.make (Int.max 1 (Int.max cfg.Config.clusters cfg.Config.block_windows)) 0;
+    executing = 0;
+    (* filled only on braid: other kinds keep a one-slot wheel *)
+    leaves = Calq.create ~horizon:(if is_braid then 512 else 1);
     hier;
     pred = Predictor.create cfg;
+    read_ports = cfg.Config.rf_read_ports;
     alloc_width = cfg.Config.alloc_width;
     src_width = cfg.Config.rename_src_width;
     dst_width = cfg.Config.rename_dst_width;
@@ -247,10 +257,10 @@ let create ?(probe = Probe.off) ?hier cfg trace =
        wheel grows, it does not miscount *)
     wake = Calq.create ~horizon:512;
     reg_free_at = Calq.create ~horizon:512;
-    read_ports = Rc.create cfg.Config.rf_read_ports;
     write_ports = Rc.create cfg.Config.rf_write_ports;
     bypass = Rc.create cfg.Config.bypass_per_cycle;
     free_regs = cfg.Config.ext_regs;
+    reads_left = 0;
     alloc_left = 0;
     src_left = 0;
     dst_left = 0;
@@ -280,6 +290,7 @@ let predictor t = t.pred
 let stall_dispatch_regs t = t.stall_regs
 let dispatched_count t = t.dispatched_count
 let issued_count t = t.issued_count
+let executing t = t.executing
 let early_releases t = t.early_releases
 let commit_releases t = t.commit_releases
 
@@ -369,16 +380,20 @@ let reg_free t u =
 let branch_resolved t (_ : int) =
   t.unresolved_branches <- t.unresolved_branches - 1
 
+let leave t (_ : int) = t.executing <- t.executing - 1
+
 let begin_cycle t =
   t.now <- t.now + 1;
   (* publish the clock to the per-cycle resources: it is what lets them
      reclaim stale counter slots exactly *)
-  Rc.set_now t.read_ports t.now;
   Rc.set_now t.write_ports t.now;
   Rc.set_now t.bypass t.now;
   Calq.drain t.wake t.now wake t;
   Calq.drain t.reg_free_at t.now reg_free t;
   Calq.drain t.branch_resolve_at t.now branch_resolved t;
+  (* only the braid core fills [leaves]: other kinds skip the call *)
+  if t.is_braid then Calq.drain t.leaves t.now leave t;
+  t.reads_left <- t.read_ports;
   t.alloc_left <- t.alloc_width;
   t.src_left <- t.src_width;
   t.dst_left <- t.dst_width
@@ -400,8 +415,7 @@ let mem_ready t u =
   else if is_complete t su then Mem_forward
   else Mem_blocked
 
-let can_issue_ports t u =
-  Rc.available t.read_ports t.now (Trace.static t.trace u).Trace.ext_src_reads
+let can_issue_ports t u = (Trace.static t.trace u).Trace.ext_src_reads <= t.reads_left
 
 (* The cycle consumer [c] may read issued producer [p], whose slot is
    [pb], through dependence entry [k], by the rule machine.mli states. *)
@@ -440,7 +454,7 @@ let do_issue t u =
      set t b f_home (-1)
    end);
   let e = Trace.static t.trace u in
-  Rc.take t.read_ports t.now e.Trace.ext_src_reads;
+  t.reads_left <- t.reads_left - e.Trace.ext_src_reads;
   t.ext_rf_reads <- t.ext_rf_reads + e.Trace.ext_src_reads;
   t.int_rf_reads <- t.int_rf_reads + e.Trace.int_src_reads;
   let lat =
@@ -497,6 +511,9 @@ let do_issue t u =
      fallback release, so this only shortens residency ([reg_free] skips
      an entry commit already released). *)
   if t.is_braid then begin
+    (* a zero-latency issue still counts for the cycle it issues *)
+    t.executing <- t.executing + 1;
+    Calq.add t.leaves (Int.max complete (t.now + 1)) u;
     if e.Trace.writes_ext && t.last_ext_reader.(u) < 0 then
       Calq.add t.reg_free_at (complete + 1) u;
     for k = Trace.dep_off t.trace u to Trace.dep_off t.trace (u + 1) - 1 do

@@ -2,10 +2,10 @@
     wakeup, register-file ports, bypass capacity, the external-register
     free list, the load-store queue, and in-order commit.
 
-    The four execution cores ({!Exec_core}) own only their scheduling
-    structure (queues/windows) and selection policy; everything they issue
-    flows through {!do_issue} here, so port, bypass, latency and memory
-    semantics are identical across paradigms.
+    The execution core ({!Exec_core}) owns only its queues, its steering
+    and its select; everything it issues flows through {!do_issue} here,
+    so port, bypass, latency and memory semantics are identical across
+    paradigms.
 
     In-flight instructions are identified by their trace [uid]. Their
     mutable state lives only while they are in flight, in a ring of
@@ -55,10 +55,11 @@ type mem_status =
   | Mem_forward  (** the conflicting store forwards its data (1 cycle) *)
   | Mem_cache  (** no in-flight conflict: access the data cache *)
 
-(** Per-cycle bounded resource (register-file ports, bypass slots): a
-    circular window of usage counters stamped with the cycle they count
-    for. Exposed for unit tests; the machine wires [set_now] to its own
-    clock every {!begin_cycle}. *)
+(** Per-cycle bounded resource that issue reserves in future cycles
+    (register-file write ports, bypass slots): a circular window of usage
+    counters stamped with the cycle they count for. Exposed for unit
+    tests; the machine wires [set_now] to its own clock every
+    {!begin_cycle}. *)
 module Rc : sig
   type t
 
@@ -116,16 +117,23 @@ val reg_ready : t -> int -> bool
 
 val note_resident : t -> int -> int -> unit
 (** [note_resident m u c] records that the execution core placed [u] in
-    its scheduling cluster [c]: an ooo scheduler or a braid BEU. It only
-    records the cluster: {!note_dispatch}, called next, counts [u] in
-    {!ready_in} once its registers are ready, and {!do_issue} clears the
-    residency. *)
+    its queue [c], on every kind: the in-order queue, a dep-steer FIFO,
+    an ooo scheduler, a braid BEU or a CG-OoO block window, [c] below
+    [max clusters block_windows]. It only records the queue:
+    {!note_dispatch}, called next, counts [u] in {!ready_in} once its
+    registers are ready, and {!do_issue} clears the residency. *)
 
 val ready_in : t -> int -> int
-(** Resident, not-yet-issued instructions of cluster [c] whose registers
-    are ready ({!reg_ready}). The ooo and braid select loops use it to
-    skip schedulers and BEUs — and window tails — that cannot issue this
-    cycle. *)
+(** Resident, not-yet-issued instructions of queue [c] whose registers
+    are ready ({!reg_ready}). The select uses it to skip queues, and
+    window tails, that cannot issue this cycle. *)
+
+val executing : t -> int
+(** Braid core: issued instructions not yet complete. {!do_issue} counts
+    each from its issue cycle until its completion, or for its issue
+    cycle alone when it completes at once, and {!begin_cycle} drops
+    those whose time is up. They still occupy their BEU. 0 on every
+    other kind. *)
 
 val issued : t -> int -> bool
 val complete_cycle : t -> int -> int
@@ -146,7 +154,9 @@ val mem_ready : t -> int -> mem_status
     touched. *)
 
 val can_issue_ports : t -> int -> bool
-(** Enough external register file read ports remain this cycle. *)
+(** Enough external register file read ports remain this cycle: each
+    {!begin_cycle} resets a budget of [rf_read_ports] reads, which
+    {!do_issue} draws on. *)
 
 val do_issue : t -> int -> unit
 (** Commits the issue at the current cycle: consumes read ports, computes

@@ -28,6 +28,10 @@ type state = {
   last_issue_uid : int array;
       (* cgooo: last uid issued from each block window (-1 = none); issue
          within a window must be strictly in dispatch order *)
+  unissued : Ring.t array;
+      (* armed monitor on a braid core with in-order BEUs: each BEU's
+         dispatched, unissued uids, oldest first, so an issue's FIFO
+         position is the monitor's own count; empty array otherwise *)
   mutable issues : int array;
       (* armed monitor: [issue_stride] ints per uid, the facts of its
          issue ([issue_at] = max_int until then), so producers of any age
@@ -57,6 +61,11 @@ let create ?tracer ?(invariants = true) (cfg : Config.t) =
     | Config.Cgooo -> max 1 cfg.Config.block_windows
     | _ -> 0
   in
+  let fifos =
+    if invariants && cfg.Config.kind = Config.Braid_exec && not cfg.Config.beu_out_of_order
+    then beus
+    else 0
+  in
   Some
     {
       cfg;
@@ -71,6 +80,8 @@ let create ?tracer ?(invariants = true) (cfg : Config.t) =
       violation_count = 0;
       live_internal = Array.init beus (fun _ -> Hashtbl.create 16);
       last_issue_uid = Array.make windows (-1);
+      unissued =
+        Array.init fifos (fun _ -> Ring.create ~capacity:cfg.Config.cluster_entries);
       issues = (if invariants then Array.make (1024 * issue_stride) max_int else [||]);
     }
 
@@ -172,6 +183,14 @@ let on_dispatch t tr ~cycle ~beu uid =
         && beu >= 0
         && beu < Array.length s.live_internal
       then Hashtbl.reset s.live_internal.(beu);
+      if beu >= 0 && beu < Array.length s.unissued then begin
+        let f = s.unissued.(beu) in
+        if Ring.is_full f then
+          report t ~invariant:"beu.capacity" ~cycle ~uid
+            (Printf.sprintf "dispatched to BEU %d, which holds %d unissued entries"
+               beu (Ring.length f))
+        else Ring.push f uid
+      end;
       stage s ~cycle ~uid ~track:beu Tracer.Dispatch
 
 let on_ext_release t ~cycle ~uid =
@@ -251,6 +270,26 @@ let check_wakeup t s tr ~cycle ~beu u =
       end)
     e.Trace.deps
 
+(* [u]'s position among its BEU's unissued uids, oldest first; -1 when
+   the BEU does not hold it (its dispatch overfilled the BEU) *)
+let rec fifo_pos f u i =
+  if i = Ring.length f then -1 else if Ring.get f i = u then i else fifo_pos f u (i + 1)
+
+(* An in-order BEU issues only from the [sched_window]-entry head of its
+   FIFO. *)
+let check_window t s ~cycle ~beu u =
+  if beu >= 0 && beu < Array.length s.unissued then begin
+    let f = s.unissued.(beu) in
+    let pos = fifo_pos f u 0 in
+    if pos >= 0 then begin
+      ignore (Ring.remove_at f pos);
+      if pos >= s.cfg.Config.sched_window then
+        report t ~invariant:"beu.window" ~cycle ~uid:u
+          (Printf.sprintf "issued from FIFO position %d beyond the %d-entry window"
+             pos s.cfg.Config.sched_window)
+    end
+  end
+
 let internal_def (ins : Instr.t) =
   List.find_opt (fun (r : Reg.t) -> r.Reg.space = Reg.Intern) (Instr.defs ins)
 
@@ -311,19 +350,9 @@ let on_issue t tr ~cycle ~lat ~visible ~beu ~bypassed u =
       if s.invariants then begin
         note_issue s ~cycle ~lat ~visible ~beu u;
         check_wakeup t s tr ~cycle ~beu u;
+        check_window t s ~cycle ~beu u;
         check_issue t s tr ~cycle ~beu ~bypassed u
       end
-
-let on_beu_issue t ~cycle ~pos u =
-  match t with
-  | Some s
-    when s.invariants
-         && (not s.cfg.Config.beu_out_of_order)
-         && pos >= s.cfg.Config.sched_window ->
-      report t ~invariant:"beu.window" ~cycle ~uid:u
-        (Printf.sprintf "issued from FIFO position %d beyond the %d-entry window"
-           pos s.cfg.Config.sched_window)
-  | _ -> ()
 
 let grow_commits s =
   if s.commits >= Array.length s.commit_uid then begin

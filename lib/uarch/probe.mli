@@ -37,7 +37,11 @@
       produced on a BEU of another cluster issues before the value's
       visible cycle plus [inter_cluster_latency];
     - ["beu.window"]: an in-order BEU never issues from beyond the
-      [sched_window]-entry head of its FIFO;
+      [sched_window]-entry head of its FIFO. The monitor counts the
+      position itself: it mirrors each BEU's unissued uids from
+      {!on_dispatch} and {!on_issue};
+    - ["beu.capacity"]: a dispatch never finds its in-order BEU already
+      holding [cluster_entries] unissued instructions;
     - ["cgooo.block-order"]: a CG-OoO block window issues strictly in
       dispatch order — uids leaving one window only ever increase. *)
 
@@ -73,8 +77,7 @@ val committed_pcs : t -> int array
 
 val pp_violation : Format.formatter -> violation -> unit
 
-(** {2 Hooks} — one call per event site in [Machine], [Core] and
-    [Exec_core]. *)
+(** {2 Hooks} — one call per event site in [Machine] and [Core]. *)
 
 val on_fetch : t -> Trace.t -> cycle:int -> int -> unit
 (** [on_fetch t trace ~cycle u]: uid [u] of [trace] crossed fetch; S/T/I/E
@@ -85,7 +88,8 @@ val on_icache_miss : t -> cycle:int -> lat:int -> unit
 
 val on_dispatch : t -> Trace.t -> cycle:int -> beu:int -> int -> unit
 (** Dispatch stage crossing of a uid; external-file allocation; clears the BEU's
-    internal live-set on an S-bit instruction. *)
+    internal live-set on an S-bit instruction; an armed monitor appends
+    the uid to its in-order BEU's unissued list. *)
 
 val on_stall : t -> cycle:int -> string -> unit
 (** A front-end structure refused work this cycle, with the reason. *)
@@ -97,13 +101,11 @@ val on_issue :
     with latency [lat] (execution span, L1D-miss fill). Its result is
     readable outside it from cycle [visible]: its external copy's cycle,
     over the bypass when [bypassed], or its completion when it has none.
-    Checks wakeup timing, internal-value isolation, bypass legality and
-    internal-RF occupancy. An armed monitor keeps these facts per uid in
+    Checks wakeup timing, internal-value isolation, bypass legality,
+    internal-RF occupancy and, on an in-order BEU, the FIFO position the
+    uid left from. An armed monitor keeps these facts per uid in
     its own record, so it checks a consumer against producers of any
     age, whatever the machine still holds of them. *)
-
-val on_beu_issue : t -> cycle:int -> pos:int -> int -> unit
-(** The braid core selected uid from FIFO position [pos] of its BEU. *)
 
 val on_ext_release : t -> cycle:int -> uid:int -> unit
 (** An external register returned to the free list (early release or

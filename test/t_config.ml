@@ -83,6 +83,11 @@ let test_validate_rejections () =
     [ ("sched_window", "64"); ("cluster_entries", "32") ]
     [ "sched_window" ];
   rejects "zero memory latency" [ ("memory_latency", "0") ] [ "memory_latency" ];
+  (* a cmov reads three registers: fewer read ports or rename source
+     slots deadlock the run instead of slowing it *)
+  rejects "two read ports" [ ("rf_read_ports", "2") ] [ "rf_read_ports"; "at least 3" ];
+  rejects "two rename sources" [ ("rename_src_width", "2") ]
+    [ "rename_src_width"; "at least 3" ];
   rejects "degenerate cache geometry"
     [ ("l1d.size_bytes", "64"); ("l1d.ways", "4"); ("l1d.line_bytes", "64") ]
     [ "l1d" ];

@@ -378,6 +378,54 @@ let test_late_visibility_digest () =
     "0a426eb9c70c1f576339c81c90ef64ff"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* The same lines for the shapes of each kind's select, on all 26
+   benchmarks at scale 1200 (benchmarks outer): an in-order queue that
+   issues two a cycle from a short queue, two short dep-steer FIFOs, two
+   narrow ooo schedulers, braid head windows of one and four entries, two
+   one-FU BEUs and the whole-queue BEU, and cgooo's head window of one
+   across two windows, one cluster and short windows. The shared FU
+   budget cgooo's windows draw on, and each select's window and issue
+   budget, show here and nowhere else. *)
+let test_select_shape_digest () =
+  let ctx = Lazy.force ctx in
+  let b = Buffer.create 65536 in
+  let over cfg kvs =
+    Result.get_ok (U.Config.validate (Result.get_ok (U.Config.override cfg kvs)))
+  in
+  let braid = U.Config.braid_8wide and cgooo = U.Config.cgooo_8wide in
+  let configs =
+    [
+      over U.Config.in_order_8wide [ ("fus_per_cluster", "2"); ("cluster_entries", "8") ];
+      over U.Config.dep_steer_8wide [ ("clusters", "2"); ("cluster_entries", "4") ];
+      over U.Config.ooo_8wide
+        [
+          ("clusters", "2");
+          ("cluster_entries", "8");
+          ("sched_window", "8");
+          ("fus_per_cluster", "2");
+        ];
+      over braid [ ("sched_window", "1") ];
+      over braid [ ("sched_window", "4") ];
+      over braid [ ("clusters", "2"); ("fus_per_cluster", "1") ];
+      over braid [ ("beu_out_of_order", "true") ];
+      over cgooo [ ("block_windows", "2"); ("block_head_window", "1") ];
+      over cgooo [ ("clusters", "1") ];
+      over cgooo [ ("cluster_entries", "4") ];
+    ]
+  in
+  List.iter
+    (fun (pr : Braid_workload.Spec.profile) ->
+      let p = Suite.prepare ctx ~scale:1200 pr in
+      List.iter
+        (fun cfg ->
+          counters_line b cfg
+            (U.Core.run ~warm_data:p.Suite.warm_data cfg (Suite.trace p cfg)))
+        configs)
+    Braid_workload.Spec.all;
+  Alcotest.(check string) "MD5 over every result field and counter"
+    "181fd640a46fd931a7197b3c545fa6f8"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_covers_all_benchmarks () =
   (* the table above must track Spec.all: a new benchmark needs golden rows *)
   let named = List.map (fun (b, _, _, _) -> b) golden in
@@ -406,4 +454,5 @@ let suite =
         Alcotest.test_case "off-preset counter digest" `Slow test_off_preset_digest;
         Alcotest.test_case "late-visibility counter digest" `Slow
           test_late_visibility_digest;
+        Alcotest.test_case "select-shape counter digest" `Slow test_select_shape_digest;
       ] )
