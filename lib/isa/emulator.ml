@@ -245,6 +245,10 @@ module Compiled = struct
     reads : (int * bool) array array;  (* source slots, via-internal flag *)
     writes : int array array;  (* destination slots, ext_dup copy included *)
     block_of : int array;  (* sized n+2; the trap slots map to block 0 *)
+    run_len : int array;
+        (* sized n+2: instructions that run straight from the ip, through
+           the first branch, jump or halt or to the end of its block; 1 on
+           the trap slots *)
     next_ip : int array;  (* fallthrough successor (flat or trap ip) *)
     target_ip : int array;  (* branch/jump target entry ip; -1 when none *)
     dup_slot : int array;  (* auxiliary chain slot of an ext_dup instr; -1 *)
@@ -352,12 +356,23 @@ module Compiled = struct
         | Op.Ibini _ -> incr n_imm
         | _ -> ())
       program;
+    let run_len = Array.make (n + 2) 1 in
+    Array.iter
+      (fun (blk : Program.block) ->
+        let base = bases.(blk.Program.id) in
+        for off = Array.length blk.Program.instrs - 2 downto 0 do
+          match blk.Program.instrs.(off).Instr.op with
+          | Op.Branch _ | Op.Jump _ | Op.Halt -> ()
+          | _ -> run_len.(base + off) <- 1 + run_len.(base + off + 1)
+        done)
+      program.Program.blocks;
     {
       program;
       proto;
       reads;
       writes;
       block_of;
+      run_len;
       next_ip;
       target_ip;
       dup_slot;
@@ -845,20 +860,22 @@ module Compiled = struct
       n
     end
 
-  (* Single-stepping through the chain ([fuel = 1] executes exactly one
-     instruction and parks on the successor) costs roughly twice the fast
-     path, which the once-per-program profiling pass can afford. *)
+  (* One chain call per straight-line run: every instruction of a run
+     lies in one block, so the count the call executed is that block's. *)
   let advance_bbv run ~fuel ~counts =
     if fuel < 0 then invalid_arg "Compiled.advance_bbv: negative fuel";
-    let step = run.step and block_of = run.code.block_of and stop = run.stop in
+    let step = run.step and stop = run.stop in
+    let block_of = run.code.block_of and run_len = run.code.run_len in
     let ip = ref run.ip in
     let n = ref 0 in
     while !n < fuel && !ip >= 0 do
-      let b = Array.unsafe_get block_of !ip in
-      counts.(b) <- counts.(b) + 1;
-      ignore ((Array.unsafe_get step !ip) 1 : int);
+      let i = !ip in
+      let k = Int.min (Array.unsafe_get run_len i) (fuel - !n) in
+      let ran = k - (Array.unsafe_get step i) k in
+      let b = Array.unsafe_get block_of i in
+      counts.(b) <- counts.(b) + ran;
       ip := !stop;
-      incr n
+      n := !n + ran
     done;
     run.ip <- !ip;
     run.steps <- run.steps + !n;
@@ -947,6 +964,38 @@ module Compiled = struct
     run.steps <- run.steps + !uid;
     Trace.Builder.finish b
       (if !ip < 0 then Trace.Halted else Trace.Steps_exhausted)
+
+  (* The warm-up walk steps the chain as [trace_window] does and keeps
+     only what a warm-up replays: the static index, and the address or
+     branch outcome read from the registers before the step. *)
+  let warm_window run (w : Trace.Warm.t) ~max_steps =
+    if max_steps > Trace.Warm.capacity w then
+      invalid_arg
+        (Printf.sprintf "Compiled.warm_window: %d steps into a buffer of %d"
+           max_steps (Trace.Warm.capacity w));
+    let code = run.code and regs = run.regs and step = run.step in
+    let n = Array.length code.proto in
+    Trace.Warm.reset w code.proto;
+    let k = ref 0 in
+    let ip = ref run.ip in
+    while !k < max_steps && !ip >= 0 do
+      let i = !ip in
+      (* a run parked on a trap slot raises its control-flow failure *)
+      if i >= n then ignore (step.(i) 1 : int);
+      Trace.Warm.push w i
+        (match code.proto.(i).Trace.instr.Instr.op with
+        | Op.Load (_, r, off, _) | Op.Store (_, r, off, _) ->
+            Int64.to_int (ba_get regs (reg_slot r)) + off
+        | Op.Branch (c, r, _) ->
+            Bool.to_int
+              (Op.cond_holds c (Int64.compare (ba_get regs (reg_slot r)) 0L))
+        | _ -> 0);
+      ignore (step.(i) 1 : int);
+      ip := !(run.stop);
+      incr k
+    done;
+    run.ip <- !ip;
+    run.steps <- run.steps + !k
 
   type snapshot = {
     s_regs : int64 array;

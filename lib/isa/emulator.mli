@@ -92,9 +92,11 @@ val memory_fingerprint : state -> int64
     messages) to {!reference}. [compile] also records each instruction's
     static trace record ({!Trace.static}, shared by every trace of the
     program) and its register reads and writes, so [trace_window] traces
-    by single-stepping the same closures.
+    by single-stepping the same closures, and [warm_window] walks them
+    the same way into a warm-up buffer without building a trace.
     [advance_bbv] additionally accumulates per-basic-block execution
-    counts for interval profiling. *)
+    counts for interval profiling, one chain call per straight-line
+    run. *)
 module Compiled : sig
   type code
   (** A pre-decoded program; reusable across many runs. *)
@@ -116,7 +118,10 @@ module Compiled : sig
   val advance_bbv : run -> fuel:int -> counts:int array -> int
   (** [advance], additionally incrementing [counts.(b)] for every
       instruction executed in block [b]. [counts] must have at least
-      {!num_blocks} entries. *)
+      {!num_blocks} entries. [compile] records, per instruction, how many
+      run straight from it (through the first branch, jump or halt, or to
+      the end of its block); each such run executes as one chain call
+      whose executed count is added to its block. *)
 
   val trace_window : run -> max_steps:int -> Trace.t
   (** Run up to [max_steps] instructions from the current position,
@@ -127,6 +132,18 @@ module Compiled : sig
       only the window sees exactly this), and a window opening mid-braid
       has its first instruction promoted to a braid start. Its [stop] is
       [Halted] iff the program has ended. *)
+
+  val warm_window : run -> Trace.Warm.t -> max_steps:int -> unit
+  (** [warm_window run w ~max_steps] empties [w] and runs up to
+      [max_steps] instructions from the current position exactly as
+      {!trace_window} does (a run parked on a trap slot raises its
+      failure, and the walk stops after a [Halt]), appending each one's
+      static index and its address or branch outcome to [w]. It builds
+      no trace and, into a buffer allocated once, allocates nothing per
+      instruction: the sampler's functional warm-up. [w] then equals
+      [Trace.Warm.of_trace] of the window [trace_window] would have
+      returned over the same span. Raises [Invalid_argument] when
+      [max_steps] exceeds [w]'s capacity. *)
 
   val halted : run -> bool
   val steps : run -> int

@@ -108,14 +108,16 @@ let eval_funary o bits =
   | Fsqrt -> Int64.bits_of_float (sqrt (Float.abs (Int64.float_of_bits bits)))
   | Cvt_if -> Int64.bits_of_float (Int64.to_float bits)
 
-let eval_cond c v =
+let cond_holds c sign =
   match c with
-  | Eq -> Int64.equal v 0L
-  | Ne -> not (Int64.equal v 0L)
-  | Lt -> Int64.compare v 0L < 0
-  | Ge -> Int64.compare v 0L >= 0
-  | Le -> Int64.compare v 0L <= 0
-  | Gt -> Int64.compare v 0L > 0
+  | Eq -> sign = 0
+  | Ne -> sign <> 0
+  | Lt -> sign < 0
+  | Ge -> sign >= 0
+  | Le -> sign <= 0
+  | Gt -> sign > 0
+
+let eval_cond c v = cond_holds c (Int64.compare v 0L)
 
 let ibin_name = function
   | Add -> "addq" | Sub -> "subq" | Mul -> "mulq"

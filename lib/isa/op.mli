@@ -85,5 +85,10 @@ val eval_funary : funary -> int64 -> int64
 
 val eval_cond : cond -> int64 -> bool
 
+val cond_holds : cond -> int -> bool
+(** [cond_holds c (Int64.compare v 0L)] is [eval_cond c v]: the same
+    test on the value's sign, so a caller holding an unboxed register
+    value passes an int rather than a boxed [int64]. *)
+
 val mnemonic : t -> string
 (** Short opcode name, e.g. ["addq"], used by the disassembler. *)

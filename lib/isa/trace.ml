@@ -273,6 +273,70 @@ module Builder = struct
     }
 end
 
+module Warm = struct
+  type trace = t
+
+  (* Two columns allocated once at [capacity] and overwritten by each
+     fill; [proto] is the static table of the program last walked. *)
+  type t = {
+    mutable proto : static array;
+    sidx : int array;
+    value : int array;
+    mutable n : int;
+  }
+
+  let create ~capacity =
+    if capacity < 0 then invalid_arg "Trace.Warm.create: negative capacity";
+    {
+      proto = [||];
+      sidx = Array.make capacity 0;
+      value = Array.make capacity 0;
+      n = 0;
+    }
+
+  let capacity w = Array.length w.sidx
+  let length w = w.n
+
+  let outside w u =
+    invalid_arg (Printf.sprintf "Trace.Warm: index %d outside [0, %d)" u w.n)
+
+  (* [push] admits only static indices of [proto], so the reads below
+     need no check past the entry's own *)
+  let static w u =
+    if u < 0 || u >= w.n then outside w u;
+    Array.unsafe_get w.proto (Array.unsafe_get w.sidx u)
+
+  let value w u =
+    if u < 0 || u >= w.n then outside w u;
+    Array.unsafe_get w.value u
+
+  let reset w proto =
+    w.proto <- proto;
+    w.n <- 0
+
+  let push w s v =
+    let n = w.n in
+    if n = Array.length w.sidx then invalid_arg "Trace.Warm.push: buffer full";
+    if s < 0 || s >= Array.length w.proto then
+      invalid_arg (Printf.sprintf "Trace.Warm.push: no static index %d" s);
+    Array.unsafe_set w.sidx n s;
+    Array.unsafe_set w.value n v;
+    w.n <- n + 1
+
+  let of_trace (t : trace) =
+    let n = Array.length t.sidx in
+    let w = create ~capacity:n in
+    reset w t.proto;
+    for u = 0 to n - 1 do
+      let s = t.proto.(t.sidx.(u)) in
+      push w t.sidx.(u)
+        (if s.is_load || s.is_store then t.addr.(u)
+         else if s.is_cond_branch then Bool.to_int (taken t u)
+         else 0)
+    done;
+    w
+end
+
 let warm_lines t =
   match t.warm_lines with
   | Some a -> a

@@ -152,6 +152,49 @@ module Builder : sig
       accepts a stream whose first braid instruction claims a BEU. *)
 end
 
+(** {2 Warm-up buffers} *)
+
+(** What a functional warm-up replays into caches and predictor: per
+    instruction, its static index and one value — the effective address
+    of a load or store, the outcome of a conditional branch (1 taken, 0
+    not), 0 for anything else. No uids, dependences or flags: a sampler
+    walks tens of thousands of instructions before every measured window
+    and reads nothing else. The buffer is caller-owned and allocated
+    once ({!Emulator.Compiled.warm_window} refills it), so repeated
+    warm-ups allocate nothing. *)
+module Warm : sig
+  type trace := t
+  type t
+
+  val create : capacity:int -> t
+  (** An empty buffer with room for [capacity] instructions. *)
+
+  val capacity : t -> int
+  val length : t -> int
+
+  val static : t -> int -> static
+  (** The static record of entry [u]; raises [Invalid_argument] outside
+      [0, length). *)
+
+  val value : t -> int -> int
+  (** Entry [u]'s address or branch outcome (see above); raises
+      [Invalid_argument] outside [0, length). *)
+
+  val reset : t -> static array -> unit
+  (** Empties the buffer for a walk over the program with this static
+      table (shared, not copied). *)
+
+  val push : t -> int -> int -> unit
+  (** [push w s v] appends a dynamic instance of static index [s] with
+      value [v]; raises [Invalid_argument] when the buffer is full or
+      [s] is not an index of the static table given to {!reset}. *)
+
+  val of_trace : trace -> t
+  (** The buffer a walk over the same instructions fills: one entry per
+      uid, sized to the trace. The conversion behind the timing core's
+      [Core.create ~prewarm]. *)
+end
+
 (** {2 Derived tables} *)
 
 val warm_lines : t -> int array

@@ -102,41 +102,60 @@ let plan ?(init_mem = []) ?max_steps ~spec code =
 let measure ?(warm_data = []) (p : plan) (cfg : U.Config.t) =
   let run = Emulator.Compiled.start ~init_mem:p.init_mem p.code in
   let wsum = Array.fold_left (fun a (_, w) -> a +. w) 0.0 p.chosen in
-  (* snapshot at the current window's functional-warm start, so the next
-     window's warm-up may rewind into the region this window already
-     executed *)
+  (* where each representative's detailed warm-up and, [warm_history]
+     instructions before it, its functional warm-up start *)
+  let detail_start (iv : Bbv.interval) =
+    max 0 (iv.Bbv.start - p.spec.Spec.warmup)
+  in
+  let warm_start iv = max 0 (detail_start iv - warm_history) in
+  let nreps = Array.length p.chosen in
+  (* A snapshot at a functional-warm start lets the next representative
+     rewind into the region this one executes. Starts ascend, so only a
+     next warm-up that begins before this window ends needs one; every
+     other representative fast-forwards from where the last one
+     stopped. *)
   let snap = ref None in
-  let seek_to wstart =
+  let seek_to i =
+    let iv = fst p.chosen.(i) in
+    let target = warm_start iv in
     let pos = Emulator.Compiled.steps run in
-    if wstart < pos then begin
+    if target < pos then begin
       match !snap with
-      | Some (sp, spos) when spos <= wstart -> Emulator.Compiled.restore run sp
-      | _ -> assert false (* starts ascend, so the last snapshot is older *)
+      | Some (sp, spos) when spos <= target -> Emulator.Compiled.restore run sp
+      | _ ->
+          invalid_arg
+            (Printf.sprintf
+               "Driver.measure: warm-up at %d starts before the run's position %d"
+               target pos)
     end;
     let pos = Emulator.Compiled.steps run in
-    if wstart > pos then ignore (Emulator.Compiled.advance run ~fuel:(wstart - pos));
-    snap := Some (Emulator.Compiled.snapshot run, wstart)
+    if target > pos then
+      ignore (Emulator.Compiled.advance run ~fuel:(target - pos));
+    let rewinds =
+      i + 1 < nreps
+      && warm_start (fst p.chosen.(i + 1)) < iv.Bbv.start + iv.Bbv.length
+    in
+    snap := if rewinds then Some (Emulator.Compiled.snapshot run, target) else None
   in
+  (* one buffer for every representative's functional warm-up *)
+  let warm = Trace.Warm.create ~capacity:warm_history in
   (* each representative with its normalised weight and the windowed
      result of its interval, in start order *)
   let measured =
-    Array.map
-      (fun ((iv : Bbv.interval), w) ->
-        let wstart = max 0 (iv.Bbv.start - p.spec.Spec.warmup) in
+    Array.mapi
+      (fun i ((iv : Bbv.interval), w) ->
         (* Functional warm-up: replay the [warm_history] instructions
            preceding the detailed window into the caches and predictor
            (untimed), so the window starts from the deep
            microarchitectural history its position implies — L2
            content and predictor tables remember far more than any
            affordable detailed warm-up covers. Bounded, so per-window
-           cost stays constant however long the full run is. *)
-        let pstart = max 0 (wstart - warm_history) in
-        seek_to pstart;
-        let prewarm =
-          if wstart = pstart then None
-          else
-            Some (Emulator.Compiled.trace_window run ~max_steps:(wstart - pstart))
-        in
+           cost stays constant however long the full run is. The walk
+           keeps only what the replay reads; no trace is built. *)
+        seek_to i;
+        let wstart = detail_start iv in
+        Emulator.Compiled.warm_window run warm
+          ~max_steps:(wstart - warm_start iv);
         let wlen = iv.Bbv.start - wstart in
         (* Detailed warm-up: simulate warm-up + interval as one window
            and let the pipeline report only the interval's suffix
@@ -149,7 +168,7 @@ let measure ?(warm_data = []) (p : plan) (cfg : U.Config.t) =
           Emulator.Compiled.trace_window run ~max_steps:(wlen + iv.Bbv.length)
         in
         let r =
-          U.Core.result (U.Core.run ~warm_data ?prewarm
+          U.Core.result (U.Core.run ~warm_data ~warm
             ?measure_from:(if wlen = 0 then None else Some wlen)
             cfg window)
         in

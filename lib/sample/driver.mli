@@ -45,14 +45,20 @@ val plan :
 
 val measure :
   ?warm_data:int list -> plan -> Braid_uarch.Config.t -> t
-(** Fast-forward to each representative; replay a bounded functional
-    warm-up (the preceding ~64k instructions) into caches and predictor
-    via [Core.run ~prewarm]; simulate the spec's detailed warm-up
-    plus the interval and report only the interval's commit-to-commit
+(** Fast-forward to each representative; walk a bounded functional
+    warm-up (the preceding 65,536 instructions) with
+    {!Emulator.Compiled.warm_window} into one {!Trace.Warm} buffer
+    allocated per call and reused by every representative, and replay
+    it into caches and predictor via [Core.run ~warm]; trace and
+    simulate the spec's detailed warm-up plus the interval — the only
+    trace built — and report only the interval's commit-to-commit
     suffix ([Core.run ~measure_from]); aggregate by weighted CPI, and
     rebuild the counters from one vector of weighted per-instruction
-    rates ({!Braid_uarch.Core.with_counts}). [warm_data] is passed
-    through to every interval's pipeline run. *)
+    rates ({!Braid_uarch.Core.with_counts}). The emulator is
+    snapshotted at a representative's warm-up start only when the next
+    representative's warm-up starts before this one's window ends, the
+    one case that rewinds. [warm_data] is passed through to every
+    interval's pipeline run. *)
 
 val error_vs : full:Braid_uarch.Core.result -> t -> float
 (** Relative IPC error against a full simulation of the same program:

@@ -111,10 +111,16 @@ type t = {
   counters_fn : unit -> (string * counter) list;
 }
 
-let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
-    (cfg : Config.t) (trace : Trace.t) =
+let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
+    ?hier (cfg : Config.t) (trace : Trace.t) =
   let n = Trace.length trace in
   if n = 0 then invalid_arg "Core.create: empty trace";
+  let warm =
+    match (warm, prewarm) with
+    | Some _, Some _ -> invalid_arg "Core.create: both warm and prewarm given"
+    | w, None -> w
+    | None, Some t -> Some (Trace.Warm.of_trace t)
+  in
   (match measure_from with
   | Some mf when mf < 0 || mf >= n ->
       invalid_arg
@@ -141,21 +147,21 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
      interval starts from the microarchitectural state its position in the
      full run implies rather than from the steady-state approximation
      above alone. *)
-  (match prewarm with
+  (match warm with
   | None -> ()
   | Some w ->
       let last = ref min_int in
-      for u = 0 to Trace.length w - 1 do
-        let e = Trace.static w u in
+      for u = 0 to Trace.Warm.length w - 1 do
+        let e = Trace.Warm.static w u in
         let line = e.Trace.pc / 64 in
         if line <> !last then begin
           Mem_hier.warm_instr hier e.Trace.pc;
           last := line
         end;
         if e.Trace.is_load || e.Trace.is_store then
-          Mem_hier.warm_data hier (Trace.addr w u);
-        if e.Trace.is_cond_branch then
-          Predictor.warm pred ~pc:e.Trace.pc ~taken:(Trace.taken w u)
+          Mem_hier.warm_data hier (Trace.Warm.value w u)
+        else if e.Trace.is_cond_branch then
+          Predictor.warm pred ~pc:e.Trace.pc ~taken:(Trace.Warm.value w u <> 0)
       done);
   let guard = (200 * n) + 100_000 in
   let last_progress = ref 0 in
@@ -471,8 +477,8 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?prewarm ?measure_from ?hier
 let finished t = Machine.all_committed t.machine
 let step t = t.step_fn ()
 
-let run ?probe ?warm_data ?prewarm ?measure_from cfg trace =
-  let t = create ?probe ?warm_data ?prewarm ?measure_from cfg trace in
+let run ?probe ?warm_data ?warm ?prewarm ?measure_from cfg trace =
+  let t = create ?probe ?warm_data ?warm ?prewarm ?measure_from cfg trace in
   while not (finished t) do
     step t
   done;

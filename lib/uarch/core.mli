@@ -63,6 +63,7 @@ type t
 val create :
   ?probe:Probe.t ->
   ?warm_data:int list ->
+  ?warm:Trace.Warm.t ->
   ?prewarm:Trace.t ->
   ?measure_from:int ->
   ?hier:Mem_hier.hierarchy ->
@@ -79,9 +80,21 @@ val create :
     L1I/L2) so the measured window behaves like a steady-state snapshot
     rather than a cold start.
 
-    [prewarm] is a sampled-simulation warm-up window: its events are
-    replayed into the caches (code and data lines) and the branch
-    predictor before timing starts, without touching any statistics.
+    [warm] is a sampled-simulation functional warm-up
+    ({!Emulator.Compiled.warm_window}): after the code lines and
+    [warm_data] above, each entry in order touches its code line in
+    L1I/L2 (once per run of entries on one 64-byte line), a load or
+    store's data line in L1D/L2 ({!Mem_hier.warm_data}), and a
+    conditional branch's outcome into the predictor ({!Predictor.warm}),
+    without touching any statistics or time.
+
+    [prewarm] is the same warm-up given as a trace window: it is
+    converted with {!Trace.Warm.of_trace} and replayed by the same rule,
+    so a caller that warms from [Compiled.trace_window] gets exactly the
+    state the walk gives. It stays for callers that still hold such a
+    window (an outside replay that must match the sampler bit for bit);
+    the sampler itself never builds one. Passing both [warm] and
+    [prewarm] raises [Invalid_argument].
 
     [measure_from] is detailed warm-up for sampled simulation: the whole
     trace is simulated, but the result reports only the suffix starting
@@ -109,6 +122,7 @@ val step : t -> unit
 val run :
   ?probe:Probe.t ->
   ?warm_data:int list ->
+  ?warm:Trace.Warm.t ->
   ?prewarm:Trace.t ->
   ?measure_from:int ->
   Config.t ->

@@ -11,9 +11,14 @@ let gshare_history_bits = 12
 
 type t = {
   kind : Config.predictor_kind;
-  weights : int array array;  (* [entry].[history_bits + 1], slot 0 = bias *)
-  history : bool array;
-  mutable head : int;  (* circular history head *)
+  weights : int array;
+      (* [table_entries] rows of [history_bits + 1]; a row's slot 0 is the
+         bias *)
+  history : int array;
+      (* ±1 per outcome, newest at [head]; doubled, so entry [i] and
+         [i + history_bits] are equal and the window [head, head +
+         history_bits) never wraps *)
+  mutable head : int;
   (* gshare state *)
   counters : int array;  (* 2-bit saturating counters *)
   mutable ghist : int;  (* global history register *)
@@ -24,8 +29,8 @@ type t = {
 let create (cfg : Config.t) =
   {
     kind = cfg.Config.predictor;
-    weights = Array.make_matrix table_entries (history_bits + 1) 0;
-    history = Array.make history_bits false;
+    weights = Array.make (table_entries * (history_bits + 1)) 0;
+    history = Array.make (2 * history_bits) (-1);
     head = 0;
     counters = Array.make gshare_entries 1 (* weakly not-taken *);
     ghist = 0;
@@ -43,36 +48,46 @@ let gshare_step ~stats t ~pc ~taken =
   t.ghist <- ((t.ghist lsl 1) lor (if taken then 1 else 0)) land ((1 lsl gshare_history_bits) - 1);
   correct
 
+let clamp v = Int.max (-weight_clamp) (Int.min weight_clamp v)
+
+(* The row and the history window are in range by construction, so the
+   loops read them unchecked. A history entry times a weight is the
+   weight's signed vote; times the outcome it is the training step. *)
+let perceptron_step ~stats t ~pc ~taken =
+  let w = t.weights and h = t.history and head = t.head in
+  let row = ((pc lsr 2) land (table_entries - 1)) * (history_bits + 1) in
+  let sum = ref (Array.unsafe_get w row) in
+  for i = 1 to history_bits do
+    sum :=
+      !sum + (Array.unsafe_get h (head + i - 1) * Array.unsafe_get w (row + i))
+  done;
+  let predicted = !sum >= 0 in
+  let correct = predicted = taken in
+  if stats && not correct then t.mispredicts <- t.mispredicts + 1;
+  let outcome = if taken then 1 else -1 in
+  (* train on mispredict or low confidence *)
+  if (not correct) || abs !sum <= theta then begin
+    Array.unsafe_set w row (clamp (Array.unsafe_get w row + outcome));
+    for i = 1 to history_bits do
+      let k = row + i in
+      Array.unsafe_set w k
+        (clamp
+           (Array.unsafe_get w k + (Array.unsafe_get h (head + i - 1) * outcome)))
+    done
+  end;
+  (* shift history *)
+  let head = if head = 0 then history_bits - 1 else head - 1 in
+  t.head <- head;
+  Array.unsafe_set h head outcome;
+  Array.unsafe_set h (head + history_bits) outcome;
+  correct
+
 let step ~stats t ~pc ~taken =
   if stats then t.lookups <- t.lookups + 1;
-  if t.kind = Config.Perfect_prediction then true
-  else if t.kind = Config.Gshare then gshare_step ~stats t ~pc ~taken
-  else begin
-    let idx = (pc lsr 2) land (table_entries - 1) in
-    let w = t.weights.(idx) in
-    let sum = ref w.(0) in
-    for i = 0 to history_bits - 1 do
-      let h = t.history.((t.head + i) mod history_bits) in
-      sum := !sum + (if h then w.(i + 1) else -w.(i + 1))
-    done;
-    let predicted = !sum >= 0 in
-    let correct = predicted = taken in
-    if stats && not correct then t.mispredicts <- t.mispredicts + 1;
-    (* train on mispredict or low confidence *)
-    if (not correct) || abs !sum <= theta then begin
-      let clamp v = Int.max (-weight_clamp) (Int.min weight_clamp v) in
-      w.(0) <- clamp (w.(0) + if taken then 1 else -1);
-      for i = 0 to history_bits - 1 do
-        let h = t.history.((t.head + i) mod history_bits) in
-        let agree = h = taken in
-        w.(i + 1) <- clamp (w.(i + 1) + if agree then 1 else -1)
-      done
-    end;
-    (* shift history *)
-    t.head <- (t.head + history_bits - 1) mod history_bits;
-    t.history.(t.head) <- taken;
-    correct
-  end
+  match t.kind with
+  | Config.Perfect_prediction -> true
+  | Config.Gshare -> gshare_step ~stats t ~pc ~taken
+  | Config.Perceptron -> perceptron_step ~stats t ~pc ~taken
 
 let predict_and_train t ~pc ~taken = step ~stats:true t ~pc ~taken
 let warm t ~pc ~taken = ignore (step ~stats:false t ~pc ~taken)

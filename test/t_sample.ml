@@ -1,9 +1,11 @@
-(* Sampled simulation: BBV profiling totals, k-means determinism (the
-   property that makes the sampling spec a sound sweep-cache key),
-   compiled-vs-interpreted fast-forward byte-identity, mid-run trace
-   windows as exact slices of the full trace, exactness of the
-   commit-to-commit measurement when every interval is simulated, and the
-   headline accuracy bound — sampled IPC within 2% of full simulation. *)
+(* Sampled simulation: BBV profiling totals and per-block counts,
+   k-means determinism (the property that makes the sampling spec a
+   sound sweep-cache key), compiled-vs-interpreted fast-forward
+   byte-identity, mid-run trace windows as exact slices of the full
+   trace, the warm-up walk as the exact content of a trace window and
+   its allocation bound, exactness of the commit-to-commit measurement
+   when every interval is simulated, and the headline accuracy bound —
+   sampled IPC within 2% of full simulation. *)
 
 module U = Braid_uarch
 module W = Braid_workload
@@ -284,6 +286,153 @@ let test_trace_window () =
       window "window past the end" ~max_steps:n ~len:(n - k) Trace.Halted)
     W.Spec.all
 
+(* --- the warm-up walk: what a trace window would have replayed --- *)
+
+let check_warm_equal name (a : Trace.Warm.t) (b : Trace.Warm.t) =
+  Alcotest.(check int) (name ^ ": length") (Trace.Warm.length b)
+    (Trace.Warm.length a);
+  for u = 0 to Trace.Warm.length a - 1 do
+    if
+      (Trace.Warm.static a u).Trace.pc <> (Trace.Warm.static b u).Trace.pc
+      || Trace.Warm.value a u <> Trace.Warm.value b u
+    then
+      Alcotest.failf "%s: entry %d is (pc %d, %d), expected (pc %d, %d)" name
+        u (Trace.Warm.static a u).Trace.pc (Trace.Warm.value a u)
+        (Trace.Warm.static b u).Trace.pc (Trace.Warm.value b u)
+  done
+
+(* The sampler warms each representative from [Compiled.warm_window];
+   an outside replay that still holds a trace window warms through
+   [Core.run ~prewarm]. Over the same span, on both binaries, the walk's
+   buffer must equal the window's conversion entry for entry, leave the
+   run at the same position, and warm a core into the same result and
+   counters — mid-run, and on a span that runs past the halt. *)
+let test_warm_walk () =
+  List.iter
+    (fun bench ->
+      let p = Suite.prepare (Lazy.force ctx) ~scale:100_000 (W.Spec.find bench) in
+      List.iter
+        (fun (label, program, cfg) ->
+          let code = Emulator.Compiled.compile program in
+          let start () = Emulator.Compiled.start ~init_mem:p.Suite.init_mem code in
+          let total = Emulator.Compiled.advance (start ()) ~fuel:max_int in
+          let w = Trace.Warm.create ~capacity:65_536 in
+          List.iter
+            (fun (span, k, steps) ->
+              let span = Printf.sprintf "%s %s %s" bench label span in
+              let run = start () in
+              ignore (Emulator.Compiled.advance run ~fuel:k : int);
+              let snap = Emulator.Compiled.snapshot run in
+              Emulator.Compiled.warm_window run w ~max_steps:steps;
+              let walked = Emulator.Compiled.steps run in
+              let halted = Emulator.Compiled.halted run in
+              let detail = Emulator.Compiled.trace_window run ~max_steps:4_000 in
+              Emulator.Compiled.restore run snap;
+              let window = Emulator.Compiled.trace_window run ~max_steps:steps in
+              Alcotest.(check int) (span ^ ": position") walked
+                (Emulator.Compiled.steps run);
+              Alcotest.(check bool) (span ^ ": halted") halted
+                (Emulator.Compiled.halted run);
+              check_warm_equal span w (Trace.Warm.of_trace window);
+              if Trace.length detail > 0 then begin
+                let core ?warm ?prewarm () =
+                  U.Core.run ~warm_data:p.Suite.warm_data ?warm ?prewarm
+                    ~measure_from:(Trace.length detail / 2) cfg detail
+                in
+                let a = core ~warm:w () and b = core ~prewarm:window () in
+                Alcotest.(check bool) (span ^ ": result") true
+                  (U.Core.result a = U.Core.result b);
+                Alcotest.(check bool) (span ^ ": counters") true
+                  (U.Core.counters a = U.Core.counters b)
+              end)
+            [
+              ("mid-run", total / 8, Int.min 65_536 (total / 2));
+              ("past the halt", total - 1_000, 65_536);
+            ])
+        [
+          ( "conv",
+            p.Suite.conventional.Braid_core.Extalloc.program,
+            U.Config.ooo_8wide );
+          ( "braid",
+            p.Suite.braid.Braid_core.Transform.program,
+            U.Config.braid_8wide );
+        ])
+    [ "gzip"; "mcf"; "swim" ]
+
+(* Filling a buffer allocated once allocates nothing per instruction:
+   the sampler walks 65,536 instructions before every representative.
+   A walk longer than the buffer, and a core given the same warm-up both
+   as a buffer and as a trace, are refused. *)
+let test_warm_walk_allocation () =
+  let p = Suite.prepare (Lazy.force ctx) ~scale:100_000 (W.Spec.find "gzip") in
+  let code =
+    Emulator.Compiled.compile p.Suite.conventional.Braid_core.Extalloc.program
+  in
+  let run = Emulator.Compiled.start ~init_mem:p.Suite.init_mem code in
+  let w = Trace.Warm.create ~capacity:65_536 in
+  let before = Gc.minor_words () in
+  Emulator.Compiled.warm_window run w ~max_steps:65_536;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "walked" 65_536 (Trace.Warm.length w);
+  if words >= 2_000.0 then
+    Alcotest.failf "walking 65,536 instructions allocated %.0f words" words;
+  Alcotest.check_raises "a walk longer than the buffer"
+    (Invalid_argument "Compiled.warm_window: 65537 steps into a buffer of 65536")
+    (fun () -> Emulator.Compiled.warm_window run w ~max_steps:65_537);
+  let window = Emulator.Compiled.trace_window run ~max_steps:100 in
+  Alcotest.check_raises "one warm-up, given twice"
+    (Invalid_argument "Core.create: both warm and prewarm given") (fun () ->
+      ignore (U.Core.create ~warm:w ~prewarm:window U.Config.ooo_8wide window))
+
+(* --- BBV counts: one chain call per straight-line run --- *)
+
+(* [advance_bbv] adds each run's executed count to its block at once;
+   every interval's counts must equal the per-block counts of the same
+   uids in a full trace. The interval length is prime, so intervals end
+   inside runs. *)
+let test_bbv_counts () =
+  List.iter
+    (fun (profile : W.Spec.profile) ->
+      let p = Suite.prepare (Lazy.force ctx) ~scale:1200 profile in
+      List.iter
+        (fun (label, program) ->
+          let name = Printf.sprintf "%s %s" profile.W.Spec.name label in
+          let init_mem = p.Suite.init_mem in
+          let max_steps = 50 * p.Suite.scale in
+          let full =
+            Option.get
+              (Emulator.run ~trace:true ~max_steps ~init_mem program)
+                .Emulator.trace
+          in
+          let code = Emulator.Compiled.compile program in
+          let nb = Emulator.Compiled.num_blocks code in
+          let run = Emulator.Compiled.start ~init_mem code in
+          let counts = Array.make nb 0 and expected = Array.make nb 0 in
+          let pos = ref 0 and continue = ref true in
+          while !continue do
+            Array.fill counts 0 nb 0;
+            Array.fill expected 0 nb 0;
+            let ran =
+              Emulator.Compiled.advance_bbv run
+                ~fuel:(Int.min 997 (max_steps - !pos))
+                ~counts
+            in
+            for u = !pos to !pos + ran - 1 do
+              let b = (Trace.static full u).Trace.block_id in
+              expected.(b) <- expected.(b) + 1
+            done;
+            if counts <> expected then
+              Alcotest.failf "%s: interval at %d counts differ" name !pos;
+            pos := !pos + ran;
+            continue := ran > 0 && not (Emulator.Compiled.halted run)
+          done;
+          Alcotest.(check int) (name ^ ": total") (Trace.length full) !pos)
+        [
+          ("conv", p.Suite.conventional.Braid_core.Extalloc.program);
+          ("braid", p.Suite.braid.Braid_core.Transform.program);
+        ])
+    W.Spec.all
+
 (* --- measure_from validation --- *)
 
 let test_measure_from_validation () =
@@ -350,6 +499,12 @@ let suite =
         test_trace_window;
       Alcotest.test_case "measure_from validation" `Quick
         test_measure_from_validation;
+      Alcotest.test_case "warm walk equals the trace adapter" `Slow
+        test_warm_walk;
+      Alcotest.test_case "warm walk allocation bound" `Quick
+        test_warm_walk_allocation;
+      Alcotest.test_case "bbv run counts match the trace" `Slow
+        test_bbv_counts;
     ]
     @ List.map
         (fun (bench, ((label, _) as core)) ->
