@@ -672,49 +672,28 @@ module Compiled = struct
                 (Array.unsafe_get step next) (fuel - 1)
               end)
     | Op.Load (d, base, off, _) ->
-        (* page-cache hit test inlined: without cross-module inlining a
-           call per access costs more than the access itself *)
         let d = ws d and b = rs base in
-        let cidx, cpage = Braid_util.Paged_mem.cache_arrays mem in
-        let cmask = Braid_util.Paged_mem.cache_slots - 1 in
-        let wmask = Braid_util.Paged_mem.words_per_page - 1 in
         fun fuel ->
           if fuel = 0 then (stop := ip; 0)
           else begin
             let addr = Int64.to_int (ba_get regs b) + off in
             check_aligned addr;
-            let pidx = addr lsr 12 in
-            let p =
-              if Array.unsafe_get cidx (pidx land cmask) = pidx then
-                Array.unsafe_get cpage (pidx land cmask)
-              else Braid_util.Paged_mem.page_for_load mem addr
-            in
             ba_set regs d
-              (Braid_util.Paged_mem.page_get p ((addr lsr 3) land wmask));
+              (Braid_util.Paged_mem.page_get
+                 (Braid_util.Paged_mem.page_for_load mem addr)
+                 (Braid_util.Paged_mem.word_index addr));
             (Array.unsafe_get step next) (fuel - 1)
           end
     | Op.Store (s, base, off, _) ->
         let s = rs s and b = rs base in
-        let cidx, cpage = Braid_util.Paged_mem.cache_arrays mem in
-        let cmask = Braid_util.Paged_mem.cache_slots - 1 in
-        let wmask = Braid_util.Paged_mem.words_per_page - 1 in
-        let zp = Braid_util.Paged_mem.zero_page in
         fun fuel ->
           if fuel = 0 then (stop := ip; 0)
           else begin
             let addr = Int64.to_int (ba_get regs b) + off in
             check_aligned addr;
-            let pidx = addr lsr 12 in
-            let p =
-              if Array.unsafe_get cidx (pidx land cmask) = pidx then
-                Array.unsafe_get cpage (pidx land cmask)
-              else zp
-            in
-            let p =
-              if p != zp then p else Braid_util.Paged_mem.page_for_store mem addr
-            in
-            Braid_util.Paged_mem.page_set p
-              ((addr lsr 3) land wmask)
+            Braid_util.Paged_mem.page_set
+              (Braid_util.Paged_mem.page_for_store mem addr)
+              (Braid_util.Paged_mem.word_index addr)
               (ba_get regs s);
             incr stores;
             (Array.unsafe_get step next) (fuel - 1)

@@ -54,50 +54,54 @@ let cycle t =
 
 (* ------------------------------------------------------------------ *)
 (* Steering: the queue a dispatching uid enters, -1 = none this cycle.
-   Helpers are top level, so a dispatch builds no closure. *)
+   Helpers are top level, so a dispatch builds no closure, and their
+   scans are loops, which ocamlopt inlines where a [let rec] stays a
+   call. *)
 
-let rec first_empty qs i =
-  if i = Array.length qs then -1
-  else if Ring.is_empty qs.(i) then i
-  else first_empty qs (i + 1)
+let first_empty qs =
+  let i = ref 0 in
+  while !i < Array.length qs && not (Ring.is_empty qs.(!i)) do
+    incr i
+  done;
+  if !i = Array.length qs then -1 else !i
 
-(* [p] is one of [u]'s register producers: a walk of its dependence
-   entries [k .. stop - 1] *)
-let rec produces tr p k stop =
-  k < stop && (Trace.dep_uid tr k = p || produces tr p (k + 1) stop)
-
-(* dep-steer: the first FIFO with room whose tail produces [u], else the
-   first empty one *)
-let rec producer_fifo tr qs u i =
-  if i = Array.length qs then first_empty qs 0
-  else
-    let f = qs.(i) in
-    if
-      (not (Ring.is_empty f))
-      && (not (Ring.is_full f))
-      && produces tr (Ring.get f (Ring.length f - 1)) (Trace.dep_off tr u)
-           (Trace.dep_off tr (u + 1))
-    then i
-    else producer_fifo tr qs u (i + 1)
+(* dep-steer: the lowest FIFO with room whose tail produces [u], else the
+   first empty one. A tail is resident and unissued, so its FIFO is the
+   home [Machine] records for it: [u]'s producers name every candidate,
+   and no FIFO is walked. *)
+let producer_fifo m tr qs u =
+  let best = ref max_int in
+  for k = Trace.dep_off tr u to Trace.dep_off tr (u + 1) - 1 do
+    let p = Trace.dep_uid tr k in
+    let i = Machine.home m p in
+    if i >= 0 && i < !best then begin
+      let f = qs.(i) in
+      if (not (Ring.is_full f)) && Ring.get f (Ring.length f - 1) = p then best := i
+    end
+  done;
+  if !best < max_int then !best else first_empty qs
 
 (* ooo: the first scheduler with room, round-robin from [start]; spreads
    load like the paper's distributed 32-entry schedulers *)
-let rec with_room qs start k =
+let with_room qs start =
   let n = Array.length qs in
-  if k = n then -1
-  else
-    let i = if start + k >= n then start + k - n else start + k in
-    if Ring.is_full qs.(i) then with_room qs start (k + 1) else i
+  let k = ref 0 in
+  let i = ref start in
+  while !k < n && Ring.is_full qs.(!i) do
+    incr k;
+    i := if !i + 1 = n then 0 else !i + 1
+  done;
+  if !k = n then -1 else !i
 
-(* cgooo: window [i] takes the newest block, so it is visited last *)
-let rec to_back order i k =
-  if k + 1 < Array.length order then begin
+(* cgooo: window [i] takes the newest block, so it is visited last. The
+   annotation makes [=] an int compare, not a call to [caml_equal]. *)
+let to_back (order : int array) i =
+  for k = 0 to Array.length order - 2 do
     if order.(k) = i then begin
       order.(k) <- order.(k + 1);
       order.(k + 1) <- i
-    end;
-    to_back order i (k + 1)
-  end
+    end
+  done
 
 (* braid / cgooo: [u] enters the BEU or window its braid or block holds *)
 let follow t u =
@@ -111,9 +115,9 @@ let steer t u =
   let qs = t.queues and tr = Machine.trace t.m in
   match t.kind with
   | Config.In_order -> if Ring.is_full qs.(0) then -1 else 0
-  | Config.Dep_steer -> producer_fifo tr qs u 0
+  | Config.Dep_steer -> producer_fifo t.m tr qs u
   | Config.Ooo ->
-      let i = with_room qs t.rr 0 in
+      let i = with_room qs t.rr in
       if i >= 0 then t.rr <- (if i + 1 = Array.length qs then 0 else i + 1);
       i
   | Config.Braid_exec ->
@@ -121,7 +125,7 @@ let steer t u =
          empty BEU: one braid per BEU at a time (§3.3); a BEU whose braid
          has fully issued is free, its results flowing on through the
          bypass and external file *)
-      if Trace.braid_start tr u then t.target <- first_empty qs 0;
+      if Trace.braid_start tr u then t.target <- first_empty qs;
       follow t u
   | Config.Cgooo ->
       (* a block leader (offset 0) closes the previous block and claims
@@ -130,8 +134,8 @@ let steer t u =
          short block of its own, as [Emulator.Compiled.trace_window]
          promotes a braid start for the braid core. *)
       if (Trace.static tr u).Trace.offset = 0 || t.target < 0 then begin
-        t.target <- first_empty qs 0;
-        if t.target >= 0 then to_back t.order t.target 0
+        t.target <- first_empty qs;
+        if t.target >= 0 then to_back t.order t.target
       end;
       follow t u
 

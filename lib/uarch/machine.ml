@@ -297,12 +297,10 @@ let commit_releases t = t.commit_releases
 (* The first int of [u]'s slot, for a uid the caller knows holds it (in
    flight, or claiming), and field [f] of the slot at [b]. The index is
    in range by construction ([u land slot_mask] is a slot of the current
-   ring, [f < stride]), so it goes unchecked. The schedulers call these
-   and the one-field readers below per entry: the attribute inlines them
-   past the compiler's size threshold. *)
-let[@inline] slot t u = (u land t.slot_mask) * stride
-let[@inline] get t b f = Array.unsafe_get t.slots (b + f)
-let[@inline] set t b f v = Array.unsafe_set t.slots (b + f) v
+   ring, [f < stride]), so it goes unchecked. *)
+let slot t u = (u land t.slot_mask) * stride
+let get t b f = Array.unsafe_get t.slots (b + f)
+let set t b f v = Array.unsafe_set t.slots (b + f) v
 
 (* The cycle from which every read of committed uid [o]'s value is
    possible, from any cluster: the latest [readable_at] can return. *)
@@ -354,7 +352,7 @@ let complete_cycle t u =
 
 let issued t u = complete_cycle t u <> max_int
 
-let[@inline] set_beu t u i = set t (slot t u) f_beu i
+let set_beu t u i = set t (slot t u) f_beu i
 
 (* [begin_cycle]'s calendar handlers, top-level so that a drain builds
    no closure *)
@@ -398,14 +396,19 @@ let begin_cycle t =
   t.src_left <- t.src_width;
   t.dst_left <- t.dst_width
 
-let[@inline] reg_ready t u = get t (slot t u) f_pending = 0
+let reg_ready t u = get t (slot t u) f_pending = 0
 
-let[@inline] note_resident t u c = set t (slot t u) f_home c
+let note_resident t u c = set t (slot t u) f_home c
+
+let home t u =
+  let b = slot t u in
+  if get t b f_owner = u then get t b f_home else -1
+
 let ready_in t c = t.ready_in.(c)
 
 (* [f_complete] is max_int until issue, so the comparison alone implies
    "issued and past its completion cycle" *)
-let[@inline] is_complete t u = get t (slot t u) f_complete <= t.now
+let is_complete t u = get t (slot t u) f_complete <= t.now
 
 (* The conflicting store found at dispatch is in flight exactly while
    [commit_idx] has not passed it: commit is in uid order. *)
@@ -562,13 +565,13 @@ let can_dispatch t u =
     Block_none
   end
 
-(* The youngest in-flight store to [addr] at queue position [i] or
-   older, -1 = none *)
-let rec youngest_store t addr i =
-  if i < 0 then -1
-  else
-    let s = Ring.get t.stores i in
-    if Trace.addr t.trace s = addr then s else youngest_store t addr (i - 1)
+(* The youngest in-flight store to [addr], -1 = none *)
+let youngest_store t addr =
+  let i = ref (Ring.length t.stores - 1) in
+  while !i >= 0 && Trace.addr t.trace (Ring.get t.stores !i) <> addr do
+    decr i
+  done;
+  if !i < 0 then -1 else Ring.get t.stores !i
 
 let note_dispatch t u =
   let e = Trace.static t.trace u in
@@ -602,7 +605,7 @@ let note_dispatch t u =
   (* a load's only conflict is the youngest in-flight store to its address *)
   t.conflict_store.(u land t.window_mask) <-
     (if e.Trace.is_load then
-       youngest_store t (Trace.addr t.trace u) (Ring.length t.stores - 1)
+       youngest_store t (Trace.addr t.trace u)
      else -1);
   if e.Trace.is_store then Ring.push t.stores u;
   t.alloc_left <- t.alloc_left - 1;

@@ -123,6 +123,11 @@ val note_resident : t -> int -> int -> unit
     {!note_dispatch}, called next, counts [u] in {!ready_in} once its
     registers are ready, and {!do_issue} clears the residency. *)
 
+val home : t -> int -> int
+(** The queue {!note_resident} recorded for [u] while [u] is resident and
+    unissued; -1 before that, after {!do_issue}, and once [u]'s slot
+    belongs to another uid. *)
+
 val ready_in : t -> int -> int
 (** Resident, not-yet-issued instructions of queue [c] whose registers
     are ready ({!reg_ready}). The select uses it to skip queues, and

@@ -44,8 +44,9 @@ let horizon t = t.mask + 1
 let length t = t.count
 let is_empty t = t.count = 0
 
-(* The [j]th event of slot [i], of a wheel's arrays *)
-let entry store spill i j =
+(* The [j]th event of slot [i], of a wheel's arrays; typed, so the reads
+   are int loads rather than generic array reads *)
+let entry (store : int array) (spill : int array array) i j =
   if j < inline then store.((i * inline) + j) else spill.(i).(j - inline)
 
 let push_entry t i v =

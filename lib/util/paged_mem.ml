@@ -91,33 +91,30 @@ let store t addr v =
   check_addr addr;
   page_set (page_for_store t addr) (word_index addr) v
 
-(* Snapshots are deep copies into plain int64 arrays: page contents are
-   duplicated both when the snapshot is taken and when it is restored, so
-   neither later stores to the live memory nor stores after a restore can
-   reach through. Pages are kept sorted by index so equal memories yield
+(* Snapshots are page copies: each page is blitted into a fresh one both
+   when the snapshot is taken and when it is restored, so neither later
+   stores to the live memory nor stores after a restore can reach
+   through. Pages are kept sorted by index so equal memories yield
    structurally equal snapshots. *)
-type snapshot = (int * int64 array) array
+type snapshot = (int * page) array
+
+let copy_page p =
+  let q = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout words_per_page in
+  Bigarray.Array1.blit p q;
+  q
 
 let snapshot t : snapshot =
-  let items =
-    Hashtbl.fold
-      (fun idx p acc -> (idx, Array.init words_per_page (page_get p)) :: acc)
-      t.pages []
+  let a =
+    Array.of_list (Hashtbl.fold (fun idx p acc -> (idx, copy_page p) :: acc) t.pages [])
   in
-  let a = Array.of_list items in
-  Array.sort (fun (a, _) (b, _) -> compare a b) a;
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) a;
   a
 
 let restore t (s : snapshot) =
   Hashtbl.reset t.pages;
   Array.fill t.cache_idx 0 cache_slots (-1);
   Array.fill t.cache_page 0 cache_slots zero_page;
-  Array.iter
-    (fun (idx, words) ->
-      let p = fresh_page () in
-      Array.iteri (page_set p) words;
-      Hashtbl.add t.pages idx p)
-    s
+  Array.iter (fun (idx, p) -> Hashtbl.add t.pages idx (copy_page p)) s
 
 let of_snapshot s =
   let t = create () in
@@ -137,4 +134,3 @@ let fold_nonzero f acc t =
     t.pages acc
 
 let pages t = Hashtbl.length t.pages
-let cache_arrays t = (t.cache_idx, t.cache_page)

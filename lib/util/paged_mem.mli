@@ -2,7 +2,7 @@
 
     Addresses are non-negative, 8-byte-aligned byte addresses; each holds
     one [int64] word (0 when never written). Pages (512 words) materialise
-    on first store and live in a small table behind a one-entry page
+    on first store and live in a small table behind a direct-mapped page
     cache, so page-local access streams neither hash nor allocate. *)
 
 type t
@@ -44,31 +44,11 @@ val page_for_store : t -> int -> page
 (** Page holding the given byte address, materialised if absent. *)
 
 val word_index : int -> int
-(** Index of a byte address' word within its page. *)
-
-val words_per_page : int
-(** Words per page; a power of two, so [word_index addr] is
-    [(addr lsr 3) land (words_per_page - 1)]. *)
-
-val cache_slots : int
-(** Slots in the direct-mapped page cache; a power of two. A page number
-    [idx] maps to slot [idx land (cache_slots - 1)]. *)
-
-val zero_page : page
-(** The shared all-zero page standing in for absent pages in the cache and
-    on the load path. Never write to it. *)
-
-val cache_arrays : t -> int array * page array
-(** The live (page number, page) arrays of the direct-mapped cache, for
-    callers that inline the cache-hit test (without cross-module inlining
-    a call per memory access costs more than the access). Treat both as
-    read-only: slot [s] holds a valid pairing whenever [idx land
-    (cache_slots - 1) = s] and the idx entry is non-negative; a cached
-    {!zero_page} means the page was absent when probed. On a miss, fall
-    back to {!page_for_load}/{!page_for_store}, which refill the cache. *)
+(** Index of a byte address' word within its 512-word page. *)
 
 type snapshot
-(** An immutable deep copy of a memory's materialised pages. *)
+(** An immutable copy of a memory's materialised pages, one page copy
+    each. *)
 
 val snapshot : t -> snapshot
 (** Capture the current contents. Later stores to [t] do not affect the

@@ -578,6 +578,59 @@ let test_dispatch_refusals_insert_nothing () =
         (U.Exec_core.occupancy core))
     U.Config.Core_kind.all
 
+(* Dep-steer's choice on three 3-entry FIFOs, nothing issuing: a FIFO
+   whose tail produces [u] and that has room, the lowest such, else the
+   first empty FIFO, else a refusal. Uids 0 and 1 open FIFOs 0 and 1,
+   and 2 follows its producer 0. Both tails produce 3, which takes the
+   lower FIFO though its dependence on 1 comes first. FIFO 0 is then
+   full, so 4 takes FIFO 1, whose tail also produces it. 5 has no
+   producer and opens FIFO 2. 6's producer 1 sits in FIFO 1 behind 4,
+   not at its tail, and no FIFO is empty. *)
+let test_dep_steer_choice () =
+  let cfg =
+    { U.Config.dep_steer_8wide with U.Config.clusters = 3; cluster_entries = 3 }
+  in
+  let op uid deps =
+    let dst = Reg.ext Reg.Cint (1 + uid) in
+    mk_event ~uid ~deps:(Array.map (fun p -> (p, false)) deps)
+      (Instr.make
+         (if deps = [||] then Op.Movi (dst, 1L)
+          else Op.Ibin (Op.Add, dst, Reg.ext Reg.Cint (1 + deps.(0)), Reg.zero)))
+  in
+  let events =
+    [| op 0 [||]; op 1 [||]; op 2 [| 0 |]; op 3 [| 1; 2 |]; op 4 [| 1; 3 |]; op 5 [||];
+       op 6 [| 1 |] |]
+  in
+  let m = U.Machine.create cfg (trace_of_events events) in
+  let core = U.Exec_core.create m in
+  let steer u =
+    U.Machine.begin_cycle m;
+    Alcotest.(check bool) (Printf.sprintf "uid %d may dispatch" u) true
+      (U.Machine.can_dispatch m u = U.Machine.Block_none);
+    let before = U.Exec_core.occupancy core in
+    if U.Exec_core.try_dispatch core u then begin
+      U.Machine.note_dispatch m u;
+      U.Machine.home m u
+    end
+    else begin
+      Alcotest.(check int) "a refusal inserts nothing" before
+        (U.Exec_core.occupancy core);
+      -1
+    end
+  in
+  List.iter
+    (fun (u, fifo, why) ->
+      Alcotest.(check int) (Printf.sprintf "uid %d: %s" u why) fifo (steer u))
+    [
+      (0, 0, "the first empty FIFO");
+      (1, 1, "no producing tail: the first empty FIFO");
+      (2, 0, "its producer's FIFO");
+      (3, 0, "two producing tails: the lower FIFO");
+      (4, 1, "the lower producing FIFO full: the other");
+      (5, 2, "no producing tail: the first empty FIFO");
+      (6, -1, "a producer not at its FIFO's tail, no FIFO empty: refused");
+    ]
+
 (* A trace keeps a few words per instruction: two windows of gzip's braid
    binary from one start, of 10,000 and 20,000 instructions, differ by at
    most 6 words per extra instruction, since the static table and the
@@ -703,6 +756,7 @@ let suite =
         test_occupancy_drains_all_kinds;
       Alcotest.test_case "dispatch refusals insert nothing" `Quick
         test_dispatch_refusals_insert_nothing;
+      Alcotest.test_case "dep-steer steering choice" `Quick test_dep_steer_choice;
       Alcotest.test_case "trace footprint" `Quick test_trace_footprint;
       Alcotest.test_case "cycle loop allocation bound" `Slow test_step_allocation;
       QCheck_alcotest.to_alcotest qcheck_all_cores_all_benchmarks;
