@@ -236,14 +236,21 @@ module Compiled = struct
      global instruction index [Program.base_table] defines, so flat ips and
      trace pcs interconvert for free. Two extra "trap" slots past the end
      hold closures that raise the interpreter's control-flow failures.
-     [proto], [reads] and [writes] are the tracer's static tables. *)
+     [proto], the read and write CSRs and [trace_op] are the tracer's
+     static tables: flat ints, so a traced step decodes nothing. *)
   type code = {
     program : Program.t;
     proto : Trace.static array;
         (* static half of each instruction's trace entry, shared by every
            trace and window of the program *)
-    reads : (int * bool) array array;  (* source slots, via-internal flag *)
-    writes : int array array;  (* destination slots, ext_dup copy included *)
+    rd_off : int array;  (* sized n+1: ip [i] reads [rd.(rd_off.(i) ..)] *)
+    rd : int array;  (* source slot lsl 1 lor via-internal *)
+    wr_off : int array;  (* sized n+1, likewise into [wr] *)
+    wr : int array;  (* destination slots, ext_dup copy included *)
+    max_reads : int;  (* the longest read row *)
+    trace_op : int array;
+        (* [op_stride] ints per ip: trace kind, operand slot, argument
+           (memory offset, or branch sign mask), static flag bits *)
     block_of : int array;  (* sized n+2; the trap slots map to block 0 *)
     run_len : int array;
         (* sized n+2: instructions that run straight from the ip, through
@@ -258,9 +265,32 @@ module Compiled = struct
     n_dup : int;
   }
 
-  (* The static half of an instruction's trace entry, and its register
-     reads and writes as slots; the zero register is neither a producer
-     nor a consumer. *)
+  (* What a traced step reads from the registers before it executes:
+     nothing, a load or store's address (operand slot + offset), a
+     conditional branch's outcome (its operand's sign against a mask:
+     bit 0 taken when negative, bit 1 when zero, bit 2 when positive),
+     or an fdiv's fault (a zero divisor). *)
+  let op_stride = 4
+  let k_plain = 0
+  let k_mem = 1
+  let k_branch = 2
+  let k_fdiv = 3
+
+  let sign_mask c =
+    List.fold_left
+      (fun m (sign, bit) -> if Op.cond_holds c sign then m lor bit else m)
+      0
+      [ (-1, 1); (0, 2); (1, 4) ]
+
+  (* [sign_mask]'s bit for a register value *)
+  let sign_bit v =
+    let c = Int64.compare v 0L in
+    if c < 0 then 1 else if c = 0 then 2 else 4
+
+  (* The static half of an instruction's trace entry, its register reads
+     and writes as slots (a read packed with its via-internal bit), and
+     its [trace_op] row; the zero register is neither a producer nor a
+     consumer. *)
   let static_record ~ip ~block_id ~offset (ins : Instr.t) =
     let op = ins.Instr.op in
     let uses = Instr.uses ins in
@@ -275,6 +305,19 @@ module Compiled = struct
       match (Op.defs op, ins.Instr.annot.Instr.ext_dup) with
       | [ d ], Some dup -> [ d; dup ]
       | ds, _ -> ds
+    in
+    let kind, slot, arg =
+      match op with
+      | Op.Load (_, r, off, _) | Op.Store (_, r, off, _) -> (k_mem, reg_slot r, off)
+      | Op.Branch (c, r, _) -> (k_branch, reg_slot r, sign_mask c)
+      | Op.Fbin (Op.Fdiv, _, _, r) ->
+          (* the one arithmetic fault [Op.eval_fbin] reports *)
+          (k_fdiv, reg_slot r, 0)
+      | _ -> (k_plain, 0, 0)
+    in
+    let flags =
+      (match op with Op.Jump _ -> Trace.flag_taken | _ -> 0)
+      lor if ins.Instr.annot.Instr.braid_start then Trace.flag_braid_start else 0
     in
     ( ({
         Trace.pc = 4 * ip;
@@ -292,8 +335,15 @@ module Compiled = struct
         int_src_reads = List.length (List.filter is_intern uses);
         braid_id = ins.Instr.annot.Instr.braid_id;
       } : Trace.static),
-      slots (fun r -> (reg_slot r, is_intern r)) uses,
-      slots reg_slot dests )
+      slots (fun r -> (reg_slot r lsl 1) lor Bool.to_int (is_intern r)) uses,
+      slots reg_slot dests,
+      [| kind; slot; arg; flags |] )
+
+  (* rows as CSR: an offset per row into one entry array *)
+  let csr rows =
+    let off = Array.make (Array.length rows + 1) 0 in
+    Array.iteri (fun i r -> off.(i + 1) <- off.(i) + Array.length r) rows;
+    (off, Array.concat (Array.to_list rows))
 
   let compile program =
     let bases = Program.base_table program in
@@ -318,12 +368,13 @@ module Compiled = struct
       go b0 0
     in
     let block_entry = Array.init nb entry_of in
-    let blank, _, _ =
+    let blank, _, _, _ =
       static_record ~ip:0 ~block_id:0 ~offset:0 (Instr.make Op.Halt)
     in
     let proto = Array.make n blank in
     let reads = Array.make n [||] in
     let writes = Array.make n [||] in
+    let trace_op = Array.make (n * op_stride) 0 in
     let block_of = Array.make (n + 2) 0 in
     let next_ip = Array.make n trap_missing in
     let target_ip = Array.make n (-1) in
@@ -333,12 +384,13 @@ module Compiled = struct
     Program.iter_instrs
       (fun blk off ins ->
         let ip = bases.(blk.Program.id) + off in
-        let ev, rd, wr =
+        let ev, rd, wr, row =
           static_record ~ip ~block_id:blk.Program.id ~offset:off ins
         in
         proto.(ip) <- ev;
         reads.(ip) <- rd;
         writes.(ip) <- wr;
+        Array.blit row 0 trace_op (ip * op_stride) op_stride;
         block_of.(ip) <- blk.Program.id;
         next_ip.(ip) <-
           (if off + 1 < Array.length blk.Program.instrs then ip + 1
@@ -366,11 +418,16 @@ module Compiled = struct
           | _ -> run_len.(base + off) <- 1 + run_len.(base + off + 1)
         done)
       program.Program.blocks;
+    let rd_off, rd = csr reads and wr_off, wr = csr writes in
     {
       program;
       proto;
-      reads;
-      writes;
+      rd_off;
+      rd;
+      wr_off;
+      wr;
+      max_reads = Array.fold_left (fun m r -> Int.max m (Array.length r)) 0 reads;
+      trace_op;
       block_of;
       run_len;
       next_ip;
@@ -895,17 +952,21 @@ module Compiled = struct
   (* The tracer single-steps the chain ([fuel = 1], as [advance_bbv] does)
      and appends each instruction to the trace's columns, reading its
      address, branch outcome and fault from the registers as they are
-     before the step. Uids and the last-writer table restart at 0 for
-     each window: a mid-run window is a self-contained trace whose
-     dependences on pre-window producers are dropped, which is precisely
-     what a timing model fed only that window must see. *)
-  let trace_window run ~max_steps =
+     before the step, as its [trace_op] row says. Uids and the
+     last-writer table restart at 0 for each window: a mid-run window is
+     a self-contained trace whose dependences on pre-window producers are
+     dropped, which is precisely what a timing model fed only that window
+     must see. Its columns have room for [capacity] instructions. *)
+  let trace_span run ~max_steps ~capacity =
     let code = run.code and regs = run.regs and step = run.step in
     let n = Array.length code.proto in
+    let rd_off = code.rd_off and rd = code.rd in
+    let wr_off = code.wr_off and wr = code.wr in
+    let trace_op = code.trace_op in
     let last_writer = Array.make code.nslots (-1) in
     let b =
-      Trace.Builder.create code.proto code.program
-        ~capacity:(min max_steps max_window)
+      Trace.Builder.create code.proto code.program ~capacity
+        ~max_reads:code.max_reads
     in
     let uid = ref 0 in
     let ip = ref run.ip in
@@ -913,29 +974,32 @@ module Compiled = struct
       let i = !ip and u = !uid in
       (* a run parked on a trap slot raises its control-flow failure *)
       if i >= n then ignore (step.(i) 1 : int);
-      let reads = code.reads.(i) in
-      for k = 0 to Array.length reads - 1 do
-        let slot, via = reads.(k) in
-        let w = last_writer.(slot) in
-        if w >= 0 then Trace.Builder.add_dep b w via
+      for k = rd_off.(i) to rd_off.(i + 1) - 1 do
+        let e = rd.(k) in
+        let w = last_writer.(e lsr 1) in
+        if w >= 0 then Trace.Builder.add_dep b w (e land 1 <> 0)
       done;
-      (match code.proto.(i).Trace.instr.Instr.op with
-      | Op.Load (_, r, off, _) | Op.Store (_, r, off, _) ->
-          let addr = Int64.to_int (ba_get regs (reg_slot r)) + off in
-          Trace.Builder.push b i ~addr ~taken:false ~faulting:false
-      | Op.Branch (c, r, _) ->
-          let taken = Op.eval_cond c (ba_get regs (reg_slot r)) in
-          Trace.Builder.push b i ~addr:(-1) ~taken ~faulting:false
-      | Op.Fbin (Op.Fdiv, _, _, r) ->
-          (* the one arithmetic fault [Op.eval_fbin] reports *)
-          let faulting = Int64.float_of_bits (ba_get regs (reg_slot r)) = 0.0 in
-          Trace.Builder.push b i ~addr:(-1) ~taken:false ~faulting
-      | _ -> Trace.Builder.push b i ~addr:(-1) ~taken:false ~faulting:false);
+      let row = i * op_stride in
+      let kind = trace_op.(row) and flags = trace_op.(row + 3) in
+      if kind = k_plain then Trace.Builder.push b i ~addr:(-1) flags
+      else begin
+        let v = ba_get regs trace_op.(row + 1) in
+        if kind = k_mem then
+          Trace.Builder.push b i ~addr:(Int64.to_int v + trace_op.(row + 2)) flags
+        else if kind = k_branch then
+          Trace.Builder.push b i ~addr:(-1)
+            (if trace_op.(row + 2) land sign_bit v <> 0 then
+               flags lor Trace.flag_taken
+             else flags)
+        else
+          Trace.Builder.push b i ~addr:(-1)
+            (if Int64.float_of_bits v = 0.0 then flags lor Trace.flag_faulting
+             else flags)
+      end;
       ignore (step.(i) 1 : int);
       ip := !(run.stop);
-      let writes = code.writes.(i) in
-      for k = 0 to Array.length writes - 1 do
-        last_writer.(writes.(k)) <- u
+      for k = wr_off.(i) to wr_off.(i + 1) - 1 do
+        last_writer.(wr.(k)) <- u
       done;
       incr uid
     done;
@@ -944,7 +1008,10 @@ module Compiled = struct
     Trace.Builder.finish b
       (if !ip < 0 then Trace.Halted else Trace.Steps_exhausted)
 
-  (* The warm-up walk steps the chain as [trace_window] does and keeps
+  let trace_window run ~max_steps =
+    trace_span run ~max_steps ~capacity:(Int.min max_steps max_window)
+
+  (* The warm-up walk steps the chain as [trace_span] does and keeps
      only what a warm-up replays: the static index, and the address or
      branch outcome read from the registers before the step. *)
   let warm_window run (w : Trace.Warm.t) ~max_steps =
@@ -954,6 +1021,7 @@ module Compiled = struct
            max_steps (Trace.Warm.capacity w));
     let code = run.code and regs = run.regs and step = run.step in
     let n = Array.length code.proto in
+    let trace_op = code.trace_op in
     Trace.Warm.reset w code.proto;
     let k = ref 0 in
     let ip = ref run.ip in
@@ -961,14 +1029,16 @@ module Compiled = struct
       let i = !ip in
       (* a run parked on a trap slot raises its control-flow failure *)
       if i >= n then ignore (step.(i) 1 : int);
+      let row = i * op_stride in
+      let kind = trace_op.(row) in
       Trace.Warm.push w i
-        (match code.proto.(i).Trace.instr.Instr.op with
-        | Op.Load (_, r, off, _) | Op.Store (_, r, off, _) ->
-            Int64.to_int (ba_get regs (reg_slot r)) + off
-        | Op.Branch (c, r, _) ->
-            Bool.to_int
-              (Op.cond_holds c (Int64.compare (ba_get regs (reg_slot r)) 0L))
-        | _ -> 0);
+        (if kind = k_mem then
+           Int64.to_int (ba_get regs trace_op.(row + 1)) + trace_op.(row + 2)
+         else if kind = k_branch then
+           Bool.to_int
+             (trace_op.(row + 2) land sign_bit (ba_get regs trace_op.(row + 1))
+             <> 0)
+         else 0);
       ignore (step.(i) 1 : int);
       ip := !(run.stop);
       incr k
@@ -1006,14 +1076,14 @@ end
 (* Both modes run the compiled engine: the tracer for [trace], the
    fast path otherwise. A trace is first counted by an untraced run, a
    few percent of the tracer's time, so its columns are allocated once
-   at their exact length. *)
+   at their exact length and written once. *)
 let run ?(max_steps = 1_000_000) ?(trace = true) ?init_mem program =
   let code = Compiled.compile program in
   let r = Compiled.start ?init_mem code in
   let trace =
     if trace then
       let n = Compiled.advance (Compiled.start ?init_mem code) ~fuel:max_steps in
-      Some (Compiled.trace_window r ~max_steps:n)
+      Some (Compiled.trace_span r ~max_steps:n ~capacity:n)
     else begin
       ignore (Compiled.advance r ~fuel:max_steps : int);
       None

@@ -34,8 +34,12 @@ val run :
 (** Executes from the entry block on the compiled engine ({!Compiled}).
     [max_steps] bounds the dynamic instruction count (default 1_000_000).
     When [trace] is true (default), the outcome carries the full dynamic
-    trace ({!Compiled.trace_window} over the whole run, after an untraced
-    run has counted its length so the columns are allocated once).
+    trace: the tracer of {!Compiled.trace_window} over the whole run,
+    after an untraced run has counted its length, so each column is
+    allocated at its exact length and written once. The count pass costs
+    a few percent of the tracer's time and stays: a variant without it,
+    its columns sized at the window bound and cut with views, measured
+    slower on served cold runs.
     Arithmetic faults (FP divide by zero) write zero to the destination,
     mark the instruction as [faulting], and continue — the microarchitectural exception-mode cost is
     modeled by the timing simulators, not here. *)
@@ -89,11 +93,18 @@ val memory_fingerprint : state -> int64
     [advance] then executes without per-instruction decoding, dispatch or
     allocation — byte-identical in all architectural observables
     (registers, memory, dynamic/store counts, stop reason, failure
-    messages) to {!reference}. [compile] also records each instruction's
-    static trace record ({!Trace.static}, shared by every trace of the
-    program) and its register reads and writes, so [trace_window] traces
-    by single-stepping the same closures, and [warm_window] walks them
-    the same way into a warm-up buffer without building a trace.
+    messages) to {!reference}. [compile] also builds the tracer's flat
+    tables, once per program: each instruction's static trace record
+    ({!Trace.static}, shared by every trace of the program), its
+    register reads (each packed with its via-internal bit) and writes as
+    CSR int arrays — an offset per instruction into one entry array —
+    and a row of ints giving its trace kind (plain, load/store, branch
+    with its condition as a sign mask, fdiv), operand slot, offset and
+    static flag bits (jump taken, braid start). [trace_window] traces by
+    single-stepping the same closures and reading only these tables, so
+    a traced step decodes no instruction and reads no boxed tuple, and
+    [warm_window] walks them the same way into a warm-up buffer without
+    building a trace.
     [advance_bbv] additionally accumulates per-basic-block execution
     counts for interval profiling, one chain call per straight-line
     run. *)
@@ -126,7 +137,8 @@ module Compiled : sig
   val trace_window : run -> max_steps:int -> Trace.t
   (** Run up to [max_steps] instructions from the current position,
       advancing the run and appending each instruction to the trace's
-      columns, which are sized for [max_steps] (up to 2{^20}) up front.
+      columns, which are sized for [max_steps] (up to 2{^20}) up front
+      and grow past that.
       The window is a self-contained trace: uids restart at 0 and
       dependences on pre-window producers are dropped (a timing model fed
       only the window sees exactly this), and a window opening mid-braid

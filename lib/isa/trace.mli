@@ -14,7 +14,16 @@
     (taken, faulting, braid start) and its register dependences in CSR
     form. Timing models read the columns through the accessors below;
     {!event} assembles the full record of one instruction on demand, for
-    readers off the hot path. *)
+    readers off the hot path.
+
+    {b Layout.} The columns live off the OCaml heap, as Bigarrays the GC
+    neither scans nor moves, 32-bit where the values fit: the static
+    index, the CSR offsets and the dependence entries are [int32]s, the
+    address is an [int], the flags are a [Bytes.t]. A dependence entry
+    packs [uid lsl 1 lor via], so a trace holds fewer than 2{^30}
+    instructions; {!Builder} raises [Invalid_argument] past that bound.
+    At 1.25–1.76 dependences per instruction that is 22–24 bytes per
+    dynamic instruction ({!column_bytes}). *)
 
 (** The static half of an instruction's trace entry: everything that is
     the same for every dynamic instance of it. *)
@@ -107,6 +116,10 @@ val max_deps : t -> int
 (** The most dependence entries of any one instruction, recorded while
     the trace was built. *)
 
+val column_bytes : t -> int
+(** Bytes held by the trace's per-instruction columns (the static table
+    and the program are shared, and not counted). *)
+
 val branch_of : static -> bool
 (** [is_cond_branch || is_jump]. *)
 
@@ -124,32 +137,46 @@ val of_events : Program.t -> event array -> t
 
 (** {2 Production} *)
 
+(** The flag bits of one instruction, as {!Builder.push} takes them. *)
+
+val flag_taken : int
+val flag_faulting : int
+val flag_braid_start : int
+
 (** Appends instructions to a trace one at a time; the producer behind
     {!Emulator.Compiled.trace_window}. *)
 module Builder : sig
   type trace := t
   type t
 
-  val create : static array -> Program.t -> capacity:int -> t
-  (** An empty trace over this static table (shared, not copied), with
-      room for [capacity] instructions before its columns grow: a
-      producer that knows the length up front allocates each column
-      once. *)
+  val create : static array -> Program.t -> capacity:int -> max_reads:int -> t
+  (** An empty trace over this static table (shared, not copied), whose
+      instructions each read at most [max_reads] producers, with room for
+      [capacity] instructions before its columns grow: a producer that
+      knows the length up front writes each column once, and nothing
+      initialises them first. Raises [Invalid_argument] when [capacity]
+      exceeds 2{^30}, or when [capacity * max_reads] dependence entries
+      overflow the 32-bit offsets. *)
 
   val add_dep : t -> int -> bool -> unit
   (** [add_dep b p via] records a register read of producer uid [p] for
       the instruction being built: kept sorted, an exact duplicate
-      dropped. *)
+      dropped. Raises [Invalid_argument] unless [p] is an earlier uid, or
+      when the instruction would read more than [max_reads] producers. *)
 
-  val push : t -> int -> addr:int -> taken:bool -> faulting:bool -> unit
-  (** [push b s ~addr ~taken ~faulting] closes the instruction being
-      built as a dynamic instance of static index [s] ([taken] is the
-      conditional-branch outcome; a jump is always taken). *)
+  val push : t -> int -> addr:int -> int -> unit
+  (** [push b s ~addr flags] closes the instruction being built as a
+      dynamic instance of static index [s], with the flag bits [flags]
+      (a union of the three above: a jump is taken, a conditional
+      branch taken by its outcome, [flag_braid_start] is the S bit).
+      Raises [Invalid_argument] on other bits, and when the
+      instruction's uid would reach 2{^30}. *)
 
   val finish : t -> stop_reason -> trace
-  (** The trace built so far. Its first instruction is promoted to a
-      braid start when it lies inside a braid: the braid core only
-      accepts a stream whose first braid instruction claims a BEU. *)
+  (** The trace built so far, its columns views of the builder's. Its
+      first instruction is promoted to a braid start when it lies inside
+      a braid: the braid core only accepts a stream whose first braid
+      instruction claims a BEU. *)
 end
 
 (** {2 Warm-up buffers} *)
@@ -199,14 +226,23 @@ end
 
 val warm_lines : t -> int array
 (** Distinct 64-byte instruction-line addresses in first-touch order,
-    computed once and memoised (the trace is immutable): repeated timing
-    runs over one trace — every point of a design-space sweep — warm
-    their caches without re-deduplicating the event stream. *)
+    recorded while the trace was built: repeated timing runs over one
+    trace — every point of a design-space sweep — warm their caches
+    without walking the event stream. *)
 
-val last_ext_readers : t -> int array
+type readers
+(** A 32-bit per-uid column of reader uids, off the OCaml heap. *)
+
+val last_ext_readers : t -> readers
 (** Per producer uid, the highest uid that reads its value externally
-    (not through a braid-internal register), -1 when none does: the
-    compiler's liveness knowledge behind the braid core's dead-value
-    release. Computed on first use by one pass over the dependence
-    entries and memoised, so the traces that are never simulated (a
-    sampler's warm-up windows) never pay for it. *)
+    (not through a braid-internal register): the compiler's liveness
+    knowledge behind the braid core's dead-value release. Computed on
+    first use by one pass over the dependence entries and memoised, so
+    a trace only non-braid cores simulate never pays for it. *)
+
+val last_ext_reader : readers -> int -> int
+(** [last_ext_reader r p]: that reader of producer [p], -1 when none
+    does. *)
+
+val no_readers : readers
+(** An empty column, for a core that releases nothing early. *)

@@ -150,7 +150,7 @@ type t = {
   node_mask : int;
   conflict_store : int array;  (* per load, slot [u land window_mask] *)
   stores : Ring.t;  (* in-flight stores, oldest first *)
-  last_ext_reader : int array;  (* braid dead-value release; [||] otherwise *)
+  last_ext_reader : Trace.readers;  (* braid dead-value release; empty otherwise *)
   (* scheduler residency: [ready_in.(c)] counts the resident entries of
      queue [c] (slot field [f_home]) whose registers are ready.
      Dispatch, the wake drain and [do_issue] keep the counts current so
@@ -234,7 +234,8 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     node_mask = nodes - 1;
     conflict_store = Array.make window (-1);
     stores = Ring.create ~capacity:cfg.Config.lsq_entries;
-    last_ext_reader = (if is_braid then Trace.last_ext_readers trace else [||]);
+    last_ext_reader =
+      (if is_braid then Trace.last_ext_readers trace else Trace.no_readers);
     ready_in = Array.make (Int.max 1 (Int.max cfg.Config.clusters cfg.Config.block_windows)) 0;
     executing = 0;
     (* filled only on braid: other kinds keep a one-slot wheel *)
@@ -517,13 +518,13 @@ let do_issue t u =
     (* a zero-latency issue still counts for the cycle it issues *)
     t.executing <- t.executing + 1;
     Calq.add t.leaves (Int.max complete (t.now + 1)) u;
-    if e.Trace.writes_ext && t.last_ext_reader.(u) < 0 then
+    if e.Trace.writes_ext && Trace.last_ext_reader t.last_ext_reader u < 0 then
       Calq.add t.reg_free_at (complete + 1) u;
     for k = Trace.dep_off t.trace u to Trace.dep_off t.trace (u + 1) - 1 do
       let p = Trace.dep_uid t.trace k in
       if
         (not (Trace.dep_via t.trace k))
-        && t.last_ext_reader.(p) = u
+        && Trace.last_ext_reader t.last_ext_reader p = u
         && (Trace.static t.trace p).Trace.writes_ext
       then Calq.add t.reg_free_at (t.now + 1) p
     done

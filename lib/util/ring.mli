@@ -7,7 +7,15 @@
     plain word write: no write barrier, no placeholder for vacated slots,
     and no allocation after {!create}. *)
 
-type t
+type t = private {
+  buf : int array;
+  mutable head : int;
+  mutable len : int;
+}
+(** A record, visibly so: an array of rings is then known to hold
+    pointers, so reading one compiles to a plain load, not the generic
+    array read that first tests for a float array. Fields are read-only
+    outside the module. *)
 
 val create : capacity:int -> t
 (** [create ~capacity] makes an empty ring holding at most [capacity]

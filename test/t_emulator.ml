@@ -278,6 +278,96 @@ let test_memory_image_and_fingerprint e =
        (Emulator.memory_fingerprint out1.Emulator.state)
        (Emulator.memory_fingerprint out3.Emulator.state))
 
+(* --- the tracer against an independent derivation --- *)
+
+(* Every instruction's dependences, rederived from its [Instr.t] alone:
+   a last-writer map keyed by register over [Instr.uses] and [Op.defs]
+   (the ext_dup copy included when there is a primary destination), via
+   set when the register read is internal, sorted, exact duplicates
+   dropped. The zero register neither produces nor consumes. Also checks
+   the flag bits the tracer takes from its tables: a jump is taken, a
+   non-branch is not, the S bit (or a first instruction inside a braid)
+   is a braid start, and only loads and stores carry an address. *)
+module Reg_map = Map.Make (Reg)
+
+let check_trace_derivation name t =
+  let last = ref Reg_map.empty in
+  for u = 0 to Trace.length t - 1 do
+    let e = Trace.event t u in
+    let ins = e.Trace.instr in
+    let live r = not (Reg.is_zero r) in
+    let derived =
+      List.filter_map
+        (fun r ->
+          Option.map
+            (fun w -> (w, r.Reg.space = Reg.Intern))
+            (Reg_map.find_opt r !last))
+        (List.filter live (Instr.uses ins))
+      |> List.sort_uniq compare
+    in
+    let expect what want got =
+      if want <> got then
+        Alcotest.failf "%s: uid %d (%s): %s" name u (Disasm.instr ins) what
+    in
+    let pp deps =
+      String.concat " "
+        (List.map (fun (p, via) -> Printf.sprintf "%d%s" p (if via then "i" else "")) deps)
+    in
+    let got = Array.to_list e.Trace.deps in
+    if derived <> got then
+      Alcotest.failf "%s: uid %d (%s): dependences [%s], derived [%s]" name u
+        (Disasm.instr ins) (pp got) (pp derived);
+    expect "taken" (e.Trace.is_jump || (e.Trace.is_cond_branch && e.Trace.taken))
+      e.Trace.taken;
+    expect "braid start"
+      (ins.Instr.annot.Instr.braid_start
+      || (u = 0 && ins.Instr.annot.Instr.braid_id >= 0))
+      e.Trace.braid_start;
+    expect "address" (e.Trace.is_load || e.Trace.is_store) (e.Trace.addr >= 0);
+    let defs = Op.defs ins.Instr.op in
+    let dup =
+      match (ins.Instr.annot.Instr.ext_dup, defs) with
+      | Some d, _ :: _ -> [ d ]
+      | _ -> []
+    in
+    List.iter (fun r -> last := Reg_map.add r u !last) (List.filter live (defs @ dup))
+  done
+
+let test_trace_derivation () =
+  let module C = Braid_core in
+  let binaries name prog =
+    [
+      (name ^ "/braid", (C.Transform.run prog).C.Transform.program);
+      (name ^ "/conv", (C.Transform.conventional prog).C.Extalloc.program);
+    ]
+  in
+  let traced (name, prog, init_mem) =
+    let t = Option.get (Emulator.run ~max_steps:20_000 ~init_mem prog).Emulator.trace in
+    check_trace_derivation name t;
+    Trace.length t
+  in
+  let benches =
+    List.concat_map
+      (fun b ->
+        let prog, init_mem =
+          Braid_workload.Spec.generate (Braid_workload.Spec.find b) ~seed:1 ~scale:2_000
+        in
+        List.map (fun (n, p) -> (n, p, init_mem)) (binaries b prog))
+      [ "gzip"; "gcc"; "mcf"; "crafty"; "bzip2"; "swim"; "art"; "equake" ]
+  in
+  let fuzz =
+    List.concat_map
+      (fun index ->
+        let prog, init_mem =
+          Braid_check.Gen.build (Braid_check.Gen.generate ~seed:7 ~index)
+        in
+        let name = Printf.sprintf "fuzz %d" index in
+        List.map (fun (n, p) -> (n, p, init_mem)) ((name ^ "/ir", prog) :: binaries name prog))
+      (List.init 12 Fun.id)
+  in
+  let total = List.fold_left (fun n b -> n + traced b) 0 (benches @ fuzz) in
+  Alcotest.(check bool) (Printf.sprintf "%d instructions checked" total) true (total >= 50_000)
+
 let suite =
   ( "program-emulator",
     [
@@ -297,5 +387,6 @@ let suite =
       Alcotest.test_case "unaligned access" `Quick (on_both test_emulator_unaligned);
       Alcotest.test_case "trace deps" `Quick test_trace_deps;
       Alcotest.test_case "trace branch fields" `Quick test_trace_branch_fields;
+      Alcotest.test_case "trace derivation" `Quick test_trace_derivation;
       Alcotest.test_case "memory image & fingerprint" `Quick (on_both test_memory_image_and_fingerprint);
     ] )

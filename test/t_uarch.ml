@@ -416,7 +416,7 @@ let test_create_window_sized () =
       U.Config.Core_kind.all
   in
   let created (cfg, t) =
-    ignore (Trace.last_ext_readers t : int array);
+    ignore (Trace.last_ext_readers t : Trace.readers);
     (* from an empty minor heap: a minor collection inside the measured
        region skews the count by tens of thousands of words *)
     Gc.minor ();
@@ -631,11 +631,13 @@ let test_dep_steer_choice () =
       (6, -1, "a producer not at its FIFO's tail, no FIFO empty: refused");
     ]
 
-(* A trace keeps a few words per instruction: two windows of gzip's braid
-   binary from one start, of 10,000 and 20,000 instructions, differ by at
-   most 6 words per extra instruction, since the static table and the
-   program are shared. A hand-built trace reads back exactly the events
-   it was built from. *)
+(* A trace keeps under 3 words per instruction: the columns of two
+   windows of gzip's braid binary from one start, of 10,000 and 20,000
+   instructions, differ by at most 24 bytes per extra instruction (the
+   static table and the program are shared). The columns live off the
+   OCaml heap, where [Obj.reachable_words] does not look, so their bytes
+   are counted. A hand-built trace reads back exactly the events it was
+   built from. *)
 let test_trace_footprint () =
   let prog, init_mem = Spec.generate (Spec.find "gzip") ~seed:1 ~scale:40_000 in
   let braid = (C.Transform.run prog).C.Transform.program in
@@ -647,13 +649,13 @@ let test_trace_footprint () =
     Emulator.Compiled.restore run start;
     let t = Emulator.Compiled.trace_window run ~max_steps:len in
     Alcotest.(check int) "window length" len (Trace.length t);
-    Obj.reachable_words (Obj.repr t)
+    Trace.column_bytes t
   in
   let short = window 10_000 in
-  let per_instr = float_of_int (window 20_000 - short) /. 10_000.0 in
+  let per_instr = float_of_int (window 20_000 - short) /. 80_000.0 in
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f retained words per instruction <= 6" per_instr)
-    true (per_instr <= 6.0);
+    (Printf.sprintf "%.2f column words per instruction <= 3" per_instr)
+    true (per_instr <= 3.0);
   List.iter
     (fun es ->
       let t = trace_of_events es in
@@ -675,9 +677,9 @@ let test_trace_footprint () =
   let b =
     Trace.Builder.create
       (Array.init 3 (Trace.static chain))
-      (Trace.program chain) ~capacity:1
+      (Trace.program chain) ~capacity:1 ~max_reads:3
   in
-  let push s = Trace.Builder.push b s ~addr:(-1) ~taken:false ~faulting:false in
+  let push s = Trace.Builder.push b s ~addr:(-1) 0 in
   push 0;
   Trace.Builder.add_dep b 0 true;
   push 1;
@@ -692,7 +694,27 @@ let test_trace_footprint () =
   Alcotest.(check (list (pair int bool)))
     "sorted, deduplicated" [ (0, false); (0, true); (1, false) ] (deps 2);
   Alcotest.(check (list bool)) "braid starts" [ true; false; false ]
-    (List.init 3 (Trace.braid_start t))
+    (List.init 3 (Trace.braid_start t));
+  (* a dependence entry packs a uid into 31 bits, and an instruction's
+     entries fit the room its reads bound *)
+  let statics = Array.init 3 (Trace.static chain) in
+  expect_invalid "capacity past the uid bound"
+    (fun () ->
+      ignore
+        (Trace.Builder.create statics (Trace.program chain)
+           ~capacity:((1 lsl 30) + 1) ~max_reads:1))
+    "2^30";
+  let b = Trace.Builder.create statics (Trace.program chain) ~capacity:3 ~max_reads:1 in
+  expect_invalid "a producer not yet pushed"
+    (fun () -> Trace.Builder.add_dep b 0 false)
+    "not older";
+  Trace.Builder.push b 0 ~addr:(-1) 0;
+  Trace.Builder.push b 1 ~addr:(-1) 0;
+  Trace.Builder.add_dep b 0 false;
+  Trace.Builder.add_dep b 0 false;
+  expect_invalid "more producers than reads"
+    (fun () -> Trace.Builder.add_dep b 1 false)
+    "more than 1"
 
 (* The cycle loop allocates (next to) nothing: across the [Core.step]
    loop of 100k-instruction gzip and swim runs with [Probe.off], at most
