@@ -62,7 +62,9 @@ let binary_for core program =
 
 (* run and trace prepare their benchmark in a ctx of their own: the
    daemon's shared [env.ctx] would keep one full trace per distinct
-   (benchmark, seed, scale, binary) for its whole life. *)
+   (benchmark, seed, scale, binary) for its whole life. A run streams
+   its trace (Suite.run_streamed); trace keeps it stored, since its
+   timeline labels any uid. *)
 let prepare_one ~(profile : W.Spec.profile) ~seed ~scale =
   let ctx = Sim.Suite.create_ctx () in
   (ctx, Sim.Suite.prepare ctx ~seed ~scale profile)
@@ -120,7 +122,7 @@ let exec_run (r : Request.run) =
   match r.Request.r_sample with
   | None ->
       let ctx, p = prepare () in
-      let res = Sim.Suite.run ctx p cfg in
+      let res = Sim.Suite.run_streamed ctx p cfg in
       let b = Buffer.create 1024 in
       Printf.ksprintf (Buffer.add_string b) "%s on %s\n" profile.W.Spec.name
         res.U.Core.config_name;
@@ -143,7 +145,7 @@ let exec_run (r : Request.run) =
       let sp_error =
         if not sm.Request.sm_verify then None
         else begin
-          let full = Sim.Suite.run ctx p cfg in
+          let full = Sim.Suite.run_streamed ctx p cfg in
           let e = Braid_sample.Driver.error_vs ~full t in
           pf "  full-simulation IPC %.3f (sampled error %.2f%%)\n"
             full.U.Core.ipc (100.0 *. e);

@@ -949,38 +949,65 @@ module Compiled = struct
      a longer window grows them. *)
   let max_window = 1 lsl 20
 
+  (* A stream's pre-pass keeps its release bits in two growable bitsets:
+     one bit per uid (read externally) and one per dependence entry (the
+     last external read of its producer). *)
+  type marks = { readers : Bytes.t; lasts : Bytes.t }
+
+  let bit b i =
+    let j = i lsr 3 in
+    j < Bytes.length b && Char.code (Bytes.unsafe_get b j) land (1 lsl (i land 7)) <> 0
+
+  let set_bit (b : Bytes.t ref) i =
+    let j = i lsr 3 in
+    if j >= Bytes.length !b then begin
+      let g = Bytes.make (Int.max (j + 1) (2 * Bytes.length !b)) '\000' in
+      Bytes.blit !b 0 g 0 (Bytes.length !b);
+      b := g
+    end;
+    Bytes.unsafe_set !b j
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get !b j) lor (1 lsl (i land 7))))
+
   (* The tracer single-steps the chain ([fuel = 1], as [advance_bbv] does)
-     and appends each instruction to the trace's columns, reading its
-     address, branch outcome and fault from the registers as they are
-     before the step, as its [trace_op] row says. Uids and the
-     last-writer table restart at 0 for each window: a mid-run window is
-     a self-contained trace whose dependences on pre-window producers are
-     dropped, which is precisely what a timing model fed only that window
-     must see. Its columns have room for [capacity] instructions. *)
-  let trace_span run ~max_steps ~capacity =
+     and appends each instruction to [b] until it holds [upto] or the
+     program ends, reading its address, branch outcome and fault from the
+     registers as they are before the step, as its [trace_op] row says.
+     [last_writer] maps each register slot to the uid that last wrote it:
+     a stream keeps one across its refills, while a window's starts empty,
+     so a mid-run window is a self-contained trace whose dependences on
+     pre-window producers are dropped, which is precisely what a timing
+     model fed only that window must see. A stream's tracer copies each
+     instruction's release bits from its pre-pass's [marks]. *)
+  let trace_into run b last_writer ~upto ~marks =
     let code = run.code and regs = run.regs and step = run.step in
     let n = Array.length code.proto in
     let rd_off = code.rd_off and rd = code.rd in
     let wr_off = code.wr_off and wr = code.wr in
     let trace_op = code.trace_op in
-    let last_writer = Array.make code.nslots (-1) in
-    let b =
-      Trace.Builder.create code.proto code.program ~capacity
-        ~max_reads:code.max_reads
-    in
-    let uid = ref 0 in
+    let first = Trace.Builder.length b in
     let ip = ref run.ip in
-    while !uid < max_steps && !ip >= 0 do
-      let i = !ip and u = !uid in
+    while Trace.Builder.length b < upto && !ip >= 0 do
+      let i = !ip and u = Trace.Builder.length b in
       (* a run parked on a trap slot raises its control-flow failure *)
       if i >= n then ignore (step.(i) 1 : int);
+      let e0 = Trace.Builder.entries b in
       for k = rd_off.(i) to rd_off.(i + 1) - 1 do
         let e = rd.(k) in
         let w = last_writer.(e lsr 1) in
         if w >= 0 then Trace.Builder.add_dep b w (e land 1 <> 0)
       done;
       let row = i * op_stride in
-      let kind = trace_op.(row) and flags = trace_op.(row + 3) in
+      let kind = trace_op.(row) in
+      let flags =
+        match marks with
+        | None -> trace_op.(row + 3)
+        | Some m ->
+            for k = e0 to Trace.Builder.entries b - 1 do
+              if bit m.lasts k then Trace.Builder.mark_last b k
+            done;
+            if bit m.readers u then trace_op.(row + 3)
+            else trace_op.(row + 3) lor Trace.flag_no_ext_reader
+      in
       if kind = k_plain then Trace.Builder.push b i ~addr:(-1) flags
       else begin
         let v = ba_get regs trace_op.(row + 1) in
@@ -1000,16 +1027,139 @@ module Compiled = struct
       ip := !(run.stop);
       for k = wr_off.(i) to wr_off.(i + 1) - 1 do
         last_writer.(wr.(k)) <- u
-      done;
-      incr uid
+      done
     done;
     run.ip <- !ip;
-    run.steps <- run.steps + !uid;
+    run.steps <- run.steps + (Trace.Builder.length b - first)
+
+  (* A stored trace of up to [max_steps] instructions from the current
+     position, its columns sized for [capacity]. *)
+  let trace_span run ~max_steps ~capacity =
+    let code = run.code in
+    let b =
+      Trace.Builder.create code.proto code.program ~capacity
+        ~max_reads:code.max_reads
+    in
+    trace_into run b (Array.make code.nslots (-1)) ~upto:max_steps ~marks:None;
     Trace.Builder.finish b
-      (if !ip < 0 then Trace.Halted else Trace.Steps_exhausted)
+      (if run.ip < 0 then Trace.Halted else Trace.Steps_exhausted)
 
   let trace_window run ~max_steps =
     trace_span run ~max_steps ~capacity:(Int.min max_steps max_window)
+
+  (* A stream's pre-pass: runs up to [max_steps] instructions one
+     straight-line run per chain call, as [advance_bbv] does, and records
+     the first touch of each instruction line a run covers. With
+     [release] it also finds the release bits, tracking dependences
+     without values, since they follow from which instruction last wrote
+     each register: per register slot, the writer and that writer's
+     latest external read (an entry index, counted as the tracer will
+     number it). A value's last read is final once its register is
+     overwritten or the run ends, and its writer then has a reader iff
+     that read exists; a writer that still holds another external
+     register hands its latest read on instead. Internal registers are
+     read only through their via-internal bit, so they carry no latest
+     read. *)
+  let prepass run ~max_steps ~release =
+    let code = run.code and step = run.step and stop = run.stop in
+    let run_len = code.run_len in
+    let rd_off = code.rd_off and rd = code.rd in
+    let wr_off = code.wr_off and wr = code.wr in
+    let seen = Bytes.make ((Array.length code.proto lsr 4) + 1) '\000' in
+    let lines = ref [] in
+    let writer = Array.make code.nslots (-1) in
+    let writer_ip = Array.make code.nslots 0 in
+    let latest = Array.make code.nslots (-1) in
+    let readers = ref (Bytes.make 64 '\000') and lasts = ref (Bytes.make 64 '\000') in
+    let keys = Array.make (code.max_reads + 1) 0 in
+    let internal s = s - Reg.num_ext_ids >= 0 && s < num_fixed_slots in
+    (* slot [s]'s writer leaves it: hand its latest read to another of
+       the writer's external slots, or make it final *)
+    let settle s =
+      let w = Array.unsafe_get writer s in
+      if w >= 0 then begin
+        let wip = Array.unsafe_get writer_ip s and l = Array.unsafe_get latest s in
+        let heir = ref (-1) in
+        for x = wr_off.(wip) to wr_off.(wip + 1) - 1 do
+          let h = Array.unsafe_get wr x in
+          if h <> s && (not (internal h)) && Array.unsafe_get writer h = w then heir := h
+        done;
+        if !heir >= 0 then latest.(!heir) <- Int.max latest.(!heir) l
+        else if l >= 0 then begin
+          set_bit readers w;
+          set_bit lasts l
+        end
+      end
+    in
+    let nd = ref 0 and u = ref 0 and ip = ref run.ip in
+    while !u < max_steps && !ip >= 0 do
+      let i = !ip in
+      let fuel = Int.min run_len.(i) (max_steps - !u) in
+      let ran = fuel - step.(i) fuel in
+      (* a trap slot raised above: [i .. i + ran - 1] are instructions *)
+      for line = i lsr 4 to (i + ran - 1) lsr 4 do
+        if Bytes.get seen line = '\000' then begin
+          Bytes.set seen line '\001';
+          lines := (line lsl 6) :: !lines
+        end
+      done;
+      if release then
+        for j = i to i + ran - 1 do
+          let r0 = Array.unsafe_get rd_off j and r1 = Array.unsafe_get rd_off (j + 1) in
+          (* the instruction's distinct (producer, via) keys, sorted as
+             the tracer sorts its entries *)
+          let m = ref 0 in
+          for r = r0 to r1 - 1 do
+            let e = Array.unsafe_get rd r in
+            let w = Array.unsafe_get writer (e lsr 1) in
+            if w >= 0 then begin
+              let key = (w lsl 1) lor (e land 1) in
+              let p = ref !m in
+              while !p > 0 && Array.unsafe_get keys (!p - 1) > key do
+                decr p
+              done;
+              if !p = 0 || Array.unsafe_get keys (!p - 1) <> key then begin
+                for q = !m downto !p + 1 do
+                  Array.unsafe_set keys q (Array.unsafe_get keys (q - 1))
+                done;
+                Array.unsafe_set keys !p key;
+                incr m
+              end
+            end
+          done;
+          for r = r0 to r1 - 1 do
+            let e = Array.unsafe_get rd r in
+            let s = e lsr 1 in
+            let w = Array.unsafe_get writer s in
+            if e land 1 = 0 && w >= 0 then begin
+              let p = ref 0 in
+              while Array.unsafe_get keys !p <> w lsl 1 do
+                incr p
+              done;
+              Array.unsafe_set latest s (!nd + !p)
+            end
+          done;
+          nd := !nd + !m;
+          for x = Array.unsafe_get wr_off j to Array.unsafe_get wr_off (j + 1) - 1 do
+            let s = Array.unsafe_get wr x in
+            if not (internal s) then settle s;
+            Array.unsafe_set writer s (!u + (j - i));
+            Array.unsafe_set writer_ip s j;
+            Array.unsafe_set latest s (-1)
+          done
+        done;
+      ip := !stop;
+      u := !u + ran
+    done;
+    for s = 0 to code.nslots - 1 do
+      if not (internal s) then begin
+        settle s;
+        writer.(s) <- -1
+      end
+    done;
+    run.ip <- !ip;
+    run.steps <- run.steps + !u;
+    (!u, Array.of_list (List.rev !lines), { readers = !readers; lasts = !lasts })
 
   (* The warm-up walk steps the chain as [trace_span] does and keeps
      only what a warm-up replays: the static index, and the address or
@@ -1096,3 +1246,17 @@ let run ?(max_steps = 1_000_000) ?(trace = true) ?init_mem program =
     store_count = Compiled.store_count r;
     state = Compiled.state r;
   }
+
+(* A stream: the pre-pass on one run, then the tracer on a second one,
+   whose last-writer table lives as long as the stream. *)
+let stream ?(max_steps = 1_000_000) ?init_mem ?(release = true) ~capacity program =
+  let code = Compiled.compile program in
+  let pre = Compiled.start ?init_mem code in
+  let n, warm_lines, marks = Compiled.prepass pre ~max_steps ~release in
+  let stop = if Compiled.halted pre then Trace.Halted else Trace.Steps_exhausted in
+  let run = Compiled.start ?init_mem code in
+  let last_writer = Array.make code.Compiled.nslots (-1) in
+  let marks = if release then Some marks else None in
+  Trace.stream code.Compiled.proto code.Compiled.program ~capacity
+    ~max_reads:code.Compiled.max_reads ~length:n ~stop ~warm_lines ~marked:release
+    (fun b upto -> Compiled.trace_into run b last_writer ~upto ~marks)

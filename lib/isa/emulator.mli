@@ -36,13 +36,41 @@ val run :
     When [trace] is true (default), the outcome carries the full dynamic
     trace: the tracer of {!Compiled.trace_window} over the whole run,
     after an untraced run has counted its length, so each column is
-    allocated at its exact length and written once. The count pass costs
+    allocated at its exact length and written once, with its release
+    bits marked ({!Trace.Builder.finish}). The count pass costs
     a few percent of the tracer's time and stays: a variant without it,
     its columns sized at the window bound and cut with views, measured
     slower on served cold runs.
     Arithmetic faults (FP divide by zero) write zero to the destination,
     mark the instruction as [faulting], and continue — the microarchitectural exception-mode cost is
     modeled by the timing simulators, not here. *)
+
+val stream :
+  ?max_steps:int ->
+  ?init_mem:(int * int64) list ->
+  ?release:bool ->
+  capacity:int ->
+  Program.t ->
+  Trace.t
+(** The full dynamic trace {!run} would store, as a stream
+    ({!Trace.stream}) whose rings hold [capacity] uids: a one-shot
+    timing run reads it through a window instead of storing it. A
+    pre-pass runs the program to its end first, one straight-line run
+    per chain call as {!Compiled.advance_bbv} steps, and finds the
+    stream's length, stop reason and first-touch instruction lines
+    ({!Trace.warm_lines}). It also finds the release bits
+    ({!Trace.no_ext_reader}, {!Trace.dep_last}) without tracing: per
+    register slot it keeps the current writer and that writer's latest
+    external read, which is final once the register is overwritten or
+    the run ends. It keeps one bit per instruction and one per
+    dependence entry, never an int per uid. With [release] false
+    (default true) it skips that bookkeeping, and the stream's bits stay
+    clear ({!Trace.marked} is false): only a core that releases early
+    reads them. A second run then traces
+    into the rings on each {!Trace.refill}, keeping its last-writer
+    table across refills, so the stream is exactly {!run}'s trace,
+    release bits included. Raises [Invalid_argument] as
+    {!Trace.stream} does. *)
 
 val reference :
   ?max_steps:int -> ?init_mem:(int * int64) list -> Program.t -> outcome

@@ -53,31 +53,47 @@ let ints n : ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 let get32 (a : i32) i = Int32.to_int (Bigarray.Array1.get a i)
 let set32 (a : i32) i v = Bigarray.Array1.set a i (Int32.of_int v)
 
-type readers = i32
-
 (* One static record per static instruction, shared by every trace of a
    program, plus one entry per dynamic instruction in each column. A
-   dependence entry packs the producer uid and the via-internal bit as
-   [uid lsl 1 lor via], so sorting entries as ints sorts them by
-   (uid, via) — the order the trace has always given them — and a uid
-   below 2^30 keeps the entry a non-negative int32. *)
+   dependence entry packs the producer uid, the release bit and the
+   via-internal bit as [uid lsl 2 lor last lsl 1 lor via]. An
+   instruction's entries are sorted as ints before any release bit is
+   set, so they stay sorted by (uid, via), and a uid below 2^29 keeps the
+   entry a non-negative int32.
+
+   A stored trace keeps every instruction: [mask] and [dmask] are -1, so
+   a column index is the uid or entry index itself. A stream keeps a
+   window: its columns are rings of [mask + 1] uids and [dmask + 1]
+   entries, read at [u land mask] and [k land dmask], and hold at most
+   [mask] uids, so the CSR offsets of the kept uids and of the next one
+   all fit. The kept uids are [lo, hi), their entries [klo, khi); a
+   refill drops uids from the bottom and [fill] appends at the top. *)
 type t = {
   proto : static array;
-  sidx : i32;  (* static index per uid *)
-  addr : ints;
-  flags : Bytes.t;  (* [flag_taken], [flag_faulting], [flag_braid_start] *)
-  dep_off : i32;  (* length + 1 CSR offsets into [deps] *)
-  deps : i32;
-  max_deps : int;  (* the most entries of any one instruction *)
-  stop : stop_reason;
   program : Program.t;
-  warm_lines : int array;  (* {!warm_lines}, recorded while building *)
-  mutable ext_readers : readers option;  (* memo: {!last_ext_readers} *)
+  max_reads : int;  (* the most producers one instruction reads *)
+  mask : int;
+  dmask : int;
+  mutable sidx : i32;  (* static index per uid *)
+  mutable addr : ints;
+  mutable flags : Bytes.t;  (* the [flag_*] bits below *)
+  mutable dep_off : i32;  (* CSR offsets into [deps], absolute *)
+  mutable deps : i32;
+  mutable lo : int;
+  mutable hi : int;
+  mutable klo : int;
+  mutable khi : int;
+  length : int;
+  stop : stop_reason;
+  warm_lines : int array;  (* {!warm_lines} *)
+  marked : bool;  (* the release bits are set *)
+  fill : int -> unit;  (* a stream's tracer: append up to this uid *)
 }
 
 let flag_taken = 1
 let flag_faulting = 2
 let flag_braid_start = 4
+let flag_no_ext_reader = 8
 
 let flag_byte ~taken ~faulting ~braid_start =
   Char.unsafe_chr
@@ -85,22 +101,48 @@ let flag_byte ~taken ~faulting ~braid_start =
     lor (if faulting then flag_faulting else 0)
     lor if braid_start then flag_braid_start else 0)
 
-let dep_key p via = (p lsl 1) lor Bool.to_int via
-let length t = Bigarray.Array1.dim t.sidx
+let dep_key p via = (p lsl 2) lor Bool.to_int via
+let entry_last = 2
+let length t = t.length
 let stop t = t.stop
 let program t = t.program
+let max_reads t = t.max_reads
+let capacity t = if t.mask < 0 then max_int else t.mask + 1
+let produced t = t.hi
+let marked t = t.marked
+
+let[@inline never] outside t what i lo hi =
+  invalid_arg
+    (Printf.sprintf "Trace: %s %d outside the kept window [%d, %d) of %d" what i
+       lo hi t.length)
+
+(* The column index of kept uid [u]: in range for a stored trace (whose
+   columns are [length] long) and a stream (whose index is masked), so
+   the reads below go unchecked. *)
+let col t u = if u < t.lo || u >= t.hi then outside t "uid" u t.lo t.hi else u land t.mask
+
+let sidx t u = Int32.to_int (Bigarray.Array1.unsafe_get t.sidx (col t u))
 
 (* [push] admits only static indices of [proto] *)
-let static t u = Array.unsafe_get t.proto (get32 t.sidx u)
-let addr t u = Bigarray.Array1.get t.addr u
-let flag t u bit = Char.code (Bytes.get t.flags u) land bit <> 0
+let static t u = Array.unsafe_get t.proto (sidx t u)
+let addr t u = Bigarray.Array1.unsafe_get t.addr (col t u)
+let flag t u bit = Char.code (Bytes.unsafe_get t.flags (col t u)) land bit <> 0
 let taken t u = flag t u flag_taken
 let faulting t u = flag t u flag_faulting
 let braid_start t u = flag t u flag_braid_start
-let dep_off t u = get32 t.dep_off u
-let dep_uid t k = get32 t.deps k lsr 1
-let dep_via t k = get32 t.deps k land 1 <> 0
-let max_deps t = t.max_deps
+let no_ext_reader t u = flag t u flag_no_ext_reader
+
+let dep_off t u =
+  if u < t.lo || u > t.hi then outside t "uid" u t.lo (t.hi + 1)
+  else Int32.to_int (Bigarray.Array1.unsafe_get t.dep_off (u land t.mask))
+
+let entry t k =
+  if k < t.klo || k >= t.khi then outside t "dependence entry" k t.klo t.khi
+  else Int32.to_int (Bigarray.Array1.unsafe_get t.deps (k land t.dmask))
+
+let dep_uid t k = entry t k lsr 2
+let dep_via t k = entry t k land 1 <> 0
+let dep_last t k = entry t k land entry_last <> 0
 let branch_of (s : static) = s.is_cond_branch || s.is_jump
 
 let column_bytes t =
@@ -139,12 +181,23 @@ let event t u =
   }
 
 (* The most instructions a trace holds: a dependence entry packs a uid
-   into 31 bits. *)
-let max_length = 1 lsl 30
+   into 29 bits. *)
+let max_length = 1 lsl 29
 
 let too_long what n =
   invalid_arg
-    (Printf.sprintf "Trace.%s: %d instructions; uids must stay below 2^30" what n)
+    (Printf.sprintf "Trace.%s: %d instructions; uids must stay below 2^29" what n)
+
+(* Dependence entries for [n] instructions of up to [max_reads] reads,
+   which the CSR offsets must address as int32s. *)
+let deps_room n max_reads =
+  if n > Int32.to_int Int32.max_int / Int.max 1 max_reads then
+    invalid_arg
+      (Printf.sprintf
+         "Trace.Builder: %d instructions of up to %d reads overflow the \
+          32-bit dependence offsets"
+         n max_reads);
+  n * max_reads
 
 (* The 64-byte instruction lines of [pcs] in first-touch order. *)
 let first_touch_lines pcs =
@@ -160,6 +213,61 @@ let first_touch_lines pcs =
       end)
     pcs;
   Array.of_list (List.rev !acc)
+
+(* A stored trace's release bits, by one backward pass over its entries
+   with one seen bit per uid: from the end, the first external (non-via)
+   entry met for a producer is its last external read, and a uid that no
+   later entry has read externally has no external reader. *)
+let mark_release t =
+  let seen = Bytes.make ((t.length lsr 3) + 1) '\000' in
+  let seen_bit u = Char.code (Bytes.get seen (u lsr 3)) land (1 lsl (u land 7)) in
+  for u = t.length - 1 downto 0 do
+    let f = Char.code (Bytes.get t.flags u) in
+    let f' =
+      if seen_bit u <> 0 then f land lnot flag_no_ext_reader
+      else f lor flag_no_ext_reader
+    in
+    if f' <> f then Bytes.set t.flags u (Char.unsafe_chr f');
+    for k = get32 t.dep_off u to get32 t.dep_off (u + 1) - 1 do
+      let e = get32 t.deps k in
+      let p = e lsr 2 in
+      let last = e land 1 = 0 && seen_bit p = 0 in
+      if last then
+        Bytes.set seen (p lsr 3)
+          (Char.unsafe_chr (Char.code (Bytes.get seen (p lsr 3)) lor (1 lsl (p land 7))));
+      if last <> (e land entry_last <> 0) then set32 t.deps k (e lxor entry_last)
+    done
+  done
+
+(* A stored trace over these columns, [length] long. *)
+let stored proto program ~max_reads ~sidx ~addr ~flags ~dep_off ~deps ~stop
+    ~warm_lines =
+  let n = Bigarray.Array1.dim sidx in
+  let t =
+    {
+      proto;
+      program;
+      max_reads;
+      mask = -1;
+      dmask = -1;
+      sidx;
+      addr;
+      flags;
+      dep_off;
+      deps;
+      lo = 0;
+      hi = n;
+      klo = 0;
+      khi = Bigarray.Array1.dim deps;
+      length = n;
+      stop;
+      warm_lines;
+      marked = true;
+      fill = ignore;
+    }
+  in
+  mark_release t;
+  t
 
 let of_events program (es : event array) =
   let n = Array.length es in
@@ -189,106 +297,96 @@ let of_events program (es : event array) =
         (fun k (p, via) -> set32 deps (get32 dep_off u + k) (dep_key p via))
         e.deps)
     es;
-  {
-    proto =
-      Array.map
-        (fun (e : event) ->
-          {
-            pc = e.pc;
-            block_id = e.block_id;
-            offset = e.offset;
-            instr = e.instr;
-            is_load = e.is_load;
-            is_store = e.is_store;
-            is_cond_branch = e.is_cond_branch;
-            is_jump = e.is_jump;
-            latency = e.latency;
-            writes_ext = e.writes_ext;
-            writes_int = e.writes_int;
-            ext_src_reads = e.ext_src_reads;
-            int_src_reads = e.int_src_reads;
-            braid_id = e.braid_id;
-          })
-        es;
-    sidx;
-    addr;
-    flags =
-      Bytes.init n (fun u ->
-          let e = es.(u) in
-          flag_byte ~taken:e.taken ~faulting:e.faulting ~braid_start:e.braid_start);
-    dep_off;
-    deps;
-    max_deps =
-      Array.fold_left (fun w (e : event) -> max w (Array.length e.deps)) 0 es;
-    stop = Halted;
-    program;
-    warm_lines = first_touch_lines (Array.map (fun (e : event) -> e.pc) es);
-    ext_readers = None;
-  }
+  stored
+    (Array.map
+       (fun (e : event) ->
+         {
+           pc = e.pc;
+           block_id = e.block_id;
+           offset = e.offset;
+           instr = e.instr;
+           is_load = e.is_load;
+           is_store = e.is_store;
+           is_cond_branch = e.is_cond_branch;
+           is_jump = e.is_jump;
+           latency = e.latency;
+           writes_ext = e.writes_ext;
+           writes_int = e.writes_int;
+           ext_src_reads = e.ext_src_reads;
+           int_src_reads = e.int_src_reads;
+           braid_id = e.braid_id;
+         })
+       es)
+    program
+    ~max_reads:(Array.fold_left (fun w (e : event) -> Int.max w (Array.length e.deps)) 0 es)
+    ~sidx ~addr
+    ~flags:
+      (Bytes.init n (fun u ->
+           let e = es.(u) in
+           flag_byte ~taken:e.taken ~faulting:e.faulting ~braid_start:e.braid_start))
+    ~dep_off ~deps ~stop:Halted
+    ~warm_lines:(first_touch_lines (Array.map (fun (e : event) -> e.pc) es))
 
 module Builder = struct
   type trace = t
 
-  (* Columns allocated uninitialised for [cap] instructions, [deps] for
-     [max_reads] entries of each, so the open instruction (uid [n]) always
-     has room for its reads; a builder past [cap] doubles them, and
-     [finish] cuts them to size with views. [dep_off.(n)] is where the
-     open instruction's entries start. The first touch of each 64-byte
-     instruction line is recorded as instructions are pushed. *)
+  (* The trace being built ([tr.hi] instructions pushed, [tr.khi]
+     entries, the open instruction's too), room for [cap] instructions
+     and [cap * max_reads] entries so the open instruction always has
+     room for its reads, and the first touch of each 64-byte instruction
+     line. A stored builder past [cap] doubles its columns, and [finish]
+     cuts them to size with views; a stream's builder writes the
+     stream's rings, which its refills keep from overflowing, and never
+     grows ([cap] is [max_int]). *)
   type t = {
-    proto : static array;
-    program : Program.t;
-    max_reads : int;
+    tr : trace;
+    mutable cap : int;
     line : int array;  (* per static index: its instruction line *)
     seen : Bytes.t;  (* per line: touched yet *)
     mutable lines : int list;  (* touched line addresses, newest first *)
-    mutable n : int;
-    mutable cap : int;
-    mutable sidx : i32;
-    mutable addr : ints;
-    mutable flags : Bytes.t;
-    mutable dep_off : i32;
-    mutable nd : int;  (* dependence entries, the open instruction's too *)
-    mutable deps : i32;
-    mutable max_deps : int;
   }
 
-  (* Dependence entries for [cap] instructions, which [dep_off] must
-     address as int32s. *)
-  let deps_room cap max_reads =
-    if cap > Int32.to_int Int32.max_int / Int.max 1 max_reads then
-      invalid_arg
-        (Printf.sprintf
-           "Trace.Builder: %d instructions of up to %d reads overflow the \
-            32-bit dependence offsets"
-           cap max_reads);
-    cap * max_reads
+  let lines_of proto = Array.map (fun (s : static) -> s.pc lsr 6) proto
 
   let create proto program ~capacity ~max_reads =
     if capacity < 0 || max_reads < 0 then
       invalid_arg "Trace.Builder.create: negative capacity or max_reads";
     if capacity > max_length then too_long "Builder.create" capacity;
     let room = deps_room capacity max_reads in
-    let line = Array.map (fun (s : static) -> s.pc lsr 6) proto in
+    let line = lines_of proto in
     let dep_off = i32 (capacity + 1) in
     set32 dep_off 0 0;
     {
-      proto;
-      program;
-      max_reads;
+      tr =
+        {
+          proto;
+          program;
+          max_reads;
+          mask = -1;
+          dmask = -1;
+          sidx = i32 capacity;
+          addr = ints capacity;
+          flags = Bytes.create capacity;
+          dep_off;
+          deps = i32 room;
+          lo = 0;
+          hi = 0;
+          klo = 0;
+          khi = 0;
+          length = 0;
+          stop = Halted;
+          warm_lines = [||];
+          marked = false;
+          fill = ignore;
+        };
+      cap = capacity;
       line;
       seen = Bytes.make (Array.fold_left Int.max 0 line + 1) '\000';
       lines = [];
-      n = 0;
-      cap = capacity;
-      sidx = i32 capacity;
-      addr = ints capacity;
-      flags = Bytes.create capacity;
-      dep_off;
-      nd = 0;
-      deps = i32 room;
-      max_deps = 0;
     }
+
+  let length b = b.tr.hi
+  let entries b = b.tr.khi
 
   (* [fresh] holding the first [len] entries of [old] *)
   let copied fresh old len =
@@ -300,79 +398,142 @@ module Builder = struct
      tracer loop they inline into stays small *)
   let[@inline never] grow b =
     if b.cap = max_length then too_long "Builder" (max_length + 1);
+    let t = b.tr in
     let cap = Int.min max_length (Int.max 1 (2 * b.cap)) in
-    b.sidx <- copied (i32 cap) b.sidx b.n;
-    b.addr <- copied (ints cap) b.addr b.n;
-    b.flags <- Bytes.extend b.flags 0 (cap - b.cap);
-    b.dep_off <- copied (i32 (cap + 1)) b.dep_off (b.n + 1);
-    b.deps <- copied (i32 (deps_room cap b.max_reads)) b.deps b.nd;
+    t.sidx <- copied (i32 cap) t.sidx t.hi;
+    t.addr <- copied (ints cap) t.addr t.hi;
+    t.flags <- Bytes.extend t.flags 0 (cap - b.cap);
+    t.dep_off <- copied (i32 (cap + 1)) t.dep_off (t.hi + 1);
+    t.deps <- copied (i32 (deps_room cap t.max_reads)) t.deps t.khi;
     b.cap <- cap
 
   (* insertion into the open instruction's sorted entries; an
      instruction reads at most a few registers *)
   let add_dep b p via =
-    if b.n = b.cap then grow b;
-    if p < 0 || p >= b.n then
+    if b.tr.hi = b.cap then grow b;
+    let t = b.tr in
+    let n = t.hi and dm = t.dmask in
+    if p < 0 || p >= n then
       invalid_arg
-        (Printf.sprintf "Trace.Builder.add_dep: uid %d is not older than %d" p b.n);
+        (Printf.sprintf "Trace.Builder.add_dep: uid %d is not older than %d" p n);
     let key = dep_key p via in
-    let start = get32 b.dep_off b.n in
-    let i = ref b.nd in
-    while !i > start && get32 b.deps (!i - 1) > key do
+    let start = get32 t.dep_off (n land t.mask) in
+    let i = ref t.khi in
+    while !i > start && get32 t.deps ((!i - 1) land dm) > key do
       decr i
     done;
-    if not (!i > start && get32 b.deps (!i - 1) = key) then begin
-      if b.nd - start = b.max_reads then
+    if not (!i > start && get32 t.deps ((!i - 1) land dm) = key) then begin
+      if t.khi - start = t.max_reads then
         invalid_arg
           (Printf.sprintf "Trace.Builder.add_dep: uid %d reads more than %d producers"
-             b.n b.max_reads);
-      for j = b.nd downto !i + 1 do
-        set32 b.deps j (get32 b.deps (j - 1))
+             n t.max_reads);
+      for j = t.khi downto !i + 1 do
+        set32 t.deps (j land dm) (get32 t.deps ((j - 1) land dm))
       done;
-      set32 b.deps !i key;
-      b.nd <- b.nd + 1
+      set32 t.deps (!i land dm) key;
+      t.khi <- t.khi + 1
     end
 
+  let mark_last b k =
+    let t = b.tr in
+    if k < get32 t.dep_off (t.hi land t.mask) || k >= t.khi then
+      invalid_arg
+        (Printf.sprintf "Trace.Builder.mark_last: entry %d is not uid %d's" k t.hi);
+    set32 t.deps (k land t.dmask) (get32 t.deps (k land t.dmask) lor entry_last)
+
   let push b s ~addr flags =
-    if flags land lnot 7 <> 0 then
+    if flags land lnot 15 <> 0 then
       invalid_arg (Printf.sprintf "Trace.Builder.push: flag bits %#x" flags);
-    if b.n = b.cap then grow b;
-    let n = b.n in
+    if b.tr.hi = b.cap then grow b;
+    let t = b.tr in
+    let n = t.hi in
     let line = b.line.(s) in
     if Bytes.unsafe_get b.seen line = '\000' then begin
       Bytes.unsafe_set b.seen line '\001';
       b.lines <- (line lsl 6) :: b.lines
     end;
-    set32 b.sidx n s;
-    Bigarray.Array1.set b.addr n addr;
-    Bytes.set b.flags n (Char.unsafe_chr flags);
-    set32 b.dep_off (n + 1) b.nd;
-    let d = b.nd - get32 b.dep_off n in
-    if d > b.max_deps then b.max_deps <- d;
-    b.n <- n + 1
+    (* the braid core only accepts a stream whose first braid
+       instruction claims a BEU *)
+    let flags =
+      if n = 0 && t.proto.(s).braid_id >= 0 then flags lor flag_braid_start
+      else flags
+    in
+    let c = n land t.mask in
+    set32 t.sidx c s;
+    Bigarray.Array1.set t.addr c addr;
+    Bytes.set t.flags c (Char.unsafe_chr flags);
+    set32 t.dep_off ((n + 1) land t.mask) t.khi;
+    t.hi <- n + 1
 
   let finish b stop : trace =
-    let n = b.n in
-    let flags =
-      if Bytes.length b.flags = n then b.flags else Bytes.sub b.flags 0 n
-    in
-    if n > 0 && b.proto.(get32 b.sidx 0).braid_id >= 0 then
-      Bytes.set flags 0
-        (Char.unsafe_chr (Char.code (Bytes.get flags 0) lor flag_braid_start));
-    {
-      proto = b.proto;
-      sidx = Bigarray.Array1.sub b.sidx 0 n;
-      addr = Bigarray.Array1.sub b.addr 0 n;
-      flags;
-      dep_off = Bigarray.Array1.sub b.dep_off 0 (n + 1);
-      deps = Bigarray.Array1.sub b.deps 0 b.nd;
-      max_deps = b.max_deps;
-      stop;
-      program = b.program;
-      warm_lines = Array.of_list (List.rev b.lines);
-      ext_readers = None;
-    }
+    let t = b.tr in
+    let n = t.hi in
+    stored t.proto t.program ~max_reads:t.max_reads
+      ~sidx:(Bigarray.Array1.sub t.sidx 0 n)
+      ~addr:(Bigarray.Array1.sub t.addr 0 n)
+      ~flags:(if Bytes.length t.flags = n then t.flags else Bytes.sub t.flags 0 n)
+      ~dep_off:(Bigarray.Array1.sub t.dep_off 0 (n + 1))
+      ~deps:(Bigarray.Array1.sub t.deps 0 t.khi)
+      ~stop
+      ~warm_lines:(Array.of_list (List.rev b.lines))
 end
+
+let rec pow2_at_least k x = if k >= x then k else pow2_at_least (2 * k) x
+
+let stream proto program ~capacity ~max_reads ~length ~stop ~warm_lines ~marked
+    produce =
+  if capacity < 2 || capacity land (capacity - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Trace.stream: capacity %d is not a power of two above 1"
+         capacity);
+  if length > max_length then too_long "stream" length;
+  ignore (deps_room length max_reads : int);
+  let dcap = pow2_at_least 1 (deps_room capacity (Int.max 1 max_reads)) in
+  let dep_off = i32 capacity in
+  set32 dep_off 0 0;
+  let sidx = i32 capacity and addr = ints capacity in
+  let flags = Bytes.create capacity and deps = i32 dcap in
+  let line = Builder.lines_of proto in
+  (* a stream's lines come from its pre-pass: its builder records none *)
+  let seen = Bytes.make (Array.fold_left Int.max 0 line + 1) '\001' in
+  let rec tr =
+    {
+      proto;
+      program;
+      max_reads;
+      mask = capacity - 1;
+      dmask = dcap - 1;
+      sidx;
+      addr;
+      flags;
+      dep_off;
+      deps;
+      lo = 0;
+      hi = 0;
+      klo = 0;
+      khi = 0;
+      length;
+      stop;
+      warm_lines;
+      marked;
+      fill = (fun upto -> produce b upto);
+    }
+  and b = { Builder.tr; cap = max_int; line; seen; lines = [] }
+  in
+  tr
+
+let refill t ~keep =
+  if keep < t.lo || keep > t.hi then
+    invalid_arg
+      (Printf.sprintf "Trace.refill: uid %d outside the kept window [%d, %d]" keep
+         t.lo t.hi);
+  let upto = Int.min t.length (keep + t.mask) in
+  if upto > t.hi then begin
+    let lo = Int.max t.lo (upto - t.mask) in
+    t.klo <- get32 t.dep_off (lo land t.mask);
+    t.lo <- lo;
+    t.fill upto
+  end
 
 module Warm = struct
   type trace = t
@@ -425,12 +586,12 @@ module Warm = struct
     w.n <- n + 1
 
   let of_trace (t : trace) =
-    let n = Bigarray.Array1.dim t.sidx in
+    let n = t.length in
     let w = create ~capacity:n in
     reset w t.proto;
     for u = 0 to n - 1 do
-      let s = t.proto.(get32 t.sidx u) in
-      push w (get32 t.sidx u)
+      let s = t.proto.(sidx t u) in
+      push w (sidx t u)
         (if s.is_load || s.is_store then addr t u
          else if s.is_cond_branch then Bool.to_int (taken t u)
          else 0)
@@ -439,21 +600,3 @@ module Warm = struct
 end
 
 let warm_lines t = t.warm_lines
-
-let last_ext_readers t =
-  match t.ext_readers with
-  | Some a -> a
-  | None ->
-      (* readers ascend, so the last one written is the highest *)
-      let a = i32 (length t) in
-      Bigarray.Array1.fill a (-1l);
-      for u = 0 to length t - 1 do
-        for k = dep_off t u to dep_off t (u + 1) - 1 do
-          if not (dep_via t k) then set32 a (dep_uid t k) u
-        done
-      done;
-      t.ext_readers <- Some a;
-      a
-
-let last_ext_reader (a : readers) p = get32 a p
-let no_readers = i32 0

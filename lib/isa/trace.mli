@@ -7,23 +7,49 @@
     dependences are resolved by the LSQ model from the recorded
     addresses).
 
-    A trace is stored as columns. The static half of every instruction
+    A trace is kept as columns. The static half of every instruction
     (its {!static} record) is built once per program and shared by
     reference by every trace and window of it; per dynamic instruction
     the trace keeps only the static index, the address, a flag byte
-    (taken, faulting, braid start) and its register dependences in CSR
-    form. Timing models read the columns through the accessors below;
-    {!event} assembles the full record of one instruction on demand, for
-    readers off the hot path.
+    (taken, faulting, braid start, no external reader) and its register
+    dependences in CSR form. Timing models read the columns through the
+    accessors below; {!event} assembles the full record of one
+    instruction on demand, for readers off the hot path.
 
     {b Layout.} The columns live off the OCaml heap, as Bigarrays the GC
     neither scans nor moves, 32-bit where the values fit: the static
     index, the CSR offsets and the dependence entries are [int32]s, the
     address is an [int], the flags are a [Bytes.t]. A dependence entry
-    packs [uid lsl 1 lor via], so a trace holds fewer than 2{^30}
-    instructions; {!Builder} raises [Invalid_argument] past that bound.
-    At 1.25–1.76 dependences per instruction that is 22–24 bytes per
-    dynamic instruction ({!column_bytes}). *)
+    packs [uid lsl 2 lor last lsl 1 lor via], so a trace holds fewer
+    than 2{^29} instructions; {!Builder} and {!stream} raise
+    [Invalid_argument] past that bound. At 1.25–1.76 dependences per
+    instruction a stored trace takes 22–24 bytes per dynamic instruction
+    ({!column_bytes}).
+
+    {b Stored traces and streams.} A stored trace keeps every
+    instruction: {!Emulator.run}, {!Emulator.Compiled.trace_window} and
+    {!of_events} build one. A stream ({!stream}) keeps a window of
+    {!capacity} uids, a power of two, in rings of the same columns, and
+    its producer appends to the window as {!refill} lets it drop old
+    uids. Both are read through the same accessors: a column index is
+    [u land mask] for a uid and [k land mask'] for a dependence entry,
+    where a stored trace's masks are the identity (-1). Dependence
+    offsets stay absolute. A stream keeps at most [capacity - 1] uids,
+    [[lo, produced t)], so that the CSR offsets of the kept uids and of
+    the next one fit its ring; its entry ring holds [capacity *
+    max_reads] entries rounded up to a power of two. Reading a uid or an
+    entry outside the kept range raises [Invalid_argument]. A stored
+    trace's kept range is all of it.
+
+    {b Release bits.} The braid core frees a dead value's external
+    register at its last external (non-via) read. Each uid carries a
+    flag, {!no_ext_reader}, set when no instruction reads its value
+    externally, and each dependence entry a bit, {!dep_last}, set on
+    the last external read of its producer: the read by the highest
+    uid that reads it externally. A stored trace marks them by one
+    backward pass over its own entries when it is built; a stream's
+    producer computes them in a pre-pass before the stream starts
+    ({!Emulator.stream}). *)
 
 (** The static half of an instruction's trace entry: everything that is
     the same for every dynamic instance of it. *)
@@ -82,7 +108,27 @@ val stop : t -> stop_reason
 val program : t -> Program.t
 (** The program the trace executed. *)
 
-(** {2 Columns} — allocation-free, for the timing models. *)
+val max_reads : t -> int
+(** The most producers any one instruction of the program reads: a bound
+    on every instruction's dependence entries that a stream knows before
+    it has produced any. *)
+
+val capacity : t -> int
+(** A stream's window: the size of its rings. [max_int] for a stored
+    trace. *)
+
+val marked : t -> bool
+(** The release bits are set: always for a stored trace, and for a stream
+    whose producer computed them. A stream only a core that never
+    releases early reads may leave them clear. *)
+
+val produced : t -> int
+(** One past the highest uid kept: the stream's frontier, [length] once
+    it has produced everything, and always [length] for a stored
+    trace. *)
+
+(** {2 Columns} — allocation-free, for the timing models. Each raises
+    [Invalid_argument] for a uid or entry outside the kept range. *)
 
 val static : t -> int -> static
 (** The shared static record of the instruction with this uid. *)
@@ -96,14 +142,19 @@ val taken : t -> int -> bool
 val faulting : t -> int -> bool
 
 val braid_start : t -> int -> bool
-(** The instruction's S bit, or the first braid instruction of a window
-    that opens mid-braid (see {!Emulator.Compiled.trace_window}). *)
+(** The instruction's S bit, or the first braid instruction of a trace
+    or window that opens mid-braid (see
+    {!Emulator.Compiled.trace_window}). *)
+
+val no_ext_reader : t -> int -> bool
+(** No instruction of the trace reads this uid's value externally. *)
 
 val dep_off : t -> int -> int
 (** CSR offsets of the register dependences: those of uid [u] are the
     entries [dep_off t u .. dep_off t (u + 1) - 1], sorted by producer
     uid, internal after external for the same producer, without
-    duplicates. [dep_off t (length t)] is the total. *)
+    duplicates. [dep_off t (length t)] is the total. Offsets are
+    absolute: a stream's do not restart as its window moves. *)
 
 val dep_uid : t -> int -> int
 (** Producer uid of a dependence entry. *)
@@ -112,13 +163,13 @@ val dep_via : t -> int -> bool
 (** The dependence entry's value flows through a braid-internal
     register. *)
 
-val max_deps : t -> int
-(** The most dependence entries of any one instruction, recorded while
-    the trace was built. *)
+val dep_last : t -> int -> bool
+(** The dependence entry is the last external read of its producer. *)
 
 val column_bytes : t -> int
-(** Bytes held by the trace's per-instruction columns (the static table
-    and the program are shared, and not counted). *)
+(** Bytes held by the trace's per-instruction columns, or a stream's
+    rings (the static table and the program are shared, and not
+    counted). *)
 
 val branch_of : static -> bool
 (** [is_cond_branch || is_jump]. *)
@@ -143,20 +194,31 @@ val flag_taken : int
 val flag_faulting : int
 val flag_braid_start : int
 
+val flag_no_ext_reader : int
+(** Set by a stream's producer from its pre-pass; a stored trace
+    computes it when built, whatever {!Builder.push} was given. *)
+
 (** Appends instructions to a trace one at a time; the producer behind
-    {!Emulator.Compiled.trace_window}. *)
+    {!Emulator.Compiled.trace_window} and every stream. *)
 module Builder : sig
   type trace := t
   type t
 
   val create : static array -> Program.t -> capacity:int -> max_reads:int -> t
-  (** An empty trace over this static table (shared, not copied), whose
-      instructions each read at most [max_reads] producers, with room for
-      [capacity] instructions before its columns grow: a producer that
-      knows the length up front writes each column once, and nothing
-      initialises them first. Raises [Invalid_argument] when [capacity]
-      exceeds 2{^30}, or when [capacity * max_reads] dependence entries
-      overflow the 32-bit offsets. *)
+  (** An empty stored trace over this static table (shared, not copied),
+      whose instructions each read at most [max_reads] producers, with
+      room for [capacity] instructions before its columns grow: a
+      producer that knows the length up front writes each column once,
+      and nothing initialises them first. Raises [Invalid_argument] when
+      [capacity] exceeds 2{^29}, or when [capacity * max_reads]
+      dependence entries overflow the 32-bit offsets. *)
+
+  val length : t -> int
+  (** Instructions pushed so far: the open instruction's uid. *)
+
+  val entries : t -> int
+  (** Dependence entries so far, the open instruction's included: its
+      entries are [dep_off] of its uid up to this. *)
 
   val add_dep : t -> int -> bool -> unit
   (** [add_dep b p via] records a register read of producer uid [p] for
@@ -164,20 +226,56 @@ module Builder : sig
       dropped. Raises [Invalid_argument] unless [p] is an earlier uid, or
       when the instruction would read more than [max_reads] producers. *)
 
+  val mark_last : t -> int -> unit
+  (** [mark_last b k] sets {!dep_last} on entry [k] of the open
+      instruction, after its last {!add_dep}: how a stream's producer
+      copies in its pre-pass's bits. Raises [Invalid_argument] for
+      another instruction's entry. A stored trace recomputes the bits
+      when built. *)
+
   val push : t -> int -> addr:int -> int -> unit
   (** [push b s ~addr flags] closes the instruction being built as a
       dynamic instance of static index [s], with the flag bits [flags]
-      (a union of the three above: a jump is taken, a conditional
-      branch taken by its outcome, [flag_braid_start] is the S bit).
-      Raises [Invalid_argument] on other bits, and when the
-      instruction's uid would reach 2{^30}. *)
+      (a union of the four above: a jump is taken, a conditional branch
+      taken by its outcome, [flag_braid_start] is the S bit). The first
+      instruction is promoted to a braid start when it lies inside a
+      braid: the braid core only accepts a stream whose first braid
+      instruction claims a BEU. Raises [Invalid_argument] on other bits,
+      and when the instruction's uid would reach 2{^29}. *)
 
   val finish : t -> stop_reason -> trace
-  (** The trace built so far, its columns views of the builder's. Its
-      first instruction is promoted to a braid start when it lies inside
-      a braid: the braid core only accepts a stream whose first braid
-      instruction claims a BEU. *)
+  (** The stored trace built so far, its columns views of the builder's,
+      with its release bits marked. *)
 end
+
+val stream :
+  static array ->
+  Program.t ->
+  capacity:int ->
+  max_reads:int ->
+  length:int ->
+  stop:stop_reason ->
+  warm_lines:int array ->
+  marked:bool ->
+  (Builder.t -> int -> unit) ->
+  t
+(** [stream proto program ~capacity ~max_reads ~length ~stop ~warm_lines
+    ~marked produce] is a stream of [length] instructions whose [stop],
+    {!warm_lines} and, when [marked], release bits a pre-pass has found
+    (its producer sets them as it pushes), with empty
+    rings of [capacity] uids. [produce b upto] must push instructions
+    [Builder.length b .. upto - 1] into [b], whose uids and dependence
+    offsets continue across calls: {!refill} calls it. Raises
+    [Invalid_argument] unless [capacity] is a power of two above 1, and
+    when [length] reaches 2{^29} or its entries overflow the 32-bit
+    offsets. *)
+
+val refill : t -> keep:int -> unit
+(** [refill t ~keep] lets a stream drop every uid below [keep] and
+    produce up to [min (length t) (keep + capacity t - 1)], the most its
+    rings hold; uids from [keep] up stay readable. A no-op on a stored
+    trace. Raises [Invalid_argument] unless [keep] lies in
+    [[lo, produced t]]. *)
 
 (** {2 Warm-up buffers} *)
 
@@ -226,23 +324,7 @@ end
 
 val warm_lines : t -> int array
 (** Distinct 64-byte instruction-line addresses in first-touch order,
-    recorded while the trace was built: repeated timing runs over one
-    trace — every point of a design-space sweep — warm their caches
-    without walking the event stream. *)
-
-type readers
-(** A 32-bit per-uid column of reader uids, off the OCaml heap. *)
-
-val last_ext_readers : t -> readers
-(** Per producer uid, the highest uid that reads its value externally
-    (not through a braid-internal register): the compiler's liveness
-    knowledge behind the braid core's dead-value release. Computed on
-    first use by one pass over the dependence entries and memoised, so
-    a trace only non-braid cores simulate never pays for it. *)
-
-val last_ext_reader : readers -> int -> int
-(** [last_ext_reader r p]: that reader of producer [p], -1 when none
-    does. *)
-
-val no_readers : readers
-(** An empty column, for a core that releases nothing early. *)
+    recorded while a stored trace was built, or by a stream's pre-pass:
+    repeated timing runs over one trace — every point of a design-space
+    sweep — warm their caches without walking the event stream, and a
+    stream's core warms them before its first instruction exists. *)

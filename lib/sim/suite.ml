@@ -127,6 +127,11 @@ let braid_binary (cfg : Braid_uarch.Config.t) =
 
 let trace p cfg = (if braid_binary cfg then p.braid_trace else p.conv_trace) ()
 
+(* The binary [cfg.kind] runs, and its label in memo keys. *)
+let binary p cfg =
+  if braid_binary cfg then ("braid", p.braid.Braid_core.Transform.program)
+  else ("conv", p.conventional.Braid_core.Extalloc.program)
+
 (* Memo keys are content, so a hit may have been computed under another
    name: the result carries the caller's. *)
 let renamed (cfg : Braid_uarch.Config.t) (r : Braid_uarch.Core.result) =
@@ -135,10 +140,7 @@ let renamed (cfg : Braid_uarch.Config.t) (r : Braid_uarch.Core.result) =
 (* The plan (fast-forward + BBV + clustering) is core-independent: one
    per (preparation, binary, spec) serves every configuration. *)
 let sample_plan ctx p (spec : Braid_sample.Spec.t) cfg =
-  let label, program =
-    if braid_binary cfg then ("braid", p.braid.Braid_core.Transform.program)
-    else ("conv", p.conventional.Braid_core.Extalloc.program)
-  in
+  let label, program = binary p cfg in
   let key = String.concat "/" [ p.key; label; Braid_sample.Spec.digest spec ] in
   memoise ctx ctx.plans key (fun () ->
       Braid_sample.Driver.plan ~init_mem:p.init_mem ~max_steps:(50 * p.scale)
@@ -166,3 +168,28 @@ let run ctx p cfg =
                (Braid_uarch.Core.run ~warm_data:p.warm_data cfg (trace p cfg))))
 
 let run_braid = run
+
+(* A stream's window, in uids. A larger ring switches less often between
+   the tracer and the core. Over the 30 requests of perfbench's cold-run
+   mix, timed in process (release build, best of 5 per request, paired
+   with the stored path), windows of 512 to 4,096 uids read 4.4-5.2%
+   under the stored path, 8,192 and 16,384 read 6.3-6.6% under it, and
+   65,536 4.9%, its rings no longer in cache. 16,384 takes about 0.5 MB. *)
+let stream_window = 16_384
+
+let run_streamed ctx p cfg =
+  match ctx.sample with
+  | Some spec -> (sample ctx p ~spec cfg).Braid_sample.Driver.result
+  | None ->
+      renamed cfg
+        (memoise ctx ctx.runs (run_key p cfg) (fun () ->
+             let trace =
+               Emulator.stream ~max_steps:(50 * p.scale) ~init_mem:p.init_mem
+                 ~release:
+                   (Braid_uarch.Config.Core_kind.releases_early
+                      cfg.Braid_uarch.Config.kind)
+                 ~capacity:(Int.max stream_window (Braid_uarch.Core.min_window cfg))
+                 (snd (binary p cfg))
+             in
+             Braid_uarch.Core.result
+               (Braid_uarch.Core.run ~warm_data:p.warm_data cfg trace)))

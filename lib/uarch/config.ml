@@ -260,6 +260,10 @@ module Core_kind = struct
   let braid_binary = function
     | Braid_exec | Cgooo -> true
     | In_order | Dep_steer | Ooo -> false
+
+  let releases_early = function
+    | Braid_exec -> true
+    | In_order | Dep_steer | Ooo | Cgooo -> false
 end
 
 let kind_to_string = Core_kind.to_string

@@ -159,6 +159,11 @@ module Core_kind : sig
   (** Whether the kind runs the braid binary (braid, cgooo) rather than
       the conventional one (in-order, dep-steer, ooo). The one rule by
       which every front end picks a binary or its trace. *)
+
+  val releases_early : t -> bool
+  (** Whether the kind frees an external register at its value's last
+      read, before commit (braid), and so reads a trace's release bits
+      ({!Trace.marked}). *)
 end
 
 val kind_to_string : core_kind -> string

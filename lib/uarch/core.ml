@@ -104,6 +104,14 @@ type redirect = {
   wrong_path : (int * int) option;  (** (block, offset) fetch runs down *)
 }
 
+(* A stream must keep every uid from the oldest uncommitted one to the
+   last one fetch may read in a cycle: the in-flight window, the fetch
+   buffer and one fetch group, plus the slot its ring keeps free. *)
+let min_window (cfg : Config.t) =
+  let need = cfg.Config.fetch_buffer + cfg.Config.inflight + cfg.Config.fetch_width in
+  let rec pow2 k = if k > need then k else pow2 (2 * k) in
+  pow2 2
+
 type t = {
   machine : Machine.t;
   step_fn : unit -> unit;
@@ -115,6 +123,10 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
     ?hier (cfg : Config.t) (trace : Trace.t) =
   let n = Trace.length trace in
   if n = 0 then invalid_arg "Core.create: empty trace";
+  if Trace.capacity trace < min_window cfg then
+    invalid_arg
+      (Printf.sprintf "Core.create: a stream window of %d uids under %s's minimum %d"
+         (Trace.capacity trace) cfg.Config.name (min_window cfg));
   let warm =
     match (warm, prewarm) with
     | Some _, Some _ -> invalid_arg "Core.create: both warm and prewarm given"
@@ -331,6 +343,10 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
         && not (Ring.is_full fetchq)
       do
         let u = !fetch_idx in
+        (* a stream produces more once fetch reaches its frontier,
+           overwriting only committed uids *)
+        if u = Trace.produced trace then
+          Trace.refill trace ~keep:(Machine.committed_count m);
         let e = Trace.static trace u in
         (* I-cache: charge per new line; a miss stalls fetch *)
         let line = e.Trace.pc / 64 in
@@ -348,7 +364,7 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
           if is_branch && !branches >= cfg.Config.max_branches_per_cycle then
             stop := true
           else begin
-            let taken = Trace.taken trace u in
+            let taken = is_branch && Trace.taken trace u in
             Ring.push fetchq u;
             incr fetched;
             Probe.on_fetch probe trace ~cycle:now u;
@@ -391,12 +407,16 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
         end
       done
     end;
-    (* coarse progress check to catch modeling deadlocks *)
+    (* coarse progress check to catch modeling deadlocks: a long wait
+       for a commit is one only when nothing is left scheduled (a
+       single write port can drain a backlog for thousands of cycles) *)
     if Machine.committed_count m > !last_committed then begin
       last_committed := Machine.committed_count m;
       last_progress := now
     end
-    else if now - !last_progress > 4 * cfg.Config.mem.Config.memory_latency + 4096
+    else if
+      now - !last_progress > 4 * cfg.Config.mem.Config.memory_latency + 4096
+      && not (Machine.scheduled m)
     then
       raise
         (Deadlock

@@ -54,11 +54,21 @@ val with_counts : result -> int array -> result
     {!counts}' order; every other field is [r]'s. *)
 
 exception Deadlock of string
-(** Raised by {!step} when no forward progress happens for an implausibly
-    long time — a simulator bug, surfaced loudly rather than silently
+(** Raised by {!step} when nothing has committed for [4 * memory_latency
+    + 4096] cycles and nothing is left scheduled ({!Machine.scheduled}),
+    or when the run outlasts an absolute bound of [200 * length + 100000]
+    cycles — a simulator bug, surfaced loudly rather than silently
     looping. *)
 
 type t
+
+val min_window : Config.t -> int
+(** The smallest {!Trace.capacity} a stream run on this config may
+    have: the least power of two above [fetch_buffer + inflight +
+    fetch_width] (512 at the presets). A stream keeps one uid fewer than
+    its capacity, and between refills fetch reads up to one fetch group
+    past the oldest uncommitted instruction's in-flight window and fetch
+    buffer. *)
 
 val create :
   ?probe:Probe.t ->
@@ -113,8 +123,15 @@ val create :
     through. Absent, a private one is built from the config (solo
     semantics); a CMP passes a hierarchy attached to a shared backside.
     Creation warms the trace's code lines and [warm_data] into the
-    hierarchy. Raises [Invalid_argument] on an empty trace or a
-    [measure_from] outside [0, length). *)
+    hierarchy.
+
+    The trace may be a stream ({!Trace.stream}): fetch refills it
+    ({!Trace.refill}) whenever it reaches the stream's frontier, keeping
+    every uncommitted instruction, and no stage reads a committed
+    instruction's trace entry (the machine keeps what it needs in the
+    instruction's slot). Raises [Invalid_argument] on an empty trace, a
+    stream whose capacity is under {!min_window}, or a [measure_from]
+    outside [0, length). *)
 
 val step : t -> unit
 (** Advance one cycle. Call only while [not (finished t)]. *)

@@ -123,11 +123,17 @@ end
    such a value doubles the ring instead. A producer whose slot another
    uid owns has therefore settled: every read of it may proceed.
 
+   A claim copies into the slot what the machine reads of the
+   instruction after dispatch: its static bits, latency, read counts and
+   address ([f_info], [f_addr]). No stage then reads the trace of a uid
+   that may have left it (a stream keeps only a window, and a committed
+   producer can settle long after commit).
+
    An unissued producer [p] keeps its dispatched consumers on a waiter
    list: the head at [waiters.(p land window_mask)], the node of
    dependence entry [k] at [k land node_mask]. Producer and waiters are
    all in flight, so these rings, sized by [inflight], never collide. *)
-let stride = 8
+let stride = 10
 let f_owner = 0 (* the uid holding the slot, -1 = none *)
 let f_pending = 1 (* producers not yet readable, set at dispatch *)
 let f_issue = 2 (* max_int = not issued *)
@@ -136,6 +142,33 @@ let f_visible = 4 (* cycle the result leaves the instruction: see do_issue *)
 let f_beu = 5 (* BEU / block window, -1 = none *)
 let f_home = 6 (* execution-core queue while resident and unissued, -1 = none *)
 let f_freed = 7 (* 1 = external-file entry released early *)
+let f_info = 8 (* the [i_*] bits, read counts and latency, packed *)
+let f_addr = 9 (* load/store address *)
+
+(* [f_info]: static bits, then the external and internal read counts
+   (4 bits each) from [i_reads], then the FU latency from [i_latency] *)
+let i_load = 1
+let i_store = 2
+let i_cond_branch = 4
+let i_writes_ext = 8
+let i_writes_int = 16
+let i_no_reader = 32 (* no instruction reads the value externally *)
+let i_reads = 8
+let i_latency = 16
+
+let info_of (e : Trace.static) ~no_reader =
+  (if e.Trace.is_load then i_load else 0)
+  lor (if e.Trace.is_store then i_store else 0)
+  lor (if e.Trace.is_cond_branch then i_cond_branch else 0)
+  lor (if e.Trace.writes_ext then i_writes_ext else 0)
+  lor (if e.Trace.writes_int then i_writes_int else 0)
+  lor (if no_reader then i_no_reader else 0)
+  lor (e.Trace.ext_src_reads lsl i_reads)
+  lor (e.Trace.int_src_reads lsl (i_reads + 4))
+  lor (e.Trace.latency lsl i_latency)
+
+let ext_reads info = (info lsr i_reads) land 15
+let int_reads info = (info lsr (i_reads + 4)) land 15
 
 type t = {
   cfg : Config.t;
@@ -150,7 +183,6 @@ type t = {
   node_mask : int;
   conflict_store : int array;  (* per load, slot [u land window_mask] *)
   stores : Ring.t;  (* in-flight stores, oldest first *)
-  last_ext_reader : Trace.readers;  (* braid dead-value release; empty otherwise *)
   (* scheduler residency: [ready_in.(c)] counts the resident entries of
      queue [c] (slot field [f_home]) whose registers are ready.
      Dispatch, the wake drain and [do_issue] keep the counts current so
@@ -218,9 +250,11 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     | Some h -> h
     | None -> Mem_hier.create_hierarchy cfg.Config.mem
   in
+  let is_braid = Config.Core_kind.releases_early cfg.Config.kind in
+  if is_braid && not (Trace.marked trace) then
+    invalid_arg "Machine.create: the braid core needs a trace with release bits";
   let window = pow2_at_least 1 (Int.min cfg.Config.inflight n) in
-  let nodes = pow2_at_least 1 (window * Trace.max_deps trace) in
-  let is_braid = cfg.Config.kind = Config.Braid_exec in
+  let nodes = pow2_at_least 1 (window * Trace.max_reads trace) in
   {
     cfg;
     trace;
@@ -234,8 +268,6 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     node_mask = nodes - 1;
     conflict_store = Array.make window (-1);
     stores = Ring.create ~capacity:cfg.Config.lsq_entries;
-    last_ext_reader =
-      (if is_braid then Trace.last_ext_readers trace else Trace.no_readers);
     ready_in = Array.make (Int.max 1 (Int.max cfg.Config.clusters cfg.Config.block_windows)) 0;
     executing = 0;
     (* filled only on braid: other kinds keep a one-slot wheel *)
@@ -302,12 +334,13 @@ let commit_releases t = t.commit_releases
 let slot t u = (u land t.slot_mask) * stride
 let get t b f = Array.unsafe_get t.slots (b + f)
 let set t b f v = Array.unsafe_set t.slots (b + f) v
+let has t b bit = get t b f_info land bit <> 0
 
-(* The cycle from which every read of committed uid [o]'s value is
+(* The cycle from which every read of the committed value in slot [b] is
    possible, from any cluster: the latest [readable_at] can return. *)
-let settled_at t o b =
+let settled_at t b =
   let v = Int.max (get t b f_issue + 1) (get t b f_complete) in
-  if (Trace.static t.trace o).Trace.writes_ext then
+  if has t b i_writes_ext then
     Int.max v
       (get t b f_visible
       + if t.beu_cluster_size > 0 then t.inter_cluster_latency else 0)
@@ -326,12 +359,12 @@ let grow t =
   t.slots <- slots;
   t.slot_mask <- mask
 
-let rec claim t u =
+let rec claim t u e =
   let b = slot t u in
   let o = get t b f_owner in
-  if o >= 0 && (o >= t.commit_idx || settled_at t o b > t.now) then begin
+  if o >= 0 && (o >= t.commit_idx || settled_at t b > t.now) then begin
     grow t;
-    claim t u
+    claim t u e
   end
   else begin
     set t b f_owner u;
@@ -339,7 +372,13 @@ let rec claim t u =
     set t b f_complete max_int;
     set t b f_beu (-1);
     set t b f_home (-1);
-    set t b f_freed 0
+    set t b f_freed 0;
+    (* the release flag is read only for a value with an external copy,
+       the address only for a load or store *)
+    set t b f_info
+      (info_of e ~no_reader:(e.Trace.writes_ext && Trace.no_ext_reader t.trace u));
+    set t b f_addr
+      (if e.Trace.is_load || e.Trace.is_store then Trace.addr t.trace u else -1)
   end
 
 let complete_cycle t u =
@@ -419,15 +458,14 @@ let mem_ready t u =
   else if is_complete t su then Mem_forward
   else Mem_blocked
 
-let can_issue_ports t u = (Trace.static t.trace u).Trace.ext_src_reads <= t.reads_left
+let can_issue_ports t u = ext_reads (get t (slot t u) f_info) <= t.reads_left
 
-(* The cycle consumer [c] may read issued producer [p], whose slot is
-   [pb], through dependence entry [k], by the rule machine.mli states. *)
-let readable_at t p pb c k =
-  let e = Trace.static t.trace p in
+(* The cycle consumer [c] may read the issued producer in slot [pb],
+   through dependence entry [k], by the rule machine.mli states. *)
+let readable_at t pb c k =
   let via = Trace.dep_via t.trace k in
   let v =
-    if e.Trace.writes_ext && not (via && e.Trace.writes_int) then
+    if has t pb i_writes_ext && not (via && has t pb i_writes_int) then
       let size = t.beu_cluster_size in
       if (not via) && size > 0 && get t pb f_beu / size <> get t (slot t c) f_beu / size
       then get t pb f_visible + t.inter_cluster_latency
@@ -457,31 +495,32 @@ let do_issue t u =
      t.ready_in.(h) <- t.ready_in.(h) - 1;
      set t b f_home (-1)
    end);
-  let e = Trace.static t.trace u in
-  t.reads_left <- t.reads_left - e.Trace.ext_src_reads;
-  t.ext_rf_reads <- t.ext_rf_reads + e.Trace.ext_src_reads;
-  t.int_rf_reads <- t.int_rf_reads + e.Trace.int_src_reads;
+  let info = get t b f_info in
+  let writes_ext = info land i_writes_ext <> 0 in
+  t.reads_left <- t.reads_left - ext_reads info;
+  t.ext_rf_reads <- t.ext_rf_reads + ext_reads info;
+  t.int_rf_reads <- t.int_rf_reads + int_reads info;
   let lat =
-    if e.Trace.is_load then
+    if info land i_load <> 0 then
       match mem_ready t u with
       | Mem_forward -> 1
-      | Mem_cache -> Mem_hier.data_latency t.hier (Trace.addr t.trace u)
+      | Mem_cache -> Mem_hier.data_latency t.hier (get t b f_addr)
       | Mem_blocked ->
           invalid_arg
             (Printf.sprintf
                "Machine.do_issue: load %d issued while blocked on an \
                 unresolved older store (cycle %d)"
                u t.now)
-    else e.Trace.latency
+    else info lsr i_latency
   in
   let complete = t.now + lat in
   t.issued_count <- t.issued_count + 1;
-  if e.Trace.writes_int then t.int_rf_writes <- t.int_rf_writes + 1;
-  let bypassed = e.Trace.writes_ext && Rc.try_take t.bypass complete 1 in
+  if info land i_writes_int <> 0 then t.int_rf_writes <- t.int_rf_writes + 1;
+  let bypassed = writes_ext && Rc.try_take t.bypass complete 1 in
   (* a result without an external copy leaves the instruction at
      completion *)
   let visible =
-    if not e.Trace.writes_ext then complete
+    if not writes_ext then complete
     else begin
       let wb = Rc.take_first_free t.write_ports complete 1 in
       t.ext_rf_writes <- t.ext_rf_writes + 1;
@@ -501,32 +540,34 @@ let do_issue t u =
   let k = ref t.waiters.(h) in
   while !k >= 0 do
     let node = !k land t.node_mask in
-    Calq.add t.wake (readable_at t u b t.waiter_uid.(node) !k) t.waiter_uid.(node);
+    Calq.add t.wake (readable_at t b t.waiter_uid.(node) !k) t.waiter_uid.(node);
     k := t.waiter_next.(node)
   done;
   t.waiters.(h) <- -1;
   (* branch resolution releases its checkpoint *)
-  if e.Trace.is_cond_branch && t.max_unresolved > 0 then
+  if info land i_cond_branch <> 0 && t.max_unresolved > 0 then
     Calq.add t.branch_resolve_at (Int.max (complete + 1) (t.now + 1)) u;
   (* Braid dead-value early release: the in-flight external entry of a
      producer frees once the producer has completed and its last external
-     reader (compiler liveness bits) has issued. That reader found the
-     value readable, so the producer had completed. Commit is the
-     fallback release, so this only shortens residency ([reg_free] skips
-     an entry commit already released). *)
+     reader (compiler liveness bits: the trace's release bits) has
+     issued. That reader found the value readable, so the producer had
+     completed. Commit is the fallback release, so this only shortens
+     residency ([reg_free] skips an entry commit already released); a
+     producer whose slot another uid holds has committed, and needs
+     none. *)
   if t.is_braid then begin
     (* a zero-latency issue still counts for the cycle it issues *)
     t.executing <- t.executing + 1;
     Calq.add t.leaves (Int.max complete (t.now + 1)) u;
-    if e.Trace.writes_ext && Trace.last_ext_reader t.last_ext_reader u < 0 then
+    if writes_ext && info land i_no_reader <> 0 then
       Calq.add t.reg_free_at (complete + 1) u;
     for k = Trace.dep_off t.trace u to Trace.dep_off t.trace (u + 1) - 1 do
-      let p = Trace.dep_uid t.trace k in
-      if
-        (not (Trace.dep_via t.trace k))
-        && Trace.last_ext_reader t.last_ext_reader p = u
-        && (Trace.static t.trace p).Trace.writes_ext
-      then Calq.add t.reg_free_at (t.now + 1) p
+      if Trace.dep_last t.trace k then begin
+        let p = Trace.dep_uid t.trace k in
+        let pb = slot t p in
+        if get t pb f_owner = p && has t pb i_writes_ext then
+          Calq.add t.reg_free_at (t.now + 1) p
+      end
     done
   end
 
@@ -562,21 +603,21 @@ let can_dispatch t u =
   else begin
     (* the execution core writes the slot before [note_dispatch]; a
        retry after the core refused [u] finds it claimed already *)
-    if get t (slot t u) f_owner <> u then claim t u;
+    if get t (slot t u) f_owner <> u then claim t u e;
     Block_none
   end
 
 (* The youngest in-flight store to [addr], -1 = none *)
 let youngest_store t addr =
   let i = ref (Ring.length t.stores - 1) in
-  while !i >= 0 && Trace.addr t.trace (Ring.get t.stores !i) <> addr do
+  while !i >= 0 && get t (slot t (Ring.get t.stores !i)) f_addr <> addr do
     decr i
   done;
   if !i < 0 then -1 else Ring.get t.stores !i
 
 let note_dispatch t u =
-  let e = Trace.static t.trace u in
   let b = slot t u in
+  let info = get t b f_info in
   (* rename: count the producers [u] cannot read yet; an issued one
      schedules the wake now, an unissued one takes [u] as a waiter, and
      one that has left its slot has settled *)
@@ -593,7 +634,7 @@ let note_dispatch t u =
       incr pending
     end
     else begin
-      let w = readable_at t p pb u k in
+      let w = readable_at t pb u k in
       if w > t.now then begin
         Calq.add t.wake w u;
         incr pending
@@ -605,19 +646,17 @@ let note_dispatch t u =
    if !pending = 0 && h >= 0 then t.ready_in.(h) <- t.ready_in.(h) + 1);
   (* a load's only conflict is the youngest in-flight store to its address *)
   t.conflict_store.(u land t.window_mask) <-
-    (if e.Trace.is_load then
-       youngest_store t (Trace.addr t.trace u)
-     else -1);
-  if e.Trace.is_store then Ring.push t.stores u;
+    (if info land i_load <> 0 then youngest_store t (get t b f_addr) else -1);
+  if info land i_store <> 0 then Ring.push t.stores u;
   t.alloc_left <- t.alloc_left - 1;
-  t.src_left <- t.src_left - e.Trace.ext_src_reads;
-  if e.Trace.writes_ext then begin
+  t.src_left <- t.src_left - ext_reads info;
+  if info land i_writes_ext <> 0 then begin
     t.dst_left <- t.dst_left - 1;
     t.free_regs <- t.free_regs - 1
   end;
-  if e.Trace.is_load || e.Trace.is_store then
+  if info land (i_load lor i_store) <> 0 then
     t.inflight_mem <- t.inflight_mem + 1;
-  if e.Trace.is_cond_branch && t.max_unresolved > 0 then
+  if info land i_cond_branch <> 0 && t.max_unresolved > 0 then
     t.unresolved_branches <- t.unresolved_branches + 1;
   t.dispatched_count <- t.dispatched_count + 1;
   Probe.on_dispatch t.probe t.trace ~cycle:t.now ~beu:(get t b f_beu) u
@@ -629,23 +668,21 @@ let commit_stage t =
     let u = t.commit_idx in
     if is_complete t u then begin
       let b = slot t u in
-      let e = Trace.static t.trace u in
       Probe.on_commit t.probe t.trace ~cycle:t.now ~beu:(get t b f_beu) u;
       (* stores drain to the data cache at commit (and, on a shared
          backside, through the coherence directory) *)
-      if e.Trace.is_store then begin
+      if has t b i_store then begin
         ignore (Ring.pop t.stores);
-        Mem_hier.drain_store t.hier (Trace.addr t.trace u)
+        Mem_hier.drain_store t.hier (get t b f_addr)
       end;
       (* release the rename/in-flight entry at commit unless the braid
          dead-value path already released it *)
-      if e.Trace.writes_ext && get t b f_freed = 0 then begin
+      if has t b i_writes_ext && get t b f_freed = 0 then begin
         t.free_regs <- t.free_regs + 1;
         t.commit_releases <- t.commit_releases + 1;
         Probe.on_ext_release t.probe ~cycle:t.now ~uid:u
       end;
-      if e.Trace.is_load || e.Trace.is_store then
-        t.inflight_mem <- t.inflight_mem - 1;
+      if has t b (i_load lor i_store) then t.inflight_mem <- t.inflight_mem - 1;
       t.commit_idx <- t.commit_idx + 1;
       decr budget
     end
@@ -653,6 +690,13 @@ let commit_stage t =
   done
 
 let all_committed t = t.commit_idx >= t.n
+
+let scheduled t =
+  not
+    (Calq.is_empty t.wake
+    && Calq.is_empty t.reg_free_at
+    && Calq.is_empty t.branch_resolve_at
+    && Calq.is_empty t.leaves)
 let committed_count t = t.commit_idx
 
 let dispatch_block_name = function

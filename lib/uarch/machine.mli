@@ -25,6 +25,17 @@
     Hence a producer whose slot another instruction holds has settled,
     and every read of it may proceed at once.
 
+    A slot holds the instruction's run state (owner uid, producers not
+    yet readable, issue, completion and visible cycles, BEU or block
+    window, scheduler queue, early-release flag) and what the machine
+    reads of it after dispatch, copied in when the slot is claimed: its
+    static bits (load, store, conditional branch, external write,
+    internal write), its {!Trace.no_ext_reader} flag, its latency, its
+    external and internal read counts and its address. Issue, wakeup,
+    settling, store-queue search and commit read only slots, never the
+    trace, so a streamed trace ({!Trace.stream}) may drop an instruction
+    once it commits, even while its value is still settling.
+
     Dependences register when an instruction dispatches, as rename does:
     {!note_dispatch} schedules the wakeup of each issued producer whose
     value is not yet readable and joins the waiter list of each unissued
@@ -45,10 +56,15 @@
     (rename free list): an entry is allocated at dispatch for each
     external-writing instruction and released at commit. The braid core
     additionally releases entries early, at dead-value time — once the
-    producer has completed and its last external reader (known to the
-    compiler, conveyed by the braid ISA) has read it — which is what lets
-    the paper's 8-entry external file keep up with a 256-entry one
-    (Fig 6). *)
+    producer has completed and its last external reader has read it —
+    which is what lets the paper's 8-entry external file keep up with a
+    256-entry one (Fig 6). It reads the trace's release bits: an issuing
+    instruction frees each producer whose entry it reads last
+    ({!Trace.dep_last}) one cycle later, unless the producer has left its
+    slot (it has committed, and commit released it), and a value no
+    instruction reads externally ({!Trace.no_ext_reader}) frees the cycle
+    after it completes. So {!create} raises [Invalid_argument] for a
+    braid config over a trace whose bits are not {!Trace.marked}. *)
 
 type mem_status =
   | Mem_blocked  (** the conflicting store has not completed *)
@@ -207,6 +223,11 @@ val commit_stage : t -> unit
 (** In-order commit of completed slots, up to the commit width; releases
     registers (conventional scheme) and LSQ entries, and drains stores
     from the store queue to the data cache. *)
+
+val scheduled : t -> bool
+(** Some calendar still holds an event: a wakeup, a register release, a
+    branch resolution or a BEU leave. A machine that commits nothing for
+    a long time is stuck only when nothing is scheduled. *)
 
 val all_committed : t -> bool
 val committed_count : t -> int

@@ -34,17 +34,19 @@ type state = {
          position is the monitor's own count; empty array otherwise *)
   mutable issues : int array;
       (* armed monitor: [issue_stride] ints per uid, the facts of its
-         issue ([issue_at] = max_int until then), so producers of any age
-         can be checked whatever the machine still holds of them *)
+         issue ([issue_at] = max_int until then) and of its static record
+         ([static_at]), so producers of any age can be checked whatever
+         the machine, or a stream's window, still holds of them *)
 }
 
 type t = state option
 
-let issue_stride = 4
+let issue_stride = 5
 let issue_at = 0
 let complete_at = 1
 let visible_at = 2
 let beu_at = 3
+let static_at = 4 (* [(braid_id + 1) lsl 2 lor writes_int lsl 1 lor writes_ext] *)
 
 let max_recorded = 200
 let off = None
@@ -203,7 +205,7 @@ let on_ext_release t ~cycle ~uid =
           "more external-file releases than allocations"
 
 (* The monitor's own record of [u]'s issue. *)
-let note_issue s ~cycle ~lat ~visible ~beu u =
+let note_issue s tr ~cycle ~lat ~visible ~beu u =
   let i = u * issue_stride in
   if i >= Array.length s.issues then begin
     let a = Array.make (Int.max (i + issue_stride) (2 * Array.length s.issues)) max_int in
@@ -213,7 +215,12 @@ let note_issue s ~cycle ~lat ~visible ~beu u =
   s.issues.(i + issue_at) <- cycle;
   s.issues.(i + complete_at) <- cycle + lat;
   s.issues.(i + visible_at) <- visible;
-  s.issues.(i + beu_at) <- beu
+  s.issues.(i + beu_at) <- beu;
+  let e = Trace.static tr u in
+  s.issues.(i + static_at) <-
+    ((e.Trace.braid_id + 1) lsl 2)
+    lor (Bool.to_int e.Trace.writes_int lsl 1)
+    lor Bool.to_int e.Trace.writes_ext
 
 (* Dep-visibility and cross-braid checks at issue time, against the
    monitor's record of each producer. *)
@@ -229,9 +236,10 @@ let check_wakeup t s tr ~cycle ~beu u =
       else begin
         (* the external copy, unless the producer has none or an
            internal read finds the value in its internal register *)
-        let pe = Trace.static tr p in
+        let ps = r.(i + static_at) in
+        let p_writes_ext = ps land 1 <> 0 and p_writes_int = ps land 2 <> 0 in
         let visible =
-          if pe.Trace.writes_ext && not (via && pe.Trace.writes_int) then
+          if p_writes_ext && not (via && p_writes_int) then
             r.(i + visible_at)
           else r.(i + complete_at)
         in
@@ -245,7 +253,7 @@ let check_wakeup t s tr ~cycle ~beu u =
         let size = s.cfg.Config.beu_cluster_size in
         let pbeu = r.(i + beu_at) in
         if
-          (not via) && pe.Trace.writes_ext && size > 0
+          (not via) && p_writes_ext && size > 0
           && s.cfg.Config.kind = Config.Braid_exec
           && pbeu / size <> beu / size
           && cycle < r.(i + visible_at) + s.cfg.Config.inter_cluster_latency
@@ -260,7 +268,7 @@ let check_wakeup t s tr ~cycle ~beu u =
             report t ~invariant:"internal.cross-beu" ~cycle ~uid:u
               (Printf.sprintf "internal value of %d (BEU %d) read on BEU %d" p
                  pbeu beu);
-          let braid_p = pe.Trace.braid_id in
+          let braid_p = (ps lsr 2) - 1 in
           if braid_p <> e.Trace.braid_id then
             report t ~invariant:"internal.cross-braid" ~cycle ~uid:u
               (Printf.sprintf
@@ -348,7 +356,7 @@ let on_issue t tr ~cycle ~lat ~visible ~beu ~bypassed u =
           (Tracer.Span
              { name = "L1D miss"; cat = "cache"; track = beu; start = cycle; dur = lat });
       if s.invariants then begin
-        note_issue s ~cycle ~lat ~visible ~beu u;
+        note_issue s tr ~cycle ~lat ~visible ~beu u;
         check_wakeup t s tr ~cycle ~beu u;
         check_window t s ~cycle ~beu u;
         check_issue t s tr ~cycle ~beu ~bypassed u

@@ -41,7 +41,10 @@ let count_of core name =
 
 (* --- commit-stream equality + armed invariants, 26 benchmarks --- *)
 
-let commit_stream_battery kind () =
+(* With [stream], the probed run reads its trace as a stream at the
+   config's minimum window, which fetch refills every few hundred
+   instructions; the run it must equal still stores its trace. *)
+let commit_stream_battery ?(stream = false) kind () =
   List.iter
     (fun (p : Spec.profile) ->
       let ctx = Printf.sprintf "%s/%s" p.Spec.name (kind_name kind) in
@@ -55,7 +58,13 @@ let commit_stream_battery kind () =
       let warm_data = List.map fst init_mem in
       let tracer = Obs.Tracer.create ~capacity:1024 () in
       let probe = U.Probe.create ~tracer ~invariants:true cfg in
-      let core = U.Core.run ~probe ~warm_data cfg trace in
+      let probed =
+        if stream then
+          Emulator.stream ~max_steps:100_000 ~init_mem
+            ~capacity:(U.Core.min_window cfg) binary
+        else trace
+      in
+      let core = U.Core.run ~probe ~warm_data cfg probed in
       let r = U.Core.result core in
       let n = Trace.length trace in
       Alcotest.(check int) (ctx ^ ": instructions") n r.U.Core.instructions;
@@ -272,7 +281,7 @@ let test_fuzz_cgooo_clean () =
 
 let battery =
   [
-    ("commit-stream", commit_stream_battery);
+    ("commit-stream", fun kind -> commit_stream_battery kind);
     ("rv-oracle", rv_oracle_battery);
     ("serve-vs-one-shot", serve_battery);
   ]

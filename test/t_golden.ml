@@ -256,13 +256,26 @@ let counters_line b (cfg : U.Config.t) (c : U.Core.t) =
             observations sum)
     (U.Core.counters c)
 
-let test_counter_digest () =
+(* How a digest simulates [cfg] on a preparation: over its stored trace,
+   or over a stream of it at the config's minimum window. *)
+let stored (p : Suite.prepared) cfg =
+  U.Core.run ~warm_data:p.Suite.warm_data cfg (Suite.trace p cfg)
+
+let streamed (p : Suite.prepared) (cfg : U.Config.t) =
+  let program =
+    if U.Config.Core_kind.braid_binary cfg.U.Config.kind then
+      p.Suite.braid.Braid_core.Transform.program
+    else p.Suite.conventional.Braid_core.Extalloc.program
+  in
+  U.Core.run ~warm_data:p.Suite.warm_data cfg
+    (Emulator.stream ~max_steps:(50 * p.Suite.scale) ~init_mem:p.Suite.init_mem
+       ~release:(U.Config.Core_kind.releases_early cfg.U.Config.kind)
+       ~capacity:(U.Core.min_window cfg) program)
+
+let counter_digest run =
   let ctx = Lazy.force ctx in
   let b = Buffer.create 65536 in
-  let simulate p cfg =
-    counters_line b cfg
-      (U.Core.run ~warm_data:p.Suite.warm_data cfg (Suite.trace p cfg))
-  in
+  let simulate p cfg = counters_line b cfg (run p cfg) in
   List.iter
     (fun (pr : Braid_workload.Spec.profile) ->
       let p = Suite.prepare ctx ~scale:1200 pr in
@@ -301,9 +314,25 @@ let test_counter_digest () =
           simulate (Suite.prepare ctx ~scale:1200 (Braid_workload.Spec.find bench)) cfg)
         [ "gzip"; "mcf"; "swim" ])
     [ U.Config.braid_8wide; { U.Config.braid_8wide with U.Config.beu_out_of_order = true } ];
-  Alcotest.(check string) "MD5 over every result field and counter"
-    "5e6e620d54a7c0e4b84429dc65fb8e2f"
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let counter_md5 = "5e6e620d54a7c0e4b84429dc65fb8e2f"
+
+let test_counter_digest () =
+  Alcotest.(check string) "MD5 over every result field and counter" counter_md5
+    (counter_digest stored)
+
+(* The lines of [configs] on all 26 benchmarks at scale 1200, benchmarks
+   outer. *)
+let configs_digest run configs =
+  let ctx = Lazy.force ctx in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (pr : Braid_workload.Spec.profile) ->
+      let p = Suite.prepare ctx ~scale:1200 pr in
+      List.iter (fun cfg -> counters_line b cfg (run p cfg)) configs)
+    Braid_workload.Spec.all;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The same lines for configurations off the presets, on all 26
    benchmarks at scale 1200 (benchmarks outer): clustered BEUs with and
@@ -311,38 +340,28 @@ let test_counter_digest () =
    checkpoints, and every kind with a two-entry LSQ and with an
    eight-instruction in-flight bound. These are the dependence, store
    and release paths no preset reaches. *)
-let test_off_preset_digest () =
-  let ctx = Lazy.force ctx in
-  let b = Buffer.create 65536 in
+let off_preset_configs =
   let over cfg kvs = Result.get_ok (U.Config.override cfg kvs) in
   let braid = U.Config.braid_8wide in
-  let configs =
-    [
-      over braid [ ("beu_cluster_size", "2"); ("inter_cluster_latency", "2") ];
-      over braid [ ("beu_cluster_size", "4"); ("inter_cluster_latency", "0") ];
-      over braid [ ("ext_regs", "2") ];
-      over braid [ ("ext_regs", "4") ];
-      over braid [ ("max_unresolved_branches", "2") ];
-      over U.Config.ooo_8wide [ ("max_unresolved_branches", "2") ];
-    ]
-    @ List.concat_map
-        (fun k ->
-          let preset = U.Config.preset_of_kind k in
-          [ over preset [ ("lsq_entries", "2") ]; over preset [ ("inflight", "8") ] ])
-        U.Config.Core_kind.all
-  in
-  List.iter
-    (fun (pr : Braid_workload.Spec.profile) ->
-      let p = Suite.prepare ctx ~scale:1200 pr in
-      List.iter
-        (fun cfg ->
-          counters_line b cfg
-            (U.Core.run ~warm_data:p.Suite.warm_data cfg (Suite.trace p cfg)))
-        configs)
-    Braid_workload.Spec.all;
-  Alcotest.(check string) "MD5 over every result field and counter"
-    "911654324cf5218935e60fb75f29b22d"
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+  [
+    over braid [ ("beu_cluster_size", "2"); ("inter_cluster_latency", "2") ];
+    over braid [ ("beu_cluster_size", "4"); ("inter_cluster_latency", "0") ];
+    over braid [ ("ext_regs", "2") ];
+    over braid [ ("ext_regs", "4") ];
+    over braid [ ("max_unresolved_branches", "2") ];
+    over U.Config.ooo_8wide [ ("max_unresolved_branches", "2") ];
+  ]
+  @ List.concat_map
+      (fun k ->
+        let preset = U.Config.preset_of_kind k in
+        [ over preset [ ("lsq_entries", "2") ]; over preset [ ("inflight", "8") ] ])
+      U.Config.Core_kind.all
+
+let off_preset_md5 = "911654324cf5218935e60fb75f29b22d"
+
+let test_off_preset_digest () =
+  Alcotest.(check string) "MD5 over every result field and counter" off_preset_md5
+    (configs_digest stored off_preset_configs)
 
 (* The same lines where a value becomes readable after its producer
    commits, on all 26 benchmarks at scale 1200 (benchmarks outer): one
@@ -351,32 +370,23 @@ let test_off_preset_digest () =
    cluster behind a long crossing delay. A machine that forgot a
    committed producer before its value settled would read it too early
    here. *)
-let test_late_visibility_digest () =
-  let ctx = Lazy.force ctx in
-  let b = Buffer.create 65536 in
+let late_visibility_configs =
   let over cfg kvs = Result.get_ok (U.Config.override cfg kvs) in
   let narrow = [ ("rf_write_ports", "1"); ("bypass_per_cycle", "1"); ("inflight", "16") ] in
-  let configs =
-    [
-      over U.Config.dep_steer_8wide narrow;
-      over U.Config.ooo_8wide narrow;
-      over U.Config.braid_8wide [ ("inflight", "4"); ("rf_write_ports", "1") ];
-      over U.Config.braid_8wide
-        [ ("beu_cluster_size", "1"); ("inter_cluster_latency", "40"); ("inflight", "8") ];
-    ]
-  in
-  List.iter
-    (fun (pr : Braid_workload.Spec.profile) ->
-      let p = Suite.prepare ctx ~scale:1200 pr in
-      List.iter
-        (fun cfg ->
-          counters_line b cfg
-            (U.Core.run ~warm_data:p.Suite.warm_data cfg (Suite.trace p cfg)))
-        configs)
-    Braid_workload.Spec.all;
+  [
+    over U.Config.dep_steer_8wide narrow;
+    over U.Config.ooo_8wide narrow;
+    over U.Config.braid_8wide [ ("inflight", "4"); ("rf_write_ports", "1") ];
+    over U.Config.braid_8wide
+      [ ("beu_cluster_size", "1"); ("inter_cluster_latency", "40"); ("inflight", "8") ];
+  ]
+
+let late_visibility_md5 = "0a426eb9c70c1f576339c81c90ef64ff"
+
+let test_late_visibility_digest () =
   Alcotest.(check string) "MD5 over every result field and counter"
-    "0a426eb9c70c1f576339c81c90ef64ff"
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    late_visibility_md5
+    (configs_digest stored late_visibility_configs)
 
 (* The same lines for the shapes of each kind's select, on all 26
    benchmarks at scale 1200 (benchmarks outer): an in-order queue that
@@ -386,45 +396,81 @@ let test_late_visibility_digest () =
    across two windows, one cluster and short windows. The shared FU
    budget cgooo's windows draw on, and each select's window and issue
    budget, show here and nowhere else. *)
-let test_select_shape_digest () =
-  let ctx = Lazy.force ctx in
-  let b = Buffer.create 65536 in
+let select_shape_configs =
   let over cfg kvs =
     Result.get_ok (U.Config.validate (Result.get_ok (U.Config.override cfg kvs)))
   in
   let braid = U.Config.braid_8wide and cgooo = U.Config.cgooo_8wide in
-  let configs =
-    [
-      over U.Config.in_order_8wide [ ("fus_per_cluster", "2"); ("cluster_entries", "8") ];
-      over U.Config.dep_steer_8wide [ ("clusters", "2"); ("cluster_entries", "4") ];
-      over U.Config.ooo_8wide
-        [
-          ("clusters", "2");
-          ("cluster_entries", "8");
-          ("sched_window", "8");
-          ("fus_per_cluster", "2");
-        ];
-      over braid [ ("sched_window", "1") ];
-      over braid [ ("sched_window", "4") ];
-      over braid [ ("clusters", "2"); ("fus_per_cluster", "1") ];
-      over braid [ ("beu_out_of_order", "true") ];
-      over cgooo [ ("block_windows", "2"); ("block_head_window", "1") ];
-      over cgooo [ ("clusters", "1") ];
-      over cgooo [ ("cluster_entries", "4") ];
-    ]
-  in
+  [
+    over U.Config.in_order_8wide [ ("fus_per_cluster", "2"); ("cluster_entries", "8") ];
+    over U.Config.dep_steer_8wide [ ("clusters", "2"); ("cluster_entries", "4") ];
+    over U.Config.ooo_8wide
+      [
+        ("clusters", "2");
+        ("cluster_entries", "8");
+        ("sched_window", "8");
+        ("fus_per_cluster", "2");
+      ];
+    over braid [ ("sched_window", "1") ];
+    over braid [ ("sched_window", "4") ];
+    over braid [ ("clusters", "2"); ("fus_per_cluster", "1") ];
+    over braid [ ("beu_out_of_order", "true") ];
+    over cgooo [ ("block_windows", "2"); ("block_head_window", "1") ];
+    over cgooo [ ("clusters", "1") ];
+    over cgooo [ ("cluster_entries", "4") ];
+  ]
+
+let select_shape_md5 = "181fd640a46fd931a7197b3c545fa6f8"
+
+let test_select_shape_digest () =
+  Alcotest.(check string) "MD5 over every result field and counter" select_shape_md5
+    (configs_digest stored select_shape_configs)
+
+(* A one-shot run streams its trace through a window instead of storing
+   it. Every number above must come out the same from streams at the
+   smallest window each config allows ([Core.min_window]), where fetch
+   refills the window every few hundred instructions, with release bits
+   only for the kind that reads them, as a one-shot run makes them. The
+   golden table
+   (each whole result equal to the stored run's), all four counter
+   digests, and the conformance battery's commit-stream rows on every
+   kind with the invariant monitor armed. *)
+let test_streamed_equals_stored () =
+  let ctx = Lazy.force ctx in
   List.iter
-    (fun (pr : Braid_workload.Spec.profile) ->
-      let p = Suite.prepare ctx ~scale:1200 pr in
-      List.iter
-        (fun cfg ->
-          counters_line b cfg
-            (U.Core.run ~warm_data:p.Suite.warm_data cfg (Suite.trace p cfg)))
-        configs)
-    Braid_workload.Spec.all;
-  Alcotest.(check string) "MD5 over every result field and counter"
-    "181fd640a46fd931a7197b3c545fa6f8"
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    (fun (bench, core, instrs, cycles) ->
+      let p = Suite.prepare ctx ~scale:1200 (Braid_workload.Spec.find bench) in
+      let cfg =
+        match core with
+        | In_order -> U.Config.in_order_8wide
+        | Ooo -> U.Config.ooo_8wide
+        | Braid -> U.Config.braid_8wide
+        | Cgooo -> U.Config.cgooo_8wide
+      in
+      let r = U.Core.result (streamed p cfg) in
+      let what = Printf.sprintf "%s on %s streamed" bench (core_name core) in
+      Alcotest.(check (pair int int)) what (instrs, cycles)
+        (r.U.Core.instructions, r.U.Core.cycles);
+      Alcotest.(check bool) (what ^ ": the stored run's result") true
+        (r = Suite.run ctx p cfg))
+    golden;
+  List.iter
+    (fun (what, md5, digest) -> Alcotest.(check string) what md5 (digest streamed))
+    [
+      ("streamed counter identity digest", counter_md5, counter_digest);
+      ( "streamed off-preset digest",
+        off_preset_md5,
+        fun run -> configs_digest run off_preset_configs );
+      ( "streamed late-visibility digest",
+        late_visibility_md5,
+        fun run -> configs_digest run late_visibility_configs );
+      ( "streamed select-shape digest",
+        select_shape_md5,
+        fun run -> configs_digest run select_shape_configs );
+    ];
+  List.iter
+    (fun kind -> T_conformance.commit_stream_battery ~stream:true kind ())
+    U.Config.Core_kind.all
 
 let test_covers_all_benchmarks () =
   (* the table above must track Spec.all: a new benchmark needs golden rows *)
@@ -455,4 +501,6 @@ let suite =
         Alcotest.test_case "late-visibility counter digest" `Slow
           test_late_visibility_digest;
         Alcotest.test_case "select-shape counter digest" `Slow test_select_shape_digest;
+        Alcotest.test_case "streamed runs equal stored runs" `Slow
+          test_streamed_equals_stored;
       ] )

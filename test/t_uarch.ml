@@ -403,8 +403,7 @@ let test_store_queue () =
 
 (* [Machine.create] allocates for the in-flight window, not the trace:
    on gzip at scales 12,000 and 100,000 it allocates the same to within
-   0.1 words per added instruction, on every kind. (The braid core's
-   memoised liveness table belongs to the trace and is built first.) *)
+   0.1 words per added instruction, on every kind. *)
 let test_create_window_sized () =
   let ctx = Braid_sim.Suite.create_ctx () in
   let traces scale =
@@ -416,7 +415,6 @@ let test_create_window_sized () =
       U.Config.Core_kind.all
   in
   let created (cfg, t) =
-    ignore (Trace.last_ext_readers t : Trace.readers);
     (* from an empty minor heap: a minor collection inside the measured
        region skews the count by tens of thousands of words *)
     Gc.minor ();
@@ -695,15 +693,15 @@ let test_trace_footprint () =
     "sorted, deduplicated" [ (0, false); (0, true); (1, false) ] (deps 2);
   Alcotest.(check (list bool)) "braid starts" [ true; false; false ]
     (List.init 3 (Trace.braid_start t));
-  (* a dependence entry packs a uid into 31 bits, and an instruction's
+  (* a dependence entry packs a uid into 29 bits, and an instruction's
      entries fit the room its reads bound *)
   let statics = Array.init 3 (Trace.static chain) in
   expect_invalid "capacity past the uid bound"
     (fun () ->
       ignore
         (Trace.Builder.create statics (Trace.program chain)
-           ~capacity:((1 lsl 30) + 1) ~max_reads:1))
-    "2^30";
+           ~capacity:((1 lsl 29) + 1) ~max_reads:1))
+    "2^29";
   let b = Trace.Builder.create statics (Trace.program chain) ~capacity:3 ~max_reads:1 in
   expect_invalid "a producer not yet pushed"
     (fun () -> Trace.Builder.add_dep b 0 false)
@@ -716,12 +714,121 @@ let test_trace_footprint () =
     (fun () -> Trace.Builder.add_dep b 1 false)
     "more than 1"
 
+(* A stream keeps a window of its trace: reads outside it raise, a refill
+   keeps every uid from [keep] up, and a core refuses a stream whose
+   window is under its config's minimum, or a braid core one without
+   release bits. *)
+let test_stream_window () =
+  let prog, init_mem = Spec.generate (Spec.find "gzip") ~seed:1 ~scale:2_000 in
+  let braid = (C.Transform.run prog).C.Transform.program in
+  let stored = Option.get (Emulator.run ~init_mem braid).Emulator.trace in
+  let s = Emulator.stream ~init_mem ~capacity:8 braid in
+  Alcotest.(check int) "nothing produced before a refill" 0 (Trace.produced s);
+  expect_invalid "a uid not yet produced" (fun () -> ignore (Trace.static s 0)) "outside";
+  Trace.refill s ~keep:0;
+  Alcotest.(check int) "a window of one uid fewer than its capacity" 7 (Trace.produced s);
+  Alcotest.(check int) "the offsets of the next uid" (Trace.dep_off stored 7)
+    (Trace.dep_off s 7);
+  expect_invalid "keep past the frontier" (fun () -> Trace.refill s ~keep:8) "outside";
+  Trace.refill s ~keep:5;
+  Alcotest.(check int) "refilled up to keep + capacity - 1" 12 (Trace.produced s);
+  Alcotest.(check bool) "a kept uid reads back" true
+    (Trace.event s 5 = Trace.event stored 5);
+  expect_invalid "a dropped uid" (fun () -> ignore (Trace.addr s 4)) "outside";
+  expect_invalid "a dropped uid's entries"
+    (fun () -> ignore (Trace.dep_uid s (Trace.dep_off stored 5 - 1)))
+    "outside";
+  expect_invalid "a capacity not a power of two"
+    (fun () -> ignore (Emulator.stream ~init_mem ~capacity:6 braid))
+    "power of two";
+  let cfg = U.Config.braid_8wide in
+  Alcotest.(check int) "the presets' minimum window" 512 (U.Core.min_window cfg);
+  expect_invalid "a window under the minimum"
+    (fun () ->
+      ignore
+        (U.Core.create cfg
+           (Emulator.stream ~init_mem ~capacity:(U.Core.min_window cfg / 2) braid)))
+    "minimum";
+  expect_invalid "a braid core on a stream without release bits"
+    (fun () ->
+      ignore
+        (U.Core.create cfg
+           (Emulator.stream ~init_mem ~release:false ~capacity:(U.Core.min_window cfg)
+              braid)))
+    "release bits";
+  Alcotest.(check bool) "a cgooo core reads no release bits" true
+    (U.Core.result
+       (U.Core.run U.Config.cgooo_8wide
+          (Emulator.stream ~init_mem ~release:false ~capacity:512 braid))
+    = U.Core.result (U.Core.run U.Config.cgooo_8wide stored))
+
+(* A single write port drains a long reservation backlog without a
+   commit for thousands of cycles: with a 2-cycle memory the progress
+   guard's bound is only 4,104 cycles, yet art at scale 2000 completes,
+   in as many cycles as with a 400-cycle memory. *)
+let test_write_port_backlog_not_deadlock () =
+  let ctx = Braid_sim.Suite.create_ctx () in
+  let p = Braid_sim.Suite.prepare ctx ~scale:2000 (Spec.find "art") in
+  let cycles latency =
+    let cfg =
+      Result.get_ok
+        (U.Config.override U.Config.ooo_8wide
+           [ ("rf_write_ports", "1"); ("memory_latency", latency) ])
+    in
+    (Braid_sim.Suite.run ctx p cfg).U.Core.cycles
+  in
+  Alcotest.(check int) "memory_latency 400" 10_723 (cycles "400");
+  Alcotest.(check int) "memory_latency 2" 10_723 (cycles "2")
+
+(* Random valid configurations run: from each preset, 2 to 5 sweepable
+   fields set to 0..4, kept when [Config.validate] accepts them, on five
+   benchmarks at scale 2000. Any exception fails the case and names the
+   config. *)
+let test_random_valid_configs () =
+  let ctx = Braid_sim.Suite.create_ctx () in
+  let preps =
+    List.map
+      (fun b -> Braid_sim.Suite.prepare ctx ~scale:2000 (Spec.find b))
+      [ "gzip"; "mcf"; "swim"; "crafty"; "art" ]
+  in
+  let rng = Prng.create 31L in
+  let fields = Array.of_list U.Config.sweepable_fields in
+  let valid = ref 0 in
+  List.iter
+    (fun preset ->
+      let drawn = ref 0 in
+      while !drawn < 12 do
+        let kvs =
+          List.init
+            (2 + Prng.int rng 4)
+            (fun _ ->
+              (fields.(Prng.int rng (Array.length fields)), string_of_int (Prng.int rng 5)))
+        in
+        match Result.bind (U.Config.override preset kvs) U.Config.validate with
+        | Error _ -> ()
+        | Ok cfg ->
+            incr drawn;
+            List.iter
+              (fun p ->
+                match Braid_sim.Suite.run ctx p cfg with
+                | _ -> ()
+                | exception e ->
+                    Alcotest.failf "%s on %s: %s" (U.Config.to_json cfg)
+                      p.Braid_sim.Suite.profile.Spec.name (Printexc.to_string e))
+              preps
+      done;
+      valid := !valid + !drawn)
+    U.Config.presets;
+  Alcotest.(check int) "valid configs run" 60 !valid
+
 (* The cycle loop allocates (next to) nothing: across the [Core.step]
    loop of 100k-instruction gzip and swim runs with [Probe.off], at most
-   one minor-heap word per simulated cycle on every kind. Loads and
-   stores are 29% of swim's instructions, so a store queue that
-   allocated per store would show there. Allocation is deterministic for
-   a given build, so this bound does not flake. *)
+   one minor-heap word per simulated cycle on every kind, over a stored
+   trace and over a stream at the config's minimum window, whose refills
+   trace every instruction inside the loop. Loads and stores are 29% of
+   swim's instructions, so a store queue that allocated per store would
+   show there. Allocation is deterministic for a given build, so this
+   bound does not flake. *)
 let test_step_allocation () =
   let ctx = Braid_sim.Suite.create_ctx () in
   List.iter
@@ -730,20 +837,31 @@ let test_step_allocation () =
       List.iter
         (fun kind ->
           let cfg = U.Config.preset_of_kind kind in
-          let core =
-            U.Core.create ~warm_data:p.Braid_sim.Suite.warm_data cfg
-              (Braid_sim.Suite.trace p cfg)
+          let program =
+            if U.Config.Core_kind.braid_binary kind then
+              p.Braid_sim.Suite.braid.C.Transform.program
+            else p.Braid_sim.Suite.conventional.C.Extalloc.program
           in
-          let before = Gc.minor_words () in
-          while not (U.Core.finished core) do
-            U.Core.step core
-          done;
-          let words = Gc.minor_words () -. before in
-          let per_cycle = words /. float_of_int (U.Core.result core).U.Core.cycles in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s on %s: %.3f minor words per cycle <= 1.0"
-               (U.Config.Core_kind.to_string kind) bench per_cycle)
-            true (per_cycle <= 1.0))
+          List.iter
+            (fun (how, trace) ->
+              let core = U.Core.create ~warm_data:p.Braid_sim.Suite.warm_data cfg trace in
+              let before = Gc.minor_words () in
+              while not (U.Core.finished core) do
+                U.Core.step core
+              done;
+              let words = Gc.minor_words () -. before in
+              let per_cycle = words /. float_of_int (U.Core.result core).U.Core.cycles in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s on %s, %s: %.3f minor words per cycle <= 1.0"
+                   (U.Config.Core_kind.to_string kind) bench how per_cycle)
+                true (per_cycle <= 1.0))
+            [
+              ("stored", Braid_sim.Suite.trace p cfg);
+              ( "streamed",
+                Emulator.stream ~max_steps:(50 * p.Braid_sim.Suite.scale)
+                  ~init_mem:p.Braid_sim.Suite.init_mem ~capacity:(U.Core.min_window cfg)
+                  program );
+            ])
         U.Config.Core_kind.all)
     [ "gzip"; "swim" ]
 
@@ -780,6 +898,10 @@ let suite =
         test_dispatch_refusals_insert_nothing;
       Alcotest.test_case "dep-steer steering choice" `Quick test_dep_steer_choice;
       Alcotest.test_case "trace footprint" `Quick test_trace_footprint;
+      Alcotest.test_case "stream window" `Quick test_stream_window;
+      Alcotest.test_case "write-port backlog is not a deadlock" `Quick
+        test_write_port_backlog_not_deadlock;
+      Alcotest.test_case "random valid configs run" `Quick test_random_valid_configs;
       Alcotest.test_case "cycle loop allocation bound" `Slow test_step_allocation;
       QCheck_alcotest.to_alcotest qcheck_all_cores_all_benchmarks;
     ] )
