@@ -102,7 +102,7 @@ let flag_byte ~taken ~faulting ~braid_start =
     lor if braid_start then flag_braid_start else 0)
 
 let dep_key p via = (p lsl 2) lor Bool.to_int via
-let entry_last = 2
+let last_bit = 2
 let length t = t.length
 let stop t = t.stop
 let program t = t.program
@@ -125,12 +125,18 @@ let sidx t u = Int32.to_int (Bigarray.Array1.unsafe_get t.sidx (col t u))
 
 (* [push] admits only static indices of [proto] *)
 let static t u = Array.unsafe_get t.proto (sidx t u)
+let statics t = t.proto
 let addr t u = Bigarray.Array1.unsafe_get t.addr (col t u)
 let flag t u bit = Char.code (Bytes.unsafe_get t.flags (col t u)) land bit <> 0
 let taken t u = flag t u flag_taken
 let faulting t u = flag t u flag_faulting
 let braid_start t u = flag t u flag_braid_start
 let no_ext_reader t u = flag t u flag_no_ext_reader
+
+let fetch t u =
+  let c = col t u in
+  (Int32.to_int (Bigarray.Array1.unsafe_get t.sidx c) lsl 8)
+  lor Char.code (Bytes.unsafe_get t.flags c)
 
 let dep_off t u =
   if u < t.lo || u > t.hi then outside t "uid" u t.lo (t.hi + 1)
@@ -140,9 +146,32 @@ let entry t k =
   if k < t.klo || k >= t.khi then outside t "dependence entry" k t.klo t.khi
   else Int32.to_int (Bigarray.Array1.unsafe_get t.deps (k land t.dmask))
 
-let dep_uid t k = entry t k lsr 2
-let dep_via t k = entry t k land 1 <> 0
-let dep_last t k = entry t k land entry_last <> 0
+let entry_uid e = e lsr 2
+let entry_via e = e land 1 <> 0
+let entry_last e = e land last_bit <> 0
+let dep_uid t k = entry_uid (entry t k)
+let dep_via t k = entry_via (entry t k)
+let dep_last t k = entry_last (entry t k)
+
+(* A kept uid's entries, and the offset past them, are kept too: the
+   kept uids and the next one's offsets fit the offset ring, and their
+   entries the entry ring, so one check of [u] covers every read. *)
+let deps_into t u buf =
+  let c = col t u in
+  let k0 = Int32.to_int (Bigarray.Array1.unsafe_get t.dep_off c) in
+  let n =
+    Int32.to_int (Bigarray.Array1.unsafe_get t.dep_off ((u + 1) land t.mask)) - k0
+  in
+  if n > Array.length buf then
+    invalid_arg
+      (Printf.sprintf "Trace.deps_into: uid %d has %d entries, the buffer %d" u n
+         (Array.length buf));
+  for i = 0 to n - 1 do
+    Array.unsafe_set buf i
+      (Int32.to_int (Bigarray.Array1.unsafe_get t.deps ((k0 + i) land t.dmask)))
+  done;
+  n
+
 let branch_of (s : static) = s.is_cond_branch || s.is_jump
 
 let column_bytes t =
@@ -235,7 +264,7 @@ let mark_release t =
       if last then
         Bytes.set seen (p lsr 3)
           (Char.unsafe_chr (Char.code (Bytes.get seen (p lsr 3)) lor (1 lsl (p land 7))));
-      if last <> (e land entry_last <> 0) then set32 t.deps k (e lxor entry_last)
+      if last <> (e land last_bit <> 0) then set32 t.deps k (e lxor last_bit)
     done
   done
 
@@ -439,7 +468,7 @@ module Builder = struct
     if k < get32 t.dep_off (t.hi land t.mask) || k >= t.khi then
       invalid_arg
         (Printf.sprintf "Trace.Builder.mark_last: entry %d is not uid %d's" k t.hi);
-    set32 t.deps (k land t.dmask) (get32 t.deps (k land t.dmask) lor entry_last)
+    set32 t.deps (k land t.dmask) (get32 t.deps (k land t.dmask) lor last_bit)
 
   let push b s ~addr flags =
     if flags land lnot 15 <> 0 then

@@ -14,7 +14,10 @@
     (taken, faulting, braid start, no external reader) and its register
     dependences in CSR form. Timing models read the columns through the
     accessors below; {!event} assembles the full record of one
-    instruction on demand, for readers off the hot path.
+    instruction on demand, for readers off the hot path. A timing
+    model's front end reads an instruction once: {!fetch} gives its
+    static index and flag byte, {!deps_into} its dependence entries, each
+    under one check of the uid.
 
     {b Layout.} The columns live off the OCaml heap, as Bigarrays the GC
     neither scans nor moves, 32-bit where the values fit: the static
@@ -148,6 +151,36 @@ val braid_start : t -> int -> bool
 
 val no_ext_reader : t -> int -> bool
 (** No instruction of the trace reads this uid's value externally. *)
+
+val fetch : t -> int -> int
+(** [fetch t u] is what a front end decodes uid [u] from, read under one
+    kept-range check: its static index and its flag byte (the [flag_*]
+    bits below), packed as [sidx lsl 8 lor flags]. The static index
+    names an entry of {!statics}. *)
+
+val statics : t -> static array
+(** The program's static table, indexed by the static index {!fetch}
+    returns: shared by reference with every trace of the program, so a
+    timing model builds its own per-static-instruction tables from it
+    once. Not to be mutated. *)
+
+val deps_into : t -> int -> int array -> int
+(** [deps_into t u buf] copies uid [u]'s dependence entries into
+    [buf.(0 .. n - 1)] and returns [n], under one kept-range check of
+    [u]: a kept uid's entries are kept too. [n] is at most {!max_reads},
+    the buffer size that always suffices. Entries are packed ints, read
+    with {!entry_uid}, {!entry_via} and {!entry_last}, sorted as
+    {!dep_off} describes. Raises [Invalid_argument] for a uid outside the
+    kept range, or a buffer shorter than [n]. *)
+
+val entry_uid : int -> int
+(** The producer uid of a packed dependence entry. *)
+
+val entry_via : int -> bool
+(** A packed entry's value flows through a braid-internal register. *)
+
+val entry_last : int -> bool
+(** A packed entry is the last external read of its producer. *)
 
 val dep_off : t -> int -> int
 (** CSR offsets of the register dependences: those of uid [u] are the

@@ -1,5 +1,6 @@
 type t = {
   sets : int;
+  set_bits : int;  (* log2 sets when [sets] is a power of two, else -1 *)
   ways : int;
   line_bits : int;
   latency : int;
@@ -19,6 +20,7 @@ let create (g : Config.cache_geometry) =
   let sets = Int.max 1 (lines / g.Config.ways) in
   {
     sets;
+    set_bits = (if sets land (sets - 1) = 0 then log2 sets else -1);
     ways = g.Config.ways;
     line_bits = log2 g.Config.line_bytes;
     latency = g.Config.latency;
@@ -29,18 +31,25 @@ let create (g : Config.cache_geometry) =
     misses = 0;
   }
 
+(* A line's set and tag: a mask and a shift when the set count is a
+   power of two, as on every preset *)
+let set_of t line = if t.set_bits >= 0 then line land (t.sets - 1) else line mod t.sets
+let tag_of t line = if t.set_bits >= 0 then line lsr t.set_bits else line / t.sets
+
+(* The ways of a set lie in [tags] and [stamps], which hold [sets * ways]
+   entries, so the scans read them unchecked. *)
 let access_gen ~count t addr =
   let line = addr lsr t.line_bits in
-  let set = line mod t.sets in
-  let tag = line / t.sets in
+  let tag = tag_of t line in
   t.tick <- t.tick + 1;
-  let base = set * t.ways in
+  let base = set_of t line * t.ways in
+  let tags = t.tags and stamps = t.stamps in
   let way = ref (-1) in
   for w = base to base + t.ways - 1 do
-    if t.tags.(w) = tag then way := w
+    if Array.unsafe_get tags w = tag then way := w
   done;
   if !way >= 0 then begin
-    t.stamps.(!way) <- t.tick;
+    Array.unsafe_set stamps !way t.tick;
     if count then t.hits <- t.hits + 1;
     true
   end
@@ -49,10 +58,10 @@ let access_gen ~count t addr =
     (* evict LRU *)
     let victim = ref base in
     for w = base + 1 to base + t.ways - 1 do
-      if t.stamps.(w) < t.stamps.(!victim) then victim := w
+      if Array.unsafe_get stamps w < Array.unsafe_get stamps !victim then victim := w
     done;
-    t.tags.(!victim) <- tag;
-    t.stamps.(!victim) <- t.tick;
+    Array.unsafe_set tags !victim tag;
+    Array.unsafe_set stamps !victim t.tick;
     false
   end
 
@@ -69,9 +78,8 @@ let line_of t addr = addr lsr t.line_bits
    of the probed core beyond the invalidation itself. *)
 let find_way t addr =
   let line = addr lsr t.line_bits in
-  let set = line mod t.sets in
-  let tag = line / t.sets in
-  let base = set * t.ways in
+  let tag = tag_of t line in
+  let base = set_of t line * t.ways in
   let way = ref (-1) in
   for w = base to base + t.ways - 1 do
     if t.tags.(w) = tag then way := w

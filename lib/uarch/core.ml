@@ -144,8 +144,11 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
      initial data image is warm in L2. *)
   let h = Machine.hierarchy m in
   Array.iter (fun line -> Mem_hier.warm_instr h line) (Trace.warm_lines trace);
-  List.iter (fun addr -> Mem_hier.warm_l2 h addr) warm_data;
+  Mem_hier.warm_l2_lines h warm_data;
   let core = Exec_core.create m in
+  (* each fetched instruction's word ([Machine.decode]); fetch and
+     dispatch both go in uid order, so the head is uid
+     [Machine.dispatched_count m] *)
   let fetchq = Ring.create ~capacity:cfg.Config.fetch_buffer in
   let fetch_idx = ref 0 in
   let blocked : redirect option ref = ref None in
@@ -296,10 +299,10 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
     (* dispatch *)
     let continue_dispatch = ref true in
     while !continue_dispatch && not (Ring.is_empty fetchq) do
-      let u = Ring.peek fetchq in
-      match Machine.can_dispatch m u with
+      let u = Machine.dispatched_count m and w = Ring.peek fetchq in
+      match Machine.can_dispatch m u w with
       | Machine.Block_none ->
-          if Exec_core.try_dispatch core u then begin
+          if Exec_core.try_dispatch core u w then begin
             Machine.note_dispatch m u;
             ignore (Ring.pop fetchq)
           end
@@ -347,11 +350,13 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
            overwriting only committed uids *)
         if u = Trace.produced trace then
           Trace.refill trace ~keep:(Machine.committed_count m);
-        let e = Trace.static trace u in
+        (* decode: the static index and flag byte, read once *)
+        let w = Machine.decode m u in
+        let pc = Machine.Word.pc w in
         (* I-cache: charge per new line; a miss stalls fetch *)
-        let line = e.Trace.pc / 64 in
+        let line = pc / 64 in
         if line <> !last_line then begin
-          let lat = Mem_hier.instr_latency hier e.Trace.pc in
+          let lat = Mem_hier.instr_latency hier pc in
           last_line := line;
           if lat > cfg.Config.mem.Config.l1i.Config.latency then begin
             icache_ready := now + lat;
@@ -360,22 +365,20 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
           end
         end;
         if not !stop then begin
-          let is_branch = Trace.branch_of e in
+          let is_branch = Machine.Word.is_branch w in
           if is_branch && !branches >= cfg.Config.max_branches_per_cycle then
             stop := true
           else begin
-            let taken = is_branch && Trace.taken trace u in
-            Ring.push fetchq u;
+            let taken = is_branch && Machine.Word.is_taken w in
+            Ring.push fetchq w;
             incr fetched;
             Probe.on_fetch probe trace ~cycle:now u;
             if is_branch then incr branches;
             (* a taken transfer missing in the BTB costs a fetch bubble *)
-            if is_branch && taken && not (btb_hit e.Trace.pc) then
+            if is_branch && taken && not (btb_hit pc) then
               icache_ready := Int.max !icache_ready (now + 2);
-            if e.Trace.is_cond_branch then begin
-              let correct =
-                Predictor.predict_and_train pred ~pc:e.Trace.pc ~taken
-              in
+            if Machine.Word.is_cond_branch w then begin
+              let correct = Predictor.predict_and_train pred ~pc ~taken in
               if not correct then begin
                 blocked :=
                   Some
@@ -384,14 +387,14 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
                       penalty = cfg.Config.misprediction_penalty;
                       wrong_path =
                         (if cfg.Config.model_wrong_path_fetch then
-                           wrong_path_of e ~taken
+                           wrong_path_of (Trace.static trace u) ~taken
                          else None);
                     };
                 stop := true
               end
             end;
             (* arithmetic faults serialize: drain, handle, resume (§3.4) *)
-            if Trace.faulting trace u then begin
+            if Machine.Word.is_faulting w then begin
               incr faults;
               blocked :=
                 Some

@@ -11,6 +11,8 @@ type t = {
   mutable target : int;  (* braid / cgooo: the queue taking the braid or
                             block in dispatch; -1 = none *)
   mutable rr : int;  (* ooo: the scheduler round-robin starts from *)
+  mutable resident : int;  (* dispatched, not yet issued *)
+  deps : int array;  (* dep-steer: [Trace.deps_into]'s buffer *)
 }
 
 (* Issue at most [budget] entries of queue [q], cluster [c], oldest
@@ -41,16 +43,25 @@ let select m q c ~window ~budget =
   done;
   !issued
 
+(* Visit the queues in [order] while issues are left and some queue not
+   yet visited holds a register-ready entry: an issue lowers only its own
+   queue's count, so [unseen] counts those of the queues still ahead. *)
 let cycle t =
-  let left = ref t.shared in
-  for k = 0 to Array.length t.order - 1 do
-    let i = t.order.(k) in
+  let m = t.m in
+  let left = ref t.shared and unseen = ref (Machine.ready m) in
+  let k = ref 0 in
+  while !unseen > 0 && !left > 0 do
+    let i = t.order.(!k) in
+    let r = Machine.ready_in m i in
     (* most queues have nothing ready most cycles: skip the call *)
-    if Machine.ready_in t.m i > 0 then begin
+    if r > 0 then begin
+      unseen := !unseen - r;
       let budget = Int.min t.per_queue !left in
-      left := !left - select t.m t.queues.(i) i ~window:t.window ~budget
-    end
-  done
+      left := !left - select m t.queues.(i) i ~window:t.window ~budget
+    end;
+    incr k
+  done;
+  t.resident <- t.resident - (t.shared - !left)
 
 (* ------------------------------------------------------------------ *)
 (* Steering: the queue a dispatching uid enters, -1 = none this cycle.
@@ -69,10 +80,11 @@ let first_empty qs =
    first empty one. A tail is resident and unissued, so its FIFO is the
    home [Machine] records for it: [u]'s producers name every candidate,
    and no FIFO is walked. *)
-let producer_fifo m tr qs u =
+let producer_fifo t u =
+  let m = t.m and qs = t.queues and deps = t.deps in
   let best = ref max_int in
-  for k = Trace.dep_off tr u to Trace.dep_off tr (u + 1) - 1 do
-    let p = Trace.dep_uid tr k in
+  for k = 0 to Trace.deps_into (Machine.trace m) u deps - 1 do
+    let p = Trace.entry_uid (Array.unsafe_get deps k) in
     let i = Machine.home m p in
     if i >= 0 && i < !best then begin
       let f = qs.(i) in
@@ -111,11 +123,11 @@ let follow t u =
   end
   else -1
 
-let steer t u =
-  let qs = t.queues and tr = Machine.trace t.m in
+let steer t u w =
+  let qs = t.queues in
   match t.kind with
   | Config.In_order -> if Ring.is_full qs.(0) then -1 else 0
-  | Config.Dep_steer -> producer_fifo t.m tr qs u
+  | Config.Dep_steer -> producer_fifo t u
   | Config.Ooo ->
       let i = with_room qs t.rr in
       if i >= 0 then t.rr <- (if i + 1 = Array.length qs then 0 else i + 1);
@@ -125,7 +137,7 @@ let steer t u =
          empty BEU: one braid per BEU at a time (§3.3); a BEU whose braid
          has fully issued is free, its results flowing on through the
          bypass and external file *)
-      if Trace.braid_start tr u then t.target <- first_empty qs;
+      if Machine.Word.is_braid_start w then t.target <- first_empty qs;
       follow t u
   | Config.Cgooo ->
       (* a block leader (offset 0) closes the previous block and claims
@@ -133,18 +145,19 @@ let steer t u =
          no block in dispatch yet: the cut-off block's tail is timed as a
          short block of its own, as [Emulator.Compiled.trace_window]
          promotes a braid start for the braid core. *)
-      if (Trace.static tr u).Trace.offset = 0 || t.target < 0 then begin
+      if Machine.Word.is_leader w || t.target < 0 then begin
         t.target <- first_empty qs;
         if t.target >= 0 then to_back t.order t.target
       end;
       follow t u
 
-let try_dispatch t u =
-  let i = steer t u in
+let try_dispatch t u w =
+  let i = steer t u w in
   if i < 0 then false
   else begin
     Machine.note_resident t.m u i;
     Ring.push t.queues.(i) u;
+    t.resident <- t.resident + 1;
     true
   end
 
@@ -175,13 +188,8 @@ let create m =
     shared = cfg.Config.clusters * fus;
     target = -1;
     rr = 0;
+    resident = 0;
+    deps = Array.make (Trace.max_reads (Machine.trace m)) 0;
   }
 
-(* a loop, not [Array.fold_left], which would call its closure once per
-   queue every cycle *)
-let occupancy t =
-  let n = ref (Machine.executing t.m) in
-  for i = 0 to Array.length t.queues - 1 do
-    n := !n + Ring.length t.queues.(i)
-  done;
-  !n
+let occupancy t = t.resident + Machine.executing t.m

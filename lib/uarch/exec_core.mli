@@ -54,8 +54,12 @@ cgooo      block_windows  a block leader claims the       1             block_he
     - {!create} may allocate structures but performs no machine
       mutation.
     - {!try_dispatch} is called only for the uid at the head of the fetch
-      queue, only after {!Machine.can_dispatch} returned [Block_none]
-      this cycle, and in trace (uid) order. On [true] the core has
+      queue, with the word fetch queued for it ({!Machine.decode}), only
+      after {!Machine.can_dispatch} returned [Block_none] this cycle, and
+      in trace (uid) order. Steering reads the word (braid's S bit,
+      cgooo's block leader) and, on dep-steer, the uid's dependence
+      entries ({!Trace.deps_into}); nothing else of the trace. On [true]
+      the core has
       accepted residency of the uid and recorded its queue
       ({!Machine.note_resident}; braid and cgooo also {!Machine.set_beu});
       the caller then consumes front-end resources via
@@ -69,10 +73,10 @@ cgooo      block_windows  a block leader claims the       1             block_he
       to issue (wakeups land only at [begin_cycle]), which is what makes
       single-pass window scans legal.
     - {!occupancy} is the number of instructions resident in the core:
-      dispatched and not yet issued, plus the braid core's issued but
-      incomplete ones ({!Machine.executing}). It is read after {!cycle}
-      each cycle for the occupancy statistics and must not mutate
-      anything. *)
+      dispatched and not yet issued, a count {!try_dispatch} and {!cycle}
+      keep, plus the braid core's issued but incomplete ones
+      ({!Machine.executing}). It is read after {!cycle} each cycle for
+      the occupancy statistics and must not mutate anything. *)
 
 type t
 
@@ -80,8 +84,9 @@ val create : Machine.t -> t
 (** Builds the core selected by the machine's configuration
     ([cfg.kind]). *)
 
-val try_dispatch : t -> int -> bool
-(** Space/steering check for an instruction uid; inserts on success. *)
+val try_dispatch : t -> int -> int -> bool
+(** [try_dispatch t u w]: space/steering check for uid [u], whose word
+    is [w]; inserts on success. *)
 
 val cycle : t -> unit
 (** Select and issue for the current cycle. Call exactly once per

@@ -68,14 +68,15 @@ module Rc = struct
     fit (2 * (t.mask + 1))
 
   (* The slot counting for cycle [c], claiming a dead one if needed.
-     Only [take] calls this; reads must stay side-effect free. *)
+     Only [take] calls this; reads must stay side-effect free. A slot
+     [c land mask] indexes both arrays, so the accesses go unchecked. *)
   let rec slot_of t c =
     let i = c land t.mask in
-    let s = t.stamp.(i) in
+    let s = Array.unsafe_get t.stamp i in
     if s = c then i
     else if s < t.now then begin
-      t.stamp.(i) <- c;
-      t.usage.(i) <- 0;
+      Array.unsafe_set t.stamp i c;
+      Array.unsafe_set t.usage i 0;
       i
     end
     else begin
@@ -85,13 +86,13 @@ module Rc = struct
 
   let used t c =
     let i = c land t.mask in
-    if t.stamp.(i) = c then t.usage.(i) else 0
+    if Array.unsafe_get t.stamp i = c then Array.unsafe_get t.usage i else 0
 
   let available t c n = used t c + n <= t.limit
 
   let take t c n =
     let i = slot_of t c in
-    t.usage.(i) <- t.usage.(i) + n
+    Array.unsafe_set t.usage i (Array.unsafe_get t.usage i + n)
 
   let try_take t c n =
     if available t c n then begin
@@ -112,6 +113,67 @@ module Rc = struct
     c'
 end
 
+(* An instruction's word: what fetch decodes it to, and all a later
+   stage reads of it. Its low byte is the trace's flag byte
+   ([Trace.fetch]): taken, faulting, braid start (the S bit), no
+   external reader. Above it come the static bits, the external and
+   internal read counts (4 bits each), the FU latency (8 bits) and, from
+   bit 32, the pc. [of_static] decodes the static part once per static
+   instruction; fetch adds the flag byte. *)
+module Word = struct
+  let taken = Trace.flag_taken
+  let faulting = Trace.flag_faulting
+  let braid_start = Trace.flag_braid_start
+  let no_reader = Trace.flag_no_ext_reader
+  let load = 1 lsl 8
+  let store = 1 lsl 9
+  let cond_branch = 1 lsl 10
+  let jump = 1 lsl 11
+  let ext_write = 1 lsl 12
+  let int_write = 1 lsl 13
+  let leader = 1 lsl 14 (* offset 0 in its block *)
+  let reads_at = 15
+  let latency_at = 23
+  let pc_at = 32
+
+  let of_static (e : Trace.static) =
+    let field what v bits =
+      if v < 0 || v lsr bits <> 0 then
+        invalid_arg
+          (Printf.sprintf "Machine.Word.of_static: %s %d at pc %d does not fit %d bits"
+             what v e.Trace.pc bits);
+      v
+    in
+    (if e.Trace.is_load then load else 0)
+    lor (if e.Trace.is_store then store else 0)
+    lor (if e.Trace.is_cond_branch then cond_branch else 0)
+    lor (if e.Trace.is_jump then jump else 0)
+    lor (if e.Trace.writes_ext then ext_write else 0)
+    lor (if e.Trace.writes_int then int_write else 0)
+    lor (if e.Trace.offset = 0 then leader else 0)
+    lor (field "external reads" e.Trace.ext_src_reads 4 lsl reads_at)
+    lor (field "internal reads" e.Trace.int_src_reads 4 lsl (reads_at + 4))
+    lor (field "latency" e.Trace.latency 8 lsl latency_at)
+    lor (field "pc" e.Trace.pc 31 lsl pc_at)
+
+  let is_load w = w land load <> 0
+  let is_store w = w land store <> 0
+  let is_cond_branch w = w land cond_branch <> 0
+  let is_jump w = w land jump <> 0
+  let is_branch w = w land (cond_branch lor jump) <> 0
+  let writes_ext w = w land ext_write <> 0
+  let writes_int w = w land int_write <> 0
+  let is_leader w = w land leader <> 0
+  let ext_reads w = (w lsr reads_at) land 15
+  let int_reads w = (w lsr (reads_at + 4)) land 15
+  let latency w = (w lsr latency_at) land 255
+  let pc w = w lsr pc_at
+  let is_taken w = w land taken <> 0
+  let is_faulting w = w land faulting <> 0
+  let is_braid_start w = w land braid_start <> 0
+  let no_ext_reader w = w land no_reader <> 0
+end
+
 (* Per-instruction state lives only while an instruction is in flight, in
    a ring of slots: uid [u] owns slot [u land slot_mask], [stride] ints of
    [slots] starting at [slot t u]. A dispatching uid claims its slot in
@@ -124,15 +186,16 @@ end
    uid owns has therefore settled: every read of it may proceed.
 
    A claim copies into the slot what the machine reads of the
-   instruction after dispatch: its static bits, latency, read counts and
-   address ([f_info], [f_addr]). No stage then reads the trace of a uid
-   that may have left it (a stream keeps only a window, and a committed
-   producer can settle long after commit).
+   instruction after dispatch: the word fetch decoded ([f_info]) and,
+   for a load or store, its address ([f_addr]). No stage then reads the
+   trace of a uid that may have left it (a stream keeps only a window,
+   and a committed producer can settle long after commit).
 
    An unissued producer [p] keeps its dispatched consumers on a waiter
-   list: the head at [waiters.(p land window_mask)], the node of
-   dependence entry [k] at [k land node_mask]. Producer and waiters are
-   all in flight, so these rings, sized by [inflight], never collide. *)
+   list, headed at [waiters.(p land window_mask)]. Consumer [c]'s [i]th
+   dependence is node [(c land window_mask) * max_reads + i], holding
+   [c lsl 1 lor via]. Producer and waiters are all in flight, so these
+   rings, sized by [inflight], never collide. *)
 let stride = 10
 let f_owner = 0 (* the uid holding the slot, -1 = none *)
 let f_pending = 1 (* producers not yet readable, set at dispatch *)
@@ -142,45 +205,22 @@ let f_visible = 4 (* cycle the result leaves the instruction: see do_issue *)
 let f_beu = 5 (* BEU / block window, -1 = none *)
 let f_home = 6 (* execution-core queue while resident and unissued, -1 = none *)
 let f_freed = 7 (* 1 = external-file entry released early *)
-let f_info = 8 (* the [i_*] bits, read counts and latency, packed *)
+let f_info = 8 (* the instruction's word *)
 let f_addr = 9 (* load/store address *)
-
-(* [f_info]: static bits, then the external and internal read counts
-   (4 bits each) from [i_reads], then the FU latency from [i_latency] *)
-let i_load = 1
-let i_store = 2
-let i_cond_branch = 4
-let i_writes_ext = 8
-let i_writes_int = 16
-let i_no_reader = 32 (* no instruction reads the value externally *)
-let i_reads = 8
-let i_latency = 16
-
-let info_of (e : Trace.static) ~no_reader =
-  (if e.Trace.is_load then i_load else 0)
-  lor (if e.Trace.is_store then i_store else 0)
-  lor (if e.Trace.is_cond_branch then i_cond_branch else 0)
-  lor (if e.Trace.writes_ext then i_writes_ext else 0)
-  lor (if e.Trace.writes_int then i_writes_int else 0)
-  lor (if no_reader then i_no_reader else 0)
-  lor (e.Trace.ext_src_reads lsl i_reads)
-  lor (e.Trace.int_src_reads lsl (i_reads + 4))
-  lor (e.Trace.latency lsl i_latency)
-
-let ext_reads info = (info lsr i_reads) land 15
-let int_reads info = (info lsr (i_reads + 4)) land 15
 
 type t = {
   cfg : Config.t;
   trace : Trace.t;
   n : int;  (* trace length *)
+  decoded : int array;  (* per static index: its word's static part *)
+  deps : int array;  (* [Trace.deps_into]'s buffer *)
+  max_reads : int;
   mutable slots : int array;
   mutable slot_mask : int;
-  waiters : int array;  (* first waiter's dependence entry, -1 = none *)
-  waiter_next : int array;  (* the next waiter's entry, -1 = end *)
-  waiter_uid : int array;  (* the waiting consumer *)
+  waiters : int array;  (* first waiter's node, -1 = none *)
+  waiter_next : int array;  (* the next waiter's node, -1 = end *)
+  waiter : int array;  (* the waiting consumer's uid lsl 1 lor via *)
   window_mask : int;
-  node_mask : int;
   conflict_store : int array;  (* per load, slot [u land window_mask] *)
   stores : Ring.t;  (* in-flight stores, oldest first *)
   (* scheduler residency: [ready_in.(c)] counts the resident entries of
@@ -189,6 +229,7 @@ type t = {
      the select skips queues (and window tails) with no register-ready
      work. *)
   ready_in : int array;
+  mutable ready : int;  (* the sum of [ready_in] *)
   (* braid: issued instructions not yet complete, each leaving at its
      [leaves] cycle *)
   mutable executing : int;
@@ -254,21 +295,24 @@ let create ?(probe = Probe.off) ?hier cfg trace =
   if is_braid && not (Trace.marked trace) then
     invalid_arg "Machine.create: the braid core needs a trace with release bits";
   let window = pow2_at_least 1 (Int.min cfg.Config.inflight n) in
-  let nodes = pow2_at_least 1 (window * Trace.max_reads trace) in
+  let max_reads = Trace.max_reads trace in
   {
     cfg;
     trace;
     n;
+    decoded = Array.map Word.of_static (Trace.statics trace);
+    deps = Array.make max_reads 0;
+    max_reads;
     slots = Array.make (window * stride) (-1);
     slot_mask = window - 1;
     waiters = Array.make window (-1);
-    waiter_next = Array.make nodes 0;
-    waiter_uid = Array.make nodes 0;
+    waiter_next = Array.make (window * max_reads) 0;
+    waiter = Array.make (window * max_reads) 0;
     window_mask = window - 1;
-    node_mask = nodes - 1;
     conflict_store = Array.make window (-1);
     stores = Ring.create ~capacity:cfg.Config.lsq_entries;
     ready_in = Array.make (Int.max 1 (Int.max cfg.Config.clusters cfg.Config.block_windows)) 0;
+    ready = 0;
     executing = 0;
     (* filled only on braid: other kinds keep a one-slot wheel *)
     leaves = Calq.create ~horizon:(if is_braid then 512 else 1);
@@ -340,7 +384,7 @@ let has t b bit = get t b f_info land bit <> 0
    possible, from any cluster: the latest [readable_at] can return. *)
 let settled_at t b =
   let v = Int.max (get t b f_issue + 1) (get t b f_complete) in
-  if has t b i_writes_ext then
+  if has t b Word.ext_write then
     Int.max v
       (get t b f_visible
       + if t.beu_cluster_size > 0 then t.inter_cluster_latency else 0)
@@ -359,12 +403,12 @@ let grow t =
   t.slots <- slots;
   t.slot_mask <- mask
 
-let rec claim t u e =
+let rec claim t u w =
   let b = slot t u in
   let o = get t b f_owner in
   if o >= 0 && (o >= t.commit_idx || settled_at t b > t.now) then begin
     grow t;
-    claim t u e
+    claim t u w
   end
   else begin
     set t b f_owner u;
@@ -373,12 +417,9 @@ let rec claim t u e =
     set t b f_beu (-1);
     set t b f_home (-1);
     set t b f_freed 0;
-    (* the release flag is read only for a value with an external copy,
-       the address only for a load or store *)
-    set t b f_info
-      (info_of e ~no_reader:(e.Trace.writes_ext && Trace.no_ext_reader t.trace u));
+    set t b f_info w;
     set t b f_addr
-      (if e.Trace.is_load || e.Trace.is_store then Trace.addr t.trace u else -1)
+      (if w land (Word.load lor Word.store) <> 0 then Trace.addr t.trace u else -1)
   end
 
 let complete_cycle t u =
@@ -394,14 +435,17 @@ let issued t u = complete_cycle t u <> max_int
 
 let set_beu t u i = set t (slot t u) f_beu i
 
-(* [begin_cycle]'s calendar handlers, top-level so that a drain builds
-   no closure *)
+(* [begin_cycle]'s calendar handlers, each called directly from its
+   queue's drain loop *)
 let wake t u =
   let b = slot t u in
   let d = get t b f_pending - 1 in
   set t b f_pending d;
   let h = get t b f_home in
-  if d = 0 && h >= 0 then t.ready_in.(h) <- t.ready_in.(h) + 1
+  if d = 0 && h >= 0 then begin
+    t.ready_in.(h) <- t.ready_in.(h) + 1;
+    t.ready <- t.ready + 1
+  end
 
 (* commit releases every entry it finds held, so a committed uid has
    nothing left to free *)
@@ -415,22 +459,26 @@ let reg_free t u =
     Probe.on_ext_release t.probe ~cycle:t.now ~uid:u
   end
 
-let branch_resolved t (_ : int) =
-  t.unresolved_branches <- t.unresolved_branches - 1
-
-let leave t (_ : int) = t.executing <- t.executing - 1
-
 let begin_cycle t =
   t.now <- t.now + 1;
   (* publish the clock to the per-cycle resources: it is what lets them
      reclaim stale counter slots exactly *)
   Rc.set_now t.write_ports t.now;
   Rc.set_now t.bypass t.now;
-  Calq.drain t.wake t.now wake t;
-  Calq.drain t.reg_free_at t.now reg_free t;
-  Calq.drain t.branch_resolve_at t.now branch_resolved t;
+  (* [Calq.take] releases a cycle's events before its loop runs them *)
+  let q = t.wake in
+  for j = 0 to Calq.take q t.now - 1 do
+    wake t (Calq.taken q j)
+  done;
+  let q = t.reg_free_at in
+  for j = 0 to Calq.take q t.now - 1 do
+    reg_free t (Calq.taken q j)
+  done;
+  (* a resolution or a leave only counts down *)
+  t.unresolved_branches <-
+    t.unresolved_branches - Calq.take t.branch_resolve_at t.now;
   (* only the braid core fills [leaves]: other kinds skip the call *)
-  if t.is_braid then Calq.drain t.leaves t.now leave t;
+  if t.is_braid then t.executing <- t.executing - Calq.take t.leaves t.now;
   t.reads_left <- t.read_ports;
   t.alloc_left <- t.alloc_width;
   t.src_left <- t.src_width;
@@ -445,6 +493,7 @@ let home t u =
   if get t b f_owner = u then get t b f_home else -1
 
 let ready_in t c = t.ready_in.(c)
+let ready t = t.ready
 
 (* [f_complete] is max_int until issue, so the comparison alone implies
    "issued and past its completion cycle" *)
@@ -458,14 +507,14 @@ let mem_ready t u =
   else if is_complete t su then Mem_forward
   else Mem_blocked
 
-let can_issue_ports t u = ext_reads (get t (slot t u) f_info) <= t.reads_left
+let can_issue_ports t u = Word.ext_reads (get t (slot t u) f_info) <= t.reads_left
 
 (* The cycle consumer [c] may read the issued producer in slot [pb],
-   through dependence entry [k], by the rule machine.mli states. *)
-let readable_at t pb c k =
-  let via = Trace.dep_via t.trace k in
+   through a dependence whose via bit is [via], by the rule machine.mli
+   states. *)
+let readable_at t pb c via =
   let v =
-    if has t pb i_writes_ext && not (via && has t pb i_writes_int) then
+    if has t pb Word.ext_write && not (via && has t pb Word.int_write) then
       let size = t.beu_cluster_size in
       if (not via) && size > 0 && get t pb f_beu / size <> get t (slot t c) f_beu / size
       then get t pb f_visible + t.inter_cluster_latency
@@ -493,15 +542,16 @@ let do_issue t u =
   (let h = get t b f_home in
    if h >= 0 then begin
      t.ready_in.(h) <- t.ready_in.(h) - 1;
+     t.ready <- t.ready - 1;
      set t b f_home (-1)
    end);
   let info = get t b f_info in
-  let writes_ext = info land i_writes_ext <> 0 in
-  t.reads_left <- t.reads_left - ext_reads info;
-  t.ext_rf_reads <- t.ext_rf_reads + ext_reads info;
-  t.int_rf_reads <- t.int_rf_reads + int_reads info;
+  let writes_ext = info land Word.ext_write <> 0 in
+  t.reads_left <- t.reads_left - Word.ext_reads info;
+  t.ext_rf_reads <- t.ext_rf_reads + Word.ext_reads info;
+  t.int_rf_reads <- t.int_rf_reads + Word.int_reads info;
   let lat =
-    if info land i_load <> 0 then
+    if info land Word.load <> 0 then
       match mem_ready t u with
       | Mem_forward -> 1
       | Mem_cache -> Mem_hier.data_latency t.hier (get t b f_addr)
@@ -511,11 +561,11 @@ let do_issue t u =
                "Machine.do_issue: load %d issued while blocked on an \
                 unresolved older store (cycle %d)"
                u t.now)
-    else info lsr i_latency
+    else Word.latency info
   in
   let complete = t.now + lat in
   t.issued_count <- t.issued_count + 1;
-  if info land i_writes_int <> 0 then t.int_rf_writes <- t.int_rf_writes + 1;
+  if info land Word.int_write <> 0 then t.int_rf_writes <- t.int_rf_writes + 1;
   let bypassed = writes_ext && Rc.try_take t.bypass complete 1 in
   (* a result without an external copy leaves the instruction at
      completion *)
@@ -537,15 +587,15 @@ let do_issue t u =
     ~bypassed u;
   (* the value's readable cycle is now known: wake the waiters *)
   let h = u land t.window_mask in
-  let k = ref t.waiters.(h) in
-  while !k >= 0 do
-    let node = !k land t.node_mask in
-    Calq.add t.wake (readable_at t b t.waiter_uid.(node) !k) t.waiter_uid.(node);
-    k := t.waiter_next.(node)
+  let node = ref t.waiters.(h) in
+  while !node >= 0 do
+    let c = t.waiter.(!node) in
+    Calq.add t.wake (readable_at t b (c lsr 1) (c land 1 <> 0)) (c lsr 1);
+    node := t.waiter_next.(!node)
   done;
   t.waiters.(h) <- -1;
   (* branch resolution releases its checkpoint *)
-  if info land i_cond_branch <> 0 && t.max_unresolved > 0 then
+  if info land Word.cond_branch <> 0 && t.max_unresolved > 0 then
     Calq.add t.branch_resolve_at (Int.max (complete + 1) (t.now + 1)) u;
   (* Braid dead-value early release: the in-flight external entry of a
      producer frees once the producer has completed and its last external
@@ -559,13 +609,15 @@ let do_issue t u =
     (* a zero-latency issue still counts for the cycle it issues *)
     t.executing <- t.executing + 1;
     Calq.add t.leaves (Int.max complete (t.now + 1)) u;
-    if writes_ext && info land i_no_reader <> 0 then
+    if writes_ext && info land Word.no_reader <> 0 then
       Calq.add t.reg_free_at (complete + 1) u;
-    for k = Trace.dep_off t.trace u to Trace.dep_off t.trace (u + 1) - 1 do
-      if Trace.dep_last t.trace k then begin
-        let p = Trace.dep_uid t.trace k in
+    let deps = t.deps in
+    for i = 0 to Trace.deps_into t.trace u deps - 1 do
+      let e = Array.unsafe_get deps i in
+      if Trace.entry_last e then begin
+        let p = Trace.entry_uid e in
         let pb = slot t p in
-        if get t pb f_owner = p && has t pb i_writes_ext then
+        if get t pb f_owner = p && has t pb Word.ext_write then
           Calq.add t.reg_free_at (t.now + 1) p
       end
     done
@@ -580,30 +632,35 @@ type dispatch_block =
   | Block_lsq
   | Block_inflight
 
-let can_dispatch t u =
-  let e = Trace.static t.trace u in
+(* [Trace.fetch] gives only static indices of the table [decoded] was
+   built from *)
+let decode t u =
+  let sf = Trace.fetch t.trace u in
+  Array.unsafe_get t.decoded (sf lsr 8) lor (sf land 0xff)
+
+let can_dispatch t u w =
   (* counted on every attempt that lacks a register, whichever check
      refuses it first *)
-  let regs_short = e.Trace.writes_ext && t.free_regs < 1 in
+  let writes_ext = w land Word.ext_write <> 0 in
+  let regs_short = writes_ext && t.free_regs < 1 in
   if regs_short then t.stall_regs <- t.stall_regs + 1;
   if t.alloc_left < 1 then Block_alloc
-  else if
-    t.src_left < e.Trace.ext_src_reads || (e.Trace.writes_ext && t.dst_left < 1)
-  then Block_rename
+  else if t.src_left < Word.ext_reads w || (writes_ext && t.dst_left < 1) then
+    Block_rename
   else if regs_short then Block_regs
   else if
     t.max_unresolved <> 0
-    && e.Trace.is_cond_branch
+    && w land Word.cond_branch <> 0
     && t.unresolved_branches >= t.max_unresolved
   then Block_checkpoint
-  else if (e.Trace.is_load || e.Trace.is_store) && t.inflight_mem >= t.lsq_limit
+  else if w land (Word.load lor Word.store) <> 0 && t.inflight_mem >= t.lsq_limit
   then Block_lsq
   else if t.dispatched_count - t.commit_idx >= t.inflight_limit then
     Block_inflight
   else begin
     (* the execution core writes the slot before [note_dispatch]; a
        retry after the core refused [u] finds it claimed already *)
-    if get t (slot t u) f_owner <> u then claim t u e;
+    if get t (slot t u) f_owner <> u then claim t u w;
     Block_none
   end
 
@@ -622,19 +679,21 @@ let note_dispatch t u =
      schedules the wake now, an unissued one takes [u] as a waiter, and
      one that has left its slot has settled *)
   let pending = ref 0 in
-  for k = Trace.dep_off t.trace u to Trace.dep_off t.trace (u + 1) - 1 do
-    let p = Trace.dep_uid t.trace k in
+  let deps = t.deps and node0 = (u land t.window_mask) * t.max_reads in
+  for i = 0 to Trace.deps_into t.trace u deps - 1 do
+    let e = Array.unsafe_get deps i in
+    let p = Trace.entry_uid e in
     let pb = slot t p in
     if get t pb f_owner <> p then ()
     else if get t pb f_issue = max_int then begin
-      let node = k land t.node_mask and h = p land t.window_mask in
-      t.waiter_uid.(node) <- u;
+      let node = node0 + i and h = p land t.window_mask in
+      t.waiter.(node) <- (u lsl 1) lor Bool.to_int (Trace.entry_via e);
       t.waiter_next.(node) <- t.waiters.(h);
-      t.waiters.(h) <- k;
+      t.waiters.(h) <- node;
       incr pending
     end
     else begin
-      let w = readable_at t pb u k in
+      let w = readable_at t pb u (Trace.entry_via e) in
       if w > t.now then begin
         Calq.add t.wake w u;
         incr pending
@@ -643,20 +702,23 @@ let note_dispatch t u =
   done;
   set t b f_pending !pending;
   (let h = get t b f_home in
-   if !pending = 0 && h >= 0 then t.ready_in.(h) <- t.ready_in.(h) + 1);
+   if !pending = 0 && h >= 0 then begin
+     t.ready_in.(h) <- t.ready_in.(h) + 1;
+     t.ready <- t.ready + 1
+   end);
   (* a load's only conflict is the youngest in-flight store to its address *)
   t.conflict_store.(u land t.window_mask) <-
-    (if info land i_load <> 0 then youngest_store t (get t b f_addr) else -1);
-  if info land i_store <> 0 then Ring.push t.stores u;
+    (if info land Word.load <> 0 then youngest_store t (get t b f_addr) else -1);
+  if info land Word.store <> 0 then Ring.push t.stores u;
   t.alloc_left <- t.alloc_left - 1;
-  t.src_left <- t.src_left - ext_reads info;
-  if info land i_writes_ext <> 0 then begin
+  t.src_left <- t.src_left - Word.ext_reads info;
+  if info land Word.ext_write <> 0 then begin
     t.dst_left <- t.dst_left - 1;
     t.free_regs <- t.free_regs - 1
   end;
-  if info land (i_load lor i_store) <> 0 then
+  if info land (Word.load lor Word.store) <> 0 then
     t.inflight_mem <- t.inflight_mem + 1;
-  if info land i_cond_branch <> 0 && t.max_unresolved > 0 then
+  if info land Word.cond_branch <> 0 && t.max_unresolved > 0 then
     t.unresolved_branches <- t.unresolved_branches + 1;
   t.dispatched_count <- t.dispatched_count + 1;
   Probe.on_dispatch t.probe t.trace ~cycle:t.now ~beu:(get t b f_beu) u
@@ -671,18 +733,18 @@ let commit_stage t =
       Probe.on_commit t.probe t.trace ~cycle:t.now ~beu:(get t b f_beu) u;
       (* stores drain to the data cache at commit (and, on a shared
          backside, through the coherence directory) *)
-      if has t b i_store then begin
+      if has t b Word.store then begin
         ignore (Ring.pop t.stores);
         Mem_hier.drain_store t.hier (get t b f_addr)
       end;
       (* release the rename/in-flight entry at commit unless the braid
          dead-value path already released it *)
-      if has t b i_writes_ext && get t b f_freed = 0 then begin
+      if has t b Word.ext_write && get t b f_freed = 0 then begin
         t.free_regs <- t.free_regs + 1;
         t.commit_releases <- t.commit_releases + 1;
         Probe.on_ext_release t.probe ~cycle:t.now ~uid:u
       end;
-      if has t b (i_load lor i_store) then t.inflight_mem <- t.inflight_mem - 1;
+      if has t b (Word.load lor Word.store) then t.inflight_mem <- t.inflight_mem - 1;
       t.commit_idx <- t.commit_idx + 1;
       decr budget
     end

@@ -25,21 +25,30 @@
     Hence a producer whose slot another instruction holds has settled,
     and every read of it may proceed at once.
 
+    An instruction is decoded once, at fetch: {!decode} reads its static
+    index and flag byte from the trace under one check and returns its
+    {!Word}, the static part from a table {!create} builds once per
+    static instruction and the trace's flag byte beside it. The fetch
+    queue carries that word, and dispatch ({!can_dispatch}), the
+    execution core's steering and the slot read only it.
+
     A slot holds the instruction's run state (owner uid, producers not
     yet readable, issue, completion and visible cycles, BEU or block
     window, scheduler queue, early-release flag) and what the machine
     reads of it after dispatch, copied in when the slot is claimed: its
-    static bits (load, store, conditional branch, external write,
-    internal write), its {!Trace.no_ext_reader} flag, its latency, its
-    external and internal read counts and its address. Issue, wakeup,
-    settling, store-queue search and commit read only slots, never the
-    trace, so a streamed trace ({!Trace.stream}) may drop an instruction
-    once it commits, even while its value is still settling.
+    word and, for a load or store, its address. Issue, wakeup, settling,
+    store-queue search and commit read only slots; after fetch the
+    machine reads the trace only for a dispatching instruction's address
+    and, at dispatch and at a braid issue, its own dependence entries
+    ({!Trace.deps_into}), never another instruction's. So a streamed
+    trace ({!Trace.stream}) may drop an instruction once it commits,
+    even while its value is still settling.
 
     Dependences register when an instruction dispatches, as rename does:
     {!note_dispatch} schedules the wakeup of each issued producer whose
     value is not yet readable and joins the waiter list of each unissued
-    one, which {!do_issue} wakes. A value is readable from the cycle its
+    one, which {!do_issue} wakes; the waiter's node carries the
+    dependence's via bit. A value is readable from the cycle its
     external copy is visible (bypass or write-back), or from completion
     for an internal read of an internal value or a value with no external
     copy; never before the producer's issue cycle + 1. On a braid core
@@ -60,10 +69,10 @@
     which is what lets the paper's 8-entry external file keep up with a
     256-entry one (Fig 6). It reads the trace's release bits: an issuing
     instruction frees each producer whose entry it reads last
-    ({!Trace.dep_last}) one cycle later, unless the producer has left its
-    slot (it has committed, and commit released it), and a value no
-    instruction reads externally ({!Trace.no_ext_reader}) frees the cycle
-    after it completes. So {!create} raises [Invalid_argument] for a
+    ({!Trace.entry_last}, from its own entries) one cycle later, unless
+    the producer has left its slot (it has committed, and commit released
+    it), and a value no instruction reads externally (the word's
+    {!Trace.no_ext_reader} bit) frees the cycle after it completes. So {!create} raises [Invalid_argument] for a
     braid config over a trace whose bits are not {!Trace.marked}. *)
 
 type mem_status =
@@ -101,6 +110,43 @@ module Rc : sig
       when [n] exceeds the limit (no cycle could ever satisfy it). *)
 end
 
+(** An instruction's word: one int holding all a stage after fetch reads
+    of it. The static part — load, store, conditional branch, jump,
+    external write, internal write, block leader (offset 0), the external
+    and internal read counts, the FU latency and the pc — is decoded once
+    per static instruction; the dynamic part is the trace's flag byte
+    (taken, faulting, the S bit {!Trace.braid_start}, and
+    {!Trace.no_ext_reader}). *)
+module Word : sig
+  val of_static : Trace.static -> int
+  (** The static part of every dynamic instance's word. Raises
+      [Invalid_argument] when a read count exceeds 15, the latency 255,
+      or the pc lies outside [[0, 2{^31})]. *)
+
+  val is_load : int -> bool
+  val is_store : int -> bool
+  val is_cond_branch : int -> bool
+  val is_jump : int -> bool
+
+  val is_branch : int -> bool
+  (** [is_cond_branch || is_jump]. *)
+
+  val writes_ext : int -> bool
+  val writes_int : int -> bool
+
+  val is_leader : int -> bool
+  (** The first instruction of its block (offset 0). *)
+
+  val ext_reads : int -> int
+  val int_reads : int -> int
+  val latency : int -> int
+  val pc : int -> int
+  val is_taken : int -> bool
+  val is_faulting : int -> bool
+  val is_braid_start : int -> bool
+  val no_ext_reader : int -> bool
+end
+
 type t
 
 val create : ?probe:Probe.t -> ?hier:Mem_hier.hierarchy -> Config.t -> Trace.t -> t
@@ -123,10 +169,16 @@ val trace : t -> Trace.t
 (** The trace the machine runs; instructions are named by their uid in
     it. *)
 
+val decode : t -> int -> int
+(** [decode m u] is uid [u]'s {!Word}: the fetch stage's one read of the
+    instruction ({!Trace.fetch}). Raises [Invalid_argument] for a uid the
+    trace does not keep. *)
+
 val now : t -> int
 val begin_cycle : t -> unit
-(** Advances the clock, applies due wakeups, resets per-cycle dispatch
-    budgets. Call once per cycle before any stage. *)
+(** Advances the clock, applies due wakeups, releases and branch
+    resolutions, resets per-cycle dispatch budgets. Call once per cycle
+    before any stage. *)
 
 val reg_ready : t -> int -> bool
 (** All register producers of an in-flight instruction readable. *)
@@ -148,6 +200,10 @@ val ready_in : t -> int -> int
 (** Resident, not-yet-issued instructions of queue [c] whose registers
     are ready ({!reg_ready}). The select uses it to skip queues, and
     window tails, that cannot issue this cycle. *)
+
+val ready : t -> int
+(** {!ready_in} summed over every queue: the select stops visiting
+    queues once none is left. *)
 
 val executing : t -> int
 (** Braid core: issued instructions not yet complete. {!do_issue} counts
@@ -198,16 +254,18 @@ type dispatch_block =
   | Block_lsq
   | Block_inflight
 
-val can_dispatch : t -> int -> dispatch_block
-(** Front-end resource check at the current cycle, in this order:
+val can_dispatch : t -> int -> int -> dispatch_block
+(** [can_dispatch m u w] checks, for uid [u] with word [w] ({!decode}),
+    the front-end resources at the current cycle, in this order:
     allocate width, rename source/destination bandwidth, external
     register availability, branch checkpoints, LSQ space, in-flight
     bound. The first resource that refuses the instruction, or
     [Block_none] when dispatch may proceed. Every call that finds no free
     external register counts towards {!stall_dispatch_regs}, whichever
     resource refused first. [Block_none] also claims the instruction's
-    slot, once: instructions are checked in uid order, and the execution
-    core records its BEU or scheduler there before {!note_dispatch}. *)
+    slot, once, copying [w] into it: instructions are checked in uid
+    order, and the execution core records its BEU or scheduler there
+    before {!note_dispatch}. *)
 
 val dispatch_block_name : dispatch_block -> string
 (** Short stable label ("alloc-width", "ext-regs", ...) for stall-reason

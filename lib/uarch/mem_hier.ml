@@ -187,6 +187,21 @@ let warm_instr h addr =
 
 let warm_l2 h addr = warm_back h addr
 
+(* A repeat of the line just warmed only renews the newest stamp in its
+   set, which leaves every set's LRU order as it was, and a warm counts
+   nothing: one warm per run of addresses on one line is exact. *)
+let warm_l2_lines h addrs =
+  let l2 = match h.backside with Private p -> p.p_l2 | Shared s -> s.s_l2 in
+  let last = ref (-1) in
+  List.iter
+    (fun addr ->
+      let line = Cache.line_of l2 addr in
+      if line <> !last then begin
+        Cache.warm l2 addr;
+        last := line
+      end)
+    addrs
+
 let warm_data h addr =
   Cache.warm h.l1d addr;
   warm_back h addr

@@ -61,6 +61,13 @@ val warm_instr : hierarchy -> int -> unit
 val warm_l2 : hierarchy -> int -> unit
 (** Pre-fills the backside L2 with a data line, without statistics. *)
 
+val warm_l2_lines : hierarchy -> int list -> unit
+(** [warm_l2_lines h addrs] leaves the backside L2 exactly as {!warm_l2}
+    of each address in order does, warming once per run of consecutive
+    addresses on one L2 line: a repeat of the line just warmed would only
+    renew its set's newest stamp. A program's initial data image (eight
+    words to a 64-byte line) warms in an eighth of the accesses. *)
+
 val warm_data : hierarchy -> int -> unit
 (** Pre-fills the L1D and backside L2 with a data line, without
     statistics (sampled-simulation warm-up replay). *)

@@ -11,15 +11,16 @@ let gshare_history_bits = 12
 
 type t = {
   kind : Config.predictor_kind;
-  weights : int array;
-      (* [table_entries] rows of [history_bits + 1]; a row's slot 0 is the
-         bias *)
+  weights : Bytes.t;
+      (* signed bytes: [table_entries] rows of [history_bits + 1]; a
+         row's slot 0 is the bias. The clamp keeps each in a byte, and
+         the table (33 KB) in L1. Empty unless [kind] is [Perceptron]. *)
   history : int array;
       (* ±1 per outcome, newest at [head]; doubled, so entry [i] and
          [i + history_bits] are equal and the window [head, head +
          history_bits) never wraps *)
   mutable head : int;
-  (* gshare state *)
+  (* gshare state, empty unless [kind] is [Gshare] *)
   counters : int array;  (* 2-bit saturating counters *)
   mutable ghist : int;  (* global history register *)
   mutable lookups : int;
@@ -27,12 +28,19 @@ type t = {
 }
 
 let create (cfg : Config.t) =
+  let kind = cfg.Config.predictor in
   {
-    kind = cfg.Config.predictor;
-    weights = Array.make (table_entries * (history_bits + 1)) 0;
+    kind;
+    weights =
+      (match kind with
+      | Config.Perceptron -> Bytes.make (table_entries * (history_bits + 1)) '\000'
+      | Config.Gshare | Config.Perfect_prediction -> Bytes.empty);
     history = Array.make (2 * history_bits) (-1);
     head = 0;
-    counters = Array.make gshare_entries 1 (* weakly not-taken *);
+    counters =
+      (match kind with
+      | Config.Gshare -> Array.make gshare_entries 1 (* weakly not-taken *)
+      | Config.Perceptron | Config.Perfect_prediction -> [||]);
     ghist = 0;
     lookups = 0;
     mispredicts = 0;
@@ -50,16 +58,21 @@ let gshare_step ~stats t ~pc ~taken =
 
 let clamp v = Int.max (-weight_clamp) (Int.min weight_clamp v)
 
+(* A weight is a signed byte: shifting the byte's bits to the top of the
+   int and back sign-extends it. *)
+let sign_shift = Sys.int_size - 8
+let weight w i = (Char.code (Bytes.unsafe_get w i) lsl sign_shift) asr sign_shift
+let set_weight w i v = Bytes.unsafe_set w i (Char.unsafe_chr (v land 0xff))
+
 (* The row and the history window are in range by construction, so the
    loops read them unchecked. A history entry times a weight is the
    weight's signed vote; times the outcome it is the training step. *)
 let perceptron_step ~stats t ~pc ~taken =
   let w = t.weights and h = t.history and head = t.head in
   let row = ((pc lsr 2) land (table_entries - 1)) * (history_bits + 1) in
-  let sum = ref (Array.unsafe_get w row) in
+  let sum = ref (weight w row) in
   for i = 1 to history_bits do
-    sum :=
-      !sum + (Array.unsafe_get h (head + i - 1) * Array.unsafe_get w (row + i))
+    sum := !sum + (Array.unsafe_get h (head + i - 1) * weight w (row + i))
   done;
   let predicted = !sum >= 0 in
   let correct = predicted = taken in
@@ -67,12 +80,10 @@ let perceptron_step ~stats t ~pc ~taken =
   let outcome = if taken then 1 else -1 in
   (* train on mispredict or low confidence *)
   if (not correct) || abs !sum <= theta then begin
-    Array.unsafe_set w row (clamp (Array.unsafe_get w row + outcome));
+    set_weight w row (clamp (weight w row + outcome));
     for i = 1 to history_bits do
       let k = row + i in
-      Array.unsafe_set w k
-        (clamp
-           (Array.unsafe_get w k + (Array.unsafe_get h (head + i - 1) * outcome)))
+      set_weight w k (clamp (weight w k + (Array.unsafe_get h (head + i - 1) * outcome)))
     done
   end;
   (* shift history *)
@@ -92,6 +103,7 @@ let step ~stats t ~pc ~taken =
 let predict_and_train t ~pc ~taken = step ~stats:true t ~pc ~taken
 let warm t ~pc ~taken = ignore (step ~stats:false t ~pc ~taken)
 
+let weights t = Array.init (Bytes.length t.weights) (weight t.weights)
 let lookups t = t.lookups
 let mispredicts t = t.mispredicts
 

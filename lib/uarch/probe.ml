@@ -142,26 +142,26 @@ let check_bits t s ~cycle tr uid =
     bad "bits.internal"
       "internal register reached a conventional (non-braid) binary"
 
-let on_fetch t tr ~cycle uid =
+let[@inline never] on_fetch_armed t tr ~cycle uid =
   match t with
   | None -> ()
   | Some s ->
       if s.invariants then check_bits t s ~cycle tr uid;
       stage s ~cycle ~uid ~track:(-1) Tracer.Fetch
 
-let on_icache_miss t ~cycle ~lat =
+let[@inline never] on_icache_miss_armed t ~cycle ~lat =
   match t with
   | None -> ()
   | Some s ->
       record s
         (Tracer.Span { name = "L1I miss"; cat = "cache"; track = -1; start = cycle; dur = lat })
 
-let on_stall t ~cycle reason =
+let[@inline never] on_stall_armed t ~cycle reason =
   match t with
   | None -> ()
   | Some s -> record s (Tracer.Stall { cycle; track = -1; reason })
 
-let on_dispatch t tr ~cycle ~beu uid =
+let[@inline never] on_dispatch_armed t tr ~cycle ~beu uid =
   match t with
   | None -> ()
   | Some s ->
@@ -195,7 +195,7 @@ let on_dispatch t tr ~cycle ~beu uid =
       end;
       stage s ~cycle ~uid ~track:beu Tracer.Dispatch
 
-let on_ext_release t ~cycle ~uid =
+let[@inline never] on_ext_release_armed t ~cycle ~uid =
   match t with
   | None -> ()
   | Some s ->
@@ -342,7 +342,7 @@ let check_issue t s tr ~cycle ~beu ~bypassed uid =
                  beu Reg.num_internal)
         end
 
-let on_issue t tr ~cycle ~lat ~visible ~beu ~bypassed u =
+let[@inline never] on_issue_armed t tr ~cycle ~lat ~visible ~beu ~bypassed u =
   match t with
   | None -> ()
   | Some s ->
@@ -372,7 +372,7 @@ let grow_commits s =
     s.commit_pc <- pc'
   end
 
-let on_commit t tr ~cycle ~beu uid =
+let[@inline never] on_commit_armed t tr ~cycle ~beu uid =
   match t with
   | None -> ()
   | Some s ->
@@ -386,3 +386,29 @@ let on_commit t tr ~cycle ~beu uid =
       s.commit_pc.(s.commits) <- (Trace.static tr uid).Trace.pc;
       s.commits <- s.commits + 1;
       stage s ~cycle ~uid ~track:beu Tracer.Commit
+
+(* What the cycle loop calls: with the probe off, one match. The armed
+   bodies above stay out of line, so none of their code is inlined into
+   the loop's hot paths. *)
+let on_fetch t tr ~cycle uid =
+  match t with None -> () | Some _ -> on_fetch_armed t tr ~cycle uid
+
+let on_icache_miss t ~cycle ~lat =
+  match t with None -> () | Some _ -> on_icache_miss_armed t ~cycle ~lat
+
+let on_stall t ~cycle reason =
+  match t with None -> () | Some _ -> on_stall_armed t ~cycle reason
+
+let on_dispatch t tr ~cycle ~beu uid =
+  match t with None -> () | Some _ -> on_dispatch_armed t tr ~cycle ~beu uid
+
+let on_ext_release t ~cycle ~uid =
+  match t with None -> () | Some _ -> on_ext_release_armed t ~cycle ~uid
+
+let on_issue t tr ~cycle ~lat ~visible ~beu ~bypassed u =
+  match t with
+  | None -> ()
+  | Some _ -> on_issue_armed t tr ~cycle ~lat ~visible ~beu ~bypassed u
+
+let on_commit t tr ~cycle ~beu uid =
+  match t with None -> () | Some _ -> on_commit_armed t tr ~cycle ~beu uid

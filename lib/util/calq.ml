@@ -18,6 +18,7 @@ type t = {
   mutable len : int array;  (* used entries per slot *)
   mutable cycle : int array;  (* cycle a non-empty slot holds; -1 = empty *)
   mutable count : int;  (* scheduled entries over the whole wheel *)
+  mutable out : int array;  (* the events of the cycle [take] last released *)
 }
 
 let round_pow2 n =
@@ -35,7 +36,15 @@ let wheel t size =
 let create ~horizon =
   if horizon <= 0 then invalid_arg "Calq.create: horizon must be positive";
   let t =
-    { mask = 0; store = [||]; spill = [||]; len = [||]; cycle = [||]; count = 0 }
+    {
+      mask = 0;
+      store = [||];
+      spill = [||];
+      len = [||];
+      cycle = [||];
+      count = 0;
+      out = Array.make inline 0;
+    }
   in
   wheel t (round_pow2 horizon);
   t
@@ -49,9 +58,12 @@ let is_empty t = t.count = 0
 let entry (store : int array) (spill : int array array) i j =
   if j < inline then store.((i * inline) + j) else spill.(i).(j - inline)
 
+(* Slot [i] is [c land mask] for some cycle [c], so it indexes [len],
+   [cycle] and [spill], and its first [inline] events lie in [store]:
+   those accesses go unchecked. *)
 let push_entry t i v =
-  let n = t.len.(i) in
-  if n < inline then t.store.((i * inline) + n) <- v
+  let n = Array.unsafe_get t.len i in
+  if n < inline then Array.unsafe_set t.store ((i * inline) + n) v
   else begin
     let s = t.spill.(i) in
     let k = n - inline in
@@ -64,7 +76,7 @@ let push_entry t i v =
     end
     else s.(k) <- v
   end;
-  t.len.(i) <- n + 1;
+  Array.unsafe_set t.len i (n + 1);
   t.count <- t.count + 1
 
 (* Double the wheel until every scheduled cycle lands in its own slot.
@@ -73,11 +85,11 @@ let push_entry t i v =
 let rec add t c v =
   if c < 0 then invalid_arg "Calq.add: negative cycle";
   let i = c land t.mask in
-  if t.len.(i) = 0 then begin
-    t.cycle.(i) <- c;
+  if Array.unsafe_get t.len i = 0 then begin
+    Array.unsafe_set t.cycle i c;
     push_entry t i v
   end
-  else if t.cycle.(i) = c then push_entry t i v
+  else if Array.unsafe_get t.cycle i = c then push_entry t i v
   else begin
     grow t;
     add t c v
@@ -92,20 +104,26 @@ and grow t =
     done
   done
 
-let drain t c f x =
+(* Copy cycle [c]'s events into [out], then release the slot: a handler
+   may then schedule anything, even into the slot just released, without
+   touching the events still to run. *)
+let take t c =
   let i = c land t.mask in
-  let n = t.len.(i) in
-  if n > 0 && t.cycle.(i) = c then begin
-    let store = t.store and spill = t.spill in
-    (* release the slot before the callbacks so [f] may schedule ahead
-       (never for the cycle being drained) *)
-    t.len.(i) <- 0;
-    t.cycle.(i) <- -1;
-    t.count <- t.count - n;
+  let n = Array.unsafe_get t.len i in
+  if n > 0 && Array.unsafe_get t.cycle i = c then begin
+    if n > Array.length t.out then t.out <- Array.make (2 * n) 0;
+    let store = t.store and spill = t.spill and out = t.out in
     for j = 0 to n - 1 do
-      f x (entry store spill i j)
-    done
+      Array.unsafe_set out j (entry store spill i j)
+    done;
+    Array.unsafe_set t.len i 0;
+    Array.unsafe_set t.cycle i (-1);
+    t.count <- t.count - n;
+    n
   end
+  else 0
+
+let taken t j = t.out.(j)
 
 let clear t =
   Array.fill t.len 0 (Array.length t.len) 0;

@@ -26,13 +26,19 @@ val add : t -> int -> int -> unit
 (** [add t cycle v] schedules the event [v] for [cycle]. Raises
     [Invalid_argument] on a negative cycle. *)
 
-val drain : t -> int -> ('a -> int -> unit) -> 'a -> unit
-(** [drain t cycle f x] applies [f x] to every event scheduled for
-    exactly [cycle] (in insertion order) and empties that bucket. Events
-    of other cycles are untouched. [f] may [add] events for later cycles,
-    but must not add for the cycle being drained. Passing the handler's
-    state as [x] lets a per-cycle caller drain with a top-level function,
-    so the drain allocates no closure. *)
+val take : t -> int -> int
+(** [take t cycle] empties the bucket of exactly [cycle] and returns how
+    many events it held; they stay readable, in insertion order, as
+    [taken t 0 .. taken t (n - 1)] until the next [take]. Events of
+    other cycles are untouched. The bucket is released before the caller
+    reads any event, so a handler may [add] events for any later cycle,
+    into this bucket's slot too. A per-cycle caller drains with a loop
+    over {!taken} and calls its handler directly: no closure is built or
+    applied. Allocates only when one cycle holds more events than every
+    earlier [take] returned. *)
+
+val taken : t -> int -> int
+(** [taken t j] is the [j]th event the last {!take} returned. *)
 
 val horizon : t -> int
 (** Current wheel size (slots). *)

@@ -9,13 +9,15 @@
 
 type t = private {
   buf : int array;
+  cap : int;  (** the capacity: [Array.length buf] *)
   mutable head : int;
   mutable len : int;
 }
 (** A record, visibly so: an array of rings is then known to hold
     pointers, so reading one compiles to a plain load, not the generic
     array read that first tests for a float array. Fields are read-only
-    outside the module. *)
+    outside the module. The capacity sits beside [head] and [len], so an
+    index check never reads the buffer's header. *)
 
 val create : capacity:int -> t
 (** [create ~capacity] makes an empty ring holding at most [capacity]

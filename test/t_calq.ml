@@ -8,10 +8,7 @@ module Rc = Braid_uarch.Machine.Rc
 
 (* --- Calq --------------------------------------------------------------- *)
 
-let drain_list q cycle =
-  let acc = ref [] in
-  Calq.drain q cycle (fun acc v -> acc := v :: !acc) acc;
-  List.rev !acc
+let drain_list q cycle = List.init (Calq.take q cycle) (Calq.taken q)
 
 let test_calq_insertion_order () =
   let q = Calq.create ~horizon:16 in
@@ -43,6 +40,22 @@ let test_calq_horizon_wrap_grows () =
   Alcotest.(check bool) "wheel grew" true (Calq.horizon q >= 8);
   Alcotest.(check (list int)) "cycle 1 intact" spilled (drain_list q 1);
   Alcotest.(check (list int)) "cycle 5 intact" [ 500 ] (drain_list q 5)
+
+(* [take] releases the slot before its events are read: a handler that
+   schedules into the same slot (a later cycle of the same wheel
+   position) while the loop runs leaves the taken events as they were. *)
+let test_calq_take_survives_adds () =
+  let q = Calq.create ~horizon:4 in
+  List.iter (Calq.add q 1) [ 10; 11; 12 ];
+  let n = Calq.take q 1 in
+  let seen =
+    List.init n (fun j ->
+        Calq.add q (5 + (4 * j)) (100 + j);
+        Calq.taken q j)
+  in
+  Alcotest.(check (list int)) "taken events intact" [ 10; 11; 12 ] seen;
+  Alcotest.(check (list int)) "the re-added event" [ 100 ] (drain_list q 5);
+  Alcotest.(check int) "two still scheduled" 2 (Calq.length q)
 
 let test_calq_drain_exact_cycle_only () =
   (* events do not leak across a wrap: 2 and 2 + wheel size share a slot
@@ -190,6 +203,8 @@ let suite =
       Alcotest.test_case "calq insertion order" `Quick test_calq_insertion_order;
       Alcotest.test_case "calq horizon wrap grows" `Quick
         test_calq_horizon_wrap_grows;
+      Alcotest.test_case "calq take survives adds into its slot" `Quick
+        test_calq_take_survives_adds;
       Alcotest.test_case "calq drains exact cycle only" `Quick
         test_calq_drain_exact_cycle_only;
       Alcotest.test_case "calq clear" `Quick test_calq_clear;

@@ -314,7 +314,7 @@ let dispatch m u =
   Alcotest.(check bool)
     (Printf.sprintf "uid %d dispatches" u)
     true
-    (U.Machine.can_dispatch m u = U.Machine.Block_none);
+    (U.Machine.can_dispatch m u (U.Machine.decode m u) = U.Machine.Block_none);
   U.Machine.note_dispatch m u
 
 let test_do_issue_guards () =
@@ -511,9 +511,10 @@ let drive_to_drain cfg events =
     let continue = ref true in
     while !continue && !next < n do
       let u = !next in
+      let w = U.Machine.decode m u in
       if
-        U.Machine.can_dispatch m u = U.Machine.Block_none
-        && U.Exec_core.try_dispatch core u
+        U.Machine.can_dispatch m u w = U.Machine.Block_none
+        && U.Exec_core.try_dispatch core u w
       then begin
         U.Machine.note_dispatch m u;
         incr next
@@ -563,15 +564,13 @@ let test_dispatch_refusals_insert_nothing () =
       let m = U.Machine.create cfg t in
       let core = U.Exec_core.create m in
       U.Machine.begin_cycle m;
-      Alcotest.(check bool) (name ^ ": first dispatch accepted") true
-        (U.Exec_core.try_dispatch core 0);
+      let try_dispatch u = U.Exec_core.try_dispatch core u (U.Machine.decode m u) in
+      Alcotest.(check bool) (name ^ ": first dispatch accepted") true (try_dispatch 0);
       Alcotest.(check int) (name ^ ": one resident") 1 (U.Exec_core.occupancy core);
-      Alcotest.(check bool) (name ^ ": full core refuses") false
-        (U.Exec_core.try_dispatch core 1);
+      Alcotest.(check bool) (name ^ ": full core refuses") false (try_dispatch 1);
       Alcotest.(check int) (name ^ ": refusal inserts nothing") 1
         (U.Exec_core.occupancy core);
-      Alcotest.(check bool) (name ^ ": still refuses") false
-        (U.Exec_core.try_dispatch core 1);
+      Alcotest.(check bool) (name ^ ": still refuses") false (try_dispatch 1);
       Alcotest.(check int) (name ^ ": second refusal inserts nothing") 1
         (U.Exec_core.occupancy core))
     U.Config.Core_kind.all
@@ -603,10 +602,11 @@ let test_dep_steer_choice () =
   let core = U.Exec_core.create m in
   let steer u =
     U.Machine.begin_cycle m;
+    let w = U.Machine.decode m u in
     Alcotest.(check bool) (Printf.sprintf "uid %d may dispatch" u) true
-      (U.Machine.can_dispatch m u = U.Machine.Block_none);
+      (U.Machine.can_dispatch m u w = U.Machine.Block_none);
     let before = U.Exec_core.occupancy core in
-    if U.Exec_core.try_dispatch core u then begin
+    if U.Exec_core.try_dispatch core u w then begin
       U.Machine.note_dispatch m u;
       U.Machine.home m u
     end
@@ -865,6 +865,198 @@ let test_step_allocation () =
         U.Config.Core_kind.all)
     [ "gzip"; "swim" ]
 
+
+(* --- Decode once at fetch --- *)
+
+(* Every static instruction of every benchmark, both binaries: the word
+   [Machine.Word.of_static] builds decodes back to its static record,
+   with no dynamic bit set. *)
+let test_words_decode_statics () =
+  let ctx = Braid_sim.Suite.create_ctx () in
+  let module W = U.Machine.Word in
+  List.iter
+    (fun pr ->
+      let p = Braid_sim.Suite.prepare ctx ~scale:1200 pr in
+      List.iter
+        (fun (binary, trace) ->
+          Array.iter
+            (fun (s : Trace.static) ->
+              let w = W.of_static s in
+              let decoded =
+                [ W.is_load w; W.is_store w; W.is_cond_branch w; W.is_jump w;
+                  W.is_branch w; W.writes_ext w; W.writes_int w; W.is_leader w;
+                  W.is_taken w; W.is_faulting w; W.is_braid_start w; W.no_ext_reader w ]
+              and fields =
+                [ s.Trace.is_load; s.Trace.is_store; s.Trace.is_cond_branch;
+                  s.Trace.is_jump; Trace.branch_of s; s.Trace.writes_ext;
+                  s.Trace.writes_int; s.Trace.offset = 0; false; false; false; false ]
+              in
+              if
+                decoded <> fields
+                || (W.ext_reads w, W.int_reads w, W.latency w, W.pc w)
+                   <> (s.Trace.ext_src_reads, s.Trace.int_src_reads, s.Trace.latency,
+                       s.Trace.pc)
+              then
+                Alcotest.failf "%s %s: the word of pc %d does not decode to its record"
+                  pr.Spec.name binary s.Trace.pc)
+            (Trace.statics (trace ())))
+        [ ("conventional", p.Braid_sim.Suite.conv_trace);
+          ("braid", p.Braid_sim.Suite.braid_trace) ])
+    Spec.all
+
+(* The word fetch queues for each uid ([Machine.decode]) carries the
+   trace's dynamic bits and its static record's word, from a stored
+   trace and from a stream refilled as fetch refills it; the stream's
+   bits, from its pre-pass, equal the stored trace's. *)
+let test_fetch_words_carry_dynamic_bits () =
+  let module W = U.Machine.Word in
+  List.iter
+    (fun name ->
+      let prog, init_mem = Spec.generate (Spec.find name) ~seed:1 ~scale:4_000 in
+      List.iter
+        (fun (cfg, binary) ->
+          let stored = Option.get (Emulator.run ~init_mem binary).Emulator.trace in
+          let stream = Emulator.stream ~init_mem ~capacity:(U.Core.min_window cfg) binary in
+          let ms = U.Machine.create cfg stored and mw = U.Machine.create cfg stream in
+          for u = 0 to Trace.length stored - 1 do
+            if u = Trace.produced stream then Trace.refill stream ~keep:u;
+            let bits t w =
+              ( (W.is_braid_start w, W.no_ext_reader w, W.is_taken w, W.is_faulting w),
+                (Trace.braid_start t u, Trace.no_ext_reader t u, Trace.taken t u,
+                 Trace.faulting t u) )
+            in
+            let ws = U.Machine.decode ms u and ww = U.Machine.decode mw u in
+            let got_s, want_s = bits stored ws and got_w, want_w = bits stream ww in
+            if got_s <> want_s || got_w <> want_w || want_w <> want_s then
+              Alcotest.failf "%s on %s: uid %d's fetched bits differ from the trace's"
+                name cfg.U.Config.name u;
+            if
+              ws land lnot 0xff <> W.of_static (Trace.static stored u)
+              || ww <> ws
+            then
+              Alcotest.failf "%s on %s: uid %d's fetched word is not its record's" name
+                cfg.U.Config.name u
+          done)
+        [ (U.Config.braid_8wide, (C.Transform.run prog).C.Transform.program);
+          (U.Config.ooo_8wide, (C.Transform.conventional prog).C.Extalloc.program) ])
+    [ "gzip"; "mcf"; "crafty"; "swim"; "art"; "mgrid" ]
+
+(* --- Perceptron weights as bytes --- *)
+
+(* The int-array perceptron the byte table replaced, kept as the
+   reference: 512 rows of a bias and 64 weights, clamped to ±127,
+   trained on a misprediction or a sum within theta. *)
+module Ref_perceptron = struct
+  let bits = 64
+  let rows = 512
+  let theta = int_of_float ((1.93 *. float_of_int bits) +. 14.0)
+
+  type t = {
+    w : int array;
+    h : int array;
+    mutable lookups : int;
+    mutable mispredicts : int;
+  }
+
+  let create () =
+    { w = Array.make (rows * (bits + 1)) 0; h = Array.make bits (-1); lookups = 0;
+      mispredicts = 0 }
+
+  let clamp v = Int.max (-127) (Int.min 127 v)
+
+  let step ~stats t ~pc ~taken =
+    let row = ((pc lsr 2) land (rows - 1)) * (bits + 1) in
+    let sum = ref t.w.(row) in
+    for i = 1 to bits do
+      sum := !sum + (t.h.(i - 1) * t.w.(row + i))
+    done;
+    let correct = !sum >= 0 = taken in
+    if stats then begin
+      t.lookups <- t.lookups + 1;
+      if not correct then t.mispredicts <- t.mispredicts + 1
+    end;
+    let o = if taken then 1 else -1 in
+    if (not correct) || abs !sum <= theta then begin
+      t.w.(row) <- clamp (t.w.(row) + o);
+      for i = 1 to bits do
+        t.w.(row + i) <- clamp (t.w.(row + i) + (t.h.(i - 1) * o))
+      done
+    end;
+    Array.blit t.h 0 t.h 1 (bits - 1);
+    t.h.(0) <- o;
+    correct
+end
+
+(* Random streams over many rows and saturating streams on a few, each
+   branch through [predict_and_train] or [warm] at random: every
+   prediction, both counts and every weight must match the reference. *)
+let test_byte_perceptron_matches_reference () =
+  let rng = Prng.create 0x5eedL in
+  let check_stream what stream =
+    let p = U.Predictor.create U.Config.braid_8wide and r = Ref_perceptron.create () in
+    List.iteri
+      (fun k (pc, taken, warm) ->
+        if warm then begin
+          U.Predictor.warm p ~pc ~taken;
+          ignore (Ref_perceptron.step ~stats:false r ~pc ~taken)
+        end
+        else if
+          U.Predictor.predict_and_train p ~pc ~taken
+          <> Ref_perceptron.step ~stats:true r ~pc ~taken
+        then Alcotest.failf "%s: prediction %d differs from the reference" what k)
+      stream;
+    Alcotest.(check (pair int int))
+      (what ^ ": lookups and mispredicts")
+      (r.Ref_perceptron.lookups, r.Ref_perceptron.mispredicts)
+      (U.Predictor.lookups p, U.Predictor.mispredicts p);
+    Alcotest.(check (array int)) (what ^ ": every weight") r.Ref_perceptron.w
+      (U.Predictor.weights p)
+  in
+  check_stream "random"
+    (List.init 200_000 (fun _ ->
+         (4 * Prng.int rng 4096, Prng.bool rng, Prng.chance rng 0.3)));
+  (* a few biased branches: weights run into both clamps *)
+  check_stream "saturating"
+    (List.init 60_000 (fun k ->
+         let pc = 4 * (k mod 3) in
+         (pc, (if pc = 4 then k mod 7 <> 0 else pc = 0), Prng.chance rng 0.5)));
+  check_stream "patterned"
+    (List.init 60_000 (fun k -> (4 * (k mod 5), k mod 3 = 0, k mod 11 = 0)))
+
+(* --- L2 warm-up once per line --- *)
+
+(* Warming a program's data image once per L2 line leaves the L2 as
+   warming every word does: on mcf's and art's images, the same long
+   random access stream hits and misses alike in both, and the counts
+   end equal. *)
+let test_warm_once_per_line () =
+  List.iter
+    (fun name ->
+      let _, init_mem = Spec.generate (Spec.find name) ~seed:1 ~scale:12_000 in
+      let image = List.map fst init_mem in
+      let mem = U.Config.braid_8wide.U.Config.mem in
+      let per_word = U.Mem_hier.create_hierarchy mem
+      and per_line = U.Mem_hier.create_hierarchy mem in
+      List.iter (U.Mem_hier.warm_l2 per_word) image;
+      U.Mem_hier.warm_l2_lines per_line image;
+      let lo = List.fold_left Int.min max_int image
+      and hi = List.fold_left Int.max 0 image in
+      let rng = Prng.create 7L in
+      for k = 1 to 300_000 do
+        (* mostly the image, some addresses around and past it *)
+        let addr = lo + Prng.int rng (2 * (hi - lo + 1)) in
+        let a = U.Mem_hier.data_latency per_word addr
+        and b = U.Mem_hier.data_latency per_line addr in
+        if a <> b then
+          Alcotest.failf "%s: access %d to %#x: %d cycles after per-word warming, %d per line"
+            name k addr a b
+      done;
+      Alcotest.(check (pair int int)) (name ^ ": L2 counts")
+        (U.Mem_hier.l2_stats per_word) (U.Mem_hier.l2_stats per_line);
+      Alcotest.(check (pair int int)) (name ^ ": L1D counts")
+        (U.Mem_hier.l1d_stats per_word) (U.Mem_hier.l1d_stats per_line))
+    [ "mcf"; "art" ]
+
 let suite =
   ( "uarch",
     [
@@ -903,5 +1095,12 @@ let suite =
         test_write_port_backlog_not_deadlock;
       Alcotest.test_case "random valid configs run" `Quick test_random_valid_configs;
       Alcotest.test_case "cycle loop allocation bound" `Slow test_step_allocation;
+      Alcotest.test_case "words decode every static record" `Quick
+        test_words_decode_statics;
+      Alcotest.test_case "fetched words carry the trace's bits" `Quick
+        test_fetch_words_carry_dynamic_bits;
+      Alcotest.test_case "byte perceptron equals the int reference" `Quick
+        test_byte_perceptron_matches_reference;
+      Alcotest.test_case "data image warmed once per line" `Quick test_warm_once_per_line;
       QCheck_alcotest.to_alcotest qcheck_all_cores_all_benchmarks;
     ] )
