@@ -256,6 +256,10 @@ module Compiled = struct
         (* sized n+2: instructions that run straight from the ip, through
            the first branch, jump or halt or to the end of its block; 1 on
            the trap slots *)
+    seg_len : int array;
+        (* sized n+2: the ip plus the plain instructions (trace kind
+           [k_plain]) that follow it in its run, [run_len] at most; 1 on
+           the trap slots *)
     next_ip : int array;  (* fallthrough successor (flat or trap ip) *)
     target_ip : int array;  (* branch/jump target entry ip; -1 when none *)
     dup_slot : int array;  (* auxiliary chain slot of an ext_dup instr; -1 *)
@@ -418,6 +422,11 @@ module Compiled = struct
           | _ -> run_len.(base + off) <- 1 + run_len.(base + off + 1)
         done)
       program.Program.blocks;
+    let seg_len = Array.make (n + 2) 1 in
+    for ip = n - 2 downto 0 do
+      if run_len.(ip) > 1 && trace_op.((ip + 1) * op_stride) = k_plain then
+        seg_len.(ip) <- 1 + seg_len.(ip + 1)
+    done;
     let rd_off, rd = csr reads and wr_off, wr = csr writes in
     {
       program;
@@ -430,6 +439,7 @@ module Compiled = struct
       trace_op;
       block_of;
       run_len;
+      seg_len;
       next_ip;
       target_ip;
       dup_slot;
@@ -1161,9 +1171,11 @@ module Compiled = struct
     run.steps <- run.steps + !u;
     (!u, Array.of_list (List.rev !lines), { readers = !readers; lasts = !lasts })
 
-  (* The warm-up walk steps the chain as [trace_span] does and keeps
-     only what a warm-up replays: the static index, and the address or
-     branch outcome read from the registers before the step. *)
+  (* The warm-up walk keeps only what a warm-up replays: the static
+     index, and the address or branch outcome read from the registers
+     before the step. It makes one chain call per segment ([seg_len]):
+     only a segment's first instruction may need a register read, and
+     the rest are plain. *)
   let warm_window run (w : Trace.Warm.t) ~max_steps =
     if max_steps > Trace.Warm.capacity w then
       invalid_arg
@@ -1171,7 +1183,7 @@ module Compiled = struct
            max_steps (Trace.Warm.capacity w));
     let code = run.code and regs = run.regs and step = run.step in
     let n = Array.length code.proto in
-    let trace_op = code.trace_op in
+    let trace_op = code.trace_op and seg_len = code.seg_len in
     Trace.Warm.reset w code.proto;
     let k = ref 0 in
     let ip = ref run.ip in
@@ -1181,17 +1193,20 @@ module Compiled = struct
       if i >= n then ignore (step.(i) 1 : int);
       let row = i * op_stride in
       let kind = trace_op.(row) in
-      Trace.Warm.push w i
-        (if kind = k_mem then
-           Int64.to_int (ba_get regs trace_op.(row + 1)) + trace_op.(row + 2)
-         else if kind = k_branch then
-           Bool.to_int
-             (trace_op.(row + 2) land sign_bit (ba_get regs trace_op.(row + 1))
-             <> 0)
-         else 0);
-      ignore (step.(i) 1 : int);
+      let v =
+        if kind = k_mem then
+          Int64.to_int (ba_get regs trace_op.(row + 1)) + trace_op.(row + 2)
+        else if kind = k_branch then
+          Bool.to_int
+            (trace_op.(row + 2) land sign_bit (ba_get regs trace_op.(row + 1))
+            <> 0)
+        else 0
+      in
+      let len = Int.min seg_len.(i) (max_steps - !k) in
+      let ran = len - step.(i) len in
+      Trace.Warm.push w i ~len:ran v;
       ip := !(run.stop);
-      incr k
+      k := !k + ran
     done;
     run.ip <- !ip;
     run.steps <- run.steps + !k

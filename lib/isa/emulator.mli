@@ -183,7 +183,19 @@ module Compiled : sig
       instruction: the sampler's functional warm-up. [w] then equals
       [Trace.Warm.of_trace] of the window [trace_window] would have
       returned over the same span. Raises [Invalid_argument] when
-      [max_steps] exceeds [w]'s capacity. *)
+      [max_steps] exceeds [w]'s capacity.
+
+      The walk steps by segments: [compile] records, per instruction,
+      how many of the instructions after it in its straight-line run
+      (see {!advance_bbv}) are plain, neither a memory access, a
+      conditional branch nor an fdiv. A segment's first instruction has
+      its address or outcome read from the registers, and then the
+      whole segment, capped at the steps left, runs as one chain call
+      (a [Halt] ends its run, so it ends its segment too). The tracer
+      ({!trace_window}) still single-steps: its cost is the per-entry
+      work of building the trace (dependences, flags), which a longer
+      chain call does not remove, and segmenting it measured no
+      gain. *)
 
   val halted : run -> bool
   val steps : run -> int

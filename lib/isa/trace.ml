@@ -567,6 +567,8 @@ let refill t ~keep =
 module Warm = struct
   type trace = t
 
+  let trace_sidx = sidx
+
   (* Two columns allocated once at [capacity] and overwritten by each
      fill; [proto] is the static table of the program last walked. *)
   type t = {
@@ -591,11 +593,11 @@ module Warm = struct
   let outside w u =
     invalid_arg (Printf.sprintf "Trace.Warm: index %d outside [0, %d)" u w.n)
 
-  (* [push] admits only static indices of [proto], so the reads below
-     need no check past the entry's own *)
-  let static w u =
+  let statics w = w.proto
+
+  let sidx w u =
     if u < 0 || u >= w.n then outside w u;
-    Array.unsafe_get w.proto (Array.unsafe_get w.sidx u)
+    Array.unsafe_get w.sidx u
 
   let value w u =
     if u < 0 || u >= w.n then outside w u;
@@ -605,22 +607,31 @@ module Warm = struct
     w.proto <- proto;
     w.n <- 0
 
-  let push w s v =
+  let push w s ~len v =
     let n = w.n in
-    if n = Array.length w.sidx then invalid_arg "Trace.Warm.push: buffer full";
-    if s < 0 || s >= Array.length w.proto then
-      invalid_arg (Printf.sprintf "Trace.Warm.push: no static index %d" s);
+    if len < 1 || n + len > Array.length w.sidx then
+      invalid_arg
+        (Printf.sprintf "Trace.Warm.push: %d entries at %d of %d" len n
+           (Array.length w.sidx));
+    if s < 0 || s + len > Array.length w.proto then
+      invalid_arg
+        (Printf.sprintf "Trace.Warm.push: no static indices %d..%d" s (s + len - 1));
     Array.unsafe_set w.sidx n s;
     Array.unsafe_set w.value n v;
-    w.n <- n + 1
+    for j = 1 to len - 1 do
+      Array.unsafe_set w.sidx (n + j) (s + j);
+      Array.unsafe_set w.value (n + j) 0
+    done;
+    w.n <- n + len
 
   let of_trace (t : trace) =
     let n = t.length in
     let w = create ~capacity:n in
     reset w t.proto;
     for u = 0 to n - 1 do
-      let s = t.proto.(sidx t u) in
-      push w (sidx t u)
+      let i = trace_sidx t u in
+      let s = t.proto.(i) in
+      push w i ~len:1
         (if s.is_load || s.is_store then addr t u
          else if s.is_cond_branch then Bool.to_int (taken t u)
          else 0)

@@ -330,9 +330,14 @@ module Warm : sig
   val capacity : t -> int
   val length : t -> int
 
-  val static : t -> int -> static
-  (** The static record of entry [u]; raises [Invalid_argument] outside
-      [0, length). *)
+  val statics : t -> static array
+  (** The static table given to the last {!reset}: shared, not copied.
+      A replay that builds its own per-static-instruction table from a
+      trace's {!Trace.statics} checks that the two are one array. *)
+
+  val sidx : t -> int -> int
+  (** Entry [u]'s static index, an index of {!statics}; raises
+      [Invalid_argument] outside [0, length). *)
 
   val value : t -> int -> int
   (** Entry [u]'s address or branch outcome (see above); raises
@@ -342,10 +347,14 @@ module Warm : sig
   (** Empties the buffer for a walk over the program with this static
       table (shared, not copied). *)
 
-  val push : t -> int -> int -> unit
-  (** [push w s v] appends a dynamic instance of static index [s] with
-      value [v]; raises [Invalid_argument] when the buffer is full or
-      [s] is not an index of the static table given to {!reset}. *)
+  val push : t -> int -> len:int -> int -> unit
+  (** [push w s ~len v] appends dynamic instances of static indices [s
+      .. s + len - 1], the first with value [v] and the rest with 0: one
+      instruction, or a straight-line stretch whose instructions after
+      the first are neither memory accesses nor conditional branches.
+      Raises [Invalid_argument] when [len < 1], when the buffer has no
+      room for [len] more entries, or when an index falls outside the
+      static table given to {!reset}. *)
 
   val of_trace : trace -> t
   (** The buffer a walk over the same instructions fills: one entry per

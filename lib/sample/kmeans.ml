@@ -21,16 +21,27 @@ let sq_dist a b =
   done;
   !d
 
+(* The index of [p]'s nearest centroid among the first [k]. A
+   centroid's sum stops once it reaches the best distance so far: its
+   squared terms only grow it, so it cannot win, and a finished sum adds
+   the same terms in the same order as [sq_dist]. *)
 let nearest centroids k p =
   let best = ref 0 and bestd = ref (sq_dist p centroids.(0)) in
+  let dim = Array.length p in
   for c = 1 to k - 1 do
-    let d = sq_dist p centroids.(c) in
-    if d < !bestd then begin
+    let q = centroids.(c) in
+    let d = ref 0.0 and i = ref 0 in
+    while !i < dim && !d < !bestd do
+      let x = p.(!i) -. q.(!i) in
+      d := !d +. (x *. x);
+      incr i
+    done;
+    if !d < !bestd then begin
       best := c;
-      bestd := d
+      bestd := !d
     end
   done;
-  (!best, !bestd)
+  !best
 
 (* kmeans++ seeding: first centre uniform, each further centre drawn with
    probability proportional to its squared distance from the chosen set.
@@ -105,7 +116,7 @@ let cluster ~seed ~k points =
        centroid index *)
     Array.iteri
       (fun i p ->
-        let c, _ = nearest centroids k p in
+        let c = nearest centroids k p in
         if c <> assign.(i) then begin
           assign.(i) <- c;
           changed := true

@@ -133,6 +133,11 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
     | w, None -> w
     | None, Some t -> Some (Trace.Warm.of_trace t)
   in
+  (* the replay reads the words decoded from the trace's statics *)
+  (match warm with
+  | Some w when Trace.Warm.statics w != Trace.statics trace ->
+      invalid_arg "Core.create: a warm-up buffer walked over other code than the trace's"
+  | Some _ | None -> ());
   (match measure_from with
   | Some mf when mf < 0 || mf >= n ->
       invalid_arg
@@ -167,16 +172,17 @@ let create ?(probe = Probe.off) ?(warm_data = []) ?warm ?prewarm ?measure_from
   | Some w ->
       let last = ref min_int in
       for u = 0 to Trace.Warm.length w - 1 do
-        let e = Trace.Warm.static w u in
-        let line = e.Trace.pc / 64 in
+        let word = Machine.static_word m (Trace.Warm.sidx w u) in
+        let pc = Machine.Word.pc word in
+        let line = pc / 64 in
         if line <> !last then begin
-          Mem_hier.warm_instr hier e.Trace.pc;
+          Mem_hier.warm_instr hier pc;
           last := line
         end;
-        if e.Trace.is_load || e.Trace.is_store then
+        if Machine.Word.is_load word || Machine.Word.is_store word then
           Mem_hier.warm_data hier (Trace.Warm.value w u)
-        else if e.Trace.is_cond_branch then
-          Predictor.warm pred ~pc:e.Trace.pc ~taken:(Trace.Warm.value w u <> 0)
+        else if Machine.Word.is_cond_branch word then
+          Predictor.warm pred ~pc ~taken:(Trace.Warm.value w u <> 0)
       done);
   let guard = (200 * n) + 100_000 in
   let last_progress = ref 0 in

@@ -96,10 +96,18 @@ val create :
     L1I/L2 (once per run of entries on one 64-byte line), a load or
     store's data line in L1D/L2 ({!Mem_hier.warm_data}), and a
     conditional branch's outcome into the predictor ({!Predictor.warm}),
-    without touching any statistics or time.
+    without touching any statistics or time. The replay reads each
+    entry's pc and its load, store and conditional-branch bits from the
+    machine's decoded word of its static index ({!Machine.static_word}),
+    a table built from the trace's statics, so the buffer must come from
+    the same compiled code as the trace: a walk and a window of one
+    [Compiled.code], as the sampler takes them. A buffer whose
+    {!Trace.Warm.statics} is not physically the trace's {!Trace.statics}
+    raises [Invalid_argument].
 
-    [prewarm] is the same warm-up given as a trace window: it is
-    converted with {!Trace.Warm.of_trace} and replayed by the same rule,
+    [prewarm] is the same warm-up given as a trace window of the same
+    compiled code: it is converted with {!Trace.Warm.of_trace} and
+    replayed by the same rule,
     so a caller that warms from [Compiled.trace_window] gets exactly the
     state the walk gives. It stays for callers that still hold such a
     window (an outside replay that must match the sampler bit for bit);

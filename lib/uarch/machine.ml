@@ -333,7 +333,8 @@ let create ?(probe = Probe.off) ?hier cfg trace =
        (L1 + L2 + memory fill: 409 cycles at the presets); an undersized
        wheel grows, it does not miscount *)
     wake = Calq.create ~horizon:512;
-    reg_free_at = Calq.create ~horizon:512;
+    (* only the braid core schedules register frees *)
+    reg_free_at = Calq.create ~horizon:(if is_braid then 512 else 1);
     write_ports = Rc.create cfg.Config.rf_write_ports;
     bypass = Rc.create cfg.Config.bypass_per_cycle;
     free_regs = cfg.Config.ext_regs;
@@ -346,7 +347,9 @@ let create ?(probe = Probe.off) ?hier cfg trace =
     inflight_mem = 0;
     stall_regs = 0;
     unresolved_branches = 0;
-    branch_resolve_at = Calq.create ~horizon:512;
+    (* only a bound on unresolved branches schedules resolutions *)
+    branch_resolve_at =
+      Calq.create ~horizon:(if cfg.Config.max_unresolved_branches > 0 then 512 else 1);
     ext_rf_reads = 0;
     ext_rf_writes = 0;
     int_rf_reads = 0;
@@ -631,6 +634,8 @@ type dispatch_block =
   | Block_checkpoint
   | Block_lsq
   | Block_inflight
+
+let static_word t s = t.decoded.(s)
 
 (* [Trace.fetch] gives only static indices of the table [decoded] was
    built from *)

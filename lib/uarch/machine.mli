@@ -174,6 +174,11 @@ val decode : t -> int -> int
     instruction ({!Trace.fetch}). Raises [Invalid_argument] for a uid the
     trace does not keep. *)
 
+val static_word : t -> int -> int
+(** [static_word m s] is the static part of the {!Word} of static index
+    [s] of {!Trace.statics}, from the table {!create} decodes once.
+    Raises [Invalid_argument] outside that table. *)
+
 val now : t -> int
 val begin_cycle : t -> unit
 (** Advances the clock, applies due wakeups, releases and branch

@@ -123,6 +123,167 @@ let test_kmeans_deterministic () =
     (Sample.Kmeans.representatives a points
     = Sample.Kmeans.representatives b points)
 
+(* The clustering [nearest] replaced, kept as the reference: every
+   centroid's full distance, returned with its index. *)
+module Ref_kmeans = struct
+  let sq_dist a b =
+    let d = ref 0.0 in
+    for i = 0 to Array.length a - 1 do
+      let x = a.(i) -. b.(i) in
+      d := !d +. (x *. x)
+    done;
+    !d
+
+  let nearest centroids k p =
+    let best = ref 0 and bestd = ref (sq_dist p centroids.(0)) in
+    for c = 1 to k - 1 do
+      let d = sq_dist p centroids.(c) in
+      if d < !bestd then begin
+        best := c;
+        bestd := d
+      end
+    done;
+    (!best, !bestd)
+
+  let seed_centroids rng ~k points =
+    let n = Array.length points in
+    let centroids = Array.make k points.(0) in
+    let chosen = Array.make n false in
+    let first = Prng.int rng n in
+    centroids.(0) <- points.(first);
+    chosen.(first) <- true;
+    let d2 = Array.map (fun p -> sq_dist p centroids.(0)) points in
+    for c = 1 to k - 1 do
+      let total = Array.fold_left ( +. ) 0.0 d2 in
+      let idx =
+        if total > 0.0 then begin
+          let r = Prng.float rng total in
+          let acc = ref 0.0 and pick = ref (-1) in
+          Array.iteri
+            (fun i d ->
+              if !pick < 0 then begin
+                acc := !acc +. d;
+                if !acc > r then pick := i
+              end)
+            d2;
+          if !pick < 0 then n - 1 else !pick
+        end
+        else begin
+          let pick = ref 0 in
+          (try
+             for i = 0 to n - 1 do
+               if not chosen.(i) then begin
+                 pick := i;
+                 raise Exit
+               end
+             done
+           with Exit -> ());
+          !pick
+        end
+      in
+      centroids.(c) <- points.(idx);
+      chosen.(idx) <- true;
+      Array.iteri
+        (fun i p ->
+          let d = sq_dist p centroids.(c) in
+          if d < d2.(i) then d2.(i) <- d)
+        points
+    done;
+    centroids
+
+  let cluster ~seed ~k points =
+    let n = Array.length points in
+    let k = Int.max 1 (Int.min k n) in
+    let dim = Array.length points.(0) in
+    let rng = Prng.create (Int64.of_int seed) in
+    let centroids = seed_centroids rng ~k points in
+    let assign = Array.make n (-1) in
+    let iter = ref 0 and changed = ref true in
+    while !changed && !iter < 100 do
+      changed := false;
+      incr iter;
+      Array.iteri
+        (fun i p ->
+          let c, _ = nearest centroids k p in
+          if c <> assign.(i) then begin
+            assign.(i) <- c;
+            changed := true
+          end)
+        points;
+      if !changed then begin
+        let sums = Array.init k (fun _ -> Array.make dim 0.0) in
+        let counts = Array.make k 0 in
+        Array.iteri
+          (fun i p ->
+            let c = assign.(i) in
+            counts.(c) <- counts.(c) + 1;
+            for j = 0 to dim - 1 do
+              sums.(c).(j) <- sums.(c).(j) +. p.(j)
+            done)
+          points;
+        Array.iteri
+          (fun c count ->
+            if count > 0 then begin
+              let s = sums.(c) in
+              for j = 0 to dim - 1 do
+                s.(j) <- s.(j) /. float_of_int count
+              done;
+              centroids.(c) <- s
+            end
+            else begin
+              let far = ref 0 and fard = ref neg_infinity in
+              Array.iteri
+                (fun i p ->
+                  let d = sq_dist p centroids.(assign.(i)) in
+                  if d > !fard then begin
+                    far := i;
+                    fard := d
+                  end)
+                points;
+              centroids.(c) <- Array.copy points.(!far);
+              assign.(!far) <- c
+            end)
+          counts
+      end
+    done;
+    (k, assign, centroids)
+end
+
+(* [Kmeans.cluster] equals the reference bit for bit: the same
+   assignment and the same centroid bits, on seeded random points drawn
+   from a few dozen values (so duplicates and distance ties are common),
+   on clustered points, and with k at and above the point count. *)
+let test_kmeans_matches_reference () =
+  let rng = Prng.create 0x6b6dL in
+  let bits c = Array.map (Array.map Int64.bits_of_float) c in
+  let check what ~seed ~k points =
+    let got = Sample.Kmeans.cluster ~seed ~k points in
+    let k', assign, centroids = Ref_kmeans.cluster ~seed ~k points in
+    Alcotest.(check int) (what ^ ": k") k' got.Sample.Kmeans.k;
+    Alcotest.(check (array int)) (what ^ ": assignment") assign got.Sample.Kmeans.assign;
+    if bits centroids <> bits got.Sample.Kmeans.centroids then
+      Alcotest.failf "%s: centroids differ from the reference" what
+  in
+  for case = 1 to 60 do
+    let n = 1 + Prng.int rng 80 and dim = 1 + Prng.int rng 12 in
+    let levels = 1 + Prng.int rng 4 in
+    let grid () = float_of_int (Prng.int rng levels) /. float_of_int levels in
+    let centres = Array.init 5 (fun _ -> Array.init dim (fun _ -> Prng.float rng 1.0)) in
+    let points =
+      Array.init n (fun _ ->
+          if case mod 2 = 0 then Array.init dim (fun _ -> grid ())
+          else
+            Array.map
+              (fun x -> x +. Prng.float rng 0.05)
+              centres.(Prng.int rng (Array.length centres)))
+    in
+    List.iter
+      (fun k ->
+        check (Printf.sprintf "case %d (n %d, dim %d, k %d)" case n dim k)
+          ~seed:(Prng.int rng 1000) ~k points)
+      [ 1 + Prng.int rng 8; n; n + 1 + Prng.int rng 4 ]
+  done
+
 (* Whole-driver determinism across contexts: a cold context, a second cold
    context and a warm (memoised) repeat must pick identical intervals and
    produce identical extrapolated results. *)
@@ -291,31 +452,65 @@ let test_trace_window () =
 let check_warm_equal name (a : Trace.Warm.t) (b : Trace.Warm.t) =
   Alcotest.(check int) (name ^ ": length") (Trace.Warm.length b)
     (Trace.Warm.length a);
+  let pc w u = (Trace.Warm.statics w).(Trace.Warm.sidx w u).Trace.pc in
   for u = 0 to Trace.Warm.length a - 1 do
-    if
-      (Trace.Warm.static a u).Trace.pc <> (Trace.Warm.static b u).Trace.pc
-      || Trace.Warm.value a u <> Trace.Warm.value b u
-    then
+    if pc a u <> pc b u || Trace.Warm.value a u <> Trace.Warm.value b u then
       Alcotest.failf "%s: entry %d is (pc %d, %d), expected (pc %d, %d)" name
-        u (Trace.Warm.static a u).Trace.pc (Trace.Warm.value a u)
-        (Trace.Warm.static b u).Trace.pc (Trace.Warm.value b u)
+        u (pc a u) (Trace.Warm.value a u) (pc b u) (Trace.Warm.value b u)
   done
+
+(* Uid [u + 1] of window [t] continues [u]'s segment, the stretch the
+   walk runs in one chain call: it is the next instruction of [u]'s
+   straight-line run, and plain (the walk reads no register for it). *)
+let continues_segment t u =
+  let a = Trace.static t u and b = Trace.static t (u + 1) in
+  b.Trace.block_id = a.Trace.block_id
+  && b.Trace.offset = a.Trace.offset + 1
+  && (match a.Trace.instr.Instr.op with
+     | Op.Branch _ | Op.Jump _ | Op.Halt -> false
+     | _ -> true)
+  &&
+  match b.Trace.instr.Instr.op with
+  | Op.Load _ | Op.Store _ | Op.Branch _ | Op.Fbin (Op.Fdiv, _, _, _) -> false
+  | _ -> true
 
 (* The sampler warms each representative from [Compiled.warm_window];
    an outside replay that still holds a trace window warms through
-   [Core.run ~prewarm]. Over the same span, on both binaries, the walk's
-   buffer must equal the window's conversion entry for entry, leave the
-   run at the same position, and warm a core into the same result and
-   counters — mid-run, and on a span that runs past the halt. *)
+   [Core.run ~prewarm]. Over the same span, on both binaries of every
+   benchmark, the walk's buffer must equal the window's conversion entry
+   for entry, leave the run at the same position, and warm a core into
+   the same result and counters: mid-program, on a span that runs past
+   the halt, on one whose end cuts a segment, and on one that starts
+   inside a segment. *)
 let test_warm_walk () =
   List.iter
-    (fun bench ->
-      let p = Suite.prepare (Lazy.force ctx) ~scale:100_000 (W.Spec.find bench) in
+    (fun (profile : W.Spec.profile) ->
+      let bench = profile.W.Spec.name in
+      let p = Suite.prepare (Lazy.force ctx) ~scale:100_000 profile in
       List.iter
         (fun (label, program, cfg) ->
           let code = Emulator.Compiled.compile program in
           let start () = Emulator.Compiled.start ~init_mem:p.Suite.init_mem code in
           let total = Emulator.Compiled.advance (start ()) ~fuel:max_int in
+          (* the first uid [u] at or after [from] of a window opened at
+             [at] whose successor continues its segment *)
+          let segment_after at ~from =
+            let run = start () in
+            ignore (Emulator.Compiled.advance run ~fuel:at : int);
+            let t = Emulator.Compiled.trace_window run ~max_steps:(from + 1_000) in
+            let rec find u =
+              if u + 1 >= Trace.length t then
+                Alcotest.failf "%s %s: no segment longer than 1 from %d" bench label
+                  (at + from)
+              else if continues_segment t u then u
+              else find (u + 1)
+            in
+            find from
+          in
+          (* a walk of [cut] steps from [total / 4] stops inside a
+             segment, and one from [inside] starts inside one *)
+          let cut = 1 + segment_after (total / 4) ~from:(Int.min 20_000 (total / 4)) in
+          let inside = (total / 3) + 1 + segment_after (total / 3) ~from:0 in
           let w = Trace.Warm.create ~capacity:65_536 in
           List.iter
             (fun (span, k, steps) ->
@@ -346,8 +541,10 @@ let test_warm_walk () =
                   (U.Core.counters a = U.Core.counters b)
               end)
             [
-              ("mid-run", total / 8, Int.min 65_536 (total / 2));
+              ("mid-program", total / 8, Int.min 65_536 (total / 2));
               ("past the halt", total - 1_000, 65_536);
+              ("cutting a segment", total / 4, cut);
+              ("from inside a segment", inside, 20_000);
             ])
         [
           ( "conv",
@@ -357,17 +554,18 @@ let test_warm_walk () =
             p.Suite.braid.Braid_core.Transform.program,
             U.Config.braid_8wide );
         ])
-    [ "gzip"; "mcf"; "swim" ]
+    W.Spec.all
 
 (* Filling a buffer allocated once allocates nothing per instruction:
    the sampler walks 65,536 instructions before every representative.
-   A walk longer than the buffer, and a core given the same warm-up both
-   as a buffer and as a trace, are refused. *)
+   A walk longer than the buffer, a core given the same warm-up both as
+   a buffer and as a trace, and a core given a buffer walked over other
+   compiled code than its trace's (another program's, or a second
+   compile of its own) are refused. *)
 let test_warm_walk_allocation () =
   let p = Suite.prepare (Lazy.force ctx) ~scale:100_000 (W.Spec.find "gzip") in
-  let code =
-    Emulator.Compiled.compile p.Suite.conventional.Braid_core.Extalloc.program
-  in
+  let conv = p.Suite.conventional.Braid_core.Extalloc.program in
+  let code = Emulator.Compiled.compile conv in
   let run = Emulator.Compiled.start ~init_mem:p.Suite.init_mem code in
   let w = Trace.Warm.create ~capacity:65_536 in
   let before = Gc.minor_words () in
@@ -382,7 +580,24 @@ let test_warm_walk_allocation () =
   let window = Emulator.Compiled.trace_window run ~max_steps:100 in
   Alcotest.check_raises "one warm-up, given twice"
     (Invalid_argument "Core.create: both warm and prewarm given") (fun () ->
-      ignore (U.Core.create ~warm:w ~prewarm:window U.Config.ooo_8wide window))
+      ignore (U.Core.create ~warm:w ~prewarm:window U.Config.ooo_8wide window));
+  ignore (U.Core.create ~warm:w U.Config.ooo_8wide window : U.Core.t);
+  List.iter
+    (fun (what, program) ->
+      let other =
+        Emulator.Compiled.start ~init_mem:p.Suite.init_mem
+          (Emulator.Compiled.compile program)
+      in
+      Emulator.Compiled.warm_window other w ~max_steps:1_000;
+      Alcotest.check_raises what
+        (Invalid_argument
+           "Core.create: a warm-up buffer walked over other code than the trace's")
+        (fun () -> ignore (U.Core.create ~warm:w U.Config.ooo_8wide window)))
+    [
+      ("a buffer walked over another program",
+       p.Suite.braid.Braid_core.Transform.program);
+      ("a buffer walked over a second compile", conv);
+    ]
 
 (* --- BBV counts: one chain call per straight-line run --- *)
 
@@ -489,6 +704,7 @@ let suite =
     [
       Alcotest.test_case "bbv totals" `Quick test_bbv_totals;
       Alcotest.test_case "kmeans deterministic" `Quick test_kmeans_deterministic;
+      Alcotest.test_case "kmeans equals the reference" `Quick test_kmeans_matches_reference;
       Alcotest.test_case "driver deterministic across ctxs" `Quick
         test_driver_deterministic;
       Alcotest.test_case "sampled sweep jobs-invariant" `Slow

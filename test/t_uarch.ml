@@ -1021,7 +1021,50 @@ let test_byte_perceptron_matches_reference () =
          let pc = 4 * (k mod 3) in
          (pc, (if pc = 4 then k mod 7 <> 0 else pc = 0), Prng.chance rng 0.5)));
   check_stream "patterned"
-    (List.init 60_000 (fun k -> (4 * (k mod 5), k mod 3 = 0, k mod 11 = 0)))
+    (List.init 60_000 (fun k -> (4 * (k mod 5), k mod 3 = 0, k mod 11 = 0)));
+  (* a random branch, then one that copies it or one that inverts it:
+     the second's newest history weight keeps training at +127 or −127,
+     where a lane must hold rather than wrap *)
+  let clamped =
+    List.concat
+      (List.init 40_000 (fun k ->
+           let r = Prng.bool rng and pc = 0x100 * (1 + (k land 1)) in
+           [ (pc, r, Prng.chance rng 0.3);
+             (pc + 4, (if k land 1 = 0 then r else not r), Prng.chance rng 0.3) ]))
+  in
+  check_stream "clamped" clamped;
+  let r = Ref_perceptron.create () in
+  List.iter (fun (pc, taken, _) -> ignore (Ref_perceptron.step ~stats:false r ~pc ~taken)) clamped;
+  let history_weights =
+    List.filteri (fun k _ -> k mod 65 <> 0) (Array.to_list r.Ref_perceptron.w)
+  in
+  Alcotest.(check (pair bool bool)) "clamped: history weights at +127 and at -127"
+    (true, true)
+    (List.mem 127 history_weights, List.mem (-127) history_weights)
+
+(* A predictor step allocates nothing, on any kind: the cycle loop
+   trains the predictor on every branch it fetches, and a sampled
+   warm-up on tens of thousands more before each window. *)
+let test_predictor_step_allocation () =
+  let rng = Prng.create 0xa110cL in
+  let pcs = Array.init 4096 (fun _ -> 4 * Prng.int rng 2048) in
+  let taken = Array.init 4096 (fun _ -> Prng.chance rng 0.6) in
+  List.iter
+    (fun (what, kind) ->
+      let p = U.Predictor.create { U.Config.braid_8wide with U.Config.predictor = kind } in
+      let before = Gc.minor_words () in
+      for k = 0 to 299_999 do
+        let j = k land 4095 in
+        if k land 3 = 0 then U.Predictor.warm p ~pc:pcs.(j) ~taken:taken.(j)
+        else ignore (U.Predictor.predict_and_train p ~pc:pcs.(j) ~taken:taken.(j) : bool)
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.0)) (what ^ ": minor words over 300,000 steps") 0.0 words)
+    [
+      ("perceptron", U.Config.Perceptron);
+      ("gshare", U.Config.Gshare);
+      ("perfect", U.Config.Perfect_prediction);
+    ]
 
 (* --- L2 warm-up once per line --- *)
 
@@ -1101,6 +1144,8 @@ let suite =
         test_fetch_words_carry_dynamic_bits;
       Alcotest.test_case "byte perceptron equals the int reference" `Quick
         test_byte_perceptron_matches_reference;
+      Alcotest.test_case "predictor step allocates nothing" `Quick
+        test_predictor_step_allocation;
       Alcotest.test_case "data image warmed once per line" `Quick test_warm_once_per_line;
       QCheck_alcotest.to_alcotest qcheck_all_cores_all_benchmarks;
     ] )
