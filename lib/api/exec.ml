@@ -121,8 +121,7 @@ let exec_run (r : Request.run) =
   let prepare () = prepare_one ~profile ~seed:r.Request.r_seed ~scale in
   match r.Request.r_sample with
   | None ->
-      let ctx, p = prepare () in
-      let res = Sim.Suite.run_streamed ctx p cfg in
+      let res = Sim.Suite.run_streamed (snd (prepare ())) cfg in
       let b = Buffer.create 1024 in
       Printf.ksprintf (Buffer.add_string b) "%s on %s\n" profile.W.Spec.name
         res.U.Core.config_name;
@@ -145,7 +144,7 @@ let exec_run (r : Request.run) =
       let sp_error =
         if not sm.Request.sm_verify then None
         else begin
-          let full = Sim.Suite.run_streamed ctx p cfg in
+          let full = Sim.Suite.run_streamed p cfg in
           let e = Braid_sample.Driver.error_vs ~full t in
           pf "  full-simulation IPC %.3f (sampled error %.2f%%)\n"
             full.U.Core.ipc (100.0 *. e);

@@ -177,37 +177,39 @@ let fixup_annotations (b : Program.block) =
   in
   { b with Program.instrs }
 
-let run ?(max_internal = Reg.num_internal) ?ext_usable p =
+(* Every block rewritten into braids numbered program-wide, then passed
+   through [finish], with the braid and split counts. No allocation pass
+   runs here: the report's allocation is the identity, which [run]
+   replaces with its own. *)
+let braided ~max_internal ~finish p =
   let live = Dataflow.liveness p in
-  let braid_base = ref 0 in
-  let splits_ws = ref 0 and splits_ord = ref 0 in
-  let braids = ref 0 in
+  let braids = ref 0 and splits_ws = ref 0 and splits_ord = ref 0 in
   let blocks =
     Array.map
       (fun (b : Program.block) ->
         let live_out = live.Dataflow.live_out.(b.Program.id) in
-        let nb, a =
-          rewrite_block ~max_internal ~live_out ~braid_base:!braid_base b
-        in
-        braid_base := !braid_base + a.Braid.count;
+        let nb, a = rewrite_block ~max_internal ~live_out ~braid_base:!braids b in
         braids := !braids + a.Braid.count;
         splits_ws := !splits_ws + a.Braid.splits_working_set;
         splits_ord := !splits_ord + a.Braid.splits_ordering;
-        nb)
+        finish nb)
       p.Program.blocks
   in
-  let reordered = { p with Program.blocks } in
   (* re-validate structural invariants *)
-  let reordered = Program.map_blocks (fun b -> b) reordered in
-  let alloc = Extalloc.allocate ?usable:ext_usable reordered in
-  let program = Program.map_blocks fixup_annotations alloc.Extalloc.program in
+  let program = Program.map_blocks (fun b -> b) { p with Program.blocks } in
   {
     program;
-    alloc = { alloc with Extalloc.program };
+    alloc = { Extalloc.program; spilled = 0; spill_loads = 0; spill_stores = 0 };
     braids = !braids;
     splits_working_set = !splits_ws;
     splits_ordering = !splits_ord;
   }
+
+let run ?(max_internal = Reg.num_internal) ?ext_usable p =
+  let r = braided ~max_internal ~finish:Fun.id p in
+  let alloc = Extalloc.allocate ?usable:ext_usable r.program in
+  let program = Program.map_blocks fixup_annotations alloc.Extalloc.program in
+  { r with program; alloc = { alloc with Extalloc.program } }
 
 let conventional p = Extalloc.allocate p
 
@@ -221,29 +223,4 @@ let conventional p = Extalloc.allocate p
 let run_binary ?(max_internal = Reg.num_internal) p =
   if Program.max_virt_index p >= 0 then
     invalid_arg "Transform.run_binary: input must be fully allocated";
-  let live = Dataflow.liveness p in
-  let braid_base = ref 0 in
-  let splits_ws = ref 0 and splits_ord = ref 0 in
-  let braids = ref 0 in
-  let blocks =
-    Array.map
-      (fun (b : Program.block) ->
-        let live_out = live.Dataflow.live_out.(b.Program.id) in
-        let nb, a =
-          rewrite_block ~max_internal ~live_out ~braid_base:!braid_base b
-        in
-        braid_base := !braid_base + a.Braid.count;
-        braids := !braids + a.Braid.count;
-        splits_ws := !splits_ws + a.Braid.splits_working_set;
-        splits_ord := !splits_ord + a.Braid.splits_ordering;
-        fixup_annotations nb)
-      p.Program.blocks
-  in
-  let program = Program.map_blocks (fun b -> b) { p with Program.blocks } in
-  {
-    program;
-    alloc = { Extalloc.program; spilled = 0; spill_loads = 0; spill_stores = 0 };
-    braids = !braids;
-    splits_working_set = !splits_ws;
-    splits_ordering = !splits_ord;
-  }
+  braided ~max_internal ~finish:fixup_annotations p

@@ -960,9 +960,11 @@ module Compiled = struct
   let max_window = 1 lsl 20
 
   (* A stream's pre-pass keeps its release bits in two growable bitsets:
-     one bit per uid (read externally) and one per dependence entry (the
-     last external read of its producer). *)
-  type marks = { readers : Bytes.t; lasts : Bytes.t }
+     one bit per uid (read externally) and one per register read (the
+     last external read of its producer), a read's position counting
+     every [rd] entry of every instruction run. [reads] is the position
+     the stream's tracer has reached. *)
+  type marks = { readers : Bytes.t; lasts : Bytes.t; mutable reads : int }
 
   let bit b i =
     let j = i lsr 3 in
@@ -986,8 +988,9 @@ module Compiled = struct
      a stream keeps one across its refills, while a window's starts empty,
      so a mid-run window is a self-contained trace whose dependences on
      pre-window producers are dropped, which is precisely what a timing
-     model fed only that window must see. A stream's tracer copies each
-     instruction's release bits from its pre-pass's [marks]. *)
+     model fed only that window must see. A stream's tracer marks the
+     entry of each read its pre-pass's [marks] set as a last read, and
+     each uid its pre-pass found no external reader for. *)
   let trace_into run b last_writer ~upto ~marks =
     let code = run.code and regs = run.regs and step = run.step in
     let n = Array.length code.proto in
@@ -1000,8 +1003,8 @@ module Compiled = struct
       let i = !ip and u = Trace.Builder.length b in
       (* a run parked on a trap slot raises its control-flow failure *)
       if i >= n then ignore (step.(i) 1 : int);
-      let e0 = Trace.Builder.entries b in
-      for k = rd_off.(i) to rd_off.(i + 1) - 1 do
+      let r0 = rd_off.(i) and r1 = rd_off.(i + 1) in
+      for k = r0 to r1 - 1 do
         let e = rd.(k) in
         let w = last_writer.(e lsr 1) in
         if w >= 0 then Trace.Builder.add_dep b w (e land 1 <> 0)
@@ -1012,9 +1015,11 @@ module Compiled = struct
         match marks with
         | None -> trace_op.(row + 3)
         | Some m ->
-            for k = e0 to Trace.Builder.entries b - 1 do
-              if bit m.lasts k then Trace.Builder.mark_last b k
+            for k = r0 to r1 - 1 do
+              if bit m.lasts (m.reads + k - r0) then
+                Trace.Builder.mark_last b last_writer.(rd.(k) lsr 1)
             done;
+            m.reads <- m.reads + r1 - r0;
             if bit m.readers u then trace_op.(row + 3)
             else trace_op.(row + 3) lor Trace.flag_no_ext_reader
       in
@@ -1062,9 +1067,9 @@ module Compiled = struct
      the first touch of each instruction line a run covers. With
      [release] it also finds the release bits, tracking dependences
      without values, since they follow from which instruction last wrote
-     each register: per register slot, the writer and that writer's
-     latest external read (an entry index, counted as the tracer will
-     number it). A value's last read is final once its register is
+     each register: per register slot, the writer and the position of
+     that writer's latest external read among the run's register reads
+     (see [marks]). A value's last read is final once its register is
      overwritten or the run ends, and its writer then has a reader iff
      that read exists; a writer that still holds another external
      register hands its latest read on instead. Internal registers are
@@ -1081,7 +1086,6 @@ module Compiled = struct
     let writer_ip = Array.make code.nslots 0 in
     let latest = Array.make code.nslots (-1) in
     let readers = ref (Bytes.make 64 '\000') and lasts = ref (Bytes.make 64 '\000') in
-    let keys = Array.make (code.max_reads + 1) 0 in
     let internal s = s - Reg.num_ext_ids >= 0 && s < num_fixed_slots in
     (* slot [s]'s writer leaves it: hand its latest read to another of
        the writer's external slots, or make it final *)
@@ -1101,7 +1105,7 @@ module Compiled = struct
         end
       end
     in
-    let nd = ref 0 and u = ref 0 and ip = ref run.ip in
+    let reads = ref 0 and u = ref 0 and ip = ref run.ip in
     while !u < max_steps && !ip >= 0 do
       let i = !ip in
       let fuel = Int.min run_len.(i) (max_steps - !u) in
@@ -1116,40 +1120,13 @@ module Compiled = struct
       if release then
         for j = i to i + ran - 1 do
           let r0 = Array.unsafe_get rd_off j and r1 = Array.unsafe_get rd_off (j + 1) in
-          (* the instruction's distinct (producer, via) keys, sorted as
-             the tracer sorts its entries *)
-          let m = ref 0 in
-          for r = r0 to r1 - 1 do
-            let e = Array.unsafe_get rd r in
-            let w = Array.unsafe_get writer (e lsr 1) in
-            if w >= 0 then begin
-              let key = (w lsl 1) lor (e land 1) in
-              let p = ref !m in
-              while !p > 0 && Array.unsafe_get keys (!p - 1) > key do
-                decr p
-              done;
-              if !p = 0 || Array.unsafe_get keys (!p - 1) <> key then begin
-                for q = !m downto !p + 1 do
-                  Array.unsafe_set keys q (Array.unsafe_get keys (q - 1))
-                done;
-                Array.unsafe_set keys !p key;
-                incr m
-              end
-            end
-          done;
           for r = r0 to r1 - 1 do
             let e = Array.unsafe_get rd r in
             let s = e lsr 1 in
-            let w = Array.unsafe_get writer s in
-            if e land 1 = 0 && w >= 0 then begin
-              let p = ref 0 in
-              while Array.unsafe_get keys !p <> w lsl 1 do
-                incr p
-              done;
-              Array.unsafe_set latest s (!nd + !p)
-            end
+            if e land 1 = 0 && Array.unsafe_get writer s >= 0 then
+              Array.unsafe_set latest s (!reads + r - r0)
           done;
-          nd := !nd + !m;
+          reads := !reads + r1 - r0;
           for x = Array.unsafe_get wr_off j to Array.unsafe_get wr_off (j + 1) - 1 do
             let s = Array.unsafe_get wr x in
             if not (internal s) then settle s;
@@ -1169,7 +1146,7 @@ module Compiled = struct
     done;
     run.ip <- !ip;
     run.steps <- run.steps + !u;
-    (!u, Array.of_list (List.rev !lines), { readers = !readers; lasts = !lasts })
+    (!u, Array.of_list (List.rev !lines), { readers = !readers; lasts = !lasts; reads = 0 })
 
   (* The warm-up walk keeps only what a warm-up replays: the static
      index, and the address or branch outcome read from the registers

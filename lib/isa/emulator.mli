@@ -37,7 +37,8 @@ val run :
     trace: the tracer of {!Compiled.trace_window} over the whole run,
     after an untraced run has counted its length, so each column is
     allocated at its exact length and written once, with its release
-    bits marked ({!Trace.Builder.finish}). The count pass costs
+    bits and first-touch lines derived when it is finished
+    ({!Trace.Builder.finish}). The count pass costs
     a few percent of the tracer's time and stays: a variant without it,
     its columns sized at the window bound and cut with views, measured
     slower on served cold runs.
@@ -60,17 +61,20 @@ val stream :
     stream's length, stop reason and first-touch instruction lines
     ({!Trace.warm_lines}). It also finds the release bits
     ({!Trace.no_ext_reader}, {!Trace.dep_last}) without tracing: per
-    register slot it keeps the current writer and that writer's latest
-    external read, which is final once the register is overwritten or
-    the run ends. It keeps one bit per instruction and one per
-    dependence entry, never an int per uid. With [release] false
-    (default true) it skips that bookkeeping, and the stream's bits stay
-    clear ({!Trace.marked} is false): only a core that releases early
-    reads them. A second run then traces
-    into the rings on each {!Trace.refill}, keeping its last-writer
-    table across refills, so the stream is exactly {!run}'s trace,
-    release bits included. Raises [Invalid_argument] as
-    {!Trace.stream} does. *)
+    register slot it keeps the current writer and the read position of
+    that writer's latest external read, a position counting every
+    register read of every instruction run, which is final once the
+    register is overwritten or the run ends. It keeps one bit per
+    instruction and one per register read, never an int per uid, and
+    knows nothing of how the trace numbers its dependence entries. With
+    [release] false (default true) it skips that bookkeeping, and the
+    stream's bits stay clear ({!Trace.marked} is false): only a core
+    that releases early reads them. A second run then traces into the
+    rings on each {!Trace.refill}, keeping its last-writer table and its
+    read count across refills, and marks the entry of each read whose
+    position the pre-pass set ({!Trace.Builder.mark_last}), so the
+    stream is exactly {!run}'s trace, release bits included. Raises
+    [Invalid_argument] as {!Trace.stream} does. *)
 
 val reference :
   ?max_steps:int -> ?init_mem:(int * int64) list -> Program.t -> outcome

@@ -228,75 +228,67 @@ let deps_room n max_reads =
          n max_reads);
   n * max_reads
 
-(* The 64-byte instruction lines of [pcs] in first-touch order. *)
-let first_touch_lines pcs =
-  let top = Array.fold_left Int.max 0 pcs in
-  let seen = Bytes.make ((top lsr 6) + 1) '\000' in
-  let acc = ref [] in
-  Array.iter
-    (fun pc ->
-      let line = pc lsr 6 in
-      if Bytes.get seen line = '\000' then begin
-        Bytes.set seen line '\001';
-        acc := (line lsl 6) :: !acc
-      end)
-    pcs;
-  Array.of_list (List.rev !acc)
-
-(* A stored trace's release bits, by one backward pass over its entries
-   with one seen bit per uid: from the end, the first external (non-via)
-   entry met for a producer is its last external read, and a uid that no
-   later entry has read externally has no external reader. *)
-let mark_release t =
-  let seen = Bytes.make ((t.length lsr 3) + 1) '\000' in
+(* A kept trace's release bits and first-touch lines, by one backward
+   pass over its columns with one seen bit per uid: from the end, the
+   first external (non-via) entry met for a producer is its last external
+   read, a uid that no later entry has read externally has no external
+   reader, and the last uid met on an instruction line is the line's
+   first touch. Marks the bits in place and returns the lines in
+   first-touch order. *)
+let finish_kept proto ~sidx ~flags ~dep_off ~deps =
+  let n = Bigarray.Array1.dim sidx in
+  let seen = Bytes.make ((n lsr 3) + 1) '\000' in
   let seen_bit u = Char.code (Bytes.get seen (u lsr 3)) land (1 lsl (u land 7)) in
-  for u = t.length - 1 downto 0 do
-    let f = Char.code (Bytes.get t.flags u) in
+  let line = Array.map (fun (s : static) -> s.pc lsr 6) proto in
+  let first = Array.make (Array.fold_left Int.max 0 line + 1) (-1) in
+  for u = n - 1 downto 0 do
+    (* [Builder.push] and [of_events] admit only static indices of [proto] *)
+    Array.unsafe_set first (Array.unsafe_get line (get32 sidx u)) u;
+    let f = Char.code (Bytes.get flags u) in
     let f' =
       if seen_bit u <> 0 then f land lnot flag_no_ext_reader
       else f lor flag_no_ext_reader
     in
-    if f' <> f then Bytes.set t.flags u (Char.unsafe_chr f');
-    for k = get32 t.dep_off u to get32 t.dep_off (u + 1) - 1 do
-      let e = get32 t.deps k in
+    if f' <> f then Bytes.set flags u (Char.unsafe_chr f');
+    for k = get32 dep_off u to get32 dep_off (u + 1) - 1 do
+      let e = get32 deps k in
       let p = e lsr 2 in
       let last = e land 1 = 0 && seen_bit p = 0 in
       if last then
         Bytes.set seen (p lsr 3)
           (Char.unsafe_chr (Char.code (Bytes.get seen (p lsr 3)) lor (1 lsl (p land 7))));
-      if last <> (e land last_bit <> 0) then set32 t.deps k (e lxor last_bit)
+      if last <> (e land last_bit <> 0) then set32 deps k (e lxor last_bit)
     done
-  done
+  done;
+  let touched = ref [] in
+  Array.iteri (fun line u -> if u >= 0 then touched := (u, line lsl 6) :: !touched) first;
+  Array.of_list (List.map snd (List.sort compare !touched))
 
-(* A stored trace over these columns, [length] long. *)
-let stored proto program ~max_reads ~sidx ~addr ~flags ~dep_off ~deps ~stop
-    ~warm_lines =
+(* A kept trace over these columns, [length] long. *)
+let stored proto program ~max_reads ~sidx ~addr ~flags ~dep_off ~deps ~stop =
   let n = Bigarray.Array1.dim sidx in
-  let t =
-    {
-      proto;
-      program;
-      max_reads;
-      mask = -1;
-      dmask = -1;
-      sidx;
-      addr;
-      flags;
-      dep_off;
-      deps;
-      lo = 0;
-      hi = n;
-      klo = 0;
-      khi = Bigarray.Array1.dim deps;
-      length = n;
-      stop;
-      warm_lines;
-      marked = true;
-      fill = ignore;
-    }
-  in
-  mark_release t;
-  t
+  let warm_lines = finish_kept proto ~sidx ~flags ~dep_off ~deps in
+  {
+    proto;
+    program;
+    max_reads;
+    mask = -1;
+    dmask = -1;
+    sidx;
+    addr;
+    flags;
+    dep_off;
+    deps;
+    lo = 0;
+    hi = n;
+    klo = 0;
+    khi = Bigarray.Array1.dim deps;
+    length = n;
+    stop;
+    warm_lines;
+    marked = true;
+    fill = ignore;
+  }
 
 let of_events program (es : event array) =
   let n = Array.length es in
@@ -354,35 +346,24 @@ let of_events program (es : event array) =
            let e = es.(u) in
            flag_byte ~taken:e.taken ~faulting:e.faulting ~braid_start:e.braid_start))
     ~dep_off ~deps ~stop:Halted
-    ~warm_lines:(first_touch_lines (Array.map (fun (e : event) -> e.pc) es))
 
 module Builder = struct
   type trace = t
 
   (* The trace being built ([tr.hi] instructions pushed, [tr.khi]
-     entries, the open instruction's too), room for [cap] instructions
-     and [cap * max_reads] entries so the open instruction always has
-     room for its reads, and the first touch of each 64-byte instruction
-     line. A stored builder past [cap] doubles its columns, and [finish]
-     cuts them to size with views; a stream's builder writes the
-     stream's rings, which its refills keep from overflowing, and never
-     grows ([cap] is [max_int]). *)
-  type t = {
-    tr : trace;
-    mutable cap : int;
-    line : int array;  (* per static index: its instruction line *)
-    seen : Bytes.t;  (* per line: touched yet *)
-    mutable lines : int list;  (* touched line addresses, newest first *)
-  }
-
-  let lines_of proto = Array.map (fun (s : static) -> s.pc lsr 6) proto
+     entries, the open instruction's too) and room for [cap] instructions
+     and [cap * max_reads] entries, so the open instruction always has
+     room for its reads. A stored builder past [cap] doubles its columns,
+     and [finish] cuts them to size with views; a stream's builder writes
+     the stream's rings, which its refills keep from overflowing, and
+     never grows ([cap] is [max_int]). *)
+  type t = { tr : trace; mutable cap : int }
 
   let create proto program ~capacity ~max_reads =
     if capacity < 0 || max_reads < 0 then
       invalid_arg "Trace.Builder.create: negative capacity or max_reads";
     if capacity > max_length then too_long "Builder.create" capacity;
     let room = deps_room capacity max_reads in
-    let line = lines_of proto in
     let dep_off = i32 (capacity + 1) in
     set32 dep_off 0 0;
     {
@@ -409,13 +390,9 @@ module Builder = struct
           fill = ignore;
         };
       cap = capacity;
-      line;
-      seen = Bytes.make (Array.fold_left Int.max 0 line + 1) '\000';
-      lines = [];
     }
 
   let length b = b.tr.hi
-  let entries b = b.tr.khi
 
   (* [fresh] holding the first [len] entries of [old] *)
   let copied fresh old len =
@@ -463,28 +440,34 @@ module Builder = struct
       t.khi <- t.khi + 1
     end
 
-  let mark_last b k =
+  let mark_last b p =
     let t = b.tr in
-    if k < get32 t.dep_off (t.hi land t.mask) || k >= t.khi then
+    let key = dep_key p false in
+    let k = ref (get32 t.dep_off (t.hi land t.mask)) in
+    while !k < t.khi && get32 t.deps (!k land t.dmask) land lnot last_bit <> key do
+      incr k
+    done;
+    if !k = t.khi then
       invalid_arg
-        (Printf.sprintf "Trace.Builder.mark_last: entry %d is not uid %d's" k t.hi);
-    set32 t.deps (k land t.dmask) (get32 t.deps (k land t.dmask) lor last_bit)
+        (Printf.sprintf "Trace.Builder.mark_last: uid %d does not read uid %d externally"
+           t.hi p);
+    set32 t.deps (!k land t.dmask) (key lor last_bit)
 
   let push b s ~addr flags =
     if flags land lnot 15 <> 0 then
       invalid_arg (Printf.sprintf "Trace.Builder.push: flag bits %#x" flags);
+    (* what keeps [static]'s and [fetch]'s readers of this index in range *)
+    if s < 0 || s >= Array.length b.tr.proto then
+      invalid_arg
+        (Printf.sprintf "Trace.Builder.push: static index %d outside a table of %d" s
+           (Array.length b.tr.proto));
     if b.tr.hi = b.cap then grow b;
     let t = b.tr in
     let n = t.hi in
-    let line = b.line.(s) in
-    if Bytes.unsafe_get b.seen line = '\000' then begin
-      Bytes.unsafe_set b.seen line '\001';
-      b.lines <- (line lsl 6) :: b.lines
-    end;
     (* the braid core only accepts a stream whose first braid
        instruction claims a BEU *)
     let flags =
-      if n = 0 && t.proto.(s).braid_id >= 0 then flags lor flag_braid_start
+      if n = 0 && (Array.unsafe_get t.proto s).braid_id >= 0 then flags lor flag_braid_start
       else flags
     in
     let c = n land t.mask in
@@ -504,7 +487,6 @@ module Builder = struct
       ~dep_off:(Bigarray.Array1.sub t.dep_off 0 (n + 1))
       ~deps:(Bigarray.Array1.sub t.deps 0 t.khi)
       ~stop
-      ~warm_lines:(Array.of_list (List.rev b.lines))
 end
 
 let rec pow2_at_least k x = if k >= x then k else pow2_at_least (2 * k) x
@@ -522,9 +504,6 @@ let stream proto program ~capacity ~max_reads ~length ~stop ~warm_lines ~marked
   set32 dep_off 0 0;
   let sidx = i32 capacity and addr = ints capacity in
   let flags = Bytes.create capacity and deps = i32 dcap in
-  let line = Builder.lines_of proto in
-  (* a stream's lines come from its pre-pass: its builder records none *)
-  let seen = Bytes.make (Array.fold_left Int.max 0 line + 1) '\001' in
   let rec tr =
     {
       proto;
@@ -547,7 +526,7 @@ let stream proto program ~capacity ~max_reads ~length ~stop ~warm_lines ~marked
       marked;
       fill = (fun upto -> produce b upto);
     }
-  and b = { Builder.tr; cap = max_int; line; seen; lines = [] }
+  and b = { Builder.tr; cap = max_int }
   in
   tr
 

@@ -29,9 +29,9 @@
     instruction a stored trace takes 22–24 bytes per dynamic instruction
     ({!column_bytes}).
 
-    {b Stored traces and streams.} A stored trace keeps every
-    instruction: {!Emulator.run}, {!Emulator.Compiled.trace_window} and
-    {!of_events} build one. A stream ({!stream}) keeps a window of
+    {b Stored traces and streams.} A stored (kept) trace keeps every
+    instruction it was built with: {!Emulator.run},
+    {!Emulator.Compiled.trace_window} and {!of_events} build one. A stream ({!stream}) keeps a window of
     {!capacity} uids, a power of two, in rings of the same columns, and
     its producer appends to the window as {!refill} lets it drop old
     uids. Both are read through the same accessors: a column index is
@@ -49,10 +49,13 @@
     flag, {!no_ext_reader}, set when no instruction reads its value
     externally, and each dependence entry a bit, {!dep_last}, set on
     the last external read of its producer: the read by the highest
-    uid that reads it externally. A stored trace marks them by one
-    backward pass over its own entries when it is built; a stream's
-    producer computes them in a pre-pass before the stream starts
-    ({!Emulator.stream}). *)
+    uid that reads it externally. Each kind of trace has one owner of
+    these bits and of its {!warm_lines}. A stored trace derives both
+    when it is finished ({!Builder.finish}, {!of_events}), in one
+    backward pass over its own columns. A stream's producer finds both
+    in a pre-pass before the stream starts ({!Emulator.stream}), and
+    marks the bits as it pushes ({!Builder.mark_last}). A {!Builder}
+    only appends. *)
 
 (** The static half of an instruction's trace entry: everything that is
     the same for every dynamic instance of it. *)
@@ -232,7 +235,9 @@ val flag_no_ext_reader : int
     computes it when built, whatever {!Builder.push} was given. *)
 
 (** Appends instructions to a trace one at a time; the producer behind
-    {!Emulator.Compiled.trace_window} and every stream. *)
+    {!Emulator.Compiled.trace_window}, {!Emulator.run} and every stream.
+    It derives nothing: a stored trace's release bits and lines come
+    from {!finish}, a stream's from its producer. *)
 module Builder : sig
   type trace := t
   type t
@@ -249,10 +254,6 @@ module Builder : sig
   val length : t -> int
   (** Instructions pushed so far: the open instruction's uid. *)
 
-  val entries : t -> int
-  (** Dependence entries so far, the open instruction's included: its
-      entries are [dep_off] of its uid up to this. *)
-
   val add_dep : t -> int -> bool -> unit
   (** [add_dep b p via] records a register read of producer uid [p] for
       the instruction being built: kept sorted, an exact duplicate
@@ -260,11 +261,12 @@ module Builder : sig
       when the instruction would read more than [max_reads] producers. *)
 
   val mark_last : t -> int -> unit
-  (** [mark_last b k] sets {!dep_last} on entry [k] of the open
-      instruction, after its last {!add_dep}: how a stream's producer
-      copies in its pre-pass's bits. Raises [Invalid_argument] for
-      another instruction's entry. A stored trace recomputes the bits
-      when built. *)
+  (** [mark_last b p] sets {!dep_last} on the open instruction's
+      external (non-via) entry for producer uid [p], after its
+      {!add_dep} calls: how a stream's producer marks the last reads its
+      pre-pass found. Raises [Invalid_argument] when the open
+      instruction has no external entry for [p]. A stored trace derives
+      the bits itself when finished, whatever was marked. *)
 
   val push : t -> int -> addr:int -> int -> unit
   (** [push b s ~addr flags] closes the instruction being built as a
@@ -274,11 +276,14 @@ module Builder : sig
       instruction is promoted to a braid start when it lies inside a
       braid: the braid core only accepts a stream whose first braid
       instruction claims a BEU. Raises [Invalid_argument] on other bits,
-      and when the instruction's uid would reach 2{^29}. *)
+      on a static index outside the builder's table (the check that
+      keeps {!static} and {!fetch} in range), and when the instruction's
+      uid would reach 2{^29}. *)
 
   val finish : t -> stop_reason -> trace
   (** The stored trace built so far, its columns views of the builder's,
-      with its release bits marked. *)
+      with its release bits and {!warm_lines} derived by one backward
+      pass over them. *)
 end
 
 val stream :
@@ -365,8 +370,10 @@ end
 (** {2 Derived tables} *)
 
 val warm_lines : t -> int array
-(** Distinct 64-byte instruction-line addresses in first-touch order,
-    recorded while a stored trace was built, or by a stream's pre-pass:
-    repeated timing runs over one trace — every point of a design-space
-    sweep — warm their caches without walking the event stream, and a
-    stream's core warms them before its first instruction exists. *)
+(** Distinct 64-byte instruction-line addresses in first-touch order:
+    derived when a stored trace is finished (ordered by each line's
+    earliest uid, found in the backward pass that marks its release
+    bits), or found by a stream's pre-pass. Repeated timing runs over
+    one trace — every point of a design-space sweep — warm their caches
+    without walking the event stream, and a stream's core warms them
+    before its first instruction exists. *)

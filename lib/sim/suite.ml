@@ -177,19 +177,11 @@ let run_braid = run
    65,536 4.9%, its rings no longer in cache. 16,384 takes about 0.5 MB. *)
 let stream_window = 16_384
 
-let run_streamed ctx p cfg =
-  match ctx.sample with
-  | Some spec -> (sample ctx p ~spec cfg).Braid_sample.Driver.result
-  | None ->
-      renamed cfg
-        (memoise ctx ctx.runs (run_key p cfg) (fun () ->
-             let trace =
-               Emulator.stream ~max_steps:(50 * p.scale) ~init_mem:p.init_mem
-                 ~release:
-                   (Braid_uarch.Config.Core_kind.releases_early
-                      cfg.Braid_uarch.Config.kind)
-                 ~capacity:(Int.max stream_window (Braid_uarch.Core.min_window cfg))
-                 (snd (binary p cfg))
-             in
-             Braid_uarch.Core.result
-               (Braid_uarch.Core.run ~warm_data:p.warm_data cfg trace)))
+let run_streamed p cfg =
+  let trace =
+    Emulator.stream ~max_steps:(50 * p.scale) ~init_mem:p.init_mem
+      ~release:(Braid_uarch.Config.Core_kind.releases_early cfg.Braid_uarch.Config.kind)
+      ~capacity:(Int.max stream_window (Braid_uarch.Core.min_window cfg))
+      (snd (binary p cfg))
+  in
+  Braid_uarch.Core.result (Braid_uarch.Core.run ~warm_data:p.warm_data cfg trace)

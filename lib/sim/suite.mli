@@ -78,15 +78,14 @@ val run :
     [cfg.name] as its [config_name]. On a sampling ctx this is the
     sampled estimate's extrapolated result ({!sample}). *)
 
-val run_streamed :
-  ctx -> prepared -> Braid_uarch.Config.t -> Braid_uarch.Core.result
-(** {!run} for a caller that simulates one binary of a preparation once,
-    as a one-shot [braidsim run] does: on a ctx without sampling the
-    trace streams ({!Emulator.stream}) through a window of a constant
-    16,384 uids, or {!Braid_uarch.Core.min_window} if larger, instead of
-    being stored in the ctx, so a run's memory does not grow with its
-    length. Memoised under {!run}'s key, with a byte-identical result; a
-    sampling ctx samples, as {!run} does. *)
+val run_streamed : prepared -> Braid_uarch.Config.t -> Braid_uarch.Core.result
+(** The full simulation {!run} computes on a ctx without sampling, for a
+    caller that simulates one binary of a preparation once, as a
+    one-shot [braidsim run] does: the trace streams
+    ({!Emulator.stream}) through a window of a constant 16,384 uids, or
+    {!Braid_uarch.Core.min_window} if larger, instead of being stored,
+    so a run's memory does not grow with its length. Not memoised; the
+    result is byte-identical to {!run}'s. *)
 
 val run_braid :
   ctx -> prepared -> Braid_uarch.Config.t -> Braid_uarch.Core.result

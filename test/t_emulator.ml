@@ -333,14 +333,14 @@ let check_trace_derivation name t =
     List.iter (fun r -> last := Reg_map.add r u !last) (List.filter live (defs @ dup))
   done
 
-let test_trace_derivation () =
+let binaries name prog =
   let module C = Braid_core in
-  let binaries name prog =
-    [
-      (name ^ "/braid", (C.Transform.run prog).C.Transform.program);
-      (name ^ "/conv", (C.Transform.conventional prog).C.Extalloc.program);
-    ]
-  in
+  [
+    (name ^ "/braid", (C.Transform.run prog).C.Transform.program);
+    (name ^ "/conv", (C.Transform.conventional prog).C.Extalloc.program);
+  ]
+
+let test_trace_derivation () =
   let traced (name, prog, init_mem) =
     let t = Option.get (Emulator.run ~max_steps:20_000 ~init_mem prog).Emulator.trace in
     check_trace_derivation name t;
@@ -374,11 +374,12 @@ let test_trace_derivation () =
    external reader exactly when no entry names it without the via bit,
    and an entry is its producer's last external read exactly when it is
    external and its consumer is that uid. Checked on the bits a stored
-   trace marks when it is built and on those a stream's pre-pass finds,
-   whose columns must also read back the stored trace's events, for both
-   binaries of all 26 benchmarks, and for hand-built programs whose
-   instructions write their value to two external registers (a writer
-   that keeps one register when the other is overwritten). *)
+   trace marks when it is finished, on those of windows traced from
+   mid-run, and on those a stream's pre-pass finds, whose columns must
+   also read back the stored trace's events, for both binaries of all 26
+   benchmarks, and for hand-built programs whose instructions write
+   their value to two external registers (a writer that keeps one
+   register when the other is overwritten). *)
 let last_ext_readers t =
   let a = Array.make (Trace.length t) (-1) in
   for u = 0 to Trace.length t - 1 do
@@ -424,23 +425,37 @@ let check_both_release_bits ~capacity name ~init_mem binary =
   done;
   n
 
+(* Windows of a quarter of an [n]-instruction run, traced from a quarter,
+   half and three quarters of the way in: kept traces of their own,
+   whose uids restart at 0. *)
+let mid_run_windows ~init_mem binary n =
+  let code = Emulator.Compiled.compile binary in
+  List.map
+    (fun start ->
+      let run = Emulator.Compiled.start ~init_mem code in
+      ignore (Emulator.Compiled.advance run ~fuel:start : int);
+      ( Printf.sprintf " window at %d" start,
+        Emulator.Compiled.trace_window run ~max_steps:(n / 4) ))
+    [ n / 4; n / 2; 3 * n / 4 ]
+
 let test_release_bits () =
-  let module C = Braid_core in
   let total =
     List.fold_left
       (fun total (pr : Braid_workload.Spec.profile) ->
         let prog, init_mem = Braid_workload.Spec.generate pr ~seed:1 ~scale:2_000 in
         List.fold_left
-          (fun total (label, binary) ->
-            total
-            + check_both_release_bits ~capacity:512
-                (pr.Braid_workload.Spec.name ^ "/" ^ label)
-                ~init_mem binary)
+          (fun total (name, binary) ->
+            let n = check_both_release_bits ~capacity:512 name ~init_mem binary in
+            List.iter
+              (fun (label, w) ->
+                let last = last_ext_readers w in
+                for u = 0 to Trace.length w - 1 do
+                  check_release_bits (name ^ label) last w u
+                done)
+              (mid_run_windows ~init_mem binary n);
+            total + n)
           total
-          [
-            ("braid", (C.Transform.run prog).C.Transform.program);
-            ("conv", (C.Transform.conventional prog).C.Extalloc.program);
-          ])
+          (binaries pr.Braid_workload.Spec.name prog))
       0 Braid_workload.Spec.all
   in
   Alcotest.(check bool) (Printf.sprintf "%d instructions checked" total) true
@@ -481,6 +496,55 @@ let test_release_bits () =
       ("read at the end", [ i (Op.Ibin (Op.Add, r 3, r 2, r 1)) ]);
     ]
 
+(* A trace's first-touch instruction lines, held to a forward fold over
+   its uids' static pcs (a stream refilled as the fold reaches its
+   frontier): on a stored trace, on windows traced from mid-run, on a
+   stream, for both binaries of all 26 benchmarks, and on a hand-built
+   trace that revisits its lines out of order. *)
+let first_touch_lines t =
+  let seen = Hashtbl.create 64 and lines = ref [] in
+  for u = 0 to Trace.length t - 1 do
+    if u = Trace.produced t then Trace.refill t ~keep:u;
+    let line = (Trace.static t u).Trace.pc lsr 6 in
+    if not (Hashtbl.mem seen line) then begin
+      Hashtbl.add seen line ();
+      lines := (line lsl 6) :: !lines
+    end
+  done;
+  Array.of_list (List.rev !lines)
+
+let check_warm_lines name t =
+  Alcotest.(check (array int)) (name ^ ": warm lines") (first_touch_lines t)
+    (Trace.warm_lines t)
+
+let test_warm_lines () =
+  List.iter
+    (fun (pr : Braid_workload.Spec.profile) ->
+      let prog, init_mem = Braid_workload.Spec.generate pr ~seed:1 ~scale:2_000 in
+      List.iter
+        (fun (name, binary) ->
+          let stored =
+            Option.get (Emulator.run ~max_steps:100_000 ~init_mem binary).Emulator.trace
+          in
+          List.iter
+            (fun (label, t) -> check_warm_lines (name ^ label) t)
+            ((" stored", stored)
+            :: (" stream", Emulator.stream ~max_steps:100_000 ~init_mem ~capacity:512 binary)
+            :: mid_run_windows ~init_mem binary (Trace.length stored)))
+        (binaries pr.Braid_workload.Spec.name prog))
+    Braid_workload.Spec.all;
+  let nops =
+    Option.get (Emulator.run (straight_line (List.init 6 (fun _ -> i Op.Nop)))).Emulator.trace
+  in
+  let pcs = [| 0x100; 0x40; 0x104; 0x0; 0x48; 0x200; 0x3c |] in
+  let hand =
+    Trace.of_events (Trace.program nops)
+      (Array.mapi (fun u pc -> { (Trace.event nops u) with Trace.pc }) pcs)
+  in
+  Alcotest.(check (array int)) "hand-built: first touches" [| 0x100; 0x40; 0x0; 0x200 |]
+    (first_touch_lines hand);
+  check_warm_lines "hand-built" hand
+
 let suite =
   ( "program-emulator",
     [
@@ -502,5 +566,6 @@ let suite =
       Alcotest.test_case "trace branch fields" `Quick test_trace_branch_fields;
       Alcotest.test_case "trace derivation" `Quick test_trace_derivation;
       Alcotest.test_case "release bits" `Quick test_release_bits;
+      Alcotest.test_case "warm lines" `Quick test_warm_lines;
       Alcotest.test_case "memory image & fingerprint" `Quick (on_both test_memory_image_and_fingerprint);
     ] )

@@ -712,7 +712,13 @@ let test_trace_footprint () =
   Trace.Builder.add_dep b 0 false;
   expect_invalid "more producers than reads"
     (fun () -> Trace.Builder.add_dep b 1 false)
-    "more than 1"
+    "more than 1";
+  List.iter
+    (fun s ->
+      expect_invalid "a static index outside the table"
+        (fun () -> Trace.Builder.push b s ~addr:(-1) 0)
+        "outside a table of 3")
+    [ -1; 3 ]
 
 (* A stream keeps a window of its trace: reads outside it raise, a refill
    keeps every uid from [keep] up, and a core refuses a stream whose
