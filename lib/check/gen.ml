@@ -216,8 +216,6 @@ let rv_insn rng : Rv.Insn.t =
   | 11 -> Ecall
   | _ -> Ebreak
 
-let rv_word rng = Rv.Insn.encode (rv_insn rng)
-
 let rv_selfcheck ~seed ~count =
   let violations = ref [] in
   let add s = violations := s :: !violations in

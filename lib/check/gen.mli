@@ -59,9 +59,6 @@ val rv_insn : Prng.t -> Braid_rv.Insn.t
 (** A random well-formed instruction: registers in 0–31, immediates,
     shift amounts, and branch/jump offsets within their fields. *)
 
-val rv_word : Prng.t -> int
-(** [Braid_rv.Insn.encode (rv_insn rng)]. *)
-
 val rv_selfcheck : seed:int -> count:int -> string list
 (** [count] derived cases. Each asserts that a legal word decodes back
     to exactly the instruction that produced it (and re-encodes to the

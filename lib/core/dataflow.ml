@@ -71,5 +71,3 @@ let liveness p =
     done
   done;
   { live_in; live_out }
-
-let live_at_exit t ~block_id = t.live_out.(block_id)

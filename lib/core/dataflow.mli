@@ -17,6 +17,3 @@ val block_uses_defs : Program.block -> Regset.Set.t * Regset.Set.t
 (** [(upward_exposed_uses, defs)] of a block. *)
 
 val liveness : Program.t -> t
-
-val live_at_exit : t -> block_id:int -> Regset.Set.t
-(** Convenience accessor for [live_out.(block_id)]. *)

@@ -23,5 +23,3 @@ let union t i j =
       t.parent.(rj) <- ri;
       t.rank.(ri) <- t.rank.(ri) + 1
     end
-
-let same t i j = find t i = find t j

@@ -12,6 +12,3 @@ val find : t -> int -> int
 
 val union : t -> int -> int -> unit
 (** Merges the two elements' sets. *)
-
-val same : t -> int -> int -> bool
-(** Whether two elements share a set. *)

@@ -23,8 +23,6 @@ let make ~field values =
   then Error (Printf.sprintf "axis %s: duplicate values" field)
   else Ok { field; values }
 
-let ints ~field vs = make ~field (List.map string_of_int vs)
-
 let of_spec spec =
   match String.index_opt spec '=' with
   | None ->
@@ -41,5 +39,3 @@ let of_spec spec =
       make ~field values
 
 let to_spec a = Printf.sprintf "%s=%s" a.field (String.concat "," a.values)
-
-let pp fmt a = Format.pp_print_string fmt (to_spec a)

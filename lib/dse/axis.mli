@@ -17,12 +17,8 @@ val make : field:string -> string list -> (t, string) result
     parseability is checked per grid point at expansion time
     ({!Grid.expand}). *)
 
-val ints : field:string -> int list -> (t, string) result
-
 val of_spec : string -> (t, string) result
 (** Parses the CLI form ["ext_regs=4,8,16,32"]. *)
 
 val to_spec : t -> string
 (** Inverse of {!of_spec}. *)
-
-val pp : Format.formatter -> t -> unit

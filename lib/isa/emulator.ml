@@ -280,6 +280,9 @@ module Compiled = struct
   let k_branch = 2
   let k_fdiv = 3
 
+  (* The one encoding of a condition in this engine: the signs
+     [Op.cond_holds] holds on. The branch and cmov closures, the tracer
+     and the warm walk all test a value's [sign_bit] against it. *)
   let sign_mask c =
     List.fold_left
       (fun m (sign, bit) -> if Op.cond_holds c sign then m lor bit else m)
@@ -681,63 +684,17 @@ module Compiled = struct
                   (Int64.bits_of_float (Int64.to_float (ba_get regs a)));
                 (Array.unsafe_get step next) (fuel - 1)
               end)
-    | Op.Cmov (c, d, test, v) -> (
+    | Op.Cmov (c, d, test, v) ->
         let dr = rs d and dw = ws d and t = rs test and v = rs v in
-        match c with
-        | Op.Eq ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else begin
-                ba_set regs dw
-                  (if Int64.equal (ba_get regs t) 0L then ba_get regs v
-                   else ba_get regs dr);
-                (Array.unsafe_get step next) (fuel - 1)
-              end
-        | Op.Ne ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else begin
-                ba_set regs dw
-                  (if Int64.equal (ba_get regs t) 0L then ba_get regs dr
-                   else ba_get regs v);
-                (Array.unsafe_get step next) (fuel - 1)
-              end
-        | Op.Lt ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else begin
-                ba_set regs dw
-                  (if Int64.compare (ba_get regs t) 0L < 0 then ba_get regs v
-                   else ba_get regs dr);
-                (Array.unsafe_get step next) (fuel - 1)
-              end
-        | Op.Ge ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else begin
-                ba_set regs dw
-                  (if Int64.compare (ba_get regs t) 0L >= 0 then ba_get regs v
-                   else ba_get regs dr);
-                (Array.unsafe_get step next) (fuel - 1)
-              end
-        | Op.Le ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else begin
-                ba_set regs dw
-                  (if Int64.compare (ba_get regs t) 0L <= 0 then ba_get regs v
-                   else ba_get regs dr);
-                (Array.unsafe_get step next) (fuel - 1)
-              end
-        | Op.Gt ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else begin
-                ba_set regs dw
-                  (if Int64.compare (ba_get regs t) 0L > 0 then ba_get regs v
-                   else ba_get regs dr);
-                (Array.unsafe_get step next) (fuel - 1)
-              end)
+        let m = sign_mask c in
+        fun fuel ->
+          if fuel = 0 then (stop := ip; 0)
+          else begin
+            ba_set regs dw
+              (if m land sign_bit (ba_get regs t) <> 0 then ba_get regs v
+               else ba_get regs dr);
+            (Array.unsafe_get step next) (fuel - 1)
+          end
     | Op.Load (d, base, off, _) ->
         let d = ws d and b = rs base in
         fun fuel ->
@@ -765,55 +722,14 @@ module Compiled = struct
             incr stores;
             (Array.unsafe_get step next) (fuel - 1)
           end
-    | Op.Branch (c, r, _) -> (
-        let s = rs r in
-        match c with
-        | Op.Eq ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else
-                (Array.unsafe_get step
-                   (if Int64.equal (ba_get regs s) 0L then target else next))
-                  (fuel - 1)
-        | Op.Ne ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else
-                (Array.unsafe_get step
-                   (if Int64.equal (ba_get regs s) 0L then next else target))
-                  (fuel - 1)
-        | Op.Lt ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else
-                (Array.unsafe_get step
-                   (if Int64.compare (ba_get regs s) 0L < 0 then target
-                    else next))
-                  (fuel - 1)
-        | Op.Ge ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else
-                (Array.unsafe_get step
-                   (if Int64.compare (ba_get regs s) 0L >= 0 then target
-                    else next))
-                  (fuel - 1)
-        | Op.Le ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else
-                (Array.unsafe_get step
-                   (if Int64.compare (ba_get regs s) 0L <= 0 then target
-                    else next))
-                  (fuel - 1)
-        | Op.Gt ->
-            fun fuel ->
-              if fuel = 0 then (stop := ip; 0)
-              else
-                (Array.unsafe_get step
-                   (if Int64.compare (ba_get regs s) 0L > 0 then target
-                    else next))
-                  (fuel - 1))
+    | Op.Branch (c, r, _) ->
+        let s = rs r and m = sign_mask c in
+        fun fuel ->
+          if fuel = 0 then (stop := ip; 0)
+          else
+            (Array.unsafe_get step
+               (if m land sign_bit (ba_get regs s) <> 0 then target else next))
+              (fuel - 1)
     | Op.Jump _ ->
         fun fuel ->
           if fuel = 0 then (stop := ip; 0)
@@ -955,10 +871,6 @@ module Compiled = struct
       mem = run.mem;
     }
 
-  (* The most instructions a window's columns are sized for up front;
-     a longer window grows them. *)
-  let max_window = 1 lsl 20
-
   (* A stream's pre-pass keeps its release bits in two growable bitsets:
      one bit per uid (read externally) and one per register read (the
      last external read of its producer), a read's position counting
@@ -1048,19 +960,16 @@ module Compiled = struct
     run.steps <- run.steps + (Trace.Builder.length b - first)
 
   (* A stored trace of up to [max_steps] instructions from the current
-     position, its columns sized for [capacity]. *)
-  let trace_span run ~max_steps ~capacity =
+     position, its columns sized for [max_steps]. *)
+  let trace_window run ~max_steps =
     let code = run.code in
     let b =
-      Trace.Builder.create code.proto code.program ~capacity
+      Trace.Builder.create code.proto code.program ~capacity:max_steps
         ~max_reads:code.max_reads
     in
     trace_into run b (Array.make code.nslots (-1)) ~upto:max_steps ~marks:None;
     Trace.Builder.finish b
       (if run.ip < 0 then Trace.Halted else Trace.Steps_exhausted)
-
-  let trace_window run ~max_steps =
-    trace_span run ~max_steps ~capacity:(Int.min max_steps max_window)
 
   (* A stream's pre-pass: runs up to [max_steps] instructions one
      straight-line run per chain call, as [advance_bbv] does, and records
@@ -1225,7 +1134,7 @@ let run ?(max_steps = 1_000_000) ?(trace = true) ?init_mem program =
   let trace =
     if trace then
       let n = Compiled.advance (Compiled.start ?init_mem code) ~fuel:max_steps in
-      Some (Compiled.trace_span r ~max_steps:n ~capacity:n)
+      Some (Compiled.trace_window r ~max_steps:n)
     else begin
       ignore (Compiled.advance r ~fuel:max_steps : int);
       None

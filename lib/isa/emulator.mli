@@ -34,14 +34,11 @@ val run :
 (** Executes from the entry block on the compiled engine ({!Compiled}).
     [max_steps] bounds the dynamic instruction count (default 1_000_000).
     When [trace] is true (default), the outcome carries the full dynamic
-    trace: the tracer of {!Compiled.trace_window} over the whole run,
-    after an untraced run has counted its length, so each column is
-    allocated at its exact length and written once, with its release
-    bits and first-touch lines derived when it is finished
-    ({!Trace.Builder.finish}). The count pass costs
-    a few percent of the tracer's time and stays: a variant without it,
-    its columns sized at the window bound and cut with views, measured
-    slower on served cold runs.
+    trace: an untraced run first counts its length, a few percent of the
+    tracer's time, and {!Compiled.trace_window} then traces that many
+    instructions, so each column is allocated at its exact length and
+    written once, with its release bits and first-touch lines derived
+    when it is finished ({!Trace.Builder.finish}).
     Arithmetic faults (FP divide by zero) write zero to the destination,
     mark the instruction as [faulting], and continue — the microarchitectural exception-mode cost is
     modeled by the timing simulators, not here. *)
@@ -125,8 +122,13 @@ val memory_fingerprint : state -> int64
     [advance] then executes without per-instruction decoding, dispatch or
     allocation — byte-identical in all architectural observables
     (registers, memory, dynamic/store counts, stop reason, failure
-    messages) to {!reference}. [compile] also builds the tracer's flat
-    tables, once per program: each instruction's static trace record
+    messages) to {!reference}. A conditional branch or conditional move
+    tests its operand's sign against its condition's sign mask (bit 0
+    negative, bit 1 zero, bit 2 positive, built from {!Op.cond_holds}),
+    the same test the tracer and the warm-up walk read a branch's
+    outcome with, so every engine decodes a condition one way.
+    [compile] also builds the tracer's flat tables, once per program:
+    each instruction's static trace record
     ({!Trace.static}, shared by every trace of the program), its
     register reads (each packed with its via-internal bit) and writes as
     CSR int arrays — an offset per instruction into one entry array —
@@ -169,8 +171,10 @@ module Compiled : sig
   val trace_window : run -> max_steps:int -> Trace.t
   (** Run up to [max_steps] instructions from the current position,
       advancing the run and appending each instruction to the trace's
-      columns, which are sized for [max_steps] (up to 2{^20}) up front
-      and grow past that.
+      columns, which are allocated once for [max_steps] instructions and
+      cut to size when the program ends first. Raises [Invalid_argument]
+      as {!Trace.Builder.create} does, for a negative [max_steps] or one
+      past 2{^29}.
       The window is a self-contained trace: uids restart at 0 and
       dependences on pre-window producers are dropped (a timing model fed
       only the window sees exactly this), and a window opening mid-braid

@@ -92,13 +92,3 @@ let max_virt_index t =
         (Instr.defs ins @ Instr.uses ins))
     t;
   !m
-
-let pp fmt t =
-  Array.iter
-    (fun b ->
-      Format.fprintf fmt "B%d:%s@\n" b.id
-        (match b.fallthrough with
-        | Some ft -> Printf.sprintf "  ; falls through to B%d" ft
-        | None -> "");
-      Array.iter (fun ins -> Format.fprintf fmt "  %a@\n" Instr.pp ins) b.instrs)
-    t.blocks

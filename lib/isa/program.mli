@@ -50,5 +50,3 @@ val iter_instrs : (block -> int -> Instr.t -> unit) -> t -> unit
 
 val max_virt_index : t -> int
 (** Largest virtual-register index used, or -1 if none. *)
-
-val pp : Format.formatter -> t -> unit

@@ -67,18 +67,19 @@ let set32 (a : i32) i v = Bigarray.Array1.set a i (Int32.of_int v)
    entries, read at [u land mask] and [k land dmask], and hold at most
    [mask] uids, so the CSR offsets of the kept uids and of the next one
    all fit. The kept uids are [lo, hi), their entries [klo, khi); a
-   refill drops uids from the bottom and [fill] appends at the top. *)
+   refill drops uids from the bottom and [fill] appends at the top. The
+   columns are allocated once, by [make]; only the kept range moves. *)
 type t = {
   proto : static array;
   program : Program.t;
   max_reads : int;  (* the most producers one instruction reads *)
   mask : int;
   dmask : int;
-  mutable sidx : i32;  (* static index per uid *)
-  mutable addr : ints;
-  mutable flags : Bytes.t;  (* the [flag_*] bits below *)
-  mutable dep_off : i32;  (* CSR offsets into [deps], absolute *)
-  mutable deps : i32;
+  sidx : i32;  (* static index per uid *)
+  addr : ints;
+  flags : Bytes.t;  (* the [flag_*] bits below *)
+  dep_off : i32;  (* CSR offsets into [deps], absolute *)
+  deps : i32;
   mutable lo : int;
   mutable hi : int;
   mutable klo : int;
@@ -87,7 +88,7 @@ type t = {
   stop : stop_reason;
   warm_lines : int array;  (* {!warm_lines} *)
   marked : bool;  (* the release bits are set *)
-  fill : int -> unit;  (* a stream's tracer: append up to this uid *)
+  fill : t -> int -> unit;  (* a stream's producer: append up to this uid *)
 }
 
 let flag_taken = 1
@@ -228,6 +229,38 @@ let deps_room n max_reads =
          n max_reads);
   n * max_reads
 
+(* The one constructor: an empty trace whose columns hold [uids] uids and
+   [entries] dependence entries, allocated once and never initialised. A
+   stored builder's ([ring] false) are exactly sized and read through
+   identity masks, its offsets one longer for the end of the last uid; a
+   stream's are rings, each a power of two, and [fill] is its
+   producer. *)
+let make proto program ~max_reads ~ring ~uids ~entries ~length ~stop ~warm_lines
+    ~marked fill =
+  let dep_off = i32 (if ring then uids else uids + 1) in
+  set32 dep_off 0 0;
+  {
+    proto;
+    program;
+    max_reads;
+    mask = (if ring then uids - 1 else -1);
+    dmask = (if ring then entries - 1 else -1);
+    sidx = i32 uids;
+    addr = ints uids;
+    flags = Bytes.create uids;
+    dep_off;
+    deps = i32 entries;
+    lo = 0;
+    hi = 0;
+    klo = 0;
+    khi = 0;
+    length;
+    stop;
+    warm_lines;
+    marked;
+    fill;
+  }
+
 (* A kept trace's release bits and first-touch lines, by one backward
    pass over its columns with one seen bit per uid: from the end, the
    first external (non-via) entry met for a producer is its last external
@@ -264,160 +297,50 @@ let finish_kept proto ~sidx ~flags ~dep_off ~deps =
   Array.iteri (fun line u -> if u >= 0 then touched := (u, line lsl 6) :: !touched) first;
   Array.of_list (List.map snd (List.sort compare !touched))
 
-(* A kept trace over these columns, [length] long. *)
-let stored proto program ~max_reads ~sidx ~addr ~flags ~dep_off ~deps ~stop =
-  let n = Bigarray.Array1.dim sidx in
-  let warm_lines = finish_kept proto ~sidx ~flags ~dep_off ~deps in
+(* A stored builder's trace, finished: its columns cut to the
+   instructions pushed, with its release bits and lines derived. *)
+let stored t stop =
+  let n = t.hi in
+  let cut a len = Bigarray.Array1.sub a 0 len in
+  let sidx = cut t.sidx n and dep_off = cut t.dep_off (n + 1) and deps = cut t.deps t.khi in
+  let flags = if Bytes.length t.flags = n then t.flags else Bytes.sub t.flags 0 n in
+  let warm_lines = finish_kept t.proto ~sidx ~flags ~dep_off ~deps in
   {
-    proto;
-    program;
-    max_reads;
-    mask = -1;
-    dmask = -1;
+    t with
     sidx;
-    addr;
+    addr = cut t.addr n;
     flags;
     dep_off;
     deps;
-    lo = 0;
-    hi = n;
-    klo = 0;
-    khi = Bigarray.Array1.dim deps;
     length = n;
     stop;
     warm_lines;
     marked = true;
-    fill = ignore;
   }
 
-let of_events program (es : event array) =
-  let n = Array.length es in
-  if n > max_length then too_long "of_events" n;
-  let dep_off = i32 (n + 1) in
-  set32 dep_off 0 0;
-  Array.iteri
-    (fun u (e : event) ->
-      if e.uid <> u then
-        invalid_arg
-          (Printf.sprintf "Trace.of_events: event %d has uid %d" u e.uid);
-      Array.iter
-        (fun (p, _) ->
-          if p < 0 || p >= u then
-            invalid_arg
-              (Printf.sprintf "Trace.of_events: event %d depends on uid %d" u p))
-        e.deps;
-      set32 dep_off (u + 1) (get32 dep_off u + Array.length e.deps))
-    es;
-  let deps = i32 (get32 dep_off n) in
-  let sidx = i32 n and addr = ints n in
-  Array.iteri
-    (fun u (e : event) ->
-      set32 sidx u u;
-      Bigarray.Array1.set addr u e.addr;
-      Array.iteri
-        (fun k (p, via) -> set32 deps (get32 dep_off u + k) (dep_key p via))
-        e.deps)
-    es;
-  stored
-    (Array.map
-       (fun (e : event) ->
-         {
-           pc = e.pc;
-           block_id = e.block_id;
-           offset = e.offset;
-           instr = e.instr;
-           is_load = e.is_load;
-           is_store = e.is_store;
-           is_cond_branch = e.is_cond_branch;
-           is_jump = e.is_jump;
-           latency = e.latency;
-           writes_ext = e.writes_ext;
-           writes_int = e.writes_int;
-           ext_src_reads = e.ext_src_reads;
-           int_src_reads = e.int_src_reads;
-           braid_id = e.braid_id;
-         })
-       es)
-    program
-    ~max_reads:(Array.fold_left (fun w (e : event) -> Int.max w (Array.length e.deps)) 0 es)
-    ~sidx ~addr
-    ~flags:
-      (Bytes.init n (fun u ->
-           let e = es.(u) in
-           flag_byte ~taken:e.taken ~faulting:e.faulting ~braid_start:e.braid_start))
-    ~dep_off ~deps ~stop:Halted
-
 module Builder = struct
-  type trace = t
-
-  (* The trace being built ([tr.hi] instructions pushed, [tr.khi]
-     entries, the open instruction's too) and room for [cap] instructions
-     and [cap * max_reads] entries, so the open instruction always has
-     room for its reads. A stored builder past [cap] doubles its columns,
-     and [finish] cuts them to size with views; a stream's builder writes
-     the stream's rings, which its refills keep from overflowing, and
-     never grows ([cap] is [max_int]). *)
-  type t = { tr : trace; mutable cap : int }
+  (* The trace under construction: [hi] instructions pushed and [khi]
+     entries, the open instruction's too. A stored builder's columns
+     have room for [capacity] instructions and [capacity * max_reads]
+     entries, so until it is full the open instruction has room for its
+     reads; a stream's builder is the stream, whose refills keep its
+     rings from overflowing. *)
+  type nonrec t = t
 
   let create proto program ~capacity ~max_reads =
     if capacity < 0 || max_reads < 0 then
       invalid_arg "Trace.Builder.create: negative capacity or max_reads";
     if capacity > max_length then too_long "Builder.create" capacity;
-    let room = deps_room capacity max_reads in
-    let dep_off = i32 (capacity + 1) in
-    set32 dep_off 0 0;
-    {
-      tr =
-        {
-          proto;
-          program;
-          max_reads;
-          mask = -1;
-          dmask = -1;
-          sidx = i32 capacity;
-          addr = ints capacity;
-          flags = Bytes.create capacity;
-          dep_off;
-          deps = i32 room;
-          lo = 0;
-          hi = 0;
-          klo = 0;
-          khi = 0;
-          length = 0;
-          stop = Halted;
-          warm_lines = [||];
-          marked = false;
-          fill = ignore;
-        };
-      cap = capacity;
-    }
+    make proto program ~max_reads ~ring:false ~uids:capacity
+      ~entries:(deps_room capacity max_reads)
+      ~length:0 ~stop:Halted ~warm_lines:[||] ~marked:false
+      (fun _ _ -> ())
 
-  let length b = b.tr.hi
-
-  (* [fresh] holding the first [len] entries of [old] *)
-  let copied fresh old len =
-    Bigarray.Array1.blit (Bigarray.Array1.sub old 0 len)
-      (Bigarray.Array1.sub fresh 0 len);
-    fresh
-
-  (* the cold path of [add_dep] and [push]: kept out of line, so the
-     tracer loop they inline into stays small *)
-  let[@inline never] grow b =
-    if b.cap = max_length then too_long "Builder" (max_length + 1);
-    let t = b.tr in
-    let cap = Int.min max_length (Int.max 1 (2 * b.cap)) in
-    t.sidx <- copied (i32 cap) t.sidx t.hi;
-    t.addr <- copied (ints cap) t.addr t.hi;
-    t.flags <- Bytes.extend t.flags 0 (cap - b.cap);
-    t.dep_off <- copied (i32 (cap + 1)) t.dep_off (t.hi + 1);
-    t.deps <- copied (i32 (deps_room cap t.max_reads)) t.deps t.khi;
-    b.cap <- cap
+  let length t = t.hi
 
   (* insertion into the open instruction's sorted entries; an
      instruction reads at most a few registers *)
-  let add_dep b p via =
-    if b.tr.hi = b.cap then grow b;
-    let t = b.tr in
+  let add_dep t p via =
     let n = t.hi and dm = t.dmask in
     if p < 0 || p >= n then
       invalid_arg
@@ -440,8 +363,7 @@ module Builder = struct
       t.khi <- t.khi + 1
     end
 
-  let mark_last b p =
-    let t = b.tr in
+  let mark_last t p =
     let key = dep_key p false in
     let k = ref (get32 t.dep_off (t.hi land t.mask)) in
     while !k < t.khi && get32 t.deps (!k land t.dmask) land lnot last_bit <> key do
@@ -453,17 +375,23 @@ module Builder = struct
            t.hi p);
     set32 t.deps (!k land t.dmask) (key lor last_bit)
 
-  let push b s ~addr flags =
+  (* kept out of line, so the tracer loop [push] inlines into stays small *)
+  let[@inline never] full t =
+    invalid_arg
+      (Printf.sprintf "Trace.Builder.push: the builder is full at %d instructions"
+         (t.hi - t.lo))
+
+  let push t s ~addr flags =
     if flags land lnot 15 <> 0 then
       invalid_arg (Printf.sprintf "Trace.Builder.push: flag bits %#x" flags);
     (* what keeps [static]'s and [fetch]'s readers of this index in range *)
-    if s < 0 || s >= Array.length b.tr.proto then
+    if s < 0 || s >= Array.length t.proto then
       invalid_arg
         (Printf.sprintf "Trace.Builder.push: static index %d outside a table of %d" s
-           (Array.length b.tr.proto));
-    if b.tr.hi = b.cap then grow b;
-    let t = b.tr in
+           (Array.length t.proto));
     let n = t.hi in
+    (* the offsets of the kept uids and of the next one must fit *)
+    if n + 1 - t.lo >= Bigarray.Array1.dim t.dep_off then full t;
     (* the braid core only accepts a stream whose first braid
        instruction claims a BEU *)
     let flags =
@@ -477,17 +405,55 @@ module Builder = struct
     set32 t.dep_off ((n + 1) land t.mask) t.khi;
     t.hi <- n + 1
 
-  let finish b stop : trace =
-    let t = b.tr in
-    let n = t.hi in
-    stored t.proto t.program ~max_reads:t.max_reads
-      ~sidx:(Bigarray.Array1.sub t.sidx 0 n)
-      ~addr:(Bigarray.Array1.sub t.addr 0 n)
-      ~flags:(if Bytes.length t.flags = n then t.flags else Bytes.sub t.flags 0 n)
-      ~dep_off:(Bigarray.Array1.sub t.dep_off 0 (n + 1))
-      ~deps:(Bigarray.Array1.sub t.deps 0 t.khi)
-      ~stop
+  let finish = stored
 end
+
+let of_events program (es : event array) =
+  let t =
+    Builder.create
+      (Array.map
+         (fun (e : event) ->
+           {
+             pc = e.pc;
+             block_id = e.block_id;
+             offset = e.offset;
+             instr = e.instr;
+             is_load = e.is_load;
+             is_store = e.is_store;
+             is_cond_branch = e.is_cond_branch;
+             is_jump = e.is_jump;
+             latency = e.latency;
+             writes_ext = e.writes_ext;
+             writes_int = e.writes_int;
+             ext_src_reads = e.ext_src_reads;
+             int_src_reads = e.int_src_reads;
+             braid_id = e.braid_id;
+           })
+         es)
+      program ~capacity:(Array.length es)
+      ~max_reads:(Array.fold_left (fun w (e : event) -> Int.max w (Array.length e.deps)) 0 es)
+  in
+  Array.iteri
+    (fun u (e : event) ->
+      if e.uid <> u then
+        invalid_arg
+          (Printf.sprintf "Trace.of_events: event %d has uid %d" u e.uid);
+      Array.iter
+        (fun (p, via) ->
+          if p < 0 || p >= u then
+            invalid_arg
+              (Printf.sprintf "Trace.of_events: event %d depends on uid %d" u p);
+          set32 t.deps t.khi (dep_key p via);
+          t.khi <- t.khi + 1)
+        e.deps;
+      set32 t.sidx u u;
+      Bigarray.Array1.set t.addr u e.addr;
+      Bytes.set t.flags u
+        (flag_byte ~taken:e.taken ~faulting:e.faulting ~braid_start:e.braid_start);
+      set32 t.dep_off (u + 1) t.khi;
+      t.hi <- u + 1)
+    es;
+  stored t Halted
 
 let rec pow2_at_least k x = if k >= x then k else pow2_at_least (2 * k) x
 
@@ -499,36 +465,9 @@ let stream proto program ~capacity ~max_reads ~length ~stop ~warm_lines ~marked
          capacity);
   if length > max_length then too_long "stream" length;
   ignore (deps_room length max_reads : int);
-  let dcap = pow2_at_least 1 (deps_room capacity (Int.max 1 max_reads)) in
-  let dep_off = i32 capacity in
-  set32 dep_off 0 0;
-  let sidx = i32 capacity and addr = ints capacity in
-  let flags = Bytes.create capacity and deps = i32 dcap in
-  let rec tr =
-    {
-      proto;
-      program;
-      max_reads;
-      mask = capacity - 1;
-      dmask = dcap - 1;
-      sidx;
-      addr;
-      flags;
-      dep_off;
-      deps;
-      lo = 0;
-      hi = 0;
-      klo = 0;
-      khi = 0;
-      length;
-      stop;
-      warm_lines;
-      marked;
-      fill = (fun upto -> produce b upto);
-    }
-  and b = { Builder.tr; cap = max_int }
-  in
-  tr
+  make proto program ~max_reads ~ring:true ~uids:capacity
+    ~entries:(pow2_at_least 1 (deps_room capacity (Int.max 1 max_reads)))
+    ~length ~stop ~warm_lines ~marked produce
 
 let refill t ~keep =
   if keep < t.lo || keep > t.hi then
@@ -540,7 +479,7 @@ let refill t ~keep =
     let lo = Int.max t.lo (upto - t.mask) in
     t.klo <- get32 t.dep_off (lo land t.mask);
     t.lo <- lo;
-    t.fill upto
+    t.fill t upto
   end
 
 module Warm = struct

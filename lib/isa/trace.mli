@@ -31,7 +31,8 @@
 
     {b Stored traces and streams.} A stored (kept) trace keeps every
     instruction it was built with: {!Emulator.run},
-    {!Emulator.Compiled.trace_window} and {!of_events} build one. A stream ({!stream}) keeps a window of
+    {!Emulator.Compiled.trace_window} and {!of_events} build one, each
+    into a {!Builder} sized once for it. A stream ({!stream}) keeps a window of
     {!capacity} uids, a power of two, in rings of the same columns, and
     its producer appends to the window as {!refill} lets it drop old
     uids. Both are read through the same accessors: a column index is
@@ -234,10 +235,14 @@ val flag_no_ext_reader : int
 (** Set by a stream's producer from its pre-pass; a stored trace
     computes it when built, whatever {!Builder.push} was given. *)
 
-(** Appends instructions to a trace one at a time; the producer behind
-    {!Emulator.Compiled.trace_window}, {!Emulator.run} and every stream.
-    It derives nothing: a stored trace's release bits and lines come
-    from {!finish}, a stream's from its producer. *)
+(** The trace under construction: {!Emulator.Compiled.trace_window},
+    {!Emulator.run} and every stream's producer append instructions to
+    it one at a time, and {!of_events} fills one from its events. Its
+    columns are allocated once and never grow: a stored trace's at the
+    exact capacity its producer gives, a stream's as the stream's rings
+    (a stream is its own builder). It derives nothing: a stored trace's
+    release bits and lines come from {!finish}, a stream's from its
+    producer. *)
 module Builder : sig
   type trace := t
   type t
@@ -245,11 +250,11 @@ module Builder : sig
   val create : static array -> Program.t -> capacity:int -> max_reads:int -> t
   (** An empty stored trace over this static table (shared, not copied),
       whose instructions each read at most [max_reads] producers, with
-      room for [capacity] instructions before its columns grow: a
-      producer that knows the length up front writes each column once,
-      and nothing initialises them first. Raises [Invalid_argument] when
-      [capacity] exceeds 2{^29}, or when [capacity * max_reads]
-      dependence entries overflow the 32-bit offsets. *)
+      room for exactly [capacity] instructions: each column is allocated
+      once at that size and written once, and nothing initialises it
+      first. Raises [Invalid_argument] when [capacity] or [max_reads] is
+      negative, when [capacity] exceeds 2{^29}, or when [capacity *
+      max_reads] dependence entries overflow the 32-bit offsets. *)
 
   val length : t -> int
   (** Instructions pushed so far: the open instruction's uid. *)
@@ -277,13 +282,15 @@ module Builder : sig
       braid: the braid core only accepts a stream whose first braid
       instruction claims a BEU. Raises [Invalid_argument] on other bits,
       on a static index outside the builder's table (the check that
-      keeps {!static} and {!fetch} in range), and when the instruction's
-      uid would reach 2{^29}. *)
+      keeps {!static} and {!fetch} in range), and when the builder is
+      full: a stored builder holds [capacity] instructions, and a
+      stream's refills keep its rings from filling. *)
 
   val finish : t -> stop_reason -> trace
-  (** The stored trace built so far, its columns views of the builder's,
-      with its release bits and {!warm_lines} derived by one backward
-      pass over them. *)
+  (** The stored trace built so far: the builder's columns cut to the
+      instructions pushed (by views, the flag bytes by a copy when
+      short), with its release bits and {!warm_lines} derived by one
+      backward pass over them. *)
 end
 
 val stream :

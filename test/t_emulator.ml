@@ -164,6 +164,58 @@ let test_emulator_cmov_not_taken e =
   let out = e.exec p in
   Alcotest.(check i64) (e.name ^ ": cmov not taken") 10L (Emulator.read_ext out.Emulator.state (r 2))
 
+(* Every condition at [Int64.min_int], -1, 0, 1 and [Int64.max_int],
+   the truth written out rather than derived from [Op.cond_holds], the
+   one definition every engine's conditions come from. A branch whose
+   taken and fall-through blocks write different constants, and a cmov,
+   test each; the compiled engine's trace records the branch's outcome
+   too. *)
+let cond_values = [ Int64.min_int; -1L; 0L; 1L; Int64.max_int ]
+
+let cond_truth =
+  let x = true and o = false in
+  [
+    (Op.Eq, "eq", [ o; o; x; o; o ]);
+    (Op.Ne, "ne", [ x; x; o; x; x ]);
+    (Op.Lt, "lt", [ x; x; o; o; o ]);
+    (Op.Ge, "ge", [ o; o; x; x; x ]);
+    (Op.Le, "le", [ x; x; x; o; o ]);
+    (Op.Gt, "gt", [ o; o; o; x; x ]);
+  ]
+
+let test_condition_truth_table e =
+  List.iter
+    (fun (c, cname, truth) ->
+      List.iter2
+        (fun v holds ->
+          let p =
+            Program.make
+              [
+                block 0 ~fallthrough:1
+                  [
+                    i (Op.Movi (r 1, v));
+                    i (Op.Movi (r 3, 5L));
+                    i (Op.Movi (r 4, 7L));
+                    i (Op.Cmov (c, r 4, r 1, r 3));
+                    i (Op.Branch (c, r 1, 2));
+                  ];
+                block 1 [ i (Op.Movi (r 2, 11L)); i (Op.Jump 3) ];
+                block 2 ~fallthrough:3 [ i (Op.Movi (r 2, 22L)) ];
+                block 3 [ i Op.Halt ];
+              ]
+              ~entry:0
+          in
+          let out = e.exec p in
+          let name what = Printf.sprintf "%s: %s %s %Ld" e.name what cname v in
+          let reg n = Emulator.read_ext out.Emulator.state (r n) in
+          Alcotest.(check i64) (name "branch") (if holds then 22L else 11L) (reg 2);
+          Alcotest.(check i64) (name "cmov") (if holds then 5L else 7L) (reg 4);
+          Option.iter
+            (fun t -> Alcotest.(check bool) (name "traced taken") holds (Trace.taken t 4))
+            out.Emulator.trace)
+        cond_values truth)
+    cond_truth
+
 let test_emulator_fp e =
   let p =
     straight_line
@@ -558,6 +610,8 @@ let suite =
       Alcotest.test_case "loop" `Quick (on_both test_emulator_loop);
       Alcotest.test_case "cmov taken" `Quick (on_both test_emulator_cmov);
       Alcotest.test_case "cmov not taken" `Quick (on_both test_emulator_cmov_not_taken);
+      Alcotest.test_case "condition truth table" `Quick
+        (on_both test_condition_truth_table);
       Alcotest.test_case "floating point" `Quick (on_both test_emulator_fp);
       Alcotest.test_case "fault continues" `Quick test_emulator_fault_continues;
       Alcotest.test_case "max steps" `Quick (on_both test_emulator_max_steps);

@@ -668,15 +668,13 @@ let test_trace_footprint () =
       [| store_at ~uid:0 0; load_at ~uid:1 ~deps:[| (0, false) |] 64 |];
       chain_events 5;
     ];
-  (* a builder sized for one instruction grows its columns, keeps each
-     instruction's dependences sorted without exact duplicates, and
-     promotes a first instruction inside a braid to a braid start *)
+  (* a builder sized for three instructions keeps each instruction's
+     dependences sorted without exact duplicates, promotes a first
+     instruction inside a braid to a braid start, and refuses a fourth:
+     its columns never grow *)
   let chain = trace_of_events (chain_events 3) in
-  let b =
-    Trace.Builder.create
-      (Array.init 3 (Trace.static chain))
-      (Trace.program chain) ~capacity:1 ~max_reads:3
-  in
+  let statics = Array.init 3 (Trace.static chain) in
+  let b = Trace.Builder.create statics (Trace.program chain) ~capacity:3 ~max_reads:3 in
   let push s = Trace.Builder.push b s ~addr:(-1) 0 in
   push 0;
   Trace.Builder.add_dep b 0 true;
@@ -685,9 +683,10 @@ let test_trace_footprint () =
     (fun (p, via) -> Trace.Builder.add_dep b p via)
     [ (1, false); (0, true); (0, false); (1, false) ];
   push 2;
+  expect_invalid "a push past the capacity" (fun () -> push 0) "full at 3";
   let t = Trace.Builder.finish b Trace.Halted in
   let deps u = Array.to_list (Trace.event t u).Trace.deps in
-  Alcotest.(check int) "grown length" 3 (Trace.length t);
+  Alcotest.(check int) "length" 3 (Trace.length t);
   Alcotest.(check (list (pair int bool))) "one dependence" [ (0, true) ] (deps 1);
   Alcotest.(check (list (pair int bool)))
     "sorted, deduplicated" [ (0, false); (0, true); (1, false) ] (deps 2);
@@ -695,7 +694,6 @@ let test_trace_footprint () =
     (List.init 3 (Trace.braid_start t));
   (* a dependence entry packs a uid into 29 bits, and an instruction's
      entries fit the room its reads bound *)
-  let statics = Array.init 3 (Trace.static chain) in
   expect_invalid "capacity past the uid bound"
     (fun () ->
       ignore
